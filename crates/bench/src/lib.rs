@@ -5,12 +5,12 @@
 //!
 //! | Artifact | Binary |
 //! |---|---|
-//! | Table I (setup & overhead) | `table1` |
-//! | Table II (Graph500 sites) / Fig. 2 | `table2_graph500` / `fig2_graph500` |
-//! | Table III (MiniFE) / Fig. 3 | `table3_minife` / `fig3_minife` |
-//! | Table IV (MiniAMR) / Fig. 4 | `table4_miniamr` / `fig4_miniamr` |
-//! | Table V (LAMMPS) / Fig. 5 | `table5_lammps` / `fig5_lammps` |
-//! | Table VI (Gadget2) / Fig. 6 | `table6_gadget2` / `fig6_gadget2` |
+//! | Table I (setup & overhead) | `all_experiments --only table1` |
+//! | Table II (Graph500 sites) / Fig. 2 | `all_experiments --only table2` / `--only fig2` |
+//! | Table III (MiniFE) / Fig. 3 | `all_experiments --only table3` / `--only fig3` |
+//! | Table IV (MiniAMR) / Fig. 4 | `all_experiments --only table4` / `--only fig4` |
+//! | Table V (LAMMPS) / Fig. 5 | `all_experiments --only table5` / `--only fig5` |
+//! | Table VI (Gadget2) / Fig. 6 | `all_experiments --only table6` / `--only fig6` |
 //! | everything + artifacts | `all_experiments` |
 //! | ablations (clustering / features / threshold / interval) | `ablation_*` |
 //! | parallel select-k speedup + determinism gate | `speedup` |

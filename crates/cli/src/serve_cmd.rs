@@ -9,7 +9,7 @@
 
 use crate::{CliError, RunDump};
 use incprof_serve::signal;
-use incprof_serve::{BindAddr, Client, RetentionPolicy, ServeConfig, Server};
+use incprof_serve::{BindAddr, Client, PlaneHandle, RetentionPolicy, ServeConfig, Server};
 use std::path::{Path, PathBuf};
 
 pub(crate) fn take(args: &[String], i: &mut usize, what: &str) -> Result<String, CliError> {
@@ -17,6 +17,31 @@ pub(crate) fn take(args: &[String], i: &mut usize, what: &str) -> Result<String,
     args.get(*i)
         .cloned()
         .ok_or_else(|| CliError::Usage(format!("{what} requires a value")))
+}
+
+/// The announce-and-wait half of both listener commands (`serve`,
+/// `shard`): print `<name> listening on <addr><note>` (and the admin
+/// address), write the resolved addresses to the files scripts poll
+/// for, then block until a `Shutdown` frame arrives or SIGINT fires.
+pub(crate) fn announce_and_wait(
+    name: &str,
+    note: &str,
+    handle: &PlaneHandle,
+    addr_file: Option<&Path>,
+    admin_addr_file: Option<&Path>,
+) -> Result<(), CliError> {
+    println!("{name} listening on {}{note}", handle.addr());
+    if let Some(admin) = handle.admin_addr() {
+        println!("{name} admin on {admin}");
+        if let Some(path) = admin_addr_file {
+            std::fs::write(path, admin)?;
+        }
+    }
+    if let Some(path) = addr_file {
+        std::fs::write(path, handle.addr())?;
+    }
+    handle.wait(Some(signal::interrupted()));
+    Ok(())
 }
 
 pub(crate) fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError>
@@ -139,23 +164,18 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
     config.source_graph = build_source_graph();
 
     signal::install_sigint_handler();
-    let server = Server::bind(config).map_err(CliError::Io)?;
-    let addr = server.local_addr().to_string();
-    let handle = server.start().map_err(CliError::Io)?;
+    let handle = Server::bind(config)
+        .and_then(Server::start)
+        .map_err(CliError::Io)?;
     // Announce readiness immediately; the summary string below is only
     // printed after shutdown.
-    println!("incprof-serve listening on {addr}");
-    if let Some(admin) = handle.admin_addr() {
-        println!("incprof-serve admin on {admin}");
-        if let Some(path) = &admin_addr_file {
-            std::fs::write(path, admin)?;
-        }
-    }
-    if let Some(path) = &addr_file {
-        std::fs::write(path, &addr)?;
-    }
-
-    handle.wait(Some(signal::interrupted()));
+    announce_and_wait(
+        "incprof-serve",
+        "",
+        &handle,
+        addr_file.as_deref(),
+        admin_addr_file.as_deref(),
+    )?;
     let sessions_at_exit = handle.active_sessions();
     if let Some(path) = &final_scrape {
         std::fs::write(path, handle.shutdown_scraped())?;

@@ -18,7 +18,8 @@
 //! binding anything (`scripts/check.sh` uses it to decide which
 //! backend to kill in the failover smoke).
 
-use crate::{serve_cmd::parse_num, serve_cmd::take, CliError};
+use crate::serve_cmd::{announce_and_wait, parse_num, take};
+use crate::CliError;
 use incprof_serve::signal;
 use incprof_serve::BindAddr;
 use incprof_shard::{BackendSpec, Ring, Router, RouterConfig};
@@ -137,36 +138,20 @@ pub fn shard_cmd(args: &[String]) -> Result<String, CliError> {
         config.backends = backend_specs;
     }
 
-    let router = match Router::bind(config) {
-        Ok(router) => router,
-        Err(e) => {
-            reap(&mut children);
-            return Err(CliError::Io(e));
-        }
-    };
-    let addr = router.local_addr().to_string();
-    let handle = match router.start() {
+    let handle = match Router::bind(config).and_then(Router::start) {
         Ok(handle) => handle,
         Err(e) => {
             reap(&mut children);
             return Err(CliError::Io(e));
         }
     };
-    println!(
-        "incprof-shard listening on {addr} ({} backend(s))",
-        handle.backends_up().len()
-    );
-    if let Some(admin) = handle.admin_addr() {
-        println!("incprof-shard admin on {admin}");
-        if let Some(path) = &admin_addr_file {
-            std::fs::write(path, admin)?;
-        }
-    }
-    if let Some(path) = &addr_file {
-        std::fs::write(path, &addr)?;
-    }
-
-    handle.wait(Some(signal::interrupted()));
+    announce_and_wait(
+        "incprof-shard",
+        &format!(" ({} backend(s))", handle.backends_up().len()),
+        &handle,
+        addr_file.as_deref(),
+        admin_addr_file.as_deref(),
+    )?;
     let up: Vec<bool> = handle.backends_up();
     let routed = handle.routed_per_backend();
     handle.shutdown();

@@ -122,8 +122,8 @@ impl Default for Config {
             "crates/obs/src/span.rs",
             // The app harness stamps wall progress for operator output.
             "crates/apps/src/harness.rs",
-            // The daemon stamps frame arrival for ingest-latency metrics
-            // and polls sockets on real timeouts.
+            // The daemon's data-plane handler stamps frame arrival for
+            // ingest-latency metrics and idle-age eviction.
             "crates/serve/src/server.rs",
             // The admin plane stamps scrape time for idle-age gauges; it
             // is read-only and never feeds the analysis pipeline.
@@ -139,11 +139,9 @@ impl Default for Config {
             "crates/par/",
             // The wall collector owns its tick thread.
             "crates/collect/src/collector.rs",
-            // The daemon's acceptor and bounded worker threads.
-            "crates/serve/src/server.rs",
-            // The shard router's acceptor, admin, and per-connection
-            // threads mirror the daemon's.
-            "crates/shard/",
+            // The connection plane: the one acceptor + fixed connection
+            // thread set every daemon and router socket runs on.
+            "crates/serve/src/plane.rs",
         ]
         .map(String::from)
         .to_vec();
@@ -252,13 +250,17 @@ mod tests {
         assert!(c.d01_allows("crates/serve/src/server.rs"));
         assert!(c.d01_allows("crates/serve/src/admin.rs"));
         assert!(c.d01_allows("crates/shard/src/router.rs"));
+        assert!(!c.d01_allows("crates/serve/src/plane.rs"));
         assert!(!c.d01_allows("crates/shard/src/ring.rs"));
         assert!(!c.d01_allows("crates/serve/src/session.rs"));
         assert!(!c.d01_allows("crates/core/src/pipeline.rs"));
         // `/`-terminated entries are prefixes; others are not.
         assert!(c.d03_allows("crates/par/src/pool.rs"));
-        assert!(c.d03_allows("crates/serve/src/server.rs"));
-        assert!(c.d03_allows("crates/shard/src/router.rs"));
+        assert!(c.d03_allows("crates/serve/src/plane.rs"));
+        // Sockets spawn threads in the plane only: the daemon and the
+        // router are handlers, not servers.
+        assert!(!c.d03_allows("crates/serve/src/server.rs"));
+        assert!(!c.d03_allows("crates/shard/src/router.rs"));
         assert!(!c.d03_allows("crates/serve/src/client.rs"));
         assert!(!c.d03_allows("crates/collect/src/collector_helper.rs"));
         // A caller can extend the scope without touching rule code.

@@ -23,109 +23,48 @@
 //! `{session="<id>"}` from [`Registry::stats`]. `incprof top` renders
 //! the same text client-side.
 
-use crate::frame::{read_frame, write_frame, ErrorCode, ErrorInfo, Frame, FrameType, ReadOutcome};
-use crate::server::{Conn, Listener, Shared};
+use crate::frame::{ErrorCode, Frame, FrameType};
+use crate::plane::{error_reply, Reply};
+use crate::server::Shared;
 use crate::session::Registry;
 use std::time::Instant;
 
-/// Accept loop for the admin listener. Single-threaded on purpose:
-/// every request is answered from in-memory snapshots, so one slow
-/// scraper only delays other scrapers, never ingest.
-pub(crate) fn admin_loop(listener: &Listener, shared: &Shared) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("admin accept failed: {e}");
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SERVE_ADMIN_CONNS).inc();
-        serve_admin_conn(conn, shared);
-    }
-}
-
-/// Serve one admin connection until it closes, errors, idles out, or
-/// the daemon drains. Mirrors the data plane's framing discipline:
-/// framing violations answer once and drop, payload problems answer
-/// and keep going.
-fn serve_admin_conn(mut conn: Conn, shared: &Shared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
-                incprof_obs::recorder().record(
-                    incprof_obs::EventKind::DecodeError,
-                    0,
-                    ErrorCode::of_frame_error(&e) as u64,
-                );
-                let info = ErrorInfo::new(ErrorCode::of_frame_error(&e), e.to_string());
-                send(
-                    &mut conn,
-                    &Frame::with_payload(FrameType::Error, 0, info.encode()),
-                );
-                return;
-            }
-        };
-        idle_polls = 0;
-        incprof_obs::counter(incprof_obs::names::SERVE_ADMIN_REQUESTS).inc();
-        if !dispatch_admin(&mut conn, shared, frame) {
-            return;
-        }
-    }
-}
-
-/// Answer one admin frame; returns false when the connection should end.
-fn dispatch_admin(conn: &mut Conn, shared: &Shared, frame: Frame) -> bool {
-    match frame.frame_type {
+/// Answer one admin frame on the daemon's admin plane.
+pub(crate) fn dispatch_admin(shared: &Shared, frame: Frame) -> Reply {
+    incprof_obs::counter(incprof_obs::names::SERVE_ADMIN_REQUESTS).inc();
+    Reply::Send(match frame.frame_type {
         FrameType::Scrape => {
             incprof_obs::counter(incprof_obs::names::SERVE_ADMIN_SCRAPES).inc();
             let text = render_exposition(&shared.registry, Instant::now());
-            send(
-                conn,
-                &Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes()),
-            )
+            Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes())
         }
+        FrameType::Health => {
+            let json = format!(
+                "{{\"status\":\"ok\",\"sessions\":{},\"draining\":{}}}",
+                shared.registry.active(),
+                shared.stop.requested()
+            );
+            Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes())
+        }
+        _ => answer_local(&frame, "the read-only admin socket"),
+    })
+}
+
+/// Answer the admin requests that read only this process's own
+/// observability state — `TraceGet` and `RecorderDump` — and reject
+/// every other type as not served on `socket`. Shared by the daemon's
+/// and the shard router's admin planes.
+pub fn answer_local(frame: &Frame, socket: &str) -> Frame {
+    match frame.frame_type {
         FrameType::TraceGet => {
             let Ok(bytes) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
-                let info = ErrorInfo::new(
+                return error_reply(
+                    0,
                     ErrorCode::BadPayload,
-                    format!(
+                    &format!(
                         "TraceGet payload must be 8 bytes, got {}",
                         frame.payload.len()
                     ),
-                );
-                return send(
-                    conn,
-                    &Frame::with_payload(FrameType::Error, 0, info.encode()),
                 );
             };
             let trace_id = u64::from_le_bytes(bytes);
@@ -133,10 +72,7 @@ fn dispatch_admin(conn: &mut Conn, shared: &Shared, frame: Frame) -> bool {
                 incprof_obs::trace::store_trace_tree(incprof_obs::global().spans(), trace_id);
             let json = serde_json::to_string(&tree)
                 .unwrap_or_else(|e| format!("{{\"error\":\"serialize failed: {e}\"}}"));
-            send(
-                conn,
-                &Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes()),
-            )
+            Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes())
         }
         FrameType::RecorderDump => {
             let recorder = incprof_obs::recorder();
@@ -146,44 +82,13 @@ fn dispatch_admin(conn: &mut Conn, shared: &Shared, frame: Frame) -> bool {
                 recorder.total(),
                 serde_json::to_string(&events).unwrap_or_else(|_| "[]".to_string())
             );
-            send(
-                conn,
-                &Frame::with_payload(FrameType::RecorderReply, 0, json.into_bytes()),
-            )
+            Frame::with_payload(FrameType::RecorderReply, 0, json.into_bytes())
         }
-        FrameType::Health => {
-            let json = format!(
-                "{{\"status\":\"ok\",\"sessions\":{},\"draining\":{}}}",
-                shared.registry.active(),
-                shared.shutting_down()
-            );
-            send(
-                conn,
-                &Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes()),
-            )
-        }
-        other => {
-            let info = ErrorInfo::new(
-                ErrorCode::BadType,
-                format!("{other:?} is not served on the read-only admin socket"),
-            );
-            send(
-                conn,
-                &Frame::with_payload(FrameType::Error, frame.session_id, info.encode()),
-            )
-        }
-    }
-}
-
-/// Write a frame, counting it; returns false when the peer is gone.
-fn send(conn: &mut Conn, frame: &Frame) -> bool {
-    match write_frame(conn, frame) {
-        Ok(n) => {
-            incprof_obs::counter(incprof_obs::names::SERVE_FRAMES_OUT).inc();
-            incprof_obs::counter(incprof_obs::names::SERVE_BYTES_OUT).add(n as u64);
-            true
-        }
-        Err(_) => false,
+        other => error_reply(
+            frame.session_id,
+            ErrorCode::BadType,
+            &format!("{other:?} is not served on {socket}"),
+        ),
     }
 }
 
@@ -192,31 +97,43 @@ fn prom_name(name: &str) -> String {
     format!("incprof_{}", name.replace('.', "_"))
 }
 
-/// Render the whole global metrics registry plus per-session vitals as
-/// Prometheus-style text exposition. Deterministic ordering: metric
-/// maps iterate sorted (BTreeMap) and sessions come back in id order.
-pub(crate) fn render_exposition(registry: &Registry, now: Instant) -> String {
+/// Render the global metrics registry's counters, gauges and histograms
+/// whose dotted name passes `keep`, as Prometheus-style text exposition.
+/// Deterministic ordering: the metric maps iterate sorted (BTreeMap).
+pub fn render_metrics(out: &mut String, keep: impl Fn(&str) -> bool) {
     let metrics = incprof_obs::global().metrics();
-    let mut out = String::with_capacity(4096);
     for (name, value) in metrics.counter_values() {
-        let n = prom_name(&name);
-        out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
+        if keep(&name) {
+            let n = prom_name(&name);
+            out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
+        }
     }
     for (name, value) in metrics.gauge_values() {
-        let n = prom_name(&name);
-        out.push_str(&format!("# TYPE {n} gauge\n{n} {value}\n"));
+        if keep(&name) {
+            let n = prom_name(&name);
+            out.push_str(&format!("# TYPE {n} gauge\n{n} {value}\n"));
+        }
     }
     for (name, h) in metrics.histogram_snapshots() {
-        let n = prom_name(&name);
-        out.push_str(&format!(
-            "# TYPE {n} summary\n{n}_count {}\n{n}_sum {}\n",
-            h.count, h.sum
-        ));
-        out.push_str(&format!(
-            "# TYPE {n}_min gauge\n{n}_min {}\n# TYPE {n}_max gauge\n{n}_max {}\n",
-            h.min, h.max
-        ));
+        if keep(&name) {
+            let n = prom_name(&name);
+            out.push_str(&format!(
+                "# TYPE {n} summary\n{n}_count {}\n{n}_sum {}\n",
+                h.count, h.sum
+            ));
+            out.push_str(&format!(
+                "# TYPE {n}_min gauge\n{n}_min {}\n# TYPE {n}_max gauge\n{n}_max {}\n",
+                h.min, h.max
+            ));
+        }
     }
+}
+
+/// Render the whole global metrics registry plus per-session vitals as
+/// Prometheus-style text exposition; sessions come back in id order.
+pub(crate) fn render_exposition(registry: &Registry, now: Instant) -> String {
+    let mut out = String::with_capacity(4096);
+    render_metrics(&mut out, |_| true);
     let stats = registry.stats(now);
     type StatGetter = fn(&crate::session::SessionStats) -> u64;
     let gauges: &[(&str, StatGetter)] = &[

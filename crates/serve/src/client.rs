@@ -12,11 +12,10 @@ use crate::frame::{
     read_frame, write_frame, ErrorInfo, Frame, FrameError, FrameType, ReadOutcome, SnapshotAck,
     TraceWire, DEFAULT_MAX_PAYLOAD,
 };
+use crate::plane::{BindAddr, Conn};
 use incprof_profile::GmonData;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::time::Duration;
 
 /// Client-side failure.
@@ -66,60 +65,8 @@ pub enum Push {
     Busy,
 }
 
-enum Stream {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// Where a [`Client`] dials, remembered so a broken connection can be
-/// transparently re-established.
-#[derive(Debug, Clone)]
-enum Target {
-    Tcp(String),
-    Unix(PathBuf),
-}
-
-impl Target {
-    fn dial(&self) -> Result<Stream, ClientError> {
-        match self {
-            Target::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str())?;
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                Ok(Stream::Tcp(stream))
-            }
-            Target::Unix(path) => {
-                let stream = UnixStream::connect(path)?;
-                stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-                Ok(Stream::Unix(stream))
-            }
-        }
-    }
-}
+/// How long a client waits on a silent server before polling again.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default bound on transparent reconnect attempts per request.
 const DEFAULT_RECONNECT_ATTEMPTS: usize = 3;
@@ -133,18 +80,16 @@ const DEFAULT_RECONNECT_ATTEMPTS: usize = 3;
 /// design: the server recognizes a re-pushed snapshot it already acked
 /// and replays the identical ack, and every query is read-only.
 pub struct Client {
-    stream: Stream,
-    max_payload: u32,
-    target: Target,
+    stream: Conn,
+    /// Where to re-dial when the connection breaks.
+    target: BindAddr,
     reconnect_attempts: usize,
 }
 
 impl Client {
-    fn from_target(target: Target) -> Result<Client, ClientError> {
-        let stream = target.dial()?;
+    fn from_target(target: BindAddr) -> Result<Client, ClientError> {
         Ok(Client {
-            stream,
-            max_payload: DEFAULT_MAX_PAYLOAD,
+            stream: Conn::dial(&target, READ_TIMEOUT)?,
             target,
             reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
         })
@@ -152,22 +97,18 @@ impl Client {
 
     /// Connect over TCP (`host:port`).
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        Client::from_target(Target::Tcp(addr.to_string()))
+        Client::from_target(BindAddr::Tcp(addr.to_string()))
     }
 
     /// Connect over a Unix-domain socket.
     pub fn connect_unix(path: &Path) -> Result<Client, ClientError> {
-        Client::from_target(Target::Unix(path.to_path_buf()))
+        Client::from_target(BindAddr::Unix(path.to_path_buf()))
     }
 
     /// Connect to `addr`, treating anything containing `/` as a Unix
     /// socket path and everything else as `host:port`.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
-        if addr.contains('/') {
-            Client::connect_unix(Path::new(addr))
-        } else {
-            Client::connect_tcp(addr)
-        }
+        Client::from_target(BindAddr::parse(addr))
     }
 
     /// Bound the transparent reconnect loop (0 disables it; a broken
@@ -182,7 +123,7 @@ impl Client {
     fn exchange(&mut self, request: &Frame) -> Result<Frame, ClientError> {
         write_frame(&mut self.stream, request)?;
         loop {
-            match read_frame(&mut self.stream, self.max_payload)? {
+            match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD)? {
                 ReadOutcome::Frame(f) => return Ok(f),
                 ReadOutcome::TimedOut => continue,
                 ReadOutcome::Closed => return Err(ClientError::Disconnected),
@@ -209,7 +150,7 @@ impl Client {
         let seed = request.session_id ^ (request.frame_type as u64);
         for attempt in 0..self.reconnect_attempts {
             std::thread::sleep(retry_backoff(attempt, seed));
-            match self.target.dial() {
+            match Conn::dial(&self.target, READ_TIMEOUT) {
                 Ok(stream) => {
                     self.stream = stream;
                     incprof_obs::counter(incprof_obs::names::SERVE_CLIENT_RECONNECTS).inc();
@@ -219,7 +160,7 @@ impl Client {
                         Err(e) => return Err(e),
                     }
                 }
-                Err(e) => last = e,
+                Err(e) => last = e.into(),
             }
         }
         Err(last)

@@ -22,10 +22,13 @@
 //! - [`session`] — per-run state and the concurrent session registry,
 //!   with bounded ingest queues, fault isolation, and — when a store
 //!   is attached — LRU eviction plus transparent rehydration.
-//! - [`server`] — the daemon: accept loop, bounded worker pool,
-//!   backpressure, graceful drain-on-shutdown.
-//! - [`mod@admin`] — the optional read-only admin listener: Prometheus
-//!   scrape, trace-tree lookup, flight-recorder dump, health.
+//! - [`plane`] — the one connection plane every listening socket runs
+//!   on: bind, accept loop, bounded hand-off to a fixed thread set,
+//!   per-connection frame loop, backpressure, shutdown.
+//! - [`server`] — the daemon: the data plane's request handler over the
+//!   session registry, graceful drain-on-shutdown.
+//! - [`mod@admin`] — the optional read-only admin plane's handler:
+//!   Prometheus scrape, trace-tree lookup, flight-recorder dump, health.
 //! - [`client`] — a blocking request/reply client (data and admin).
 //! - [`signal`] — SIGINT-to-atomic-flag plumbing for the CLI.
 //!
@@ -42,6 +45,7 @@ pub mod admin;
 pub mod backoff;
 pub mod client;
 pub mod frame;
+pub mod plane;
 pub mod server;
 pub mod session;
 pub mod signal;
@@ -50,5 +54,6 @@ pub use backoff::{retry_backoff, BackoffPolicy, RETRY_POLICY};
 pub use client::{Client, ClientError, Push};
 pub use frame::{ErrorCode, ErrorInfo, Frame, FrameError, FrameType, SnapshotAck, TraceWire};
 pub use incprof_store::{RetentionPolicy, Store};
-pub use server::{BindAddr, ServeConfig, Server, ServerHandle};
+pub use plane::{BindAddr, PlaneHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 pub use session::{Registry, ReportMode, SessionStats};

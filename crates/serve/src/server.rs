@@ -1,56 +1,32 @@
 //! The streaming phase-detection daemon.
 //!
-//! Architecture (all std, no async runtime):
-//!
-//! ```text
-//!             ┌────────────┐   bounded conn queue   ┌──────────────┐
-//!  accept ───▶│  acceptor  │ ──────────────────────▶│ worker pool  │──▶ session
-//!  (TCP/Unix) │   thread   │   (BUSY reply + drop   │ (N threads,  │    registry
-//!             └────────────┘    when full)          │  blocking IO)│
-//!                                                   └──────────────┘
-//! ```
-//!
-//! One worker owns one connection at a time and speaks the frame
-//! protocol over blocking sockets with a short read timeout, so every
-//! worker observes the shutdown flag within one poll interval. Ingest
-//! is bounded end to end: the connection queue, each session's pending
-//! queue, and the frame payload size all have hard caps, and every
-//! overflow answers with a typed reply instead of buffering.
+//! The sockets belong to [`crate::plane`]: this module binds one data
+//! [`Plane`] (and, when configured, one admin plane), and supplies the
+//! data plane's handler — one request frame in, one reply frame out,
+//! against the session registry. Ingest is bounded end to end: the
+//! plane's connection queue, each session's pending queue, and the
+//! frame payload size all have hard caps, and every overflow answers
+//! with a typed reply instead of buffering.
 //!
 //! Shutdown is graceful by construction: the flag flips (via a
 //! [`FrameType::Shutdown`] frame or [`ServerHandle::shutdown`]), the
-//! acceptor wakes itself with a loopback connection and stops, workers
-//! finish their in-flight request, every session's pending queue is
-//! drained, and only then do the threads join.
+//! planes stop accepting and finish their in-flight requests, every
+//! session's pending queue is drained, and only then does
+//! [`ServerHandle::shutdown`] return.
 
-use crate::frame::{
-    read_frame, write_frame, ErrorCode, ErrorInfo, Frame, FrameType, ReadOutcome, SnapshotAck,
-    DEFAULT_MAX_PAYLOAD,
+use crate::frame::{ErrorCode, Frame, FrameType, SnapshotAck};
+use crate::plane::{
+    error_reply, error_reply_info, BindAddr, Plane, PlaneHandle, PlaneSpec, Reply, Stop,
 };
 use crate::session::{lock, Enqueue, Registry, ReportMode, Session};
 use incprof_core::online::OnlineConfig;
 use incprof_core::{PhaseDetector, SourceGraph};
 use incprof_profile::GmonData;
 use incprof_store::{RetentionPolicy, Store};
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Where the daemon listens.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BindAddr {
-    /// A TCP address like `127.0.0.1:7077` (`:0` picks an ephemeral
-    /// port; read the bound address back from [`ServerHandle::addr`]).
-    Tcp(String),
-    /// A Unix-domain socket path (taken over: a stale file is removed).
-    Unix(PathBuf),
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -63,14 +39,10 @@ pub struct ServeConfig {
     pub max_sessions: usize,
     /// Per-session ingest queue bound (frames).
     pub max_pending: usize,
-    /// Cap on a single frame's payload bytes.
-    pub max_payload: u32,
     /// Socket read poll interval; also the shutdown-observation latency.
     pub read_timeout: Duration,
     /// Idle connections are dropped after this long without a frame.
     pub idle_timeout: Duration,
-    /// Bounded queue of accepted-but-unclaimed connections.
-    pub backlog: usize,
     /// The offline detector answering report queries.
     pub detector: PhaseDetector,
     /// The incremental detector fed per frame.
@@ -106,10 +78,8 @@ impl Default for ServeConfig {
             workers: 4,
             max_sessions: 64,
             max_pending: 64,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             read_timeout: Duration::from_millis(100),
-            idle_timeout: Duration::from_secs(30),
-            backlog: 32,
+            idle_timeout: crate::plane::IDLE_TIMEOUT,
             detector: PhaseDetector::default(),
             online: OnlineConfig::default(),
             analysis_cache: true,
@@ -123,108 +93,21 @@ impl Default for ServeConfig {
     }
 }
 
-/// One accepted connection (TCP or Unix). Public so other frontends —
-/// notably the `incprof-shard` router — can reuse the daemon's
-/// accept-loop pieces instead of reimplementing the socket plumbing.
-pub enum Conn {
-    /// A TCP connection.
-    Tcp(TcpStream),
-    /// A Unix-domain socket connection.
-    Unix(UnixStream),
-}
-
-impl Conn {
-    /// Set the read poll interval (shutdown-observation latency).
-    pub fn set_read_timeout(&self, t: Duration) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(Some(t)),
-            Conn::Unix(s) => s.set_read_timeout(Some(t)),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// A bound listener (TCP or Unix), the accepting half of [`Conn`].
-pub enum Listener {
-    /// A TCP listener.
-    Tcp(TcpListener),
-    /// A Unix-domain socket listener.
-    Unix(UnixListener),
-}
-
-impl Listener {
-    /// Accept one connection.
-    pub fn accept(&self) -> io::Result<Conn> {
-        match self {
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-        }
-    }
-}
+/// Flight-recorder `b` tag on [`incprof_obs::EventKind::BusyReply`]
+/// (beside [`crate::plane::BUSY_CONN_BACKLOG`]): a session's bounded
+/// pending queue was full.
+pub const BUSY_SESSION_QUEUE: u64 = 2;
 
 pub(crate) struct Shared {
     pub(crate) config: ServeConfig,
     pub(crate) registry: Registry,
-    shutdown: AtomicBool,
-    queue: Mutex<VecDeque<Conn>>,
-    queue_cond: Condvar,
-}
-
-impl Shared {
-    pub(crate) fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-}
-
-/// Bind one [`BindAddr`], returning the listener and its resolved
-/// address (`ip:port` for TCP — ephemeral ports resolved — or the path
-/// for Unix, whose stale socket file is taken over).
-pub fn bind_addr(addr: &BindAddr) -> io::Result<(Listener, String)> {
-    match addr {
-        BindAddr::Tcp(spec) => {
-            let l = TcpListener::bind(spec.as_str())?;
-            let addr = l.local_addr()?.to_string();
-            Ok((Listener::Tcp(l), addr))
-        }
-        BindAddr::Unix(path) => {
-            // Take the path over; a stale socket file from a dead
-            // daemon would otherwise fail the bind forever.
-            let _ = std::fs::remove_file(path);
-            let l = UnixListener::bind(path)?;
-            Ok((Listener::Unix(l), path.display().to_string()))
-        }
-    }
+    pub(crate) stop: Arc<Stop>,
 }
 
 /// A bound (but not yet running) daemon.
 pub struct Server {
-    listener: Listener,
-    addr: String,
-    admin: Option<(Listener, String)>,
+    data: Plane,
+    admin: Option<Plane>,
     shared: Arc<Shared>,
 }
 
@@ -232,11 +115,31 @@ impl Server {
     /// Bind the configured address. For `BindAddr::Tcp` with port 0 the
     /// kernel picks an ephemeral port; [`Server::local_addr`] reports it.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
-        let (listener, addr) = bind_addr(&config.addr)?;
-        let admin = match &config.admin {
-            Some(spec) => Some(bind_addr(spec)?),
-            None => None,
+        let spec = |name, threads, conns_counter| PlaneSpec {
+            name,
+            threads,
+            read_timeout: config.read_timeout,
+            idle_timeout: config.idle_timeout,
+            conns_counter,
         };
+        let data = Plane::bind(
+            &config.addr,
+            spec(
+                "incprof-serve",
+                config.workers,
+                incprof_obs::names::SERVE_CONNS_ACCEPTED,
+            ),
+        )?;
+        // One thread on purpose: every admin request is answered from
+        // in-memory snapshots, so one slow scraper only delays other
+        // scrapers, never ingest.
+        let admin_spec = spec(
+            "incprof-serve-admin",
+            1,
+            incprof_obs::names::SERVE_ADMIN_CONNS,
+        );
+        let admin = config.admin.as_ref();
+        let admin = admin.map(|a| Plane::bind(a, admin_spec)).transpose()?;
         let mut registry = Registry::new(
             config.online.clone(),
             config.max_sessions,
@@ -259,13 +162,10 @@ impl Server {
         let shared = Arc::new(Shared {
             config,
             registry,
-            shutdown: AtomicBool::new(false),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cond: Condvar::new(),
+            stop: Arc::default(),
         });
         Ok(Server {
-            listener,
-            addr,
+            data,
             admin,
             shared,
         })
@@ -273,308 +173,119 @@ impl Server {
 
     /// The bound address: `ip:port` for TCP, the path for Unix.
     pub fn local_addr(&self) -> &str {
-        &self.addr
+        self.data.addr()
     }
 
-    /// Spawn the acceptor and worker threads and return a handle.
+    /// Start the data (and admin) plane and return a handle.
     pub fn start(self) -> io::Result<ServerHandle> {
-        let mut threads = Vec::with_capacity(self.shared.config.workers + 2);
-        for i in 0..self.shared.config.workers.max(1) {
-            let shared = Arc::clone(&self.shared);
-            let t = std::thread::Builder::new()
-                .name(format!("incprof-serve-worker-{i}"))
-                .spawn(move || worker_loop(&shared))?;
-            threads.push(t);
-        }
-        let mut admin_addr = None;
-        if let Some((listener, addr)) = self.admin {
-            let shared = Arc::clone(&self.shared);
-            let t = std::thread::Builder::new()
-                .name("incprof-serve-admin".to_string())
-                .spawn(move || crate::admin::admin_loop(&listener, &shared))?;
-            threads.push(t);
-            admin_addr = Some(addr);
-        }
+        let mut planes = PlaneHandle::new(Arc::clone(&self.shared.stop));
         let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let acceptor = std::thread::Builder::new()
-            .name("incprof-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?;
-        threads.push(acceptor);
+        planes.start(self.data, || (), move |(), frame| dispatch(&shared, frame))?;
+        if let Some(admin) = self.admin {
+            let shared = Arc::clone(&self.shared);
+            planes.start(
+                admin,
+                || (),
+                move |(), frame| crate::admin::dispatch_admin(&shared, frame),
+            )?;
+        }
         Ok(ServerHandle {
             shared: self.shared,
-            addr: self.addr,
-            admin_addr,
-            threads,
+            planes,
         })
     }
 }
 
-/// Handle to a running daemon.
+/// Handle to a running daemon. Derefs to its [`PlaneHandle`] for the
+/// addresses and the request/wait half of the shutdown sequence.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    addr: String,
-    admin_addr: Option<String>,
-    threads: Vec<JoinHandle<()>>,
+    planes: PlaneHandle,
+}
+
+impl std::ops::Deref for ServerHandle {
+    type Target = PlaneHandle;
+
+    fn deref(&self) -> &PlaneHandle {
+        &self.planes
+    }
 }
 
 impl ServerHandle {
-    /// The bound address (`ip:port` or Unix path).
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// The admin socket's bound address, when one was configured.
-    pub fn admin_addr(&self) -> Option<&str> {
-        self.admin_addr.as_deref()
-    }
-
     /// Number of live sessions.
     pub fn active_sessions(&self) -> usize {
         self.shared.registry.active()
     }
 
-    /// Flip the shutdown flag without joining (idempotent; a `Shutdown`
-    /// frame does the same from the wire).
-    pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.queue_cond.notify_all();
-        wake_acceptor(&self.shared.config.addr, &self.addr);
-        if let (Some(spec), Some(addr)) = (&self.shared.config.admin, &self.admin_addr) {
-            wake_acceptor(spec, addr);
-        }
-    }
-
-    /// Whether shutdown has been requested (by flag or by frame).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
-    /// Block until shutdown is requested — by a `Shutdown` frame from
-    /// the wire or by `external` flipping true (e.g. a SIGINT flag).
-    pub fn wait(&self, external: Option<&AtomicBool>) {
-        loop {
-            if self.shared.shutting_down() {
-                return;
-            }
-            if let Some(flag) = external {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    /// Gracefully stop: flag, wake, join every thread, drain every
-    /// session's pending queue, and release the Unix socket file.
+    /// Gracefully stop: stop the planes, then drain every session's
+    /// pending queue.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
+        self.drain();
     }
 
     /// [`ServerHandle::shutdown`], then render one final admin
     /// exposition reflecting the drained state — the `--final-scrape`
     /// snapshot a scraper would have seen just before exit.
     pub fn shutdown_scraped(mut self) -> String {
-        self.shutdown_inner();
+        self.drain();
         crate::admin::render_exposition(&self.shared.registry, Instant::now())
     }
 
-    fn shutdown_inner(&mut self) {
-        self.request_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    fn drain(&mut self) {
+        self.planes.join();
         let drained = self.shared.registry.active() as u64;
         self.shared.registry.drain_all();
         incprof_obs::recorder().record(incprof_obs::EventKind::Shutdown, drained, 0);
-        if let BindAddr::Unix(path) = &self.shared.config.addr {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(BindAddr::Unix(path)) = &self.shared.config.admin {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
-/// Dial the listener once so a blocking `accept` observes the flag.
-pub fn wake_acceptor(bind: &BindAddr, addr: &str) {
-    match bind {
-        BindAddr::Tcp(_) => {
-            if let Ok(parsed) = addr.parse() {
-                let _ = TcpStream::connect_timeout(&parsed, Duration::from_millis(250));
-            }
-        }
-        BindAddr::Unix(path) => {
-            let _ = UnixStream::connect(path);
-        }
-    }
-}
-
-fn accept_loop(listener: &Listener, shared: &Shared) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SERVE_CONNS_ACCEPTED).inc();
-        let mut q = lock(&shared.queue);
-        if q.len() >= shared.config.backlog {
-            drop(q);
-            // Explicit backpressure instead of unbounded queueing.
-            incprof_obs::counter(incprof_obs::names::SERVE_BUSY_REPLIES).inc();
-            incprof_obs::recorder().record(incprof_obs::EventKind::BusyReply, 0, BUSY_CONN_BACKLOG);
-            let mut conn = conn;
-            let _ = write_frame(&mut conn, &Frame::empty(FrameType::Busy, 0));
-            continue;
-        }
-        q.push_back(conn);
-        drop(q);
-        shared.queue_cond.notify_one();
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut q = lock(&shared.queue);
-            loop {
-                if let Some(conn) = q.pop_front() {
-                    break Some(conn);
-                }
-                if shared.shutting_down() {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .queue_cond
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                q = guard;
-            }
-        };
-        match conn {
-            Some(conn) => handle_conn(conn, shared),
-            None => return,
-        }
-    }
-}
-
-/// Serve one connection until it closes, errors, idles out, or the
-/// daemon drains. Framing violations answer with a typed error and then
-/// drop the connection (the stream is no longer frame-aligned);
-/// payload-level problems answer with a typed error and keep going.
-fn handle_conn(mut conn: Conn, shared: &Shared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            send_error(&mut conn, 0, ErrorCode::ShuttingDown, "daemon draining");
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
-                let code = ErrorCode::of_frame_error(&e);
-                incprof_obs::recorder().record(incprof_obs::EventKind::DecodeError, 0, code as u64);
-                send_error(&mut conn, 0, code, &e.to_string());
-                return;
-            }
-        };
-        idle_polls = 0;
-        incprof_obs::counter(incprof_obs::names::SERVE_FRAMES_IN).inc();
-        incprof_obs::counter(incprof_obs::names::SERVE_BYTES_IN).add(frame.encoded_len() as u64);
-        if !dispatch(&mut conn, shared, frame) {
-            return;
-        }
-    }
-}
-
-/// Handle one good frame; returns false when the connection should end.
-fn dispatch(conn: &mut Conn, shared: &Shared, frame: Frame) -> bool {
-    match frame.frame_type {
+/// Answer one data-plane frame. Payload-level problems answer with a
+/// typed error and keep the connection.
+fn dispatch(shared: &Arc<Shared>, frame: Frame) -> Reply {
+    let sid = frame.session_id;
+    Reply::Send(match frame.frame_type {
         // session_id 0 asks the daemon to allocate; a nonzero id adopts
         // that id (idempotently, rehydrating shared-store state when it
         // exists) — the shard router's failover handoff path.
-        FrameType::Open if frame.session_id == 0 => match shared.registry.open() {
-            Ok((id, _)) => send(conn, &Frame::empty(FrameType::OpenAck, id)),
-            Err(e) => send_error_info(conn, frame.session_id, &e),
+        FrameType::Open if sid == 0 => match shared.registry.open() {
+            Ok((id, _)) => Frame::empty(FrameType::OpenAck, id),
+            Err(e) => error_reply_info(sid, &e),
         },
-        FrameType::Open => match shared.registry.open_with_id(frame.session_id) {
-            Ok(_) => send(conn, &Frame::empty(FrameType::OpenAck, frame.session_id)),
-            Err(e) => send_error_info(conn, frame.session_id, &e),
+        FrameType::Open => match shared.registry.open_with_id(sid) {
+            Ok(_) => Frame::empty(FrameType::OpenAck, sid),
+            Err(e) => error_reply_info(sid, &e),
         },
-        FrameType::Snapshot => handle_snapshot(conn, shared, &frame),
-        FrameType::Query => handle_query(conn, shared, &frame),
-        FrameType::Close => match shared.registry.close(frame.session_id) {
+        FrameType::Snapshot => return handle_snapshot(shared, &frame),
+        FrameType::Query => handle_query(shared, &frame),
+        FrameType::Close => match shared.registry.close(sid) {
             Some(session) => {
                 let _ = lock(&session).drain();
-                send(conn, &Frame::empty(FrameType::CloseAck, frame.session_id))
+                Frame::empty(FrameType::CloseAck, sid)
             }
             // Not live — but a store may still hold it (evicted or
             // recovered-but-untouched): closing deletes the durable
             // state without paying for a rehydration first.
-            None if shared.registry.purge(frame.session_id) => {
-                send(conn, &Frame::empty(FrameType::CloseAck, frame.session_id))
-            }
-            None => send_error(
-                conn,
-                frame.session_id,
-                ErrorCode::UnknownSession,
-                &format!("no session {}", frame.session_id),
-            ),
+            None if shared.registry.purge(sid) => Frame::empty(FrameType::CloseAck, sid),
+            None => unknown_session(sid),
         },
-        FrameType::Ping => send(conn, &Frame::empty(FrameType::Pong, frame.session_id)),
+        FrameType::Ping => Frame::empty(FrameType::Pong, sid),
         FrameType::Shutdown => {
-            shared.shutdown.store(true, Ordering::Release);
-            shared.queue_cond.notify_all();
-            send(conn, &Frame::empty(FrameType::ShutdownAck, 0));
-            // The acceptor may be parked in accept(); a ServerHandle
-            // waiter will dial it, but wake it here too so a bare
-            // wire-initiated shutdown also terminates promptly.
-            wake_acceptor(&shared.config.addr, &local_addr_of(shared));
-            false
+            shared.stop.request();
+            return Reply::Last(Frame::empty(FrameType::ShutdownAck, 0));
         }
         // Admin requests are only answered on the admin socket: the
         // data plane stays write-shaped and the read-only surface can
         // be firewalled separately.
         FrameType::Scrape | FrameType::TraceGet | FrameType::RecorderDump | FrameType::Health => {
-            send_error(
-                conn,
-                frame.session_id,
+            error_reply(
+                sid,
                 ErrorCode::BadType,
                 &format!("{:?} is admin-only; use the admin socket", frame.frame_type),
             )
         }
         // Checkpoint frames exist only inside session stores on disk.
-        FrameType::Checkpoint => send_error(
-            conn,
-            frame.session_id,
+        FrameType::Checkpoint => error_reply(
+            sid,
             ErrorCode::BadType,
             "Checkpoint is an on-disk record type, not a wire request",
         ),
@@ -590,23 +301,32 @@ fn dispatch(conn: &mut Conn, shared: &Shared, frame: Frame) -> bool {
         | FrameType::ScrapeReply
         | FrameType::TraceReply
         | FrameType::RecorderReply
-        | FrameType::HealthReply => send_error(
-            conn,
-            frame.session_id,
+        | FrameType::HealthReply => error_reply(
+            sid,
             ErrorCode::BadType,
             &format!("{:?} is a reply type", frame.frame_type),
         ),
-    }
+    })
 }
 
-fn local_addr_of(shared: &Shared) -> String {
-    match &shared.config.addr {
-        BindAddr::Tcp(spec) => spec.clone(),
-        BindAddr::Unix(path) => path.display().to_string(),
-    }
+fn unknown_session(sid: u64) -> Frame {
+    error_reply(sid, ErrorCode::UnknownSession, &format!("no session {sid}"))
 }
 
-fn handle_snapshot(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
+fn snapshot_ack(sid: u64, ack: &crate::session::IngestAck) -> Frame {
+    let payload = SnapshotAck {
+        interval: ack.sample_index,
+        phase: ack.observation.phase as u32,
+        new_phase: ack.observation.new_phase,
+        transition: ack.observation.transition,
+        capped: ack.observation.capped,
+    }
+    .encode();
+    Frame::with_payload(FrameType::SnapshotAck, sid, payload)
+}
+
+fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
+    let sid = frame.session_id;
     let received_at = Instant::now();
     // A traced frame opens a wire-linked root span; every span opened
     // below on this thread (the online observation, core's pipeline
@@ -630,15 +350,11 @@ fn handle_snapshot(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
             incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
             incprof_obs::recorder().record(
                 incprof_obs::EventKind::DecodeError,
-                frame.session_id,
+                sid,
                 ErrorCode::BadPayload as u64,
             );
-            return send_error(
-                conn,
-                frame.session_id,
-                ErrorCode::BadPayload,
-                &format!("gmon decode: {e}"),
-            );
+            let msg = format!("gmon decode: {e}");
+            return Reply::Send(error_reply(sid, ErrorCode::BadPayload, &msg));
         }
     };
     let sample_index = gmon.sample_index;
@@ -646,99 +362,69 @@ fn handle_snapshot(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
     // Enqueue and drain under one lock hold: the queue bound gives
     // overflow a BUSY answer, and atomicity guarantees this worker
     // drains (and can ack) the frame it just enqueued.
-    let handled = with_session(shared, frame.session_id, |session| {
-        let sent = match session.enqueue(
+    let handled = with_session(shared, sid, |session| {
+        let reply = match session.enqueue(
             // lint: allow(P01, with_session invokes its closure at most once, so the Option is always populated here)
             gmon.take().expect("with_session runs its closure once"),
             received_at,
         ) {
-            Err(e) => send_error_info(conn, frame.session_id, &e),
+            Err(e) => error_reply_info(sid, &e),
             Ok(Enqueue::Busy) => {
                 incprof_obs::counter(incprof_obs::names::SERVE_BUSY_REPLIES).inc();
                 incprof_obs::recorder().record(
                     incprof_obs::EventKind::BusyReply,
-                    frame.session_id,
+                    sid,
                     BUSY_SESSION_QUEUE,
                 );
-                send(conn, &Frame::empty(FrameType::Busy, frame.session_id))
+                Frame::empty(FrameType::Busy, sid)
             }
             // A retransmission of the most recently acked snapshot
             // (client reconnect or router failover): replay the
             // remembered ack so at-least-once delivery is invisible.
             Ok(Enqueue::Duplicate) => match session.last_ack() {
-                Some(ack) => {
-                    let payload = SnapshotAck {
-                        interval: ack.sample_index,
-                        phase: ack.observation.phase as u32,
-                        new_phase: ack.observation.new_phase,
-                        transition: ack.observation.transition,
-                        capped: ack.observation.capped,
-                    }
-                    .encode();
-                    send(
-                        conn,
-                        &Frame::with_payload(FrameType::SnapshotAck, frame.session_id, payload),
-                    )
-                }
-                None => send_error(
-                    conn,
-                    frame.session_id,
+                Some(ack) => snapshot_ack(sid, &ack),
+                None => error_reply(
+                    sid,
                     ErrorCode::Internal,
                     "duplicate verdict without a remembered ack",
                 ),
             },
             Ok(Enqueue::Accepted) => match session.drain_traced(traced) {
-                Err(e) => send_error_info(conn, frame.session_id, &e),
-                Ok(acks) => {
-                    let Some(ack) = acks.iter().find(|a| a.sample_index == sample_index) else {
-                        return send_error(
-                            conn,
-                            frame.session_id,
-                            ErrorCode::Internal,
-                            "drained batch missed the enqueued frame",
-                        );
-                    };
-                    let payload = SnapshotAck {
-                        interval: ack.sample_index,
-                        phase: ack.observation.phase as u32,
-                        new_phase: ack.observation.new_phase,
-                        transition: ack.observation.transition,
-                        capped: ack.observation.capped,
-                    }
-                    .encode();
-                    send(
-                        conn,
-                        &Frame::with_payload(FrameType::SnapshotAck, frame.session_id, payload),
-                    )
-                }
+                Err(e) => error_reply_info(sid, &e),
+                Ok(acks) => match acks.iter().find(|a| a.sample_index == sample_index) {
+                    Some(ack) => snapshot_ack(sid, ack),
+                    None => error_reply(
+                        sid,
+                        ErrorCode::Internal,
+                        "drained batch missed the enqueued frame",
+                    ),
+                },
             },
         };
-        session.maybe_checkpoint();
-        sent
+        (reply, session.checkpoint_due())
     });
-    let replied = match handled {
-        Some(sent) => sent,
-        None => send_error(
-            conn,
-            frame.session_id,
-            ErrorCode::UnknownSession,
-            &format!("no session {}", frame.session_id),
-        ),
+    let Some((reply, checkpoint_due)) = handled else {
+        return Reply::Send(unknown_session(sid));
     };
-    // Pushes grow the live set (transparent rehydration included), so
-    // this is where the LRU bound is re-established. No-op without a
-    // store or an eviction limit.
-    shared.registry.maybe_evict(Instant::now());
-    replied
+    if !checkpoint_due && shared.config.max_live == 0 {
+        return Reply::Send(reply);
+    }
+    // The ack does not wait for housekeeping: the snapshot is already in
+    // the log, a checkpoint is advisory. Pushes grow the live set
+    // (transparent rehydration included), so this is also where the LRU
+    // bound is re-established.
+    let shared = Arc::clone(shared);
+    Reply::SendThen(
+        reply,
+        Box::new(move || {
+            with_session(&shared, sid, Session::maybe_checkpoint);
+            shared.registry.maybe_evict(Instant::now());
+        }),
+    )
 }
 
-/// Flight-recorder `b` tag on [`incprof_obs::EventKind::BusyReply`]:
-/// the acceptor's bounded connection queue was full.
-pub const BUSY_CONN_BACKLOG: u64 = 1;
-/// Flight-recorder `b` tag: a session's bounded pending queue was full.
-pub const BUSY_SESSION_QUEUE: u64 = 2;
-
-fn handle_query(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
+fn handle_query(shared: &Shared, frame: &Frame) -> Frame {
+    let sid = frame.session_id;
     let received_at = Instant::now();
     // Same inheritance contract as `handle_snapshot`: the analysis
     // cache's `core.cache.analyze` span (and the whole pipeline under
@@ -754,15 +440,14 @@ fn handle_query(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
         None | Some(0) => ReportMode::Full,
         Some(1) => ReportMode::AnalysisOnly,
         Some(other) => {
-            return send_error(
-                conn,
-                frame.session_id,
+            return error_reply(
+                sid,
                 ErrorCode::BadPayload,
                 &format!("unknown query mode {other}"),
             );
         }
     };
-    let json = with_session(shared, frame.session_id, |session| {
+    let json = with_session(shared, sid, |session| {
         session.touch(received_at);
         let json = session.report_json(&shared.config.detector, mode);
         // The cache is freshest right after a report; a due checkpoint
@@ -770,18 +455,10 @@ fn handle_query(conn: &mut Conn, shared: &Shared, frame: &Frame) -> bool {
         session.maybe_checkpoint();
         json
     });
-    let Some(json) = json else {
-        return send_error(
-            conn,
-            frame.session_id,
-            ErrorCode::UnknownSession,
-            &format!("no session {}", frame.session_id),
-        );
-    };
-    send(
-        conn,
-        &Frame::with_payload(FrameType::Report, frame.session_id, json.into_bytes()),
-    )
+    match json {
+        Some(json) => Frame::with_payload(FrameType::Report, sid, json.into_bytes()),
+        None => unknown_session(sid),
+    }
 }
 
 /// Fetch session `id` and run `f` on it under its lock, transparently
@@ -807,58 +484,11 @@ fn with_session<R>(shared: &Shared, id: u64, f: impl FnOnce(&mut Session) -> R) 
     None
 }
 
-/// Write a frame, counting it; returns false when the peer is gone.
-fn send(conn: &mut Conn, frame: &Frame) -> bool {
-    match write_frame(conn, frame) {
-        Ok(n) => {
-            incprof_obs::counter(incprof_obs::names::SERVE_FRAMES_OUT).inc();
-            incprof_obs::counter(incprof_obs::names::SERVE_BYTES_OUT).add(n as u64);
-            true
-        }
-        Err(_) => false,
-    }
-}
-
-fn send_error(conn: &mut Conn, session_id: u64, code: ErrorCode, message: &str) -> bool {
-    send_error_info(conn, session_id, &ErrorInfo::new(code, message))
-}
-
-fn send_error_info(conn: &mut Conn, session_id: u64, info: &ErrorInfo) -> bool {
-    incprof_obs::recorder().record(
-        incprof_obs::EventKind::ErrorReply,
-        session_id,
-        info.code as u64,
-    );
-    // The postmortem hook: every typed error reply dumps the recorder
-    // tail at debug level, so `INCPROF_LOG=debug` shows the events
-    // leading up to the failure without an admin round trip. Gated so
-    // the disabled path pays one atomic load, not a ring scan.
-    if incprof_obs::logger::enabled(incprof_obs::Level::Debug, module_path!()) {
-        incprof_obs::debug!(
-            "error reply {:?} (session {session_id}): {}",
-            info.code,
-            info.message
-        );
-        for e in incprof_obs::recorder().snapshot().iter().rev().take(16) {
-            incprof_obs::debug!(
-                "  recorder[{}] t={}ns {:?} a={} b={}",
-                e.seq,
-                e.t_ns,
-                e.kind,
-                e.a,
-                e.b
-            );
-        }
-    }
-    send(
-        conn,
-        &Frame::with_payload(FrameType::Error, session_id, info.encode()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_frame, write_frame, ReadOutcome, DEFAULT_MAX_PAYLOAD};
+    use std::net::TcpStream;
 
     #[test]
     fn bind_ephemeral_tcp_reports_real_port() {

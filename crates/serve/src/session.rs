@@ -24,10 +24,11 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// Lock a mutex, continuing through poisoning: registry state is plain
-/// data and every mutation is small and panic-free, so a poisoned lock
-/// only means a *peer* thread died mid-request.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock a mutex, continuing through poisoning: registry, plane and
+/// router state is plain data and every mutation is small and
+/// panic-free, so a poisoned lock only means a *peer* thread died
+/// mid-request.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -485,9 +486,14 @@ impl Session {
     /// Write an analysis checkpoint if the append cadence says one is
     /// due. Called after drains and queries; cheap no-op otherwise.
     pub fn maybe_checkpoint(&mut self) {
-        if self.persist.as_ref().is_some_and(|p| p.checkpoint_due()) {
+        if self.checkpoint_due() {
             self.force_checkpoint();
         }
+    }
+
+    /// Whether [`Session::maybe_checkpoint`] would write one now.
+    pub fn checkpoint_due(&self) -> bool {
+        self.persist.as_ref().is_some_and(|p| p.checkpoint_due())
     }
 
     /// Write an analysis checkpoint now (eviction / graceful shutdown).

@@ -3,13 +3,15 @@
 //! ```text
 //!                      ┌──────────────────┐      ring(session_id)
 //!  IPRF clients ──────▶│  incprof-shard   │──┬──▶ backend 0 (incprof-serve)
-//!  (TCP/Unix)          │  acceptor + one  │  ├──▶ backend 1
-//!                      │  thread per conn │  └──▶ backend N-1
+//!  (TCP/Unix)          │  a handler on a  │  ├──▶ backend 1
+//!                      │  serve `Plane`   │  └──▶ backend N-1
 //!                      └──────────────────┘
 //! ```
 //!
-//! The router speaks the ordinary IPRF/1–v2 codec on its front socket
-//! and forwards every data-plane frame to the backend the
+//! The router owns no socket loop of its own: its front socket and its
+//! merged admin socket are two handlers over `incprof_serve::plane`,
+//! the same accept/frame/drain mechanism the daemon runs on. It speaks
+//! the ordinary IPRF/1–v2 codec on its front socket and forwards every data-plane frame to the backend the
 //! [`Ring`] assigns its `session_id` — *unmodified*,
 //! including the v2 trace extension, so a traced push resolves
 //! client→router→backend as one tree. The single rewrite in the whole
@@ -27,26 +29,25 @@
 //! caused it.
 
 use crate::ring::Ring;
+use incprof_serve::admin::{answer_local, render_metrics};
 use incprof_serve::frame::{
     read_frame, write_frame, ErrorCode, ErrorInfo, Frame, FrameType, ReadOutcome,
     DEFAULT_MAX_PAYLOAD,
 };
-use incprof_serve::server::{bind_addr, wake_acceptor, Conn, Listener};
+use incprof_serve::plane::{
+    error_reply, Conn, Plane, PlaneHandle, PlaneSpec, Reply, Stop, IDLE_TIMEOUT,
+};
+use incprof_serve::session::lock;
 use incprof_serve::{BindAddr, RetentionPolicy, Store};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
-use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Lock a mutex, continuing through poisoning (router state is plain
-/// data; a poisoned lock only means a peer thread died mid-request).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// How long to wait for a backend's reply before declaring it dead.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One backend as the router dials it.
 #[derive(Debug, Clone)]
@@ -72,16 +73,11 @@ pub struct RouterConfig {
     /// bind time to seed the cluster-wide session id allocator past any
     /// ids a previous cluster persisted.
     pub store_dir: Option<PathBuf>,
-    /// Cap on a single frame's payload bytes.
-    pub max_payload: u32,
     /// Socket read poll interval; also the shutdown-observation latency.
     pub read_timeout: Duration,
-    /// Idle client connections are dropped after this long.
-    pub idle_timeout: Duration,
-    /// How long to wait for a backend's reply before declaring it dead.
-    pub reply_timeout: Duration,
-    /// Cap on concurrently served client connections; excess accepts
-    /// get a `Busy` reply and are dropped.
+    /// Cap on concurrently served client connections (the front plane's
+    /// thread count); excess accepts queue up to the plane's
+    /// `ACCEPT_BACKLOG`, then get a `Busy` reply and are dropped.
     pub max_conns: usize,
 }
 
@@ -92,10 +88,7 @@ impl Default for RouterConfig {
             backends: Vec::new(),
             admin: None,
             store_dir: None,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             read_timeout: Duration::from_millis(100),
-            idle_timeout: Duration::from_secs(30),
-            reply_timeout: Duration::from_secs(30),
             max_conns: 64,
         }
     }
@@ -104,14 +97,12 @@ impl Default for RouterConfig {
 struct RouterShared {
     config: RouterConfig,
     ring: Ring,
-    shutdown: AtomicBool,
+    stop: Arc<Stop>,
     /// Per-backend health; a false value is permanent for the router's
     /// life (no flapping, no half-open probes — restart to rejoin).
     up: Vec<AtomicBool>,
     /// Cluster-wide session id allocator (seeded past the store).
     next_id: AtomicU64,
-    /// Live client-connection count, for the accept cap.
-    conns: AtomicUsize,
     /// Last known backend per session, for the replay counters.
     placement: Mutex<HashMap<u64, usize>>,
     /// Frames forwarded per backend (bench reads this per shard).
@@ -119,10 +110,6 @@ struct RouterShared {
 }
 
 impl RouterShared {
-    fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
     fn backend_up(&self, b: usize) -> bool {
         self.up.get(b).is_some_and(|f| f.load(Ordering::Acquire))
     }
@@ -159,14 +146,13 @@ impl RouterShared {
 
 /// A bound (but not yet running) router.
 pub struct Router {
-    listener: Listener,
-    addr: String,
-    admin: Option<(Listener, String)>,
+    front: Plane,
+    admin: Option<Plane>,
     shared: Arc<RouterShared>,
 }
 
 impl Router {
-    /// Bind the front (and admin) listener and seed the id allocator
+    /// Bind the front (and admin) plane and seed the id allocator
     /// from the shared store. Requires at least one backend.
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         if config.backends.is_empty() {
@@ -175,11 +161,28 @@ impl Router {
                 "a shard router needs at least one backend",
             ));
         }
-        let (listener, addr) = bind_addr(&config.addr)?;
-        let admin = match &config.admin {
-            Some(spec) => Some(bind_addr(spec)?),
-            None => None,
+        let spec = |name, threads, conns_counter| PlaneSpec {
+            name,
+            threads,
+            read_timeout: config.read_timeout,
+            idle_timeout: IDLE_TIMEOUT,
+            conns_counter,
         };
+        let front = Plane::bind(
+            &config.addr,
+            spec(
+                "incprof-shard",
+                config.max_conns,
+                incprof_obs::names::SHARD_CONNS_ACCEPTED,
+            ),
+        )?;
+        let admin_spec = spec(
+            "incprof-shard-admin",
+            1,
+            incprof_obs::names::SHARD_ADMIN_CONNS,
+        );
+        let admin = config.admin.as_ref();
+        let admin = admin.map(|a| Plane::bind(a, admin_spec)).transpose()?;
         // Seed cluster-wide allocation past anything a previous cluster
         // persisted, exactly as a backend's recover() does locally.
         let mut next_id = 1u64;
@@ -192,21 +195,18 @@ impl Router {
             }
         }
         let n = config.backends.len();
-        let ring = Ring::new(n);
         let shared = Arc::new(RouterShared {
-            ring,
-            shutdown: AtomicBool::new(false),
+            ring: Ring::new(n),
+            stop: Arc::default(),
             up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             next_id: AtomicU64::new(next_id),
-            conns: AtomicUsize::new(0),
             placement: Mutex::new(HashMap::new()),
             routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
             config,
         });
         incprof_obs::gauge(incprof_obs::names::SHARD_BACKENDS_UP).set(n as u64);
         Ok(Router {
-            listener,
-            addr,
+            front,
             admin,
             shared,
         })
@@ -214,59 +214,53 @@ impl Router {
 
     /// The bound front address (`ip:port` or Unix path).
     pub fn local_addr(&self) -> &str {
-        &self.addr
+        self.front.addr()
     }
 
-    /// Spawn the acceptor (and admin) threads and return a handle.
+    /// Start the front (and admin) plane and return a handle. Each
+    /// client connection owns one lazily-dialed link per backend, so
+    /// request/reply ordering per backend is trivial and `Busy`
+    /// propagates naturally.
     pub fn start(self) -> io::Result<RouterHandle> {
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut threads = Vec::with_capacity(2);
-        let mut admin_addr = None;
-        if let Some((listener, a)) = self.admin {
-            let shared = Arc::clone(&self.shared);
-            let t = std::thread::Builder::new()
-                .name("incprof-shard-admin".to_string())
-                .spawn(move || admin_loop(&listener, &shared))?;
-            threads.push(t);
-            admin_addr = Some(a);
-        }
+        let mut planes = PlaneHandle::new(Arc::clone(&self.shared.stop));
         let shared = Arc::clone(&self.shared);
-        let listener = self.listener;
-        let spawned = Arc::clone(&conn_threads);
-        let acceptor = std::thread::Builder::new()
-            .name("incprof-shard-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared, &spawned))?;
-        threads.push(acceptor);
+        let n = shared.config.backends.len();
+        planes.start(
+            self.front,
+            move || (0..n).map(|_| None).collect::<Vec<Option<Conn>>>(),
+            move |links, frame| dispatch(&shared, frame, links),
+        )?;
+        if let Some(admin) = self.admin {
+            let shared = Arc::clone(&self.shared);
+            planes.start(
+                admin,
+                || (),
+                move |(), frame| dispatch_admin(&shared, &frame),
+            )?;
+        }
         Ok(RouterHandle {
             shared: self.shared,
-            addr: self.addr,
-            admin_addr,
-            threads,
-            conn_threads,
+            planes,
         })
     }
 }
 
-/// Handle to a running router.
+/// Handle to a running router. Derefs to its [`PlaneHandle`] for the
+/// addresses and the request/wait half of the shutdown sequence.
 pub struct RouterHandle {
     shared: Arc<RouterShared>,
-    addr: String,
-    admin_addr: Option<String>,
-    threads: Vec<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    planes: PlaneHandle,
+}
+
+impl std::ops::Deref for RouterHandle {
+    type Target = PlaneHandle;
+
+    fn deref(&self) -> &PlaneHandle {
+        &self.planes
+    }
 }
 
 impl RouterHandle {
-    /// The bound front address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
-    /// The merged admin socket's address, when configured.
-    pub fn admin_addr(&self) -> Option<&str> {
-        self.admin_addr.as_deref()
-    }
-
     /// Frames forwarded to each backend since start (index = shard).
     pub fn routed_per_backend(&self) -> Vec<u64> {
         self.shared
@@ -285,56 +279,14 @@ impl RouterHandle {
             .collect()
     }
 
-    /// Flip the shutdown flag without joining (idempotent).
-    pub fn request_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        wake_acceptor(&self.shared.config.addr, &self.addr);
-        if let (Some(spec), Some(addr)) = (&self.shared.config.admin, &self.admin_addr) {
-            wake_acceptor(spec, addr);
-        }
-    }
-
-    /// Whether shutdown has been requested (by flag or by frame).
-    pub fn shutdown_requested(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
-    /// Block until shutdown is requested — by a `Shutdown` frame from
-    /// the wire or by `external` flipping true (e.g. a SIGINT flag).
-    pub fn wait(&self, external: Option<&AtomicBool>) {
-        loop {
-            if self.shared.shutting_down() {
-                return;
-            }
-            if let Some(flag) = external {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-    }
-
-    /// Gracefully stop: flag, wake, join every router thread, then
-    /// forward `Shutdown` to every still-healthy backend and await its
-    /// ack — the drain ordering `docs/CLUSTER.md` documents. Backends
+    /// Gracefully stop: stop the router's planes, then forward
+    /// `Shutdown` to every still-healthy backend and await its ack —
+    /// the drain ordering `docs/CLUSTER.md` documents. Backends
     /// already marked down are skipped (their drain happened when they
     /// died, or never will).
     pub fn shutdown(mut self) {
-        self.request_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        for t in lock(&self.conn_threads).drain(..) {
-            let _ = t.join();
-        }
+        self.planes.join();
         drain_backends(&self.shared);
-        if let BindAddr::Unix(path) = &self.shared.config.addr {
-            let _ = std::fs::remove_file(path);
-        }
-        if let Some(BindAddr::Unix(path)) = &self.shared.config.admin {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
 
@@ -347,11 +299,10 @@ fn drain_backends(shared: &RouterShared) {
             continue;
         }
         let outcome = (|| -> Result<(), String> {
-            let mut conn =
-                dial(&spec.data, shared.config.read_timeout).map_err(|e| e.to_string())?;
+            let mut conn = connect_backend(shared, &spec.data)?;
             write_frame(&mut conn, &Frame::empty(FrameType::Shutdown, 0))
                 .map_err(|e| e.to_string())?;
-            match read_reply(&mut conn, shared, Duration::from_secs(10)) {
+            match read_reply(&mut conn, Duration::from_secs(10)) {
                 Ok(f) if f.frame_type == FrameType::ShutdownAck => Ok(()),
                 Ok(f) => Err(format!("expected ShutdownAck, got {:?}", f.frame_type)),
                 Err(e) => Err(e),
@@ -363,128 +314,25 @@ fn drain_backends(shared: &RouterShared) {
     }
 }
 
-/// Dial one backend address (`/` ⇒ Unix socket path) with the poll
-/// interval set.
-fn dial(addr: &str, read_timeout: Duration) -> io::Result<Conn> {
-    if addr.contains('/') {
-        let s = std::os::unix::net::UnixStream::connect(addr)?;
-        s.set_read_timeout(Some(read_timeout))?;
-        Ok(Conn::Unix(s))
-    } else {
-        let s = TcpStream::connect(addr)?;
-        s.set_read_timeout(Some(read_timeout))?;
-        Ok(Conn::Tcp(s))
-    }
+/// Connect to one backend address with the router's poll interval set.
+fn connect_backend(shared: &RouterShared, addr: &str) -> Result<Conn, String> {
+    Conn::dial(&BindAddr::parse(addr), shared.config.read_timeout).map_err(|e| e.to_string())
 }
 
-fn accept_loop(
-    listener: &Listener,
-    shared: &Arc<RouterShared>,
-    conn_threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("shard accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SHARD_CONNS_ACCEPTED).inc();
-        if shared.conns.load(Ordering::Acquire) >= shared.config.max_conns {
-            let mut conn = conn;
-            let _ = write_frame(&mut conn, &Frame::empty(FrameType::Busy, 0));
-            continue;
-        }
-        shared.conns.fetch_add(1, Ordering::AcqRel);
-        let shared2 = Arc::clone(shared);
-        let spawn = std::thread::Builder::new()
-            .name("incprof-shard-conn".to_string())
-            .spawn(move || {
-                client_loop(conn, &shared2);
-                shared2.conns.fetch_sub(1, Ordering::AcqRel);
-            });
-        match spawn {
-            Ok(t) => lock(conn_threads).push(t),
-            Err(e) => {
-                shared.conns.fetch_sub(1, Ordering::AcqRel);
-                incprof_obs::warn!("could not spawn connection thread: {e}");
-            }
-        }
-    }
-}
-
-/// Serve one client connection: read frames, route, forward replies.
-/// Owns one lazily-dialed connection per backend so request/reply
-/// ordering per backend is trivial and `Busy` propagates naturally.
-fn client_loop(mut conn: Conn, shared: &RouterShared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
-    let mut backends: Vec<Option<Conn>> = (0..shared.config.backends.len()).map(|_| None).collect();
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            send_error(&mut conn, 0, ErrorCode::ShuttingDown, "router draining");
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                send_error(&mut conn, 0, ErrorCode::of_frame_error(&e), &e.to_string());
-                return;
-            }
-        };
-        idle_polls = 0;
-        if !dispatch(&mut conn, shared, frame, &mut backends) {
-            return;
-        }
-    }
-}
-
-/// Handle one client frame; returns false when the connection should
-/// end.
-fn dispatch(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    mut frame: Frame,
-    backends: &mut [Option<Conn>],
-) -> bool {
-    match frame.frame_type {
+/// Answer one client frame on the front plane.
+fn dispatch(shared: &RouterShared, mut frame: Frame, links: &mut [Option<Conn>]) -> Reply {
+    Reply::Send(match frame.frame_type {
         // The router is the liveness endpoint the client is talking to.
-        FrameType::Ping => send(conn, &Frame::empty(FrameType::Pong, frame.session_id)),
+        FrameType::Ping => Frame::empty(FrameType::Pong, frame.session_id),
         // Cluster-wide shutdown: drain every backend first, then ack —
         // when the client sees ShutdownAck the whole cluster is durable.
         FrameType::Shutdown => {
-            shared.shutdown.store(true, Ordering::Release);
+            shared.stop.request();
             drain_backends(shared);
-            send(conn, &Frame::empty(FrameType::ShutdownAck, 0));
-            wake_acceptor(&shared.config.addr, &front_addr_of(shared));
-            false
+            return Reply::Last(Frame::empty(FrameType::ShutdownAck, 0));
         }
         FrameType::Scrape | FrameType::TraceGet | FrameType::RecorderDump | FrameType::Health => {
-            send_error(
-                conn,
+            error_reply(
                 frame.session_id,
                 ErrorCode::BadType,
                 &format!("{:?} is admin-only; use the admin socket", frame.frame_type),
@@ -497,44 +345,26 @@ fn dispatch(
             if frame.frame_type == FrameType::Open && frame.session_id == 0 {
                 frame.session_id = shared.next_id.fetch_add(1, Ordering::AcqRel);
             }
-            forward(conn, shared, &frame, backends)
+            forward(shared, &frame, links)
         }
-        other => send_error(
-            conn,
+        other => error_reply(
             frame.session_id,
             ErrorCode::BadType,
             &format!("{other:?} is not a routable request"),
         ),
-    }
-}
-
-fn front_addr_of(shared: &RouterShared) -> String {
-    match &shared.config.addr {
-        BindAddr::Tcp(spec) => spec.clone(),
-        BindAddr::Unix(path) => path.display().to_string(),
-    }
+    })
 }
 
 /// Route `frame` to its session's backend and relay the reply. On
 /// backend death: mark it down, walk the ring to the next healthy
 /// backend, and retransmit — the in-flight request is answered after
 /// recovery, never errored, as long as any backend survives.
-fn forward(
-    conn: &mut Conn,
-    shared: &RouterShared,
-    frame: &Frame,
-    backends: &mut [Option<Conn>],
-) -> bool {
+fn forward(shared: &RouterShared, frame: &Frame, backends: &mut [Option<Conn>]) -> Frame {
     let sid = frame.session_id;
     let mut rerouted = false;
     loop {
         let Some(b) = shared.ring.route(sid, |i| shared.backend_up(i)) else {
-            return send_error(
-                conn,
-                sid,
-                ErrorCode::ShuttingDown,
-                "no healthy backends remain",
-            );
+            return error_reply(sid, ErrorCode::ShuttingDown, "no healthy backends remain");
         };
         if rerouted {
             incprof_obs::counter(incprof_obs::names::SHARD_FAILOVER_REROUTES).inc();
@@ -546,7 +376,7 @@ fn forward(
                 if let Some(c) = shared.routed.get(b) {
                     c.fetch_add(1, Ordering::Relaxed);
                 }
-                return send(conn, &reply);
+                return reply;
             }
             Err(why) => {
                 incprof_obs::warn!("backend {b} failed ({why}); rerouting session {sid}");
@@ -575,14 +405,13 @@ fn forward_once(
         return Err("backend index out of range".to_string());
     };
     if slot.is_none() {
-        let addr = &shared.config.backends[b].data;
-        *slot = Some(dial(addr, shared.config.read_timeout).map_err(|e| e.to_string())?);
+        *slot = Some(connect_backend(shared, &shared.config.backends[b].data)?);
     }
     let Some(link) = slot.as_mut() else {
         return Err("backend link unavailable".to_string());
     };
     write_frame(link, frame).map_err(|e| e.to_string())?;
-    let reply = read_reply(link, shared, shared.config.reply_timeout)?;
+    let reply = read_reply(link, REPLY_TIMEOUT)?;
     if reply.frame_type == FrameType::Error {
         if let Ok(info) = ErrorInfo::decode(&reply.payload) {
             if info.code == ErrorCode::ShuttingDown {
@@ -594,10 +423,10 @@ fn forward_once(
 }
 
 /// Read one frame off a backend link, polling up to `limit`.
-fn read_reply(link: &mut Conn, shared: &RouterShared, limit: Duration) -> Result<Frame, String> {
+fn read_reply(link: &mut Conn, limit: Duration) -> Result<Frame, String> {
     let deadline = Instant::now() + limit;
     loop {
-        match read_frame(link, shared.config.max_payload) {
+        match read_frame(link, DEFAULT_MAX_PAYLOAD) {
             Ok(ReadOutcome::Frame(f)) => return Ok(f),
             Ok(ReadOutcome::TimedOut) => {
                 if Instant::now() >= deadline {
@@ -611,144 +440,25 @@ fn read_reply(link: &mut Conn, shared: &RouterShared, limit: Duration) -> Result
     }
 }
 
-/// Write a frame to the client; returns false when the peer is gone.
-fn send(conn: &mut Conn, frame: &Frame) -> bool {
-    write_frame(conn, frame).is_ok()
-}
-
-fn send_error(conn: &mut Conn, session_id: u64, code: ErrorCode, message: &str) -> bool {
-    send(
-        conn,
-        &Frame::with_payload(
-            FrameType::Error,
-            session_id,
-            ErrorInfo::new(code, message).encode(),
-        ),
-    )
-}
-
 // --- merged admin plane ---
 
-/// Accept loop for the router's admin listener: `Scrape` fans out to
+/// Answer one frame on the merged admin plane: `Scrape` fans out to
 /// every backend and merges the expositions under a `shard` label,
 /// `Health` aggregates per-backend status, and trace/recorder dumps
 /// answer from the router's own observability state.
-fn admin_loop(listener: &Listener, shared: &Arc<RouterShared>) {
-    loop {
-        let conn = match listener.accept() {
-            Ok(conn) => conn,
-            Err(e) => {
-                if shared.shutting_down() {
-                    return;
-                }
-                incprof_obs::warn!("shard admin accept failed: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutting_down() {
-            return;
-        }
-        incprof_obs::counter(incprof_obs::names::SHARD_ADMIN_CONNS).inc();
-        admin_conn(conn, shared);
-    }
-}
-
-fn admin_conn(mut conn: Conn, shared: &RouterShared) {
-    if conn.set_read_timeout(shared.config.read_timeout).is_err() {
-        return;
-    }
-    let idle_limit = shared.config.idle_timeout.as_nanos();
-    let mut idle_polls: u128 = 0;
-    loop {
-        if shared.shutting_down() {
-            return;
-        }
-        let outcome = match read_frame(&mut conn, shared.config.max_payload) {
-            Ok(outcome) => outcome,
-            Err(_) => return,
-        };
-        let frame = match outcome {
-            ReadOutcome::Frame(f) => f,
-            ReadOutcome::Closed => return,
-            ReadOutcome::TimedOut => {
-                idle_polls += 1;
-                if idle_polls * shared.config.read_timeout.as_nanos() >= idle_limit {
-                    return;
-                }
-                continue;
-            }
-            ReadOutcome::Malformed(e) => {
-                send_error(&mut conn, 0, ErrorCode::of_frame_error(&e), &e.to_string());
-                return;
-            }
-        };
-        idle_polls = 0;
-        if !dispatch_admin(&mut conn, shared, frame) {
-            return;
-        }
-    }
-}
-
-fn dispatch_admin(conn: &mut Conn, shared: &RouterShared, frame: Frame) -> bool {
-    match frame.frame_type {
+fn dispatch_admin(shared: &RouterShared, frame: &Frame) -> Reply {
+    Reply::Send(match frame.frame_type {
         FrameType::Scrape => {
             incprof_obs::counter(incprof_obs::names::SHARD_ADMIN_SCRAPES).inc();
             let text = merged_scrape(shared);
-            send(
-                conn,
-                &Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes()),
-            )
+            Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes())
         }
         FrameType::Health => {
             let json = merged_health(shared);
-            send(
-                conn,
-                &Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes()),
-            )
+            Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes())
         }
-        FrameType::TraceGet => {
-            let Ok(bytes) = <[u8; 8]>::try_from(frame.payload.as_slice()) else {
-                return send_error(
-                    conn,
-                    0,
-                    ErrorCode::BadPayload,
-                    &format!(
-                        "TraceGet payload must be 8 bytes, got {}",
-                        frame.payload.len()
-                    ),
-                );
-            };
-            let trace_id = u64::from_le_bytes(bytes);
-            let tree =
-                incprof_obs::trace::store_trace_tree(incprof_obs::global().spans(), trace_id);
-            let json = serde_json::to_string(&tree)
-                .unwrap_or_else(|e| format!("{{\"error\":\"serialize failed: {e}\"}}"));
-            send(
-                conn,
-                &Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes()),
-            )
-        }
-        FrameType::RecorderDump => {
-            let recorder = incprof_obs::recorder();
-            let events = recorder.snapshot();
-            let json = format!(
-                "{{\"total\":{},\"events\":{}}}",
-                recorder.total(),
-                serde_json::to_string(&events).unwrap_or_else(|_| "[]".to_string())
-            );
-            send(
-                conn,
-                &Frame::with_payload(FrameType::RecorderReply, 0, json.into_bytes()),
-            )
-        }
-        other => send_error(
-            conn,
-            frame.session_id,
-            ErrorCode::BadType,
-            &format!("{other:?} is not served on the router admin socket"),
-        ),
-    }
+        _ => answer_local(frame, "the router admin socket"),
+    })
 }
 
 /// One admin request/reply against a backend's admin socket.
@@ -758,18 +468,13 @@ fn backend_admin_text(
     request: FrameType,
     want: FrameType,
 ) -> Result<String, String> {
-    let mut link = dial(addr, shared.config.read_timeout).map_err(|e| e.to_string())?;
+    let mut link = connect_backend(shared, addr)?;
     write_frame(&mut link, &Frame::empty(request, 0)).map_err(|e| e.to_string())?;
-    let reply = read_reply(&mut link, shared, Duration::from_secs(10))?;
+    let reply = read_reply(&mut link, Duration::from_secs(10))?;
     if reply.frame_type != want {
         return Err(format!("expected {want:?}, got {:?}", reply.frame_type));
     }
     String::from_utf8(reply.payload).map_err(|_| "payload is not UTF-8".to_string())
-}
-
-/// `shard.frames.routed` → `incprof_shard_frames_routed`.
-fn prom_name(name: &str) -> String {
-    format!("incprof_{}", name.replace('.', "_"))
 }
 
 /// Fan `Scrape` out to every up backend with an admin address and merge
@@ -795,19 +500,7 @@ fn merged_scrape(shared: &RouterShared) -> String {
     // Router-local state: only the shard.* family, so an in-process
     // cluster (tests, bench) never double-counts backend metrics that
     // happen to share this process's global registry.
-    let metrics = incprof_obs::global().metrics();
-    for (name, value) in metrics.counter_values() {
-        if name.starts_with("shard.") {
-            let n = prom_name(&name);
-            out.push_str(&format!("# TYPE {n} counter\n{n} {value}\n"));
-        }
-    }
-    for (name, value) in metrics.gauge_values() {
-        if name.starts_with("shard.") {
-            let n = prom_name(&name);
-            out.push_str(&format!("# TYPE {n} gauge\n{n} {value}\n"));
-        }
-    }
+    render_metrics(&mut out, |name| name.starts_with("shard."));
     out
 }
 
@@ -880,7 +573,7 @@ fn merged_health(shared: &RouterShared) -> String {
         "{{\"status\":\"{}\",\"backends\":[{}],\"draining\":{}}}",
         if all_ok { "ok" } else { "degraded" },
         entries.join(","),
-        shared.shutting_down()
+        shared.stop.requested()
     )
 }
 
@@ -891,10 +584,9 @@ mod tests {
     fn shared_for_test(n: usize) -> RouterShared {
         RouterShared {
             ring: Ring::new(n),
-            shutdown: AtomicBool::new(false),
+            stop: Arc::default(),
             up: (0..n).map(|_| AtomicBool::new(true)).collect(),
             next_id: AtomicU64::new(1),
-            conns: AtomicUsize::new(0),
             placement: Mutex::new(HashMap::new()),
             routed: (0..n).map(|_| AtomicU64::new(0)).collect(),
             config: RouterConfig {

@@ -21,6 +21,12 @@
 #                               # app, cold-path budget, k7/k8 Lloyd
 #                               # iteration cap; leaves
 #                               # experiments_out/incr_report.json
+#   scripts/check.sh perf-smoke # only the perf benchmark smoke: builds
+#                               # perfbench/ (its own package, outside
+#                               # the workspace, so nothing else compiles
+#                               # it) and runs every workload for one
+#                               # second; the numbers mean nothing, a
+#                               # non-zero exit means a rename broke it
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -232,6 +238,19 @@ incr_gate() {
     cargo run -q --release -p incprof-bench --bin incr_bench
 }
 
+perf_smoke() {
+    echo "==> perf smoke (perfbench/ still builds and every workload still runs)"
+    mkdir -p target
+    perfbench/run.sh --quick >target/perf-smoke.log 2>&1 \
+        || { echo "perf smoke: perfbench/run.sh --quick failed"; tail -40 target/perf-smoke.log; exit 1; }
+}
+
+if [ "${1:-all}" = "perf-smoke" ]; then
+    perf_smoke
+    echo "Perf smoke passed."
+    exit 0
+fi
+
 if [ "${1:-all}" = "sca" ]; then
     sca_gate
     echo "Static-analysis gate passed."
@@ -277,5 +296,7 @@ incr_gate
 serve_smoke
 
 cluster_smoke
+
+perf_smoke
 
 echo "All checks passed."
