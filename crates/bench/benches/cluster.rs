@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use incprof_cluster::{
-    dbscan, kmeans, mean_silhouette, select_k, Dataset, DbscanParams, KMeansConfig,
-    KSelectionMethod,
+    dbscan, kmeans, mean_silhouette, ChainConfig, Dataset, DbscanParams, KMeansConfig,
+    KSelectionMethod, SweepChains,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,26 +52,15 @@ fn bench_kmeans(c: &mut Criterion) {
 fn bench_selection(c: &mut Criterion) {
     let mut g = c.benchmark_group("k_selection");
     let data = dataset(200, 16);
-    g.bench_function("elbow_sweep_k1_8", |b| {
-        b.iter(|| {
-            black_box(select_k(
-                &data,
-                8,
-                KSelectionMethod::Elbow,
-                &KMeansConfig::new(0),
-            ))
-        })
-    });
-    g.bench_function("silhouette_sweep_k1_8", |b| {
-        b.iter(|| {
-            black_box(select_k(
-                &data,
-                8,
-                KSelectionMethod::Silhouette,
-                &KMeansConfig::new(0),
-            ))
-        })
-    });
+    let cfg = ChainConfig::new(KMeansConfig::new(0));
+    for (name, method) in [
+        ("elbow_fold_k1_8", KSelectionMethod::Elbow),
+        ("silhouette_fold_k1_8", KSelectionMethod::Silhouette),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(SweepChains::new().evaluate(&data, 8, method, &cfg, None, false)))
+        });
+    }
     let res = kmeans(&data, &KMeansConfig::new(4));
     g.bench_function("mean_silhouette_n200", |b| {
         b.iter(|| black_box(mean_silhouette(&data, &res.assignments)))

@@ -21,19 +21,12 @@
 //! must not slow the load generator measurably — and the process
 //! exits non-zero on a breach.
 //!
-//! Output goes to `$INCPROF_METRICS` or `experiments_out/serve_report.json`.
+//! Output goes to `$INCPROF_METRICS` or `experiments_out/serve_report.json`
+//! (git-ignored). Throughput and latency trends are `perfbench/`'s
+//! business (`serve_ingest`, `serve_query`, `shard_ingest`); this binary
+//! stays for the tracing-tax gate, which perfbench only reports.
 //!
-//! `--cluster N` switches to the scaling mode: the same multi-client
-//! replay runs against an `incprof-shard` router fronting 1, 2, …, N
-//! in-process backends, reporting per-shard and aggregate frames/sec
-//! plus the ingest latency percentiles. The 2-shard aggregate must
-//! reach ≥1.6× the 1-shard throughput — enforced only on ≥4-core
-//! hardware (scaling across backends needs cores to scale onto; the
-//! mode still runs and emits the report everywhere, mirroring the
-//! `speedup.rs` gate).
-//!
-//! Usage: `serve_load [clients] [workers] [--cluster N]`
-//! (defaults: 8 clients, 4 workers).
+//! Usage: `serve_load [clients] [workers]` (defaults: 8 clients, 4 workers).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -205,209 +198,16 @@ fn trace_overhead(addr: &str, series: &SampleSeries, table: &FunctionTable) -> (
     (base_ns, traced_ns, overhead_pct)
 }
 
-/// Aggregate scaling gate: the 2-shard cluster must reach this multiple
-/// of the 1-shard throughput (enforced only on >=4-core hardware).
-const CLUSTER_SCALING_GATE: f64 = 1.6;
-
-/// One cluster throughput round: `n` in-process backends fronted by an
-/// `incprof-shard` router in address mode, hammered by `clients`
-/// concurrent replay clients. Returns (aggregate fps, per-shard frames,
-/// elapsed seconds, total frames).
-fn cluster_round(
-    n: usize,
-    clients: usize,
-    workers: usize,
-    runs: &[(&'static str, SampleSeries, FunctionTable)],
-) -> (f64, Vec<u64>, f64, u64) {
-    use incprof_shard::{BackendSpec, Router, RouterConfig};
-
-    let mut backends = Vec::with_capacity(n);
-    let mut specs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let handle = Server::bind(ServeConfig {
-            workers,
-            max_sessions: clients.max(8) * 2,
-            read_timeout: Duration::from_millis(25),
-            ..ServeConfig::default()
-        })
-        .expect("bind backend")
-        .start()
-        .expect("start backend");
-        specs.push(BackendSpec {
-            data: handle.addr().to_string(),
-            admin: None,
-        });
-        backends.push(handle);
-    }
-    let router = Router::bind(RouterConfig {
-        backends: specs,
-        max_conns: clients + 8,
-        ..RouterConfig::default()
-    })
-    .expect("bind router")
-    .start()
-    .expect("start router");
-    let addr = router.addr().to_string();
-
-    let started = Instant::now();
-    let frames: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                let (_, series, table) = &runs[i % runs.len()];
-                let addr = addr.as_str();
-                scope.spawn(move || replay(addr, series, table, None))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("join")).sum()
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let per_shard = router.routed_per_backend();
-    router.shutdown();
-    for backend in backends {
-        backend.shutdown();
-    }
-    (frames as f64 / elapsed, per_shard, elapsed, frames)
-}
-
-/// The `--cluster N` scaling mode: measure aggregate throughput at 1,
-/// 2, …, N shards, record per-shard and aggregate rates plus ingest
-/// latency percentiles in the serve report, and gate 2-shard scaling on
-/// capable hardware.
-fn cluster_main(shards: usize, clients: usize, workers: usize) {
-    println!("== serve_load --cluster: {clients} clients -> up to {shards} shard(s), {workers} worker(s) each ==");
-    println!("profiling the 5 paper apps (tiny configs, virtual 1s runs)...");
-    let runs = app_runs();
-    let total_snaps: usize = runs.iter().map(|(_, s, _)| s.snapshots().len()).sum();
-    println!(
-        "  {} apps, {total_snaps} snapshots per full cycle",
-        runs.len()
-    );
-
-    let expected_frames: usize = (0..clients)
-        .map(|i| runs[i % runs.len()].1.snapshots().len())
-        .sum();
-
-    let mut counts = vec![1usize];
-    if shards >= 2 {
-        counts.push(2);
-    }
-    if shards > 2 {
-        counts.push(shards);
-    }
-    let mut fps_at: Vec<(usize, f64)> = Vec::new();
-    for &n in &counts {
-        let (fps, per_shard, elapsed, frames) = cluster_round(n, clients, workers, &runs);
-        println!("\n{n} shard(s): {frames} frames in {elapsed:.2}s  ->  {fps:.0} frames/sec");
-        for (b, f) in per_shard.iter().enumerate() {
-            let shard_fps = *f as f64 / elapsed;
-            println!("  shard {b}: {f} frames  ->  {shard_fps:.0} frames/sec");
-            incprof_obs::gauge(&format!("serve.load.cluster.n{n}.shard{b}_fps"))
-                .set(shard_fps as u64);
-        }
-        incprof_obs::gauge(&format!("serve.load.cluster.n{n}.fps")).set(fps as u64);
-        assert!(
-            frames as usize >= expected_frames,
-            "every client must finish at {n} shard(s)"
-        );
-        fps_at.push((n, fps));
-    }
-
-    // The ingest histogram is process-global (every in-process backend
-    // shares the obs registry), so the percentiles aggregate the whole
-    // sweep — the cluster-wide tail, which is what capacity planning
-    // reads.
-    let ingest = incprof_obs::histogram(names::SERVE_INGEST_DETECT_LATENCY_NS).snapshot();
-    let (p50, p95, p99) = ingest.percentiles();
-    let p999 = ingest.quantile(0.999);
-    println!(
-        "\ningest detect latency across the sweep (n={}): p50={p50}ns  p95={p95}ns  \
-         p99={p99}ns  p999={p999}ns",
-        ingest.count
-    );
-
-    let fps1 = fps_at
-        .iter()
-        .find(|(n, _)| *n == 1)
-        .map(|(_, f)| *f)
-        .expect("1-shard round ran");
-    let scaling2 = fps_at.iter().find(|(n, _)| *n == 2).map(|(_, f)| f / fps1);
-
-    incprof_obs::gauge("serve.load.cluster.shards").set(shards as u64);
-    incprof_obs::gauge("serve.load.cluster.clients").set(clients as u64);
-    incprof_obs::gauge("serve.load.cluster.workers").set(workers as u64);
-    incprof_obs::gauge("serve.load.cluster.ingest_p50_ns").set(p50);
-    incprof_obs::gauge("serve.load.cluster.ingest_p95_ns").set(p95);
-    incprof_obs::gauge("serve.load.cluster.ingest_p99_ns").set(p99);
-    incprof_obs::gauge("serve.load.cluster.ingest_p999_ns").set(p999);
-    if let Some(s) = scaling2 {
-        incprof_obs::gauge("serve.load.cluster.scaling2_x100").set((s * 100.0) as u64);
-    }
-
-    incprof_obs::global().spans().clear();
-    incprof_obs::recorder().clear();
-    let out = std::env::var("INCPROF_METRICS")
-        .unwrap_or_else(|_| "experiments_out/serve_report.json".into());
-    let path = std::path::PathBuf::from(out);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    incprof_obs::report()
-        .write(&path)
-        .expect("write serve load report");
-    println!(
-        "\nrun report (serve.load.cluster.* gauges + shard.* counters): {}",
-        path.display()
-    );
-
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    match scaling2 {
-        Some(s) if hw >= 4 => {
-            assert!(
-                s >= CLUSTER_SCALING_GATE,
-                "2-shard cluster reached only {s:.2}x of 1-shard throughput \
-                 (gate: >= {CLUSTER_SCALING_GATE}x)"
-            );
-            println!("scaling gate: {s:.2}x >= {CLUSTER_SCALING_GATE}x at 2 shards — PASS");
-        }
-        Some(s) => println!(
-            "scaling gate: {s:.2}x at 2 shards not enforced ({hw} hw core(s) < 4; \
-             scaling across backends needs cores to scale onto)"
-        ),
-        None => println!("scaling gate: skipped (single-shard run)"),
-    }
-}
-
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut cluster: Option<usize> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == "--cluster" {
-            i += 1;
-            cluster = Some(
-                raw.get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--cluster needs a shard count of at least 1"),
-            );
-        } else {
-            positional.push(raw[i].clone());
-        }
-        i += 1;
-    }
-    let clients: usize = positional
-        .first()
+    let mut args = std::env::args().skip(1);
+    let clients: usize = args
+        .next()
         .map(|s| s.parse().expect("clients: not a number"))
         .unwrap_or(8);
-    let workers: usize = positional
-        .get(1)
+    let workers: usize = args
+        .next()
         .map(|s| s.parse().expect("workers: not a number"))
         .unwrap_or(4);
-
-    if let Some(shards) = cluster {
-        return cluster_main(shards, clients, workers);
-    }
 
     println!("== serve_load: {clients} clients -> {workers} worker daemon ==");
     println!("profiling the 5 paper apps (tiny configs, virtual 1s runs)...");

@@ -12,12 +12,18 @@
 //! | Table V (LAMMPS) / Fig. 5 | `all_experiments --only table5` / `--only fig5` |
 //! | Table VI (Gadget2) / Fig. 6 | `all_experiments --only table6` / `--only fig6` |
 //! | everything + artifacts | `all_experiments` |
-//! | ablations (clustering / features / threshold / interval) | `ablation_*` |
-//! | parallel select-k speedup + determinism gate | `speedup` |
+//! | ablations (clustering / features / threshold / interval / online) | `ablation_*` |
+//! | clustering accuracy against planted ground truth | `accuracy` |
+//! | heartbeat rate factors, gaps, co-activity per app | `heartbeat_report` |
+//! | tracing-tax gate (traced vs untraced pushes, < 2 % CPU) | `serve_load` |
 //!
 //! Criterion micro-benchmarks live under `benches/` and back the Table I
 //! overhead story (heartbeat cost, profiler guard cost, snapshot cost)
 //! plus algorithmic scaling (k-means, pipeline, report round trip).
+//!
+//! End-to-end timing — analysis, serve, restart, shard — is not here:
+//! `perfbench/` (its own package, outside the workspace) is the one
+//! timing harness, and draws its app workloads from [`apps`].
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -711,7 +711,6 @@ incprof — source-oriented phase identification (IncProf, CLUSTER 2022)
   incprof callgraph [root] [--json <path>]
   incprof serve [--addr host:port | --unix path] [--workers n]
                 [--max-sessions n] [--max-pending n] [--addr-file path]
-                [--no-analysis-cache]
                 [--admin host:port | --admin-unix path]
                 [--admin-addr-file path] [--final-scrape path]
                 [--store-dir dir] [--retention hot=H,stride=S[,max_bytes=B]]

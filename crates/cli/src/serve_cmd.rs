@@ -54,14 +54,10 @@ where
 
 /// `incprof serve [--addr host:port | --unix path] [--workers n]
 /// [--max-sessions n] [--max-pending n] [--addr-file path]
-/// [--no-analysis-cache] [--admin host:port | --admin-unix path]
+/// [--admin host:port | --admin-unix path]
 /// [--admin-addr-file path] [--final-scrape path]
 /// [--store-dir dir] [--retention spec] [--max-live n]
 /// [--checkpoint-every n]`.
-///
-/// `--no-analysis-cache` disables the per-session incremental analysis
-/// cache, recomputing the full phase analysis on every report query
-/// (useful to bound memory or to A/B the cache's byte-identity).
 ///
 /// `--store-dir <dir>` makes sessions durable: every accepted snapshot
 /// is appended to a per-session on-disk log, sessions found under the
@@ -111,7 +107,6 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
                     parse_num(&take(args, &mut i, "--max-pending")?, "--max-pending")?;
             }
             "--addr-file" => addr_file = Some(PathBuf::from(take(args, &mut i, "--addr-file")?)),
-            "--no-analysis-cache" => config.analysis_cache = false,
             "--admin" => config.admin = Some(BindAddr::Tcp(take(args, &mut i, "--admin")?)),
             "--admin-unix" => {
                 config.admin = Some(BindAddr::Unix(PathBuf::from(take(

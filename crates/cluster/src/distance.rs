@@ -34,7 +34,7 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Silhouette scoring (and any other all-pairs consumer) is quadratic in
 /// the interval count either way; materializing the matrix once lets the
-/// `select_k` sweep share it across every k ≥ 2 instead of recomputing
+/// k-sweep share it across every k ≥ 2 instead of recomputing
 /// the same `n²` distances per candidate k. Entry `(i, j)` is exactly
 /// `euclidean(data.row(i), data.row(j))` — same operands, same order —
 /// so downstream sums are bit-identical to the on-the-fly formulation.

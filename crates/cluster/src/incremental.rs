@@ -1,15 +1,16 @@
-//! Incremental k-sweep: warm-started per-row k-means chains.
+//! The k-sweep: per-k k-means chains folded over the rows.
 //!
-//! The batch sweep in [`mod@crate::select_k`] re-runs best-of-restarts
-//! k-means from k-means++ seeds for every k, every time — even when the
-//! dataset grew by a single interval since the last analysis. Warm
-//! queries in the IncProf serve path pay that full cost on every push.
+//! The paper's analysis is one loop — k-means for k = 1..8, then the
+//! elbow (or silhouette) criterion of [`mod@crate::select_k`] picks k —
+//! and [`SweepChains::evaluate`] is the only definition of it. A serve
+//! session re-asks for that sweep after every pushed interval, so the
+//! definition is chosen to be resumable.
 //!
-//! Warm-starting the *batch* definition on grown data cannot be
-//! byte-identical to re-running it: k-means++ consumes RNG draws against
-//! every row, so adding one row perturbs every restart. Instead this
-//! module defines the clustering as a **canonical left fold** over the
-//! rows, which is what actually runs on both the cold and the warm path:
+//! Re-running best-of-restarts k-means from k-means++ seeds on grown
+//! data cannot be resumed byte-identically: k-means++ consumes RNG draws
+//! against every row, so adding one row perturbs every restart. Instead
+//! the clustering is defined as a **canonical left fold** over the rows,
+//! which is what runs on both the cold and the warm path:
 //!
 //! * **Base case** (t = k): best-of-restarts batch [`kmeans`] on the
 //!   first k rows.
@@ -229,10 +230,18 @@ impl SweepChains {
         }
     }
 
-    /// Advance every needed chain to cover all of `data` and select k,
-    /// mirroring [`crate::select_k::select_k_pre`]'s contract (shared
-    /// pairwise matrix, spans, deterministic pool fan-out) over the fold
-    /// semantics.
+    /// Advance every needed chain to cover all of `data` and select k
+    /// over k = 1..=`k_max` (capped at the number of rows; the paper uses
+    /// `k_max = 8`).
+    ///
+    /// When `shared` is `Some`, it must cover exactly `data`'s rows
+    /// (`shared.n() == data.nrows()`) with entries equal to
+    /// `euclidean(data.row(i), data.row(j))`; the sweep then skips its
+    /// own O(n²·d) matrix build and the silhouette sums consume the
+    /// shared entries — bit-identical to building it here, since
+    /// [`PairwiseDistances::euclidean_of`] produces exactly those
+    /// entries. This is the hook `incprof_core`'s analysis cache uses to
+    /// reuse distance work across streamed queries.
     ///
     /// With `early_exit` and the [`KSelectionMethod::Silhouette`]
     /// method, the sweep stops after the mean silhouette has strictly
@@ -292,9 +301,10 @@ impl SweepChains {
             }
             evaluated
         } else {
-            // Per-k chains advance independently; fan out one pool task
-            // per k exactly like the batch sweep (bit-identical at any
-            // worker count — each task reads only its own chain).
+            // Per-k chains advance independently; fan out one
+            // self-scheduled pool task per k, so the expensive large k's
+            // do not stall the cheap ones (bit-identical at any worker
+            // count — each task reads only its own chain).
             let chains = &self.chains;
             incprof_par::Pool::current().map_index(cap, 1, |i| {
                 eval_one(data, cfg, pair, i + 1, chains.get(i), n)
@@ -357,6 +367,7 @@ fn eval_one(
 mod tests {
     use super::*;
 
+    /// `c` well-separated blobs of `per` points each, on a diagonal.
     fn blobs(c: usize, per: usize) -> Dataset {
         let mut rows = Vec::new();
         for b in 0..c {
@@ -368,10 +379,86 @@ mod tests {
         Dataset::from_rows(rows)
     }
 
+    /// `c` blobs of `per` points, blob `b` active only in dimension `b` —
+    /// the shape of real interval profiles, where each phase exercises a
+    /// different set of functions.
+    fn orthogonal_blobs(c: usize, per: usize) -> Dataset {
+        let mut rows = Vec::new();
+        for b in 0..c {
+            for i in 0..per {
+                let mut row = vec![0.0; c];
+                row[b] = 100.0 + 0.01 * i as f64;
+                rows.push(row);
+            }
+        }
+        Dataset::from_rows(rows)
+    }
+
     fn cfg() -> ChainConfig {
         let mut c = ChainConfig::new(KMeansConfig::new(0));
         c.review_every = 4; // exercise reviews on small test data
         c
+    }
+
+    /// One cold sweep at the default review cadence, the way
+    /// `PhaseDetector` runs it.
+    fn sweep(data: &Dataset, k_max: usize, method: KSelectionMethod) -> KSelection {
+        let cfg = ChainConfig::new(KMeansConfig::new(0));
+        SweepChains::new().evaluate(data, k_max, method, &cfg, None, false)
+    }
+
+    #[test]
+    fn elbow_finds_three_blobs() {
+        assert_eq!(sweep(&blobs(3, 6), 8, KSelectionMethod::Elbow).k, 3);
+    }
+
+    #[test]
+    fn silhouette_finds_three_blobs() {
+        assert_eq!(sweep(&blobs(3, 6), 8, KSelectionMethod::Silhouette).k, 3);
+    }
+
+    #[test]
+    fn elbow_finds_five_blobs_like_minife() {
+        // MiniFE in the paper discovers 5 phases; validate at that scale
+        // with profile-shaped (orthogonal) clusters.
+        let data = orthogonal_blobs(5, 8);
+        assert_eq!(sweep(&data, 8, KSelectionMethod::Elbow).k, 5);
+    }
+
+    #[test]
+    fn silhouette_finds_five_orthogonal_blobs() {
+        let data = orthogonal_blobs(5, 8);
+        assert_eq!(sweep(&data, 8, KSelectionMethod::Silhouette).k, 5);
+    }
+
+    #[test]
+    fn uniform_data_selects_one_phase() {
+        let data = Dataset::from_rows(vec![vec![1.0, 1.0]; 10]);
+        assert_eq!(sweep(&data, 8, KSelectionMethod::Elbow).k, 1);
+    }
+
+    #[test]
+    fn sweep_is_capped_by_point_count() {
+        let sel = sweep(&blobs(1, 3), 8, KSelectionMethod::Elbow);
+        assert_eq!(sel.sweep.ks, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn paper_k_max_is_eight() {
+        // More blobs than k_max: selection still returns at most k_max.
+        assert!(sweep(&blobs(10, 3), 8, KSelectionMethod::Elbow).k <= 8);
+    }
+
+    #[test]
+    fn selection_contains_consistent_sweep() {
+        let data = blobs(2, 5);
+        let sel = sweep(&data, 6, KSelectionMethod::Elbow);
+        assert_eq!(sel.sweep.ks.len(), sel.sweep.results.len());
+        assert_eq!(sel.sweep.ks.len(), sel.sweep.wcss.len());
+        assert_eq!(sel.result.assignments.len(), data.nrows());
+        // Chosen result is the sweep entry for the chosen k.
+        let idx = sel.sweep.ks.iter().position(|&k| k == sel.k).unwrap();
+        assert_eq!(sel.sweep.results[idx].wcss, sel.result.wcss);
     }
 
     fn assert_chains_bit_equal(a: &SweepChains, b: &SweepChains) {
@@ -525,11 +612,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "chains must be reset when the series shrinks")]
     fn shrinking_series_panics() {
+        // Straight at the chain: through `evaluate` the panic is raised on
+        // a pool worker and `thread::scope` replaces its message.
         let data = blobs(2, 4);
-        let mut chains = SweepChains::new();
-        chains.evaluate(&data, 4, KSelectionMethod::Elbow, &cfg(), None, false);
-        let short = data.prefix(3);
-        chains.evaluate(&short, 4, KSelectionMethod::Elbow, &cfg(), None, false);
+        let mut chain = KChain::start(&data, 2, &cfg());
+        chain.advance(&data, data.nrows(), &cfg());
+        chain.advance(&data.prefix(3), 3, &cfg());
     }
 
     #[test]
@@ -541,8 +629,7 @@ mod tests {
         chains.remap_columns(&[1, 0], 3);
     }
 
-    /// A shared pairwise matrix changes no bits (same contract as the
-    /// batch sweep).
+    /// A shared pairwise matrix changes no bits.
     #[test]
     fn shared_pairwise_matrix_gives_bit_identical_fold() {
         let data = blobs(3, 5);
@@ -561,8 +648,32 @@ mod tests {
         );
         assert_chains_bit_equal(&a, &b);
         assert_eq!(sa.k, sb.k);
+        assert_eq!(sa.result.assignments, sb.result.assignments);
         for (x, y) in sa.sweep.silhouettes.iter().zip(&sb.sweep.silhouettes) {
-            assert_eq!(x.map(f64::to_bits), y.map(f64::to_bits));
+            assert_eq!(
+                x.map(f64::to_bits),
+                y.map(f64::to_bits),
+                "silhouette bits moved under a shared matrix"
+            );
         }
+        for (x, y) in sa.sweep.wcss.iter().zip(&sb.sweep.wcss) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shared pairwise matrix")]
+    fn shared_matrix_of_wrong_size_is_rejected() {
+        let data = blobs(2, 4);
+        let small = Dataset::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0]]);
+        let pair = PairwiseDistances::euclidean_of(&small);
+        SweepChains::new().evaluate(
+            &data,
+            8,
+            KSelectionMethod::Elbow,
+            &cfg(),
+            Some(&pair),
+            false,
+        );
     }
 }

@@ -224,7 +224,7 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
 
     // Parallelize the assignment step (each point's argmin is
     // independent and deterministic) once the work justifies the
-    // fork/join overhead. Inside a `select_k` sweep this call already
+    // fork/join overhead. Inside a full k-sweep this call already
     // runs on a pool worker, so the nested call degrades to sequential.
     let parallel = n * k * d >= 200_000;
 

@@ -10,8 +10,12 @@
 //! * [`Dataset`] — a dense `n × d` matrix of interval feature vectors.
 //! * [`kmeans()`] — Lloyd's algorithm with k-means++ seeding, multiple
 //!   seeded restarts, and empty-cluster repair.
-//! * [`select_k()`] — the elbow (maximum distance to the WCSS chord) and
-//!   mean-silhouette criteria over a range of k.
+//! * [`SweepChains::evaluate`] — the k-sweep: one warm-startable k-means
+//!   chain per k, folded over the rows, so a sweep over a grown series
+//!   continues where the last one stopped and lands on the same bits as
+//!   a sweep from scratch.
+//! * [`select_k`] — the elbow (maximum distance to the WCSS chord) and
+//!   mean-silhouette criteria that pick k from a sweep.
 //! * [`silhouette`] — silhouette coefficients.
 //! * [`dbscan()`] — density-based clustering, used by the paper's (negative)
 //!   ablation and reproduced here for the same comparison.
@@ -48,9 +52,7 @@ pub use distance::PairwiseDistances;
 pub use incremental::{ChainConfig, KChain, SweepChains};
 pub use kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
 pub use scale::Scaling;
-pub use select_k::{
-    select_k, select_k_pre, sweep_k, sweep_k_pre, KSelection, KSelectionMethod, KSweep,
-};
+pub use select_k::{KSelection, KSelectionMethod, KSweep};
 pub use silhouette::{
     mean_silhouette, mean_silhouette_pre, silhouette_values, silhouette_values_pre,
 };

@@ -7,11 +7,12 @@
 //! point lies farthest below the chord (the "kneedle" construction). The
 //! silhouette criterion (maximize mean silhouette, k ≥ 2) is provided as
 //! the alternative the paper also evaluated.
+//!
+//! This module holds the two criteria and the result types; the sweep
+//! itself — the one place k-means runs for every k — is
+//! [`SweepChains::evaluate`](crate::incremental::SweepChains::evaluate).
 
-use crate::dataset::Dataset;
-use crate::distance::PairwiseDistances;
-use crate::kmeans::{kmeans, KMeansConfig, KMeansResult};
-use crate::silhouette::mean_silhouette_pre;
+use crate::kmeans::KMeansResult;
 
 /// Which criterion picks k.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,118 +48,6 @@ pub struct KSelection {
     pub method: KSelectionMethod,
     /// All per-k measurements, for reporting and ablations.
     pub sweep: KSweep,
-}
-
-/// Sweep k = 1..=`k_max` (capped at the number of points) and return all
-/// per-k measurements.
-///
-/// The per-k runs are independent, so the sweep fans out one
-/// [`incprof_par`] pool task per k (self-scheduled — the expensive large
-/// k's do not stall the cheap ones) after computing the pairwise-distance
-/// matrix once for every silhouette evaluation. Results are assembled in
-/// k order and are bit-identical for any worker count.
-pub fn sweep_k(data: &Dataset, k_max: usize, base: &KMeansConfig) -> KSweep {
-    sweep_k_pre(data, k_max, base, None)
-}
-
-/// [`sweep_k`] with an optional precomputed pairwise-distance matrix.
-///
-/// When `shared` is `Some`, it must cover exactly `data`'s rows
-/// (`shared.n() == data.nrows()`) with entries equal to
-/// `euclidean(data.row(i), data.row(j))`; the sweep then skips its own
-/// O(n²·d) matrix build and the silhouette sums consume the shared
-/// entries — bit-identical to the cold path, since
-/// [`PairwiseDistances::euclidean_of`] produces exactly those entries.
-/// This is the hook `incprof_core`'s incremental analysis cache uses to
-/// reuse distance work across streamed queries.
-pub fn sweep_k_pre(
-    data: &Dataset,
-    k_max: usize,
-    base: &KMeansConfig,
-    shared: Option<&PairwiseDistances>,
-) -> KSweep {
-    let _sweep_span = incprof_obs::span(incprof_obs::names::CLUSTER_SELECT_K_SWEEP);
-    let cap = k_max.min(data.nrows()).max(1);
-    if let Some(p) = shared {
-        assert_eq!(
-            p.n(),
-            data.nrows(),
-            "shared pairwise matrix covers {} rows, data has {}",
-            p.n(),
-            data.nrows()
-        );
-    }
-    let built: Option<PairwiseDistances> = if cap >= 2 && shared.is_none() {
-        let _pair_span = incprof_obs::span(incprof_obs::names::CLUSTER_SELECT_K_PAIRWISE);
-        Some(PairwiseDistances::euclidean_of(data))
-    } else {
-        None
-    };
-    let pair: Option<&PairwiseDistances> = if cap >= 2 {
-        shared.or(built.as_ref())
-    } else {
-        None
-    };
-    let per_k: Vec<(KMeansResult, Option<f64>)> =
-        incprof_par::Pool::current().map_index(cap, 1, |i| {
-            let k = i + 1;
-            let _k_span = incprof_obs::span(incprof_obs::names::cluster_select_k_k(k));
-            let cfg = KMeansConfig { k, ..base.clone() };
-            let res = kmeans(data, &cfg);
-            let sil = match (pair, k >= 2) {
-                (Some(pair), true) => mean_silhouette_pre(pair, &res.assignments),
-                _ => None,
-            };
-            (res, sil)
-        });
-    let mut sweep = KSweep {
-        ks: Vec::with_capacity(cap),
-        results: Vec::with_capacity(cap),
-        wcss: Vec::with_capacity(cap),
-        silhouettes: Vec::with_capacity(cap),
-    };
-    for (i, (res, sil)) in per_k.into_iter().enumerate() {
-        sweep.ks.push(i + 1);
-        sweep.wcss.push(res.wcss);
-        sweep.silhouettes.push(sil);
-        sweep.results.push(res);
-    }
-    sweep
-}
-
-/// Select k for `data` by the given method, sweeping k = 1..=`k_max`.
-///
-/// The paper uses `k_max = 8`: "we run k-means for k = 1..8, and then use
-/// the Elbow method to select the best number of clusters."
-pub fn select_k(
-    data: &Dataset,
-    k_max: usize,
-    method: KSelectionMethod,
-    base: &KMeansConfig,
-) -> KSelection {
-    select_k_pre(data, k_max, method, base, None)
-}
-
-/// [`select_k`] with an optional precomputed pairwise-distance matrix
-/// (see [`sweep_k_pre`] for the reuse contract).
-pub fn select_k_pre(
-    data: &Dataset,
-    k_max: usize,
-    method: KSelectionMethod,
-    base: &KMeansConfig,
-    shared: Option<&PairwiseDistances>,
-) -> KSelection {
-    let sweep = sweep_k_pre(data, k_max, base, shared);
-    let idx = match method {
-        KSelectionMethod::Elbow => elbow_index(&sweep.wcss),
-        KSelectionMethod::Silhouette => silhouette_index(&sweep.silhouettes),
-    };
-    KSelection {
-        k: sweep.ks[idx],
-        result: sweep.results[idx].clone(),
-        method,
-        sweep,
-    }
 }
 
 /// Index (into the sweep arrays) of the elbow of a non-increasing WCSS
@@ -205,9 +94,7 @@ pub fn elbow_index(wcss: &[f64]) -> usize {
 }
 
 /// Index of the maximum defined mean silhouette (falling back to the
-/// first entry — k = 1 — when none is defined). Shared with the
-/// incremental sweep in [`crate::incremental`], which must pick k exactly
-/// like the batch path.
+/// first entry — k = 1 — when none is defined).
 pub(crate) fn silhouette_index(silhouettes: &[Option<f64>]) -> usize {
     let mut best_idx = 0; // fall back to k = 1 when nothing is defined
     let mut best = f64::NEG_INFINITY;
@@ -225,87 +112,6 @@ pub(crate) fn silhouette_index(silhouettes: &[Option<f64>]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `c` well-separated blobs of `per` points each, on a diagonal.
-    fn blobs(c: usize, per: usize) -> Dataset {
-        let mut rows = Vec::new();
-        for b in 0..c {
-            let base = 100.0 * b as f64;
-            for i in 0..per {
-                rows.push(vec![base + 0.01 * i as f64, base - 0.01 * i as f64]);
-            }
-        }
-        Dataset::from_rows(rows)
-    }
-
-    #[test]
-    fn elbow_finds_three_blobs() {
-        let data = blobs(3, 6);
-        let sel = select_k(&data, 8, KSelectionMethod::Elbow, &KMeansConfig::new(0));
-        assert_eq!(sel.k, 3);
-    }
-
-    #[test]
-    fn silhouette_finds_three_blobs() {
-        let data = blobs(3, 6);
-        let sel = select_k(
-            &data,
-            8,
-            KSelectionMethod::Silhouette,
-            &KMeansConfig::new(0),
-        );
-        assert_eq!(sel.k, 3);
-    }
-
-    /// `c` blobs of `per` points, blob `b` active only in dimension `b` —
-    /// the shape of real interval profiles, where each phase exercises a
-    /// different set of functions.
-    fn orthogonal_blobs(c: usize, per: usize) -> Dataset {
-        let mut rows = Vec::new();
-        for b in 0..c {
-            for i in 0..per {
-                let mut row = vec![0.0; c];
-                row[b] = 100.0 + 0.01 * i as f64;
-                rows.push(row);
-            }
-        }
-        Dataset::from_rows(rows)
-    }
-
-    #[test]
-    fn elbow_finds_five_blobs_like_minife() {
-        // MiniFE in the paper discovers 5 phases; validate at that scale
-        // with profile-shaped (orthogonal) clusters.
-        let data = orthogonal_blobs(5, 8);
-        let sel = select_k(&data, 8, KSelectionMethod::Elbow, &KMeansConfig::new(0));
-        assert_eq!(sel.k, 5);
-    }
-
-    #[test]
-    fn silhouette_finds_five_orthogonal_blobs() {
-        let data = orthogonal_blobs(5, 8);
-        let sel = select_k(
-            &data,
-            8,
-            KSelectionMethod::Silhouette,
-            &KMeansConfig::new(0),
-        );
-        assert_eq!(sel.k, 5);
-    }
-
-    #[test]
-    fn uniform_data_selects_one_phase() {
-        let data = Dataset::from_rows(vec![vec![1.0, 1.0]; 10]);
-        let sel = select_k(&data, 8, KSelectionMethod::Elbow, &KMeansConfig::new(0));
-        assert_eq!(sel.k, 1);
-    }
-
-    #[test]
-    fn sweep_is_capped_by_point_count() {
-        let data = blobs(1, 3);
-        let sweep = sweep_k(&data, 8, &KMeansConfig::new(0));
-        assert_eq!(sweep.ks, vec![1, 2, 3]);
-    }
 
     #[test]
     fn elbow_index_hand_curve() {
@@ -329,55 +135,5 @@ mod tests {
             0,
             "marginal improvement keeps k=1"
         );
-    }
-
-    #[test]
-    fn selection_contains_consistent_sweep() {
-        let data = blobs(2, 5);
-        let sel = select_k(&data, 6, KSelectionMethod::Elbow, &KMeansConfig::new(0));
-        assert_eq!(sel.sweep.ks.len(), sel.sweep.results.len());
-        assert_eq!(sel.sweep.ks.len(), sel.sweep.wcss.len());
-        assert_eq!(sel.result.assignments.len(), data.nrows());
-        // Chosen result is the sweep entry for the chosen k.
-        let idx = sel.sweep.ks.iter().position(|&k| k == sel.k).unwrap();
-        assert_eq!(sel.sweep.results[idx].wcss, sel.result.wcss);
-    }
-
-    #[test]
-    fn shared_pairwise_matrix_gives_bit_identical_selection() {
-        let data = blobs(3, 6);
-        let base = KMeansConfig::new(0);
-        let cold = select_k(&data, 8, KSelectionMethod::Silhouette, &base);
-        let pair = PairwiseDistances::euclidean_of(&data);
-        let warm = select_k_pre(&data, 8, KSelectionMethod::Silhouette, &base, Some(&pair));
-        assert_eq!(warm.k, cold.k);
-        assert_eq!(warm.result.assignments, cold.result.assignments);
-        for (w, c) in warm.sweep.silhouettes.iter().zip(&cold.sweep.silhouettes) {
-            assert_eq!(
-                w.map(f64::to_bits),
-                c.map(f64::to_bits),
-                "silhouette bits moved under a shared matrix"
-            );
-        }
-        for (w, c) in warm.sweep.wcss.iter().zip(&cold.sweep.wcss) {
-            assert_eq!(w.to_bits(), c.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shared pairwise matrix")]
-    fn shared_matrix_of_wrong_size_is_rejected() {
-        let data = blobs(2, 4);
-        let small = Dataset::from_rows(vec![vec![0.0, 0.0], vec![1.0, 1.0]]);
-        let pair = PairwiseDistances::euclidean_of(&small);
-        sweep_k_pre(&data, 8, &KMeansConfig::new(0), Some(&pair));
-    }
-
-    #[test]
-    fn paper_k_max_is_eight() {
-        // More blobs than k_max: selection still returns at most k_max.
-        let data = blobs(10, 3);
-        let sel = select_k(&data, 8, KSelectionMethod::Elbow, &KMeansConfig::new(0));
-        assert!(sel.k <= 8);
     }
 }

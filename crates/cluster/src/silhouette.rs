@@ -15,7 +15,7 @@ use crate::distance::PairwiseDistances;
 /// there are fewer than 2 clusters (silhouette is undefined for k = 1).
 ///
 /// Computes the pairwise-distance matrix internally; callers scoring
-/// several assignments of the *same* dataset (the `select_k` sweep)
+/// several assignments of the *same* dataset (the k-sweep)
 /// should build one [`PairwiseDistances`] and use
 /// [`silhouette_values_pre`] instead.
 pub fn silhouette_values(data: &Dataset, assignments: &[usize]) -> Vec<f64> {

@@ -1,8 +1,8 @@
 //! Additional property tests for the clustering crate.
 
 use incprof_cluster::{
-    adjusted_rand_index, kmeans, rand_index, select_k, Dataset, KMeansConfig, KSelectionMethod,
-    Scaling,
+    adjusted_rand_index, kmeans, rand_index, ChainConfig, Dataset, KMeansConfig, KSelectionMethod,
+    Scaling, SweepChains,
 };
 use proptest::prelude::*;
 
@@ -67,7 +67,8 @@ proptest! {
 
     #[test]
     fn selection_result_is_a_partition(data in arb_dataset()) {
-        let sel = select_k(&data, 6, KSelectionMethod::Elbow, &KMeansConfig::new(0));
+        let cfg = ChainConfig::new(KMeansConfig::new(0));
+        let sel = SweepChains::new().evaluate(&data, 6, KSelectionMethod::Elbow, &cfg, None, false);
         // Every cluster id below k is inhabited.
         for c in 0..sel.k {
             prop_assert!(sel.result.assignments.contains(&c), "cluster {c} empty");

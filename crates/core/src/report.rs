@@ -11,6 +11,7 @@
 
 use crate::pipeline::PhaseAnalysis;
 use crate::types::InstrumentationType;
+use incprof_obs::json_string;
 use incprof_profile::FunctionId;
 use std::fmt::Write as _;
 
@@ -312,27 +313,6 @@ pub fn source_context_json<'a>(
         out.push_str("]}");
     }
     out.push(']');
-    out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 

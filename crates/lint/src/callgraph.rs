@@ -17,10 +17,10 @@
 //! allocation constructors), again with the source line so graph rules
 //! can point at the exact site.
 
-use crate::diag::json_escape;
 use crate::lexer::{Token, TokenKind};
 use crate::parse::ParsedFile;
 use crate::symbols::SymbolTable;
+use incprof_obs::json_string;
 use std::collections::BTreeMap;
 
 /// Edge label: did the callee resolve uniquely?
@@ -202,13 +202,13 @@ impl StaticCallGraph {
         let mut out = String::from("{\n  \"functions\": [\n");
         for (i, d) in symbols.defs.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"id\":{},\"name\":\"{}\",\"qualified\":\"{}\",\"file\":\"{}\",\"line\":{},\"crate\":\"{}\",\"pub\":{}}}{}\n",
+                "    {{\"id\":{},\"name\":{},\"qualified\":{},\"file\":{},\"line\":{},\"crate\":{},\"pub\":{}}}{}\n",
                 i,
-                json_escape(&d.name),
-                json_escape(&d.qualified),
-                json_escape(&d.file),
+                json_string(&d.name),
+                json_string(&d.qualified),
+                json_string(&d.file),
                 d.line,
-                json_escape(&d.crate_name),
+                json_string(&d.crate_name),
                 d.is_pub,
                 if i + 1 < symbols.defs.len() { "," } else { "" }
             ));
@@ -227,10 +227,10 @@ impl StaticCallGraph {
         out.push_str("  ],\n  \"facts\": [\n");
         for (i, f) in self.facts.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"node\":{},\"kind\":\"{}\",\"what\":\"{}\",\"line\":{}}}{}\n",
+                "    {{\"node\":{},\"kind\":\"{}\",\"what\":{},\"line\":{}}}{}\n",
                 f.node,
                 f.kind.as_str(),
-                json_escape(&f.what),
+                json_string(&f.what),
                 f.line,
                 if i + 1 < self.facts.len() { "," } else { "" }
             ));

@@ -1,5 +1,6 @@
 //! Diagnostics: rule identifiers, severities, and rendering.
 
+use incprof_obs::json_string;
 use std::fmt;
 
 /// The named project rules. See `docs/LINTS.md` for the full catalog.
@@ -168,38 +169,19 @@ impl Diagnostic {
         )
     }
 
-    /// Render as one JSON object (hand-formatted; the lint crate is
-    /// dependency-free by design).
+    /// Render as one JSON object (hand-formatted; strings go through the
+    /// workspace's one escaper).
     pub fn render_json(&self) -> String {
         format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"excerpt\":\"{}\"}}",
+            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":{},\"line\":{},\"message\":{},\"excerpt\":{}}}",
             self.rule,
             self.severity.as_str(),
-            json_escape(&self.file),
+            json_string(&self.file),
             self.line,
-            json_escape(&self.message),
-            json_escape(&self.excerpt)
+            json_string(&self.message),
+            json_string(&self.excerpt)
         )
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -213,12 +195,6 @@ mod tests {
         }
         assert_eq!(RuleId::parse("D99"), None);
         assert_eq!(RuleId::parse("p01"), None, "identifiers are case-sensitive");
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   across process boundaries into one tree per trace id;
 //! * [`mod@recorder`] — the [`FlightRecorder`], a lock-free ring of
 //!   recent operational events for live postmortems;
+//! * [`json`] — [`json_string`], the one JSON string escaper every
+//!   hand-formatted emitter in the workspace goes through;
 //! * [`logger`] — leveled stderr logging gated by `INCPROF_LOG`
 //!   (macros [`error!`], [`warn!`], [`info!`], [`debug!`], [`trace!`]);
 //! * [`mod@report`] — a serializable [`RunReport`] snapshotting everything
@@ -41,6 +43,7 @@
 //! Tests that need isolation or deterministic time construct their own
 //! [`Obs`] over a [`VirtualClock`] instead of using the global.
 
+pub mod json;
 pub mod logger;
 pub mod metrics;
 pub mod names;
@@ -49,6 +52,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
+pub use json::json_string;
 pub use logger::Level;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use recorder::{EventKind, EventRecord, FlightRecorder};

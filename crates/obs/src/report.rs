@@ -2,6 +2,7 @@
 //! observability layer saw — counters, gauges, histograms, and the span
 //! tree — for `incprof --metrics <path>` and the bench harness.
 
+use crate::json::json_string;
 use crate::metrics::HistogramSnapshot;
 use crate::recorder::EventRecord;
 use crate::span::SpanRecord;
@@ -93,63 +94,45 @@ impl RunReport {
     /// its own record, spans flattened depth-first with their depth —
     /// the grep-friendly alternative to [`RunReport::to_json`].
     pub fn to_jsonl(&self) -> String {
-        fn quote(s: &str) -> String {
-            // Names are dotted identifiers in practice, but escape anyway.
-            let mut q = String::with_capacity(s.len() + 2);
-            q.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => q.push_str("\\\""),
-                    '\\' => q.push_str("\\\\"),
-                    '\n' => q.push_str("\\n"),
-                    '\t' => q.push_str("\\t"),
-                    '\r' => q.push_str("\\r"),
-                    c if (c as u32) < 0x20 => q.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => q.push(c),
-                }
-            }
-            q.push('"');
-            q
-        }
         let mut out = String::new();
         for (name, value) in &self.counters {
             out.push_str(&format!(
                 "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}\n",
-                quote(name)
+                json_string(name)
             ));
         }
         for (name, value) in &self.gauges {
             out.push_str(&format!(
                 "{{\"kind\":\"gauge\",\"name\":{},\"value\":{value}}}\n",
-                quote(name)
+                json_string(name)
             ));
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!(
                 "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}\n",
-                quote(name),
+                json_string(name),
                 h.count,
                 h.sum,
                 h.min,
                 h.max
             ));
         }
-        fn walk(nodes: &[SpanNode], depth: u64, out: &mut String, quote: &dyn Fn(&str) -> String) {
+        fn walk(nodes: &[SpanNode], depth: u64, out: &mut String) {
             for n in nodes {
                 out.push_str(&format!(
                     "{{\"kind\":\"span\",\"name\":{},\"depth\":{depth},\"start_ns\":{},\"dur_ns\":{}}}\n",
-                    quote(&n.name),
+                    json_string(&n.name),
                     n.start_ns,
                     n.dur_ns
                 ));
-                walk(&n.children, depth + 1, out, quote);
+                walk(&n.children, depth + 1, out);
             }
         }
-        walk(&self.spans, 0, &mut out, &quote);
+        walk(&self.spans, 0, &mut out);
         for e in &self.events {
             out.push_str(&format!(
                 "{{\"kind\":\"event\",\"event\":{},\"seq\":{},\"t_ns\":{},\"a\":{},\"b\":{}}}\n",
-                quote(&format!("{:?}", e.kind)),
+                json_string(&format!("{:?}", e.kind)),
                 e.seq,
                 e.t_ns,
                 e.a,

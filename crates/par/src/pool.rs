@@ -380,22 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_records_scheduling_metrics() {
-        let calls = incprof_obs::counter(incprof_obs::names::PAR_POOL_CALLS).get();
-        let tasks = incprof_obs::counter(incprof_obs::names::PAR_POOL_TASKS).get();
-        Pool::with_workers(4).map_index(64, 2, |i| i);
-        assert_eq!(
-            incprof_obs::counter(incprof_obs::names::PAR_POOL_CALLS).get(),
-            calls + 1
-        );
-        assert_eq!(
-            incprof_obs::counter(incprof_obs::names::PAR_POOL_TASKS).get(),
-            tasks + 32
-        );
-        assert!(incprof_obs::gauge(incprof_obs::names::PAR_POOL_WORKERS).get() >= 1);
-    }
-
-    #[test]
     fn static_owner_partitions_evenly() {
         let owners: Vec<usize> = (0..8).map(|c| static_owner(c, 8, 4)).collect();
         assert_eq!(owners, vec![0, 0, 1, 1, 2, 2, 3, 3]);

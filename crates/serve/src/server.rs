@@ -47,10 +47,6 @@ pub struct ServeConfig {
     pub detector: PhaseDetector,
     /// The incremental detector fed per frame.
     pub online: OnlineConfig,
-    /// Give each session an incremental analysis cache for report
-    /// queries (`false` = recompute the full analysis per query; the
-    /// `--no-analysis-cache` escape hatch).
-    pub analysis_cache: bool,
     /// Optional read-only admin listener (scrape, trace lookup, flight
     /// recorder, health). `None` = no admin surface.
     pub admin: Option<BindAddr>,
@@ -82,7 +78,6 @@ impl Default for ServeConfig {
             idle_timeout: crate::plane::IDLE_TIMEOUT,
             detector: PhaseDetector::default(),
             online: OnlineConfig::default(),
-            analysis_cache: true,
             admin: None,
             store_dir: None,
             retention: RetentionPolicy::keep_all(),
@@ -144,7 +139,7 @@ impl Server {
             config.online.clone(),
             config.max_sessions,
             config.max_pending,
-            config.analysis_cache,
+            true,
         )
         .with_source_graph(config.source_graph.clone());
         if let Some(dir) = &config.store_dir {

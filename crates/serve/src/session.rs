@@ -18,6 +18,7 @@ use crate::frame::{ErrorCode, ErrorInfo};
 use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
+use incprof_obs::json_string;
 use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
@@ -85,8 +86,8 @@ pub struct Session {
     /// tail of the stream; the prefix stays queryable.
     fault: Option<String>,
     /// Incremental analysis state, reused across report queries. `None`
-    /// when the daemon runs with `--no-analysis-cache`, in which case
-    /// every query recomputes from scratch (the pre-cache behavior).
+    /// only in a registry built without the cache — the recompute-per-query
+    /// reference the byte-identity tests compare against.
     cache: Option<AnalysisCache>,
     /// When the session last saw a frame (`None` until the first one).
     /// Stamped from caller-provided instants so this module stays free
@@ -547,10 +548,6 @@ fn json_usize_array(values: &[usize]) -> String {
     out
 }
 
-fn json_string(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"<unrepresentable>\"".to_string())
-}
-
 fn json_error_object(what: &str, detail: &str) -> String {
     format!(
         "{{\"analysis_error\":{}}}",
@@ -584,9 +581,9 @@ struct Inner {
 
 impl Registry {
     /// New registry with the given limits. `analysis_cache` gives every
-    /// session an incremental [`AnalysisCache`] for report queries;
-    /// `false` restores recompute-per-query (the `--no-analysis-cache`
-    /// escape hatch).
+    /// session an incremental [`AnalysisCache`] for report queries, as
+    /// the daemon always does; `false` recomputes per query and exists
+    /// as the reference for the cached/uncached byte-identity tests.
     pub fn new(
         online: OnlineConfig,
         max_sessions: usize,
@@ -1282,42 +1279,35 @@ mod tests {
 
     #[test]
     fn evicted_sessions_rehydrate_transparently() {
-        let (_root, store) = durable("evict", RetentionPolicy::keep_all());
-        let r = registry().with_store(store, 1);
-        let (a, sa) = r.open().unwrap();
-        let (b, sb) = r.open().unwrap();
-        let detector = PhaseDetector::default();
-        let baseline_a = {
-            let mut s = lock(&sa);
-            for i in 0..4u64 {
-                s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
-                    .unwrap();
-                s.drain().unwrap();
+        // (idle durable sessions, max_live): a pair over a cap of one,
+        // then bounded residency at scale.
+        for (sessions, max_live) in [(2usize, 1usize), (32, 4)] {
+            let (_root, store) = durable(&format!("evict{sessions}"), RetentionPolicy::keep_all());
+            let r = Registry::new(OnlineConfig::default(), sessions, 2, true)
+                .with_store(store, max_live);
+            let detector = PhaseDetector::default();
+            let baselines: Vec<(u64, String)> = (0..sessions)
+                .map(|n| {
+                    let (id, session) = r.open().unwrap();
+                    let mut s = lock(&session);
+                    let snapshots = if n % 2 == 0 { 4u64 } else { 1 };
+                    for i in 0..snapshots {
+                        s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
+                            .unwrap();
+                        s.drain().unwrap();
+                    }
+                    (id, s.report_json(&detector, ReportMode::Full))
+                })
+                .collect();
+            assert_eq!(r.maybe_evict(Instant::now()), sessions - max_live);
+            assert_eq!(r.active(), max_live);
+            // Every session, evicted or not, comes back on demand,
+            // byte-identical to its pre-eviction report.
+            for (id, baseline) in &baselines {
+                let s = r.get(*id).expect("session reachable after eviction");
+                assert_eq!(&lock(&s).report_json(&detector, ReportMode::Full), baseline);
             }
-            s.report_json(&detector, ReportMode::Full)
-        };
-        let baseline_b = {
-            let mut s = lock(&sb);
-            s.enqueue(gmon(0, 1_000_000_000), Instant::now()).unwrap();
-            s.drain().unwrap();
-            s.report_json(&detector, ReportMode::Full)
-        };
-        drop(sa);
-        drop(sb);
-        assert_eq!(r.maybe_evict(Instant::now()), 1);
-        assert_eq!(r.active(), 1);
-        // Whichever session was evicted comes back on demand,
-        // byte-identical to its pre-eviction report.
-        let sa = r.get(a).expect("session a reachable after eviction");
-        assert_eq!(
-            lock(&sa).report_json(&detector, ReportMode::Full),
-            baseline_a
-        );
-        let sb = r.get(b).expect("session b reachable after eviction");
-        assert_eq!(
-            lock(&sb).report_json(&detector, ReportMode::Full),
-            baseline_b
-        );
+        }
     }
 
     #[test]

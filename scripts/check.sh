@@ -16,11 +16,6 @@
 #                               # per-line lints, warnings are errors)
 #                               # plus the apps call-graph export; leaves
 #                               # target/sca-report.json for CI upload
-#   scripts/check.sh incr       # only the incremental-analysis bench
-#                               # gate: warm >= 15x overall / >= 4x per
-#                               # app, cold-path budget, k7/k8 Lloyd
-#                               # iteration cap; leaves
-#                               # experiments_out/incr_report.json
 #   scripts/check.sh perf-smoke # only the perf benchmark smoke: builds
 #                               # perfbench/ (its own package, outside
 #                               # the workspace, so nothing else compiles
@@ -230,14 +225,6 @@ if [ "${1:-all}" = "cluster-smoke" ]; then
     exit 0
 fi
 
-incr_gate() {
-    echo "==> incr_bench (warm-vs-cold replay: speedup, cold budget, k7/k8 iteration gates)"
-    # Release build: the gates are timing assertions. The JSON report
-    # (per-app speedups, counter deltas) survives for CI to upload when
-    # a gate fails.
-    cargo run -q --release -p incprof-bench --bin incr_bench
-}
-
 perf_smoke() {
     echo "==> perf smoke (perfbench/ still builds and every workload still runs)"
     mkdir -p target
@@ -254,12 +241,6 @@ fi
 if [ "${1:-all}" = "sca" ]; then
     sca_gate
     echo "Static-analysis gate passed."
-    exit 0
-fi
-
-if [ "${1:-all}" = "incr" ]; then
-    incr_gate
-    echo "Incremental-analysis bench gate passed."
     exit 0
 fi
 
@@ -290,8 +271,6 @@ cargo test --workspace -q
 
 echo "==> cache determinism (warm analysis byte-identical to cold)"
 cargo test -q -p incprof-suite --test cache_determinism
-
-incr_gate
 
 serve_smoke
 

@@ -1,8 +1,8 @@
 //! Property-based tests over the core data structures and invariants.
 
 use incprof_suite::cluster::{
-    dbscan, kmeans, mean_silhouette, select_k, Dataset, DbscanParams, KMeansConfig,
-    KSelectionMethod,
+    dbscan, kmeans, mean_silhouette, ChainConfig, Dataset, DbscanParams, KMeansConfig,
+    KSelectionMethod, SweepChains,
 };
 use incprof_suite::collect::{IntervalMatrix, SampleSeries};
 use incprof_suite::core::PhaseDetector;
@@ -173,8 +173,9 @@ proptest! {
 
     #[test]
     fn select_k_stays_in_sweep_range(data in arb_dataset()) {
+        let cfg = ChainConfig::new(KMeansConfig::new(0));
         for method in [KSelectionMethod::Elbow, KSelectionMethod::Silhouette] {
-            let sel = select_k(&data, 8, method, &KMeansConfig::new(0));
+            let sel = SweepChains::new().evaluate(&data, 8, method, &cfg, None, false);
             prop_assert!(sel.k >= 1 && sel.k <= 8.min(data.nrows()));
             prop_assert_eq!(sel.result.assignments.len(), data.nrows());
         }
