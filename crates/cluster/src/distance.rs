@@ -38,6 +38,8 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 /// the same `n²` distances per candidate k. Entry `(i, j)` is exactly
 /// `euclidean(data.row(i), data.row(j))` — same operands, same order —
 /// so downstream sums are bit-identical to the on-the-fly formulation.
+/// Being a pure function of the rows, the matrix is never serialized:
+/// `incprof_core`'s analysis cache checkpoints the rows and rebuilds it.
 #[derive(Debug, Clone)]
 pub struct PairwiseDistances {
     n: usize,
@@ -130,23 +132,6 @@ impl PairwiseDistances {
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
         &self.dist[i * self.n..(i + 1) * self.n]
-    }
-
-    /// The raw row-major `n × n` entries, for checkpoint serialization
-    /// (`incprof_core`'s analysis cache persists the matrix so a
-    /// rehydrated session skips the O(n²·d) cold rebuild).
-    pub fn as_flat(&self) -> &[f64] {
-        &self.dist
-    }
-
-    /// Rebuild a matrix from previously serialized parts. Returns `None`
-    /// when `dist.len()` is not exactly `n²` — a truncated or corrupt
-    /// checkpoint must fail closed rather than panic on `get`.
-    pub fn from_flat(n: usize, dist: Vec<f64>) -> Option<PairwiseDistances> {
-        if dist.len() != n.checked_mul(n)? {
-            return None;
-        }
-        Some(PairwiseDistances { n, dist })
     }
 }
 

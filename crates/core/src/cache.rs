@@ -28,6 +28,9 @@
 //!    observed functions insert columns) and falls back to a cold
 //!    rebuild when anything moved. The fallback is counted as a
 //!    `core.cache.invalidations` metric, reuse as `core.cache.pair_extends`.
+//!    The matrix is never checkpointed: it is a pure function of the
+//!    scaled rows, so a cache decoded from a blob rebuilds it from them on
+//!    its first memo miss, ahead of the same prefix check.
 //!
 //! 4. **Incremental k-means chains.** The clustering itself is a
 //!    canonical per-row fold ([`incprof_cluster::incremental`]): cold
@@ -65,10 +68,12 @@ pub const INVALIDATE_PAIR: u64 = 3;
 pub const INVALIDATE_TRIM: u64 = 4;
 
 /// Version byte of the [`AnalysisCache::encode_state`] blob format.
-/// Version 2 added the k-means chain section; version-1 blobs (and any
-/// other version) are rejected cleanly by [`AnalysisCache::decode_state`]
-/// and the caller replays the snapshot log cold.
-const STATE_VERSION: u8 = 2;
+/// Version 2 added the k-means chain section; version 3 dropped the
+/// pairwise-distance section, which is a pure function of the scaled rows
+/// stored before it. Any other version is rejected cleanly by
+/// [`AnalysisCache::decode_state`] and the caller replays the snapshot
+/// log cold.
+const STATE_VERSION: u8 = 3;
 
 /// Memoized result of the last completed analysis.
 #[derive(Debug, Clone)]
@@ -105,25 +110,14 @@ pub struct AnalysisCache {
     /// Feature-column function ids of the previous analysis, aligned
     /// with `scaled`'s columns (per feature block).
     feature_fns: Vec<FunctionId>,
-    /// The incrementally grown pairwise-distance matrix.
+    /// The incrementally grown pairwise-distance matrix. Not part of the
+    /// checkpoint blob; empty after a decode until the first memo miss.
     pair: PairwiseDistances,
     /// Converged k-means chain state per k, resumed by warm analyses
     /// (layer 4 of the module docs). Reset together with the pair
     /// matrix: both are valid exactly while the scaled prefix is
     /// bit-stable.
     chains: SweepChains,
-    /// Serialized pair section (`u32` order + strict-upper-triangle
-    /// bits) staged by [`AnalysisCache::decode_state`] and materialized
-    /// into `pair` only when a query actually misses the memo. The
-    /// matrix is by far the largest piece of a checkpoint, and the
-    /// common rehydration path — restart, re-query, memo hit — never
-    /// needs it; decoding it eagerly would put an O(n²) reconstruction
-    /// on every restart instead of on the first new snapshot.
-    /// Invariant: while this is `Some`, nothing else in the cache has
-    /// mutated since decode ([`AnalysisCache::analyze`] hydrates before
-    /// any mutation), so `encode_state` can splice the bytes back
-    /// verbatim.
-    staged_pair: Option<Vec<u8>>,
     /// This instance's memo hits (the global `core.cache.memo_hits`
     /// counter aggregates across sessions; per-session gauges need the
     /// split). Survives cache resets.
@@ -193,7 +187,6 @@ impl AnalysisCache {
             return Err(PipelineError::NoIntervals);
         }
 
-        self.hydrate_pair();
         self.extend_intervals(series)?;
 
         let matrix = IntervalMatrix::from_interval_profiles(&self.intervals);
@@ -300,28 +293,8 @@ impl AnalysisCache {
         for id in &self.feature_fns {
             put_u32(&mut out, id.0);
         }
-        if let Some(staged) = &self.staged_pair {
-            // Never hydrated since decode (see the field invariant): the
-            // section round-trips verbatim.
-            out.extend_from_slice(staged);
-        } else {
-            put_u32(&mut out, self.pair.n() as u32);
-            // Strict upper triangle only: every entry is
-            // `euclidean(row i, row j)`, which is bitwise symmetric (the
-            // squared differences are sign-invariant) with a +0.0
-            // diagonal, so the other half reconstructs exactly — and the
-            // pairwise matrix is the dominant checkpoint cost, so this
-            // halves it.
-            let n = self.pair.n();
-            let flat = self.pair.as_flat();
-            for i in 0..n {
-                for &v in &flat[i * n + i + 1..(i + 1) * n] {
-                    put_u64(&mut out, v.to_bits());
-                }
-            }
-        }
-        // Chain section (v2): chains are stored in k order, so k itself
-        // is implied by position (`chains[i].k == i + 1`).
+        // Chain section: chains are stored in k order, so k itself is
+        // implied by position (`chains[i].k == i + 1`).
         put_u32(&mut out, self.chains.chains.len() as u32);
         for chain in &self.chains.chains {
             put_u32(&mut out, chain.covered as u32);
@@ -384,6 +357,11 @@ impl AnalysisCache {
         let scaled = if flags & 2 != 0 {
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
+            // One scaled row per covered interval at most; this also bounds
+            // the matrix `update_pair` rebuilds from these rows.
+            if rows > n_intervals {
+                return None;
+            }
             let vals = r.f64_vec(rows.checked_mul(cols)?)?;
             let mut d = Dataset::zeros(rows, cols);
             for i in 0..rows {
@@ -402,16 +380,6 @@ impl AnalysisCache {
         for _ in 0..n_fns {
             feature_fns.push(FunctionId(r.u32()?));
         }
-        // The pair section is validated for shape here but staged
-        // undecoded: rebuilding the full O(n²) matrix is the dominant
-        // decode cost, and a rehydrated session whose next query memo-
-        // hits never needs it. `hydrate_pair` materializes it on the
-        // first real analysis.
-        let section_start = r.pos;
-        let pair_n = r.u32()? as usize;
-        let tri_len = pair_n.checked_mul(pair_n.saturating_sub(1))? / 2;
-        r.bytes(tri_len.checked_mul(8)?)?;
-        let staged_pair = Some(bytes[section_start..r.pos].to_vec());
         let n_chains = r.u32()? as usize;
         let mut chains = Vec::with_capacity(n_chains.min(64));
         for i in 0..n_chains {
@@ -502,59 +470,10 @@ impl AnalysisCache {
             feature_fns,
             pair: PairwiseDistances::empty(),
             chains: SweepChains { chains },
-            staged_pair,
             memo_hits: 0,
             memo_misses: 0,
             last_covered,
         })
-    }
-
-    /// Materialize a staged pair section (see `staged_pair`) into the
-    /// full symmetric matrix. Entry `(i, j)` with `i < j` lives at
-    /// triangle index `off(i) + j − i − 1`; the diagonal is +0.0 by
-    /// construction and the lower half mirrors the same bytes. Rows are
-    /// produced in fixed chunk order on the [`incprof_par`] pool, so the
-    /// reconstruction is identical for every worker count. Infallible:
-    /// `decode_state` already validated the section's shape.
-    fn hydrate_pair(&mut self) {
-        let Some(bytes) = self.staged_pair.take() else {
-            return;
-        };
-        let mut r = Reader { b: &bytes, pos: 0 };
-        // lint: allow(P01, decode_state validated this exact section before staging it)
-        let pair_n = r.u32().expect("staged pair section validated at decode") as usize;
-        let raw = r.b[r.pos..].to_vec();
-        let at = |t: usize| {
-            let eight: [u8; 8] = raw[8 * t..8 * t + 8]
-                .try_into()
-                // lint: allow(P01, the slice is exactly eight bytes; the array conversion cannot fail)
-                .unwrap();
-            f64::from_bits(u64::from_le_bytes(eight))
-        };
-        let off = |i: usize| i * pair_n - i * (i + 1) / 2;
-        let blocks = incprof_par::Pool::current().map_chunks(
-            pair_n,
-            incprof_par::default_chunk(pair_n),
-            |rows| {
-                let mut block = Vec::with_capacity(rows.len() * pair_n);
-                for i in rows {
-                    for j in 0..i {
-                        block.push(at(off(j) + i - j - 1));
-                    }
-                    block.push(0.0);
-                    let base = off(i);
-                    block.extend((0..pair_n - i - 1).map(|t| at(base + t)));
-                }
-                block
-            },
-        );
-        let mut dist = Vec::with_capacity(pair_n * pair_n);
-        for block in blocks {
-            dist.extend_from_slice(&block);
-        }
-        self.pair = PairwiseDistances::from_flat(pair_n, dist)
-            // lint: allow(P01, the flat length is n² by construction above)
-            .expect("hydrated pair matrix has n² entries");
     }
 
     /// Drop all cached state (fingerprint included). Memo statistics
@@ -613,6 +532,14 @@ impl AnalysisCache {
     /// [`AnalysisCache::prefix_rows_unchanged`] verifies through the
     /// feature-column function ids. Otherwise a cold rebuild runs.
     fn update_pair(&mut self, detector: &PhaseDetector, matrix: &IntervalMatrix, data: &Dataset) {
+        // An empty matrix beside scaled rows is a decoded checkpoint (the
+        // blob carries the rows, not the matrix). Rebuild it first, so the
+        // cached chains meet the same prefix check as in a live session.
+        if self.pair.n() == 0 {
+            if let Some(old) = &self.scaled {
+                self.pair = PairwiseDistances::euclidean_of(old);
+            }
+        }
         let old_n = self.pair.n();
         let col_map = self.prefix_col_map(detector, matrix, data);
         let reusable = old_n == 0 || (old_n <= data.nrows() && col_map.is_some());
@@ -799,9 +726,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `n` little-endian f64 bit patterns with a single bounds
-    /// check. The scalar path costs a checked slice per value, which
-    /// dominates checkpoint decode once the pairwise matrix reaches
-    /// megabytes; this bulk path is what keeps warm rehydration cheap.
+    /// check, instead of a checked slice per value (scaled rows and
+    /// chain centroids are the blob's bulk).
     fn f64_vec(&mut self, n: usize) -> Option<Vec<f64>> {
         let raw = self.bytes(n.checked_mul(8)?)?;
         Some(
@@ -893,6 +819,47 @@ mod tests {
         let mut c = AnalysisCache::new();
         c.analyze(detector, &series(n)).unwrap();
         c
+    }
+
+    #[test]
+    fn blob_growth_is_linear_in_the_interval_count() {
+        // Intervals, scaled rows, chain assignments: every section is
+        // O(n). A doubling of n may at most double the blob (plus slack
+        // for the fixed-size parts), never quadruple it.
+        let detector = PhaseDetector::default();
+        let small = cache_after(&detector, 128).encode_state().len();
+        let large = cache_after(&detector, 256).encode_state().len();
+        assert!(
+            large * 2 <= small * 5,
+            "blob grew {small} -> {large} bytes for n = 128 -> 256"
+        );
+    }
+
+    #[test]
+    fn rebuilt_matrix_goes_through_the_prefix_check() {
+        // Under MinMax every snapshot of `series` raises the column
+        // maxima, so the scaled prefix moves on each push. A decoded
+        // cache has chains but no matrix; the matrix must be rebuilt
+        // *before* the prefix check so the moved prefix drops those
+        // chains, exactly as in a session that never restarted.
+        let detector = PhaseDetector {
+            scaling: incprof_cluster::Scaling::MinMax,
+            ..PhaseDetector::default()
+        };
+        let blob = cache_after(&detector, 8).encode_state();
+        let mut rehydrated = AnalysisCache::decode_state(&blob).expect("decodes");
+        assert_eq!(rehydrated.pair.n(), 0, "the blob carries no matrix");
+        assert!(!rehydrated.chains.is_empty());
+
+        let resets = incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_RESETS);
+        let before = resets.get();
+        let s9 = series(9);
+        let warm = rehydrated.analyze(&detector, &s9).unwrap();
+        assert!(resets.get() > before, "stale chains must be reset");
+        assert_eq!(
+            serde_json::to_string(&warm).unwrap(),
+            serde_json::to_string(&detector.detect_series(&s9).unwrap()).unwrap()
+        );
     }
 
     #[test]

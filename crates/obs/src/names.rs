@@ -232,6 +232,9 @@ pub const STORE_TORN_TAILS: &str = "store.log.torn_tails";
 pub const STORE_APPEND_ERRORS: &str = "store.log.append_errors";
 /// Counter: analysis checkpoints written.
 pub const STORE_CHECKPOINTS: &str = "store.checkpoint.writes";
+/// Counter: checkpoint writes that failed (blob over the frame cap, I/O
+/// error); the next attempt waits a full checkpoint cadence.
+pub const STORE_CHECKPOINT_WRITE_ERRORS: &str = "store.checkpoint.write_errors";
 /// Counter: checkpoints discarded at rehydration (stale coverage or a
 /// memo that failed the byte-identity round-trip); the session replays
 /// from the log instead.
@@ -341,6 +344,7 @@ pub const ALL: &[&str] = &[
     STORE_TORN_TAILS,
     STORE_APPEND_ERRORS,
     STORE_CHECKPOINTS,
+    STORE_CHECKPOINT_WRITE_ERRORS,
     STORE_CHECKPOINTS_REJECTED,
     STORE_REHYDRATIONS,
     STORE_EVICTIONS,

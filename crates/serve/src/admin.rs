@@ -39,15 +39,27 @@ pub(crate) fn dispatch_admin(shared: &Shared, frame: Frame) -> Reply {
             Frame::with_payload(FrameType::ScrapeReply, 0, text.into_bytes())
         }
         FrameType::Health => {
-            let json = format!(
-                "{{\"status\":\"ok\",\"sessions\":{},\"draining\":{}}}",
-                shared.registry.active(),
-                shared.stop.requested()
-            );
+            let json = health_json(shared.registry.active(), shared.stop.requested());
             Frame::with_payload(FrameType::HealthReply, 0, json.into_bytes())
         }
         _ => answer_local(&frame, "the read-only admin socket"),
     })
+}
+
+/// The `Health` document. `degraded` (the router's `merged_health`
+/// vocabulary) once durability has been lost anywhere in this process: a
+/// log append or a checkpoint write has failed since start-up.
+fn health_json(sessions: usize, draining: bool) -> String {
+    let lost = [
+        incprof_obs::names::STORE_APPEND_ERRORS,
+        incprof_obs::names::STORE_CHECKPOINT_WRITE_ERRORS,
+    ]
+    .iter()
+    .any(|name| incprof_obs::counter(name).get() != 0);
+    format!(
+        "{{\"status\":\"{}\",\"sessions\":{sessions},\"draining\":{draining}}}",
+        if lost { "degraded" } else { "ok" }
+    )
 }
 
 /// Answer the admin requests that read only this process's own

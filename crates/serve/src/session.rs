@@ -1278,6 +1278,62 @@ mod tests {
     }
 
     #[test]
+    fn long_session_checkpoints_and_rehydrates_warm() {
+        // 2048 snapshots: with the pairwise triangle in the blob this
+        // state was 16.9 MB, over the 16 MiB frame cap, and could not be
+        // checkpointed at all. `k_max: 2` keeps the cold fold short.
+        const N: u64 = 2048;
+        // Interval j takes 900 ms (even) or 40 ms (odd), plus j µs.
+        let push = |s: &mut Session, i: u64| {
+            let cumulative_ns =
+                (900 * (i / 2 + 1) + 40 * i.div_ceil(2)) * 1_000_000 + i * (i + 1) / 2 * 1_000;
+            s.enqueue(gmon(i, cumulative_ns), Instant::now()).unwrap();
+            s.drain().unwrap();
+        };
+        let detector = PhaseDetector {
+            clustering: incprof_core::ClusteringMethod::KMeans {
+                k_max: 2,
+                selection: Default::default(),
+            },
+            ..PhaseDetector::default()
+        };
+        let (root, store) = durable("long", RetentionPolicy::keep_all());
+        let r = registry().with_store(store, 0);
+        let (id, s) = r.open().unwrap();
+        let baseline = {
+            let mut s = lock(&s);
+            for i in 0..N {
+                push(&mut s, i);
+            }
+            let report = s.report_json(&detector, ReportMode::Full);
+            s.force_checkpoint();
+            report
+        };
+        assert!(root
+            .join(id.to_string())
+            .join(incprof_store::store::CHECKPOINT_FILE)
+            .exists());
+        drop(s);
+        drop(r);
+
+        let store = Store::open(&root, RetentionPolicy::keep_all(), 4).unwrap();
+        let r2 = registry().with_store(store, 0);
+        assert_eq!(r2.recover(), vec![id]);
+        let s2 = r2.get(id).expect("recovered session is queryable");
+        let mut s2 = lock(&s2);
+        assert_eq!(s2.report_json(&detector, ReportMode::Full), baseline);
+        // A rejected checkpoint leaves a fresh cache, whose first query
+        // misses; a hit with no miss is the adopted blob's memo.
+        let st = s2.stats(Instant::now());
+        assert_eq!((st.cache_hits, st.cache_misses), (1, 0), "warm rehydrate");
+
+        push(&mut s2, N);
+        let cold = serde_json::to_string(&detector.detect_series(s2.series()).unwrap()).unwrap();
+        assert_eq!(s2.report_json(&detector, ReportMode::AnalysisOnly), cold);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn evicted_sessions_rehydrate_transparently() {
         // (idle durable sessions, max_live): a pair over a cap of one,
         // then bounded residency at scale.

@@ -186,22 +186,34 @@ impl SessionStore {
     /// Atomically replace the session's checkpoint with `state` (an
     /// `incprof_core::AnalysisCache` state blob), wrapped in a single
     /// [`FrameType::Checkpoint`] frame.
+    ///
+    /// The cadence restarts whether or not the write succeeds: a blob
+    /// that cannot be written (over the frame cap, disk full) is retried
+    /// once per `checkpoint_every` appends, not after every append.
+    /// Failures are counted in `store.checkpoint.write_errors`.
     pub fn write_checkpoint(&mut self, state: Vec<u8>) -> io::Result<()> {
+        self.appends_since_checkpoint = 0;
+        let written = self.replace_checkpoint(state);
+        let outcome = match written {
+            Ok(()) => incprof_obs::names::STORE_CHECKPOINTS,
+            Err(_) => incprof_obs::names::STORE_CHECKPOINT_WRITE_ERRORS,
+        };
+        incprof_obs::counter(outcome).inc();
+        written
+    }
+
+    fn replace_checkpoint(&self, state: Vec<u8>) -> io::Result<()> {
         let frame = Frame::with_payload(FrameType::Checkpoint, self.id, state);
         let bytes = frame
             .try_encode(DEFAULT_MAX_PAYLOAD)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let path = self.dir.join(CHECKPOINT_FILE);
         let tmp = self.dir.join("checkpoint.tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.flush()?;
         }
-        std::fs::rename(&tmp, &path)?;
-        self.appends_since_checkpoint = 0;
-        incprof_obs::counter(incprof_obs::names::STORE_CHECKPOINTS).inc();
-        Ok(())
+        std::fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))
     }
 
     /// Total retained log bytes on disk.
@@ -323,6 +335,26 @@ mod tests {
         assert!(sess.checkpoint_due());
         sess.write_checkpoint(Vec::new()).unwrap();
         assert!(!sess.checkpoint_due(), "write resets the counter");
+    }
+
+    #[test]
+    fn failed_checkpoint_is_counted_and_does_not_rearm_itself() {
+        let s = store("cadence_fail", RetentionPolicy::keep_all());
+        let mut sess = s.create_session(1).unwrap();
+        for i in 0..4 {
+            sess.append_snapshot(i, &gmon(i, 10).encode()).unwrap();
+        }
+        assert!(sess.checkpoint_due());
+        let errors = incprof_obs::counter(incprof_obs::names::STORE_CHECKPOINT_WRITE_ERRORS);
+        let before = errors.get();
+        let over_cap = vec![0u8; DEFAULT_MAX_PAYLOAD as usize + 1];
+        assert!(sess.write_checkpoint(over_cap).is_err());
+        assert_eq!(errors.get(), before + 1);
+        assert!(
+            !sess.checkpoint_due(),
+            "a failed write waits a full cadence before the retry"
+        );
+        assert!(!s.root().join("1").join(CHECKPOINT_FILE).exists());
     }
 
     #[test]

@@ -19,9 +19,11 @@
 #   scripts/check.sh perf-smoke # only the perf benchmark smoke: builds
 #                               # perfbench/ (its own package, outside
 #                               # the workspace, so nothing else compiles
-#                               # it) and runs every workload for one
-#                               # second; the numbers mean nothing, a
-#                               # non-zero exit means a rename broke it
+#                               # it), runs its unit tests (percentile,
+#                               # quartile and span arithmetic) and every
+#                               # workload for one second; the numbers
+#                               # mean nothing, a non-zero exit means a
+#                               # rename broke it
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -226,9 +228,11 @@ if [ "${1:-all}" = "cluster-smoke" ]; then
 fi
 
 perf_smoke() {
-    echo "==> perf smoke (perfbench/ still builds and every workload still runs)"
+    echo "==> perf smoke (perfbench/ still builds, its unit tests pass, every workload still runs)"
     mkdir -p target
-    perfbench/run.sh --quick >target/perf-smoke.log 2>&1 \
+    perfbench/run.sh test >target/perf-smoke.log 2>&1 \
+        || { echo "perf smoke: perfbench/run.sh test failed"; tail -40 target/perf-smoke.log; exit 1; }
+    perfbench/run.sh --quick >>target/perf-smoke.log 2>&1 \
         || { echo "perf smoke: perfbench/run.sh --quick failed"; tail -40 target/perf-smoke.log; exit 1; }
 }
 

@@ -172,9 +172,10 @@ fn checkpoint_roundtrip_mid_stream_preserves_warm_byte_identity() {
 
 #[test]
 fn stale_version_checkpoint_is_rejected_not_misparsed() {
-    // The chain section bumped the blob format to v2. A v1 blob (or any
-    // other version byte) must be refused outright — the caller then
-    // replays the snapshot log cold — never field-shifted into garbage.
+    // The chain section bumped the blob format to v2, dropping the pair
+    // section to v3. A v1 or v2 blob (or any other version byte) must be
+    // refused outright — the caller then replays the snapshot log cold —
+    // never field-shifted into garbage.
     let detector = PhaseDetector::default();
     let runs = profiled_runs();
     let (_, series, _) = &runs[1];
@@ -183,7 +184,7 @@ fn stale_version_checkpoint_is_rejected_not_misparsed() {
     let mut blob = cache.encode_state();
     assert!(AnalysisCache::decode_state(&blob).is_some());
     let current = blob[0];
-    for version in [0u8, 1, current + 1, 0xFF] {
+    for version in [0u8, 1, 2, current + 1, 0xFF] {
         blob[0] = version;
         assert!(
             AnalysisCache::decode_state(&blob).is_none(),
