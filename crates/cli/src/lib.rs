@@ -1,40 +1,14 @@
 //! # incprof-cli
 //!
 //! The `incprof` command-line tool: run the phase-detection pipeline on
-//! data from disk, mirroring how the paper's tooling was driven.
+//! data from disk, mirroring how the paper's tooling was driven, plus
+//! the static-analysis gates and the streaming daemon's client and
+//! server commands.
 //!
-//! ```text
-//! incprof demo <dump.json>              generate a synthetic run dump
-//! incprof render-reports <dump> <dir>   write per-sample gprof reports
-//! incprof analyze-reports <dir> [opts]  analyze a directory of gprof
-//!                                       flat-profile text reports (one
-//!                                       cumulative report per interval,
-//!                                       lexicographic file order)
-//! incprof analyze-json <dump> [opts]    analyze a collected run dump
-//! incprof lint [root] [--json] [-D]     run the workspace invariant
-//!                                       lints (see docs/LINTS.md)
-//! incprof serve [opts]                  run the streaming phase-detection
-//!                                       daemon (docs/PROTOCOL.md)
-//! incprof push <addr> <dump.json>       replay a run dump into a daemon
-//!                                       and print its phase report
-//! incprof query <addr> <session-id>     print an existing (or disk-
-//!                                       recovered) session's report
-//! incprof collect <out.json> [opts]     wall-clock collection of a
-//!                                       synthetic workload until Ctrl-C
-//!
-//! options: --threshold <f>   Algorithm 1 coverage threshold (0.95)
-//!          --kmax <n>        maximum k for the sweep (8)
-//!          --silhouette      select k by silhouette instead of elbow
-//!          --dbscan <eps> <min_pts>   cluster with DBSCAN
-//!          --merge           merge phases sharing instrumentation sites
-//!          --json            emit the analysis as JSON instead of text
-//!
-//! global:  --metrics <path>  write an observability run report on exit
-//!          --verbose         raise logging to debug
-//!          --threads <n>     analysis worker threads (default: the
-//!                            INCPROF_THREADS environment variable, else
-//!                            all available cores)
-//! ```
+//! Every subcommand, positional and flag is one row of `COMMANDS` (or
+//! of `GLOBAL`, the flags accepted anywhere on the line). [`usage`]
+//! prints the banner generated from those rows; the functions below
+//! document what each command does, not how it is spelled.
 //!
 //! Exit status: 0 on success, 2 on usage errors, 1 on runtime (I/O,
 //! JSON, pipeline) errors.
@@ -42,11 +16,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod args;
 mod serve_cmd;
 mod shard_cmd;
-pub use serve_cmd::{collect_cmd, push_cmd, query_cmd, serve_cmd, top_cmd};
-pub use shard_cmd::shard_cmd;
 
+use args::{flag, Flag, Parsed, Spec};
 use incprof_cluster::{DbscanParams, KSelectionMethod};
 use incprof_collect::report_path::{clamp_monotone, parse_reports};
 use incprof_collect::{IntervalMatrix, SampleSeries};
@@ -55,10 +29,185 @@ use incprof_core::report::{
     render_k_sweep, render_signatures, render_sites_table, render_timeline,
 };
 use incprof_core::{ClusteringMethod, PhaseAnalysis, PhaseDetector};
-use incprof_profile::FunctionTable;
+use incprof_profile::{FlatProfile, FunctionTable, ProfileError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+const ANALYZE_FLAGS: &[Flag] = &[
+    flag("--threshold", "f"),
+    flag("--kmax", "n"),
+    flag("--silhouette", ""),
+    flag("--dbscan", "eps min_pts"),
+    flag("--merge", ""),
+    flag("--json", ""),
+];
+
+/// The flags accepted by every command, anywhere on the line.
+const GLOBAL: &[Flag] = &[
+    flag("--metrics", "path"),
+    flag("--verbose", ""),
+    flag("--threads", "n"),
+];
+
+/// What the [`GLOBAL`] flags do, printed under their synopsis.
+const GLOBAL_HELP: &str = "\
+  --metrics   write an observability run report (counters, span tree,
+              latency histograms) as JSON on exit; a .jsonl path selects
+              one record per line
+  --verbose   raise logging to debug (see also INCPROF_LOG)
+  --threads   worker threads for the parallel analysis paths (default:
+              INCPROF_THREADS, else all cores; results are identical for
+              every setting)";
+
+/// The command line: one row per subcommand, in banner order.
+static COMMANDS: &[Spec] = &[
+    Spec {
+        cmd: "demo",
+        positionals: "<dump.json>",
+        flags: &[],
+        run: |p| demo(Path::new(p.rest[0])),
+    },
+    Spec {
+        cmd: "render-reports",
+        positionals: "<dump.json> <dir>",
+        flags: &[],
+        run: |p| render_reports_cmd(Path::new(p.rest[0]), Path::new(p.rest[1])),
+    },
+    Spec {
+        cmd: "render-gmon",
+        positionals: "<dump.json> <dir>",
+        flags: &[],
+        run: |p| render_gmon_cmd(Path::new(p.rest[0]), Path::new(p.rest[1])),
+    },
+    Spec {
+        cmd: "analyze-gmon",
+        positionals: "<dir>",
+        flags: ANALYZE_FLAGS,
+        run: |p| analyze_gmon(Path::new(p.rest[0]), &analyze_options(p)?),
+    },
+    Spec {
+        cmd: "analyze-reports",
+        positionals: "<dir>",
+        flags: ANALYZE_FLAGS,
+        run: |p| analyze_reports(Path::new(p.rest[0]), &analyze_options(p)?),
+    },
+    Spec {
+        cmd: "analyze-json",
+        positionals: "<dump.json>",
+        flags: ANALYZE_FLAGS,
+        run: |p| analyze_json(Path::new(p.rest[0]), &analyze_options(p)?),
+    },
+    Spec {
+        cmd: "lint",
+        positionals: "[root]",
+        flags: &[
+            flag("--json", ""),
+            flag("-D|--deny-warnings", ""),
+            flag("--allow", "RULE"),
+            flag("--warn", "RULE"),
+            flag("--deny", "RULE"),
+            flag("--list-rules", ""),
+        ],
+        run: lint_cmd,
+    },
+    Spec {
+        cmd: "sca",
+        positionals: "[root]",
+        flags: &[flag("--json", "path"), flag("-D|--deny-warnings", "")],
+        run: sca_cmd,
+    },
+    Spec {
+        cmd: "callgraph",
+        positionals: "[root]",
+        flags: &[flag("--json", "path")],
+        run: callgraph_cmd,
+    },
+    Spec {
+        cmd: "serve",
+        positionals: "",
+        flags: &[
+            flag("--addr", "host:port"),
+            flag("--unix", "path"),
+            flag("--workers", "n"),
+            flag("--max-sessions", "n"),
+            flag("--addr-file", "path"),
+            flag("--admin", "host:port"),
+            flag("--admin-unix", "path"),
+            flag("--admin-addr-file", "path"),
+            flag("--final-scrape", "path"),
+            flag("--store-dir", "dir"),
+            flag("--retention", "hot=H,stride=S[,max_bytes=B]"),
+            flag("--max-live", "n"),
+            flag("--checkpoint-every", "n"),
+        ],
+        run: serve_cmd::serve_cmd,
+    },
+    Spec {
+        cmd: "shard",
+        positionals: "",
+        flags: &[
+            flag("--backends", "n"),
+            flag("--backend", "data[,admin]"),
+            flag("--addr", "host:port"),
+            flag("--unix", "path"),
+            flag("--addr-file", "path"),
+            flag("--admin", "host:port"),
+            flag("--admin-unix", "path"),
+            flag("--admin-addr-file", "path"),
+            flag("--store-dir", "dir"),
+            flag("--pid-dir", "dir"),
+            flag("--max-conns", "n"),
+            flag("--route", "session-id"),
+        ],
+        run: shard_cmd::shard_cmd,
+    },
+    Spec {
+        cmd: "push",
+        positionals: "<addr> <dump.json>",
+        flags: &[
+            flag("--analysis", ""),
+            flag("--keep-open", ""),
+            flag("--session-file", "path"),
+            flag("--shutdown", ""),
+        ],
+        run: serve_cmd::push_cmd,
+    },
+    Spec {
+        cmd: "query",
+        positionals: "<addr> <session-id>",
+        flags: &[
+            flag("--analysis", ""),
+            flag("--close", ""),
+            flag("--shutdown", ""),
+        ],
+        run: serve_cmd::query_cmd,
+    },
+    Spec {
+        cmd: "collect",
+        positionals: "<out.json>",
+        flags: &[flag("--interval-ms", "n"), flag("--max-samples", "n")],
+        run: serve_cmd::collect_cmd,
+    },
+    Spec {
+        cmd: "top",
+        positionals: "<admin-addr>",
+        flags: &[
+            flag("--interval-ms", "n"),
+            flag("--iterations", "n"),
+            flag("--raw", ""),
+            flag("--recorder", ""),
+            flag("--health", ""),
+        ],
+        run: serve_cmd::top_cmd,
+    },
+];
+
+/// The usage banner, generated from the tables the parser reads.
+pub fn usage() -> String {
+    let title = "incprof — source-oriented phase identification (IncProf, CLUSTER 2022)";
+    format!("{}\n{GLOBAL_HELP}", args::usage(title, COMMANDS, GLOBAL))
+}
 
 /// A collected run, as serialized to disk: the function table plus the
 /// cumulative sample series.
@@ -68,6 +217,21 @@ pub struct RunDump {
     pub table: FunctionTable,
     /// Cumulative profile samples.
     pub series: SampleSeries,
+}
+
+/// Read a run dump back from disk, with its name index rebuilt.
+fn load_dump(path: &Path) -> Result<RunDump, CliError> {
+    let text = std::fs::read_to_string(path)?;
+    let mut dump: RunDump = serde_json::from_str(&text)?;
+    dump.table.rebuild_index();
+    Ok(dump)
+}
+
+/// Write a run dump to disk, returning its sample count.
+fn save_dump(path: &Path, table: FunctionTable, series: SampleSeries) -> Result<usize, CliError> {
+    let dump = RunDump { table, series };
+    std::fs::write(path, serde_json::to_string(&dump)?)?;
+    Ok(dump.series.len())
 }
 
 /// CLI errors.
@@ -112,6 +276,21 @@ impl From<serde_json::Error> for CliError {
     }
 }
 
+impl From<incprof_serve::ClientError> for CliError {
+    fn from(e: incprof_serve::ClientError) -> Self {
+        CliError::Pipeline(format!("serve client: {e}"))
+    }
+}
+
+fn pipeline(e: impl fmt::Display) -> CliError {
+    CliError::Pipeline(e.to_string())
+}
+
+/// A bad command line (exit status 2).
+fn usage_error<T>(message: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(message.into()))
+}
+
 /// Parsed analysis options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzeOptions {
@@ -142,51 +321,25 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// Parse trailing options (everything after the positional args).
-pub fn parse_options(args: &[String]) -> Result<AnalyzeOptions, CliError> {
-    let mut opts = AnalyzeOptions::default();
-    let mut i = 0;
-    let take = |i: &mut usize, what: &str| -> Result<String, CliError> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| CliError::Usage(format!("{what} requires a value")))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threshold" => {
-                opts.threshold = take(&mut i, "--threshold")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --threshold: {e}")))?;
-                if !(0.0..=1.0).contains(&opts.threshold) {
-                    return Err(CliError::Usage("--threshold must be in [0, 1]".into()));
-                }
-            }
-            "--kmax" => {
-                opts.k_max = take(&mut i, "--kmax")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --kmax: {e}")))?;
-                if opts.k_max == 0 {
-                    return Err(CliError::Usage("--kmax must be at least 1".into()));
-                }
-            }
-            "--silhouette" => opts.silhouette = true,
-            "--dbscan" => {
-                let eps: f64 = take(&mut i, "--dbscan")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad eps: {e}")))?;
-                let min_points: usize = take(&mut i, "--dbscan")?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad min_points: {e}")))?;
-                opts.dbscan = Some((eps, min_points));
-            }
-            "--merge" => opts.merge = true,
-            "--json" => opts.json = true,
-            other => return Err(CliError::Usage(format!("unknown option {other}"))),
-        }
-        i += 1;
+/// The options shared by the three `analyze-*` commands.
+fn analyze_options(p: &Parsed) -> Result<AnalyzeOptions, CliError> {
+    let defaults = AnalyzeOptions::default();
+    let threshold = p.num("--threshold")?.unwrap_or(defaults.threshold);
+    if !(0.0..=1.0).contains(&threshold) {
+        return usage_error("--threshold must be in [0, 1]");
     }
-    Ok(opts)
+    let dbscan = match p.values("--dbscan") {
+        Some(v) => Some((args::number(&v[0], "eps")?, args::number(&v[1], "min_pts")?)),
+        None => None,
+    };
+    Ok(AnalyzeOptions {
+        threshold,
+        k_max: p.at_least("--kmax", 1)?.unwrap_or(defaults.k_max),
+        silhouette: p.has("--silhouette"),
+        dbscan,
+        merge: p.has("--merge"),
+        json: p.has("--json"),
+    })
 }
 
 fn detector_for(opts: &AnalyzeOptions) -> PhaseDetector {
@@ -210,9 +363,7 @@ fn detector_for(opts: &AnalyzeOptions) -> PhaseDetector {
 
 /// Run the pipeline on an interval matrix with the given options.
 pub fn analyze(matrix: &IntervalMatrix, opts: &AnalyzeOptions) -> Result<PhaseAnalysis, CliError> {
-    let mut analysis = detector_for(opts)
-        .detect(matrix)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let mut analysis = detector_for(opts).detect(matrix).map_err(pipeline)?;
     if opts.merge {
         analysis = merge_phases_with_same_sites(&analysis);
     }
@@ -245,23 +396,26 @@ pub fn render(
     }
 }
 
-/// `incprof analyze-json <dump> [opts]`.
-pub fn analyze_json(path: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut dump: RunDump = serde_json::from_str(&text)?;
-    dump.table.rebuild_index();
-    let intervals = dump
-        .series
-        .interval_profiles()
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let matrix = IntervalMatrix::from_interval_profiles(&intervals);
-    let analysis = analyze(&matrix, opts)?;
-    render(&analysis, &matrix, &dump.table, opts)
+/// The tail every `analyze-*` command shares: interval profiles →
+/// matrix → pipeline → rendered output.
+fn analyze_intervals(
+    intervals: Result<Vec<FlatProfile>, ProfileError>,
+    table: &FunctionTable,
+    opts: &AnalyzeOptions,
+) -> Result<String, CliError> {
+    let matrix = IntervalMatrix::from_interval_profiles(&intervals.map_err(pipeline)?);
+    render(&analyze(&matrix, opts)?, &matrix, table, opts)
 }
 
-/// `incprof analyze-reports <dir> [opts]`: read every regular file in
-/// `dir` in lexicographic name order as a cumulative gprof flat-profile
-/// text report.
+/// `incprof analyze-json`: analyze a collected run dump.
+pub fn analyze_json(path: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
+    let dump = load_dump(path)?;
+    analyze_intervals(dump.series.interval_profiles(), &dump.table, opts)
+}
+
+/// `incprof analyze-reports`: read every regular file in `dir` in
+/// lexicographic name order as a cumulative gprof flat-profile text
+/// report (one per interval).
 pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
     let mut paths: Vec<_> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
@@ -270,61 +424,40 @@ pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliE
         .collect();
     paths.sort();
     if paths.is_empty() {
-        return Err(CliError::Usage(format!(
-            "no report files in {}",
-            dir.display()
-        )));
+        return usage_error(format!("no report files in {}", dir.display()));
     }
     let reports: Vec<String> = paths
         .iter()
         .map(std::fs::read_to_string)
         .collect::<Result<_, _>>()?;
-    let (cumulative, table) =
-        parse_reports(&reports).map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let clamped = clamp_monotone(cumulative);
-    let intervals =
-        SampleSeries::deltas_of(&clamped).map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let matrix = IntervalMatrix::from_interval_profiles(&intervals);
-    let analysis = analyze(&matrix, opts)?;
-    render(&analysis, &matrix, &table, opts)
+    let (cumulative, table) = parse_reports(&reports).map_err(pipeline)?;
+    let intervals = SampleSeries::deltas_of(&clamp_monotone(cumulative));
+    analyze_intervals(intervals, &table, opts)
 }
 
-/// `incprof render-gmon <dump> <dir>`: write one binary `gmon.out.N`
-/// per sample — the paper's literal on-disk artifact.
+/// `incprof render-gmon`: write one binary `gmon.out.N` per sample —
+/// the paper's literal on-disk artifact.
 pub fn render_gmon_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(dump_path)?;
-    let mut dump: RunDump = serde_json::from_str(&text)?;
-    dump.table.rebuild_index();
+    let dump = load_dump(dump_path)?;
     let n = incprof_collect::series_io::write_gmon_dir(&dump.series, &dump.table, out_dir)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+        .map_err(pipeline)?;
     Ok(format!("wrote {n} gmon binaries to {}", out_dir.display()))
 }
 
-/// `incprof analyze-gmon <dir> [opts]`: analyze a directory of binary
-/// `gmon.out.N` cumulative profiles.
+/// `incprof analyze-gmon`: analyze a directory of binary `gmon.out.N`
+/// cumulative profiles.
 pub fn analyze_gmon(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
-    let (series, table) = incprof_collect::series_io::read_gmon_dir(dir)
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
+    let (series, table) = incprof_collect::series_io::read_gmon_dir(dir).map_err(pipeline)?;
     if series.is_empty() {
-        return Err(CliError::Usage(format!(
-            "no gmon files in {}",
-            dir.display()
-        )));
+        return usage_error(format!("no gmon files in {}", dir.display()));
     }
-    let intervals = series
-        .interval_profiles()
-        .map_err(|e| CliError::Pipeline(e.to_string()))?;
-    let matrix = IntervalMatrix::from_interval_profiles(&intervals);
-    let analysis = analyze(&matrix, opts)?;
-    render(&analysis, &matrix, &table, opts)
+    analyze_intervals(series.interval_profiles(), &table, opts)
 }
 
-/// `incprof render-reports <dump> <dir>`: write one gprof flat-profile
-/// text report per sample (the paper's renamed per-interval files).
+/// `incprof render-reports`: write one gprof flat-profile text report
+/// per sample (the paper's renamed per-interval files).
 pub fn render_reports_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, CliError> {
-    let text = std::fs::read_to_string(dump_path)?;
-    let mut dump: RunDump = serde_json::from_str(&text)?;
-    dump.table.rebuild_index();
+    let dump = load_dump(dump_path)?;
     std::fs::create_dir_all(out_dir)?;
     let reports = incprof_collect::report_path::render_reports(&dump.series, &dump.table);
     for (i, report) in reports.iter().enumerate() {
@@ -337,8 +470,8 @@ pub fn render_reports_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, Cl
     ))
 }
 
-/// `incprof demo <out.json>`: generate a synthetic three-phase run dump
-/// for trying out the analyze commands.
+/// `incprof demo`: generate a synthetic three-phase run dump for trying
+/// out the analyze commands.
 pub fn demo(out_path: &Path) -> Result<String, CliError> {
     use incprof_collect::{CollectorConfig, IncProfCollector};
     use incprof_runtime::{Clock, ProfilerRuntime};
@@ -371,52 +504,58 @@ pub fn demo(out_path: &Path) -> Result<String, CliError> {
         collector.tick();
     }
 
-    let dump = RunDump {
-        table: rt.function_table(),
-        series: collector.into_series(),
-    };
-    std::fs::write(out_path, serde_json::to_string(&dump)?)?;
+    let n = save_dump(out_path, rt.function_table(), collector.into_series())?;
     Ok(format!(
-        "wrote a {}-sample demo run to {}",
-        dump.series.len(),
+        "wrote a {n}-sample demo run to {}",
         out_path.display()
     ))
 }
 
-/// `incprof lint [root] [--json] [--deny-warnings|-D]`: run the
-/// workspace invariant lints (D01..P01; see `docs/LINTS.md`). With no
-/// root argument the workspace is discovered upward from the current
-/// directory. Violations come back as [`CliError::Lint`] carrying the
-/// rendered report, which the binary prints before exiting nonzero.
-pub fn lint_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut json = false;
+/// The workspace root `lint`, `sca`, `callgraph` and `serve` analyze:
+/// the explicit `[root]` positional, else discovered upward from the
+/// current directory.
+fn workspace_root(cmd: &str, explicit: Option<&str>) -> Result<PathBuf, CliError> {
+    if let Some(root) = explicit {
+        return Ok(PathBuf::from(root));
+    }
+    match incprof_lint::find_workspace_root(&std::env::current_dir()?) {
+        Some(root) => Ok(root),
+        None => usage_error(format!(
+            "no workspace root found; pass one: incprof {cmd} <root>"
+        )),
+    }
+}
+
+/// `incprof lint`'s configuration: `-D`, then `--allow`, `--warn` and
+/// `--deny RULE` in that order, so the strictest mention of a rule wins.
+fn lint_config(p: &Parsed) -> Result<incprof_lint::Config, CliError> {
+    use incprof_lint::Severity::{Allow, Error, Warn};
     let mut cfg = incprof_lint::Config::default();
-    for arg in args {
-        match arg.as_str() {
-            "--json" => json = true,
-            "-D" | "--deny-warnings" => cfg.deny_warnings = true,
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown lint option {flag}")));
-            }
-            path => {
-                if root.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "unexpected extra lint argument {path}"
-                    )));
-                }
-                root = Some(std::path::PathBuf::from(path));
-            }
+    cfg.deny_warnings = p.has("--deny-warnings");
+    for (flag, severity) in [("--allow", Allow), ("--warn", Warn), ("--deny", Error)] {
+        for text in p.all(flag).map(|v| &v[0]) {
+            let rule = incprof_lint::RuleId::parse(text)
+                .ok_or_else(|| CliError::Usage(format!("unknown lint rule {text}")))?;
+            cfg.set_severity(rule, severity);
         }
     }
-    let root = match root {
-        Some(r) => r,
-        None => incprof_lint::find_workspace_root(&std::env::current_dir()?).ok_or_else(|| {
-            CliError::Usage("no workspace root found; pass one: incprof lint <root>".into())
-        })?,
-    };
-    let report = incprof_lint::lint_workspace(&root, &cfg)?;
-    let rendered = if json {
+    Ok(cfg)
+}
+
+/// `incprof lint`: run the workspace invariant lints (D01..P01; see
+/// `docs/LINTS.md`), or print the rule catalogue. Violations come back
+/// as [`CliError::Lint`] carrying the rendered report, which the binary
+/// prints before exiting nonzero.
+fn lint_cmd(p: &Parsed) -> Result<String, CliError> {
+    let cfg = lint_config(p)?;
+    if p.has("--list-rules") {
+        let rules = incprof_lint::RuleId::ALL.iter();
+        let lines: Vec<String> = rules.map(|r| format!("{r}  {}", r.summary())).collect();
+        return Ok(lines.join("\n"));
+    }
+    let report =
+        incprof_lint::lint_workspace(&workspace_root("lint", p.rest.first().copied())?, &cfg)?;
+    let rendered = if p.has("--json") {
         report.render_json()
     } else {
         report.render_human()
@@ -428,201 +567,85 @@ pub fn lint_cmd(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// `incprof callgraph [root] [--json <path>]`: export the workspace
-/// apps' static call graph (functions, confidence-labelled edges,
-/// hazard facts) as deterministic JSON — the paper-facing bridge from
-/// detected phases back to source structure. Prints to stdout, or
-/// writes to `--json <path>`.
-pub fn callgraph_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut json_path: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage("--json requires a path".into()))?;
-                json_path = Some(std::path::PathBuf::from(p));
-            }
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown callgraph option {flag}")));
-            }
-            path => {
-                if root.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "unexpected extra callgraph argument {path}"
-                    )));
-                }
-                root = Some(std::path::PathBuf::from(path));
-            }
-        }
-        i += 1;
-    }
-    let root = match root {
-        Some(r) => r,
-        None => incprof_lint::find_workspace_root(&std::env::current_dir()?).ok_or_else(|| {
-            CliError::Usage("no workspace root found; pass one: incprof callgraph <root>".into())
-        })?,
-    };
-    let analysis = incprof_lint::analyze_subtree(&root, "crates/apps/src")?;
-    let rendered = analysis.graph.render_json(&analysis.symbols);
-    match json_path {
+/// Print `rendered`, or write it to the `--json <path>` of `sca` and
+/// `callgraph` and print `summary` instead.
+fn emit(p: &Parsed, rendered: String, summary: &str) -> Result<String, CliError> {
+    match p.path("--json") {
         Some(path) => {
             std::fs::write(&path, &rendered)?;
-            Ok(format!("static call graph written to {}", path.display()))
+            Ok(format!("{summary} written to {}", path.display()))
         }
         None => Ok(rendered),
     }
 }
 
-/// `incprof sca [root] [--json <path>] [--deny-warnings|-D]`: the
-/// static-analysis gate. Runs the full multi-pass lint (per-line rules
-/// plus the graph rules P02/D05/A01) over the workspace, then emits a
-/// machine-readable report combining the diagnostics, the analysis
-/// stats (functions, confident/ambiguous edge counts), and the timed
-/// `lint.engine.run` span — the artifact CI uploads on failure.
-pub fn sca_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut json_path: Option<std::path::PathBuf> = None;
+/// `incprof callgraph`: export the workspace apps' static call graph
+/// (functions, confidence-labelled edges, hazard facts) as
+/// deterministic JSON — the paper-facing bridge from detected phases
+/// back to source structure.
+fn callgraph_cmd(p: &Parsed) -> Result<String, CliError> {
+    let root = workspace_root("callgraph", p.rest.first().copied())?;
+    let analysis = incprof_lint::analyze_subtree(&root, "crates/apps/src")?;
+    let rendered = analysis.graph.render_json(&analysis.symbols);
+    emit(p, rendered, "static call graph")
+}
+
+/// `incprof sca`: the static-analysis gate. Runs the full multi-pass
+/// lint (per-line rules plus the graph rules P02/D05/A01) over the
+/// workspace, then emits a machine-readable report combining the
+/// diagnostics, the analysis stats (functions, confident/ambiguous edge
+/// counts), and the timed `lint.engine.run` span — the artifact CI
+/// uploads on failure.
+fn sca_cmd(p: &Parsed) -> Result<String, CliError> {
+    let root = workspace_root("sca", p.rest.first().copied())?;
     let mut cfg = incprof_lint::Config::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage("--json requires a path".into()))?;
-                json_path = Some(std::path::PathBuf::from(p));
-            }
-            "-D" | "--deny-warnings" => cfg.deny_warnings = true,
-            flag if flag.starts_with('-') => {
-                return Err(CliError::Usage(format!("unknown sca option {flag}")));
-            }
-            path => {
-                if root.is_some() {
-                    return Err(CliError::Usage(format!(
-                        "unexpected extra sca argument {path}"
-                    )));
-                }
-                root = Some(std::path::PathBuf::from(path));
-            }
-        }
-        i += 1;
-    }
-    let root = match root {
-        Some(r) => r,
-        None => incprof_lint::find_workspace_root(&std::env::current_dir()?).ok_or_else(|| {
-            CliError::Usage("no workspace root found; pass one: incprof sca <root>".into())
-        })?,
-    };
+    cfg.deny_warnings = p.has("--deny-warnings");
     let (report, analysis) = incprof_lint::lint_workspace_analyzed(&root, &cfg)?;
     let (confident, ambiguous) = analysis.graph.edge_counts();
     // The whole analysis ran under the `lint.engine.run` span; its last
     // closed record carries the wall time the sca gate asserts on.
-    let elapsed_ns = incprof_obs::global()
+    let elapsed_ms = incprof_obs::global()
         .spans()
         .records()
         .iter()
         .rev()
         .find(|r| r.closed && r.name == incprof_obs::names::LINT_RUN)
-        .map(|r| r.dur_ns)
-        .unwrap_or(0);
-    let lint_json = report.render_json();
+        .map_or(0, |r| r.dur_ns / 1_000_000);
+    let functions = analysis.symbols.defs.len();
     let rendered = format!(
-        "{{\"stats\":{{\"functions\":{},\"edges_confident\":{confident},\
-         \"edges_ambiguous\":{ambiguous},\"elapsed_ms\":{}}},\"lint\":{lint_json}}}",
-        analysis.symbols.defs.len(),
-        elapsed_ns / 1_000_000,
+        "{{\"stats\":{{\"functions\":{functions},\"edges_confident\":{confident},\
+         \"edges_ambiguous\":{ambiguous},\"elapsed_ms\":{elapsed_ms}}},\"lint\":{}}}",
+        report.render_json(),
     );
-    let summary = match json_path {
-        Some(path) => {
-            std::fs::write(&path, &rendered)?;
-            format!(
-                "sca: {} functions, {confident} confident / {ambiguous} ambiguous edges, \
-                 {} diagnostics in {} ms; report written to {}",
-                analysis.symbols.defs.len(),
-                report.diagnostics.len(),
-                elapsed_ns / 1_000_000,
-                path.display()
-            )
-        }
-        None => rendered,
-    };
+    let summary = format!(
+        "sca: {functions} functions, {confident} confident / {ambiguous} ambiguous edges, \
+         {} diagnostics in {elapsed_ms} ms; report",
+        report.diagnostics.len(),
+    );
+    let output = emit(p, rendered, &summary)?;
     if report.is_clean() {
-        Ok(summary)
+        Ok(output)
     } else {
-        Err(CliError::Lint(summary))
+        Err(CliError::Lint(output))
     }
 }
 
-/// Global flags accepted anywhere on the command line, ahead of the
-/// per-command options.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct GlobalFlags {
-    /// Write an observability [`incprof_obs::RunReport`] here on exit
-    /// (`.jsonl` extension selects the line-oriented format).
-    pub metrics: Option<std::path::PathBuf>,
-    /// Raise logging to debug (equivalent to `INCPROF_LOG=debug`, except
-    /// the environment still wins where it asks for more).
-    pub verbose: bool,
-    /// Worker-thread count for the parallel analysis paths (overrides
-    /// `INCPROF_THREADS`; `None` leaves the default sizing in place).
-    pub threads: Option<usize>,
-}
-
-/// Strip `--metrics <path>`, `--verbose`, and `--threads <n>` out of
-/// `args`, returning the parsed globals plus the remaining arguments.
-pub fn split_global_flags(args: &[String]) -> Result<(GlobalFlags, Vec<String>), CliError> {
-    let mut globals = GlobalFlags::default();
-    let mut rest = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" => {
-                i += 1;
-                let path = args
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage("--metrics requires a path".into()))?;
-                globals.metrics = Some(std::path::PathBuf::from(path));
-            }
-            "--verbose" => globals.verbose = true,
-            "--threads" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .ok_or_else(|| CliError::Usage("--threads requires a count".into()))?
-                    .parse()
-                    .map_err(|e| CliError::Usage(format!("bad --threads: {e}")))?;
-                if n == 0 {
-                    return Err(CliError::Usage("--threads must be at least 1".into()));
-                }
-                globals.threads = Some(n);
-            }
-            _ => rest.push(args[i].clone()),
-        }
-        i += 1;
-    }
-    Ok((globals, rest))
-}
-
-/// Top-level entry: strip global flags, dispatch, and (when requested)
-/// write the observability run report — on failure too, so a crashed
-/// analysis still leaves its metrics behind.
+/// Top-level entry: strip the global flags, dispatch, and (when
+/// requested) write the observability run report — on failure too, so a
+/// crashed analysis still leaves its metrics behind.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let (globals, rest) = split_global_flags(args)?;
-    if globals.verbose {
+    let globals = args::strip("global", GLOBAL, args)?;
+    if globals.has("--verbose") {
         incprof_obs::logger::raise_level(incprof_obs::Level::Debug);
     }
-    if let Some(n) = globals.threads {
+    if let Some(n) = globals.at_least("--threads", 1)? {
         incprof_par::set_threads(n);
     }
+    let rest: Vec<String> = globals.rest.iter().map(|s| s.to_string()).collect();
     let result = dispatch(&rest);
-    if let Some(path) = &globals.metrics {
+    if let Some(path) = globals.path("--metrics") {
         let report = incprof_obs::report();
-        match report.write(path) {
+        match report.write(&path) {
             Ok(()) => incprof_obs::debug!("wrote run report to {}", path.display()),
             Err(e) if result.is_ok() => return Err(CliError::Io(e)),
             Err(e) => incprof_obs::error!("failed to write run report: {e}"),
@@ -631,117 +654,39 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     result
 }
 
+/// The [`COMMANDS`] row of a subcommand.
+fn spec(cmd: &str) -> Result<&'static Spec, CliError> {
+    let found = COMMANDS.iter().find(|s| s.cmd == cmd);
+    found.ok_or_else(|| CliError::Usage(format!("unknown command {cmd}")))
+}
+
 /// Command dispatch over already-stripped arguments.
 fn dispatch(args: &[String]) -> Result<String, CliError> {
-    match args.first().map(String::as_str) {
-        Some("demo") => {
-            let out = args.get(1).ok_or_else(|| usage("demo <out.json>"))?;
-            demo(Path::new(out))
-        }
-        Some("render-reports") => {
-            let dump = args
-                .get(1)
-                .ok_or_else(|| usage("render-reports <dump> <dir>"))?;
-            let dir = args
-                .get(2)
-                .ok_or_else(|| usage("render-reports <dump> <dir>"))?;
-            render_reports_cmd(Path::new(dump), Path::new(dir))
-        }
-        Some("render-gmon") => {
-            let dump = args
-                .get(1)
-                .ok_or_else(|| usage("render-gmon <dump> <dir>"))?;
-            let dir = args
-                .get(2)
-                .ok_or_else(|| usage("render-gmon <dump> <dir>"))?;
-            render_gmon_cmd(Path::new(dump), Path::new(dir))
-        }
-        Some("analyze-gmon") => {
-            let dir = args
-                .get(1)
-                .ok_or_else(|| usage("analyze-gmon <dir> [opts]"))?;
-            let opts = parse_options(&args[2..])?;
-            analyze_gmon(Path::new(dir), &opts)
-        }
-        Some("analyze-reports") => {
-            let dir = args
-                .get(1)
-                .ok_or_else(|| usage("analyze-reports <dir> [opts]"))?;
-            let opts = parse_options(&args[2..])?;
-            analyze_reports(Path::new(dir), &opts)
-        }
-        Some("analyze-json") => {
-            let dump = args
-                .get(1)
-                .ok_or_else(|| usage("analyze-json <dump> [opts]"))?;
-            let opts = parse_options(&args[2..])?;
-            analyze_json(Path::new(dump), &opts)
-        }
-        Some("lint") => lint_cmd(&args[1..]),
-        Some("sca") => sca_cmd(&args[1..]),
-        Some("callgraph") => callgraph_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("shard") => shard_cmd(&args[1..]),
-        Some("push") => push_cmd(&args[1..]),
-        Some("query") => query_cmd(&args[1..]),
-        Some("collect") => collect_cmd(&args[1..]),
-        Some("top") => top_cmd(&args[1..]),
-        Some(other) => Err(CliError::Usage(format!("unknown command {other}\n{USAGE}"))),
-        None => Err(CliError::Usage(USAGE.to_string())),
-    }
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage_error("no command given");
+    };
+    let spec = spec(cmd)?;
+    (spec.run)(&spec.parse(rest)?)
 }
-
-fn usage(s: &str) -> CliError {
-    CliError::Usage(format!("expected: incprof {s}"))
-}
-
-/// The usage banner.
-pub const USAGE: &str = "\
-incprof — source-oriented phase identification (IncProf, CLUSTER 2022)
-
-  incprof demo <dump.json>
-  incprof render-reports <dump.json> <dir>
-  incprof render-gmon <dump.json> <dir>
-  incprof analyze-gmon <dir> [same options as analyze-reports]
-  incprof analyze-reports <dir> [--threshold f] [--kmax n] [--silhouette]
-                                [--dbscan eps min_pts] [--merge] [--json]
-  incprof analyze-json <dump.json> [same options]
-  incprof lint [root] [--json] [--deny-warnings|-D]
-  incprof sca [root] [--json <path>] [--deny-warnings|-D]
-  incprof callgraph [root] [--json <path>]
-  incprof serve [--addr host:port | --unix path] [--workers n]
-                [--max-sessions n] [--max-pending n] [--addr-file path]
-                [--admin host:port | --admin-unix path]
-                [--admin-addr-file path] [--final-scrape path]
-                [--store-dir dir] [--retention hot=H,stride=S[,max_bytes=B]]
-                [--max-live n] [--checkpoint-every n]
-  incprof shard (--backends n | --backend data[,admin] ...)
-                [--addr host:port | --unix path] [--addr-file path]
-                [--admin host:port | --admin-unix path]
-                [--admin-addr-file path] [--store-dir dir] [--pid-dir dir]
-                [--max-conns n] [--route session-id]
-  incprof push <addr> <dump.json> [--analysis] [--keep-open]
-               [--session-file path] [--shutdown]
-  incprof query <addr> <session-id> [--analysis] [--close] [--shutdown]
-  incprof collect <out.json> [--interval-ms n] [--max-samples n]
-  incprof top <admin-addr> [--interval-ms n] [--iterations n]
-              [--raw] [--recorder] [--health]
-
-global options (any command):
-  --metrics <path>   write an observability run report (counters, span
-                     tree, latency histograms) as JSON; a .jsonl path
-                     selects one record per line
-  --verbose          raise logging to debug (see also INCPROF_LOG)
-  --threads <n>      worker threads for the parallel analysis paths
-                     (default: INCPROF_THREADS, else all cores; results
-                     are identical for every setting)";
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s(v: &[&str]) -> Vec<String> {
+    pub(crate) fn s(v: &[&str]) -> Vec<String> {
         v.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// The global pass of [`run`].
+    fn split_global_flags(args: &[String]) -> Result<Parsed<'_>, CliError> {
+        args::strip("global", GLOBAL, args)
+    }
+
+    /// The `analyze-*` options of a line, as `analyze-json d.json <args>`
+    /// parses them.
+    fn parse_options(args: &[String]) -> Result<AnalyzeOptions, CliError> {
+        let line = [s(&["d.json"]), args.to_vec()].concat();
+        analyze_options(&spec("analyze-json")?.parse(&line)?)
     }
 
     #[test]
@@ -822,41 +767,35 @@ mod tests {
 
     #[test]
     fn global_flags_are_stripped_anywhere() {
-        let (g, rest) = split_global_flags(&s(&[
-            "analyze-json",
-            "--metrics",
-            "m.json",
-            "d.json",
-            "--verbose",
-        ]))
-        .unwrap();
-        assert_eq!(g.metrics.as_deref(), Some(Path::new("m.json")));
-        assert!(g.verbose);
-        assert_eq!(rest, s(&["analyze-json", "d.json"]));
+        let line = s(&["analyze-json", "--metrics", "m.json", "d.json", "--verbose"]);
+        let g = split_global_flags(&line).unwrap();
+        assert_eq!(g.path("--metrics").as_deref(), Some(Path::new("m.json")));
+        assert!(g.has("--verbose"));
+        assert_eq!(g.rest, ["analyze-json", "d.json"]);
         assert!(matches!(
             split_global_flags(&s(&["demo", "--metrics"])),
             Err(CliError::Usage(_))
         ));
-        let (g, rest) = split_global_flags(&s(&["demo", "x.json"])).unwrap();
-        assert_eq!(g, GlobalFlags::default());
-        assert_eq!(rest, s(&["demo", "x.json"]));
+        let line = s(&["demo", "x.json"]);
+        let g = split_global_flags(&line).unwrap();
+        assert!(GLOBAL.iter().all(|f| !g.has(f.names)));
+        assert_eq!(g.rest, ["demo", "x.json"]);
     }
 
     #[test]
     fn threads_flag_parses_and_rejects_garbage() {
-        let (g, rest) = split_global_flags(&s(&["--threads", "4", "demo", "x.json"])).unwrap();
-        assert_eq!(g.threads, Some(4));
-        assert_eq!(rest, s(&["demo", "x.json"]));
+        let threads = |line: &[&str]| split_global_flags(&s(line))?.at_least("--threads", 1usize);
+        let line = s(&["--threads", "4", "demo", "x.json"]);
+        let g = split_global_flags(&line).unwrap();
+        assert_eq!(g.at_least("--threads", 1).unwrap(), Some(4));
+        assert_eq!(g.rest, ["demo", "x.json"]);
+        assert!(matches!(threads(&["--threads"]), Err(CliError::Usage(_))));
         assert!(matches!(
-            split_global_flags(&s(&["--threads"])),
+            threads(&["--threads", "0"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            split_global_flags(&s(&["--threads", "0"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            split_global_flags(&s(&["--threads", "many"])),
+            threads(&["--threads", "many"]),
             Err(CliError::Usage(_))
         ));
     }
@@ -983,6 +922,149 @@ mod tests {
         .unwrap();
         assert!(db.contains("Discovered"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+
+    /// A valid value for every placeholder the tables use.
+    fn sample(placeholder: &str) -> String {
+        let value = match placeholder {
+            "n" | "session-id" | "<session-id>" => "3",
+            "f" | "eps" => "0.3",
+            "min_pts" => "4",
+            "RULE" => "D04",
+            "host:port" | "<addr>" | "<admin-addr>" => "127.0.0.1:1",
+            "data[,admin]" => "127.0.0.1:1,127.0.0.1:2",
+            "hot=H,stride=S[,max_bytes=B]" => "hot=2,stride=4",
+            _path_or_dir => "some/where",
+        };
+        value.to_string()
+    }
+
+    fn samples(placeholders: &str) -> Vec<String> {
+        placeholders.split_whitespace().map(sample).collect()
+    }
+
+    fn usage_message(result: Result<Parsed<'_>, CliError>) -> String {
+        match result {
+            Err(CliError::Usage(message)) => message,
+            Err(other) => panic!("expected a usage error, got {other}"),
+            Ok(_) => panic!("expected a usage error, got a parse"),
+        }
+    }
+
+    #[test]
+    fn every_row_of_every_spec_parses_and_its_errors_name_the_subcommand() {
+        for spec in COMMANDS {
+            let cmd = spec.cmd;
+            let positionals = samples(spec.positionals);
+            for flag in spec.flags {
+                let values = samples(flag.values);
+                for name in flag.names.split('|') {
+                    // Given twice, before and after the positionals.
+                    let given = [vec![name.to_string()], values.clone()].concat();
+                    let line = [given.clone(), positionals.clone(), given.clone()].concat();
+                    let p = spec
+                        .parse(&line)
+                        .unwrap_or_else(|e| panic!("{cmd} {name}: {e}"));
+                    assert!(p.has(name), "{cmd} {name}");
+                    assert_eq!(p.values(name), Some(&values[..]), "{cmd} {name}");
+                    assert_eq!(p.all(name).count(), 2, "{cmd} {name}");
+                    assert_eq!(p.rest, positionals, "{cmd} {name}");
+                    if !values.is_empty() {
+                        let short = [positionals.clone(), given[..given.len() - 1].to_vec()];
+                        let message = usage_message(spec.parse(&short.concat()));
+                        assert!(message.contains(cmd) && message.contains(name), "{message}");
+                    }
+                }
+            }
+            // (a) a single-dash typo is an unknown option, not a positional.
+            for typo in ["-x", "--x"] {
+                let line = [vec![typo.to_string()], positionals.clone()].concat();
+                let message = usage_message(spec.parse(&line));
+                assert_eq!(message, format!("unknown {cmd} option {typo}"));
+            }
+            let line = [positionals.clone(), vec!["extra".to_string()]].concat();
+            let message = usage_message(spec.parse(&line));
+            assert_eq!(message, format!("unexpected extra {cmd} argument extra"));
+            if spec.positionals.contains('<') {
+                let message = usage_message(spec.parse(&[]));
+                assert!(message.contains(&format!("incprof {cmd} <")), "{message}");
+            }
+        }
+    }
+
+    #[test]
+    fn generated_banner_lists_every_name_of_every_row() {
+        let banner = usage();
+        let (commands, global) = banner.split_once("\nglobal options").unwrap();
+        // One synopsis per spec, in table order, after the title.
+        let sections: Vec<&str> = commands.split("\n  incprof ").skip(1).collect();
+        assert_eq!(sections.len(), COMMANDS.len(), "{banner}");
+        let lists = |section: &str, flags: &[Flag]| {
+            let words = flags.iter().flat_map(|f| [f.names, f.values]);
+            words
+                .flat_map(|text| text.split([' ', '|']))
+                .all(|word| section.contains(word))
+        };
+        for (spec, section) in COMMANDS.iter().zip(sections) {
+            let head = format!("{} {}", spec.cmd, spec.positionals);
+            assert!(section.starts_with(head.trim_end()), "{section}");
+            assert!(lists(section, spec.flags), "{section}");
+        }
+        assert!(lists(global, GLOBAL), "{global}");
+        // The explanatory footer describes global rows and nothing else.
+        for line in GLOBAL_HELP.lines().filter(|l| l.starts_with("  --")) {
+            let name = line.split_whitespace().next().unwrap_or_default();
+            assert!(GLOBAL.iter().any(|f| f.names == name), "{name}");
+        }
+    }
+
+    #[test]
+    fn global_flags_are_stripped_before_and_after_the_subcommand() {
+        let command = vec!["demo".to_string(), "x.json".to_string()];
+        for flag in GLOBAL {
+            let given = [vec![flag.names.to_string()], samples(flag.values)].concat();
+            for line in [
+                [given.clone(), command.clone()].concat(),
+                [command.clone(), given.clone()].concat(),
+            ] {
+                let globals = args::strip("global", GLOBAL, &line).unwrap();
+                assert!(globals.has(flag.names), "{line:?}");
+                assert_eq!(globals.rest, command, "{line:?}");
+            }
+            if !flag.values.is_empty() {
+                let line = [command.clone(), vec![flag.names.to_string()]].concat();
+                let stripped = args::strip("global", GLOBAL, &line);
+                assert!(matches!(stripped, Err(CliError::Usage(_))));
+            }
+        }
+    }
+
+    #[test]
+    fn lint_severity_flags_and_rule_catalogue_survive_the_lint_binary() {
+        let line = crate::tests::s;
+        let catalogue = run(&line(&["lint", "--list-rules"])).unwrap();
+        for rule in incprof_lint::RuleId::ALL {
+            assert!(catalogue.contains(&rule.to_string()), "{catalogue}");
+        }
+        let args = line(&["--allow", "D04", "--warn", "P01", "--deny", "D04", "-D"]);
+        let cfg = lint_config(&spec("lint").unwrap().parse(&args).unwrap()).unwrap();
+        use incprof_lint::{RuleId, Severity};
+        assert_eq!(
+            cfg.severity(RuleId::D04),
+            Severity::Error,
+            "deny beats allow"
+        );
+        assert_eq!(cfg.severity(RuleId::P01), Severity::Warn);
+        assert!(cfg.deny_warnings);
+        assert!(matches!(
+            run(&line(&["lint", "--allow", "Z99"])),
+            Err(CliError::Usage(_))
+        ));
     }
 }
 

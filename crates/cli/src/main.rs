@@ -16,7 +16,7 @@ fn main() {
         }
         Err(e @ CliError::Usage(_)) => {
             incprof_obs::error!("{e}");
-            eprintln!("{}", incprof_cli::USAGE);
+            eprintln!("{}", incprof_cli::usage());
             std::process::exit(2);
         }
         Err(e) => {

@@ -7,74 +7,97 @@
 //! the process exits 0 with the observability run report flushed by the
 //! `--metrics` machinery in [`crate::run`].
 
-use crate::{CliError, RunDump};
+use crate::args::{number, Parsed};
+use crate::{load_dump, save_dump, usage_error, workspace_root, CliError};
 use incprof_serve::signal;
 use incprof_serve::{BindAddr, Client, PlaneHandle, RetentionPolicy, ServeConfig, Server};
-use std::path::{Path, PathBuf};
-
-pub(crate) fn take(args: &[String], i: &mut usize, what: &str) -> Result<String, CliError> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or_else(|| CliError::Usage(format!("{what} requires a value")))
-}
+use std::path::Path;
 
 /// The announce-and-wait half of both listener commands (`serve`,
 /// `shard`): print `<name> listening on <addr><note>` (and the admin
-/// address), write the resolved addresses to the files scripts poll
-/// for, then block until a `Shutdown` frame arrives or SIGINT fires.
+/// address), write the resolved addresses to the `--addr-file` and
+/// `--admin-addr-file` scripts poll for, then block until a `Shutdown`
+/// frame arrives or SIGINT fires.
 pub(crate) fn announce_and_wait(
     name: &str,
     note: &str,
     handle: &PlaneHandle,
-    addr_file: Option<&Path>,
-    admin_addr_file: Option<&Path>,
+    p: &Parsed,
 ) -> Result<(), CliError> {
     println!("{name} listening on {}{note}", handle.addr());
     if let Some(admin) = handle.admin_addr() {
         println!("{name} admin on {admin}");
-        if let Some(path) = admin_addr_file {
+        if let Some(path) = p.path("--admin-addr-file") {
             std::fs::write(path, admin)?;
         }
     }
-    if let Some(path) = addr_file {
+    if let Some(path) = p.path("--addr-file") {
         std::fs::write(path, handle.addr())?;
     }
     handle.wait(Some(signal::interrupted()));
     Ok(())
 }
 
-pub(crate) fn parse_num<T: std::str::FromStr>(v: &str, what: &str) -> Result<T, CliError>
-where
-    T::Err: std::fmt::Display,
-{
-    v.parse()
-        .map_err(|e| CliError::Usage(format!("bad {what}: {e}")))
+/// One listener address from its two spellings (`--addr host:port` or
+/// `--unix path`; `--admin` or `--admin-unix`). Giving both is a usage
+/// error rather than a silent last-one-wins.
+pub(crate) fn bind_addr(p: &Parsed, tcp: &str, unix: &str) -> Result<Option<BindAddr>, CliError> {
+    match (p.get(tcp), p.path(unix)) {
+        (Some(_), Some(_)) => usage_error(format!("{tcp} and {unix} are mutually exclusive")),
+        (Some(addr), None) => Ok(Some(BindAddr::Tcp(addr.to_string()))),
+        (None, unix) => Ok(unix.map(BindAddr::Unix)),
+    }
 }
 
-/// `incprof serve [--addr host:port | --unix path] [--workers n]
-/// [--max-sessions n] [--max-pending n] [--addr-file path]
-/// [--admin host:port | --admin-unix path]
-/// [--admin-addr-file path] [--final-scrape path]
-/// [--store-dir dir] [--retention spec] [--max-live n]
-/// [--checkpoint-every n]`.
+/// What `incprof serve`'s command line says, before anything is bound.
+fn serve_config(p: &Parsed) -> Result<ServeConfig, CliError> {
+    let defaults = ServeConfig::default();
+    let config = ServeConfig {
+        addr: bind_addr(p, "--addr", "--unix")?.unwrap_or(defaults.addr),
+        workers: p.at_least("--workers", 1)?.unwrap_or(defaults.workers),
+        max_sessions: p
+            .at_least("--max-sessions", 1)?
+            .unwrap_or(defaults.max_sessions),
+        admin: bind_addr(p, "--admin", "--admin-unix")?,
+        store_dir: p.path("--store-dir"),
+        retention: match p.get("--retention") {
+            Some(spec) => RetentionPolicy::parse(spec)
+                .map_err(|e| CliError::Usage(format!("bad --retention spec {spec:?}: {e}")))?,
+            None => defaults.retention,
+        },
+        max_live: p.num("--max-live")?.unwrap_or(defaults.max_live),
+        checkpoint_every: p
+            .num("--checkpoint-every")?
+            .unwrap_or(defaults.checkpoint_every),
+        ..defaults
+    };
+    if p.has("--admin-addr-file") && config.admin.is_none() {
+        return usage_error("--admin-addr-file needs --admin or --admin-unix");
+    }
+    if config.store_dir.is_none() && (!config.retention.is_keep_all() || config.max_live != 0) {
+        return usage_error("--retention and --max-live need --store-dir");
+    }
+    Ok(config)
+}
+
+/// `incprof serve`: run the streaming phase-detection daemon
+/// (docs/PROTOCOL.md).
 ///
-/// `--store-dir <dir>` makes sessions durable: every accepted snapshot
-/// is appended to a per-session on-disk log, sessions found under the
+/// `--store-dir` makes sessions durable: every accepted snapshot is
+/// appended to a per-session on-disk log, sessions found under the
 /// directory at startup are re-adopted (queryable by their old ids
-/// after a restart), and `--max-live <n>` bounds how many sessions stay
+/// after a restart), and `--max-live` bounds how many sessions stay
 /// resident in memory — the idlest ones beyond the cap are checkpointed
 /// and evicted, to be rehydrated transparently on their next frame.
-/// `--retention hot=H,stride=S[,max_bytes=B]` downsamples old log
-/// records (see docs/PERSISTENCE.md); the default keeps everything.
-/// `--checkpoint-every <n>` sets how many appended snapshots elapse
-/// between analysis-state checkpoints (default 16).
+/// `--retention` downsamples old log records (see docs/PERSISTENCE.md);
+/// the default keeps everything. `--checkpoint-every` sets how many
+/// appended snapshots elapse between analysis-state checkpoints.
 ///
 /// `--admin` (or `--admin-unix`) binds the read-only admin socket:
 /// Prometheus scrape, trace-tree lookup, flight-recorder dump, and
-/// health, consumed live by `incprof top`. `--final-scrape <path>`
-/// writes one last exposition snapshot after the drain, so a scrape of
-/// the daemon's dying breath survives the process.
+/// health, consumed live by `incprof top`. `--final-scrape` writes one
+/// last exposition snapshot after the drain, so a scrape of the
+/// daemon's dying breath survives the process.
 ///
 /// Binds, prints `listening on <addr>` (and optionally writes the
 /// resolved address to `--addr-file`, for scripts using an ephemeral
@@ -82,76 +105,8 @@ where
 /// Either way the daemon drains every session before returning, and the
 /// returned summary reports the ingest tail latency via the histogram
 /// quantiles.
-pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut config = ServeConfig::default();
-    let mut addr_file: Option<PathBuf> = None;
-    let mut admin_addr_file: Option<PathBuf> = None;
-    let mut final_scrape: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => config.addr = BindAddr::Tcp(take(args, &mut i, "--addr")?),
-            "--unix" => config.addr = BindAddr::Unix(PathBuf::from(take(args, &mut i, "--unix")?)),
-            "--workers" => {
-                config.workers = parse_num(&take(args, &mut i, "--workers")?, "--workers")?;
-                if config.workers == 0 {
-                    return Err(CliError::Usage("--workers must be at least 1".into()));
-                }
-            }
-            "--max-sessions" => {
-                config.max_sessions =
-                    parse_num(&take(args, &mut i, "--max-sessions")?, "--max-sessions")?;
-            }
-            "--max-pending" => {
-                config.max_pending =
-                    parse_num(&take(args, &mut i, "--max-pending")?, "--max-pending")?;
-            }
-            "--addr-file" => addr_file = Some(PathBuf::from(take(args, &mut i, "--addr-file")?)),
-            "--admin" => config.admin = Some(BindAddr::Tcp(take(args, &mut i, "--admin")?)),
-            "--admin-unix" => {
-                config.admin = Some(BindAddr::Unix(PathBuf::from(take(
-                    args,
-                    &mut i,
-                    "--admin-unix",
-                )?)));
-            }
-            "--admin-addr-file" => {
-                admin_addr_file = Some(PathBuf::from(take(args, &mut i, "--admin-addr-file")?));
-            }
-            "--final-scrape" => {
-                final_scrape = Some(PathBuf::from(take(args, &mut i, "--final-scrape")?));
-            }
-            "--store-dir" => {
-                config.store_dir = Some(PathBuf::from(take(args, &mut i, "--store-dir")?));
-            }
-            "--retention" => {
-                let spec = take(args, &mut i, "--retention")?;
-                config.retention = RetentionPolicy::parse(&spec)
-                    .map_err(|e| CliError::Usage(format!("bad --retention spec {spec:?}: {e}")))?;
-            }
-            "--max-live" => {
-                config.max_live = parse_num(&take(args, &mut i, "--max-live")?, "--max-live")?;
-            }
-            "--checkpoint-every" => {
-                config.checkpoint_every = parse_num(
-                    &take(args, &mut i, "--checkpoint-every")?,
-                    "--checkpoint-every",
-                )?;
-            }
-            other => return Err(CliError::Usage(format!("unknown serve option {other}"))),
-        }
-        i += 1;
-    }
-    if admin_addr_file.is_some() && config.admin.is_none() {
-        return Err(CliError::Usage(
-            "--admin-addr-file needs --admin or --admin-unix".into(),
-        ));
-    }
-    if config.store_dir.is_none() && (!config.retention.is_keep_all() || config.max_live != 0) {
-        return Err(CliError::Usage(
-            "--retention and --max-live need --store-dir".into(),
-        ));
-    }
+pub(crate) fn serve_cmd(p: &Parsed) -> Result<String, CliError> {
+    let mut config = serve_config(p)?;
 
     // Best-effort: the daemon joins the apps' static call graph into
     // Full reports' `source_context`; outside a workspace it serves
@@ -164,15 +119,9 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
         .map_err(CliError::Io)?;
     // Announce readiness immediately; the summary string below is only
     // printed after shutdown.
-    announce_and_wait(
-        "incprof-serve",
-        "",
-        &handle,
-        addr_file.as_deref(),
-        admin_addr_file.as_deref(),
-    )?;
+    announce_and_wait("incprof-serve", "", &handle, p)?;
     let sessions_at_exit = handle.active_sessions();
-    if let Some(path) = &final_scrape {
+    if let Some(path) = p.path("--final-scrape") {
         std::fs::write(path, handle.shutdown_scraped())?;
     } else {
         handle.shutdown();
@@ -195,10 +144,7 @@ pub fn serve_cmd(args: &[String]) -> Result<String, CliError> {
 /// source analysis) for report source-context joins. Any failure —
 /// no workspace, unreadable sources — degrades to an empty graph.
 fn build_source_graph() -> incprof_core::SourceGraph {
-    let Ok(cwd) = std::env::current_dir() else {
-        return incprof_core::SourceGraph::default();
-    };
-    let Some(root) = incprof_lint::find_workspace_root(&cwd) else {
+    let Ok(root) = workspace_root("serve", None) else {
         return incprof_core::SourceGraph::default();
     };
     match incprof_lint::analyze_subtree(&root, "crates/apps/src") {
@@ -212,64 +158,33 @@ fn build_source_graph() -> incprof_core::SourceGraph {
     }
 }
 
-/// `incprof top <admin-addr> [--interval-ms n] [--iterations n]
-/// [--raw] [--recorder] [--health]`.
+/// `incprof top`: live daemon vitals.
 ///
-/// Live daemon vitals: polls the admin socket's `Scrape` endpoint and
-/// renders a refreshing per-session table (snapshots, queue depth,
-/// phases, cache hit ratio, idle age, fault flag) until SIGINT or
-/// `--iterations` refreshes. `--raw` prints the Prometheus exposition
-/// verbatim instead of the table; `--recorder` / `--health` print the
-/// flight-recorder dump or health document once and exit (the scripted
-/// entry points used by `scripts/check.sh`).
-pub fn top_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut addr: Option<String> = None;
-    let mut interval_ms: u64 = 1000;
-    let mut iterations: u64 = 0;
-    let mut raw = false;
-    let mut recorder = false;
-    let mut health = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--interval-ms" => {
-                interval_ms = parse_num(&take(args, &mut i, "--interval-ms")?, "--interval-ms")?;
-                if interval_ms == 0 {
-                    return Err(CliError::Usage("--interval-ms must be at least 1".into()));
-                }
-            }
-            "--iterations" => {
-                iterations = parse_num(&take(args, &mut i, "--iterations")?, "--iterations")?;
-            }
-            "--raw" => raw = true,
-            "--recorder" => recorder = true,
-            "--health" => health = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown top option {flag}")));
-            }
-            positional if addr.is_none() => addr = Some(positional.to_string()),
-            extra => {
-                return Err(CliError::Usage(format!(
-                    "unexpected extra top argument {extra}"
-                )));
-            }
-        }
-        i += 1;
-    }
-    let addr = addr.ok_or_else(|| CliError::Usage("top <admin-addr> [opts]".into()))?;
+/// Polls the admin socket's `Scrape` endpoint and renders a refreshing
+/// per-session table (snapshots, queue depth, phases, cache hit ratio,
+/// idle age, fault flag) until SIGINT or `--iterations` refreshes.
+/// `--raw` prints the Prometheus exposition verbatim instead of the
+/// table; `--recorder` / `--health` print the flight-recorder dump or
+/// health document once and exit (the scripted entry points used by
+/// `scripts/check.sh`).
+pub(crate) fn top_cmd(p: &Parsed) -> Result<String, CliError> {
+    let addr = p.rest[0];
+    let interval_ms: u64 = p.at_least("--interval-ms", 1)?.unwrap_or(1000);
+    let iterations: u64 = p.num("--iterations")?.unwrap_or(0);
+    let raw = p.has("--raw");
 
-    let mut client = Client::connect(&addr).map_err(client_err)?;
-    if recorder {
-        return client.recorder_dump().map_err(client_err);
+    let mut client = Client::connect(addr)?;
+    if p.has("--recorder") {
+        return Ok(client.recorder_dump()?);
     }
-    if health {
-        return client.health().map_err(client_err);
+    if p.has("--health") {
+        return Ok(client.health()?);
     }
 
     signal::install_sigint_handler();
     let mut refreshes = 0u64;
     loop {
-        let scrape = client.scrape().map_err(client_err)?;
+        let scrape = client.scrape()?;
         if raw {
             print!("{scrape}");
         } else {
@@ -278,7 +193,7 @@ pub fn top_cmd(args: &[String]) -> Result<String, CliError> {
             if refreshes > 0 || iterations != 1 {
                 print!("\x1b[H\x1b[2J");
             }
-            println!("{}", render_top(&scrape, &addr));
+            println!("{}", render_top(&scrape, addr));
         }
         refreshes += 1;
         if iterations != 0 && refreshes >= iterations {
@@ -461,166 +376,77 @@ fn render_top(scrape: &str, addr: &str) -> String {
     out
 }
 
-/// `incprof push <addr> <dump.json> [--analysis] [--keep-open]
-/// [--session-file path] [--shutdown]`.
-///
-/// Replays a collected run dump into a live daemon: opens a session,
-/// streams every cumulative snapshot as a gmon-encoded frame (with
-/// bounded busy-retry), and prints the session's JSON report —
-/// `--analysis` asks for the offline-identical `PhaseAnalysis` document
-/// instead of the full online report. `--session-file <path>` writes
-/// the session id (scripts pair it with `--keep-open` so a later
-/// `incprof query` can address the same session, e.g. across a daemon
-/// restart). `--shutdown` asks the daemon to exit afterwards (used by
-/// the check-script smoke step).
-pub fn push_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut addr: Option<String> = None;
-    let mut dump_path: Option<PathBuf> = None;
-    let mut analysis = false;
-    let mut keep_open = false;
-    let mut session_file: Option<PathBuf> = None;
-    let mut shutdown = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--analysis" => analysis = true,
-            "--keep-open" => keep_open = true,
-            "--session-file" => {
-                session_file = Some(PathBuf::from(take(args, &mut i, "--session-file")?));
-            }
-            "--shutdown" => shutdown = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown push option {flag}")));
-            }
-            positional if addr.is_none() => addr = Some(positional.to_string()),
-            positional if dump_path.is_none() => dump_path = Some(PathBuf::from(positional)),
-            extra => {
-                return Err(CliError::Usage(format!(
-                    "unexpected extra push argument {extra}"
-                )));
-            }
-        }
-        i += 1;
+/// What `push` and `query` end with: fetch the session's report
+/// (`--analysis` asks for the offline-identical `PhaseAnalysis`
+/// document instead of the full online report), then close the session
+/// when asked to and, with `--shutdown`, ask the daemon to exit.
+fn report_and_finish(
+    p: &Parsed,
+    client: &mut Client,
+    session: u64,
+    close: bool,
+) -> Result<String, CliError> {
+    let report = if p.has("--analysis") {
+        client.query_analysis(session)?
+    } else {
+        client.query_report(session)?
+    };
+    if close {
+        client.close(session)?;
     }
-    let addr = addr.ok_or_else(|| CliError::Usage("push <addr> <dump.json>".into()))?;
-    let dump_path = dump_path.ok_or_else(|| CliError::Usage("push <addr> <dump.json>".into()))?;
+    if p.has("--shutdown") {
+        client.shutdown_server()?;
+    }
+    Ok(report)
+}
 
-    let dump = load_dump(&dump_path)?;
-    let mut client = Client::connect(&addr).map_err(client_err)?;
-    let session = client.open().map_err(client_err)?;
-    if let Some(path) = &session_file {
+/// `incprof push`: replay a collected run dump into a live daemon.
+///
+/// Opens a session, streams every cumulative snapshot as a gmon-encoded
+/// frame (with bounded busy-retry), and prints the session's JSON
+/// report. `--session-file` writes the session id (scripts pair it with
+/// `--keep-open` so a later `incprof query` can address the same
+/// session, e.g. across a daemon restart).
+pub(crate) fn push_cmd(p: &Parsed) -> Result<String, CliError> {
+    let dump = load_dump(Path::new(p.rest[1]))?;
+    let mut client = Client::connect(p.rest[0])?;
+    let session = client.open()?;
+    if let Some(path) = p.path("--session-file") {
         std::fs::write(path, session.to_string())?;
     }
     for snap in dump.series.snapshots() {
         let gmon = snap.to_gmon(&dump.table);
-        client.push_retry(session, &gmon, 50).map_err(client_err)?;
+        client.push_retry(session, &gmon, 50)?;
     }
-    let report = if analysis {
-        client.query_analysis(session).map_err(client_err)?
-    } else {
-        client.query_report(session).map_err(client_err)?
-    };
-    if !keep_open {
-        client.close(session).map_err(client_err)?;
-    }
-    if shutdown {
-        client.shutdown_server().map_err(client_err)?;
-    }
-    Ok(report)
+    report_and_finish(p, &mut client, session, !p.has("--keep-open"))
 }
 
-/// `incprof query <addr> <session-id> [--analysis] [--close]
-/// [--shutdown]`.
+/// `incprof query`: print the report of an *existing* session by id.
 ///
-/// Asks a live daemon for the report of an *existing* session by id and
-/// prints the JSON. Unlike `incprof push` (which always opens a fresh
-/// session), this addresses a session that is already open — or, on a
-/// daemon started with `--store-dir`, one recovered from disk after a
-/// restart, which is rehydrated transparently by the query. `--close`
-/// closes the session afterwards; `--shutdown` asks the daemon to exit.
-pub fn query_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut addr: Option<String> = None;
-    let mut session: Option<u64> = None;
-    let mut analysis = false;
-    let mut close = false;
-    let mut shutdown = false;
-    for arg in args {
-        match arg.as_str() {
-            "--analysis" => analysis = true,
-            "--close" => close = true,
-            "--shutdown" => shutdown = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown query option {flag}")));
-            }
-            positional if addr.is_none() => addr = Some(positional.to_string()),
-            positional if session.is_none() => {
-                session = Some(parse_num(positional, "session id")?);
-            }
-            extra => {
-                return Err(CliError::Usage(format!(
-                    "unexpected extra query argument {extra}"
-                )));
-            }
-        }
-    }
-    let addr = addr.ok_or_else(|| CliError::Usage("query <addr> <session-id>".into()))?;
-    let session = session.ok_or_else(|| CliError::Usage("query <addr> <session-id>".into()))?;
-
-    let mut client = Client::connect(&addr).map_err(client_err)?;
-    let report = if analysis {
-        client.query_analysis(session).map_err(client_err)?
-    } else {
-        client.query_report(session).map_err(client_err)?
-    };
-    if close {
-        client.close(session).map_err(client_err)?;
-    }
-    if shutdown {
-        client.shutdown_server().map_err(client_err)?;
-    }
-    Ok(report)
+/// Unlike `incprof push` (which always opens a fresh session), this
+/// addresses a session that is already open — or, on a daemon started
+/// with `--store-dir`, one recovered from disk after a restart, which
+/// is rehydrated transparently by the query.
+pub(crate) fn query_cmd(p: &Parsed) -> Result<String, CliError> {
+    let session = number(p.rest[1], "session id")?;
+    let mut client = Client::connect(p.rest[0])?;
+    report_and_finish(p, &mut client, session, p.has("--close"))
 }
 
-/// `incprof collect <out.json> [--interval-ms n] [--max-samples n]`.
+/// `incprof collect`: the wall-mode collection path.
 ///
-/// The wall-mode collection path: runs a small three-phase synthetic
-/// workload on the main thread while the wall-clock collector samples
-/// it in the background, until SIGINT (or `--max-samples`) stops it.
-/// The drained series is written as a run dump usable by `analyze-json`
-/// and `push`. Exits 0 on Ctrl-C by design: interruption is the normal
-/// way to end a collection.
-pub fn collect_cmd(args: &[String]) -> Result<String, CliError> {
+/// Runs a small three-phase synthetic workload on the main thread while
+/// the wall-clock collector samples it in the background, until SIGINT
+/// (or `--max-samples`) stops it. The drained series is written as a
+/// run dump usable by `analyze-json` and `push`. Exits 0 on Ctrl-C by
+/// design: interruption is the normal way to end a collection.
+pub(crate) fn collect_cmd(p: &Parsed) -> Result<String, CliError> {
     use incprof_collect::{CollectorConfig, IncProfCollector};
     use incprof_runtime::ProfilerRuntime;
 
-    let mut out_path: Option<PathBuf> = None;
-    let mut interval_ms: u64 = 50;
-    let mut max_samples: u64 = u64::MAX;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--interval-ms" => {
-                interval_ms = parse_num(&take(args, &mut i, "--interval-ms")?, "--interval-ms")?;
-                if interval_ms == 0 {
-                    return Err(CliError::Usage("--interval-ms must be at least 1".into()));
-                }
-            }
-            "--max-samples" => {
-                max_samples = parse_num(&take(args, &mut i, "--max-samples")?, "--max-samples")?;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown collect option {flag}")));
-            }
-            positional if out_path.is_none() => out_path = Some(PathBuf::from(positional)),
-            extra => {
-                return Err(CliError::Usage(format!(
-                    "unexpected extra collect argument {extra}"
-                )));
-            }
-        }
-        i += 1;
-    }
-    let out_path = out_path.ok_or_else(|| CliError::Usage("collect <out.json>".into()))?;
+    let out_path = Path::new(p.rest[0]);
+    let interval_ms: u64 = p.at_least("--interval-ms", 1)?.unwrap_or(50);
+    let max_samples: u64 = p.num("--max-samples")?.unwrap_or(u64::MAX);
 
     signal::install_sigint_handler();
     let rt = ProfilerRuntime::new();
@@ -654,33 +480,95 @@ pub fn collect_cmd(args: &[String]) -> Result<String, CliError> {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    let series = collector.stop();
-    let n = series.len();
-    let dump = RunDump {
-        table: rt.function_table(),
-        series,
-    };
-    std::fs::write(&out_path, serde_json::to_string(&dump)?)?;
+    let n = save_dump(out_path, rt.function_table(), collector.stop())?;
     Ok(format!(
         "collected {n} sample(s) to {} (drained cleanly)",
         out_path.display()
     ))
 }
 
-fn load_dump(path: &Path) -> Result<RunDump, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut dump: RunDump = serde_json::from_str(&text)?;
-    dump.table.rebuild_index();
-    Ok(dump)
-}
-
-fn client_err(e: incprof_serve::ClientError) -> CliError {
-    CliError::Pipeline(format!("serve client: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn config(args: &[&str]) -> Result<ServeConfig, CliError> {
+        serve_config(&crate::spec("serve")?.parse(&crate::tests::s(args))?)
+    }
+
+    #[test]
+    fn serve_flags_no_script_passes_land_in_the_config() {
+        let c = config(&[
+            "--unix",
+            "/tmp/d.sock",
+            "--admin-unix",
+            "/tmp/a.sock",
+            "--admin-addr-file",
+            "/tmp/a.txt",
+            "--final-scrape",
+            "/tmp/last.prom",
+            "--workers",
+            "2",
+            "--max-sessions",
+            "5",
+            "--store-dir",
+            "/tmp/store",
+            "--retention",
+            "hot=2,stride=4",
+            "--max-live",
+            "3",
+            "--checkpoint-every",
+            "8",
+        ])
+        .unwrap();
+        assert_eq!(c.addr, BindAddr::Unix("/tmp/d.sock".into()));
+        assert_eq!(c.admin, Some(BindAddr::Unix("/tmp/a.sock".into())));
+        assert_eq!((c.workers, c.max_sessions), (2, 5));
+        assert_eq!(c.store_dir.as_deref(), Some(Path::new("/tmp/store")));
+        assert_eq!(
+            c.retention,
+            RetentionPolicy::parse("hot=2,stride=4").unwrap()
+        );
+        assert_eq!((c.max_live, c.checkpoint_every), (3, 8));
+        // Nothing given: the library defaults, TCP on an ephemeral port.
+        let d = config(&[]).unwrap();
+        assert_eq!(d.addr, ServeConfig::default().addr);
+        assert_eq!(d.admin, None);
+        assert_eq!(
+            config(&["--addr", "h:1", "--admin", "h:2"]).unwrap().admin,
+            Some(BindAddr::Tcp("h:2".into()))
+        );
+    }
+
+    #[test]
+    fn serve_rejects_zero_counts_and_both_spellings_of_one_address() {
+        let usage = |args: &[&str]| match config(args) {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        };
+        // (b) a daemon that could never open a session is a usage
+        // error, like one with no workers.
+        assert_eq!(usage(&["--workers", "0"]), "--workers must be at least 1");
+        assert_eq!(
+            usage(&["--max-sessions", "0"]),
+            "--max-sessions must be at least 1"
+        );
+        // (c) the exclusive pairs reject both-given, in either order.
+        for line in [
+            ["--addr", "h:1", "--unix", "/tmp/s"],
+            ["--unix", "/tmp/s", "--addr", "h:1"],
+        ] {
+            assert_eq!(usage(&line), "--addr and --unix are mutually exclusive");
+        }
+        assert_eq!(
+            usage(&["--admin-unix", "/tmp/a", "--admin", "h:2"]),
+            "--admin and --admin-unix are mutually exclusive"
+        );
+        usage(&["--admin-addr-file", "/tmp/a.txt"]);
+        usage(&["--max-live", "2"]);
+        usage(&["--retention", "hot=x"]);
+        // The knob whose every value ≥ 1 behaved the same is gone.
+        usage(&["--max-pending", "8"]);
+    }
 
     const SCRAPE: &str = "\
 # TYPE incprof_serve_frames_received counter

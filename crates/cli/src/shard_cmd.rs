@@ -18,106 +18,70 @@
 //! binding anything (`scripts/check.sh` uses it to decide which
 //! backend to kill in the failover smoke).
 
-use crate::serve_cmd::{announce_and_wait, parse_num, take};
-use crate::CliError;
+use crate::args::Parsed;
+use crate::serve_cmd::{announce_and_wait, bind_addr};
+use crate::{usage_error, CliError};
 use incprof_serve::signal;
-use incprof_serve::BindAddr;
 use incprof_shard::{BackendSpec, Ring, Router, RouterConfig};
-use std::path::PathBuf;
 use std::process::{Child, Command};
 
-/// `incprof shard (--backends n | --backend data[,admin] ...)
-/// [--addr host:port | --unix path] [--addr-file path]
-/// [--admin host:port | --admin-unix path] [--admin-addr-file path]
-/// [--store-dir dir] [--pid-dir dir] [--max-conns n]
-/// [--route session-id]`.
-///
-/// Binds the router, prints `incprof-shard listening on <addr>` (and
-/// the merged admin address when configured), then blocks until a
-/// `Shutdown` frame or SIGINT. Spawned backends inherit `--store-dir`
-/// so a killed backend's sessions replay on the ring's next healthy
-/// node; `--pid-dir` writes one `backend-<shard>.pid` file per child
-/// for scripts that want to kill a specific shard.
-pub fn shard_cmd(args: &[String]) -> Result<String, CliError> {
-    let mut spawn_backends: usize = 0;
-    let mut backend_specs: Vec<BackendSpec> = Vec::new();
-    let mut config = RouterConfig::default();
-    let mut addr_file: Option<PathBuf> = None;
-    let mut admin_addr_file: Option<PathBuf> = None;
-    let mut pid_dir: Option<PathBuf> = None;
-    let mut route: Option<u64> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--backends" => {
-                spawn_backends = parse_num(&take(args, &mut i, "--backends")?, "--backends")?;
-                if spawn_backends == 0 {
-                    return Err(CliError::Usage("--backends must be at least 1".into()));
-                }
-            }
-            "--backend" => {
-                let spec = take(args, &mut i, "--backend")?;
-                let (data, admin) = match spec.split_once(',') {
-                    Some((d, a)) => (d.to_string(), Some(a.to_string())),
-                    None => (spec, None),
-                };
-                backend_specs.push(BackendSpec { data, admin });
-            }
-            "--addr" => config.addr = BindAddr::Tcp(take(args, &mut i, "--addr")?),
-            "--unix" => config.addr = BindAddr::Unix(PathBuf::from(take(args, &mut i, "--unix")?)),
-            "--addr-file" => addr_file = Some(PathBuf::from(take(args, &mut i, "--addr-file")?)),
-            "--admin" => config.admin = Some(BindAddr::Tcp(take(args, &mut i, "--admin")?)),
-            "--admin-unix" => {
-                config.admin = Some(BindAddr::Unix(PathBuf::from(take(
-                    args,
-                    &mut i,
-                    "--admin-unix",
-                )?)));
-            }
-            "--admin-addr-file" => {
-                admin_addr_file = Some(PathBuf::from(take(args, &mut i, "--admin-addr-file")?));
-            }
-            "--store-dir" => {
-                config.store_dir = Some(PathBuf::from(take(args, &mut i, "--store-dir")?));
-            }
-            "--pid-dir" => pid_dir = Some(PathBuf::from(take(args, &mut i, "--pid-dir")?)),
-            "--max-conns" => {
-                config.max_conns = parse_num(&take(args, &mut i, "--max-conns")?, "--max-conns")?;
-                if config.max_conns == 0 {
-                    return Err(CliError::Usage("--max-conns must be at least 1".into()));
-                }
-            }
-            "--route" => route = Some(parse_num(&take(args, &mut i, "--route")?, "--route")?),
-            other => return Err(CliError::Usage(format!("unknown shard option {other}"))),
+/// What `incprof shard`'s command line says, before anything is bound
+/// or spawned: the spawn-mode backend count (0 in address mode) and the
+/// router configuration, its `backends` holding the `--backend` specs.
+fn shard_config(p: &Parsed) -> Result<(usize, RouterConfig), CliError> {
+    let defaults = RouterConfig::default();
+    let spawn_backends = p.at_least("--backends", 1)?.unwrap_or(0);
+    let backends = p.all("--backend").map(|v| {
+        let (data, admin) = match v[0].split_once(',') {
+            Some((data, admin)) => (data, Some(admin)),
+            None => (&*v[0], None),
+        };
+        BackendSpec {
+            data: data.to_string(),
+            admin: admin.map(str::to_string),
         }
-        i += 1;
-    }
+    });
+    let config = RouterConfig {
+        addr: bind_addr(p, "--addr", "--unix")?.unwrap_or(defaults.addr),
+        backends: backends.collect(),
+        admin: bind_addr(p, "--admin", "--admin-unix")?,
+        store_dir: p.path("--store-dir"),
+        max_conns: p.at_least("--max-conns", 1)?.unwrap_or(defaults.max_conns),
+        ..defaults
+    };
+    Ok((spawn_backends, config))
+}
+
+/// `incprof shard`: bind the router, print `incprof-shard listening on
+/// <addr>` (and the merged admin address when configured), then block
+/// until a `Shutdown` frame or SIGINT. Spawned backends inherit
+/// `--store-dir` so a killed backend's sessions replay on the ring's
+/// next healthy node; `--pid-dir` writes one `backend-<shard>.pid` file
+/// per child for scripts that want to kill a specific shard.
+pub(crate) fn shard_cmd(p: &Parsed) -> Result<String, CliError> {
+    let (spawn_backends, mut config) = shard_config(p)?;
+    let pid_dir = p.path("--pid-dir");
 
     // Pure placement helper: no sockets, no children — print the home
     // shard for the given ring size and exit.
-    if let Some(session_id) = route {
-        if spawn_backends == 0 && backend_specs.is_empty() {
-            return Err(CliError::Usage(
-                "--route needs --backends n (the ring size to place against)".into(),
-            ));
-        }
-        let n = if spawn_backends > 0 {
-            spawn_backends
-        } else {
-            backend_specs.len()
+    if let Some(session_id) = p.num::<u64>("--route")? {
+        let n = match spawn_backends {
+            0 => config.backends.len(),
+            n => n,
         };
+        if n == 0 {
+            return usage_error("--route needs --backends n (the ring size to place against)");
+        }
         return Ok(Ring::new(n).owner(session_id).to_string());
     }
 
-    if spawn_backends > 0 && !backend_specs.is_empty() {
-        return Err(CliError::Usage(
-            "--backends (spawn mode) and --backend (address mode) are mutually exclusive".into(),
-        ));
+    if spawn_backends > 0 && !config.backends.is_empty() {
+        return usage_error(
+            "--backends (spawn mode) and --backend (address mode) are mutually exclusive",
+        );
     }
-    if spawn_backends == 0 && backend_specs.is_empty() {
-        return Err(CliError::Usage(
-            "shard needs --backends n or at least one --backend addr".into(),
-        ));
+    if spawn_backends == 0 && config.backends.is_empty() {
+        return usage_error("shard needs --backends n or at least one --backend addr");
     }
 
     signal::install_sigint_handler();
@@ -131,11 +95,8 @@ pub fn shard_cmd(args: &[String]) -> Result<String, CliError> {
             std::env::temp_dir().join(format!("incprof-shard-{}", std::process::id()))
         });
         std::fs::create_dir_all(&runtime_dir)?;
-        let spawned = spawn_cluster(spawn_backends, &store_dir, &runtime_dir, pid_dir.as_deref())?;
-        children = spawned.0;
-        config.backends = spawned.1;
-    } else {
-        config.backends = backend_specs;
+        (children, config.backends) =
+            spawn_cluster(spawn_backends, &store_dir, &runtime_dir, pid_dir.as_deref())?;
     }
 
     let handle = match Router::bind(config).and_then(Router::start) {
@@ -145,13 +106,8 @@ pub fn shard_cmd(args: &[String]) -> Result<String, CliError> {
             return Err(CliError::Io(e));
         }
     };
-    announce_and_wait(
-        "incprof-shard",
-        &format!(" ({} backend(s))", handle.backends_up().len()),
-        &handle,
-        addr_file.as_deref(),
-        admin_addr_file.as_deref(),
-    )?;
+    let note = format!(" ({} backend(s))", handle.backends_up().len());
+    announce_and_wait("incprof-shard", &note, &handle, p)?;
     let up: Vec<bool> = handle.backends_up();
     let routed = handle.routed_per_backend();
     handle.shutdown();
@@ -214,18 +170,13 @@ fn spawn_cluster(
 
     let mut specs = Vec::with_capacity(n);
     for (b, (data_file, admin_file)) in addr_files.iter().enumerate() {
-        let outcome = (|| -> Result<BackendSpec, String> {
-            let data = await_addr_file(data_file)?;
-            let admin = await_addr_file(admin_file)?;
-            Ok(BackendSpec {
-                data,
-                admin: Some(admin),
-            })
-        })();
-        match outcome {
+        let spec = await_addr_file(data_file).and_then(|data| {
+            let admin = Some(await_addr_file(admin_file)?);
+            Ok(BackendSpec { data, admin })
+        });
+        match spec {
             Ok(spec) => specs.push(spec),
             Err(e) => {
-                let mut children = children;
                 reap(&mut children);
                 return Err(CliError::Pipeline(format!(
                     "backend {b} never came up: {e}"
@@ -273,4 +224,79 @@ fn reap(children: &mut Vec<Child>) {
         }
     }
     children.clear();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use incprof_serve::BindAddr;
+
+    fn config(args: &[&str]) -> Result<(usize, RouterConfig), CliError> {
+        shard_config(&crate::spec("shard")?.parse(&crate::tests::s(args))?)
+    }
+
+    #[test]
+    fn shard_flags_land_in_the_router_config() {
+        let (spawn, c) = config(&[
+            "--backend",
+            "h:1,h:2",
+            "--backend",
+            "/tmp/b.sock",
+            "--unix",
+            "/tmp/r.sock",
+            "--admin-unix",
+            "/tmp/ra.sock",
+            "--store-dir",
+            "/tmp/store",
+            "--max-conns",
+            "7",
+        ])
+        .unwrap();
+        assert_eq!(spawn, 0);
+        // Repeated --backend: shard numbers follow the flag order.
+        let backends = c.backends.iter().map(|b| (&*b.data, b.admin.as_deref()));
+        assert_eq!(
+            backends.collect::<Vec<_>>(),
+            [("h:1", Some("h:2")), ("/tmp/b.sock", None)]
+        );
+        assert_eq!(c.addr, BindAddr::Unix("/tmp/r.sock".into()));
+        assert_eq!(c.admin, Some(BindAddr::Unix("/tmp/ra.sock".into())));
+        assert_eq!(c.max_conns, 7);
+        let (spawn, c) = config(&["--backends", "2", "--admin", "h:9"]).unwrap();
+        assert_eq!((spawn, c.backends.len()), (2, 0));
+        assert_eq!(c.admin, Some(BindAddr::Tcp("h:9".into())));
+    }
+
+    #[test]
+    fn shard_rejects_zero_counts_and_both_spellings_of_one_address() {
+        let usage = |args: &[&str]| match config(args) {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        };
+        assert_eq!(usage(&["--backends", "0"]), "--backends must be at least 1");
+        assert_eq!(
+            usage(&["--max-conns", "0"]),
+            "--max-conns must be at least 1"
+        );
+        for line in [
+            ["--addr", "h:1", "--unix", "/tmp/s"],
+            ["--unix", "/tmp/s", "--addr", "h:1"],
+        ] {
+            assert_eq!(usage(&line), "--addr and --unix are mutually exclusive");
+        }
+        assert_eq!(
+            usage(&["--admin", "h:2", "--admin-unix", "/tmp/a"]),
+            "--admin and --admin-unix are mutually exclusive"
+        );
+    }
+
+    #[test]
+    fn route_places_a_session_without_binding_anything() {
+        let line = crate::tests::s;
+        let owner = crate::run(&line(&["shard", "--route", "7", "--backends", "2"])).unwrap();
+        assert_eq!(owner, Ring::new(2).owner(7).to_string());
+        for bad in [&["shard", "--route", "7"][..], &["shard"][..]] {
+            assert!(matches!(crate::run(&line(bad)), Err(CliError::Usage(_))));
+        }
+    }
 }

@@ -39,9 +39,9 @@
 //! stale markers are themselves reported (L01) so suppressions cannot
 //! outlive the code they excused.
 //!
-//! The pass runs three ways: as the `incprof-lint` binary (and the
-//! `incprof lint` CLI subcommand), as the tier-1 `tests/lint_gate.rs`
-//! test, and as a step in `scripts/check.sh` / CI. See `docs/LINTS.md`
+//! The pass runs three ways: as the `incprof lint` / `incprof sca` CLI
+//! subcommands, as the tier-1 `tests/lint_gate.rs` test, and as the
+//! `sca` step in `scripts/check.sh` / CI. See `docs/LINTS.md`
 //! for the full rule catalog and the rationale behind every scope
 //! table entry.
 

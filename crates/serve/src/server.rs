@@ -4,9 +4,10 @@
 //! [`Plane`] (and, when configured, one admin plane), and supplies the
 //! data plane's handler — one request frame in, one reply frame out,
 //! against the session registry. Ingest is bounded end to end: the
-//! plane's connection queue, each session's pending queue, and the
-//! frame payload size all have hard caps, and every overflow answers
-//! with a typed reply instead of buffering.
+//! plane's connection queue and the frame payload size have hard caps
+//! whose overflow answers with a typed reply instead of buffering, and
+//! a push holds its session's lock from enqueue to ack, so pushes to
+//! one session wait on that lock rather than pile up behind it.
 //!
 //! Shutdown is graceful by construction: the flag flips (via a
 //! [`FrameType::Shutdown`] frame or [`ServerHandle::shutdown`]), the
@@ -37,8 +38,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Cap on concurrently open sessions.
     pub max_sessions: usize,
-    /// Per-session ingest queue bound (frames).
-    pub max_pending: usize,
     /// Socket read poll interval; also the shutdown-observation latency.
     pub read_timeout: Duration,
     /// Idle connections are dropped after this long without a frame.
@@ -73,7 +72,6 @@ impl Default for ServeConfig {
             addr: BindAddr::Tcp("127.0.0.1:0".to_string()),
             workers: 4,
             max_sessions: 64,
-            max_pending: 64,
             read_timeout: Duration::from_millis(100),
             idle_timeout: crate::plane::IDLE_TIMEOUT,
             detector: PhaseDetector::default(),
@@ -87,6 +85,12 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// The per-session pending-queue bound `Registry::new` still takes. No
+/// value ≥ 1 changes what this daemon does: `handle_snapshot` enqueues
+/// and drains under one session-lock hold and a drain always leaves the
+/// queue empty, so the queue never holds more than the frame in hand.
+const SESSION_QUEUE_BOUND: usize = 64;
 
 /// Flight-recorder `b` tag on [`incprof_obs::EventKind::BusyReply`]
 /// (beside [`crate::plane::BUSY_CONN_BACKLOG`]): a session's bounded
@@ -138,7 +142,7 @@ impl Server {
         let mut registry = Registry::new(
             config.online.clone(),
             config.max_sessions,
-            config.max_pending,
+            SESSION_QUEUE_BOUND,
             true,
         )
         .with_source_graph(config.source_graph.clone());

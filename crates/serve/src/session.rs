@@ -10,16 +10,18 @@
 //!
 //! Ingest is explicitly bounded: every session owns a fixed-capacity
 //! pending queue, and a frame that would overflow it gets a `BUSY`
-//! reply instead of being buffered. Snapshots must arrive in
-//! sample-index order; anything else is a typed protocol error, never a
-//! panic.
+//! reply instead of being buffered. (The daemon enqueues and drains
+//! under one lock hold, so its sessions never hold more than the frame
+//! in hand; only a caller that enqueues without draining can fill the
+//! queue.) Snapshots must arrive in sample-index order; anything else
+//! is a typed protocol error, never a panic.
 
 use crate::frame::{ErrorCode, ErrorInfo};
 use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
 use incprof_obs::json_string;
-use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileSnapshot};
+use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -143,7 +145,13 @@ pub struct SessionStats {
 }
 
 impl Session {
-    fn new(id: u64, online: OnlineConfig, max_pending: usize, analysis_cache: bool) -> Session {
+    fn new(
+        id: u64,
+        online: OnlineConfig,
+        max_pending: usize,
+        analysis_cache: bool,
+        source_graph: Arc<SourceGraph>,
+    ) -> Session {
         Session {
             id,
             series: SampleSeries::new(),
@@ -159,67 +167,77 @@ impl Session {
             next_index: 0,
             persist: None,
             evicted: false,
-            source_graph: Arc::new(SourceGraph::default()),
+            source_graph,
         }
     }
 
-    /// Rebuild a session from its durable state: replay every retained
-    /// snapshot through a fresh online detector (exactly the drain path,
-    /// so the rebuilt timeline matches the live one), then adopt the
-    /// analysis checkpoint *iff* it provably covers a prefix of the
-    /// rebuilt series — otherwise the checkpoint is discarded and the
-    /// first query recomputes cold, which yields the same bytes.
+    /// Turn one snapshot into session state: its delta against the
+    /// previous cumulative profile goes through the online detector,
+    /// then `prev_flat`, `table`, `next_index`, the series and
+    /// `last_ack` advance. Live ingest ([`Session::drain_traced`]) and
+    /// log replay ([`Session::rehydrate`]) both come through here and
+    /// nothing else writes those fields, which is what makes a replayed
+    /// session's ack bitwise the one its previous owner sent. A delta
+    /// error leaves the session untouched.
+    fn apply(&mut self, gmon: &GmonData, traced: bool) -> Result<IngestAck, ProfileError> {
+        let interval = gmon.flat.delta(&self.prev_flat)?;
+        let observation = {
+            let _obs_span =
+                traced.then(|| incprof_obs::span(incprof_obs::names::SERVE_TRACE_OBSERVE));
+            self.online.observe(&interval)
+        };
+        self.prev_flat = gmon.flat.clone();
+        self.table = gmon.functions.clone();
+        self.next_index = gmon.sample_index + 1;
+        self.series
+            .append_monotonic(ProfileSnapshot::from_gmon(gmon))
+            // lint: allow(P01, enqueue rejects any index at or below next_index-1 and SnapshotLog::open validated the same of a replayed log, so applied indices strictly increase; a regression is log-layer corruption and must abort loudly)
+            .expect("applied sample indices strictly increase");
+        let ack = IngestAck {
+            sample_index: gmon.sample_index,
+            observation,
+        };
+        self.last_ack = Some(ack);
+        Ok(ack)
+    }
+
+    /// Rebuild this (blank) session from its durable state: replay every
+    /// retained snapshot through [`Session::apply`] (exactly the drain
+    /// path, so the rebuilt timeline and final ack match the live ones),
+    /// then adopt the analysis checkpoint *iff* it provably covers a
+    /// prefix of the rebuilt series — otherwise the checkpoint is
+    /// discarded and the first query recomputes cold, which yields the
+    /// same bytes.
     fn rehydrate(
-        id: u64,
-        online: OnlineConfig,
-        max_pending: usize,
-        analysis_cache: bool,
+        mut self,
         store: SessionStore,
         replay: LogReplay,
         checkpoint: Option<Vec<u8>>,
     ) -> Session {
-        let mut s = Session::new(id, online, max_pending, analysis_cache);
         for gmon in &replay.snapshots {
-            let interval = match gmon.flat.delta(&s.prev_flat) {
-                Ok(interval) => interval,
-                Err(e) => {
-                    // The log only ever holds snapshots that delta'd
-                    // cleanly when appended, so this means on-disk
-                    // corruption past the frame CRC; keep the good
-                    // prefix and fault the tail, as live ingest would.
-                    s.fault = Some(format!("log replay: {e}"));
-                    break;
-                }
-            };
-            let observation = s.online.observe(&interval);
-            s.prev_flat = gmon.flat.clone();
-            s.table = gmon.functions.clone();
-            // Replay is deterministic, so the rebuilt ack for the final
-            // retained snapshot is bitwise the one the previous owner
-            // sent — a failover retransmission gets the identical reply.
-            s.last_ack = Some(IngestAck {
-                sample_index: gmon.sample_index,
-                observation,
-            });
-            s.next_index = gmon.sample_index + 1;
-            s.series
-                .append_monotonic(ProfileSnapshot::from_gmon(gmon))
-                // lint: allow(P01, SnapshotLog::open validated strictly increasing indices; regression here is log-layer corruption and must abort loudly)
-                .expect("snapshot log replay yields strictly increasing indices");
+            // The log only ever holds snapshots that delta'd cleanly
+            // when appended, so an error means on-disk corruption past
+            // the frame CRC; keep the good prefix and fault the tail, as
+            // live ingest would.
+            if let Err(e) = self.apply(gmon, false) {
+                self.fault = Some(format!("log replay: {e}"));
+                break;
+            }
         }
-        if let (Some(blob), Some(slot)) = (checkpoint, s.cache.as_mut()) {
+        if let (Some(blob), Some(slot)) = (checkpoint, self.cache.as_mut()) {
             match AnalysisCache::decode_state(&blob) {
-                Some(cache) if checkpoint_covers(&cache, &s.series) => *slot = cache,
+                Some(cache) if checkpoint_covers(&cache, &self.series) => *slot = cache,
                 _ => {
                     incprof_obs::counter(incprof_obs::names::STORE_CHECKPOINTS_REJECTED).inc();
                     incprof_obs::warn!(
-                        "session {id}: discarding analysis checkpoint (stale or undecodable); first query replays cold"
+                        "session {}: discarding analysis checkpoint (stale or undecodable); first query replays cold",
+                        self.id
                     );
                 }
             }
         }
-        s.persist = Some(store);
-        s
+        self.persist = Some(store);
+        self
     }
 
     /// The session id.
@@ -304,8 +322,9 @@ impl Session {
         // lint: allow(A01, one ack buffer per drain, sized by the bounded pending queue; acks are returned to the caller so the buffer cannot be reused)
         let mut acks = Vec::with_capacity(self.pending.len());
         while let Some(p) = self.pending.pop_front() {
-            let interval = match p.gmon.flat.delta(&self.prev_flat) {
-                Ok(interval) => interval,
+            let sample_index = p.gmon.sample_index;
+            let ack = match self.apply(&p.gmon, traced) {
+                Ok(ack) => ack,
                 Err(e) => {
                     let why = e.to_string();
                     // Poison the tail: later snapshots would delta
@@ -315,35 +334,17 @@ impl Session {
                     incprof_obs::recorder().record(
                         incprof_obs::EventKind::SessionFault,
                         self.id,
-                        p.gmon.sample_index,
+                        sample_index,
                     );
                     return Err(ErrorInfo::new(
                         ErrorCode::BadPayload,
-                        format!("snapshot {}: {why}", p.gmon.sample_index),
+                        format!("snapshot {sample_index}: {why}"),
                     ));
                 }
             };
-            let observation = {
-                let _obs_span =
-                    traced.then(|| incprof_obs::span(incprof_obs::names::SERVE_TRACE_OBSERVE));
-                self.online.observe(&interval)
-            };
-            self.prev_flat = p.gmon.flat.clone();
-            self.table = p.gmon.functions.clone();
-            let sample_index = p.gmon.sample_index;
-            self.next_index = sample_index + 1;
-            self.series
-                .append_monotonic(ProfileSnapshot::from_gmon(&p.gmon))
-                // lint: allow(P01, enqueue rejects any index at or below next_index-1, so drained indices strictly increase)
-                .expect("enqueue enforces strictly increasing sample indices");
             self.persist_snapshot(sample_index, &p.gmon);
             incprof_obs::histogram(incprof_obs::names::SERVE_INGEST_DETECT_LATENCY_NS)
                 .record(p.enqueued_at.elapsed().as_nanos() as u64);
-            let ack = IngestAck {
-                sample_index,
-                observation,
-            };
-            self.last_ack = Some(ack);
             acks.push(ack);
         }
         if !acks.is_empty() {
@@ -647,24 +648,21 @@ impl Registry {
         ids
     }
 
-    /// Open a new session, enforcing the session cap.
-    pub fn open(&self) -> Result<(u64, Arc<Mutex<Session>>), ErrorInfo> {
-        let mut inner = lock(&self.inner);
-        if inner.sessions.len() >= self.max_sessions {
-            return Err(ErrorInfo::new(
-                ErrorCode::SessionLimit,
-                format!("session table full ({} sessions)", self.max_sessions),
-            ));
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let mut session = Session::new(
+    /// An empty, unpublished session object under `id`.
+    fn blank(&self, id: u64) -> Session {
+        Session::new(
             id,
             self.online.clone(),
             self.max_pending,
             self.analysis_cache,
-        );
-        session.source_graph = Arc::clone(&self.source_graph);
+            Arc::clone(&self.source_graph),
+        )
+    }
+
+    /// A fresh session under `id` with its snapshot log created in the
+    /// store — memory-only, with a warning, when the store refuses.
+    fn fresh(&self, id: u64) -> Arc<Mutex<Session>> {
+        let mut session = self.blank(id);
         if let Some(store) = &self.store {
             match store.create_session(id) {
                 Ok(persist) => session.persist = Some(persist),
@@ -676,7 +674,21 @@ impl Registry {
                 }
             }
         }
-        let session = Arc::new(Mutex::new(session));
+        Arc::new(Mutex::new(session))
+    }
+
+    /// Open a new session, enforcing the session cap.
+    pub fn open(&self) -> Result<(u64, Arc<Mutex<Session>>), ErrorInfo> {
+        let mut inner = lock(&self.inner);
+        if inner.sessions.len() >= self.max_sessions {
+            return Err(ErrorInfo::new(
+                ErrorCode::SessionLimit,
+                format!("session table full ({} sessions)", self.max_sessions),
+            ));
+        }
+        let id = inner.next_id;
+        inner.next_id += 1;
+        let session = self.fresh(id);
         inner.sessions.insert(id, Arc::clone(&session));
         incprof_obs::counter(incprof_obs::names::SERVE_SESSIONS_OPENED).inc();
         incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
@@ -719,25 +731,7 @@ impl Registry {
                 return Ok(s);
             }
         }
-        let mut session = Session::new(
-            id,
-            self.online.clone(),
-            self.max_pending,
-            self.analysis_cache,
-        );
-        session.source_graph = Arc::clone(&self.source_graph);
-        if let Some(store) = &self.store {
-            match store.create_session(id) {
-                Ok(persist) => session.persist = Some(persist),
-                Err(e) => {
-                    incprof_obs::counter(incprof_obs::names::STORE_APPEND_ERRORS).inc();
-                    incprof_obs::warn!(
-                        "session {id}: could not create snapshot log ({e}); memory-only"
-                    );
-                }
-            }
-        }
-        let session = Arc::new(Mutex::new(session));
+        let session = self.fresh(id);
         let mut inner = lock(&self.inner);
         if let Some(existing) = inner.sessions.get(&id) {
             // Another connection adopted the id first; its instance wins.
@@ -773,16 +767,7 @@ impl Registry {
                 return None;
             }
         };
-        let mut rebuilt = Session::rehydrate(
-            id,
-            self.online.clone(),
-            self.max_pending,
-            self.analysis_cache,
-            persist,
-            replay,
-            checkpoint,
-        );
-        rebuilt.source_graph = Arc::clone(&self.source_graph);
+        let rebuilt = self.blank(id).rehydrate(persist, replay, checkpoint);
         let session = Arc::new(Mutex::new(rebuilt));
         let mut inner = lock(&self.inner);
         if let Some(existing) = inner.sessions.get(&id) {
