@@ -1,49 +1,38 @@
-//! Load generator for the `incprof-serve` daemon.
+//! The tracing-tax gate for the `incprof-serve` daemon.
 //!
 //! Starts an in-process daemon, then replays the five paper apps'
 //! rank-0 snapshot series from M concurrent clients (apps cycle when
-//! M > 5), each in its own session over real TCP. Reports ingest
-//! throughput (frames/sec over the wall-clock replay window) and the
-//! daemon's own p50/p95/p99 snapshot-ingest latency, read from the
-//! `serve.ingest.detect_latency_ns` histogram via
-//! `HistogramSnapshot::percentiles` — the shared obs registry sees the
-//! server threads because daemon and clients share the process.
-//!
-//! After the throughput phase it measures the *tracing tax* twice:
-//! per-request (single client, per-push round-trip medians, untraced vs
-//! traced v2 frames with a wire trace context — recorded in the report)
-//! and per-workload (the full multi-client replay in back-to-back
-//! pairs, median per-pair difference in *process CPU time* summed over
+//! M > 5), each in its own session over real TCP, in back-to-back
+//! pairs of rounds: one with plain pushes, one with every push a traced
+//! v2 frame carrying a wire trace context. A window's estimate is the
+//! median per-pair difference in *process CPU time* summed over
 //! `/proc/self/task/*/schedstat`, falling back to wall clock where
 //! schedstat is unavailable — CPU time is immune to other processes
 //! stealing the box, which wall time on a loaded one-core host is
-//! not). The workload overhead is gated at <2% — every push traced
-//! must not slow the load generator measurably — and the process
-//! exits non-zero on a breach.
+//! not. The overhead is gated at <2% — every push traced must not slow
+//! the load generator measurably — and the process exits non-zero on a
+//! breach.
 //!
-//! Output goes to `$INCPROF_METRICS` or `experiments_out/serve_report.json`
-//! (git-ignored). Throughput and latency trends are `perfbench/`'s
-//! business (`serve_ingest`, `serve_query`, `shard_ingest`); this binary
-//! stays for the tracing-tax gate, which perfbench only reports.
+//! Nothing else is measured here and nothing is written: throughput and
+//! latency are `perfbench/`'s business (`serve_ingest`, `serve_query`,
+//! `shard_ingest`). This binary stays only until perfbench has a
+//! traced-wire arm of its own (ROADMAP 3c).
 //!
 //! Usage: `serve_load [clients] [workers]` (defaults: 8 clients, 4 workers).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use hpc_apps::{gadget2, graph500, lammps, miniamr, minife, HeartbeatPlan, RunMode};
+use hpc_apps::HeartbeatPlan;
+use incprof_bench::apps::Size;
+use incprof_bench::ALL_APPS;
 use incprof_collect::SampleSeries;
-use incprof_obs::{names, TraceIdGen};
+use incprof_obs::TraceIdGen;
 use incprof_profile::FunctionTable;
 use incprof_serve::{Client, ServeConfig, Server};
 
 /// Max tolerated traced-vs-untraced slowdown, percent.
 const TRACE_OVERHEAD_GATE_PCT: f64 = 2.0;
-
-/// Rounds per arm for the per-push probe. Each round replays a full
-/// series, so both arms see hundreds of pushes; the median per-push
-/// round trip is then immune to scheduler outliers.
-const OVERHEAD_ROUNDS: usize = 10;
 
 /// Maximum measurement windows for the workload-level gate. Within a
 /// window, each pair runs one untraced and one traced round
@@ -69,34 +58,22 @@ const GATE_PAIRS: usize = 9;
 /// that scheduler jitter is small relative to its wall time.
 const GATE_CYCLES: usize = 6;
 
-fn app_runs() -> Vec<(&'static str, SampleSeries, FunctionTable)> {
+fn app_runs() -> Vec<(SampleSeries, FunctionTable)> {
     let plan = HeartbeatPlan::none();
-    let mode = RunMode::virtual_1s();
-    let mut v = Vec::new();
-    let r = graph500::run(&graph500::Graph500Config::tiny(), mode, &plan).rank0;
-    v.push(("Graph500", r.series, r.table));
-    let r = minife::run(&minife::MiniFeConfig::tiny(), mode, &plan).rank0;
-    v.push(("MiniFE", r.series, r.table));
-    let r = miniamr::run(&miniamr::MiniAmrConfig::tiny(), mode, &plan).rank0;
-    v.push(("MiniAMR", r.series, r.table));
-    let r = lammps::run(&lammps::LammpsConfig::tiny(), mode, &plan).rank0;
-    v.push(("LAMMPS", r.series, r.table));
-    let r = gadget2::run(&gadget2::Gadget2Config::tiny(), mode, &plan).rank0;
-    v.push(("Gadget2", r.series, r.table));
-    v
+    ALL_APPS
+        .iter()
+        .map(|app| {
+            let r = app.run_virtual(Size::Tiny, &plan).rank0;
+            (r.series, r.table)
+        })
+        .collect()
 }
 
-/// Replay one app's series into its own session; returns frames pushed.
-/// With a generator, every push carries its own wire trace context.
-fn replay(
-    addr: &str,
-    series: &SampleSeries,
-    table: &FunctionTable,
-    trace: Option<&TraceIdGen>,
-) -> u64 {
+/// Replay one app's series into its own session. With a generator,
+/// every push carries its own wire trace context.
+fn replay(addr: &str, series: &SampleSeries, table: &FunctionTable, trace: Option<&TraceIdGen>) {
     let mut client = Client::connect_tcp(addr).expect("connect");
     let session = client.open().expect("open session");
-    let mut frames = 0u64;
     for snap in series.snapshots() {
         let gmon = snap.to_gmon(table);
         match trace {
@@ -109,12 +86,10 @@ fn replay(
                 client.push_retry(session, &gmon, 200).expect("push");
             }
         }
-        frames += 1;
     }
-    // The analysis query forces a final drain before we stop the clock.
+    // The analysis query forces a final drain before the round ends.
     let _ = client.query_analysis(session).expect("query");
     client.close(session).expect("close");
-    frames
 }
 
 /// Sum of `sum_exec_runtime` over every live thread of this process,
@@ -147,57 +122,6 @@ struct RoundCost {
     wall: Duration,
 }
 
-/// One overhead-probe round: replay the series into a fresh session,
-/// traced or not, appending each push's round-trip time to `samples`.
-fn probe_round(
-    addr: &str,
-    series: &SampleSeries,
-    table: &FunctionTable,
-    trace: Option<&TraceIdGen>,
-    samples: &mut Vec<u64>,
-) {
-    let mut client = Client::connect_tcp(addr).expect("connect");
-    let session = client.open().expect("open session");
-    for snap in series.snapshots() {
-        let gmon = snap.to_gmon(table);
-        let started = Instant::now();
-        match trace {
-            Some(ids) => {
-                client
-                    .push_traced(session, &gmon, ids.next_id())
-                    .expect("traced push");
-            }
-            None => {
-                client.push_retry(session, &gmon, 200).expect("push");
-            }
-        }
-        samples.push(started.elapsed().as_nanos() as u64);
-    }
-    let _ = client.query_analysis(session).expect("query");
-    client.close(session).expect("close");
-}
-
-fn median_ns(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Median per-push round-trip, traced vs untraced, and overhead percent.
-fn trace_overhead(addr: &str, series: &SampleSeries, table: &FunctionTable) -> (u64, u64, f64) {
-    let ids = TraceIdGen::new(0xBE9C);
-    let mut base = Vec::new();
-    let mut traced = Vec::new();
-    // Interleave the arms so drift (turbo, cache warmth) hits both.
-    for _ in 0..OVERHEAD_ROUNDS {
-        probe_round(addr, series, table, None, &mut base);
-        probe_round(addr, series, table, Some(&ids), &mut traced);
-    }
-    let base_ns = median_ns(&mut base);
-    let traced_ns = median_ns(&mut traced);
-    let overhead_pct = (traced_ns as f64 / base_ns as f64 - 1.0) * 100.0;
-    (base_ns, traced_ns, overhead_pct)
-}
-
 fn main() {
     let mut args = std::env::args().skip(1);
     let clients: usize = args
@@ -212,7 +136,7 @@ fn main() {
     println!("== serve_load: {clients} clients -> {workers} worker daemon ==");
     println!("profiling the 5 paper apps (tiny configs, virtual 1s runs)...");
     let runs = app_runs();
-    let total_snaps: usize = runs.iter().map(|(_, s, _)| s.snapshots().len()).sum();
+    let total_snaps: usize = runs.iter().map(|(s, _)| s.snapshots().len()).sum();
     println!(
         "  {} apps, {total_snaps} snapshots per full cycle",
         runs.len()
@@ -229,35 +153,6 @@ fn main() {
     .expect("start");
     let addr = handle.addr().to_string();
     println!("daemon listening on {addr}");
-
-    let started = Instant::now();
-    let frames: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|i| {
-                let (_, series, table) = &runs[i % runs.len()];
-                let addr = addr.as_str();
-                scope.spawn(move || replay(addr, series, table, None))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("join")).sum()
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    let fps = frames as f64 / elapsed;
-
-    assert_eq!(handle.active_sessions(), 0, "sessions must not leak");
-
-    // Per-request tracing tax against the same (still-running) daemon:
-    // one client, interleaved untraced/traced rounds, per-push medians.
-    // Recorded in the report for trend-watching; not the gate — a bare
-    // loopback round trip is far below any real request cost, so a
-    // fixed span budget reads as a huge percentage of it.
-    println!("\nmeasuring per-push trace overhead ({OVERHEAD_ROUNDS} rounds per arm)...");
-    let (_, probe_series, probe_table) = &runs[0];
-    let (base_ns, traced_ns, push_overhead_pct) = trace_overhead(&addr, probe_series, probe_table);
-    println!(
-        "  per-push median: untraced {base_ns}ns, traced {traced_ns}ns  ->  \
-         {push_overhead_pct:+.2}% of a bare loopback push"
-    );
 
     // The gate: replay the full multi-client workload with every push
     // traced vs untraced in back-to-back pairs; each window's estimate
@@ -291,7 +186,7 @@ fn main() {
     let mut windows: Vec<(f64, f64, f64, bool)> = Vec::new(); // (base, diff, pct, cpu?)
     std::thread::scope(|scope| {
         for i in 0..clients {
-            let (_, series, table) = &runs[i % runs.len()];
+            let (series, table) = &runs[i % runs.len()];
             let (addr, barrier, ids, stop) = (addr.as_str(), &barrier, &ids, &stop);
             scope.spawn(move || {
                 for round in 0..total_rounds {
@@ -396,57 +291,6 @@ fn main() {
     assert_eq!(handle.active_sessions(), 0, "sessions must not leak");
     handle.shutdown();
 
-    let ingest = incprof_obs::histogram(names::SERVE_INGEST_DETECT_LATENCY_NS).snapshot();
-    let (p50, p95, p99) = ingest.percentiles();
-    let p999 = ingest.quantile(0.999);
-    println!(
-        "\n{frames} snapshot frames in {:.2}s  ->  {fps:.0} frames/sec",
-        elapsed
-    );
-    println!(
-        "ingest detect latency (n={}): p50={p50}ns  p95={p95}ns  p99={p99}ns  p999={p999}ns",
-        ingest.count
-    );
-
-    incprof_obs::gauge("serve.load.clients").set(clients as u64);
-    incprof_obs::gauge("serve.load.workers").set(workers as u64);
-    incprof_obs::gauge("serve.load.frames_total").set(frames);
-    incprof_obs::gauge("serve.load.elapsed_us").set((elapsed * 1e6) as u64);
-    incprof_obs::gauge("serve.load.frames_per_sec").set(fps as u64);
-    incprof_obs::gauge("serve.load.ingest_p50_ns").set(p50);
-    incprof_obs::gauge("serve.load.ingest_p95_ns").set(p95);
-    incprof_obs::gauge("serve.load.ingest_p99_ns").set(p99);
-    incprof_obs::gauge("serve.load.ingest_p999_ns").set(p999);
-    incprof_obs::gauge("serve.load.trace_base_push_ns").set(base_ns);
-    incprof_obs::gauge("serve.load.trace_traced_push_ns").set(traced_ns);
-    incprof_obs::gauge("serve.load.trace_base_round_us").set((base_mid * 1e6) as u64);
-    incprof_obs::gauge("serve.load.trace_round_diff_ns").set((diff_mid.max(0.0) * 1e9) as u64);
-    // Overhead can legitimately be negative (noise floor); clamp the
-    // gauge at 0 and store hundredths of a percent.
-    incprof_obs::gauge("serve.load.trace_overhead_pct_x100")
-        .set((overhead_pct.max(0.0) * 100.0) as u64);
-
-    // The gate rounds leave thousands of trace spans in the store and a
-    // full ring of drain events in the recorder; they'd swamp the report
-    // (whose value here is the gauges and the daemon counters), so drop
-    // both before capture. Quiescent: the daemon has already drained.
-    incprof_obs::global().spans().clear();
-    incprof_obs::recorder().clear();
-    let out = std::env::var("INCPROF_METRICS")
-        .unwrap_or_else(|_| "experiments_out/serve_report.json".into());
-    let path = std::path::PathBuf::from(out);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    incprof_obs::report()
-        .write(&path)
-        .expect("write serve load report");
-    println!(
-        "\nrun report (serve.load.* gauges + daemon serve.* counters): {}",
-        path.display()
-    );
-
-    assert!(frames as usize >= total_snaps, "every client must finish");
     if overhead_pct > TRACE_OVERHEAD_GATE_PCT {
         eprintln!(
             "FAIL: traced-push overhead {overhead_pct:.2}% exceeds the \

@@ -17,13 +17,10 @@
 //! | heartbeat rate factors, gaps, co-activity per app | `heartbeat_report` |
 //! | tracing-tax gate (traced vs untraced pushes, < 2 % CPU) | `serve_load` |
 //!
-//! Criterion micro-benchmarks live under `benches/` and back the Table I
-//! overhead story (heartbeat cost, profiler guard cost, snapshot cost)
-//! plus algorithmic scaling (k-means, pipeline, report round trip).
-//!
-//! End-to-end timing — analysis, serve, restart, shard — is not here:
-//! `perfbench/` (its own package, outside the workspace) is the one
-//! timing harness, and draws its app workloads from [`apps`].
+//! Timing is not here, end to end or per primitive: `perfbench/` (its
+//! own package, outside the workspace) is the one thing in the
+//! repository that times code, and draws its app workloads from
+//! [`apps`]. `serve_load` reports a ratio and an exit code only.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

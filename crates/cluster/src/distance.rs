@@ -63,24 +63,16 @@ impl PairwiseDistances {
     }
 
     /// Compute all pairwise Euclidean distances of `data`'s rows, one
-    /// pool task per row block.
+    /// pool task per row: [`PairwiseDistances::extend`] from
+    /// [`PairwiseDistances::empty`].
     pub fn euclidean_of(data: &crate::dataset::Dataset) -> PairwiseDistances {
-        let n = data.nrows();
-        let rows: Vec<Vec<f64>> = incprof_par::par_map_index(n, |i| {
-            (0..n)
-                .map(|j| euclidean(data.row(i), data.row(j)))
-                .collect()
-        });
-        let mut dist = Vec::with_capacity(n * n);
-        for row in rows {
-            dist.extend(row);
-        }
-        PairwiseDistances { n, dist }
+        let mut pair = PairwiseDistances::empty();
+        pair.extend(data);
+        pair
     }
 
     /// Grow the matrix in place to cover all of `data`'s rows, computing
-    /// only the entries a previous [`PairwiseDistances::euclidean_of`]
-    /// (or `extend`) call has not already produced.
+    /// only the entries a previous `extend` has not already produced.
     ///
     /// Contract: the first `self.n()` rows of `data` must be bit-identical
     /// to the rows this matrix was computed from (callers such as
@@ -90,23 +82,28 @@ impl PairwiseDistances {
     /// same operands in the same order as a cold rebuild — so the
     /// extended matrix is bit-identical to `euclidean_of(data)` while
     /// costing O((m² − n²)·d) instead of O(m²·d).
+    ///
+    /// # Panics
+    /// Panics if `data` has fewer rows than the matrix covers: a matrix
+    /// left larger than its dataset would only fail later, far from the
+    /// cause. The same row count is a no-op.
     pub fn extend(&mut self, data: &crate::dataset::Dataset) {
         let n = self.n;
         let m = data.nrows();
-        debug_assert!(m >= n, "extend cannot shrink a matrix: {m} < {n}");
-        if m <= n {
+        assert!(m >= n, "extend cannot shrink a matrix: {m} < {n}");
+        if m == n {
             return;
         }
         let old = std::mem::take(&mut self.dist);
         let rows: Vec<Vec<f64>> = incprof_par::par_map_index(m, |i| {
             let mut row = Vec::with_capacity(m);
+            let mut known = 0;
             if i < n {
-                // Old pair: reuse the already-computed entries verbatim.
-                row.extend_from_slice(&old[i * n..i * n + n]);
-            } else {
-                row.extend((0..n).map(|j| euclidean(data.row(i), data.row(j))));
+                // An old row keeps its already-computed entries verbatim.
+                row.extend_from_slice(&old[i * n..(i + 1) * n]);
+                known = n;
             }
-            row.extend((n..m).map(|j| euclidean(data.row(i), data.row(j))));
+            row.extend((known..m).map(|j| euclidean(data.row(i), data.row(j))));
             row
         });
         let mut dist = Vec::with_capacity(m * m);
@@ -217,18 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_empty_matches_euclidean_of() {
-        let data = crate::dataset::Dataset::from_rows(synth_rows(6, 3));
-        let mut pair = PairwiseDistances::empty();
-        assert_eq!(pair.n(), 0);
-        pair.extend(&data);
-        let cold = PairwiseDistances::euclidean_of(&data);
-        for i in 0..6 {
-            assert_eq!(pair.row(i), cold.row(i));
-        }
-    }
-
-    #[test]
     fn extend_with_appended_zero_columns_preserves_old_entries() {
         // New feature columns appear as intervals arrive; old rows gain
         // zero-valued entries. Adding (0-0)² terms to a non-negative sum
@@ -254,6 +239,15 @@ mod tests {
                 assert_eq!(pair.get(i, j).to_bits(), cold.get(i, j).to_bits());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "extend cannot shrink a matrix: 3 < 5")]
+    fn extend_onto_a_shorter_dataset_panics() {
+        let rows = synth_rows(5, 2);
+        let head = crate::dataset::Dataset::from_rows(rows[..3].to_vec());
+        let mut pair = PairwiseDistances::euclidean_of(&crate::dataset::Dataset::from_rows(rows));
+        pair.extend(&head);
     }
 
     #[test]

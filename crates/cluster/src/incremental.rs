@@ -313,7 +313,6 @@ impl SweepChains {
 
         let mut sweep = KSweep {
             ks: Vec::with_capacity(evaluated.len()),
-            results: Vec::with_capacity(evaluated.len()),
             wcss: Vec::with_capacity(evaluated.len()),
             silhouettes: Vec::with_capacity(evaluated.len()),
         };
@@ -321,7 +320,6 @@ impl SweepChains {
             sweep.ks.push(i + 1);
             sweep.wcss.push(chain.last.wcss);
             sweep.silhouettes.push(sil);
-            sweep.results.push(chain.last.clone());
             if i < self.chains.len() {
                 self.chains[i] = chain;
             } else {
@@ -334,7 +332,7 @@ impl SweepChains {
         };
         KSelection {
             k: sweep.ks[idx],
-            result: sweep.results[idx].clone(),
+            result: self.chains[idx].last.clone(),
             method,
             sweep,
         }
@@ -453,12 +451,11 @@ mod tests {
     fn selection_contains_consistent_sweep() {
         let data = blobs(2, 5);
         let sel = sweep(&data, 6, KSelectionMethod::Elbow);
-        assert_eq!(sel.sweep.ks.len(), sel.sweep.results.len());
         assert_eq!(sel.sweep.ks.len(), sel.sweep.wcss.len());
         assert_eq!(sel.result.assignments.len(), data.nrows());
         // Chosen result is the sweep entry for the chosen k.
         let idx = sel.sweep.ks.iter().position(|&k| k == sel.k).unwrap();
-        assert_eq!(sel.sweep.results[idx].wcss, sel.result.wcss);
+        assert_eq!(sel.sweep.wcss[idx], sel.result.wcss);
     }
 
     fn assert_chains_bit_equal(a: &SweepChains, b: &SweepChains) {

@@ -112,11 +112,8 @@ impl KMeansResult {
     }
 }
 
-/// Run k-means on `data`.
-///
-/// # Panics
-/// Panics if `config.k == 0` or the dataset is empty, or `k > n`.
-pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
+/// What [`kmeans`] and [`kmeans_warm`] both require of their input.
+fn check_preconditions(data: &Dataset, config: &KMeansConfig) {
     let n = data.nrows();
     assert!(config.k >= 1, "k must be at least 1");
     assert!(n >= 1, "cannot cluster an empty dataset");
@@ -125,6 +122,14 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
         "k = {} exceeds number of points {n}",
         config.k
     );
+}
+
+/// Run k-means on `data`.
+///
+/// # Panics
+/// Panics if `config.k == 0` or the dataset is empty, or `k > n`.
+pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
+    check_preconditions(data, config);
 
     let mut best: Option<KMeansResult> = None;
     let mut total_iterations = 0u64;
@@ -162,14 +167,7 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
 /// Panics if `config.k == 0`, the dataset is empty, `k > n`, or `init`
 /// is not a `k × d` centroid matrix for `data`.
 pub fn kmeans_warm(data: &Dataset, config: &KMeansConfig, init: &Dataset) -> KMeansResult {
-    let n = data.nrows();
-    assert!(config.k >= 1, "k must be at least 1");
-    assert!(n >= 1, "cannot cluster an empty dataset");
-    assert!(
-        config.k <= n,
-        "k = {} exceeds number of points {n}",
-        config.k
-    );
+    check_preconditions(data, config);
     assert_eq!(
         init.nrows(),
         config.k,

@@ -29,8 +29,6 @@ pub enum KSelectionMethod {
 pub struct KSweep {
     /// The k values swept (1..=k_max, capped at n).
     pub ks: Vec<usize>,
-    /// k-means result per k.
-    pub results: Vec<KMeansResult>,
     /// WCSS per k.
     pub wcss: Vec<f64>,
     /// Mean silhouette per k (`None` for k = 1).

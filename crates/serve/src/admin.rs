@@ -82,8 +82,10 @@ pub fn answer_local(frame: &Frame, socket: &str) -> Frame {
             let trace_id = u64::from_le_bytes(bytes);
             let tree =
                 incprof_obs::trace::store_trace_tree(incprof_obs::global().spans(), trace_id);
-            let json = serde_json::to_string(&tree)
-                .unwrap_or_else(|e| format!("{{\"error\":\"serialize failed: {e}\"}}"));
+            let json = serde_json::to_string(&tree).unwrap_or_else(|e| {
+                let why = incprof_obs::json_string(&format!("serialize failed: {e}"));
+                format!("{{\"error\":{why}}}")
+            });
             Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes())
         }
         FrameType::RecorderDump => {

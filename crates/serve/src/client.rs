@@ -65,7 +65,8 @@ pub enum Push {
     Busy,
 }
 
-/// How long a client waits on a silent server before polling again.
+/// How long a client without a reply deadline waits on a silent server
+/// before polling again.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Default bound on transparent reconnect attempts per request.
@@ -84,31 +85,50 @@ pub struct Client {
     /// Where to re-dial when the connection breaks.
     target: BindAddr,
     reconnect_attempts: usize,
+    /// Longest wait for a reply; `None` waits forever. It is the
+    /// socket's read timeout, so enforcing it reads no clock.
+    reply_deadline: Option<Duration>,
 }
 
 impl Client {
-    fn from_target(target: BindAddr) -> Result<Client, ClientError> {
+    fn from_target(
+        target: BindAddr,
+        reply_deadline: Option<Duration>,
+    ) -> Result<Client, ClientError> {
         Ok(Client {
-            stream: Conn::dial(&target, READ_TIMEOUT)?,
+            stream: Conn::dial(&target, reply_deadline.unwrap_or(READ_TIMEOUT))?,
             target,
             reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
+            reply_deadline,
         })
     }
 
     /// Connect over TCP (`host:port`).
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        Client::from_target(BindAddr::Tcp(addr.to_string()))
+        Client::from_target(BindAddr::Tcp(addr.to_string()), None)
     }
 
     /// Connect over a Unix-domain socket.
     pub fn connect_unix(path: &Path) -> Result<Client, ClientError> {
-        Client::from_target(BindAddr::Unix(path.to_path_buf()))
+        Client::from_target(BindAddr::Unix(path.to_path_buf()), None)
     }
 
     /// Connect to `addr`, treating anything containing `/` as a Unix
     /// socket path and everything else as `host:port`.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
-        Client::from_target(BindAddr::parse(addr))
+        Client::from_target(BindAddr::parse(addr), None)
+    }
+
+    /// [`Client::connect`] with a reply deadline: a server that stays
+    /// silent for `reply_deadline` after a request fails the call with
+    /// a timed-out [`ClientError::Io`] instead of blocking it forever.
+    /// A timeout counts as a lost connection, so with reconnects on the
+    /// request is re-dialed and each attempt waits the deadline again.
+    pub fn connect_with_deadline(
+        addr: &str,
+        reply_deadline: Duration,
+    ) -> Result<Client, ClientError> {
+        Client::from_target(BindAddr::parse(addr), Some(reply_deadline))
     }
 
     /// Bound the transparent reconnect loop (0 disables it; a broken
@@ -125,6 +145,9 @@ impl Client {
         loop {
             match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD)? {
                 ReadOutcome::Frame(f) => return Ok(f),
+                ReadOutcome::TimedOut if self.reply_deadline.is_some() => {
+                    return Err(io::Error::from(io::ErrorKind::TimedOut).into())
+                }
                 ReadOutcome::TimedOut => continue,
                 ReadOutcome::Closed => return Err(ClientError::Disconnected),
                 ReadOutcome::Malformed(e) => return Err(e.into()),
@@ -138,7 +161,10 @@ impl Client {
         matches!(e, ClientError::Io(_) | ClientError::Disconnected)
     }
 
-    fn round_trip(&mut self, request: &Frame) -> Result<Frame, ClientError> {
+    /// Send `request` and return whatever frame answers it, typed error
+    /// frames included — the raw exchange under every typed call, for
+    /// callers that relay frames rather than interpret them.
+    pub fn request(&mut self, request: &Frame) -> Result<Frame, ClientError> {
         let mut last = match self.exchange(request) {
             Ok(f) => return Ok(f),
             Err(e) if Self::connection_lost(&e) => e,
@@ -150,7 +176,7 @@ impl Client {
         let seed = request.session_id ^ (request.frame_type as u64);
         for attempt in 0..self.reconnect_attempts {
             std::thread::sleep(retry_backoff(attempt, seed));
-            match Conn::dial(&self.target, READ_TIMEOUT) {
+            match Conn::dial(&self.target, self.reply_deadline.unwrap_or(READ_TIMEOUT)) {
                 Ok(stream) => {
                     self.stream = stream;
                     incprof_obs::counter(incprof_obs::names::SERVE_CLIENT_RECONNECTS).inc();
@@ -167,7 +193,7 @@ impl Client {
     }
 
     fn expect_reply(&mut self, request: &Frame, want: FrameType) -> Result<Frame, ClientError> {
-        let reply = self.round_trip(request)?;
+        let reply = self.request(request)?;
         match reply.frame_type {
             t if t == want => Ok(reply),
             FrameType::Error => Err(ClientError::Server(ErrorInfo::decode(&reply.payload)?)),
@@ -222,7 +248,7 @@ impl Client {
         });
         let frame = Frame::with_payload(FrameType::Snapshot, session_id, gmon.encode().to_vec())
             .traced(trace);
-        let reply = self.round_trip(&frame)?;
+        let reply = self.request(&frame)?;
         match reply.frame_type {
             FrameType::SnapshotAck => Ok(Push::Ack(SnapshotAck::decode(&reply.payload)?)),
             FrameType::Busy => Ok(Push::Busy),

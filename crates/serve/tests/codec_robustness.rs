@@ -15,7 +15,7 @@ use incprof_serve::frame::{
     DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC, VERSION_TRACED,
 };
 use incprof_serve::plane::{Plane, PlaneHandle, PlaneSpec, Reply, ACCEPT_BACKLOG};
-use incprof_serve::{BindAddr, Client, ServeConfig, Server, ServerHandle};
+use incprof_serve::{BindAddr, Client, ClientError, ServeConfig, Server, ServerHandle};
 use incprof_shard::{BackendSpec, Router, RouterConfig, RouterHandle};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -487,6 +487,29 @@ fn idle_connections_are_closed_after_idle_timeout() {
         );
     }
     handle.shutdown();
+}
+
+/// The stalled peer, seen from the client: a listener whose kernel
+/// queue completes every handshake while nobody ever reads or writes.
+/// A client with a reply deadline gives up with a timed-out `Io` (after
+/// its bounded re-dials, each met by the same silence); without the
+/// deadline the same call would poll forever.
+#[test]
+fn reply_deadline_fails_a_request_to_a_peer_that_never_answers() {
+    let silent = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = silent.local_addr().expect("local addr").to_string();
+    let mut client =
+        Client::connect_with_deadline(&addr, Duration::from_millis(50)).expect("connect");
+    let asked = Instant::now();
+    match client.ping() {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::TimedOut),
+        other => panic!("expected an Io timeout, got {other:?}"),
+    }
+    assert!(
+        asked.elapsed() < Duration::from_secs(1),
+        "gave up only after {:?}",
+        asked.elapsed()
+    );
 }
 
 /// Whether any socket is listening on TCP `port` (IPv4), read from the

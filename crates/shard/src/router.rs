@@ -30,24 +30,23 @@
 
 use crate::ring::Ring;
 use incprof_serve::admin::{answer_local, render_metrics};
-use incprof_serve::frame::{
-    read_frame, write_frame, ErrorCode, ErrorInfo, Frame, FrameType, ReadOutcome,
-    DEFAULT_MAX_PAYLOAD,
-};
-use incprof_serve::plane::{
-    error_reply, Conn, Plane, PlaneHandle, PlaneSpec, Reply, Stop, IDLE_TIMEOUT,
-};
+use incprof_serve::frame::{ErrorCode, ErrorInfo, Frame, FrameType};
+use incprof_serve::plane::{error_reply, Plane, PlaneHandle, PlaneSpec, Reply, Stop, IDLE_TIMEOUT};
 use incprof_serve::session::lock;
-use incprof_serve::{BindAddr, RetentionPolicy, Store};
+use incprof_serve::{BindAddr, Client, ClientError, RetentionPolicy, Store};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// How long to wait for a backend's reply before declaring it dead.
+/// How long to wait for a backend's reply to a forwarded frame before
+/// declaring it dead.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long the admin fan-out and the shutdown drain wait on a backend.
+const ADMIN_REPLY_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One backend as the router dials it.
 #[derive(Debug, Clone)]
@@ -227,7 +226,7 @@ impl Router {
         let n = shared.config.backends.len();
         planes.start(
             self.front,
-            move || (0..n).map(|_| None).collect::<Vec<Option<Conn>>>(),
+            move || (0..n).map(|_| None).collect::<Vec<Option<Client>>>(),
             move |links, frame| dispatch(&shared, frame, links),
         )?;
         if let Some(admin) = self.admin {
@@ -298,29 +297,25 @@ fn drain_backends(shared: &RouterShared) {
         if !shared.backend_up(b) {
             continue;
         }
-        let outcome = (|| -> Result<(), String> {
-            let mut conn = connect_backend(shared, &spec.data)?;
-            write_frame(&mut conn, &Frame::empty(FrameType::Shutdown, 0))
-                .map_err(|e| e.to_string())?;
-            match read_reply(&mut conn, Duration::from_secs(10)) {
-                Ok(f) if f.frame_type == FrameType::ShutdownAck => Ok(()),
-                Ok(f) => Err(format!("expected ShutdownAck, got {:?}", f.frame_type)),
-                Err(e) => Err(e),
-            }
-        })();
+        let outcome =
+            dial(&spec.data, ADMIN_REPLY_TIMEOUT).and_then(|mut link| link.shutdown_server());
         if let Err(e) = outcome {
             incprof_obs::warn!("backend {b} ({}) drain failed: {e}", spec.data);
         }
     }
 }
 
-/// Connect to one backend address with the router's poll interval set.
-fn connect_backend(shared: &RouterShared, addr: &str) -> Result<Conn, String> {
-    Conn::dial(&BindAddr::parse(addr), shared.config.read_timeout).map_err(|e| e.to_string())
+/// Dial one backend address. A reply later than `reply_deadline` is an
+/// error, and so is a broken link: the client's transparent reconnect is
+/// off, because to the router a lost backend is the failover signal.
+fn dial(addr: &str, reply_deadline: Duration) -> Result<Client, ClientError> {
+    let mut link = Client::connect_with_deadline(addr, reply_deadline)?;
+    link.set_reconnect_attempts(0);
+    Ok(link)
 }
 
 /// Answer one client frame on the front plane.
-fn dispatch(shared: &RouterShared, mut frame: Frame, links: &mut [Option<Conn>]) -> Reply {
+fn dispatch(shared: &RouterShared, mut frame: Frame, links: &mut [Option<Client>]) -> Reply {
     Reply::Send(match frame.frame_type {
         // The router is the liveness endpoint the client is talking to.
         FrameType::Ping => Frame::empty(FrameType::Pong, frame.session_id),
@@ -359,7 +354,7 @@ fn dispatch(shared: &RouterShared, mut frame: Frame, links: &mut [Option<Conn>])
 /// backend death: mark it down, walk the ring to the next healthy
 /// backend, and retransmit — the in-flight request is answered after
 /// recovery, never errored, as long as any backend survives.
-fn forward(shared: &RouterShared, frame: &Frame, backends: &mut [Option<Conn>]) -> Frame {
+fn forward(shared: &RouterShared, frame: &Frame, backends: &mut [Option<Client>]) -> Frame {
     let sid = frame.session_id;
     let mut rerouted = false;
     loop {
@@ -390,28 +385,28 @@ fn forward(shared: &RouterShared, frame: &Frame, backends: &mut [Option<Conn>]) 
     }
 }
 
-/// One write/read exchange with backend `b` on this connection's cached
-/// link (dialing it if needed). Any error means "treat the backend as
-/// dead": dial failure, broken pipe, reply timeout, torn reply, or an
-/// explicit `ShuttingDown` error frame (a draining backend has stopped
-/// accepting work; its durable state is what failover replays).
+/// One request/reply exchange with backend `b` on this connection's
+/// cached link (dialing it if needed). Any error means "treat the
+/// backend as dead": dial failure, broken pipe, reply timeout, torn
+/// reply, or an explicit `ShuttingDown` error frame (a draining backend
+/// has stopped accepting work; its durable state is what failover
+/// replays).
 fn forward_once(
     shared: &RouterShared,
     frame: &Frame,
-    backends: &mut [Option<Conn>],
+    backends: &mut [Option<Client>],
     b: usize,
 ) -> Result<Frame, String> {
     let Some(slot) = backends.get_mut(b) else {
         return Err("backend index out of range".to_string());
     };
-    if slot.is_none() {
-        *slot = Some(connect_backend(shared, &shared.config.backends[b].data)?);
-    }
-    let Some(link) = slot.as_mut() else {
-        return Err("backend link unavailable".to_string());
+    let link = match slot {
+        Some(link) => link,
+        None => slot.insert(
+            dial(&shared.config.backends[b].data, REPLY_TIMEOUT).map_err(|e| e.to_string())?,
+        ),
     };
-    write_frame(link, frame).map_err(|e| e.to_string())?;
-    let reply = read_reply(link, REPLY_TIMEOUT)?;
+    let reply = link.request(frame).map_err(|e| e.to_string())?;
     if reply.frame_type == FrameType::Error {
         if let Ok(info) = ErrorInfo::decode(&reply.payload) {
             if info.code == ErrorCode::ShuttingDown {
@@ -420,24 +415,6 @@ fn forward_once(
         }
     }
     Ok(reply)
-}
-
-/// Read one frame off a backend link, polling up to `limit`.
-fn read_reply(link: &mut Conn, limit: Duration) -> Result<Frame, String> {
-    let deadline = Instant::now() + limit;
-    loop {
-        match read_frame(link, DEFAULT_MAX_PAYLOAD) {
-            Ok(ReadOutcome::Frame(f)) => return Ok(f),
-            Ok(ReadOutcome::TimedOut) => {
-                if Instant::now() >= deadline {
-                    return Err("reply timed out".to_string());
-                }
-            }
-            Ok(ReadOutcome::Closed) => return Err("connection closed".to_string()),
-            Ok(ReadOutcome::Malformed(e)) => return Err(format!("malformed reply: {e}")),
-            Err(e) => return Err(e.to_string()),
-        }
-    }
 }
 
 // --- merged admin plane ---
@@ -461,22 +438,6 @@ fn dispatch_admin(shared: &RouterShared, frame: &Frame) -> Reply {
     })
 }
 
-/// One admin request/reply against a backend's admin socket.
-fn backend_admin_text(
-    shared: &RouterShared,
-    addr: &str,
-    request: FrameType,
-    want: FrameType,
-) -> Result<String, String> {
-    let mut link = connect_backend(shared, addr)?;
-    write_frame(&mut link, &Frame::empty(request, 0)).map_err(|e| e.to_string())?;
-    let reply = read_reply(&mut link, Duration::from_secs(10))?;
-    if reply.frame_type != want {
-        return Err(format!("expected {want:?}, got {:?}", reply.frame_type));
-    }
-    String::from_utf8(reply.payload).map_err(|_| "payload is not UTF-8".to_string())
-}
-
 /// Fan `Scrape` out to every up backend with an admin address and merge
 /// the expositions into one cluster view: every sample line gains a
 /// `shard="<index>"` label (appended to existing labels), `# TYPE`
@@ -490,7 +451,7 @@ fn merged_scrape(shared: &RouterShared) -> String {
         if !shared.backend_up(b) {
             continue;
         }
-        match backend_admin_text(shared, admin, FrameType::Scrape, FrameType::ScrapeReply) {
+        match dial(admin, ADMIN_REPLY_TIMEOUT).and_then(|mut link| link.scrape()) {
             Ok(text) => merge_exposition(&mut out, &text, b, &mut seen_types),
             Err(e) => {
                 incprof_obs::warn!("backend {b} scrape failed: {e}");
@@ -547,12 +508,7 @@ fn merged_health(shared: &RouterShared) -> String {
         } else {
             match &spec.admin {
                 Some(admin) => {
-                    match backend_admin_text(
-                        shared,
-                        admin,
-                        FrameType::Health,
-                        FrameType::HealthReply,
-                    ) {
+                    match dial(admin, ADMIN_REPLY_TIMEOUT).and_then(|mut link| link.health()) {
                         Ok(json) => Some(json),
                         Err(_) => {
                             all_ok = false;

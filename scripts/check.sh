@@ -10,7 +10,9 @@
 #                               # only the shard-router cluster smoke:
 #                               # 2 spawned backends, kill -9 failover,
 #                               # merged scrape (SMOKE_DIR as above)
-#   scripts/check.sh docs-links # only the README ↔ docs/ link check
+#   scripts/check.sh docs-links # only the docs checks: README ↔ docs/ links,
+#                               # every `--bin <name>` a doc quotes exists,
+#                               # no doc says `cargo bench`
 #   scripts/check.sh sca        # only the static-analysis gate: incprof
 #                               # sca over the workspace (graph rules +
 #                               # per-line lints, warnings are errors)
@@ -28,7 +30,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 docs_links() {
-    echo "==> docs links (every docs/*.md linked from README, every link resolves)"
+    echo "==> docs links (every docs/*.md linked from README, every link and quoted --bin resolves)"
     local fail=0
     for doc in docs/*.md; do
         grep -qF "$doc" README.md \
@@ -37,6 +39,20 @@ docs_links() {
     for ref in $(grep -o 'docs/[A-Za-z0-9_.-]*\.md' README.md | sort -u); do
         [ -f "$ref" ] \
             || { echo "docs-links: README.md links missing file $ref"; fail=1; }
+    done
+    # A command a doc tells the reader to run names a binary that exists.
+    for bin in $(grep -oh -e '--bin [A-Za-z0-9_-]*' README.md DESIGN.md EXPERIMENTS.md docs/*.md \
+                     | cut -d' ' -f2 | sort -u); do
+        compgen -G "crates/*/src/bin/$bin.rs" >/dev/null \
+            || { echo "docs-links: --bin $bin: no crates/*/src/bin/$bin.rs"; fail=1; }
+    done
+    # The workspace has no bench targets: perfbench/ is the one thing that
+    # times code. The three exempt files are history and plans.
+    for doc in $(git ls-files '*.md' | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md'); do
+        if grep -qF 'cargo bench' "$doc"; then
+            echo "docs-links: $doc says 'cargo bench'; the timing harness is perfbench/run.sh"
+            fail=1
+        fi
     done
     [ "$fail" -eq 0 ] || exit 1
 }
