@@ -38,8 +38,8 @@ pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
 /// the same `n²` distances per candidate k. Entry `(i, j)` is exactly
 /// `euclidean(data.row(i), data.row(j))` — same operands, same order —
 /// so downstream sums are bit-identical to the on-the-fly formulation.
-/// Being a pure function of the rows, the matrix is never serialized:
-/// `incprof_core`'s analysis cache checkpoints the rows and rebuilds it.
+/// Only silhouette k-selection reads it, so only that sweep builds it
+/// (once per call); no cache keeps it and no checkpoint stores it.
 #[derive(Debug, Clone)]
 pub struct PairwiseDistances {
     n: usize,
@@ -75,8 +75,8 @@ impl PairwiseDistances {
     /// only the entries a previous `extend` has not already produced.
     ///
     /// Contract: the first `self.n()` rows of `data` must be bit-identical
-    /// to the rows this matrix was computed from (callers such as
-    /// `incprof_core`'s analysis cache verify this before extending).
+    /// to the rows this matrix was computed from (the caller verifies
+    /// this before extending).
     /// Existing entries are *copied*, not recomputed, and every new entry
     /// `(i, j)` is exactly `euclidean(data.row(i), data.row(j))` — the
     /// same operands in the same order as a cold rebuild — so the

@@ -234,14 +234,16 @@ impl SweepChains {
     /// over k = 1..=`k_max` (capped at the number of rows; the paper uses
     /// `k_max = 8`).
     ///
-    /// When `shared` is `Some`, it must cover exactly `data`'s rows
+    /// Silhouettes exist only where they pick k. Under
+    /// [`KSelectionMethod::Elbow`] the sweep reads WCSS alone: it builds
+    /// no pairwise-distance matrix, scores no silhouette, ignores
+    /// `shared`, and leaves [`KSweep::silhouettes`] empty. Under
+    /// [`KSelectionMethod::Silhouette`] it builds the O(n²·d) matrix once
+    /// per call and every k ≥ 2 scores against it — unless `shared` is
+    /// `Some`, which must then cover exactly `data`'s rows
     /// (`shared.n() == data.nrows()`) with entries equal to
-    /// `euclidean(data.row(i), data.row(j))`; the sweep then skips its
-    /// own O(n²·d) matrix build and the silhouette sums consume the
-    /// shared entries — bit-identical to building it here, since
-    /// [`PairwiseDistances::euclidean_of`] produces exactly those
-    /// entries. This is the hook `incprof_core`'s analysis cache uses to
-    /// reuse distance work across streamed queries.
+    /// `euclidean(data.row(i), data.row(j))`, bit-identical to the
+    /// matrix [`PairwiseDistances::euclidean_of`] would build here.
     ///
     /// With `early_exit` and the [`KSelectionMethod::Silhouette`]
     /// method, the sweep stops after the mean silhouette has strictly
@@ -263,7 +265,11 @@ impl SweepChains {
         let n = data.nrows();
         assert!(n >= 1, "cannot sweep an empty dataset");
         let cap = k_max.min(n).max(1);
-        if let Some(p) = shared {
+        let scored = method == KSelectionMethod::Silhouette;
+        let built: PairwiseDistances;
+        let pair: Option<&PairwiseDistances> = if !scored || cap < 2 {
+            None
+        } else if let Some(p) = shared {
             assert_eq!(
                 p.n(),
                 n,
@@ -271,20 +277,14 @@ impl SweepChains {
                 p.n(),
                 n
             );
-        }
-        let built: Option<PairwiseDistances> = if cap >= 2 && shared.is_none() {
+            Some(p)
+        } else {
             let _pair_span = incprof_obs::span(incprof_obs::names::CLUSTER_SELECT_K_PAIRWISE);
-            Some(PairwiseDistances::euclidean_of(data))
-        } else {
-            None
-        };
-        let pair: Option<&PairwiseDistances> = if cap >= 2 {
-            shared.or(built.as_ref())
-        } else {
-            None
+            built = PairwiseDistances::euclidean_of(data);
+            Some(&built)
         };
 
-        let use_early = early_exit && method == KSelectionMethod::Silhouette;
+        let use_early = early_exit && scored;
         let evaluated: Vec<(KChain, Option<f64>)> = if use_early {
             let mut evaluated = Vec::with_capacity(cap);
             let mut defined: Vec<f64> = Vec::new();
@@ -314,12 +314,14 @@ impl SweepChains {
         let mut sweep = KSweep {
             ks: Vec::with_capacity(evaluated.len()),
             wcss: Vec::with_capacity(evaluated.len()),
-            silhouettes: Vec::with_capacity(evaluated.len()),
+            silhouettes: Vec::new(),
         };
         for (i, (chain, sil)) in evaluated.into_iter().enumerate() {
             sweep.ks.push(i + 1);
             sweep.wcss.push(chain.last.wcss);
-            sweep.silhouettes.push(sil);
+            if scored {
+                sweep.silhouettes.push(sil);
+            }
             if i < self.chains.len() {
                 self.chains[i] = chain;
             } else {
@@ -339,7 +341,8 @@ impl SweepChains {
     }
 }
 
-/// Advance (or start) the chain for one k and score its silhouette.
+/// Advance (or start) the chain for one k and, given a matrix, score its
+/// silhouette.
 fn eval_one(
     data: &Dataset,
     cfg: &ChainConfig,
@@ -574,13 +577,15 @@ mod tests {
     }
 
     /// The elbow method needs the full WCSS chord, so `early_exit` must
-    /// not truncate it.
+    /// not truncate it — and needs nothing else, so it scores no
+    /// silhouette.
     #[test]
     fn elbow_ignores_early_exit() {
         let data = blobs(2, 8);
         let mut chains = SweepChains::new();
         let sel = chains.evaluate(&data, 8, KSelectionMethod::Elbow, &cfg(), None, true);
         assert_eq!(sel.sweep.ks.len(), 8);
+        assert!(sel.sweep.silhouettes.is_empty());
     }
 
     /// Re-aligning chains to a grown feature space (new all-zero columns
@@ -667,7 +672,7 @@ mod tests {
         SweepChains::new().evaluate(
             &data,
             8,
-            KSelectionMethod::Elbow,
+            KSelectionMethod::Silhouette,
             &cfg(),
             Some(&pair),
             false,

@@ -31,7 +31,9 @@ pub struct KSweep {
     pub ks: Vec<usize>,
     /// WCSS per k.
     pub wcss: Vec<f64>,
-    /// Mean silhouette per k (`None` for k = 1).
+    /// Mean silhouette per k (`None` for k = 1) under
+    /// [`KSelectionMethod::Silhouette`]; empty under the elbow, which
+    /// never scores one.
     pub silhouettes: Vec<Option<f64>>,
 }
 

@@ -1,11 +1,11 @@
 //! Incremental analysis cache for streamed series.
 //!
 //! `PhaseDetector::detect_series` is stateless: every call re-deltas the
-//! whole cumulative series, rebuilds features, recomputes the O(n²·d)
-//! pairwise-distance matrix, and reruns the full k sweep. A streaming
-//! consumer (the serve daemon answering report queries between snapshot
-//! pushes) therefore pays O(n²) *per query* — exactly the repeated
-//! analysis the paper's incremental design is meant to avoid.
+//! whole cumulative series, rebuilds features, and refolds the full k
+//! sweep from row one. A streaming consumer (the serve daemon answering
+//! report queries between snapshot pushes) would therefore pay for the
+//! whole session *per query* — exactly the repeated analysis the paper's
+//! incremental design is meant to avoid.
 //!
 //! [`AnalysisCache`] removes the redundancy in three layers, each gated
 //! on a check that preserves **bit-identical** output versus a cold
@@ -17,42 +17,35 @@
 //! 2. **Incremental deltas.** Interval profiles are the per-snapshot
 //!    deltas of a cumulative series; the cache keeps the deltas already
 //!    computed and only subtracts the new suffix.
-//! 3. **Incremental pairwise distances.** The distance matrix grows via
-//!    [`PairwiseDistances::extend`], computing only rows/columns for new
-//!    intervals — *iff* the previously-scaled rows are bit-identical
-//!    under the new scaling. Column-stat scalings
-//!    ([`incprof_cluster::Scaling::MinMax`],
-//!    [`incprof_cluster::Scaling::ZScore`]) shift old rows when new data moves the column
-//!    stats, so the cache verifies the scaled prefix bit-for-bit (with
-//!    feature columns re-aligned through [`FunctionId`]s, since newly
-//!    observed functions insert columns) and falls back to a cold
-//!    rebuild when anything moved. The fallback is counted as a
-//!    `core.cache.invalidations` metric, reuse as `core.cache.pair_extends`.
-//!    The matrix is never checkpointed: it is a pure function of the
-//!    scaled rows, so a cache decoded from a blob rebuilds it from them on
-//!    its first memo miss, ahead of the same prefix check.
-//!
-//! 4. **Incremental k-means chains.** The clustering itself is a
+//! 3. **Incremental k-means chains.** The clustering itself is a
 //!    canonical per-row fold ([`incprof_cluster::incremental`]): cold
 //!    runs fold from row one, warm runs resume the cached
 //!    [`SweepChains`] — the same pure function of the prefix either way,
-//!    so the bits match by construction. Chains survive checkpoints,
-//!    re-align when new feature columns appear (`centroid_remaps` — the
-//!    new columns are verified `+0.0` over the covered prefix as part of
-//!    the prefix check, which makes the re-alignment bit-preserving),
-//!    and are dropped with the pair matrix whenever the prefix moved
-//!    (`centroid_resets`); `centroid_continues` counts analyses that
-//!    actually resumed cached chains.
+//!    so the bits match by construction, *iff* the previously-scaled
+//!    rows are bit-identical under the new scaling. Column-stat scalings
+//!    ([`incprof_cluster::Scaling::MinMax`],
+//!    [`incprof_cluster::Scaling::ZScore`]) shift old rows when new data
+//!    moves the column stats, so before resuming, the cache verifies the
+//!    scaled prefix bit-for-bit (with feature columns re-aligned through
+//!    [`FunctionId`]s, since newly observed functions insert columns).
+//!    When it holds, chains re-align to the new columns
+//!    (`centroid_remaps` — the new columns are verified `+0.0` over the
+//!    covered prefix, which makes the re-alignment bit-preserving); when
+//!    anything moved, they are dropped (`centroid_resets`, counted as a
+//!    `core.cache.invalidations`). `centroid_continues` counts analyses
+//!    that actually resumed cached chains. Chains and scaled rows survive
+//!    checkpoints, so a decoded cache meets exactly this check.
 //!
-//! Whatever the path, clustering and Algorithm 1 run on exactly the same
-//! scaled dataset (always recomputed — O(n·d)) and a distance matrix
-//! whose every entry equals `euclidean(row(i), row(j))` bit-for-bit, so
-//! warm output is byte-identical to cold output. `tests/cache_determinism.rs`
-//! at the workspace root pins this across all five mini-apps under a
-//! streaming push/query interleave.
+//! Nothing of size n² is kept: the elbow needs no pairwise distances,
+//! and silhouette selection builds its matrix inside the sweep on every
+//! call. Whatever the path, clustering and Algorithm 1 run on exactly
+//! the same scaled dataset (always recomputed — O(n·d)), so warm output
+//! is byte-identical to cold output. `tests/cache_determinism.rs` at the
+//! workspace root pins this across all five mini-apps under a streaming
+//! push/query interleave.
 
 use crate::pipeline::{FeatureSet, PhaseAnalysis, PhaseDetector, PipelineError};
-use incprof_cluster::{Dataset, KChain, KMeansResult, PairwiseDistances, SweepChains};
+use incprof_cluster::{Dataset, KChain, KMeansResult, SweepChains};
 use incprof_collect::{IntervalMatrix, SampleSeries};
 use incprof_profile::{FlatProfile, FunctionId};
 
@@ -60,8 +53,8 @@ use incprof_profile::{FlatProfile, FunctionId};
 pub const INVALIDATE_FINGERPRINT: u64 = 1;
 /// Flight-recorder `b` tag: the sample series shrank (session restart).
 pub const INVALIDATE_SHRINK: u64 = 2;
-/// Flight-recorder `b` tag: scaled prefix moved; pairwise matrix rebuilt.
-pub const INVALIDATE_PAIR: u64 = 3;
+/// Flight-recorder `b` tag: scaled prefix moved; cached chains reset.
+pub const INVALIDATE_PREFIX: u64 = 3;
 /// Flight-recorder `b` tag: the snapshot at the cache's coverage frontier
 /// changed identity (retention trimmed the series and it regrew past the
 /// old length — a shift the length-only shrink check cannot see).
@@ -70,10 +63,12 @@ pub const INVALIDATE_TRIM: u64 = 4;
 /// Version byte of the [`AnalysisCache::encode_state`] blob format.
 /// Version 2 added the k-means chain section; version 3 dropped the
 /// pairwise-distance section, which is a pure function of the scaled rows
-/// stored before it. Any other version is rejected cleanly by
-/// [`AnalysisCache::decode_state`] and the caller replays the snapshot
-/// log cold.
-const STATE_VERSION: u8 = 3;
+/// stored before it. Version 4 has version 3's layout, but its memo holds
+/// no silhouettes under elbow selection; a version 3 memo does, and would
+/// answer differently from a cold replay of the same log. Any other
+/// version is rejected cleanly by [`AnalysisCache::decode_state`] and the
+/// caller replays the snapshot log cold.
+const STATE_VERSION: u8 = 4;
 
 /// Memoized result of the last completed analysis.
 #[derive(Debug, Clone)]
@@ -105,18 +100,14 @@ pub struct AnalysisCache {
     /// The cumulative profile the next delta subtracts from.
     prev_cumulative: FlatProfile,
     /// Scaled feature rows from the previous analysis, for prefix
-    /// verification before reusing distance entries.
+    /// verification before resuming `chains`.
     scaled: Option<Dataset>,
     /// Feature-column function ids of the previous analysis, aligned
     /// with `scaled`'s columns (per feature block).
     feature_fns: Vec<FunctionId>,
-    /// The incrementally grown pairwise-distance matrix. Not part of the
-    /// checkpoint blob; empty after a decode until the first memo miss.
-    pair: PairwiseDistances,
     /// Converged k-means chain state per k, resumed by warm analyses
-    /// (layer 4 of the module docs). Reset together with the pair
-    /// matrix: both are valid exactly while the scaled prefix is
-    /// bit-stable.
+    /// (layer 3 of the module docs); valid exactly while the scaled
+    /// prefix is bit-stable.
     chains: SweepChains,
     /// This instance's memo hits (the global `core.cache.memo_hits`
     /// counter aggregates across sessions; per-session gauges need the
@@ -136,10 +127,7 @@ pub struct AnalysisCache {
 impl AnalysisCache {
     /// Fresh, empty cache.
     pub fn new() -> AnalysisCache {
-        AnalysisCache {
-            pair: PairwiseDistances::empty(),
-            ..Default::default()
-        }
+        AnalysisCache::default()
     }
 
     /// Analyze `series` with `detector`, reusing cached work from
@@ -200,13 +188,11 @@ impl AnalysisCache {
         let raw = Dataset::from_rows(detector.build_features(&matrix));
         let data = detector.scaling.apply(&raw);
 
-        self.update_pair(detector, &matrix, &data);
-
+        self.align_chains(detector, &matrix, &data);
         if !self.chains.is_empty() {
             incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_CONTINUES).inc();
         }
-        let analysis =
-            detector.detect_scaled(&matrix, &data, Some(&self.pair), Some(&mut self.chains))?;
+        let analysis = detector.detect_scaled(&matrix, &data, Some(&mut self.chains))?;
 
         self.scaled = Some(data);
         self.feature_fns = matrix.functions().to_vec();
@@ -357,8 +343,7 @@ impl AnalysisCache {
         let scaled = if flags & 2 != 0 {
             let rows = r.u32()? as usize;
             let cols = r.u32()? as usize;
-            // One scaled row per covered interval at most; this also bounds
-            // the matrix `update_pair` rebuilds from these rows.
+            // One scaled row per covered interval at most.
             if rows > n_intervals {
                 return None;
             }
@@ -394,10 +379,11 @@ impl AnalysisCache {
             let total_iterations = r.u64()?;
             let wcss = f64::from_bits(r.u64()?);
             let ncols = r.u32()? as usize;
-            // Chains cluster the scaled rows; their centroid width must
-            // match or the whole blob is inconsistent.
+            // Chains cluster the scaled rows: their centroid width must
+            // match, and they cover no row the prefix check cannot verify,
+            // or the whole blob is inconsistent.
             match &scaled {
-                Some(s) if s.ncols() == ncols => {}
+                Some(s) if s.ncols() == ncols && covered <= s.nrows() => {}
                 _ => return None,
             }
             let vals = r.f64_vec(k.checked_mul(ncols)?)?;
@@ -468,7 +454,6 @@ impl AnalysisCache {
             prev_cumulative,
             scaled,
             feature_fns,
-            pair: PairwiseDistances::empty(),
             chains: SweepChains { chains },
             memo_hits: 0,
             memo_misses: 0,
@@ -525,61 +510,40 @@ impl AnalysisCache {
         Ok(())
     }
 
-    /// Grow (or rebuild) the pairwise matrix to cover `data`'s rows.
-    ///
-    /// Extension is sound only when the first `pair.n()` rows of `data`
-    /// are bit-identical to the rows the matrix was computed from, which
-    /// [`AnalysisCache::prefix_rows_unchanged`] verifies through the
-    /// feature-column function ids. Otherwise a cold rebuild runs.
-    fn update_pair(&mut self, detector: &PhaseDetector, matrix: &IntervalMatrix, data: &Dataset) {
-        // An empty matrix beside scaled rows is a decoded checkpoint (the
-        // blob carries the rows, not the matrix). Rebuild it first, so the
-        // cached chains meet the same prefix check as in a live session.
-        if self.pair.n() == 0 {
-            if let Some(old) = &self.scaled {
-                self.pair = PairwiseDistances::euclidean_of(old);
-            }
+    /// Carry the cached chains over to `data`, the new scaled rows: keep
+    /// them (re-aligned to any new feature columns) when
+    /// [`AnalysisCache::prefix_col_map`] proves the rows they were folded
+    /// over unchanged, drop them when it fails. A decoded checkpoint
+    /// meets the same check as a live session.
+    fn align_chains(&mut self, detector: &PhaseDetector, matrix: &IntervalMatrix, data: &Dataset) {
+        if self.chains.is_empty() {
+            return;
         }
-        let old_n = self.pair.n();
-        let col_map = self.prefix_col_map(detector, matrix, data);
-        let reusable = old_n == 0 || (old_n <= data.nrows() && col_map.is_some());
-        if reusable {
-            if old_n > 0 && data.nrows() > old_n {
-                incprof_obs::counter(incprof_obs::names::CORE_CACHE_PAIR_EXTENDS).inc();
-            }
-            self.pair.extend(data);
-            if !self.chains.is_empty() {
-                if let Some(map) = &col_map {
-                    let d_old = self.feature_fns.len();
-                    let d_new = matrix.n_functions();
-                    if d_new > d_old {
-                        // The prefix check proved the old columns kept
-                        // their bits and the inserted columns are exactly
-                        // +0.0 over the covered prefix, so re-aligning
-                        // the cached centroids is bit-preserving (see
-                        // `SweepChains::remap_columns`). Expand the
-                        // per-function map over the feature blocks.
-                        let blocks = feature_blocks(detector);
-                        let full: Vec<usize> = (0..blocks)
-                            .flat_map(|b| map.iter().map(move |&c| b * d_new + c))
-                            .collect();
-                        self.chains.remap_columns(&full, d_new * blocks);
-                        incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_REMAPS).inc();
-                    }
-                }
-            }
-        } else {
+        let Some(map) = self.prefix_col_map(detector, matrix, data) else {
             incprof_obs::counter(incprof_obs::names::CORE_CACHE_INVALIDATIONS).inc();
             incprof_obs::recorder().record(
                 incprof_obs::EventKind::CacheInvalidation,
-                old_n as u64,
-                INVALIDATE_PAIR,
+                self.scaled.as_ref().map_or(0, Dataset::nrows) as u64,
+                INVALIDATE_PREFIX,
             );
-            self.pair = PairwiseDistances::euclidean_of(data);
-            if !self.chains.is_empty() {
-                self.chains.clear();
-                incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_RESETS).inc();
-            }
+            self.chains.clear();
+            incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_RESETS).inc();
+            return;
+        };
+        let d_old = self.feature_fns.len();
+        let d_new = matrix.n_functions();
+        if d_new > d_old {
+            // The prefix check proved the old columns kept their bits and
+            // the inserted columns are exactly +0.0 over the covered
+            // prefix, so re-aligning the cached centroids is
+            // bit-preserving (see `SweepChains::remap_columns`). Expand
+            // the per-function map over the feature blocks.
+            let blocks = feature_blocks(detector);
+            let full: Vec<usize> = (0..blocks)
+                .flat_map(|b| map.iter().map(move |&c| b * d_new + c))
+                .collect();
+            self.chains.remap_columns(&full, d_new * blocks);
+            incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_REMAPS).inc();
         }
     }
 
@@ -588,8 +552,7 @@ impl AnalysisCache {
     /// (new functions insert columns; an old row's new entries there
     /// must be exactly `+0.0`, which leaves Euclidean sums bit-stable).
     /// Returns the old-to-new per-function column map on success, `None`
-    /// when anything moved and the distance/chain state must rebuild
-    /// cold.
+    /// when anything moved and the chains must refold cold.
     fn prefix_col_map(
         &self,
         detector: &PhaseDetector,
@@ -597,7 +560,7 @@ impl AnalysisCache {
         data: &Dataset,
     ) -> Option<Vec<usize>> {
         let old = self.scaled.as_ref()?;
-        if old.nrows() != self.pair.n() || old.nrows() > data.nrows() {
+        if old.nrows() > data.nrows() {
             return None;
         }
         // Old feature column t maps to new column col_map[t].
@@ -784,7 +747,6 @@ mod tests {
         assert_eq!(back.covered(), None);
         assert_eq!(back.covered_len(), 0);
         assert!(back.memo.is_none());
-        assert_eq!(back.pair.n(), 0);
     }
 
     #[test]
@@ -836,19 +798,17 @@ mod tests {
     }
 
     #[test]
-    fn rebuilt_matrix_goes_through_the_prefix_check() {
+    fn decoded_chains_go_through_the_prefix_check() {
         // Under MinMax every snapshot of `series` raises the column
-        // maxima, so the scaled prefix moves on each push. A decoded
-        // cache has chains but no matrix; the matrix must be rebuilt
-        // *before* the prefix check so the moved prefix drops those
-        // chains, exactly as in a session that never restarted.
+        // maxima, so the scaled prefix moves on each push. The decoded
+        // chains must meet the prefix check, and the moved prefix must
+        // drop them, exactly as in a session that never restarted.
         let detector = PhaseDetector {
             scaling: incprof_cluster::Scaling::MinMax,
             ..PhaseDetector::default()
         };
         let blob = cache_after(&detector, 8).encode_state();
         let mut rehydrated = AnalysisCache::decode_state(&blob).expect("decodes");
-        assert_eq!(rehydrated.pair.n(), 0, "the blob carries no matrix");
         assert!(!rehydrated.chains.is_empty());
 
         let resets = incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_RESETS);

@@ -7,8 +7,8 @@
 use crate::algorithm1::{identify_instrumentation, Algorithm1Config, ClusterIntervals};
 use crate::types::Phase;
 use incprof_cluster::{
-    dbscan, ChainConfig, Dataset, DbscanParams, KMeansConfig, KSelectionMethod, PairwiseDistances,
-    Scaling, SweepChains,
+    dbscan, ChainConfig, Dataset, DbscanParams, KMeansConfig, KSelectionMethod, Scaling,
+    SweepChains,
 };
 use incprof_collect::{IntervalMatrix, SampleSeries};
 use incprof_profile::{FunctionTable, ProfileError};
@@ -148,7 +148,8 @@ pub struct PhaseAnalysis {
     pub phases: Vec<Phase>,
     /// WCSS per swept k (k-means only; empty for DBSCAN).
     pub wcss_sweep: Vec<f64>,
-    /// Mean silhouette per swept k (k-means only).
+    /// Mean silhouette per swept k (k-means with silhouette selection
+    /// only; empty for the elbow and for DBSCAN).
     pub silhouette_sweep: Vec<Option<f64>>,
 }
 
@@ -248,25 +249,24 @@ impl PhaseDetector {
         let data = self.scaling.apply(&raw);
         drop(features_span);
 
-        self.detect_scaled(matrix, &data, None, None)
+        self.detect_scaled(matrix, &data, None)
     }
 
     /// Cluster already-scaled feature rows `data` (as produced by
     /// [`PhaseDetector::build_features`] + [`Scaling::apply`] over
-    /// `matrix`), optionally consuming a precomputed pairwise-distance
-    /// matrix and persistent k-means chains. This is the entry point
-    /// [`crate::cache::AnalysisCache`] uses to reuse distance and
-    /// clustering work across streamed queries; with `pair = None` and
-    /// `chains = None` it is exactly the tail of
-    /// [`PhaseDetector::detect`] — the clustering is the same canonical
-    /// fold either way ([`incprof_cluster::incremental`]), `chains`
-    /// merely resumes it from cached state instead of replaying from row
-    /// one.
+    /// `matrix`), optionally resuming persistent k-means chains. This is
+    /// the entry point [`crate::cache::AnalysisCache`] uses to reuse
+    /// clustering work across streamed queries; with `chains = None` it
+    /// is exactly the tail of [`PhaseDetector::detect`] — the clustering
+    /// is the same canonical fold either way
+    /// ([`incprof_cluster::incremental`]), `chains` merely resumes it
+    /// from cached state instead of replaying from row one. Silhouette
+    /// selection builds its pairwise-distance matrix inside the sweep on
+    /// every call; the elbow builds none.
     pub(crate) fn detect_scaled(
         &self,
         matrix: &IntervalMatrix,
         data: &Dataset,
-        pair: Option<&PairwiseDistances>,
         chains: Option<&mut SweepChains>,
     ) -> Result<PhaseAnalysis, PipelineError> {
         if matrix.n_intervals() == 0 {
@@ -283,7 +283,7 @@ impl PhaseDetector {
                 let mut fresh = SweepChains::new();
                 let chains = chains.unwrap_or(&mut fresh);
                 let sel =
-                    chains.evaluate(data, *k_max, *selection, &cfg, pair, self.sweep_early_exit);
+                    chains.evaluate(data, *k_max, *selection, &cfg, None, self.sweep_early_exit);
                 (
                     sel.result.assignments.clone(),
                     sel.result.centroids.clone(),
@@ -514,6 +514,10 @@ mod tests {
         let matrix = planted_two_phase_matrix();
         let analysis = PhaseDetector::new().detect(&matrix).unwrap();
         assert_eq!(analysis.k, 2);
+        // The elbow reads WCSS over k = 1..8 and nothing else: no
+        // silhouette is scored, so that column stays empty.
+        assert_eq!(analysis.wcss_sweep.len(), 8);
+        assert!(analysis.silhouette_sweep.is_empty());
         // One phase of 10 intervals, one of 20.
         let mut sizes: Vec<usize> = analysis.phases.iter().map(|p| p.intervals.len()).collect();
         sizes.sort_unstable();
@@ -684,6 +688,7 @@ mod tests {
         let analysis = det.detect(&matrix).unwrap();
         assert_eq!(analysis.k, 2);
         assert!(analysis.silhouette_sweep.iter().flatten().count() > 0);
+        assert_eq!(analysis.silhouette_sweep.len(), analysis.wcss_sweep.len());
     }
 
     #[test]

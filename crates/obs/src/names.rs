@@ -52,7 +52,8 @@ pub const COLLECT_TICKS_MISSED: &str = "collect.collector.ticks_missed";
 
 /// Span: one full k-selection sweep.
 pub const CLUSTER_SELECT_K_SWEEP: &str = "cluster.select_k.sweep";
-/// Span: the shared pairwise-distance matrix build inside a sweep.
+/// Span: the pairwise-distance matrix build inside a silhouette-selection
+/// sweep (the elbow builds none).
 pub const CLUSTER_SELECT_K_PAIRWISE: &str = "cluster.select_k.pairwise";
 /// Histogram: final-iteration centroid movement, in picounits (×1e12).
 pub const CLUSTER_KMEANS_CONVERGENCE_DELTA_E12: &str = "cluster.kmeans.convergence_delta_e12";
@@ -113,7 +114,9 @@ pub const CORE_CACHE_ANALYZE: &str = "core.cache.analyze";
 pub const CORE_CACHE_HITS: &str = "core.cache.memo_hits";
 /// Counter: queries that had to (re)run some part of the pipeline.
 pub const CORE_CACHE_MISSES: &str = "core.cache.memo_misses";
-/// Counter: pairwise matrices grown incrementally instead of rebuilt.
+/// Counter: registered but never incremented — the cache keeps no
+/// pairwise-distance matrix to grow. It stays only because perfbench's
+/// `core.cache_pair_extends` reads it; it goes when perfbench drops that.
 pub const CORE_CACHE_PAIR_EXTENDS: &str = "core.cache.pair_extends";
 /// Counter: cached state discarded (config change, series reset, or
 /// scaled rows shifted under a column-stat rescale).
@@ -121,8 +124,8 @@ pub const CORE_CACHE_INVALIDATIONS: &str = "core.cache.invalidations";
 /// Counter: analyses that warm-started the k-means sweep from cached
 /// converged centroid chains instead of refolding from scratch.
 pub const CORE_CACHE_CENTROID_CONTINUES: &str = "core.cache.centroid_continues";
-/// Counter: cached centroid chains discarded (config change, series
-/// reset, or a scaled-prefix drift that also rebuilt the pair matrix).
+/// Counter: cached centroid chains discarded because the scaled prefix
+/// they were folded over moved (a column-stat rescale).
 pub const CORE_CACHE_CENTROID_RESETS: &str = "core.cache.centroid_resets";
 /// Counter: centroid chains re-aligned to a grown feature space (new
 /// functions insert zero columns; bit-preserving, so no refold).

@@ -12,6 +12,8 @@
 #                               # merged scrape (SMOKE_DIR as above)
 #   scripts/check.sh docs-links # only the docs checks: README ↔ docs/ links,
 #                               # every `--bin <name>` a doc quotes exists,
+#                               # every metric a doc's metric table names
+#                               # is registered in crates/obs/src/names.rs,
 #                               # no doc says `cargo bench`
 #   scripts/check.sh sca        # only the static-analysis gate: incprof
 #                               # sca over the workspace (graph rules +
@@ -30,7 +32,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 docs_links() {
-    echo "==> docs links (every docs/*.md linked from README, every link and quoted --bin resolves)"
+    echo "==> docs links (every docs/*.md linked from README, every link, quoted --bin and tabled metric resolves)"
     local fail=0
     for doc in docs/*.md; do
         grep -qF "$doc" README.md \
@@ -46,6 +48,29 @@ docs_links() {
         compgen -G "crates/*/src/bin/$bin.rs" >/dev/null \
             || { echo "docs-links: --bin $bin: no crates/*/src/bin/$bin.rs"; fail=1; }
     done
+    # Every metric a doc's metric table names (`| `name` | counter |`) is
+    # registered: a string literal in crates/obs/src/names.rs. A `<k>`
+    # suffix matches as a prefix; "`a.b.c` / `.d`" names a.b.d too.
+    local line doc col first metric pat
+    while IFS= read -r line; do
+        doc="${line%%:*}"
+        col="${line#*:| }"
+        col="${col%% | *}"
+        first=""
+        for metric in $(grep -o '`[^`]*`' <<<"$col" | tr -d '`'); do
+            if [ -z "$first" ]; then
+                first="$metric"
+            else
+                metric="${first%.*}$metric"
+            fi
+            case "$metric" in
+                *'<k>') pat="\"${metric%<k>}" ;;
+                *) pat="\"$metric\"" ;;
+            esac
+            grep -qF "$pat" crates/obs/src/names.rs \
+                || { echo "docs-links: $doc: metric $metric is not in crates/obs/src/names.rs"; fail=1; }
+        done
+    done < <(grep -HE '^\| `[^`]+`( / `[^`]+`)* \| (counter|gauge|histogram) \|' README.md docs/*.md)
     # The workspace has no bench targets: perfbench/ is the one thing that
     # times code. The three exempt files are history and plans.
     for doc in $(git ls-files '*.md' | grep -vxE 'CHANGES\.md|ROADMAP\.md|ISSUE\.md'); do

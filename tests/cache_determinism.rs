@@ -1,16 +1,16 @@
 //! The incremental-analysis determinism contract: warm (cached) results
 //! must be **byte-identical** to cold `PhaseDetector` output.
 //!
-//! `AnalysisCache` reuses interval deltas and pairwise-distance entries
-//! across streamed queries; its entire correctness argument is that
-//! every reused number is bit-for-bit the one a cold run would have
-//! computed. These tests pin that over the paper's five applications
-//! under a streaming push/query interleave — at every prefix of every
-//! series, the cached analysis JSON is compared byte-wise against a
-//! fresh `detect_series` (no tolerance, no reparse), including the
-//! memoized second query, scaled-feature configurations that force the
-//! invalidation path, config changes mid-stream, and the serve-session
-//! wiring with the cache on and off.
+//! `AnalysisCache` reuses interval deltas and k-means chains across
+//! streamed queries; its entire correctness argument is that every
+//! reused number is bit-for-bit the one a cold run would have computed.
+//! These tests pin that over the paper's five applications under a
+//! streaming push/query interleave — at every prefix of every series,
+//! the cached analysis JSON is compared byte-wise against a fresh
+//! `detect_series` (no tolerance, no reparse), including the memoized
+//! second query, scaled-feature configurations that force the
+//! invalidation path, silhouette selection, config changes mid-stream,
+//! and the serve-session wiring with the cache on and off.
 
 use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::{AnalysisCache, FeatureSet, PhaseDetector};
@@ -84,21 +84,35 @@ fn warm_analysis_is_byte_identical_under_column_stat_scalings() {
     // MinMax and ZScore scale by *column* statistics, which shift as new
     // intervals arrive — the configurations that exercise the cache's
     // rescale-invalidation fallback. RowFraction is row-local (rows are
-    // stable up to new zero columns) and rides the extend path; the
-    // wider feature sets change the block layout the prefix check must
-    // re-align.
-    use incprof_suite::cluster::Scaling;
+    // stable up to new zero columns) and keeps its chains; the wider
+    // feature sets change the block layout the prefix check must
+    // re-align. Silhouette selection is the one method that scores
+    // silhouettes, on a matrix its sweep builds per call; None is the
+    // daemon's default scaling.
+    use incprof_suite::cluster::{KSelectionMethod, Scaling};
+    use incprof_suite::core::ClusteringMethod;
     let runs = profiled_runs();
     let (app, series, _) = &runs[2]; // MiniAMR: the longest series.
-    for scaling in [Scaling::MinMax, Scaling::ZScore, Scaling::RowFraction] {
-        for features in [FeatureSet::SelfTime, FeatureSet::SelfTimeAndCalls] {
-            let detector = PhaseDetector {
-                scaling,
-                features,
-                ..PhaseDetector::default()
-            };
-            let mut cache = AnalysisCache::new();
-            assert_warm_equals_cold(app, &detector, &mut cache, series);
+    for selection in [KSelectionMethod::Elbow, KSelectionMethod::Silhouette] {
+        for scaling in [
+            Scaling::None,
+            Scaling::MinMax,
+            Scaling::ZScore,
+            Scaling::RowFraction,
+        ] {
+            for features in [FeatureSet::SelfTime, FeatureSet::SelfTimeAndCalls] {
+                let detector = PhaseDetector {
+                    clustering: ClusteringMethod::KMeans {
+                        k_max: 8,
+                        selection,
+                    },
+                    scaling,
+                    features,
+                    ..PhaseDetector::default()
+                };
+                let mut cache = AnalysisCache::new();
+                assert_warm_equals_cold(app, &detector, &mut cache, series);
+            }
         }
     }
 }
@@ -136,7 +150,7 @@ fn chain_catchup_over_skipped_pushes_is_byte_identical() {
 
 #[test]
 fn checkpoint_roundtrip_mid_stream_preserves_warm_byte_identity() {
-    // Encode the cache (pair matrix + k-means chains + memo) halfway
+    // Encode the cache (scaled rows + k-means chains + memo) halfway
     // through a stream, decode it into a fresh instance — as the serve
     // rehydration path does — and finish the stream on the decoded
     // cache. Every post-restore answer must still be byte-identical to
@@ -173,9 +187,10 @@ fn checkpoint_roundtrip_mid_stream_preserves_warm_byte_identity() {
 #[test]
 fn stale_version_checkpoint_is_rejected_not_misparsed() {
     // The chain section bumped the blob format to v2, dropping the pair
-    // section to v3. A v1 or v2 blob (or any other version byte) must be
-    // refused outright — the caller then replays the snapshot log cold —
-    // never field-shifted into garbage.
+    // section to v3, and a memo without elbow silhouettes to v4. A v1,
+    // v2 or v3 blob (or any other version byte) must be refused outright
+    // — the caller then replays the snapshot log cold — never
+    // field-shifted into garbage or served as a stale memo.
     let detector = PhaseDetector::default();
     let runs = profiled_runs();
     let (_, series, _) = &runs[1];
@@ -184,7 +199,7 @@ fn stale_version_checkpoint_is_rejected_not_misparsed() {
     let mut blob = cache.encode_state();
     assert!(AnalysisCache::decode_state(&blob).is_some());
     let current = blob[0];
-    for version in [0u8, 1, 2, current + 1, 0xFF] {
+    for version in [0u8, 1, 2, 3, current + 1, 0xFF] {
         blob[0] = version;
         assert!(
             AnalysisCache::decode_state(&blob).is_none(),

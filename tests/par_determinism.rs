@@ -5,8 +5,8 @@
 //! order never depend on the worker count. This test drives the promise
 //! end-to-end: profile each of the paper's five applications once
 //! (virtual clock — the collected series itself is deterministic), then
-//! run the full detection pipeline (feature build → k sweep → elbow →
-//! Algorithm 1) at 1, 2, and 8 workers and require exact equality of
+//! run the full detection pipeline (feature build → k sweep → elbow or
+//! silhouette → Algorithm 1) at 1, 2, and 8 workers and require exact equality of
 //! every output — assignments, phases, and the raw f64 WCSS / silhouette
 //! sweeps (compared bitwise, not within a tolerance).
 
@@ -82,19 +82,32 @@ fn assert_bit_identical(app: &str, threads: usize, base: &PhaseAnalysis, got: &P
 
 #[test]
 fn clustering_is_bit_identical_across_thread_counts() {
-    let detector = PhaseDetector::new();
-    for (app, series) in profiled_series() {
-        incprof_suite::par::set_threads(1);
-        let base = detector
-            .detect_series(&series)
-            .unwrap_or_else(|e| panic!("{app}: {e}"));
-        assert!(base.k >= 1, "{app}: no phases detected");
-        for threads in [2usize, 8] {
-            incprof_suite::par::set_threads(threads);
-            let got = detector.detect_series(&series).unwrap();
-            assert_bit_identical(app, threads, &base, &got);
+    // The default (elbow) detector scores no silhouette; the silhouette
+    // detector is the one that pins the parallel silhouette sums.
+    use incprof_suite::cluster::KSelectionMethod;
+    use incprof_suite::core::ClusteringMethod;
+    let silhouette = PhaseDetector {
+        clustering: ClusteringMethod::KMeans {
+            k_max: 8,
+            selection: KSelectionMethod::Silhouette,
+        },
+        ..PhaseDetector::default()
+    };
+    let all = profiled_series();
+    for detector in [PhaseDetector::new(), silhouette] {
+        for (app, series) in &all {
+            incprof_suite::par::set_threads(1);
+            let base = detector
+                .detect_series(series)
+                .unwrap_or_else(|e| panic!("{app}: {e}"));
+            assert!(base.k >= 1, "{app}: no phases detected");
+            for threads in [2usize, 8] {
+                incprof_suite::par::set_threads(threads);
+                let got = detector.detect_series(series).unwrap();
+                assert_bit_identical(app, threads, &base, &got);
+            }
+            incprof_suite::par::set_threads(0);
         }
-        incprof_suite::par::set_threads(0);
     }
 }
 
