@@ -40,9 +40,9 @@
 //! and silhouette selection builds its matrix inside the sweep on every
 //! call. Whatever the path, clustering and Algorithm 1 run on exactly
 //! the same scaled dataset (always recomputed — O(n·d)), so warm output
-//! is byte-identical to cold output. `tests/cache_determinism.rs` at the
-//! workspace root pins this across all five mini-apps under a streaming
-//! push/query interleave.
+//! is byte-identical to cold output. The `Cache*` arms of
+//! `tests/equivalence.rs` at the workspace root pin this across all five
+//! mini-apps under a streaming push/query interleave.
 
 use crate::pipeline::{FeatureSet, PhaseAnalysis, PhaseDetector, PipelineError};
 use incprof_cluster::{Dataset, KChain, KMeansResult, SweepChains};

@@ -47,9 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod clock;
-pub mod linecov;
 pub mod profiler;
 
 pub use clock::Clock;
-pub use linecov::{LineCounter, LineCoverage, LineId, LineSnapshot};
 pub use profiler::{ProfilerRuntime, ScopeGuard};

@@ -383,7 +383,7 @@ impl Session {
             ("null".to_string(), "[]".to_string())
         } else {
             // The cache path returns byte-identical analyses (pinned by
-            // tests/cache_determinism.rs) while doing O(new data) work
+            // tests/equivalence.rs) while doing O(new data) work
             // per query instead of O(n²) for the whole series.
             let analysis = match self.cache.as_mut() {
                 Some(cache) => cache.analyze(detector, &self.series),

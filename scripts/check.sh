@@ -11,7 +11,9 @@
 #                               # 2 spawned backends, kill -9 failover,
 #                               # merged scrape (SMOKE_DIR as above)
 #   scripts/check.sh docs-links # only the docs checks: README ↔ docs/ links,
-#                               # every `--bin <name>` a doc quotes exists,
+#                               # every `--bin <name>` and source path
+#                               # (tests/, crates/, examples/, scripts/)
+#                               # a doc quotes exists,
 #                               # every metric a doc's metric table names
 #                               # is registered in crates/obs/src/names.rs,
 #                               # no doc says `cargo bench`
@@ -32,7 +34,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 docs_links() {
-    echo "==> docs links (every docs/*.md linked from README, every link, quoted --bin and tabled metric resolves)"
+    echo "==> docs links (every docs/*.md linked from README, every link, quoted --bin, source path and tabled metric resolves)"
     local fail=0
     for doc in docs/*.md; do
         grep -qF "$doc" README.md \
@@ -48,10 +50,17 @@ docs_links() {
         compgen -G "crates/*/src/bin/$bin.rs" >/dev/null \
             || { echo "docs-links: --bin $bin: no crates/*/src/bin/$bin.rs"; fail=1; }
     done
+    # Every source file a doc quotes in backticks exists.
+    local doc ref
+    while IFS=: read -r doc ref; do
+        [ -f "${ref#\`}" ] \
+            || { echo "docs-links: $doc quotes ${ref#\`}, which does not exist"; fail=1; }
+    done < <(grep -oHE '`(tests/[A-Za-z0-9_]+\.rs|crates/[A-Za-z0-9_/-]+\.rs|examples/[A-Za-z0-9_]+\.rs|scripts/[A-Za-z0-9_-]+\.sh)' \
+                 README.md DESIGN.md EXPERIMENTS.md docs/*.md | sort -u)
     # Every metric a doc's metric table names (`| `name` | counter |`) is
     # registered: a string literal in crates/obs/src/names.rs. A `<k>`
     # suffix matches as a prefix; "`a.b.c` / `.d`" names a.b.d too.
-    local line doc col first metric pat
+    local line col first metric pat
     while IFS= read -r line; do
         doc="${line%%:*}"
         col="${line#*:| }"

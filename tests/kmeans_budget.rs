@@ -12,9 +12,10 @@
 //! The counters are process-global and `cargo test` runs a binary's
 //! tests concurrently, so this file holds exactly one `#[test]`.
 
+mod common;
+
 use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::PhaseDetector;
-use incprof_suite::hpc_apps::{gadget2, graph500, lammps, miniamr, minife, HeartbeatPlan, RunMode};
 use incprof_suite::obs::{counter, names};
 
 /// Maximum average Lloyd iterations per analysis summed over k = 7 and
@@ -28,51 +29,17 @@ fn k78_iterations() -> u64 {
 
 #[test]
 fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
-    let plan = HeartbeatPlan::none();
-    let mode = RunMode::virtual_1s();
-    let runs: [(&str, SampleSeries); 5] = [
-        (
-            "Graph500",
-            graph500::run(&graph500::Graph500Config::tiny(), mode, &plan)
-                .rank0
-                .series,
-        ),
-        (
-            "MiniFE",
-            minife::run(&minife::MiniFeConfig::tiny(), mode, &plan)
-                .rank0
-                .series,
-        ),
-        (
-            "MiniAMR",
-            miniamr::run(&miniamr::MiniAmrConfig::tiny(), mode, &plan)
-                .rank0
-                .series,
-        ),
-        (
-            "LAMMPS",
-            lammps::run(&lammps::LammpsConfig::tiny(), mode, &plan)
-                .rank0
-                .series,
-        ),
-        (
-            "Gadget2",
-            gadget2::run(&gadget2::Gadget2Config::tiny(), mode, &plan)
-                .rank0
-                .series,
-        ),
-    ];
-
+    let apps = common::apps();
     let detector = PhaseDetector::default();
     let before = k78_iterations();
     let mut analyses = 0u64;
-    for (app, series) in &runs {
+    for app in apps {
         let mut prefix = SampleSeries::new();
-        for snap in series.snapshots() {
+        for snap in app.series.snapshots() {
             prefix.push(snap.clone());
             detector
                 .detect_series(&prefix)
-                .unwrap_or_else(|e| panic!("{app}[..{}]: {e}", prefix.len()));
+                .unwrap_or_else(|e| panic!("{}[..{}]: {e}", app.name, prefix.len()));
             analyses += 1;
         }
     }
