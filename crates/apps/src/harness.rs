@@ -226,9 +226,9 @@ pub struct AppOutput {
     /// Rank 0's collected data (the paper analyzes one representative
     /// rank of the symmetric job).
     pub rank0: RankData,
-    /// Every rank's final cumulative flat profile, in rank order — the
-    /// input to the paper's cross-rank "aggregate descriptive
-    /// statistics" (see `incprof_collect::aggregate`).
+    /// Every rank's final cumulative flat profile, in rank order (rank 0
+    /// stands for the whole symmetric job; the others let tests check
+    /// that symmetry).
     pub rank_profiles: Vec<incprof_profile::FlatProfile>,
     /// A scalar application result (checksum / energy / residual) for
     /// correctness assertions — phases must come from *real* computation.

@@ -49,6 +49,3 @@ pub mod synth;
 
 pub use harness::{AppOutput, RankContext, RankData, RunMode};
 pub use plan::HeartbeatPlan;
-
-/// The application names, as used in experiment harnesses and Table I.
-pub const APP_NAMES: [&str; 5] = ["Graph500", "MiniFE", "MiniAMR", "LAMMPS", "Gadget2"];

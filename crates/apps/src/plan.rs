@@ -11,7 +11,7 @@ use appekg::{AppEkg, HeartbeatGuard, HeartbeatId};
 use incprof_core::report::ManualSite;
 use incprof_core::types::InstrumentationType;
 use incprof_core::PhaseAnalysis;
-use incprof_profile::{FunctionId, FunctionTable};
+use incprof_profile::FunctionTable;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A set of heartbeat instrumentation sites keyed by function name.
@@ -24,17 +24,6 @@ impl HeartbeatPlan {
     /// The empty plan: no heartbeats (profiling-only runs and baselines).
     pub fn none() -> HeartbeatPlan {
         Self::default()
-    }
-
-    /// Build a plan from explicit ⟨name, type⟩ pairs.
-    pub fn from_sites<'a>(
-        sites: impl IntoIterator<Item = (&'a str, InstrumentationType)>,
-    ) -> HeartbeatPlan {
-        let mut plan = HeartbeatPlan::default();
-        for (name, t) in sites {
-            plan.add(name, t);
-        }
-        plan
     }
 
     /// Build a plan from the paper's manual site lists.
@@ -167,13 +156,6 @@ pub fn discovered_sites(
     out
 }
 
-/// Suppress unused warnings for FunctionId re-export used by downstream
-/// test helpers.
-#[doc(hidden)]
-pub fn _id(id: FunctionId) -> u32 {
-    id.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,10 +163,10 @@ mod tests {
 
     #[test]
     fn build_and_query_plan() {
-        let plan = HeartbeatPlan::from_sites([
-            ("run_bfs", InstrumentationType::Body),
-            ("run_bfs", InstrumentationType::Loop),
-            ("validate_bfs_result", InstrumentationType::Loop),
+        let plan = HeartbeatPlan::from_manual(&[
+            ManualSite::new("run_bfs", InstrumentationType::Body),
+            ManualSite::new("run_bfs", InstrumentationType::Loop),
+            ManualSite::new("validate_bfs_result", InstrumentationType::Loop),
         ]);
         assert_eq!(plan.len(), 3);
         assert!(plan.contains("run_bfs", InstrumentationType::Body));
@@ -202,9 +184,9 @@ mod tests {
     #[test]
     fn resolve_registers_distinct_ids() {
         let ekg = AppEkg::new(Clock::virtual_clock(), 1_000);
-        let plan = HeartbeatPlan::from_sites([
-            ("f", InstrumentationType::Body),
-            ("f", InstrumentationType::Loop),
+        let plan = HeartbeatPlan::from_manual(&[
+            ManualSite::new("f", InstrumentationType::Body),
+            ManualSite::new("f", InstrumentationType::Loop),
         ]);
         let resolved = plan.resolve(&ekg);
         let b = resolved.body("f").unwrap();
@@ -218,7 +200,7 @@ mod tests {
     fn scopes_record_only_planned_sites() {
         let clock = Clock::virtual_clock();
         let ekg = AppEkg::new(clock.clone(), 1_000);
-        let plan = HeartbeatPlan::from_sites([("a", InstrumentationType::Body)]);
+        let plan = HeartbeatPlan::from_manual(&[ManualSite::new("a", InstrumentationType::Body)]);
         let resolved = plan.resolve(&ekg);
         {
             let _g = resolved.body_scope(&ekg, "a");

@@ -102,7 +102,7 @@ static COMMANDS: &[Spec] = &[
         cmd: "lint",
         positionals: "[root]",
         flags: &[
-            flag("--json", ""),
+            flag("--json", "path"),
             flag("-D|--deny-warnings", ""),
             flag("--allow", "RULE"),
             flag("--warn", "RULE"),
@@ -110,12 +110,6 @@ static COMMANDS: &[Spec] = &[
             flag("--list-rules", ""),
         ],
         run: lint_cmd,
-    },
-    Spec {
-        cmd: "sca",
-        positionals: "[root]",
-        flags: &[flag("--json", "path"), flag("-D|--deny-warnings", "")],
-        run: sca_cmd,
     },
     Spec {
         cmd: "callgraph",
@@ -245,8 +239,8 @@ pub enum CliError {
     Json(serde_json::Error),
     /// Profile-data or pipeline failure.
     Pipeline(String),
-    /// `incprof lint` found violations; the payload is the rendered
-    /// report (already formatted for the terminal or as JSON).
+    /// `incprof lint` found violations; the payload is the human report,
+    /// or the summary line when the report went to `--json <path>`.
     Lint(String),
 }
 
@@ -511,7 +505,7 @@ pub fn demo(out_path: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// The workspace root `lint`, `sca`, `callgraph` and `serve` analyze:
+/// The workspace root `lint`, `callgraph` and `serve` analyze:
 /// the explicit `[root]` positional, else discovered upward from the
 /// current directory.
 fn workspace_root(cmd: &str, explicit: Option<&str>) -> Result<PathBuf, CliError> {
@@ -542,10 +536,15 @@ fn lint_config(p: &Parsed) -> Result<incprof_lint::Config, CliError> {
     Ok(cfg)
 }
 
-/// `incprof lint`: run the workspace invariant lints (D01..P01; see
-/// `docs/LINTS.md`), or print the rule catalogue. Violations come back
-/// as [`CliError::Lint`] carrying the rendered report, which the binary
-/// prints before exiting nonzero.
+/// `incprof lint`: the static-analysis gate, or the rule catalogue.
+/// Runs the full multi-pass lint (per-line rules plus the graph rules
+/// P02/D05/A01; see `docs/LINTS.md`) over the workspace and prints the
+/// human report. With `--json <path>` it writes the machine-readable
+/// report instead — the diagnostics, the analysis stats (functions,
+/// confident/ambiguous edge counts) and the timed `lint.engine.run`
+/// span, the artifact CI uploads on failure — and prints a summary.
+/// Violations come back as [`CliError::Lint`] carrying that output,
+/// which the binary prints before exiting nonzero.
 fn lint_cmd(p: &Parsed) -> Result<String, CliError> {
     let cfg = lint_config(p)?;
     if p.has("--list-rules") {
@@ -553,21 +552,42 @@ fn lint_cmd(p: &Parsed) -> Result<String, CliError> {
         let lines: Vec<String> = rules.map(|r| format!("{r}  {}", r.summary())).collect();
         return Ok(lines.join("\n"));
     }
-    let report =
-        incprof_lint::lint_workspace(&workspace_root("lint", p.rest.first().copied())?, &cfg)?;
-    let rendered = if p.has("--json") {
-        report.render_json()
+    let root = workspace_root("lint", p.rest.first().copied())?;
+    let (report, analysis) = incprof_lint::lint_workspace_analyzed(&root, &cfg)?;
+    let output = if p.has("--json") {
+        let (confident, ambiguous) = analysis.graph.edge_counts();
+        // The whole analysis ran under the `lint.engine.run` span; its last
+        // closed record carries the wall time the lint gate asserts on.
+        let elapsed_ms = incprof_obs::global()
+            .spans()
+            .records()
+            .iter()
+            .rev()
+            .find(|r| r.closed && r.name == incprof_obs::names::LINT_RUN)
+            .map_or(0, |r| r.dur_ns / 1_000_000);
+        let functions = analysis.symbols.defs.len();
+        let rendered = format!(
+            "{{\"stats\":{{\"functions\":{functions},\"edges_confident\":{confident},\
+             \"edges_ambiguous\":{ambiguous},\"elapsed_ms\":{elapsed_ms}}},\"lint\":{}}}",
+            report.render_json(),
+        );
+        let summary = format!(
+            "lint: {functions} functions, {confident} confident / {ambiguous} ambiguous edges, \
+             {} diagnostics in {elapsed_ms} ms; report",
+            report.diagnostics.len(),
+        );
+        emit(p, rendered, &summary)?
     } else {
         report.render_human()
     };
     if report.is_clean() {
-        Ok(rendered)
+        Ok(output)
     } else {
-        Err(CliError::Lint(rendered))
+        Err(CliError::Lint(output))
     }
 }
 
-/// Print `rendered`, or write it to the `--json <path>` of `sca` and
+/// Print `rendered`, or write it to the `--json <path>` of `lint` and
 /// `callgraph` and print `summary` instead.
 fn emit(p: &Parsed, rendered: String, summary: &str) -> Result<String, CliError> {
     match p.path("--json") {
@@ -588,46 +608,6 @@ fn callgraph_cmd(p: &Parsed) -> Result<String, CliError> {
     let analysis = incprof_lint::analyze_subtree(&root, "crates/apps/src")?;
     let rendered = analysis.graph.render_json(&analysis.symbols);
     emit(p, rendered, "static call graph")
-}
-
-/// `incprof sca`: the static-analysis gate. Runs the full multi-pass
-/// lint (per-line rules plus the graph rules P02/D05/A01) over the
-/// workspace, then emits a machine-readable report combining the
-/// diagnostics, the analysis stats (functions, confident/ambiguous edge
-/// counts), and the timed `lint.engine.run` span — the artifact CI
-/// uploads on failure.
-fn sca_cmd(p: &Parsed) -> Result<String, CliError> {
-    let root = workspace_root("sca", p.rest.first().copied())?;
-    let mut cfg = incprof_lint::Config::default();
-    cfg.deny_warnings = p.has("--deny-warnings");
-    let (report, analysis) = incprof_lint::lint_workspace_analyzed(&root, &cfg)?;
-    let (confident, ambiguous) = analysis.graph.edge_counts();
-    // The whole analysis ran under the `lint.engine.run` span; its last
-    // closed record carries the wall time the sca gate asserts on.
-    let elapsed_ms = incprof_obs::global()
-        .spans()
-        .records()
-        .iter()
-        .rev()
-        .find(|r| r.closed && r.name == incprof_obs::names::LINT_RUN)
-        .map_or(0, |r| r.dur_ns / 1_000_000);
-    let functions = analysis.symbols.defs.len();
-    let rendered = format!(
-        "{{\"stats\":{{\"functions\":{functions},\"edges_confident\":{confident},\
-         \"edges_ambiguous\":{ambiguous},\"elapsed_ms\":{elapsed_ms}}},\"lint\":{}}}",
-        report.render_json(),
-    );
-    let summary = format!(
-        "sca: {functions} functions, {confident} confident / {ambiguous} ambiguous edges, \
-         {} diagnostics in {elapsed_ms} ms; report",
-        report.diagnostics.len(),
-    );
-    let output = emit(p, rendered, &summary)?;
-    if report.is_clean() {
-        Ok(output)
-    } else {
-        Err(CliError::Lint(output))
-    }
 }
 
 /// Top-level entry: strip the global flags, dispatch, and (when
@@ -874,8 +854,15 @@ mod tests {
         let root = root.to_str().unwrap();
         let out = run(&s(&["lint", root])).unwrap();
         assert!(out.contains("0 errors"), "{out}");
-        let json = run(&s(&["lint", root, "--json", "-D"])).unwrap();
+        let dir = std::env::temp_dir().join(format!("incprof_cli_lint_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("report.json");
+        let out = run(&s(&["lint", root, "--json", path.to_str().unwrap(), "-D"])).unwrap();
+        assert!(out.contains("0 diagnostics"), "{out}");
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.contains("\"edges_confident\""), "{json}");
         assert!(json.contains("\"files_scanned\""), "{json}");
+        std::fs::remove_dir_all(&dir).ok();
         assert!(matches!(
             run(&s(&["lint", "--bogus"])),
             Err(CliError::Usage(_))

@@ -86,22 +86,6 @@ impl Dataset {
         self.data[i * self.cols + j] = v;
     }
 
-    /// Append one row.
-    ///
-    /// # Panics
-    /// Panics if `row` does not match the dataset's column count.
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(
-            row.len(),
-            self.cols,
-            "pushed row has length {} but dataset has {} columns",
-            row.len(),
-            self.cols
-        );
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
-
     /// Copy of the first `rows` rows (the prefix an incremental fold has
     /// already consumed).
     ///
@@ -184,23 +168,12 @@ mod tests {
     }
 
     #[test]
-    fn push_row_and_prefix() {
-        let mut d = Dataset::from_rows(vec![vec![1.0, 2.0]]);
-        d.push_row(&[3.0, 4.0]);
-        d.push_row(&[5.0, 6.0]);
-        assert_eq!(d.nrows(), 3);
-        assert_eq!(d.row(2), &[5.0, 6.0]);
+    fn prefix_copies_leading_rows() {
+        let d = Dataset::from_rows(vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let p = d.prefix(2);
         assert_eq!(p.to_rows(), vec![vec![1.0, 2.0], vec![3.0, 4.0]]);
         assert_eq!(d.prefix(0).nrows(), 0);
         assert_eq!(d.prefix(3), d);
-    }
-
-    #[test]
-    #[should_panic(expected = "pushed row has length")]
-    fn push_row_wrong_width_panics() {
-        let mut d = Dataset::from_rows(vec![vec![1.0, 2.0]]);
-        d.push_row(&[1.0]);
     }
 
     #[test]

@@ -109,18 +109,17 @@ pub fn dbscan(data: &Dataset, params: DbscanParams) -> Vec<DbscanLabel> {
         .collect()
 }
 
-/// Number of clusters in a DBSCAN labeling.
-pub fn cluster_count(labels: &[DbscanLabel]) -> usize {
-    labels
-        .iter()
-        .filter_map(|l| l.cluster())
-        .max()
-        .map_or(0, |m| m + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn cluster_count(labels: &[DbscanLabel]) -> usize {
+        labels
+            .iter()
+            .filter_map(|l| l.cluster())
+            .max()
+            .map_or(0, |m| m + 1)
+    }
 
     fn blob(cx: f64, cy: f64, n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![cx + 0.01 * i as f64, cy]).collect()

@@ -21,14 +21,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     sq_euclidean(a, b).sqrt()
 }
 
-/// Manhattan (L1) distance, provided for feature-ablation experiments.
-#[inline]
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    // lint: allow(D04, per-pair accumulation over feature dimensions in index order; no parallel split crosses this sum)
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
 /// A dense `n × n` matrix of Euclidean distances between dataset rows,
 /// computed row-parallel on the [`incprof_par`] pool.
 ///
@@ -146,12 +138,6 @@ mod tests {
     fn zero_distance_to_self() {
         let v = [1.5, -2.5, 3.25];
         assert_eq!(sq_euclidean(&v, &v), 0.0);
-        assert_eq!(manhattan(&v, &v), 0.0);
-    }
-
-    #[test]
-    fn manhattan_hand_case() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, -2.0]), 7.0);
     }
 
     #[test]
@@ -159,7 +145,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [-1.0, 0.5, 9.0];
         assert_eq!(euclidean(&a, &b), euclidean(&b, &a));
-        assert_eq!(manhattan(&a, &b), manhattan(&b, &a));
     }
 
     #[test]

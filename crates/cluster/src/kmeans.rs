@@ -96,16 +96,6 @@ impl KMeansResult {
         self.centroids.nrows()
     }
 
-    /// Row indices belonging to cluster `c`, in ascending order.
-    pub fn members_of(&self, c: usize) -> Vec<usize> {
-        self.assignments
-            .iter()
-            .enumerate()
-            .filter(|&(_, &a)| a == c)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Squared distance from row `i` of `data` to its assigned centroid.
     pub fn sq_dist_to_centroid(&self, data: &Dataset, i: usize) -> f64 {
         sq_euclidean(data.row(i), self.centroids.row(self.assignments[i]))
@@ -501,15 +491,6 @@ mod tests {
                 assert!(own <= other + 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn members_of_partitions_all_rows() {
-        let data = two_blobs();
-        let res = kmeans(&data, &KMeansConfig::new(4));
-        let mut all: Vec<usize> = (0..res.k()).flat_map(|c| res.members_of(c)).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..data.nrows()).collect::<Vec<_>>());
     }
 
     #[test]

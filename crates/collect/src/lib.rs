@@ -27,14 +27,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod aggregate;
 pub mod collector;
 pub mod matrix;
 pub mod report_path;
 pub mod series;
 pub mod series_io;
 
-pub use aggregate::{representative_rank, FunctionAggregate, RankAggregate};
 pub use collector::{CollectorConfig, IncProfCollector};
 pub use matrix::IntervalMatrix;
 pub use series::{OutOfOrder, SampleSeries};

@@ -24,7 +24,7 @@ pub const HARNESS_CRATES: &[&str] = &["bench"];
 pub const D02_CRATES: &[&str] = &["profile", "cluster", "core", "collect"];
 
 /// D04: crates whose float reductions must go through
-/// `incprof_par::reduce_chunks` (only files that reference
+/// `incprof_par::par_reduce_chunks` (only files that reference
 /// `incprof_par` are in scope — code nowhere near the pool has no
 /// chunk-boundary obligation).
 pub const D04_CRATES: &[&str] = &["profile", "cluster", "core", "collect", "apps"];
@@ -276,7 +276,7 @@ mod tests {
     fn crate_and_test_classification() {
         assert_eq!(crate_of("crates/core/src/pipeline.rs"), Some("core"));
         assert_eq!(crate_of("src/lib.rs"), None);
-        assert!(is_test_path("tests/lint_gate.rs"));
+        assert!(is_test_path("tests/sca_gate.rs"));
         assert!(is_test_path("crates/obs/tests/obs_integration.rs"));
         assert!(is_test_path("perfbench/benches/perf/main.rs"));
         assert!(!is_test_path("crates/obs/src/span.rs"));

@@ -15,7 +15,7 @@
 //! inside them attach to the enclosing function — an over-approximation
 //! in the safe direction.
 
-use crate::callgraph::{Confidence, FactKind, StaticCallGraph};
+use crate::callgraph::{Confidence, StaticCallGraph};
 use crate::symbols::SymbolTable;
 
 /// Reachability over the confident-edge subgraph.
@@ -125,53 +125,12 @@ impl Reachability {
             .collect::<Vec<_>>()
             .join(" -> ")
     }
-
-    /// Call-depth of every node measured from the given roots (0 for a
-    /// root, `None` when unreachable).
-    pub fn depths_from(&self, roots: &[usize]) -> Vec<Option<usize>> {
-        let mut depth = vec![None; self.succ.len()];
-        let mut queue: Vec<usize> = Vec::new();
-        for &r in roots {
-            if r < depth.len() && depth[r].is_none() {
-                depth[r] = Some(0);
-                queue.push(r);
-            }
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            let d = depth[u].unwrap_or(0);
-            for &v in &self.succ[u] {
-                if depth[v].is_none() {
-                    depth[v] = Some(d + 1);
-                    queue.push(v);
-                }
-            }
-        }
-        depth
-    }
-}
-
-/// For each node, whether a fact of `kind` is reachable from it over
-/// confident edges (facts in the node's own body count).
-pub fn nodes_reaching_fact(
-    graph: &StaticCallGraph,
-    reach: &Reachability,
-    kind: FactKind,
-) -> Vec<bool> {
-    let carriers: Vec<usize> = graph
-        .facts
-        .iter()
-        .filter(|f| f.kind == kind)
-        .map(|f| f.node)
-        .collect();
-    reach.can_reach(&carriers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::FactKind;
     use crate::lexer::lex;
     use crate::parse::parse_items;
     use crate::symbols::SymbolTable;
@@ -193,6 +152,17 @@ mod tests {
 
     fn idx(s: &SymbolTable, q: &str) -> usize {
         s.defs.iter().position(|d| d.qualified == q).unwrap()
+    }
+
+    /// Whether a `panic!` fact is reachable from each node.
+    fn reaching_panic(g: &StaticCallGraph, r: &Reachability) -> Vec<bool> {
+        let carriers: Vec<usize> = g
+            .facts
+            .iter()
+            .filter(|f| f.kind == FactKind::Panic)
+            .map(|f| f.node)
+            .collect();
+        r.can_reach(&carriers)
     }
 
     #[test]
@@ -218,7 +188,7 @@ mod tests {
             "crates/core/src/a.rs",
             "pub fn api() { inner(); }\nfn inner() { panic!(\"boom\"); }\npub fn clean() {}\n",
         )]);
-        let reaches = nodes_reaching_fact(&g, &r, FactKind::Panic);
+        let reaches = reaching_panic(&g, &r);
         assert!(reaches[idx(&s, "api")]);
         assert!(reaches[idx(&s, "inner")]);
         assert!(!reaches[idx(&s, "clean")]);
@@ -235,24 +205,12 @@ mod tests {
             ("crates/par/src/lib.rs", "pub fn shared() {}\n"),
             ("crates/cli/src/lib.rs", "pub fn run() { shared(); }\n"),
         ]);
-        let reaches = nodes_reaching_fact(&g, &r, FactKind::Panic);
+        let reaches = reaching_panic(&g, &r);
         assert!(reaches[idx(&s, "shared")]); // core's own def carries it
         assert!(
             !reaches[idx(&s, "run")],
             "ambiguous edge must not carry hazards"
         );
-    }
-
-    #[test]
-    fn depths_from_roots() {
-        let (s, _g, r) = build(&[(
-            "crates/core/src/a.rs",
-            "pub fn root() { a(); }\nfn a() { b(); }\nfn b() {}\n",
-        )]);
-        let depths = r.depths_from(&[idx(&s, "root")]);
-        assert_eq!(depths[idx(&s, "root")], Some(0));
-        assert_eq!(depths[idx(&s, "a")], Some(1));
-        assert_eq!(depths[idx(&s, "b")], Some(2));
     }
 
     #[test]

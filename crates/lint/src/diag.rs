@@ -17,7 +17,7 @@ pub enum RuleId {
     /// `incprof-par` and the collector.
     D03,
     /// Chunked float reductions: no raw `.sum()` in parallel-adjacent
-    /// analysis code that bypasses `incprof_par::reduce_chunks`.
+    /// analysis code that bypasses `incprof_par::par_reduce_chunks`.
     D04,
     /// Metric-name registry: obs metric/span names must come from
     /// `incprof_obs::names`, never string literals at the call site.

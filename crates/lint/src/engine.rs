@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// The product of the multi-pass static analysis: the symbol table,
 /// the call graph, and reachability over its confident edges. Built
 /// once per run, shared by the graph rules (P02/D05/A01) and the
-/// `incprof sca` / `incprof callgraph` exports.
+/// `incprof lint --json` / `incprof callgraph` exports.
 pub struct WorkspaceAnalysis {
     /// Function definitions and name indexes.
     pub symbols: SymbolTable,
@@ -278,14 +278,9 @@ fn apply_suppressions(
 ///
 /// The walk is fully deterministic: directory entries are sorted, shims
 /// and build output are skipped, and diagnostics come back ordered by
-/// (file, line, rule). Progress is surfaced through `incprof-obs`.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<LintReport> {
-    lint_workspace_analyzed(root, cfg).map(|(report, _)| report)
-}
-
-/// As [`lint_workspace`], also returning the workspace analysis so
-/// callers (`incprof sca`, `incprof callgraph`) can export the call
-/// graph without a second pass.
+/// (file, line, rule). Progress is surfaced through `incprof-obs`. The
+/// workspace analysis comes back with the report, so callers can read
+/// the call graph without a second pass.
 pub fn lint_workspace_analyzed(
     root: &Path,
     cfg: &Config,

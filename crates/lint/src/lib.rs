@@ -12,7 +12,7 @@
 //! | D01  | wall-clock hygiene: `Instant::now`/`SystemTime` only in the clock allowlist |
 //! | D02  | deterministic iteration: no `HashMap`/`HashSet` in analysis crates |
 //! | D03  | thread hygiene: threads only in `incprof-par` and the collector |
-//! | D04  | chunked float reductions: no raw `.sum()` bypassing `reduce_chunks` |
+//! | D04  | chunked float reductions: no raw `.sum()` bypassing `par_reduce_chunks` |
 //! | O01  | obs names come from `incprof_obs::names`, not call-site literals |
 //! | P01  | no `unwrap`/`expect` in library code without a justified marker |
 //! | P02  | no panic macro reachable from a public library API |
@@ -39,9 +39,9 @@
 //! stale markers are themselves reported (L01) so suppressions cannot
 //! outlive the code they excused.
 //!
-//! The pass runs three ways: as the `incprof lint` / `incprof sca` CLI
-//! subcommands, as the tier-1 `tests/lint_gate.rs` test, and as the
-//! `sca` step in `scripts/check.sh` / CI. See `docs/LINTS.md`
+//! The pass runs three ways: as the `incprof lint` CLI subcommand, as
+//! the tier-1 `tests/sca_gate.rs` test, and as the `sca` step in
+//! `scripts/check.sh` / CI. See `docs/LINTS.md`
 //! for the full rule catalog and the rationale behind every scope
 //! table entry.
 
@@ -63,5 +63,5 @@ pub use config::Config;
 pub use diag::{Diagnostic, RuleId, Severity};
 pub use engine::{
     analyze_subtree, find_workspace_root, lint_files, lint_source, lint_source_counted,
-    lint_workspace, lint_workspace_analyzed, LintReport, WorkspaceAnalysis,
+    lint_workspace_analyzed, LintReport, WorkspaceAnalysis,
 };

@@ -392,8 +392,9 @@ fn d04_chunked_reductions(
                 RuleId::D04,
                 toks[i + 1].line,
                 "raw `.sum()` in a file that uses the parallel engine: float \
-                 reductions must go through `incprof_par::reduce_chunks` (or \
-                 justify why this sum never crosses a chunk boundary)"
+                 reductions must go through `incprof_par::par_reduce_chunks` or \
+                 `Pool::reduce_chunks` (or justify why this sum never crosses a \
+                 chunk boundary)"
                     .to_owned(),
             );
         }

@@ -67,6 +67,14 @@ fn d04_fixture_positive_and_negative() {
     let diags = lint_source("crates/cluster/src/fixture.rs", D04_BAD, &Config::default());
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!((diags[0].rule, diags[0].line), (RuleId::D04, 8));
+    // The remedy names a path the crate actually exports.
+    assert!(
+        diags[0]
+            .message
+            .contains("`incprof_par::par_reduce_chunks` or `Pool::reduce_chunks`"),
+        "{}",
+        diags[0].message
+    );
     // D04 defaults to a warning (heuristic rule)...
     assert_eq!(diags[0].severity, Severity::Warn);
     // ...promoted under deny-warnings.
@@ -199,7 +207,7 @@ fn report_json_is_deterministic_and_sorted() {
     assert_eq!(
         report.render_json(),
         include_str!("golden/multi_file_report.json"),
-        "lint --json output drifted from tests/golden/multi_file_report.json"
+        "LintReport::render_json drifted from tests/golden/multi_file_report.json"
     );
 }
 

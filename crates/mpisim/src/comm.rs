@@ -164,11 +164,6 @@ impl Comm {
         self.allreduce(value, |a, b| a + b)
     }
 
-    /// Allreduce taking the maximum of `f64`s.
-    pub fn allreduce_max(&self, value: f64) -> f64 {
-        self.allreduce(value, f64::max)
-    }
-
     /// Allreduce summing `u64`s.
     pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
         self.allreduce(value, |a, b| a + b)
@@ -237,7 +232,7 @@ mod tests {
         let out = World::run(5, |c| {
             (
                 c.allreduce_sum(c.rank() as f64),
-                c.allreduce_max(c.rank() as f64),
+                c.allreduce(c.rank() as f64, f64::max),
             )
         });
         assert!(out.iter().all(|&(s, m)| s == 10.0 && m == 4.0));

@@ -42,11 +42,6 @@
 //! let squares = incprof_par::par_map_index(100, |i| i * i);
 //! assert_eq!(squares[7], 49);
 //!
-//! // Ordered map over a slice:
-//! let data = vec![1.0f64, 2.0, 3.0];
-//! let doubled = incprof_par::par_map(&data, |x| x * 2.0);
-//! assert_eq!(doubled, vec![2.0, 4.0, 6.0]);
-//!
 //! // Chunked reduction with a deterministic (ordered) fold:
 //! let total = incprof_par::par_reduce_chunks(1000, 64, |r| r.sum::<usize>(), |a, b| a + b);
 //! assert_eq!(total, Some(999 * 1000 / 2));
@@ -57,7 +52,4 @@
 
 mod pool;
 
-pub use pool::{
-    default_chunk, par_for_chunks, par_map, par_map_index, par_reduce_chunks, set_threads, threads,
-    Pool,
-};
+pub use pool::{default_chunk, par_map_index, par_reduce_chunks, set_threads, threads, Pool};

@@ -6,9 +6,9 @@
 //! shared atomic cursor (self-scheduling, so a slow chunk — e.g. the
 //! k = 8 entry of a k-means sweep — does not stall the others), and the
 //! per-chunk results are assembled **in chunk order** on the calling
-//! thread. Everything else ([`Pool::map_index`], [`Pool::for_chunks`],
-//! [`Pool::reduce_chunks`]) is built on it, which is what makes the
-//! determinism guarantee a single proof obligation rather than four.
+//! thread. Everything else ([`Pool::map_index`], [`Pool::reduce_chunks`])
+//! is built on it, which is what makes the determinism guarantee a
+//! single proof obligation rather than three.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -189,15 +189,6 @@ impl Pool {
         out
     }
 
-    /// Run `f` over each fixed chunk of `0..n` for its side effects
-    /// (e.g. filling disjoint output regions handed out by the caller).
-    pub fn for_chunks<F>(&self, n: usize, chunk: usize, f: F)
-    where
-        F: Fn(Range<usize>) + Sync,
-    {
-        self.map_chunks(n, chunk, f);
-    }
-
     /// Chunked reduction: `map` turns each fixed chunk into a partial,
     /// and the partials are folded **in chunk order** on the calling
     /// thread. Because the sequential path forms the same per-chunk
@@ -263,25 +254,6 @@ where
     F: Fn(usize) -> U + Sync,
 {
     Pool::current().map_index(n, default_chunk(n), f)
-}
-
-/// Ordered map over a slice on the [`Pool::current`] pool.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    Pool::current().map_index(items.len(), default_chunk(items.len()), |i| f(&items[i]))
-}
-
-/// Side-effect iteration over fixed chunks of `0..n` on the
-/// [`Pool::current`] pool.
-pub fn par_for_chunks<F>(n: usize, chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    Pool::current().for_chunks(n, chunk, f)
 }
 
 /// Chunked, order-folded reduction over `0..n` on the [`Pool::current`]
@@ -360,17 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn for_chunks_covers_every_index_once() {
-        let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        Pool::with_workers(3).for_chunks(100, 9, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn set_threads_overrides_and_clears() {
         set_threads(3);
         assert_eq!(threads(), 3);
@@ -390,6 +351,5 @@ mod tests {
     fn zero_and_tiny_inputs_work() {
         assert_eq!(Pool::with_workers(4).map_index(0, 8, |i| i), Vec::new());
         assert_eq!(par_map_index(1, |i| i + 1), vec![1]);
-        assert_eq!(par_map(&[10, 20], |x| x + 1), vec![11, 21]);
     }
 }

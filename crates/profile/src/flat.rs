@@ -94,11 +94,6 @@ impl FlatProfile {
         self.stats.entry(id).or_default().self_time += ns;
     }
 
-    /// Attribute `ns` of additional child (callee) time to `id`.
-    pub fn record_child_time(&mut self, id: FunctionId, ns: Nanos) {
-        self.stats.entry(id).or_default().child_time += ns;
-    }
-
     /// Overwrite the stats entry for `id` (used by decoders).
     pub fn set(&mut self, id: FunctionId, stats: FunctionStats) {
         self.stats.insert(id, stats);
@@ -250,11 +245,9 @@ mod tests {
         p.record_calls(fid(0), 3);
         p.record_self_time(fid(0), 100);
         p.record_self_time(fid(0), 50);
-        p.record_child_time(fid(0), 7);
         let s = p.get(fid(0));
         assert_eq!(s.calls, 5);
         assert_eq!(s.self_time, 150);
-        assert_eq!(s.child_time, 7);
     }
 
     #[test]
@@ -373,9 +366,15 @@ mod tests {
     #[test]
     fn rows_per_call_columns() {
         let mut p = FlatProfile::new();
-        p.record_self_time(fid(0), 2_000_000); // 2ms over 4 calls = 0.5 ms/call
-        p.record_calls(fid(0), 4);
-        p.record_child_time(fid(0), 2_000_000); // total 4ms over 4 calls = 1 ms/call
+        // 2 ms self over 4 calls = 0.5 ms/call; 4 ms total = 1 ms/call.
+        p.set(
+            fid(0),
+            FunctionStats {
+                self_time: 2_000_000,
+                calls: 4,
+                child_time: 2_000_000,
+            },
+        );
         p.record_self_time(fid(1), 1_000_000); // zero calls -> 0 ms/call
         let rows = p.rows(|_| "f");
         let r0 = rows.iter().find(|r| r.id == fid(0)).unwrap();

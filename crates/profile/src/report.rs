@@ -9,7 +9,7 @@
 //! parsed per-interval rows.
 
 use crate::error::ProfileError;
-use crate::flat::{FlatProfile, FlatRow, FunctionStats};
+use crate::flat::{FlatProfile, FunctionStats};
 use crate::function::FunctionTable;
 use crate::gmon::GmonData;
 use std::fmt::Write as _;
@@ -232,25 +232,6 @@ pub fn profile_from_rows(rows: &[ParsedFlatRow], table: &mut FunctionTable) -> F
     flat
 }
 
-/// Convenience: format rows (already computed by [`FlatProfile::rows`]) as a
-/// compact aligned table for logs and experiment output.
-pub fn format_rows_compact(rows: &[FlatRow]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>7} {:>10} {:>10}  name",
-        "%time", "self(s)", "calls"
-    );
-    for r in rows {
-        let _ = writeln!(
-            out,
-            "{:>7.2} {:>10.4} {:>10}  {}",
-            r.percent_time, r.self_secs, r.calls, r.name
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,14 +389,6 @@ Each sample counts as 0.01 seconds.
         let text = write_report(&gmon);
         assert!(text.contains("Flat profile:"));
         assert!(text.contains("Call graph"));
-    }
-
-    #[test]
-    fn compact_format_includes_all_rows() {
-        let (flat, table) = build_profile();
-        let rows = flat.rows(|id| table.name(id));
-        let text = format_rows_compact(&rows);
-        assert_eq!(text.lines().count(), 4); // header + 3 rows
     }
 
     #[test]

@@ -32,8 +32,8 @@
 
 use crate::clock::Clock;
 use incprof_profile::{
-    ArcStats, CallGraphProfile, FlatProfile, FunctionId, FunctionInfo, FunctionStats,
-    FunctionTable, ProfileSnapshot,
+    ArcStats, CallGraphProfile, FlatProfile, FunctionId, FunctionStats, FunctionTable,
+    ProfileSnapshot,
 };
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
@@ -217,11 +217,6 @@ impl ProfilerRuntime {
         self.inner.functions.write().register(name)
     }
 
-    /// Register a function with source location metadata. Idempotent.
-    pub fn register_function_info(&self, info: FunctionInfo) -> FunctionId {
-        self.inner.functions.write().register_info(info)
-    }
-
     /// Look up a registered function id by name.
     pub fn function_id(&self, name: &str) -> Option<FunctionId> {
         self.inner.functions.read().id_of(name)
@@ -318,18 +313,6 @@ impl ProfilerRuntime {
             flat,
             callgraph,
         }
-    }
-
-    /// The set of functions currently on any thread's shadow stack
-    /// (innermost last per thread), for diagnostics.
-    pub fn active_functions(&self) -> Vec<FunctionId> {
-        let threads = self.inner.threads.lock();
-        let mut out = Vec::new();
-        for slot in threads.iter() {
-            let data = slot.data.lock();
-            out.extend(data.stack.iter().map(|f| f.id));
-        }
-        out
     }
 
     /// Run `f` on this thread's data in this runtime, registering a slot
@@ -618,17 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn active_functions_reports_stack() {
-        let rt = vrt();
-        let a = rt.register_function("a");
-        let b = rt.register_function("b");
-        let _ga = rt.enter(a);
-        let _gb = rt.enter(b);
-        let active = rt.active_functions();
-        assert_eq!(active, vec![a, b]);
-    }
-
-    #[test]
     fn snapshot_lists_entered_functions_and_traversed_arcs_only() {
         let rt = vrt();
         let a = rt.register_function("a");
@@ -660,6 +632,7 @@ mod tests {
     fn a_guard_dropped_on_another_thread_is_a_counted_unbalanced_exit() {
         let rt = vrt();
         let f = rt.register_function("f");
+        let g = rt.register_function("g");
         let unbalanced = incprof_obs::counter(incprof_obs::names::RUNTIME_GUARD_UNBALANCED_EXITS);
         let before = unbalanced.get();
         let guard = rt.enter(f);
@@ -667,9 +640,12 @@ mod tests {
             s.spawn(move || drop(guard));
         });
         assert!(unbalanced.get() > before);
-        // The entering thread's frame is still open and its call counted.
-        assert_eq!(rt.active_functions(), vec![f]);
-        assert_eq!(rt.snapshot(0).flat.get(f).calls, 1);
+        // The entering thread's frame is still open (a later call is its
+        // callee) and its call counted.
+        drop(rt.enter(g));
+        let snap = rt.snapshot(0);
+        assert_eq!(snap.callgraph.get(f, g).count, 1);
+        assert_eq!(snap.flat.get(f).calls, 1);
     }
 
     #[cfg(not(debug_assertions))]

@@ -15,7 +15,6 @@ use crate::frame::{
 use crate::plane::{BindAddr, Conn};
 use incprof_profile::GmonData;
 use std::io;
-use std::path::Path;
 use std::time::Duration;
 
 /// Client-side failure.
@@ -106,11 +105,6 @@ impl Client {
     /// Connect over TCP (`host:port`).
     pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
         Client::from_target(BindAddr::Tcp(addr.to_string()), None)
-    }
-
-    /// Connect over a Unix-domain socket.
-    pub fn connect_unix(path: &Path) -> Result<Client, ClientError> {
-        Client::from_target(BindAddr::Unix(path.to_path_buf()), None)
     }
 
     /// Connect to `addr`, treating anything containing `/` as a Unix

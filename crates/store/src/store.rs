@@ -220,11 +220,6 @@ impl SessionStore {
     pub fn log_bytes(&self) -> u64 {
         self.log.total_bytes()
     }
-
-    /// Number of retained log records.
-    pub fn log_records(&self) -> usize {
-        self.log.records().len()
-    }
 }
 
 /// Read and validate a checkpoint file, returning its state blob. Any
@@ -302,7 +297,7 @@ mod tests {
         let (sess, replay, checkpoint) = s.open_session(1).unwrap().unwrap();
         assert_eq!(replay.snapshots.len(), 6);
         assert!(checkpoint.is_none(), "no checkpoint written yet");
-        assert_eq!(sess.log_records(), 6);
+        assert_eq!(sess.log.records().len(), 6);
         assert!(s.open_session(99).unwrap().is_none());
     }
 

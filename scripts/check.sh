@@ -18,7 +18,7 @@
 #                               # is registered in crates/obs/src/names.rs,
 #                               # no doc says `cargo bench`
 #   scripts/check.sh sca        # only the static-analysis gate: incprof
-#                               # sca over the workspace (graph rules +
+#                               # lint over the workspace (graph rules +
 #                               # per-line lints, warnings are errors)
 #                               # plus the apps call-graph export; leaves
 #                               # target/sca-report.json for CI upload
@@ -250,12 +250,12 @@ cluster_smoke() {
 }
 
 sca_gate() {
-    echo "==> incprof sca (multi-pass static analysis: parser, call graph, P02/D05/A01)"
+    echo "==> incprof lint (multi-pass static analysis: parser, call graph, P02/D05/A01)"
     cargo build -q -p incprof-cli
     INCPROF="$(pwd)/target/debug/incprof"
     # The JSON artifact (diagnostics + graph stats + timed run) survives
     # for CI to upload when the gate fails.
-    "$INCPROF" sca . --deny-warnings --json target/sca-report.json
+    "$INCPROF" lint . --deny-warnings --json target/sca-report.json
     echo "==> incprof callgraph (apps static graph vs golden)"
     "$INCPROF" callgraph . --json target/apps-callgraph.json
     cmp -s target/apps-callgraph.json tests/golden/apps_callgraph.json || {

@@ -152,13 +152,15 @@ fn rank_symmetry_holds_for_multirank_runs() {
     // "All of the applications being used are symmetrically parallel and
     // thus all processes behave similarly" (§VI): result_check values are
     // produced via collectives, so a 4-rank wall run and a 1-rank wall
-    // run of graph500 must both validate cleanly.
+    // run of graph500 must both validate cleanly, and every rank calls
+    // the BFS kernel exactly once per root.
     for procs in [1usize, 4] {
+        let num_roots = 2;
         let out = graph500::run(
             &graph500::Graph500Config {
                 scale: 8,
                 edge_factor: 6,
-                num_roots: 2,
+                num_roots,
                 procs,
                 ..graph500::Graph500Config::tiny()
             },
@@ -169,5 +171,41 @@ fn rank_symmetry_holds_for_multirank_runs() {
             &HeartbeatPlan::none(),
         );
         assert_eq!(out.result_check, 0.0, "procs = {procs}");
+        assert_eq!(out.rank_profiles.len(), procs);
+        let bfs = out.rank0.table.id_of("run_bfs").unwrap();
+        for p in &out.rank_profiles {
+            assert_eq!(p.get(bfs).calls, num_roots as u64, "procs = {procs}");
+        }
     }
+}
+
+#[test]
+fn minife_rank_profiles_cover_all_kernels() {
+    let out = minife::run(
+        &minife::MiniFeConfig {
+            n: 6,
+            cg_iters: 10,
+            procs: 3,
+        },
+        RunMode::Wall {
+            interval_ns: 50_000_000,
+            profile: true,
+        },
+        &HeartbeatPlan::none(),
+    );
+    assert_eq!(out.rank_profiles.len(), 3);
+    let cg = out.rank0.table.id_of("cg_solve").unwrap();
+    for p in &out.rank_profiles {
+        assert!(p.get(cg).calls >= 1, "cg_solve profiled on every rank");
+    }
+}
+
+#[test]
+fn single_rank_virtual_run_has_one_profile() {
+    let out = minife::run(
+        &minife::MiniFeConfig::tiny(),
+        RunMode::virtual_1s(),
+        &HeartbeatPlan::none(),
+    );
+    assert_eq!(out.rank_profiles.len(), 1);
 }

@@ -374,34 +374,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Cross-rank aggregate invariants
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn rank_aggregate_invariants(profiles in proptest::collection::vec(arb_flat(6), 1..8)) {
-        use incprof_suite::collect::{representative_rank, RankAggregate};
-        let agg = RankAggregate::from_profiles(&profiles);
-        prop_assert_eq!(agg.n_ranks(), profiles.len());
-        let score = agg.symmetry_score();
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&score), "score {score}");
-        for (_, fa) in agg.iter() {
-            prop_assert!(fa.min_self_secs <= fa.mean_self_secs + 1e-12);
-            prop_assert!(fa.mean_self_secs <= fa.max_self_secs + 1e-12);
-            prop_assert!(fa.present_on <= profiles.len());
-            prop_assert!(fa.cv() >= 0.0);
-        }
-        prop_assert!(representative_rank(&profiles) < profiles.len());
-        // Identical profiles on every rank -> perfect symmetry.
-        let clones = vec![profiles[0].clone(); 3];
-        let sym = RankAggregate::from_profiles(&clones).symmetry_score();
-        prop_assert!((sym - 1.0).abs() < 1e-12);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Call-graph report & cycle invariants
 // ---------------------------------------------------------------------
 
