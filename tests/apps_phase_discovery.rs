@@ -152,15 +152,13 @@ fn rank_symmetry_holds_for_multirank_runs() {
     // "All of the applications being used are symmetrically parallel and
     // thus all processes behave similarly" (§VI): result_check values are
     // produced via collectives, so a 4-rank wall run and a 1-rank wall
-    // run of graph500 must both validate cleanly, and every rank calls
-    // the BFS kernel exactly once per root.
+    // run of graph500 must both validate cleanly.
     for procs in [1usize, 4] {
-        let num_roots = 2;
         let out = graph500::run(
             &graph500::Graph500Config {
                 scale: 8,
                 edge_factor: 6,
-                num_roots,
+                num_roots: 2,
                 procs,
                 ..graph500::Graph500Config::tiny()
             },
@@ -171,11 +169,31 @@ fn rank_symmetry_holds_for_multirank_runs() {
             &HeartbeatPlan::none(),
         );
         assert_eq!(out.result_check, 0.0, "procs = {procs}");
-        assert_eq!(out.rank_profiles.len(), procs);
-        let bfs = out.rank0.table.id_of("run_bfs").unwrap();
-        for p in &out.rank_profiles {
-            assert_eq!(p.get(bfs).calls, num_roots as u64, "procs = {procs}");
-        }
+    }
+}
+
+#[test]
+fn graph500_ranks_are_symmetric() {
+    let out = graph500::run(
+        &graph500::Graph500Config {
+            scale: 9,
+            edge_factor: 8,
+            num_roots: 4,
+            procs: 4,
+            ..graph500::Graph500Config::tiny()
+        },
+        RunMode::Wall {
+            interval_ns: 50_000_000,
+            profile: true,
+        },
+        &HeartbeatPlan::none(),
+    );
+    assert_eq!(out.rank_profiles.len(), 4);
+    // Wall timings jitter across ranks, but call counts are exactly
+    // symmetric for the BFS kernel (one call per root per rank).
+    let bfs = out.rank0.table.id_of("run_bfs").unwrap();
+    for p in &out.rank_profiles {
+        assert_eq!(p.get(bfs).calls, 4);
     }
 }
 
