@@ -186,9 +186,13 @@ impl SweepChains {
     /// `+0.0`.
     ///
     /// This is bit-preserving for the fold *provided* the new columns
-    /// are exactly `+0.0` in every already-covered row (the caller must
-    /// verify that; reset the chains otherwise): re-running the fold on
-    /// the widened data computes every squared distance with extra
+    /// are exactly `+0.0` in every already-covered row (reset the chains
+    /// otherwise). The core crate's analysis cache meets this without
+    /// reading a row: `IntervalMatrix` zero-fills every column an
+    /// interval names no entry for, and a function outside the cache's
+    /// previous feature columns has no entry in any covered interval,
+    /// since cached intervals never change in place. Re-running the fold
+    /// on the widened data computes every squared distance with extra
     /// `(0-0)²` terms interleaved, and adding `+0.0` to a non-negative
     /// partial sum is a bitwise no-op — the same argument that lets
     /// [`PairwiseDistances::extend`] keep old entries. Centroid means

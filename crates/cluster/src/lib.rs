@@ -19,8 +19,6 @@
 //! * [`silhouette`] — silhouette coefficients.
 //! * [`dbscan()`] — density-based clustering, used by the paper's (negative)
 //!   ablation and reproduced here for the same comparison.
-//! * [`scale`] — feature scaling options (none / min-max / z-score /
-//!   row-normalize).
 //!
 //! Everything is seeded explicitly; there is no global RNG state, so the
 //! whole phase-detection pipeline is reproducible run-to-run. The hot
@@ -41,7 +39,6 @@ pub mod dbscan;
 pub mod distance;
 pub mod incremental;
 pub mod kmeans;
-pub mod scale;
 pub mod select_k;
 pub mod silhouette;
 
@@ -51,7 +48,6 @@ pub use dbscan::{dbscan, DbscanLabel, DbscanParams};
 pub use distance::PairwiseDistances;
 pub use incremental::{ChainConfig, KChain, SweepChains};
 pub use kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
-pub use scale::Scaling;
 pub use select_k::{KSelection, KSelectionMethod, KSweep};
 pub use silhouette::{
     mean_silhouette, mean_silhouette_pre, silhouette_values, silhouette_values_pre,

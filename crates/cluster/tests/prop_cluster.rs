@@ -2,7 +2,7 @@
 
 use incprof_cluster::{
     adjusted_rand_index, kmeans, rand_index, ChainConfig, Dataset, KMeansConfig, KSelectionMethod,
-    Scaling, SweepChains,
+    SweepChains,
 };
 use proptest::prelude::*;
 
@@ -15,43 +15,6 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn minmax_scaling_bounds_columns(data in arb_dataset()) {
-        let scaled = Scaling::MinMax.apply(&data);
-        for i in 0..scaled.nrows() {
-            for &v in scaled.row(i) {
-                prop_assert!((-1e-12..=1.0 + 1e-12).contains(&v), "value {v}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_fraction_rows_sum_to_one_or_zero(data in arb_dataset()) {
-        // Make data non-negative first (self times are non-negative).
-        let rows: Vec<Vec<f64>> =
-            data.iter_rows().map(|r| r.iter().map(|v| v.abs()).collect()).collect();
-        let data = Dataset::from_rows(rows);
-        let scaled = Scaling::RowFraction.apply(&data);
-        for i in 0..scaled.nrows() {
-            let sum: f64 = scaled.row(i).iter().sum();
-            prop_assert!(
-                (sum - 1.0).abs() < 1e-9 || sum.abs() < 1e-12,
-                "row {i} sums to {sum}"
-            );
-        }
-    }
-
-    #[test]
-    fn zscore_columns_have_zero_mean(data in arb_dataset()) {
-        let scaled = Scaling::ZScore.apply(&data);
-        for j in 0..scaled.ncols() {
-            let mean: f64 =
-                (0..scaled.nrows()).map(|i| scaled.get(i, j)).sum::<f64>()
-                    / scaled.nrows() as f64;
-            prop_assert!(mean.abs() < 1e-9, "column {j} mean {mean}");
-        }
-    }
 
     #[test]
     fn wcss_is_nonincreasing_in_k_with_restarts(data in arb_dataset()) {

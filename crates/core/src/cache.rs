@@ -21,26 +21,25 @@
 //!    canonical per-row fold ([`incprof_cluster::incremental`]): cold
 //!    runs fold from row one, warm runs resume the cached
 //!    [`SweepChains`] — the same pure function of the prefix either way,
-//!    so the bits match by construction, *iff* the previously-scaled
-//!    rows are bit-identical under the new scaling. Column-stat scalings
-//!    ([`incprof_cluster::Scaling::MinMax`],
-//!    [`incprof_cluster::Scaling::ZScore`]) shift old rows when new data
-//!    moves the column stats, so before resuming, the cache verifies the
-//!    scaled prefix bit-for-bit (with feature columns re-aligned through
-//!    [`FunctionId`]s, since newly observed functions insert columns).
-//!    When it holds, chains re-align to the new columns
-//!    (`centroid_remaps` — the new columns are verified `+0.0` over the
-//!    covered prefix, which makes the re-alignment bit-preserving); when
-//!    anything moved, they are dropped (`centroid_resets`, counted as a
+//!    so the bits match by construction. The fold runs on the raw
+//!    feature rows (the paper's self-time tuples), a pure function of
+//!    the cached intervals, which never change in place (a shrink, trim
+//!    or config change resets them): an old row reappears bit for bit in
+//!    every later analysis. Only its columns move, when a newly observed
+//!    function inserts one; chains re-align to the new columns through
+//!    [`FunctionId`]s (`centroid_remaps` — the new column is `+0.0` in
+//!    every covered row, which makes the re-alignment bit-preserving).
+//!    Chains that do not fit the feature columns, which only a decoded
+//!    checkpoint can hold, are dropped (`centroid_resets`, counted as a
 //!    `core.cache.invalidations`). `centroid_continues` counts analyses
-//!    that actually resumed cached chains. Chains and scaled rows survive
-//!    checkpoints, so a decoded cache meets exactly this check.
+//!    that actually resumed cached chains. Chains survive checkpoints;
+//!    the rows they fold over are rebuilt from the intervals.
 //!
 //! Nothing of size n² is kept: the elbow needs no pairwise distances,
 //! and silhouette selection builds its matrix inside the sweep on every
 //! call. Whatever the path, clustering and Algorithm 1 run on exactly
-//! the same scaled dataset (always recomputed — O(n·d)), so warm output
-//! is byte-identical to cold output. The `Cache*` arms of
+//! the same feature rows (always rebuilt — O(n·d)), so warm output is
+//! byte-identical to cold output. The `Cache*` arms of
 //! `tests/equivalence.rs` at the workspace root pin this across all five
 //! mini-apps under a streaming push/query interleave.
 
@@ -53,7 +52,8 @@ use incprof_profile::{FlatProfile, FunctionId};
 pub const INVALIDATE_FINGERPRINT: u64 = 1;
 /// Flight-recorder `b` tag: the sample series shrank (session restart).
 pub const INVALIDATE_SHRINK: u64 = 2;
-/// Flight-recorder `b` tag: scaled prefix moved; cached chains reset.
+/// Flight-recorder `b` tag: cached chains do not fit the feature columns
+/// (a decoded checkpoint); they are reset.
 pub const INVALIDATE_PREFIX: u64 = 3;
 /// Flight-recorder `b` tag: the snapshot at the cache's coverage frontier
 /// changed identity (retention trimmed the series and it regrew past the
@@ -62,13 +62,15 @@ pub const INVALIDATE_TRIM: u64 = 4;
 
 /// Version byte of the [`AnalysisCache::encode_state`] blob format.
 /// Version 2 added the k-means chain section; version 3 dropped the
-/// pairwise-distance section, which is a pure function of the scaled rows
+/// pairwise-distance section, which is a pure function of the feature rows
 /// stored before it. Version 4 has version 3's layout, but its memo holds
 /// no silhouettes under elbow selection; a version 3 memo does, and would
-/// answer differently from a cold replay of the same log. Any other
-/// version is rejected cleanly by [`AnalysisCache::decode_state`] and the
-/// caller replays the snapshot log cold.
-const STATE_VERSION: u8 = 4;
+/// answer differently from a cold replay of the same log. Version 5 drops
+/// the feature-row section (and its flag, `2`): the rows are a pure
+/// function of the intervals. Any other version is rejected cleanly by
+/// [`AnalysisCache::decode_state`] and the caller replays the snapshot
+/// log cold.
+const STATE_VERSION: u8 = 5;
 
 /// Memoized result of the last completed analysis.
 #[derive(Debug, Clone)]
@@ -99,15 +101,11 @@ pub struct AnalysisCache {
     intervals: Vec<FlatProfile>,
     /// The cumulative profile the next delta subtracts from.
     prev_cumulative: FlatProfile,
-    /// Scaled feature rows from the previous analysis, for prefix
-    /// verification before resuming `chains`.
-    scaled: Option<Dataset>,
     /// Feature-column function ids of the previous analysis, aligned
-    /// with `scaled`'s columns (per feature block).
+    /// with `chains`' centroid columns (per feature block).
     feature_fns: Vec<FunctionId>,
     /// Converged k-means chain state per k, resumed by warm analyses
-    /// (layer 3 of the module docs); valid exactly while the scaled
-    /// prefix is bit-stable.
+    /// (layer 3 of the module docs).
     chains: SweepChains,
     /// This instance's memo hits (the global `core.cache.memo_hits`
     /// counter aggregates across sessions; per-session gauges need the
@@ -178,23 +176,12 @@ impl AnalysisCache {
         self.extend_intervals(series)?;
 
         let matrix = IntervalMatrix::from_interval_profiles(&self.intervals);
-        if matrix.n_intervals() == 0 {
-            return Err(PipelineError::NoIntervals);
-        }
-        if matrix.n_functions() == 0 {
-            return Err(PipelineError::NoFunctions);
-        }
-
-        let raw = Dataset::from_rows(detector.build_features(&matrix));
-        let data = detector.scaling.apply(&raw);
-
-        self.align_chains(detector, &matrix, &data);
+        self.align_chains(detector, &matrix);
         if !self.chains.is_empty() {
             incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_CONTINUES).inc();
         }
-        let analysis = detector.detect_scaled(&matrix, &data, Some(&mut self.chains))?;
+        let analysis = detector.detect_resuming(&matrix, &mut self.chains)?;
 
-        self.scaled = Some(data);
         self.feature_fns = matrix.functions().to_vec();
         let last = series.last().ok_or(PipelineError::NoIntervals)?;
         self.memo = Some(Memo {
@@ -248,9 +235,6 @@ impl AnalysisCache {
         if self.fingerprint.is_some() {
             flags |= 1;
         }
-        if self.scaled.is_some() {
-            flags |= 2;
-        }
         if self.last_covered.is_some() {
             flags |= 4;
         }
@@ -266,15 +250,6 @@ impl AnalysisCache {
             put_flat(&mut out, flat);
         }
         put_flat(&mut out, &self.prev_cumulative);
-        if let Some(scaled) = &self.scaled {
-            put_u32(&mut out, scaled.nrows() as u32);
-            put_u32(&mut out, scaled.ncols() as u32);
-            for i in 0..scaled.nrows() {
-                for &v in scaled.row(i) {
-                    put_u64(&mut out, v.to_bits());
-                }
-            }
-        }
         put_u32(&mut out, self.feature_fns.len() as u32);
         for id in &self.feature_fns {
             put_u32(&mut out, id.0);
@@ -327,7 +302,7 @@ impl AnalysisCache {
             return None;
         }
         let flags = r.u8()?;
-        if flags & !0b1111 != 0 {
+        if flags & !0b1101 != 0 {
             return None;
         }
         let fingerprint = if flags & 1 != 0 { Some(r.u64()?) } else { None };
@@ -340,23 +315,6 @@ impl AnalysisCache {
             intervals.push(read_flat(&mut r)?);
         }
         let prev_cumulative = read_flat(&mut r)?;
-        let scaled = if flags & 2 != 0 {
-            let rows = r.u32()? as usize;
-            let cols = r.u32()? as usize;
-            // One scaled row per covered interval at most.
-            if rows > n_intervals {
-                return None;
-            }
-            let vals = r.f64_vec(rows.checked_mul(cols)?)?;
-            let mut d = Dataset::zeros(rows, cols);
-            for i in 0..rows {
-                d.row_mut(i)
-                    .copy_from_slice(&vals[i * cols..(i + 1) * cols]);
-            }
-            Some(d)
-        } else {
-            None
-        };
         let n_fns = r.u32()? as usize;
         if r.remaining() < n_fns.checked_mul(4)? {
             return None;
@@ -365,8 +323,12 @@ impl AnalysisCache {
         for _ in 0..n_fns {
             feature_fns.push(FunctionId(r.u32()?));
         }
+        // Matrix columns are in strictly increasing id order.
+        if feature_fns.windows(2).any(|w| w[0] >= w[1]) {
+            return None;
+        }
         let n_chains = r.u32()? as usize;
-        let mut chains = Vec::with_capacity(n_chains.min(64));
+        let mut chains: Vec<KChain> = Vec::with_capacity(n_chains.min(64));
         for i in 0..n_chains {
             let k = i + 1;
             let covered = r.u32()? as usize;
@@ -379,12 +341,12 @@ impl AnalysisCache {
             let total_iterations = r.u64()?;
             let wcss = f64::from_bits(r.u64()?);
             let ncols = r.u32()? as usize;
-            // Chains cluster the scaled rows: their centroid width must
-            // match, and they cover no row the prefix check cannot verify,
-            // or the whole blob is inconsistent.
-            match &scaled {
-                Some(s) if s.ncols() == ncols && covered <= s.nrows() => {}
-                _ => return None,
+            // Every chain clusters the same feature rows.
+            if chains
+                .first()
+                .is_some_and(|c| c.last.centroids.ncols() != ncols)
+            {
+                return None;
             }
             let vals = r.f64_vec(k.checked_mul(ncols)?)?;
             let mut centroids = Dataset::zeros(k, ncols);
@@ -415,6 +377,17 @@ impl AnalysisCache {
                     total_iterations,
                 },
             });
+        }
+        // Every function the chains' rows name has a feature column, or
+        // a re-alignment would treat its nonzero entries as `+0.0`.
+        let covered = chains.iter().map(|c| c.covered).max().unwrap_or(0);
+        for flat in &intervals[..covered] {
+            if flat
+                .iter()
+                .any(|(id, _)| feature_fns.binary_search(&id).is_err())
+            {
+                return None;
+            }
         }
         let last_covered = if flags & 4 != 0 {
             Some((r.u64()?, r.u64()?))
@@ -452,7 +425,6 @@ impl AnalysisCache {
             memo,
             intervals,
             prev_cumulative,
-            scaled,
             feature_fns,
             chains: SweepChains { chains },
             memo_hits: 0,
@@ -510,20 +482,20 @@ impl AnalysisCache {
         Ok(())
     }
 
-    /// Carry the cached chains over to `data`, the new scaled rows: keep
-    /// them (re-aligned to any new feature columns) when
-    /// [`AnalysisCache::prefix_col_map`] proves the rows they were folded
-    /// over unchanged, drop them when it fails. A decoded checkpoint
+    /// Carry the cached chains over to `matrix`: keep them, re-aligned
+    /// to any new feature columns, when [`AnalysisCache::prefix_col_map`]
+    /// finds they fit, drop them when it does not. A decoded checkpoint
     /// meets the same check as a live session.
-    fn align_chains(&mut self, detector: &PhaseDetector, matrix: &IntervalMatrix, data: &Dataset) {
+    fn align_chains(&mut self, detector: &PhaseDetector, matrix: &IntervalMatrix) {
         if self.chains.is_empty() {
             return;
         }
-        let Some(map) = self.prefix_col_map(detector, matrix, data) else {
+        let Some(map) = self.prefix_col_map(detector, matrix) else {
             incprof_obs::counter(incprof_obs::names::CORE_CACHE_INVALIDATIONS).inc();
+            let covered = self.chains.chains.iter().map(|c| c.covered).max();
             incprof_obs::recorder().record(
                 incprof_obs::EventKind::CacheInvalidation,
-                self.scaled.as_ref().map_or(0, Dataset::nrows) as u64,
+                covered.unwrap_or(0) as u64,
                 INVALIDATE_PREFIX,
             );
             self.chains.clear();
@@ -533,11 +505,11 @@ impl AnalysisCache {
         let d_old = self.feature_fns.len();
         let d_new = matrix.n_functions();
         if d_new > d_old {
-            // The prefix check proved the old columns kept their bits and
-            // the inserted columns are exactly +0.0 over the covered
-            // prefix, so re-aligning the cached centroids is
-            // bit-preserving (see `SweepChains::remap_columns`). Expand
-            // the per-function map over the feature blocks.
+            // A function outside `feature_fns` has no entry in any
+            // covered interval, so its inserted columns are exactly +0.0
+            // over the covered rows and re-aligning the cached centroids
+            // is bit-preserving (see `SweepChains::remap_columns`).
+            // Expand the per-function map over the feature blocks.
             let blocks = feature_blocks(detector);
             let full: Vec<usize> = (0..blocks)
                 .flat_map(|b| map.iter().map(move |&c| b * d_new + c))
@@ -547,54 +519,29 @@ impl AnalysisCache {
         }
     }
 
-    /// Check that every previously-scaled row reappears bit-identically
-    /// in `data`, after re-aligning feature columns by [`FunctionId`]
-    /// (new functions insert columns; an old row's new entries there
-    /// must be exactly `+0.0`, which leaves Euclidean sums bit-stable).
-    /// Returns the old-to-new per-function column map on success, `None`
-    /// when anything moved and the chains must refold cold.
+    /// Map each cached feature column's [`FunctionId`] to its column in
+    /// `matrix` (new functions insert columns; old ones keep their
+    /// order). `None` when the chains do not fit: a cached function is
+    /// missing, or the centroid width is not the cached column count
+    /// times the detector's feature blocks.
     fn prefix_col_map(
         &self,
         detector: &PhaseDetector,
         matrix: &IntervalMatrix,
-        data: &Dataset,
     ) -> Option<Vec<usize>> {
-        let old = self.scaled.as_ref()?;
-        if old.nrows() > data.nrows() {
+        let width = self.feature_fns.len() * feature_blocks(detector);
+        if self
+            .chains
+            .chains
+            .iter()
+            .any(|c| c.last.centroids.ncols() != width)
+        {
             return None;
         }
-        // Old feature column t maps to new column col_map[t].
-        let mut col_map: Vec<usize> = Vec::with_capacity(self.feature_fns.len());
-        for id in &self.feature_fns {
-            // A previously observed function vanishing is only possible
-            // after a series reset; rebuild cold.
-            col_map.push(matrix.col_of(*id)?);
-        }
-        let blocks = feature_blocks(detector);
-        let d_old = self.feature_fns.len();
-        let d_new = matrix.n_functions();
-        if old.ncols() != d_old * blocks || data.ncols() != d_new * blocks {
-            return None;
-        }
-        let mut expected = vec![0.0_f64; d_new * blocks];
-        for i in 0..old.nrows() {
-            for v in expected.iter_mut() {
-                *v = 0.0;
-            }
-            let old_row = old.row(i);
-            for b in 0..blocks {
-                for (t, &c) in col_map.iter().enumerate() {
-                    expected[b * d_new + c] = old_row[b * d_old + t];
-                }
-            }
-            let new_row = data.row(i);
-            for (e, n) in expected.iter().zip(new_row) {
-                if e.to_bits() != n.to_bits() {
-                    return None;
-                }
-            }
-        }
-        Some(col_map)
+        self.feature_fns
+            .iter()
+            .map(|&id| matrix.col_of(id))
+            .collect()
     }
 }
 
@@ -785,40 +732,128 @@ mod tests {
 
     #[test]
     fn blob_growth_is_linear_in_the_interval_count() {
-        // Intervals, scaled rows, chain assignments: every section is
-        // O(n). A doubling of n may at most double the blob (plus slack
-        // for the fixed-size parts), never quadruple it.
+        // Intervals, chain assignments, memo: every section is O(n), and
+        // nothing the intervals determine is stored. The exact sizes pin
+        // the layout: a change to it edits these numbers.
         let detector = PhaseDetector::default();
         let small = cache_after(&detector, 128).encode_state().len();
         let large = cache_after(&detector, 256).encode_state().len();
-        assert!(
-            large * 2 <= small * 5,
-            "blob grew {small} -> {large} bytes for n = 128 -> 256"
+        assert_eq!(
+            (small, large),
+            (14_319, 27_380),
+            "blob bytes for n = 128 and 256"
         );
     }
 
-    #[test]
-    fn decoded_chains_go_through_the_prefix_check() {
-        // Under MinMax every snapshot of `series` raises the column
-        // maxima, so the scaled prefix moves on each push. The decoded
-        // chains must meet the prefix check, and the moved prefix must
-        // drop them, exactly as in a session that never restarted.
-        let detector = PhaseDetector {
-            scaling: incprof_cluster::Scaling::MinMax,
-            ..PhaseDetector::default()
-        };
-        let blob = cache_after(&detector, 8).encode_state();
-        let mut rehydrated = AnalysisCache::decode_state(&blob).expect("decodes");
-        assert!(!rehydrated.chains.is_empty());
+    fn json(analysis: &PhaseAnalysis) -> String {
+        serde_json::to_string(analysis).unwrap()
+    }
 
-        let resets = incprof_obs::counter(incprof_obs::names::CORE_CACHE_CENTROID_RESETS);
-        let before = resets.get();
+    #[test]
+    fn decoded_chains_that_do_not_fit_are_reset() {
+        // Chains whose centroid width is not the feature columns times
+        // the feature blocks, or that name a function the matrix lacks,
+        // cannot resume; only a decoded checkpoint can hold such chains.
+        let detector = PhaseDetector::default();
+        let blob = cache_after(&detector, 8).encode_state();
         let s9 = series(9);
-        let warm = rehydrated.analyze(&detector, &s9).unwrap();
-        assert!(resets.get() > before, "stale chains must be reset");
-        assert_eq!(
-            serde_json::to_string(&warm).unwrap(),
-            serde_json::to_string(&detector.detect_series(&s9).unwrap()).unwrap()
+        let cold = json(&detector.detect_series(&s9).unwrap());
+        let edits: [fn(&mut Vec<FunctionId>); 2] =
+            [|fns| fns.truncate(1), |fns| fns[0] = FunctionId(99)];
+        for edit in edits {
+            let decoded = || {
+                let mut c = AnalysisCache::decode_state(&blob).expect("decodes");
+                edit(&mut c.feature_fns);
+                c
+            };
+            let mut probe = decoded();
+            let matrix = IntervalMatrix::from_interval_profiles(&probe.intervals);
+            assert!(!probe.chains.is_empty());
+            probe.align_chains(&detector, &matrix);
+            assert!(
+                probe.chains.is_empty(),
+                "chains that do not fit must be reset"
+            );
+            assert_eq!(json(&decoded().analyze(&detector, &s9).unwrap()), cold);
+        }
+    }
+
+    /// `series(n)` in which function 0, below every other id, first runs
+    /// at snapshot 6, so its feature column is inserted at index 0.
+    fn series_with_newcomer(n: usize) -> SampleSeries {
+        let mut f0 = FunctionStats::default();
+        let grow = |mut snap: ProfileSnapshot| {
+            if snap.sample_index >= 6 {
+                f0.self_time += 700 + snap.sample_index * 11;
+                f0.calls += 2;
+                snap.flat.set(FunctionId(0), f0);
+            }
+            snap
+        };
+        series(n).snapshots().iter().cloned().map(grow).collect()
+    }
+
+    #[test]
+    fn a_newcomer_column_at_index_0_is_remapped_live_and_after_decode() {
+        let (before, after) = (series_with_newcomer(6), series_with_newcomer(12));
+        for features in [FeatureSet::SelfTime, FeatureSet::SelfTimeAndCalls] {
+            let detector = PhaseDetector {
+                features,
+                ..PhaseDetector::default()
+            };
+            let cold = json(&detector.detect_series(&after).unwrap());
+            let live = || {
+                let mut c = AnalysisCache::new();
+                c.analyze(&detector, &before).unwrap();
+                c
+            };
+            let blob = live().encode_state();
+            let decoded = || AnalysisCache::decode_state(&blob).expect("decodes");
+            let lives: [(&str, &dyn Fn() -> AnalysisCache); 2] =
+                [("live", &live), ("decoded", &decoded)];
+            for (life, make) in lives {
+                let mut probe = make();
+                probe.extend_intervals(&after).unwrap();
+                let matrix = IntervalMatrix::from_interval_profiles(&probe.intervals);
+                assert_eq!(matrix.col_of(FunctionId(0)), Some(0));
+                probe.align_chains(&detector, &matrix);
+                assert!(
+                    !probe.chains.is_empty(),
+                    "{features:?} {life}: chains reset"
+                );
+                let width = matrix.n_functions() * feature_blocks(&detector);
+                assert_eq!(probe.chains.chains[0].last.centroids.ncols(), width);
+                let warm = make().analyze(&detector, &after).unwrap();
+                assert_eq!(json(&warm), cold, "{features:?} {life}: not the cold bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn inconsistent_blobs_are_rejected() {
+        let detector = PhaseDetector::default();
+        let encoded = |edit: fn(&mut AnalysisCache)| {
+            let mut c = cache_after(&detector, 8);
+            edit(&mut c);
+            c.encode_state()
+        };
+        // Flag 2 marked the feature-row section, which version 5 dropped.
+        let mut blob = encoded(|_| {});
+        assert!(AnalysisCache::decode_state(&blob).is_some());
+        blob[1] |= 2;
+        assert!(AnalysisCache::decode_state(&blob).is_none(), "flag 2");
+        let rejected = |edit| AnalysisCache::decode_state(&encoded(edit)).is_none();
+        assert!(
+            rejected(|c| c.chains.chains[1].last.centroids = Dataset::zeros(2, 3)),
+            "centroid widths disagree"
+        );
+        assert!(
+            rejected(|c| c.feature_fns.insert(1, c.feature_fns[0])),
+            "a repeated id"
+        );
+        assert!(
+            rejected(|c| c.feature_fns.truncate(1)),
+            "a covered function has no column"
         );
     }
 

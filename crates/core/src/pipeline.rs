@@ -7,8 +7,7 @@
 use crate::algorithm1::{identify_instrumentation, Algorithm1Config, ClusterIntervals};
 use crate::types::Phase;
 use incprof_cluster::{
-    dbscan, ChainConfig, Dataset, DbscanParams, KMeansConfig, KSelectionMethod, Scaling,
-    SweepChains,
+    dbscan, ChainConfig, Dataset, DbscanParams, KMeansConfig, KSelectionMethod, SweepChains,
 };
 use incprof_collect::{IntervalMatrix, SampleSeries};
 use incprof_profile::{FunctionTable, ProfileError};
@@ -98,8 +97,6 @@ pub struct PhaseDetector {
     pub clustering: ClusteringMethod,
     /// Which profile quantities to cluster on.
     pub features: FeatureSet,
-    /// Feature scaling applied to the interval matrix before clustering.
-    pub scaling: Scaling,
     /// Algorithm 1 coverage threshold (paper: 0.95).
     pub coverage_threshold: f64,
     /// Seed for the k-means++ initialization.
@@ -125,7 +122,6 @@ impl Default for PhaseDetector {
         PhaseDetector {
             clustering: ClusteringMethod::default(),
             features: FeatureSet::SelfTime,
-            scaling: Scaling::None,
             coverage_threshold: 0.95,
             seed: 42,
             restarts: 8,
@@ -177,8 +173,20 @@ impl PhaseDetector {
     /// fingerprints are behaviorally identical — the key the incremental
     /// [`crate::cache::AnalysisCache`] memoizes results under, so a
     /// config change is detected as a cache invalidation rather than
-    /// silently served stale.
+    /// silently served stale. The destructuring below names every field
+    /// (no `..`), so a field added to [`PhaseDetector`] does not compile
+    /// until it is mixed in here.
     pub fn fingerprint(&self) -> u64 {
+        let PhaseDetector {
+            clustering,
+            features,
+            coverage_threshold,
+            seed,
+            restarts,
+            review_every,
+            review_candidates,
+            sweep_early_exit,
+        } = self;
         // FNV-1a, 64-bit.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut mix = |v: u64| {
@@ -187,7 +195,7 @@ impl PhaseDetector {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        match &self.clustering {
+        match clustering {
             ClusteringMethod::KMeans { k_max, selection } => {
                 mix(1);
                 mix(*k_max as u64);
@@ -196,29 +204,23 @@ impl PhaseDetector {
                     KSelectionMethod::Silhouette => 1,
                 });
             }
-            ClusteringMethod::Dbscan(p) => {
+            ClusteringMethod::Dbscan(DbscanParams { eps, min_points }) => {
                 mix(2);
-                mix(p.eps.to_bits());
-                mix(p.min_points as u64);
+                mix(eps.to_bits());
+                mix(*min_points as u64);
             }
         }
-        mix(match self.features {
+        mix(match features {
             FeatureSet::SelfTime => 0,
             FeatureSet::SelfTimeAndCalls => 1,
             FeatureSet::SelfTimeAndChildTime => 2,
         });
-        mix(match self.scaling {
-            Scaling::None => 0,
-            Scaling::MinMax => 1,
-            Scaling::ZScore => 2,
-            Scaling::RowFraction => 3,
-        });
-        mix(self.coverage_threshold.to_bits());
-        mix(self.seed);
-        mix(self.restarts as u64);
-        mix(self.review_every as u64);
-        mix(self.review_candidates as u64);
-        mix(u64::from(self.sweep_early_exit));
+        mix(coverage_threshold.to_bits());
+        mix(*seed);
+        mix(*restarts as u64);
+        mix(*review_every as u64);
+        mix(*review_candidates as u64);
+        mix(u64::from(*sweep_early_exit));
         h
     }
 
@@ -237,37 +239,22 @@ impl PhaseDetector {
     /// Detect phases from an already-built interval matrix.
     pub fn detect(&self, matrix: &IntervalMatrix) -> Result<PhaseAnalysis, PipelineError> {
         let _detect_span = incprof_obs::span(incprof_obs::names::CORE_PIPELINE_DETECT);
-        if matrix.n_intervals() == 0 {
-            return Err(PipelineError::NoIntervals);
-        }
-        if matrix.n_functions() == 0 {
-            return Err(PipelineError::NoFunctions);
-        }
-
-        let features_span = incprof_obs::span(incprof_obs::names::CORE_PIPELINE_FEATURES);
-        let raw = Dataset::from_rows(self.build_features(matrix));
-        let data = self.scaling.apply(&raw);
-        drop(features_span);
-
-        self.detect_scaled(matrix, &data, None)
+        self.detect_resuming(matrix, &mut SweepChains::new())
     }
 
-    /// Cluster already-scaled feature rows `data` (as produced by
-    /// [`PhaseDetector::build_features`] + [`Scaling::apply`] over
-    /// `matrix`), optionally resuming persistent k-means chains. This is
-    /// the entry point [`crate::cache::AnalysisCache`] uses to reuse
-    /// clustering work across streamed queries; with `chains = None` it
-    /// is exactly the tail of [`PhaseDetector::detect`] — the clustering
-    /// is the same canonical fold either way
-    /// ([`incprof_cluster::incremental`]), `chains` merely resumes it
-    /// from cached state instead of replaying from row one. Silhouette
+    /// Cluster `matrix`'s raw feature rows, resuming the k-means `chains`
+    /// (ignored by DBSCAN). This is the entry point
+    /// [`crate::cache::AnalysisCache`] uses to reuse clustering work
+    /// across streamed queries; with empty chains it is exactly
+    /// [`PhaseDetector::detect`] — the clustering is the same canonical
+    /// fold either way ([`incprof_cluster::incremental`]), cached chains
+    /// merely resume it instead of replaying from row one. Silhouette
     /// selection builds its pairwise-distance matrix inside the sweep on
     /// every call; the elbow builds none.
-    pub(crate) fn detect_scaled(
+    pub(crate) fn detect_resuming(
         &self,
         matrix: &IntervalMatrix,
-        data: &Dataset,
-        chains: Option<&mut SweepChains>,
+        chains: &mut SweepChains,
     ) -> Result<PhaseAnalysis, PipelineError> {
         if matrix.n_intervals() == 0 {
             return Err(PipelineError::NoIntervals);
@@ -276,12 +263,14 @@ impl PhaseDetector {
             return Err(PipelineError::NoFunctions);
         }
 
+        let features_span = incprof_obs::span(incprof_obs::names::CORE_PIPELINE_FEATURES);
+        let data = &Dataset::from_rows(self.build_features(matrix));
+        drop(features_span);
+
         let cluster_span = incprof_obs::span(incprof_obs::names::CORE_PIPELINE_CLUSTER);
         let (assignments, centroids, wcss_sweep, silhouette_sweep) = match &self.clustering {
             ClusteringMethod::KMeans { k_max, selection } => {
                 let cfg = self.chain_config();
-                let mut fresh = SweepChains::new();
-                let chains = chains.unwrap_or(&mut fresh);
                 let sel =
                     chains.evaluate(data, *k_max, *selection, &cfg, None, self.sweep_early_exit);
                 (
@@ -347,7 +336,7 @@ impl PhaseDetector {
     }
 
     /// Assemble clustering feature rows per [`FeatureSet`].
-    pub(crate) fn build_features(&self, matrix: &IntervalMatrix) -> Vec<Vec<f64>> {
+    fn build_features(&self, matrix: &IntervalMatrix) -> Vec<Vec<f64>> {
         let n = matrix.n_intervals();
         let d = matrix.n_functions();
         (0..n)
@@ -699,15 +688,36 @@ mod tests {
     }
 
     #[test]
-    fn scaled_features_still_detect_phases() {
-        let matrix = planted_two_phase_matrix();
-        for scaling in [Scaling::MinMax, Scaling::ZScore, Scaling::RowFraction] {
-            let det = PhaseDetector {
-                scaling,
-                ..PhaseDetector::default()
-            };
-            let analysis = det.detect(&matrix).unwrap();
-            assert_eq!(analysis.k, 2, "scaling {scaling:?} broke detection");
-        }
+    fn every_field_moves_the_fingerprint() {
+        use KSelectionMethod::{Elbow, Silhouette};
+        let kmeans = |k_max, selection| ClusteringMethod::KMeans { k_max, selection };
+        let dbscan = |eps, min_points| ClusteringMethod::Dbscan(DbscanParams { eps, min_points });
+        let vary = |edit: &dyn Fn(&mut PhaseDetector)| {
+            let mut d = PhaseDetector::default();
+            edit(&mut d);
+            d.fingerprint()
+        };
+        let fps = [
+            vary(&|_| {}),
+            vary(&|d| d.clustering = kmeans(7, Elbow)),
+            vary(&|d| d.clustering = kmeans(8, Silhouette)),
+            vary(&|d| d.clustering = dbscan(0.5, 3)),
+            vary(&|d| d.clustering = dbscan(0.25, 3)),
+            vary(&|d| d.clustering = dbscan(0.5, 4)),
+            vary(&|d| d.features = FeatureSet::SelfTimeAndCalls),
+            vary(&|d| d.features = FeatureSet::SelfTimeAndChildTime),
+            vary(&|d| d.coverage_threshold = 0.9),
+            vary(&|d| d.seed += 1),
+            vary(&|d| d.restarts += 1),
+            vary(&|d| d.review_every += 1),
+            vary(&|d| d.review_candidates += 1),
+            vary(&|d| d.sweep_early_exit = !d.sweep_early_exit),
+        ];
+        let distinct: std::collections::BTreeSet<u64> = fps.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            fps.len(),
+            "two configurations share a fingerprint"
+        );
     }
 }

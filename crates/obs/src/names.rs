@@ -118,14 +118,15 @@ pub const CORE_CACHE_MISSES: &str = "core.cache.memo_misses";
 /// pairwise-distance matrix to grow. It stays only because perfbench's
 /// `core.cache_pair_extends` reads it; it goes when perfbench drops that.
 pub const CORE_CACHE_PAIR_EXTENDS: &str = "core.cache.pair_extends";
-/// Counter: cached state discarded (config change, series reset, or
-/// scaled rows shifted under a column-stat rescale).
+/// Counter: cached state discarded (config change, series shrink or
+/// trim, or cached chains that do not fit the feature columns).
 pub const CORE_CACHE_INVALIDATIONS: &str = "core.cache.invalidations";
 /// Counter: analyses that warm-started the k-means sweep from cached
 /// converged centroid chains instead of refolding from scratch.
 pub const CORE_CACHE_CENTROID_CONTINUES: &str = "core.cache.centroid_continues";
-/// Counter: cached centroid chains discarded because the scaled prefix
-/// they were folded over moved (a column-stat rescale).
+/// Counter: cached centroid chains discarded because they do not fit the
+/// feature columns (a cached function is missing, or the centroid width
+/// disagrees; only a decoded checkpoint can hold such chains).
 pub const CORE_CACHE_CENTROID_RESETS: &str = "core.cache.centroid_resets";
 /// Counter: centroid chains re-aligned to a grown feature space (new
 /// functions insert zero columns; bit-preserving, so no refold).

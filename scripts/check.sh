@@ -145,27 +145,41 @@ serve_smoke() {
 
     # Second life: a fresh daemon over the same --store-dir must answer
     # for the kept-open session by id, byte-identically to the first
-    # life's report (transparent rehydration; docs/PERSISTENCE.md).
+    # life's report (transparent rehydration; docs/PERSISTENCE.md), and
+    # must adopt the session's checkpoint rather than replay it cold: a
+    # blob every restart rejects still answers the same bytes.
     echo "==> serve smoke: restart + rehydrate over $SMOKE_DIR/store"
     [ -s "$SMOKE_DIR/session.txt" ] || { echo "serve smoke: push wrote no session id"; exit 1; }
     SID="$(cat "$SMOKE_DIR/session.txt")"
+    [ -s "$SMOKE_DIR/store/$SID/checkpoint.iprf" ] || { echo "serve smoke: no checkpoint written"; exit 1; }
     timeout 60 "$INCPROF" serve --addr 127.0.0.1:0 --addr-file "$SMOKE_DIR/addr2.txt" \
+        --admin 127.0.0.1:0 --admin-addr-file "$SMOKE_DIR/admin2.txt" \
         --store-dir "$SMOKE_DIR/store" \
         >"$SMOKE_DIR/serve2.log" 2>&1 &
     SERVE2_PID=$!
     for _ in $(seq 1 100); do
-        [ -s "$SMOKE_DIR/addr2.txt" ] && break
+        [ -s "$SMOKE_DIR/addr2.txt" ] && [ -s "$SMOKE_DIR/admin2.txt" ] && break
         sleep 0.1
     done
     [ -s "$SMOKE_DIR/addr2.txt" ] || { echo "serve smoke: restarted daemon never bound"; exit 1; }
+    [ -s "$SMOKE_DIR/admin2.txt" ] || { echo "serve smoke: restarted admin never bound"; exit 1; }
     ADDR2="$(cat "$SMOKE_DIR/addr2.txt")"
-    timeout 60 "$INCPROF" query "$ADDR2" "$SID" --analysis --close --shutdown \
-        >"$SMOKE_DIR/report2.json"
+    timeout 60 "$INCPROF" query "$ADDR2" "$SID" --analysis >"$SMOKE_DIR/report2.json"
     cmp -s "$SMOKE_DIR/report.json" "$SMOKE_DIR/report2.json" || {
         echo "serve smoke: rehydrated report differs from the first life"
         diff "$SMOKE_DIR/report.json" "$SMOKE_DIR/report2.json" | head -20
         exit 1
     }
+    timeout 60 "$INCPROF" top "$(cat "$SMOKE_DIR/admin2.txt")" --iterations 1 --raw \
+        | grep -v '^top: ' >"$SMOKE_DIR/scrape2.txt"
+    awk '$1 == "incprof_store_checkpoint_rejected" { rejected = $2 }
+         $1 == "incprof_store_session_rehydrations" { rehydrated = $2 }
+         END { exit !(rejected + 0 == 0 && rehydrated + 0 >= 1) }' "$SMOKE_DIR/scrape2.txt" || {
+        echo "serve smoke: the restart did not adopt its checkpoint"
+        grep '^incprof_store_' "$SMOKE_DIR/scrape2.txt"
+        exit 1
+    }
+    timeout 60 "$INCPROF" query "$ADDR2" "$SID" --close --shutdown >/dev/null
     wait "$SERVE2_PID" || { echo "serve smoke: restarted daemon exited non-zero"; cat "$SMOKE_DIR/serve2.log"; exit 1; }
 }
 

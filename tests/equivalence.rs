@@ -28,7 +28,7 @@
 mod common;
 
 use common::{apps, App, MINIAMR, MINIFE};
-use incprof_suite::cluster::{KSelectionMethod, Scaling};
+use incprof_suite::cluster::KSelectionMethod;
 use incprof_suite::collect::{IntervalMatrix, SampleSeries};
 use incprof_suite::core::{AnalysisCache, ClusteringMethod, FeatureSet, OnlineConfig};
 use incprof_suite::core::{PhaseAnalysis, PhaseDetector, PipelineError};
@@ -49,30 +49,25 @@ static THREADS: Mutex<()> = Mutex::new(());
 /// Index of the paper-default detector (the daemon's) in [`detectors`].
 const DEFAULT: usize = 0;
 /// Index of the default detector with silhouette k selection.
-const SILHOUETTE: usize = 8;
+const SILHOUETTE: usize = 2;
 
-/// Every detector the table runs: k selection × scaling × feature set.
-/// MinMax and ZScore scale by column statistics that shift as intervals
-/// arrive, which forces the cache's invalidation path; the wider
-/// feature set changes the block layout its prefix check re-aligns.
+/// Every detector the table runs: k selection × feature set. The wider
+/// feature set changes the block layout the cache re-aligns its chains
+/// through when a new function inserts a column.
 fn detectors() -> &'static [PhaseDetector] {
     use FeatureSet::{SelfTime, SelfTimeAndCalls};
     use KSelectionMethod::{Elbow, Silhouette};
-    use Scaling::{MinMax, RowFraction, ZScore};
     static DETECTORS: OnceLock<Vec<PhaseDetector>> = OnceLock::new();
     DETECTORS.get_or_init(|| {
         let mut all = Vec::new();
         for selection in [Elbow, Silhouette] {
-            for scaling in [Scaling::None, MinMax, ZScore, RowFraction] {
-                for features in [SelfTime, SelfTimeAndCalls] {
-                    let k_max = 8;
-                    all.push(PhaseDetector {
-                        clustering: ClusteringMethod::KMeans { k_max, selection },
-                        scaling,
-                        features,
-                        ..PhaseDetector::default()
-                    });
-                }
+            for features in [SelfTime, SelfTimeAndCalls] {
+                let k_max = 8;
+                all.push(PhaseDetector {
+                    clustering: ClusteringMethod::KMeans { k_max, selection },
+                    features,
+                    ..PhaseDetector::default()
+                });
             }
         }
         let default = PhaseDetector::default().fingerprint();
@@ -159,10 +154,10 @@ enum Answer {
     Full(String),
 }
 
-/// "MiniAMR, detector #3 (KMeans { .. }, ZScore, SelfTimeAndCalls)".
+/// "MiniAMR, detector #3 (KMeans { .. }, SelfTimeAndCalls)".
 fn case(app: usize, det: usize) -> String {
     let d = &detectors()[det];
-    let config = format!("{:?}, {:?}, {:?}", d.clustering, d.scaling, d.features);
+    let config = format!("{:?}, {:?}", d.clustering, d.features);
     format!("{}, detector #{det} ({config})", apps()[app].name)
 }
 
@@ -267,7 +262,7 @@ enum Path {
     /// `AnalysisCache` queried at every prefix, then again (the memo).
     CacheWarm,
     /// `CacheWarm` on MiniAMR under every detector of the table.
-    CacheScalings,
+    CacheDetectors,
     /// `AnalysisCache` queried every 2nd and every 5th push.
     CacheSparse,
     /// `AnalysisCache` encoded and decoded mid-stream.
@@ -299,7 +294,7 @@ impl Path {
     fn cases(self) -> Vec<(usize, usize)> {
         let every_app = |det| (0..apps().len()).map(move |app| (app, det));
         match self {
-            Path::CacheScalings => (0..detectors().len()).map(|d| (MINIAMR, d)).collect(),
+            Path::CacheDetectors => (0..detectors().len()).map(|d| (MINIAMR, d)).collect(),
             Path::Threads => every_app(DEFAULT).chain(every_app(SILHOUETTE)).collect(),
             _ => every_app(DEFAULT).collect(),
         }
@@ -312,13 +307,13 @@ impl Path {
             Seen(app, det, n, Answer::Analysis(ok(r, at)))
         };
         match self {
-            Path::CacheWarm | Path::CacheScalings | Path::CacheSparse | Path::CacheCodec => {
+            Path::CacheWarm | Path::CacheDetectors | Path::CacheSparse | Path::CacheCodec => {
                 let strides = match self {
                     Path::CacheSparse => vec![2, 5],
                     _ => vec![1],
                 };
                 let queries = match self {
-                    Path::CacheWarm | Path::CacheScalings => 2,
+                    Path::CacheWarm | Path::CacheDetectors => 2,
                     _ => 1,
                 };
                 for stride in strides {
@@ -593,7 +588,7 @@ macro_rules! arms {
 
 arms! {
     cache_warm_at_every_prefix_and_memo_requery => CacheWarm,
-    cache_warm_under_every_scaling_and_feature_set => CacheScalings,
+    cache_warm_under_every_selection_and_feature_set => CacheDetectors,
     cache_sparse_at_strides_2_and_5 => CacheSparse,
     cache_encoded_and_decoded_mid_stream => CacheCodec,
     registry_cached_and_uncached_under_interleave => Registry,
@@ -660,8 +655,9 @@ fn pruned_kmeans_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn stale_version_checkpoint_is_rejected_not_misparsed() {
-    // v2 added the chain section, v3 dropped the pair section and v4 the
-    // elbow silhouettes. A v1..v3 blob (or any other version byte) is
+    // v2 added the chain section, v3 dropped the pair section, v4 the
+    // elbow silhouettes and v5 the feature rows. A v1..v4 blob (or any
+    // other version byte) is
     // refused outright, so the caller replays the log cold; it is never
     // field-shifted into garbage or served as a stale memo.
     let mut cache = AnalysisCache::new();
@@ -670,7 +666,7 @@ fn stale_version_checkpoint_is_rejected_not_misparsed() {
     let mut blob = cache.encode_state();
     assert!(AnalysisCache::decode_state(&blob).is_some());
     let current = blob[0];
-    for version in [0u8, 1, 2, 3, current + 1, 0xFF] {
+    for version in [0u8, 1, 2, 3, 4, current + 1, 0xFF] {
         blob[0] = version;
         let decoded = AnalysisCache::decode_state(&blob);
         assert!(decoded.is_none(), "version {version} blob must be rejected");
