@@ -12,12 +12,14 @@
 //! the clustering is defined as a **canonical left fold** over the rows,
 //! which is what runs on both the cold and the warm path:
 //!
-//! * **Base case** (t = k): best-of-restarts batch [`kmeans`] on the
-//!   first k rows.
-//! * **Step** (t → t+1): one warm Lloyd run ([`kmeans_warm`]) over the
-//!   grown prefix, starting from the previous converged centroids —
-//!   typically one or two iterations, with the Hamerly bounds skipping
-//!   most points.
+//! * **Base case** (t = k): best-of-restarts batch
+//!   [`kmeans`](crate::kmeans()) on the first k rows.
+//! * **Step** (t → t+1): one warm Lloyd run over the grown prefix, read
+//!   in place, starting from the previous converged centroids — typically
+//!   one or two iterations. The chain carries what the previous run
+//!   ended with (Hamerly bounds, cluster sums, point distances; see
+//!   [`mod@crate::kmeans`]), so a step re-examines only the appended row
+//!   and what it moves.
 //! * **Review** (t divisible by [`ChainConfig::review_every`]): a few
 //!   fresh single-restart k-means++ candidates, seeded by
 //!   `review_seed(seed, k, t, c)`, compete with the incumbent; a
@@ -36,9 +38,10 @@
 
 use crate::dataset::Dataset;
 use crate::distance::PairwiseDistances;
-use crate::kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
+use crate::kmeans::{kmeans_continue, kmeans_rows, Carry, KMeansConfig, KMeansResult};
 use crate::select_k::{elbow_index, silhouette_index, KSelection, KSelectionMethod, KSweep};
 use crate::silhouette::mean_silhouette_pre;
+use std::sync::{Mutex, PoisonError};
 
 /// Configuration of the incremental fold. Must stay fixed for the
 /// lifetime of a [`SweepChains`]; callers key cached chains by a
@@ -67,7 +70,7 @@ impl ChainConfig {
 
 /// The fold state for one value of k: the converged clustering of the
 /// first [`KChain::covered`] rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct KChain {
     /// The number of clusters this chain tracks.
     pub k: usize,
@@ -75,9 +78,33 @@ pub struct KChain {
     pub covered: usize,
     /// The converged clustering of the covered prefix.
     pub last: KMeansResult,
+    /// What the Lloyd run that produced `last` left for the next step
+    /// (bounds, cluster sums, point distances). Derived, not state:
+    /// equality ignores it, a checkpoint does not store it, and it is
+    /// `None` whenever `last` did not come from a continuation, which
+    /// only makes the next step start with one exact pass.
+    carry: Option<Carry>,
+}
+
+/// Chains are equal when their fold states are; the carry is derived.
+impl PartialEq for KChain {
+    fn eq(&self, other: &KChain) -> bool {
+        self.k == other.k && self.covered == other.covered && self.last == other.last
+    }
 }
 
 impl KChain {
+    /// A chain resumed from stored fold state (a decoded checkpoint).
+    /// It carries nothing, so its first step is one exact pass.
+    pub fn resume(k: usize, covered: usize, last: KMeansResult) -> KChain {
+        KChain {
+            k,
+            covered,
+            last,
+            carry: None,
+        }
+    }
+
     /// Base case of the fold: batch best-of-restarts k-means on the
     /// first `k` rows.
     pub fn start(data: &Dataset, k: usize, cfg: &ChainConfig) -> KChain {
@@ -90,13 +117,7 @@ impl KChain {
             k,
             ..cfg.base.clone()
         };
-        let prefix = data.prefix(k);
-        let last = kmeans(&prefix, &base);
-        KChain {
-            k,
-            covered: k,
-            last,
-        }
+        KChain::resume(k, k, kmeans_rows(data, k, &base))
     }
 
     /// Replay the fold steps from `covered` up to prefix length `t`,
@@ -115,27 +136,27 @@ impl KChain {
             self.covered
         );
         assert!(t <= data.nrows());
+        let base = KMeansConfig {
+            k: self.k,
+            ..cfg.base.clone()
+        };
         while self.covered < t {
             let u = self.covered + 1;
-            let prefix = data.prefix(u);
-            let base = KMeansConfig {
-                k: self.k,
-                ..cfg.base.clone()
-            };
-            let mut best = kmeans_warm(&prefix, &base, &self.last.centroids);
+            let (mut best, carry) = kmeans_continue(data, u, &base, &self.last, self.carry.take());
+            self.carry = carry;
             if cfg.review_every > 0 && u.is_multiple_of(cfg.review_every) {
                 for c in 0..cfg.review_candidates {
                     let cand_cfg = KMeansConfig {
-                        k: self.k,
                         restarts: 1,
                         seed: review_seed(cfg.base.seed, self.k, u, c),
-                        ..cfg.base.clone()
+                        ..base.clone()
                     };
-                    let cand = kmeans(&prefix, &cand_cfg);
+                    let cand = kmeans_rows(data, u, &cand_cfg);
                     // Strictly better only: ties keep the incumbent, so
                     // the winner is unambiguous and replay-stable.
                     if cand.wcss < best.wcss {
                         best = cand;
+                        self.carry = None;
                     }
                 }
             }
@@ -198,6 +219,10 @@ impl SweepChains {
     /// [`PairwiseDistances::extend`] keep old entries. Centroid means
     /// gain all-zero columns, which average to exactly `+0.0`.
     ///
+    /// Each chain's carried state (bounds, cluster sums and distances of
+    /// its last run) is dropped rather than widened, so the next step
+    /// starts with one exact pass; only the fold state moves.
+    ///
     /// # Panics
     /// Panics if the mapping is not strictly increasing (reordering
     /// surviving columns would change summation order, which is *not*
@@ -231,6 +256,7 @@ impl SweepChains {
                 }
             }
             chain.last.centroids = wide;
+            chain.carry = None;
         }
     }
 
@@ -288,12 +314,23 @@ impl SweepChains {
             Some(&built)
         };
 
+        // Each chain moves into the task that advances it and back, so
+        // a sweep copies no chain state.
+        let slots: Vec<Mutex<Option<KChain>>> = std::mem::take(&mut self.chains)
+            .into_iter()
+            .map(|c| Mutex::new(Some(c)))
+            .collect();
+        let take = |i: usize| {
+            slots
+                .get(i)
+                .and_then(|s| s.lock().unwrap_or_else(PoisonError::into_inner).take())
+        };
         let use_early = early_exit && scored;
         let evaluated: Vec<(KChain, Option<f64>)> = if use_early {
             let mut evaluated = Vec::with_capacity(cap);
             let mut defined: Vec<f64> = Vec::new();
             for i in 0..cap {
-                let (chain, sil) = eval_one(data, cfg, pair, i + 1, self.chains.get(i), n);
+                let (chain, sil) = eval_one(data, cfg, pair, i + 1, take(i), n);
                 evaluated.push((chain, sil));
                 if let Some(v) = sil {
                     defined.push(v);
@@ -309,11 +346,16 @@ impl SweepChains {
             // self-scheduled pool task per k, so the expensive large k's
             // do not stall the cheap ones (bit-identical at any worker
             // count — each task reads only its own chain).
-            let chains = &self.chains;
-            incprof_par::Pool::current().map_index(cap, 1, |i| {
-                eval_one(data, cfg, pair, i + 1, chains.get(i), n)
-            })
+            incprof_par::Pool::current()
+                .map_index(cap, 1, |i| eval_one(data, cfg, pair, i + 1, take(i), n))
         };
+        // Chains past an early exit were not evaluated: they stay as
+        // they were, after the evaluated ones.
+        let skipped: Vec<KChain> = slots
+            .into_iter()
+            .skip(evaluated.len())
+            .filter_map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
 
         let mut sweep = KSweep {
             ks: Vec::with_capacity(evaluated.len()),
@@ -326,12 +368,9 @@ impl SweepChains {
             if scored {
                 sweep.silhouettes.push(sil);
             }
-            if i < self.chains.len() {
-                self.chains[i] = chain;
-            } else {
-                self.chains.push(chain);
-            }
+            self.chains.push(chain);
         }
+        self.chains.extend(skipped);
         let idx = match method {
             KSelectionMethod::Elbow => elbow_index(&sweep.wcss),
             KSelectionMethod::Silhouette => silhouette_index(&sweep.silhouettes),
@@ -352,14 +391,11 @@ fn eval_one(
     cfg: &ChainConfig,
     pair: Option<&PairwiseDistances>,
     k: usize,
-    existing: Option<&KChain>,
+    existing: Option<KChain>,
     t: usize,
 ) -> (KChain, Option<f64>) {
     let _k_span = incprof_obs::span(incprof_obs::names::cluster_select_k_k(k));
-    let mut chain = match existing {
-        Some(c) => c.clone(),
-        None => KChain::start(data, k, cfg),
-    };
+    let mut chain = existing.unwrap_or_else(|| KChain::start(data, k, cfg));
     chain.advance(data, t, cfg);
     let sil = match (pair, k >= 2) {
         (Some(pair), true) => mean_silhouette_pre(pair, &chain.last.assignments),

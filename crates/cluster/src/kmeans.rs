@@ -8,7 +8,7 @@
 //! several restarts and keeps the best (lowest-WCSS) run, and repairs empty
 //! clusters by reseeding them on the point farthest from its centroid.
 //!
-//! Two cost controls keep the hot path cheap without moving a single
+//! Three cost controls keep the hot path cheap without moving a single
 //! output bit:
 //!
 //! * **Hamerly-style pruning** ([`KMeansConfig::pruning`]): per-point
@@ -27,6 +27,20 @@
 //!   the full `max_iters` budget (the k=7/k=8 "~1650 iterations" burn in
 //!   `serve_report.json`). Detecting the repeated state exits with the
 //!   exact same final state, just without the burn.
+//! * **Carried state** (a run's `Carry`): the incremental fold runs
+//!   Lloyd once per appended row, from the centroids the previous run
+//!   ended with. That run also leaves its bounds (already widened by its
+//!   final centroid movement), its cluster sums and counts, and each
+//!   point's squared distance to its centroid; the continuation reads
+//!   them instead of starting from nothing. Old rows prune from the first
+//!   iteration on and the new row starts at ∞/0. Within any run, a
+//!   cluster's sum is rebuilt from zero, in row order, only when its
+//!   membership changed; otherwise the new rows are added to its running
+//!   sum, which is the same additions in the same order. The final WCSS
+//!   is summed in row order, reusing a row's distance when neither its
+//!   assignment nor its centroid's bits moved. `pruning = false` skips
+//!   all of it and is the from-scratch oracle `tests/fold_oracle.rs`
+//!   holds the fold to.
 
 use crate::dataset::Dataset;
 use crate::distance::sq_euclidean;
@@ -46,9 +60,11 @@ pub struct KMeansConfig {
     pub seed: u64,
     /// Convergence tolerance on centroid movement (squared distance).
     pub tol: f64,
-    /// Skip provably-unchanged assignments via Hamerly-style bounds.
-    /// Output is bit-identical either way; `false` exists as the test
-    /// oracle and for debugging.
+    /// Skip provably-unchanged work: Hamerly-style bounds, cluster sums
+    /// that did not change, and the state a warm run carries over (see
+    /// the module docs). Output is bit-identical either way; `false`
+    /// rebuilds everything from scratch and exists as the test oracle
+    /// and for debugging.
     pub pruning: bool,
 }
 
@@ -102,11 +118,34 @@ impl KMeansResult {
     }
 }
 
-/// What [`kmeans`] and [`kmeans_warm`] both require of their input.
-fn check_preconditions(data: &Dataset, config: &KMeansConfig) {
-    let n = data.nrows();
+/// What a Lloyd run leaves behind for the next run over the same rows
+/// plus appended ones (see the module docs). It is derived state: never
+/// encoded, and dropping it costs only an exact first iteration.
+#[derive(Debug, Clone)]
+pub(crate) struct Carry {
+    /// Hamerly bounds per row, already widened by the final centroid
+    /// movement: valid against the run's final centroids.
+    upper: Vec<f64>,
+    lower: Vec<f64>,
+    /// Squared distance from each row to its final centroid: the terms
+    /// the run's WCSS summed.
+    dist: Vec<f64>,
+    /// Per-cluster coordinate sums and member counts of the final
+    /// assignment, accumulated in row order.
+    sums: Dataset,
+    counts: Vec<usize>,
+}
+
+/// What [`kmeans`] and [`kmeans_continue`] both require of the first
+/// `n` rows of `data`.
+fn check_preconditions(data: &Dataset, n: usize, config: &KMeansConfig) {
     assert!(config.k >= 1, "k must be at least 1");
     assert!(n >= 1, "cannot cluster an empty dataset");
+    assert!(
+        n <= data.nrows(),
+        "{n} rows requested from {}",
+        data.nrows()
+    );
     assert!(
         config.k <= n,
         "k = {} exceeds number of points {n}",
@@ -119,14 +158,19 @@ fn check_preconditions(data: &Dataset, config: &KMeansConfig) {
 /// # Panics
 /// Panics if `config.k == 0` or the dataset is empty, or `k > n`.
 pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
-    check_preconditions(data, config);
+    kmeans_rows(data, data.nrows(), config)
+}
+
+/// [`kmeans`] on the first `n` rows of `data`, read in place.
+pub(crate) fn kmeans_rows(data: &Dataset, n: usize, config: &KMeansConfig) -> KMeansResult {
+    check_preconditions(data, n, config);
 
     let mut best: Option<KMeansResult> = None;
     let mut total_iterations = 0u64;
     for r in 0..config.restarts.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        let init = kmeanspp_init(data, config.k, &mut rng);
-        let result = lloyd(data, config, init);
+        let init = kmeanspp_init(data, n, config.k, &mut rng);
+        let (result, _) = lloyd(data, n, config, init, None);
         total_iterations += result.iterations as u64;
         if best.as_ref().is_none_or(|b| result.wcss < b.wcss) {
             best = Some(result);
@@ -148,62 +192,129 @@ pub fn kmeans(data: &Dataset, config: &KMeansConfig) -> KMeansResult {
     best
 }
 
-/// Run Lloyd's algorithm once, warm-started from `init` (no k-means++
-/// seeding, no restarts). This is the per-row step of the incremental
-/// fold in [`crate::incremental`]: from near-converged centroids Lloyd
-/// typically settles in one or two iterations.
+/// Run Lloyd's algorithm once over the first `n` rows of `data`,
+/// warm-started from `prev`, the clustering of a shorter (or equal)
+/// prefix: no k-means++ seeding, no restarts. This is the per-row step
+/// of the incremental fold in [`crate::incremental`]: from
+/// near-converged centroids Lloyd typically settles in one or two
+/// iterations.
+///
+/// `carry` is what the run that produced `prev` left behind. With it
+/// (and [`KMeansConfig::pruning`]), the rows `prev` covers keep their
+/// bounds, sums and distances, and only what moved is recomputed;
+/// without it the first iteration is one exact pass. The output bits
+/// are the same either way. The returned carry describes the new run
+/// (`None` when pruning is off).
 ///
 /// # Panics
-/// Panics if `config.k == 0`, the dataset is empty, `k > n`, or `init`
-/// is not a `k × d` centroid matrix for `data`.
-pub fn kmeans_warm(data: &Dataset, config: &KMeansConfig, init: &Dataset) -> KMeansResult {
-    check_preconditions(data, config);
+/// Panics if `config.k == 0`, `n` is zero or exceeds the rows of
+/// `data`, `k > n`, `prev` covers more than `n` rows, its centroids are
+/// not a `k × d` matrix for `data`, or `carry` does not cover `prev`'s
+/// rows.
+pub(crate) fn kmeans_continue(
+    data: &Dataset,
+    n: usize,
+    config: &KMeansConfig,
+    prev: &KMeansResult,
+    carry: Option<Carry>,
+) -> (KMeansResult, Option<Carry>) {
+    check_preconditions(data, n, config);
     assert_eq!(
-        init.nrows(),
+        prev.k(),
         config.k,
         "warm start has {} centroids but k = {}",
-        init.nrows(),
+        prev.k(),
         config.k
     );
     assert_eq!(
-        init.ncols(),
+        prev.centroids.ncols(),
         data.ncols(),
         "warm start dimensionality {} does not match data {}",
-        init.ncols(),
+        prev.centroids.ncols(),
         data.ncols()
     );
-    let result = lloyd(data, config, init.clone());
+    assert!(
+        prev.assignments.len() <= n,
+        "warm start covers {} rows but only {n} are given",
+        prev.assignments.len()
+    );
+    let carried = carry.filter(|_| config.pruning).map(|c| {
+        assert_eq!(
+            c.upper.len(),
+            prev.assignments.len(),
+            "carry covers other rows"
+        );
+        (prev, c)
+    });
+    let (result, carry) = lloyd(data, n, config, prev.centroids.clone(), carried);
     incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
         config.k,
     ))
     .add(result.iterations as u64);
-    result
+    (result, carry)
 }
 
-fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
-    let n = data.nrows();
+/// Lloyd's algorithm over the first `n` rows of `data` from `init`.
+/// `prev` is a previous run over the first `m ≤ n` rows whose final
+/// centroids are `init`, with the carry it left; rows `m..n` are new.
+/// Returns the result and, under pruning, the carry of this run.
+fn lloyd(
+    data: &Dataset,
+    n: usize,
+    config: &KMeansConfig,
+    init: Dataset,
+    prev: Option<(&KMeansResult, Carry)>,
+) -> (KMeansResult, Option<Carry>) {
     let d = data.ncols();
     let k = config.k;
 
     let mut centroids = init;
-    let mut assignments = vec![0usize; n];
     let mut iterations = 0;
     let mut last_movement = 0.0f64;
     let mut pruned_points = 0u64;
+    let mut exact_points = 0u64;
 
-    // Hamerly-style bounds, in plain (square-rooted) distance space,
-    // preallocated once per run: `upper[i]` bounds the distance from
-    // point i to its assigned centroid from above, `lower[i]` bounds the
-    // distance to every *other* centroid from below. While strictly
-    // `upper[i] < lower[i]`, the assigned centroid is provably the unique
-    // nearest, so the naive argmin (strict `<`, lowest index on ties)
-    // would reproduce the same assignment — skipping it is bit-identical.
+    // Hamerly-style bounds, in plain (square-rooted) distance space:
+    // `upper[i]` bounds the distance from point i to its assigned
+    // centroid from above, `lower[i]` bounds the distance to every
+    // *other* centroid from below. While strictly `upper[i] < lower[i]`,
+    // the assigned centroid is provably the unique nearest, so the naive
+    // argmin (strict `<`, lowest index on ties) would reproduce the same
+    // assignment — skipping it is bit-identical. A row starts at ∞/0
+    // (always exact) unless a carried run left valid bounds for it.
     // `moved[c]` is how far centroid c traveled in the last update, used
     // to loosen the bounds via the triangle inequality.
-    let mut upper = vec![f64::INFINITY; n];
-    let mut lower = vec![0.0f64; n];
+    //
+    // `sums`/`counts` are the per-cluster sums of the assignment after
+    // the last assignment step, over the first `summed` rows. `dirty[c]`
+    // marks a cluster whose sum no longer describes `assignments`: a
+    // member moved in or out among the summed rows, or the empty-cluster
+    // repair re-homed a point after the sums were taken.
+    let (prev, carry) = prev.unzip();
+    // The previous run's assignment of the rows it covered.
+    let carried: &[usize] = prev.map_or(&[], |p| &p.assignments);
+    let mut summed = carried.len();
+    let mut assignments = Vec::with_capacity(n);
+    assignments.extend_from_slice(carried);
+    assignments.resize(n, 0);
+    let Carry {
+        mut upper,
+        mut lower,
+        mut dist,
+        mut sums,
+        mut counts,
+    } = carry.unwrap_or_else(|| Carry {
+        upper: Vec::new(),
+        lower: Vec::new(),
+        dist: Vec::new(),
+        sums: Dataset::zeros(k, d),
+        counts: vec![0; k],
+    });
+    upper.resize(n, f64::INFINITY);
+    lower.resize(n, 0.0);
+    dist.resize(n, 0.0);
+    let mut dirty = vec![false; k];
     let mut moved = vec![0.0f64; k];
-    let mut bounds_valid = false;
 
     // End-of-iteration state of the previous iteration, for the
     // fixed-point break (see the module docs).
@@ -218,64 +329,65 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
 
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-        // Assignment step. Returns (cluster, upper, lower, pruned) per
-        // point; pruned points keep their assignment and bounds.
-        let use_bounds = bounds_valid && config.pruning;
-        let assign_one = |i: usize| -> (usize, f64, f64, bool) {
-            if use_bounds && upper[i] < lower[i] {
-                return (assignments[i], upper[i], lower[i], true);
-            }
-            let row = data.row(i);
-            let mut best_c = 0;
-            let mut best_d = f64::INFINITY;
-            let mut second_d = f64::INFINITY;
-            for c in 0..k {
-                let dist = sq_euclidean(row, centroids.row(c));
-                if dist < best_d {
-                    second_d = best_d;
-                    best_d = dist;
-                    best_c = c;
-                } else if dist < second_d {
-                    second_d = dist;
-                }
-            }
-            (
-                best_c,
-                pad_up(best_d.sqrt()),
-                pad_down(second_d.sqrt()),
-                false,
-            )
-        };
-        let new_assignments: Vec<(usize, f64, f64, bool)> = if parallel {
-            incprof_par::par_map_index(n, assign_one)
-        } else {
-            (0..n).map(assign_one).collect()
-        };
+        // Assignment step. Pruned points keep their assignment and
+        // bounds. The first iteration counts `changed` against the
+        // all-zero start a from-scratch run begins with, so a carried
+        // run converges after exactly as many iterations.
+        let parallel_out = parallel.then(|| {
+            let (a, up, lo) = (&assignments, &upper, &lower);
+            incprof_par::par_map_index(n, |i| {
+                assign_point(data.row(i), &centroids, a[i], up[i], lo[i], config.pruning)
+            })
+        });
         let mut changed = false;
-        for (i, &(c, up, lo, pruned)) in new_assignments.iter().enumerate() {
-            if assignments[i] != c {
+        for i in 0..n {
+            let (c, up, lo, exact) = match &parallel_out {
+                Some(out) => out[i],
+                None => assign_point(
+                    data.row(i),
+                    &centroids,
+                    assignments[i],
+                    upper[i],
+                    lower[i],
+                    config.pruning,
+                ),
+            };
+            let before = if iter == 0 { 0 } else { assignments[i] };
+            changed |= c != before;
+            if c != assignments[i] {
+                if i < summed {
+                    dirty[assignments[i]] = true;
+                    dirty[c] = true;
+                }
                 assignments[i] = c;
-                changed = true;
             }
             upper[i] = up;
             lower[i] = lo;
-            if pruned {
+            if exact {
+                exact_points += 1;
+            } else {
                 pruned_points += 1;
             }
         }
 
-        // Update step.
-        let mut sums = Dataset::zeros(k, d);
-        let mut counts = vec![0usize; k];
-        for i in 0..n {
-            let c = assignments[i];
-            counts[c] += 1;
-            let row = data.row(i);
-            let target = sums.row_mut(c);
-            for j in 0..d {
-                target[j] += row[j];
-            }
+        // Update step: bring the sums to this assignment. The oracle
+        // (pruning off) rebuilds every cluster from zero; otherwise only
+        // dirty clusters are, and rows past `summed` are appended to the
+        // running sums of the rest — the same additions in the same row
+        // order either way.
+        if !config.pruning {
+            dirty.fill(true);
         }
+        resum(
+            data,
+            n,
+            &assignments,
+            &mut sums,
+            &mut counts,
+            &mut dirty,
+            summed,
+        );
+        summed = n;
         let mut movement: f64 = 0.0;
         for c in 0..k {
             if counts[c] == 0 {
@@ -294,6 +406,10 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
                 movement += m;
                 moved[c] = pad_up(m.sqrt());
                 centroids.row_mut(c).copy_from_slice(&row);
+                // The sums still count `far` in its old cluster: both
+                // sums are stale from here on.
+                dirty[assignments[far]] = true;
+                dirty[c] = true;
                 assignments[far] = c;
                 // The repair re-homed `far` outside the assignment step;
                 // its bounds describe the old assignment, so force an
@@ -328,7 +444,6 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
                 upper[i] = pad_up(upper[i] + moved[assignments[i]]);
                 lower[i] = pad_down(lower[i] - max_move);
             }
-            bounds_valid = true;
         }
 
         last_movement = movement;
@@ -356,18 +471,120 @@ fn lloyd(data: &Dataset, config: &KMeansConfig, init: Dataset) -> KMeansResult {
     incprof_obs::histogram(incprof_obs::names::CLUSTER_KMEANS_CONVERGENCE_DELTA_E12)
         .record((last_movement * 1e12) as u64);
     incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_PRUNED).add(pruned_points);
+    incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_DISTANCE_EVALS)
+        .add(exact_points * k as u64);
 
-    let wcss = (0..n)
-        .map(|i| sq_euclidean(data.row(i), centroids.row(assignments[i])))
-        // lint: allow(D04, WCSS is summed sequentially in point order on the caller thread after assignment settles)
-        .sum();
-    KMeansResult {
+    // WCSS in row order. A carried row whose assignment and centroid
+    // bits both ended where the previous run left them keeps its
+    // distance; every other row is measured again.
+    let unmoved: Vec<bool> = match prev {
+        Some(p) => (0..k)
+            .map(|c| {
+                let (a, b) = (centroids.row(c), p.centroids.row(c));
+                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+            .collect(),
+        None => vec![false; k],
+    };
+    for i in 0..n {
+        let c = assignments[i];
+        if !(carried.get(i) == Some(&c) && unmoved[c]) {
+            dist[i] = sq_euclidean(data.row(i), centroids.row(c));
+        }
+    }
+    // lint: allow(D04, WCSS is summed sequentially in point order on the caller thread after assignment settles)
+    let wcss = dist.iter().copied().sum();
+
+    let carry = config.pruning.then(|| {
+        // A repair in the final iteration left its clusters' sums
+        // describing the assignment before it.
+        resum(data, n, &assignments, &mut sums, &mut counts, &mut dirty, n);
+        Carry {
+            upper,
+            lower,
+            dist,
+            sums,
+            counts,
+        }
+    });
+    let result = KMeansResult {
         assignments,
         centroids,
         wcss,
         iterations,
         total_iterations: iterations as u64,
+    };
+    (result, carry)
+}
+
+/// The assignment of one point: `(cluster, upper, lower, exact)`. With
+/// `pruning` and a strict `upper < lower`, the current assignment `a`
+/// and its bounds stand; otherwise the exact argmin over every centroid
+/// (strict `<`, so the lowest index wins a tie) with fresh bounds.
+#[inline]
+fn assign_point(
+    row: &[f64],
+    centroids: &Dataset,
+    a: usize,
+    upper: f64,
+    lower: f64,
+    pruning: bool,
+) -> (usize, f64, f64, bool) {
+    if pruning && upper < lower {
+        return (a, upper, lower, false);
     }
+    let mut best_c = 0;
+    let mut best_d = f64::INFINITY;
+    let mut second_d = f64::INFINITY;
+    for c in 0..centroids.nrows() {
+        let dist = sq_euclidean(row, centroids.row(c));
+        if dist < best_d {
+            second_d = best_d;
+            best_d = dist;
+            best_c = c;
+        } else if dist < second_d {
+            second_d = dist;
+        }
+    }
+    (
+        best_c,
+        pad_up(best_d.sqrt()),
+        pad_down(second_d.sqrt()),
+        true,
+    )
+}
+
+/// Bring `sums`/`counts`, which describe `assignments` over the first
+/// `summed` rows except in `dirty` clusters, to all `n` rows: each dirty
+/// cluster is summed again from zero, and rows from `summed` on are
+/// appended to the running sums of the others. Both visit rows in
+/// order, so every sum is the from-zero row-order sum. Clears `dirty`.
+fn resum(
+    data: &Dataset,
+    n: usize,
+    assignments: &[usize],
+    sums: &mut Dataset,
+    counts: &mut [usize],
+    dirty: &mut [bool],
+    summed: usize,
+) {
+    let any_dirty = dirty.iter().any(|&x| x);
+    for c in (0..dirty.len()).filter(|&c| dirty[c]) {
+        sums.row_mut(c).fill(0.0);
+        counts[c] = 0;
+    }
+    let from = if any_dirty { 0 } else { summed };
+    for i in from..n {
+        let c = assignments[i];
+        if i >= summed || dirty[c] {
+            counts[c] += 1;
+            let target = sums.row_mut(c);
+            for (t, &x) in target.iter_mut().zip(data.row(i)) {
+                *t += x;
+            }
+        }
+    }
+    dirty.fill(false);
 }
 
 /// Round a bound up so that accumulated floating-point error can never
@@ -389,8 +606,7 @@ fn pad_down(x: f64) -> f64 {
 /// k-means++ seeding: first centroid uniform, each subsequent centroid
 /// sampled with probability proportional to squared distance from the
 /// nearest already-chosen centroid.
-fn kmeanspp_init(data: &Dataset, k: usize, rng: &mut StdRng) -> Dataset {
-    let n = data.nrows();
+fn kmeanspp_init(data: &Dataset, n: usize, k: usize, rng: &mut StdRng) -> Dataset {
     let d = data.ncols();
     let mut centroids = Dataset::zeros(k, d);
     let first = rng.gen_range(0..n);
@@ -601,7 +817,7 @@ mod tests {
         let data = two_blobs();
         let cfg = KMeansConfig::new(2);
         let cold = kmeans(&data, &cfg);
-        let warm = kmeans_warm(&data, &cfg, &cold.centroids);
+        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &cold, None);
         assert_eq!(warm.assignments, cold.assignments);
         assert_eq!(warm.wcss.to_bits(), cold.wcss.to_bits());
         assert!(
@@ -621,7 +837,7 @@ mod tests {
             res.total_iterations >= cfg.restarts as u64,
             "every restart runs at least one iteration"
         );
-        let warm = kmeans_warm(&data, &cfg, &res.centroids);
+        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &res, None);
         assert_eq!(warm.total_iterations, warm.iterations as u64);
     }
 
@@ -629,7 +845,94 @@ mod tests {
     #[should_panic(expected = "warm start has")]
     fn warm_start_shape_mismatch_panics() {
         let data = two_blobs();
-        let init = Dataset::zeros(3, 2);
-        let _ = kmeans_warm(&data, &KMeansConfig::new(2), &init);
+        let prev = kmeans(&data, &KMeansConfig::new(3));
+        let _ = kmeans_continue(&data, data.nrows(), &KMeansConfig::new(2), &prev, None);
+    }
+
+    /// Bits of a result, for exact comparison.
+    fn result_bits(r: &KMeansResult) -> (Vec<usize>, Vec<u64>, u64, usize) {
+        let c = (0..r.k()).flat_map(|c| r.centroids.row(c).iter().map(|v| v.to_bits()));
+        (
+            r.assignments.clone(),
+            c.collect(),
+            r.wcss.to_bits(),
+            r.iterations,
+        )
+    }
+
+    /// Continue row by row over `data` from k-means on its first `k`
+    /// rows, three ways: carrying, dropping the carry at every step, and
+    /// the pruning-off oracle. All three must agree on every bit, and
+    /// after every step the carry must describe the run's final state
+    /// exactly: sums and counts as a from-zero row-order pass over the
+    /// final assignment, distances as the WCSS terms, and bounds that
+    /// hold against the final centroids.
+    fn carry_matches_from_scratch(data: &Dataset, k: usize) {
+        let cfg = KMeansConfig::new(k);
+        let oracle_cfg = KMeansConfig {
+            pruning: false,
+            ..cfg.clone()
+        };
+        let start = kmeans(&data.prefix(k), &cfg);
+        let (mut carried, mut dropped, mut oracle) = (start.clone(), start.clone(), start);
+        let mut carry = None;
+        for n in k + 1..=data.nrows() {
+            let (next, next_carry) = kmeans_continue(data, n, &cfg, &carried, carry);
+            (carried, carry) = (next, next_carry);
+            dropped = kmeans_continue(data, n, &cfg, &dropped, None).0;
+            oracle = kmeans_continue(data, n, &oracle_cfg, &oracle, None).0;
+            assert_eq!(result_bits(&carried), result_bits(&oracle), "k={k} n={n}");
+            assert_eq!(result_bits(&dropped), result_bits(&oracle), "k={k} n={n}");
+
+            let c = carry.as_ref().expect("pruning leaves a carry");
+            let mut sums = Dataset::zeros(k, data.ncols());
+            let mut counts = vec![0usize; k];
+            for i in 0..n {
+                let a = carried.assignments[i];
+                counts[a] += 1;
+                for (t, &x) in sums.row_mut(a).iter_mut().zip(data.row(i)) {
+                    *t += x;
+                }
+                let exact = carried.sq_dist_to_centroid(data, i);
+                assert_eq!(c.dist[i].to_bits(), exact.to_bits(), "k={k} n={n} row {i}");
+                assert!(c.upper[i] >= exact.sqrt(), "k={k} n={n} row {i}: upper");
+                for o in (0..k).filter(|&o| o != a) {
+                    let other = sq_euclidean(data.row(i), carried.centroids.row(o)).sqrt();
+                    assert!(c.lower[i] <= other, "k={k} n={n} row {i}: lower");
+                }
+            }
+            assert_eq!(c.counts, counts, "k={k} n={n}");
+            let bits = |d: &Dataset| {
+                d.iter_rows()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&c.sums), bits(&sums), "k={k} n={n}");
+        }
+    }
+
+    #[test]
+    fn carried_continuations_match_from_scratch_on_blobs() {
+        let mut rows = two_blobs().to_rows();
+        rows.extend((0..20).map(|i| vec![5.0 + 0.3 * (i % 7) as f64, 5.0 - 0.2 * (i % 5) as f64]));
+        let data = Dataset::from_rows(rows);
+        for k in 1..=6 {
+            carry_matches_from_scratch(&data, k);
+        }
+    }
+
+    /// Three distinct points and up to six clusters: the empty-cluster
+    /// repair fires in most runs, often in the final iteration, where
+    /// the sums it leaves behind describe the assignment before it.
+    #[test]
+    fn carried_continuations_match_from_scratch_through_repairs() {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| vec![((i * 7) % 3) as f64 * 10.0, 0.0])
+            .collect();
+        let data = Dataset::from_rows(rows);
+        for k in 3..=6 {
+            carry_matches_from_scratch(&data, k);
+        }
     }
 }

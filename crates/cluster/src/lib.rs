@@ -47,7 +47,7 @@ pub use dataset::Dataset;
 pub use dbscan::{dbscan, DbscanLabel, DbscanParams};
 pub use distance::PairwiseDistances;
 pub use incremental::{ChainConfig, KChain, SweepChains};
-pub use kmeans::{kmeans, kmeans_warm, KMeansConfig, KMeansResult};
+pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
 pub use select_k::{KSelection, KSelectionMethod, KSweep};
 pub use silhouette::{
     mean_silhouette, mean_silhouette_pre, silhouette_values, silhouette_values_pre,

@@ -366,17 +366,14 @@ impl AnalysisCache {
                 }
                 assignments.push(a);
             }
-            chains.push(KChain {
-                k,
-                covered,
-                last: KMeansResult {
-                    assignments,
-                    centroids,
-                    wcss,
-                    iterations,
-                    total_iterations,
-                },
-            });
+            let last = KMeansResult {
+                assignments,
+                centroids,
+                wcss,
+                iterations,
+                total_iterations,
+            };
+            chains.push(KChain::resume(k, covered, last));
         }
         // Every function the chains' rows name has a feature column, or
         // a re-alignment would treat its nonzero entries as `+0.0`.

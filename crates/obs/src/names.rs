@@ -61,6 +61,10 @@ pub const CLUSTER_KMEANS_CONVERGENCE_DELTA_E12: &str = "cluster.kmeans.convergen
 /// triangle-inequality bounds inside Lloyd's assignment step (each skip
 /// saves `k` distance evaluations and is provably output-identical).
 pub const CLUSTER_KMEANS_PRUNED: &str = "cluster.kmeans.pruned";
+/// Counter: exact point–centroid distance evaluations in Lloyd's
+/// assignment step (`k` per point the bounds could not skip), added
+/// once per Lloyd run.
+pub const CLUSTER_KMEANS_DISTANCE_EVALS: &str = "cluster.kmeans.distance_evals";
 
 /// Span name for the `k`-specific leg of a selection sweep.
 pub fn cluster_select_k_k(k: usize) -> String {
@@ -298,6 +302,7 @@ pub const ALL: &[&str] = &[
     CLUSTER_SELECT_K_PAIRWISE,
     CLUSTER_KMEANS_CONVERGENCE_DELTA_E12,
     CLUSTER_KMEANS_PRUNED,
+    CLUSTER_KMEANS_DISTANCE_EVALS,
     CORE_PIPELINE_DETECT,
     CORE_PIPELINE_FEATURES,
     CORE_PIPELINE_CLUSTER,

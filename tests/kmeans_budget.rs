@@ -1,13 +1,18 @@
-//! The k = 7/8 Lloyd-iteration budget, end to end.
+//! The k-means work budget, end to end: one cold `detect_series` per
+//! prefix of each of the paper's five applications.
 //!
-//! The empty-cluster repair used to oscillate against the argmin step on
-//! duplicate-heavy prefixes and burn `max_iters × restarts` ≈ 1650 Lloyd
-//! iterations per analysis at k = 7 and k = 8; the exact fixed-point
-//! break took that to a few dozen. This pins the drop (≥ 5×) where it
-//! matters: one cold `detect_series` per prefix of each of the paper's
-//! five applications, counted by the `cluster.kmeans.iterations_total.k*`
-//! counters. The count is deterministic at the fixed seed — it does not
-//! depend on the thread count or on timing.
+//! * **Lloyd iterations at k = 7/8.** The empty-cluster repair used to
+//!   oscillate against the argmin step on duplicate-heavy prefixes and
+//!   burn `max_iters × restarts` ≈ 1650 Lloyd iterations per analysis at
+//!   k = 7 and k = 8; the exact fixed-point break took that to a few
+//!   dozen. This pins the drop (≥ 5×) where it matters, counted by the
+//!   `cluster.kmeans.iterations_total.k*` counters.
+//! * **Exact distance evaluations** in the assignment step
+//!   (`cluster.kmeans.distance_evals`), over every k: what the Hamerly
+//!   bounds and the fold's carried state leave to compute.
+//!
+//! Both counts are deterministic at the fixed seed — they do not depend
+//! on the thread count or on timing.
 //!
 //! The counters are process-global and `cargo test` runs a binary's
 //! tests concurrently, so this file holds exactly one `#[test]`.
@@ -22,6 +27,12 @@ use incprof_suite::obs::{counter, names};
 /// k = 8 (one fifth of the ~1650 the repair oscillation used to burn).
 const MAX_K78_ITERS_PER_ANALYSIS: u64 = 330;
 
+/// Maximum exact point–centroid distance evaluations over all 57
+/// analyses: the count measured when each fold step began carrying its
+/// Hamerly bounds, cluster sums and point distances. Before that, every
+/// step started with an exact pass and the total was 361 554.
+const MAX_DISTANCE_EVALS: u64 = 233_831;
+
 fn k78_iterations() -> u64 {
     counter(&names::cluster_kmeans_iterations_total(7)).get()
         + counter(&names::cluster_kmeans_iterations_total(8)).get()
@@ -31,7 +42,9 @@ fn k78_iterations() -> u64 {
 fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
     let apps = common::apps();
     let detector = PhaseDetector::default();
+    let evals = || counter(names::CLUSTER_KMEANS_DISTANCE_EVALS).get();
     let before = k78_iterations();
+    let evals_before = evals();
     let mut analyses = 0u64;
     for app in apps {
         let mut prefix = SampleSeries::new();
@@ -44,6 +57,7 @@ fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
         }
     }
     let iterations = k78_iterations() - before;
+    let distance_evals = evals() - evals_before;
 
     assert_eq!(analyses, 57, "one analysis per prefix of the five series");
     assert!(iterations > 0, "the k = 7/8 counters must be live");
@@ -51,5 +65,13 @@ fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
         iterations <= MAX_K78_ITERS_PER_ANALYSIS * analyses,
         "k7+k8 Lloyd iterations: {iterations} over {analyses} analyses = {}/analysis, cap {MAX_K78_ITERS_PER_ANALYSIS}",
         iterations / analyses
+    );
+    assert!(
+        distance_evals > 0,
+        "the distance-evaluation counter must be live"
+    );
+    assert!(
+        distance_evals <= MAX_DISTANCE_EVALS,
+        "exact distance evaluations: {distance_evals} over {analyses} analyses, cap {MAX_DISTANCE_EVALS}"
     );
 }
