@@ -9,14 +9,20 @@
 //!
 //! [`AnalysisCache`] removes the redundancy in three layers, each gated
 //! on a check that preserves **bit-identical** output versus a cold
-//! [`PhaseDetector::detect_series`] call:
+//! [`PhaseDetector::detect_series`] call. All three describe one prefix
+//! of the series, the cache's *frontier*: its length and the identity
+//! of its last snapshot, checked by [`AnalysisCache::covers`].
 //!
-//! 1. **Whole-report memoization.** Results are keyed on (sample count,
-//!    last sample identity, config fingerprint); a query with no new
-//!    snapshot returns the memoized [`PhaseAnalysis`] in O(1).
+//! 1. **Whole-report memoization.** The memoized [`PhaseAnalysis`] is
+//!    the answer for exactly the frontier's prefix under the config
+//!    fingerprint; a query with no new snapshot returns it in O(1).
+//!    Moving the frontier clears it.
 //! 2. **Incremental deltas.** Interval profiles are the per-snapshot
 //!    deltas of a cumulative series; the cache keeps the deltas already
-//!    computed and only subtracts the new suffix.
+//!    computed and only subtracts each new snapshot from the one before
+//!    it in the series. A decoded checkpoint holds no deltas — the
+//!    snapshot log gives them back — so its first memo miss rebuilds
+//!    them from the replayed series with the same loop.
 //! 3. **Incremental k-means chains.** The clustering itself is a
 //!    canonical per-row fold ([`incprof_cluster::incremental`]): cold
 //!    runs fold from row one, warm runs resume the cached
@@ -33,7 +39,8 @@
 //!    checkpoint can hold, are dropped (`centroid_resets`, counted as a
 //!    `core.cache.invalidations`). `centroid_continues` counts analyses
 //!    that actually resumed cached chains. Chains survive checkpoints;
-//!    the rows they fold over are rebuilt from the intervals.
+//!    the rows they fold over, and their columns, are rebuilt from the
+//!    intervals.
 //!
 //! Nothing of size n² is kept: the elbow needs no pairwise distances,
 //! and silhouette selection builds its matrix inside the sweep on every
@@ -67,22 +74,37 @@ pub const INVALIDATE_TRIM: u64 = 4;
 /// no silhouettes under elbow selection; a version 3 memo does, and would
 /// answer differently from a cold replay of the same log. Version 5 drops
 /// the feature-row section (and its flag, `2`): the rows are a pure
-/// function of the intervals. Any other version is rejected cleanly by
+/// function of the intervals. Version 6 drops the intervals, the previous
+/// cumulative profile and the feature-function ids: the snapshot log
+/// gives all three back. Any other version is rejected cleanly by
 /// [`AnalysisCache::decode_state`] and the caller replays the snapshot
 /// log cold.
-const STATE_VERSION: u8 = 5;
+const STATE_VERSION: u8 = 6;
 
-/// Memoized result of the last completed analysis.
-#[derive(Debug, Clone)]
-struct Memo {
-    /// Series length the analysis covered.
-    samples: usize,
-    /// `sample_index` of the last snapshot covered (identity check).
-    last_sample_index: u64,
-    /// `timestamp_ns` of the last snapshot covered (identity check).
-    last_timestamp_ns: u64,
-    /// The analysis itself.
-    analysis: PhaseAnalysis,
+/// The series prefix an [`AnalysisCache`] covers: its length and the
+/// identity of its last snapshot. Sample indices strictly increase and
+/// keep their order, so a retention trim inside the prefix shifts a
+/// *different* snapshot into the last position, and comparing this one
+/// identity detects every misalignment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Frontier {
+    /// Snapshots covered; 0 for an empty cache.
+    len: usize,
+    /// `sample_index` of snapshot `len − 1`.
+    sample_index: u64,
+    /// `timestamp_ns` of snapshot `len − 1`.
+    timestamp_ns: u64,
+}
+
+impl Frontier {
+    /// The frontier at the end of `series`.
+    fn end_of(series: &SampleSeries) -> Frontier {
+        series.last().map_or(Frontier::default(), |s| Frontier {
+            len: series.len(),
+            sample_index: s.sample_index,
+            timestamp_ns: s.timestamp_ns,
+        })
+    }
 }
 
 /// Per-session incremental analysis state. See the module docs.
@@ -95,14 +117,19 @@ struct Memo {
 pub struct AnalysisCache {
     /// Fingerprint of the detector config the cached state was built by.
     fingerprint: Option<u64>,
-    /// Last full result, reused verbatim for no-new-data queries.
-    memo: Option<Memo>,
-    /// Interval (delta) profiles computed so far, one per snapshot.
+    /// The series prefix everything below describes.
+    frontier: Frontier,
+    /// The analysis of exactly the frontier's prefix, reused verbatim
+    /// for no-new-data queries; cleared whenever the frontier moves.
+    memo: Option<PhaseAnalysis>,
+    /// Interval (delta) profiles of the frontier's first
+    /// `intervals.len()` snapshots: all of them on a live cache, none on
+    /// a decoded one until its first memo miss rebuilds them.
     intervals: Vec<FlatProfile>,
-    /// The cumulative profile the next delta subtracts from.
-    prev_cumulative: FlatProfile,
-    /// Feature-column function ids of the previous analysis, aligned
-    /// with `chains`' centroid columns (per feature block).
+    /// Feature-column function ids the chains were folded on, aligned
+    /// with `chains`' centroid columns (per feature block): the previous
+    /// analysis's, or on a decoded cache the functions of the frontier's
+    /// rows once they are rebuilt.
     feature_fns: Vec<FunctionId>,
     /// Converged k-means chain state per k, resumed by warm analyses
     /// (layer 3 of the module docs).
@@ -113,13 +140,6 @@ pub struct AnalysisCache {
     memo_hits: u64,
     /// This instance's memo misses. Survives cache resets.
     memo_misses: u64,
-    /// Identity (`sample_index`, `timestamp_ns`) of the snapshot at
-    /// position `intervals.len() − 1` of the series the cache last
-    /// covered. Checked before every incremental extension: if the
-    /// series was trimmed (retention) and regrew past the old length,
-    /// positions have shifted even though the length never shrank, and
-    /// the cache must rebuild cold instead of extending stale deltas.
-    last_covered: Option<(u64, u64)>,
 }
 
 impl AnalysisCache {
@@ -146,7 +166,7 @@ impl AnalysisCache {
                 incprof_obs::counter(incprof_obs::names::CORE_CACHE_INVALIDATIONS).inc();
                 incprof_obs::recorder().record(
                     incprof_obs::EventKind::CacheInvalidation,
-                    self.intervals.len() as u64,
+                    self.frontier.len as u64,
                     INVALIDATE_FINGERPRINT,
                 );
             }
@@ -154,16 +174,11 @@ impl AnalysisCache {
             self.fingerprint = Some(fp);
         }
 
-        if let Some(memo) = &self.memo {
-            if let Some(last) = series.last() {
-                if memo.samples == series.len()
-                    && memo.last_sample_index == last.sample_index
-                    && memo.last_timestamp_ns == last.timestamp_ns
-                {
-                    incprof_obs::counter(incprof_obs::names::CORE_CACHE_HITS).inc();
-                    self.memo_hits += 1;
-                    return Ok(memo.analysis.clone());
-                }
+        if self.frontier.len == series.len() && self.covers(series) {
+            if let Some(memo) = &self.memo {
+                incprof_obs::counter(incprof_obs::names::CORE_CACHE_HITS).inc();
+                self.memo_hits += 1;
+                return Ok(memo.clone());
             }
         }
         incprof_obs::counter(incprof_obs::names::CORE_CACHE_MISSES).inc();
@@ -183,13 +198,7 @@ impl AnalysisCache {
         let analysis = detector.detect_resuming(&matrix, &mut self.chains)?;
 
         self.feature_fns = matrix.functions().to_vec();
-        let last = series.last().ok_or(PipelineError::NoIntervals)?;
-        self.memo = Some(Memo {
-            samples: series.len(),
-            last_sample_index: last.sample_index,
-            last_timestamp_ns: last.timestamp_ns,
-            analysis: analysis.clone(),
-        });
+        self.memo = Some(analysis.clone());
         Ok(analysis)
     }
 
@@ -199,18 +208,20 @@ impl AnalysisCache {
         (self.memo_hits, self.memo_misses)
     }
 
-    /// Identity (`sample_index`, `timestamp_ns`) of the last snapshot the
-    /// cached deltas cover, or `None` for an empty cache. Together with
-    /// [`AnalysisCache::covered_len`] this lets a rehydrating session
-    /// validate a decoded checkpoint against the series rebuilt from its
-    /// snapshot log before trusting it.
-    pub fn covered(&self) -> Option<(u64, u64)> {
-        self.last_covered
-    }
-
-    /// Number of interval deltas the cache currently covers.
-    pub fn covered_len(&self) -> usize {
-        self.intervals.len()
+    /// Whether the cache covers a prefix of `series`: the snapshot at
+    /// the position of the cache's last covered one is that snapshot.
+    /// An empty cache covers every series. A rehydrating session adopts
+    /// a decoded checkpoint only when this holds for the series rebuilt
+    /// from its snapshot log; a live cache that finds it false rebuilds
+    /// cold.
+    pub fn covers(&self, series: &SampleSeries) -> bool {
+        let Some(last) = self.frontier.len.checked_sub(1) else {
+            return true;
+        };
+        series.snapshots().get(last).is_some_and(|s| {
+            (s.sample_index, s.timestamp_ns)
+                == (self.frontier.sample_index, self.frontier.timestamp_ns)
+        })
     }
 
     /// Serialize the cache into a self-contained checkpoint blob
@@ -219,24 +230,22 @@ impl AnalysisCache {
     /// The blob is advisory: [`AnalysisCache::decode_state`] refuses
     /// anything it cannot validate, and the caller falls back to a cold
     /// replay of the snapshot log — so the format can evolve by bumping
-    /// the version byte without migration code.
+    /// the version byte without migration code. It holds only what the
+    /// log cannot give back: the intervals and the feature columns are
+    /// rebuilt from the replayed series.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(STATE_VERSION);
         // Memo analyses are stored as their JSON serialization; decode
         // re-parses and byte-compares the round trip, dropping the memo
         // (only) if the text does not survive identically.
-        let memo_json = self.memo.as_ref().and_then(|m| {
-            serde_json::to_string(&m.analysis)
-                .ok()
-                .map(|j| (m, j.into_bytes()))
-        });
+        let memo_json = self
+            .memo
+            .as_ref()
+            .and_then(|m| serde_json::to_string(m).ok());
         let mut flags = 0u8;
         if self.fingerprint.is_some() {
             flags |= 1;
-        }
-        if self.last_covered.is_some() {
-            flags |= 4;
         }
         if memo_json.is_some() {
             flags |= 8;
@@ -245,15 +254,9 @@ impl AnalysisCache {
         if let Some(fp) = self.fingerprint {
             put_u64(&mut out, fp);
         }
-        put_u32(&mut out, self.intervals.len() as u32);
-        for flat in &self.intervals {
-            put_flat(&mut out, flat);
-        }
-        put_flat(&mut out, &self.prev_cumulative);
-        put_u32(&mut out, self.feature_fns.len() as u32);
-        for id in &self.feature_fns {
-            put_u32(&mut out, id.0);
-        }
+        put_u32(&mut out, self.frontier.len as u32);
+        put_u64(&mut out, self.frontier.sample_index);
+        put_u64(&mut out, self.frontier.timestamp_ns);
         // Chain section: chains are stored in k order, so k itself is
         // implied by position (`chains[i].k == i + 1`).
         put_u32(&mut out, self.chains.chains.len() as u32);
@@ -272,16 +275,9 @@ impl AnalysisCache {
                 put_u32(&mut out, a as u32);
             }
         }
-        if let Some((idx, ts)) = self.last_covered {
-            put_u64(&mut out, idx);
-            put_u64(&mut out, ts);
-        }
-        if let Some((m, json)) = memo_json {
-            put_u64(&mut out, m.samples as u64);
-            put_u64(&mut out, m.last_sample_index);
-            put_u64(&mut out, m.last_timestamp_ns);
+        if let Some(json) = memo_json {
             put_u32(&mut out, json.len() as u32);
-            out.extend_from_slice(&json);
+            out.extend_from_slice(json.as_bytes());
         }
         out
     }
@@ -295,46 +291,31 @@ impl AnalysisCache {
     /// round-trip byte-identically is dropped alone (it is a pure
     /// optimization); the rest of the blob still loads. Memo statistics
     /// restart at zero: they describe an instance's history, and the
-    /// decoded instance is new.
+    /// decoded instance is new. The decoded cache holds no intervals;
+    /// its first memo miss rebuilds them.
     pub fn decode_state(bytes: &[u8]) -> Option<AnalysisCache> {
         let mut r = Reader { b: bytes, pos: 0 };
         if r.u8()? != STATE_VERSION {
             return None;
         }
         let flags = r.u8()?;
-        if flags & !0b1101 != 0 {
+        if flags & !0b1001 != 0 {
             return None;
         }
         let fingerprint = if flags & 1 != 0 { Some(r.u64()?) } else { None };
-        let n_intervals = r.u32()? as usize;
-        if r.remaining() < n_intervals.checked_mul(4)? {
-            return None;
-        }
-        let mut intervals = Vec::with_capacity(n_intervals);
-        for _ in 0..n_intervals {
-            intervals.push(read_flat(&mut r)?);
-        }
-        let prev_cumulative = read_flat(&mut r)?;
-        let n_fns = r.u32()? as usize;
-        if r.remaining() < n_fns.checked_mul(4)? {
-            return None;
-        }
-        let mut feature_fns = Vec::with_capacity(n_fns);
-        for _ in 0..n_fns {
-            feature_fns.push(FunctionId(r.u32()?));
-        }
-        // Matrix columns are in strictly increasing id order.
-        if feature_fns.windows(2).any(|w| w[0] >= w[1]) {
-            return None;
-        }
+        let frontier = Frontier {
+            len: r.u32()? as usize,
+            sample_index: r.u64()?,
+            timestamp_ns: r.u64()?,
+        };
         let n_chains = r.u32()? as usize;
         let mut chains: Vec<KChain> = Vec::with_capacity(n_chains.min(64));
         for i in 0..n_chains {
             let k = i + 1;
             let covered = r.u32()? as usize;
             // A chain's base case covers exactly k rows and the fold only
-            // ever extends it over the covered interval prefix.
-            if covered < k || covered > n_intervals {
+            // ever extends it over the frontier's prefix.
+            if covered < k || covered > frontier.len {
                 return None;
             }
             let iterations = r.u32()? as usize;
@@ -375,42 +356,21 @@ impl AnalysisCache {
             };
             chains.push(KChain::resume(k, covered, last));
         }
-        // Every function the chains' rows name has a feature column, or
-        // a re-alignment would treat its nonzero entries as `+0.0`.
-        let covered = chains.iter().map(|c| c.covered).max().unwrap_or(0);
-        for flat in &intervals[..covered] {
-            if flat
-                .iter()
-                .any(|(id, _)| feature_fns.binary_search(&id).is_err())
-            {
+        let memo = if flags & 8 != 0 {
+            // A memo answers the frontier's prefix, which is never empty.
+            if frontier.len == 0 {
                 return None;
             }
-        }
-        let last_covered = if flags & 4 != 0 {
-            Some((r.u64()?, r.u64()?))
-        } else {
-            None
-        };
-        let memo = if flags & 8 != 0 {
-            let samples = r.u64()? as usize;
-            let last_sample_index = r.u64()?;
-            let last_timestamp_ns = r.u64()?;
             let len = r.u32()? as usize;
             let raw = r.bytes(len)?;
-            let analysis = std::str::from_utf8(raw)
+            std::str::from_utf8(raw)
                 .ok()
                 .and_then(|text| serde_json::from_str::<PhaseAnalysis>(text).ok())
                 .filter(|a| {
                     serde_json::to_string(a)
                         .map(|again| again.as_bytes() == raw)
                         .unwrap_or(false)
-                });
-            analysis.map(|analysis| Memo {
-                samples,
-                last_sample_index,
-                last_timestamp_ns,
-                analysis,
-            })
+                })
         } else {
             None
         };
@@ -419,14 +379,10 @@ impl AnalysisCache {
         }
         Some(AnalysisCache {
             fingerprint,
+            frontier,
             memo,
-            intervals,
-            prev_cumulative,
-            feature_fns,
             chains: SweepChains { chains },
-            memo_hits: 0,
-            memo_misses: 0,
-            last_covered,
+            ..AnalysisCache::new()
         })
     }
 
@@ -439,42 +395,50 @@ impl AnalysisCache {
         self.memo_misses = misses;
     }
 
-    /// Bring `self.intervals` up to date with `series`, computing deltas
-    /// only for the new snapshot suffix. Replicates
+    /// Move the frontier to the end of `series` and bring
+    /// `self.intervals` up to date with it, computing deltas only for
+    /// the snapshots not yet covered — the new suffix on a live cache,
+    /// the whole series on a decoded one. Replicates
     /// `SampleSeries::interval_profiles` exactly: interval `i` is
     /// `snapshot[i] − snapshot[i−1]`, interval 0 measured from empty.
     fn extend_intervals(&mut self, series: &SampleSeries) -> Result<(), PipelineError> {
-        let snaps = series.snapshots();
-        let stale = if snaps.len() < self.intervals.len() {
-            // Series shrank (session restart) — cold restart.
-            Some(INVALIDATE_SHRINK)
-        } else if let Some(pos) = self.intervals.len().checked_sub(1) {
-            // The snapshot at the coverage frontier must still be the one
-            // the cached deltas were computed from; a retention trim that
-            // regrew past the old length shifts positions without ever
-            // shrinking the series.
-            let s = &snaps[pos];
-            (self.last_covered != Some((s.sample_index, s.timestamp_ns))).then_some(INVALIDATE_TRIM)
-        } else {
-            None
-        };
-        if let Some(tag) = stale {
+        if !self.covers(series) {
+            // The series shrank (session restart), or a retention trim
+            // that regrew past the old length shifted positions without
+            // ever shrinking it — cold restart.
+            let tag = if series.len() < self.frontier.len {
+                INVALIDATE_SHRINK
+            } else {
+                INVALIDATE_TRIM
+            };
             incprof_obs::counter(incprof_obs::names::CORE_CACHE_INVALIDATIONS).inc();
             incprof_obs::recorder().record(
                 incprof_obs::EventKind::CacheInvalidation,
-                self.intervals.len() as u64,
+                self.frontier.len as u64,
                 tag,
             );
             let fp = self.fingerprint;
             self.reset();
             self.fingerprint = fp;
         }
-        for snap in &snaps[self.intervals.len()..] {
+        // Intervals short of the frontier: a decoded cache, whose chains
+        // were folded over the first `covered` rows.
+        let covered = self.frontier.len;
+        let rebuild = self.intervals.len() < covered;
+        self.frontier = Frontier::end_of(series);
+        self.memo = None;
+        let snaps = series.snapshots();
+        let empty = FlatProfile::new();
+        for (i, snap) in snaps.iter().enumerate().skip(self.intervals.len()) {
+            let prev = i.checked_sub(1).map_or(&empty, |p| &snaps[p].flat);
             // On a delta error (non-monotonic counters) the already-pushed
             // prefix stays consistent; a retry recomputes only from here.
-            self.intervals.push(snap.flat.delta(&self.prev_cumulative)?);
-            self.prev_cumulative = snap.flat.clone();
-            self.last_covered = Some((snap.sample_index, snap.timestamp_ns));
+            self.intervals.push(snap.flat.delta(prev)?);
+        }
+        if rebuild {
+            self.feature_fns = IntervalMatrix::from_interval_profiles(&self.intervals[..covered])
+                .functions()
+                .to_vec();
         }
         Ok(())
     }
@@ -561,38 +525,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a [`FlatProfile`] as `u32 count` then per function
-/// `u32 id, u64 self_time, u64 calls, u64 child_time` in id order
-/// (the profile's map iteration order, which is already sorted).
-fn put_flat(out: &mut Vec<u8>, flat: &FlatProfile) {
-    put_u32(out, flat.len() as u32);
-    for (id, s) in flat.iter() {
-        put_u32(out, id.0);
-        put_u64(out, s.self_time);
-        put_u64(out, s.calls);
-        put_u64(out, s.child_time);
-    }
-}
-
-fn read_flat(r: &mut Reader<'_>) -> Option<FlatProfile> {
-    let count = r.u32()? as usize;
-    // 28 bytes per entry: id + three u64 counters.
-    if r.remaining() < count.checked_mul(28)? {
-        return None;
-    }
-    let mut flat = FlatProfile::new();
-    for _ in 0..count {
-        let id = FunctionId(r.u32()?);
-        let stats = incprof_profile::FunctionStats {
-            self_time: r.u64()?,
-            calls: r.u64()?,
-            child_time: r.u64()?,
-        };
-        flat.set(id, stats);
-    }
-    Some(flat)
-}
-
 /// Bounds-checked little-endian cursor over a checkpoint blob. Every
 /// accessor returns `None` past the end, so `decode_state` can use `?`
 /// throughout and reject truncation uniformly.
@@ -633,8 +565,8 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `n` little-endian f64 bit patterns with a single bounds
-    /// check, instead of a checked slice per value (scaled rows and
-    /// chain centroids are the blob's bulk).
+    /// check, instead of a checked slice per value (a chain's
+    /// centroids).
     fn f64_vec(&mut self, n: usize) -> Option<Vec<f64>> {
         let raw = self.bytes(n.checked_mul(8)?)?;
         Some(
@@ -688,8 +620,8 @@ mod tests {
         let cache = AnalysisCache::new();
         let blob = cache.encode_state();
         let back = AnalysisCache::decode_state(&blob).expect("decodes");
-        assert_eq!(back.covered(), None);
-        assert_eq!(back.covered_len(), 0);
+        assert_eq!(back.frontier, Frontier::default());
+        assert!(back.covers(&series(3)), "an empty cache covers any series");
         assert!(back.memo.is_none());
     }
 
@@ -702,18 +634,29 @@ mod tests {
 
         let blob = cache_after(&detector, 6).encode_state();
         let mut rehydrated = AnalysisCache::decode_state(&blob).expect("decodes");
-        assert_eq!(rehydrated.covered_len(), 6);
-        assert_eq!(rehydrated.covered(), live.covered());
+        assert_eq!(rehydrated.frontier, live.frontier);
+        assert!(rehydrated.covers(&s6));
+        assert!(rehydrated.intervals.is_empty(), "the log gives them back");
+
+        // A query at the frontier is the decoded memo, and rebuilds nothing.
+        let (hits, _) = rehydrated.stats();
+        rehydrated.analyze(&detector, &s6).unwrap();
+        assert_eq!(
+            rehydrated.stats().0,
+            hits + 1,
+            "query at the frontier must memo-hit"
+        );
+        assert!(rehydrated.intervals.is_empty(), "a memo hit rebuilt rows");
 
         // Continue both caches over the same grown series: analyses must
-        // match byte-for-byte through the JSON report serialization.
+        // match byte-for-byte through the JSON report serialization, over
+        // the same rebuilt intervals and feature columns.
         let s9 = series(9);
         let a = live.analyze(&detector, &s9).unwrap();
         let b = rehydrated.analyze(&detector, &s9).unwrap();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
+        assert_eq!(json(&a), json(&b));
+        assert_eq!(rehydrated.intervals, live.intervals);
+        assert_eq!(rehydrated.feature_fns, live.feature_fns);
         // The rehydrated memo serves a repeat query without recompute.
         let before = rehydrated.stats();
         rehydrated.analyze(&detector, &s9).unwrap();
@@ -727,19 +670,49 @@ mod tests {
         c
     }
 
+    /// `series(n)` plus `extra` functions (ids 10, 11, …) that run in
+    /// every interval.
+    fn series_wide(n: usize, extra: u32) -> SampleSeries {
+        let mut fs = vec![FunctionStats::default(); extra as usize];
+        let grow = |mut snap: ProfileSnapshot| {
+            for (j, f) in fs.iter_mut().enumerate() {
+                f.self_time += 300 + snap.sample_index * (j as u64 + 3);
+                f.calls += 1;
+                snap.flat.set(FunctionId(10 + j as u32), *f);
+            }
+            snap
+        };
+        series(n).snapshots().iter().cloned().map(grow).collect()
+    }
+
     #[test]
     fn blob_growth_is_linear_in_the_interval_count() {
-        // Intervals, chain assignments, memo: every section is O(n), and
-        // nothing the intervals determine is stored. The exact sizes pin
+        // The blob is a fixed header, the frontier, the chains and the
+        // memo: nothing the snapshot log gives back. The exact sizes pin
         // the layout: a change to it edits these numbers.
         let detector = PhaseDetector::default();
-        let small = cache_after(&detector, 128).encode_state().len();
-        let large = cache_after(&detector, 256).encode_state().len();
+        let blob = |s: &SampleSeries| {
+            let mut c = AnalysisCache::new();
+            c.analyze(&detector, s).unwrap();
+            let memo = json(c.memo.as_ref().unwrap()).len() as i64;
+            (c.encode_state().len() as i64, memo, c.chains.chains.len())
+        };
+        let (small, small_memo, chains) = blob(&series(128));
+        let (large, large_memo, large_chains) = blob(&series(256));
+        let (wide, wide_memo, wide_chains) = blob(&series_wide(128, 4));
         assert_eq!(
-            (small, large),
-            (14_319, 27_380),
-            "blob bytes for n = 128 and 256"
+            (small, large, wide),
+            (6_543, 11_924, 7_691),
+            "blob bytes for (n, d) = (128, 2), (256, 2) and (128, 6)"
         );
+        assert_eq!((chains, large_chains, wide_chains), (8, 8, 8));
+        // Doubling n adds one u32 assignment per chain per new row, and
+        // what the memo's JSON grew by.
+        assert_eq!(large - small, 8 * 4 * 128 + large_memo - small_memo);
+        // Four more active functions per interval add four f64 columns to
+        // every centroid of every chain (1 + 2 + … + 8 = 36 centroids),
+        // and what the memo's JSON grew by.
+        assert_eq!(wide - small, 36 * 4 * 8 + wide_memo - small_memo);
     }
 
     fn json(analysis: &PhaseAnalysis) -> String {
@@ -751,16 +724,27 @@ mod tests {
         // Chains whose centroid width is not the feature columns times
         // the feature blocks, or that name a function the matrix lacks,
         // cannot resume; only a decoded checkpoint can hold such chains.
+        // The columns are derived from the rebuilt rows, so each edit
+        // lands after the first rebuild.
         let detector = PhaseDetector::default();
         let blob = cache_after(&detector, 8).encode_state();
         let s9 = series(9);
         let cold = json(&detector.detect_series(&s9).unwrap());
-        let edits: [fn(&mut Vec<FunctionId>); 2] =
-            [|fns| fns.truncate(1), |fns| fns[0] = FunctionId(99)];
+        let edits: [fn(&mut AnalysisCache); 3] = [
+            |c| c.feature_fns.truncate(1),
+            |c| c.feature_fns[0] = FunctionId(99),
+            |c| {
+                for chain in &mut c.chains.chains {
+                    chain.last.centroids = Dataset::zeros(chain.k, 3);
+                }
+            },
+        ];
         for edit in edits {
             let decoded = || {
                 let mut c = AnalysisCache::decode_state(&blob).expect("decodes");
-                edit(&mut c.feature_fns);
+                c.extend_intervals(&s9).unwrap();
+                assert_eq!(c.feature_fns, [FunctionId(1), FunctionId(2)]);
+                edit(&mut c);
                 c
             };
             let mut probe = decoded();
@@ -834,23 +818,34 @@ mod tests {
             edit(&mut c);
             c.encode_state()
         };
-        // Flag 2 marked the feature-row section, which version 5 dropped.
-        let mut blob = encoded(|_| {});
+        // Flag 2 marked version 4's feature-row section and flag 4 version
+        // 5's optional frontier; version 6 always stores the frontier.
+        let blob = encoded(|_| {});
         assert!(AnalysisCache::decode_state(&blob).is_some());
-        blob[1] |= 2;
-        assert!(AnalysisCache::decode_state(&blob).is_none(), "flag 2");
+        for flag in [2, 4] {
+            let mut bad = blob.clone();
+            bad[1] |= flag;
+            assert!(AnalysisCache::decode_state(&bad).is_none(), "flag {flag}");
+        }
         let rejected = |edit| AnalysisCache::decode_state(&encoded(edit)).is_none();
         assert!(
             rejected(|c| c.chains.chains[1].last.centroids = Dataset::zeros(2, 3)),
             "centroid widths disagree"
         );
         assert!(
-            rejected(|c| c.feature_fns.insert(1, c.feature_fns[0])),
-            "a repeated id"
+            rejected(|c| c.frontier.len = 7),
+            "a chain covers rows past the frontier"
         );
         assert!(
-            rejected(|c| c.feature_fns.truncate(1)),
-            "a covered function has no column"
+            rejected(|c| c.chains.chains[1].last.assignments[0] = 2),
+            "an assignment names no centroid"
+        );
+        assert!(
+            rejected(|c| {
+                c.chains.clear();
+                c.frontier = Frontier::default();
+            }),
+            "a memo at an empty frontier"
         );
     }
 
@@ -893,16 +888,13 @@ mod tests {
         // acceptable fail-closed outcome.
         if let Some(c) = AnalysisCache::decode_state(&bad) {
             assert!(c.memo.is_none(), "tampered memo must not survive");
-            assert_eq!(c.covered_len(), 6, "non-memo state must survive");
+            assert_eq!(c.frontier.len, 6, "non-memo state must survive");
         }
     }
 
     #[test]
     fn trim_then_regrow_invalidates_instead_of_aliasing() {
         let detector = PhaseDetector::default();
-        let mut cache = AnalysisCache::new();
-        cache.analyze(&detector, &series(6)).unwrap();
-
         // Simulate a retention trim: rebuild the series without its first
         // two snapshots (indices preserved via append_monotonic semantics
         // -- here we just renumber, which changes frontier identity), then
@@ -914,14 +906,51 @@ mod tests {
             s.sample_index = pos as u64;
             trimmed.push(s);
         }
-        let warm = cache.analyze(&detector, &trimmed).unwrap();
+        // A session restart: the series shrinks below the frontier.
+        let shrunk = series(4);
 
-        let mut cold = AnalysisCache::new();
-        let fresh = cold.analyze(&detector, &trimmed).unwrap();
-        assert_eq!(
-            serde_json::to_string(&warm).unwrap(),
-            serde_json::to_string(&fresh).unwrap(),
-            "a shifted series must produce the cold answer, not stale reuse"
-        );
+        // The decoded cache meets the shift before it has rebuilt a
+        // single interval.
+        let blob = cache_after(&detector, 6).encode_state();
+        let live = || cache_after(&detector, 6);
+        let decoded = || AnalysisCache::decode_state(&blob).expect("decodes");
+        let lives: [(&str, &dyn Fn() -> AnalysisCache); 2] =
+            [("live", &live), ("decoded", &decoded)];
+        for (life, make) in lives {
+            for (shift, shifted) in [("trim", &trimmed), ("shrink", &shrunk)] {
+                let mut cache = make();
+                assert!(!cache.covers(shifted), "{life} {shift}");
+                let warm = cache.analyze(&detector, shifted).unwrap();
+                let cold = detector.detect_series(shifted).unwrap();
+                assert_eq!(
+                    json(&warm),
+                    json(&cold),
+                    "{life} {shift}: a shifted series must produce the cold answer, not stale reuse"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_extension_leaves_no_stale_memo() {
+        // Snapshot 6 drops every function a cumulative profile must keep,
+        // so its delta fails after the frontier has moved past the
+        // memoized prefix; the old memo must not answer the new one.
+        let detector = PhaseDetector::default();
+        let mut bad = series(6);
+        bad.push(ProfileSnapshot {
+            sample_index: 6,
+            timestamp_ns: 9_000,
+            flat: FlatProfile::new(),
+            callgraph: CallGraphProfile::default(),
+        });
+        assert!(detector.detect_series(&bad).is_err());
+        let mut cache = cache_after(&detector, 6);
+        for attempt in 0..2 {
+            assert!(
+                cache.analyze(&detector, &bad).is_err(),
+                "attempt {attempt} answered a series whose delta fails"
+            );
+        }
     }
 }

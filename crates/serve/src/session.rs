@@ -226,7 +226,7 @@ impl Session {
         }
         if let (Some(blob), Some(slot)) = (checkpoint, self.cache.as_mut()) {
             match AnalysisCache::decode_state(&blob) {
-                Some(cache) if checkpoint_covers(&cache, &self.series) => *slot = cache,
+                Some(cache) if cache.covers(&self.series) => *slot = cache,
                 _ => {
                     incprof_obs::counter(incprof_obs::names::STORE_CHECKPOINTS_REJECTED).inc();
                     incprof_obs::warn!(
@@ -383,8 +383,9 @@ impl Session {
             ("null".to_string(), "[]".to_string())
         } else {
             // The cache path returns byte-identical analyses (pinned by
-            // tests/equivalence.rs) while doing O(new data) work
-            // per query instead of O(n²) for the whole series.
+            // tests/equivalence.rs): a memo hit does no analysis, and a
+            // miss deltas only the new snapshots and resumes the k
+            // chains, though it still rebuilds the O(n·d) feature rows.
             let analysis = match self.cache.as_mut() {
                 Some(cache) => cache.analyze(detector, &self.series),
                 None => detector.detect_series(&self.series),
@@ -515,24 +516,6 @@ impl Session {
     fn evict(&mut self) {
         self.evicted = true;
         self.persist = None;
-    }
-}
-
-/// Whether a decoded checkpoint provably covers a prefix of `series`.
-///
-/// The cached deltas span positions `0..covered_len()`; the snapshot at
-/// the frontier must match the checkpoint's recorded identity. Because
-/// sample indices are strictly increasing and order-preserving, any
-/// retention trim inside the covered prefix after the checkpoint was
-/// written shifts a *different* snapshot into the frontier position, so
-/// this single comparison detects every misalignment.
-fn checkpoint_covers(cache: &AnalysisCache, series: &SampleSeries) -> bool {
-    match cache.covered_len() {
-        0 => true,
-        c => series
-            .snapshots()
-            .get(c - 1)
-            .is_some_and(|s| cache.covered() == Some((s.sample_index, s.timestamp_ns))),
     }
 }
 

@@ -16,7 +16,9 @@
 #                               # a doc quotes exists,
 #                               # every metric a doc's metric table names
 #                               # is registered in crates/obs/src/names.rs,
-#                               # no doc says `cargo bench`
+#                               # no doc says `cargo bench`,
+#                               # docs/PERSISTENCE.md names the
+#                               # checkpoint blob version the code writes
 #   scripts/check.sh sca        # only the static-analysis gate: incprof
 #                               # lint over the workspace (graph rules +
 #                               # per-line lints, warnings are errors)
@@ -34,7 +36,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 docs_links() {
-    echo "==> docs links (every docs/*.md linked from README, every link, quoted --bin, source path and tabled metric resolves)"
+    echo "==> docs links (every docs/*.md linked from README, every link, quoted --bin, source path and tabled metric resolves; the blob version is current)"
     local fail=0
     for doc in docs/*.md; do
         grep -qF "$doc" README.md \
@@ -87,6 +89,16 @@ docs_links() {
             echo "docs-links: $doc says 'cargo bench'; the timing harness is perfbench/run.sh"
             fail=1
         fi
+    done
+    # PERSISTENCE.md describes the blob the code writes: every "currently
+    # version N" and every layout line `u8 state version (N)` it has
+    # names STATE_VERSION in crates/core/src/cache.rs.
+    local want got pat
+    want=$(sed -nE 's/^const STATE_VERSION: u8 = ([0-9]+);$/\1/p' crates/core/src/cache.rs)
+    for pat in 'currently version [0-9]+' 'u8 +state version \([0-9]+\)'; do
+        got=$(grep -oE "$pat" docs/PERSISTENCE.md | grep -oE '[0-9]+\)?$' | tr -d ')' | sort -u | tr '\n' ' ')
+        [ -n "$want" ] && [ "$got" = "$want " ] \
+            || { echo "docs-links: docs/PERSISTENCE.md: '$pat' gives '${got% }', STATE_VERSION is '$want'"; fail=1; }
     done
     [ "$fail" -eq 0 ] || exit 1
 }

@@ -656,17 +656,17 @@ fn pruned_kmeans_is_bit_identical_across_thread_counts() {
 #[test]
 fn stale_version_checkpoint_is_rejected_not_misparsed() {
     // v2 added the chain section, v3 dropped the pair section, v4 the
-    // elbow silhouettes and v5 the feature rows. A v1..v4 blob (or any
-    // other version byte) is
-    // refused outright, so the caller replays the log cold; it is never
-    // field-shifted into garbage or served as a stale memo.
+    // elbow silhouettes, v5 the feature rows and v6 the intervals. A
+    // v1..v5 blob (or any other version byte) is refused outright, so
+    // the caller replays the log cold; it is never field-shifted into
+    // garbage or served as a stale memo.
     let mut cache = AnalysisCache::new();
     let warm = cache.analyze(&detectors()[DEFAULT], &apps()[MINIFE].series);
     ok(warm, "warm");
     let mut blob = cache.encode_state();
     assert!(AnalysisCache::decode_state(&blob).is_some());
     let current = blob[0];
-    for version in [0u8, 1, 2, 3, 4, current + 1, 0xFF] {
+    for version in [0u8, 1, 2, 3, 4, 5, current + 1, 0xFF] {
         blob[0] = version;
         let decoded = AnalysisCache::decode_state(&blob);
         assert!(decoded.is_none(), "version {version} blob must be rejected");
