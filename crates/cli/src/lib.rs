@@ -874,6 +874,44 @@ mod tests {
     }
 
     #[test]
+    fn lint_json_document_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("incprof_cli_lint_pin_{}", std::process::id()));
+        let src = dir.join("crates/core/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::write(
+            src.join("lib.rs"),
+            "pub fn run(v: Option<u8>) -> u8 {\n    incprof_obs::counter(\"core.demo.runs\").inc();\n    helper(v).expect(\"a \\\"quoted\\\" reason\")\n}\n\nfn helper(v: Option<u8>) -> Option<u8> {\n    v\n}\n",
+        )
+        .unwrap();
+        let path = dir.join("report.json");
+        let out = run(&s(&[
+            "lint",
+            dir.to_str().unwrap(),
+            "--json",
+            path.to_str().unwrap(),
+        ]));
+        assert!(matches!(out, Err(CliError::Lint(_))), "{out:?}");
+        let json = std::fs::read_to_string(&path).unwrap();
+        // The one wall-clock field: keep its key, blank its value.
+        let (head, tail) = json.split_once("\"elapsed_ms\":").unwrap();
+        let tail = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        assert_eq!(format!("{head}\"elapsed_ms\":_{tail}"), LINT_JSON);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const LINT_JSON: &str = r#"{"stats":{"functions":2,"edges_confident":1,"edges_ambiguous":0,"elapsed_ms":_},"lint":{
+  "files_scanned": 1,
+  "errors": 2,
+  "warnings": 0,
+  "suppressions_used": 0,
+  "counts": {"O01": 1, "P01": 1},
+  "diagnostics": [
+    {"rule":"O01","severity":"error","file":"crates/core/src/lib.rs","line":2,"message":"metric/span name built at the `counter` call site; declare it in `incprof_obs::names` and reference the constant (or helper) so names cannot typo or fork","excerpt":"incprof_obs::counter(\"core.demo.runs\").inc();"},
+    {"rule":"P01","severity":"error","file":"crates/core/src/lib.rs","line":3,"message":"`.expect()` in library code: propagate the error, or mark the invariant with `// lint: allow(P01, <why it cannot fail>)`","excerpt":"helper(v).expect(\"a \\\"quoted\\\" reason\")"}
+  ]
+}}"#;
+
+    #[test]
     fn analyze_reports_on_empty_dir_errors() {
         let dir = std::env::temp_dir().join(format!("incprof_cli_empty_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

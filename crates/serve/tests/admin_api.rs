@@ -200,6 +200,21 @@ fn scrape_health_and_recorder_dump_answer_on_the_admin_socket() {
 }
 
 #[test]
+fn health_document_is_pinned() {
+    let handle = admin_server();
+    let admin_addr = handle.admin_addr().expect("admin bound").to_string();
+    let mut client = Client::connect_tcp(handle.addr()).expect("connect data");
+    let session = client.open().expect("open");
+    let mut admin = Client::connect_tcp(&admin_addr).expect("connect admin");
+    assert_eq!(
+        admin.health().expect("health"),
+        r#"{"status":"ok","sessions":1,"draining":false}"#
+    );
+    client.close(session).expect("close");
+    handle.shutdown();
+}
+
+#[test]
 fn planes_reject_each_others_requests() {
     let handle = admin_server();
     let admin_addr = handle.admin_addr().expect("admin bound").to_string();

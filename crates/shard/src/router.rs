@@ -610,6 +610,25 @@ mod tests {
     }
 
     #[test]
+    fn merged_health_with_one_backend_down_is_pinned() {
+        let backend = incprof_serve::Server::bind(incprof_serve::ServeConfig {
+            admin: Some(BindAddr::Tcp("127.0.0.1:0".to_string())),
+            ..incprof_serve::ServeConfig::default()
+        })
+        .expect("bind backend")
+        .start()
+        .expect("start backend");
+        let mut shared = shared_for_test(2);
+        shared.config.backends[0].admin = backend.admin_addr().map(|a| a.to_string());
+        shared.mark_down(1);
+        assert_eq!(
+            merged_health(&shared),
+            r#"{"status":"degraded","backends":[{"shard":0,"up":true,"health":{"status":"ok","sessions":0,"draining":false}},{"shard":1,"up":false,"health":null}],"draining":false}"#
+        );
+        backend.shutdown();
+    }
+
+    #[test]
     fn bind_rejects_zero_backends() {
         assert!(Router::bind(RouterConfig::default()).is_err());
     }
