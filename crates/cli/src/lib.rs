@@ -29,6 +29,7 @@ use incprof_core::report::{
     render_k_sweep, render_signatures, render_sites_table, render_timeline,
 };
 use incprof_core::{ClusteringMethod, PhaseAnalysis, PhaseDetector};
+use incprof_obs::{JsonWriter, Raw};
 use incprof_profile::{FlatProfile, FunctionTable, ProfileError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -566,11 +567,16 @@ fn lint_cmd(p: &Parsed) -> Result<String, CliError> {
             .find(|r| r.closed && r.name == incprof_obs::names::LINT_RUN)
             .map_or(0, |r| r.dur_ns / 1_000_000);
         let functions = analysis.symbols.defs.len();
-        let rendered = format!(
-            "{{\"stats\":{{\"functions\":{functions},\"edges_confident\":{confident},\
-             \"edges_ambiguous\":{ambiguous},\"elapsed_ms\":{elapsed_ms}}},\"lint\":{}}}",
-            report.render_json(),
-        );
+        let rendered = JsonWriter::object(|w| {
+            w.key("stats")
+                .open('{')
+                .field("functions", functions)
+                .field("edges_confident", confident)
+                .field("edges_ambiguous", ambiguous)
+                .field("elapsed_ms", elapsed_ms)
+                .close('}')
+                .field("lint", Raw(&report.render_json()))
+        });
         let summary = format!(
             "lint: {functions} functions, {confident} confident / {ambiguous} ambiguous edges, \
              {} diagnostics in {elapsed_ms} ms; report",

@@ -24,7 +24,7 @@
 //!   clusters than distinct points) used to oscillate at such a fixed
 //!   point — the repair re-homed a point *after* the `changed` flag was
 //!   computed, the next assignment step undid it, and every restart burned
-//!   the full `max_iters` budget (the k=7/k=8 "~1650 iterations" burn in
+//!   the full `MAX_ITERS` budget (the k=7/k=8 "~1650 iterations" burn in
 //!   `serve_report.json`). Detecting the repeated state exits with the
 //!   exact same final state, just without the burn.
 //! * **Carried state** (a run's `Carry`): the incremental fold runs
@@ -47,19 +47,20 @@ use crate::distance::sq_euclidean;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Maximum Lloyd iterations per restart.
+const MAX_ITERS: usize = 100;
+/// Convergence tolerance on centroid movement (squared distance).
+const TOL: f64 = 1e-12;
+
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
 pub struct KMeansConfig {
     /// Number of clusters.
     pub k: usize,
-    /// Maximum Lloyd iterations per restart.
-    pub max_iters: usize,
     /// Number of independent seeded restarts; the best (lowest WCSS) wins.
     pub restarts: usize,
     /// RNG seed for the k-means++ initialization.
     pub seed: u64,
-    /// Convergence tolerance on centroid movement (squared distance).
-    pub tol: f64,
     /// Skip provably-unchanged work: Hamerly-style bounds, cluster sums
     /// that did not change, and the state a warm run carries over (see
     /// the module docs). Output is bit-identical either way; `false`
@@ -73,10 +74,8 @@ impl KMeansConfig {
     pub fn new(k: usize) -> KMeansConfig {
         KMeansConfig {
             k,
-            max_iters: 100,
             restarts: 8,
             seed: 0x1AC0_FFEE,
-            tol: 1e-12,
             pruning: true,
         }
     }
@@ -327,7 +326,7 @@ fn lloyd(
     // runs on a pool worker, so the nested call degrades to sequential.
     let parallel = n * k * d >= 200_000;
 
-    for iter in 0..config.max_iters {
+    for iter in 0..MAX_ITERS {
         iterations = iter + 1;
         // Assignment step. Pruned points keep their assignment and
         // bounds. The first iteration counts `changed` against the
@@ -447,13 +446,13 @@ fn lloyd(
         }
 
         last_movement = movement;
-        if !changed && movement <= config.tol {
+        if !changed && movement <= TOL {
             break;
         }
         // Fixed-point break: the next iteration is a deterministic
         // function of (assignments, centroids), so a repeated
         // end-of-iteration state would replay forever — the final state
-        // at max_iters is exactly this one. Catches the empty-cluster
+        // at MAX_ITERS is exactly this one. Catches the empty-cluster
         // repair oscillation on duplicate-heavy data without changing a
         // single output bit.
         let centroid_bits: Vec<u64> = (0..k)
@@ -757,7 +756,7 @@ mod tests {
     /// Duplicate-heavy data with more clusters than distinct points: the
     /// empty-cluster repair used to oscillate at a fixed point (repair
     /// re-homed a point after `changed` was computed; the next argmin
-    /// undid it) and burn `max_iters × restarts = 800` iterations — the
+    /// undid it) and burn `MAX_ITERS × restarts = 800` iterations — the
     /// k7/k8 "~1650 iterations" burn observed in `serve_report.json`.
     /// The fixed-point break must cut that by far more than the 5× the
     /// acceptance gate asks for, without touching the output.
@@ -771,7 +770,7 @@ mod tests {
             assert!(
                 res.total_iterations <= 160,
                 "k={k}: {} total iterations — the repair oscillation burn is back \
-                 (pre-fix: 800 = max_iters × restarts)",
+                 (pre-fix: 800 = MAX_ITERS × restarts)",
                 res.total_iterations
             );
             // Three distinct points and k ≥ 3 clusters: a converged run

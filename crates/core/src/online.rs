@@ -17,30 +17,23 @@
 use incprof_profile::{FlatProfile, FunctionId};
 use std::collections::BTreeMap;
 
+/// Distance threshold (seconds, Euclidean over interval feature
+/// vectors) under which an interval joins the nearest phase. Relative to
+/// the 1-second interval: intervals within one phase differ by boundary
+/// jitter, across phases by the whole interval length.
+const DISTANCE_THRESHOLD_SECS: f64 = 0.35;
+
 /// Configuration for [`OnlinePhaseDetector`].
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
-    /// Distance threshold (seconds, Euclidean over interval feature
-    /// vectors) under which an interval joins the nearest phase.
-    /// Relative to the 1-second interval: 0.35 works well — intervals
-    /// within one phase differ by boundary jitter, across phases by the
-    /// whole interval length.
-    pub distance_threshold_secs: f64,
     /// Cap on phases; past it, intervals always join the nearest phase
     /// (the paper's k ≤ 8 observation makes 8 a natural cap).
     pub max_phases: usize,
-    /// Centroid update weight: `None` = running mean (stable phases);
-    /// `Some(alpha)` = exponential moving average (tracks slow drift).
-    pub ema_alpha: Option<f64>,
 }
 
 impl Default for OnlineConfig {
     fn default() -> Self {
-        OnlineConfig {
-            distance_threshold_secs: 0.35,
-            max_phases: 8,
-            ema_alpha: None,
-        }
+        OnlineConfig { max_phases: 8 }
     }
 }
 
@@ -124,7 +117,7 @@ impl OnlinePhaseDetector {
 
         let idx = self.assignments.len();
         let (phase, new_phase, capped) = match best {
-            Some((p, d)) if d <= self.config.distance_threshold_secs => {
+            Some((p, d)) if d <= DISTANCE_THRESHOLD_SECS => {
                 self.absorb(p, &features);
                 (p, false, false)
             }
@@ -158,19 +151,9 @@ impl OnlinePhaseDetector {
 
     fn absorb(&mut self, phase: usize, features: &[f64]) {
         self.member_counts[phase] += 1;
-        let c = &mut self.centroids[phase];
-        match self.config.ema_alpha {
-            Some(alpha) => {
-                for (cv, &fv) in c.iter_mut().zip(features) {
-                    *cv = (1.0 - alpha) * *cv + alpha * fv;
-                }
-            }
-            None => {
-                let n = self.member_counts[phase] as f64;
-                for (cv, &fv) in c.iter_mut().zip(features) {
-                    *cv += (fv - *cv) / n;
-                }
-            }
+        let n = self.member_counts[phase] as f64;
+        for (cv, &fv) in self.centroids[phase].iter_mut().zip(features) {
+            *cv += (fv - *cv) / n;
         }
     }
 
@@ -270,10 +253,7 @@ mod tests {
 
     #[test]
     fn max_phases_caps_growth() {
-        let cfg = OnlineConfig {
-            max_phases: 2,
-            ..OnlineConfig::default()
-        };
+        let cfg = OnlineConfig { max_phases: 2 };
         let mut det = OnlinePhaseDetector::new(cfg);
         det.observe(&interval(&[(0, 1.0)]));
         det.observe(&interval(&[(1, 1.0)]));
@@ -284,10 +264,7 @@ mod tests {
 
     #[test]
     fn capped_flag_marks_forced_absorption_at_max_phases() {
-        let cfg = OnlineConfig {
-            max_phases: 2,
-            ..OnlineConfig::default()
-        };
+        let cfg = OnlineConfig { max_phases: 2 };
         let mut det = OnlinePhaseDetector::new(cfg);
         // Two clean phases fill the cap; neither observation is capped.
         assert!(!det.observe(&interval(&[(0, 1.0)])).capped);
@@ -317,25 +294,6 @@ mod tests {
         let obs = det.observe(&interval(&[(0, 1.1)]));
         assert_eq!(obs.phase, 0);
         assert_eq!(det.phase_sizes()[0], 3);
-    }
-
-    #[test]
-    fn ema_mode_tracks_drift() {
-        let cfg = OnlineConfig {
-            ema_alpha: Some(0.5),
-            distance_threshold_secs: 0.3,
-            ..OnlineConfig::default()
-        };
-        let mut det = OnlinePhaseDetector::new(cfg);
-        // Slow drift from 1.0 to 1.8 in 0.1 steps: the EMA centroid
-        // follows, so no new phase opens despite the total drift far
-        // exceeding the 0.3 threshold.
-        let mut v = 1.0;
-        for _ in 0..9 {
-            det.observe(&interval(&[(0, v)]));
-            v += 0.1;
-        }
-        assert_eq!(det.n_phases(), 1);
     }
 
     #[test]

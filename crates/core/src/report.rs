@@ -11,8 +11,9 @@
 
 use crate::pipeline::PhaseAnalysis;
 use crate::types::InstrumentationType;
-use incprof_obs::json_string;
+use incprof_obs::JsonWriter;
 use incprof_profile::FunctionId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A manually chosen instrumentation site (the paper's human baseline).
@@ -181,25 +182,63 @@ fn truncate(s: &str, max: usize) -> String {
 /// source analysis but carried here as plain data so `incprof-core`
 /// stays independent of the lint crate.
 ///
-/// Edges are `(caller, callee, confident)` display names. Only
-/// *confident* edges participate in [`source_context_json`]; ambiguous
-/// edges are carried for completeness (and for consumers that want to
-/// render them) but never influence depth, callers, or cycles.
+/// Built from `(caller, callee, confident)` display-name triples. Only
+/// *confident* edges count: ambiguous ones are dropped on construction.
+/// Every name's static context is resolved once, here, so a
+/// [`source_context_json`] join is a lookup per site.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SourceGraph {
-    /// `(caller, callee, confident)` triples, name-keyed.
-    pub edges: Vec<(String, String, bool)>,
+    context: BTreeMap<String, StaticContext>,
+}
+
+/// One name's place in the confident subgraph: its callers, sorted; its
+/// fewest arcs from a root (`None` when no root reaches it, e.g. it sits
+/// only on a cycle); and the index of its Tarjan SCC, if any.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct StaticContext {
+    callers: Vec<String>,
+    depth: Option<usize>,
+    cycle: Option<usize>,
 }
 
 impl SourceGraph {
-    /// Build from edge triples.
+    /// Build from edge triples, resolving each name's callers, depth and
+    /// cycle over the confident edges.
     pub fn new(edges: Vec<(String, String, bool)>) -> SourceGraph {
-        SourceGraph { edges }
-    }
+        use incprof_profile::{cycle_membership, find_cycles, CallGraphProfile};
 
-    /// Whether the graph carries no edges at all.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        let confident = || edges.iter().filter(|e| e.2);
+        // Sorted-name order makes the local ids, and so the Tarjan cycle
+        // indices, deterministic.
+        let names: Vec<&str> = confident()
+            .flat_map(|(caller, callee, _)| [caller.as_str(), callee.as_str()])
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let local: BTreeMap<&str, FunctionId> = (names.iter().enumerate())
+            .map(|(i, &n)| (n, FunctionId(i as u32)))
+            .collect();
+        let mut cg = CallGraphProfile::new();
+        for (caller, callee, _) in confident() {
+            cg.record_arcs(local[caller.as_str()], local[callee.as_str()], 1);
+        }
+        let cycles = cycle_membership(&find_cycles(&cg));
+        let context = local
+            .iter()
+            .map(|(&name, &f)| {
+                let mut callers: Vec<String> = (cg.callers_of(f).into_iter())
+                    .map(|c| names[c.index()].to_string())
+                    .collect();
+                callers.sort_unstable();
+                let ctx = StaticContext {
+                    callers,
+                    depth: cg.depth_from_roots(f),
+                    cycle: cycles.get(&f).copied(),
+                };
+                (name.to_string(), ctx)
+            })
+            .collect();
+        SourceGraph { context }
     }
 }
 
@@ -226,94 +265,29 @@ pub fn source_context_json<'a>(
     name_of: impl Fn(FunctionId) -> &'a str,
     graph: &SourceGraph,
 ) -> String {
-    use incprof_profile::{cycle_membership, find_cycles, CallGraphProfile};
-    use std::collections::BTreeMap;
-
-    // Index every name in the confident subgraph. Sorted-name order makes
-    // the local ids (and everything derived from them) deterministic.
-    let mut names: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-    for (caller, callee, confident) in &graph.edges {
-        if *confident {
-            names.insert(caller);
-            names.insert(callee);
-        }
-    }
-    let local: BTreeMap<&str, FunctionId> = names
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, FunctionId(i as u32)))
-        .collect();
-    let name_list: Vec<&str> = names.into_iter().collect();
-
-    let mut cg = CallGraphProfile::new();
-    for (caller, callee, confident) in &graph.edges {
-        if *confident {
-            cg.record_arcs(local[caller.as_str()], local[callee.as_str()], 1);
-        }
-    }
-    let cycles = find_cycles(&cg);
-    let membership = cycle_membership(&cycles);
-
-    let mut out = String::from("[");
-    for (pi, phase) in analysis.phases.iter().enumerate() {
-        if pi > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"phase\":{},\"functions\":[", phase.id);
-        let mut seen = std::collections::BTreeSet::new();
-        let mut first = true;
-        for site in &phase.sites {
-            if !seen.insert(site.function) {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
+    let mut w = JsonWriter::default();
+    w.open('[');
+    for phase in &analysis.phases {
+        w.open('{')
+            .field("phase", phase.id)
+            .key("functions")
+            .open('[');
+        let mut seen = BTreeSet::new();
+        for site in phase.sites.iter().filter(|s| seen.insert(s.function)) {
             let name = name_of(site.function);
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"name\":{}",
-                site.function.0,
-                json_string(name)
-            );
-            match local.get(name) {
-                Some(&lid) => {
-                    let mut callers: Vec<&str> = cg
-                        .callers_of(lid)
-                        .into_iter()
-                        .map(|c| name_list[c.index()])
-                        .collect();
-                    callers.sort_unstable();
-                    out.push_str(",\"callers\":[");
-                    for (i, c) in callers.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        out.push_str(&json_string(c));
-                    }
-                    out.push(']');
-                    match cg.depth_from_roots(lid) {
-                        Some(d) => {
-                            let _ = write!(out, ",\"depth\":{d}");
-                        }
-                        None => out.push_str(",\"depth\":null"),
-                    }
-                    match membership.get(&lid) {
-                        Some(c) => {
-                            let _ = write!(out, ",\"cycle\":{c}");
-                        }
-                        None => out.push_str(",\"cycle\":null"),
-                    }
-                }
-                None => out.push_str(",\"callers\":[],\"depth\":null,\"cycle\":null"),
-            }
-            out.push('}');
+            let ctx = graph.context.get(name);
+            w.open('{')
+                .field("id", site.function.0)
+                .field("name", name)
+                .array_field("callers", ctx.into_iter().flat_map(|c| &c.callers))
+                .field("depth", ctx.and_then(|c| c.depth))
+                .field("cycle", ctx.and_then(|c| c.cycle))
+                .close('}');
         }
-        out.push_str("]}");
+        w.close(']').close('}');
     }
-    out.push(']');
-    out
+    w.close(']');
+    w.finish()
 }
 
 #[cfg(test)]

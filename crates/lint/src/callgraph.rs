@@ -17,10 +17,11 @@
 //! allocation constructors), again with the source line so graph rules
 //! can point at the exact site.
 
+use crate::diag::json_rows;
 use crate::lexer::{Token, TokenKind};
 use crate::parse::ParsedFile;
 use crate::symbols::SymbolTable;
-use incprof_obs::json_string;
+use incprof_obs::JsonWriter;
 use std::collections::BTreeMap;
 
 /// Edge label: did the callee resolve uniquely?
@@ -199,48 +200,46 @@ impl StaticCallGraph {
     /// Render the graph as deterministic JSON: functions sorted by
     /// (file, line), edges by (caller, callee, line), facts likewise.
     pub fn render_json(&self, symbols: &SymbolTable) -> String {
-        let mut out = String::from("{\n  \"functions\": [\n");
-        for (i, d) in symbols.defs.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\":{},\"name\":{},\"qualified\":{},\"file\":{},\"line\":{},\"crate\":{},\"pub\":{}}}{}\n",
-                i,
-                json_string(&d.name),
-                json_string(&d.qualified),
-                json_string(&d.file),
-                d.line,
-                json_string(&d.crate_name),
-                d.is_pub,
-                if i + 1 < symbols.defs.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"edges\": [\n");
-        for (i, e) in self.edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"caller\":{},\"callee\":{},\"confidence\":\"{}\",\"line\":{}}}{}\n",
-                e.caller,
-                e.callee,
-                e.confidence.as_str(),
-                e.line,
-                if i + 1 < self.edges.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"facts\": [\n");
-        for (i, f) in self.facts.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"node\":{},\"kind\":\"{}\",\"what\":{},\"line\":{}}}{}\n",
-                f.node,
-                f.kind.as_str(),
-                json_string(&f.what),
-                f.line,
-                if i + 1 < self.facts.len() { "," } else { "" }
-            ));
-        }
+        let functions = symbols.defs.iter().enumerate().map(|(i, d)| {
+            JsonWriter::object(|w| {
+                w.field("id", i)
+                    .field("name", &d.name)
+                    .field("qualified", &d.qualified)
+                    .field("file", &d.file)
+                    .field("line", d.line)
+                    .field("crate", &d.crate_name)
+                    .field("pub", d.is_pub)
+            })
+        });
+        let edges = self.edges.iter().map(|e| {
+            JsonWriter::object(|w| {
+                w.field("caller", e.caller)
+                    .field("callee", e.callee)
+                    .field("confidence", e.confidence.as_str())
+                    .field("line", e.line)
+            })
+        });
+        let facts = self.facts.iter().map(|f| {
+            JsonWriter::object(|w| {
+                w.field("node", f.node)
+                    .field("kind", f.kind.as_str())
+                    .field("what", &f.what)
+                    .field("line", f.line)
+            })
+        });
         let (confident, ambiguous) = self.edge_counts();
-        out.push_str(&format!(
-            "  ],\n  \"stats\": {{\"functions\":{},\"edges_confident\":{},\"edges_ambiguous\":{}}}\n}}\n",
-            self.nodes, confident, ambiguous
-        ));
-        out
+        let stats = JsonWriter::object(|w| {
+            w.field("functions", self.nodes)
+                .field("edges_confident", confident)
+                .field("edges_ambiguous", ambiguous)
+        });
+        format!(
+            "{{\n  \"functions\": [{}\n  ],\n  \"edges\": [{}\n  ],\n  \"facts\": [{}\n  ],\n  \
+             \"stats\": {stats}\n}}\n",
+            json_rows(functions),
+            json_rows(edges),
+            json_rows(facts),
+        )
     }
 }
 

@@ -1,6 +1,6 @@
 //! Diagnostics: rule identifiers, severities, and rendering.
 
-use incprof_obs::json_string;
+use incprof_obs::JsonWriter;
 use std::fmt;
 
 /// The named project rules. See `docs/LINTS.md` for the full catalog.
@@ -169,19 +169,24 @@ impl Diagnostic {
         )
     }
 
-    /// Render as one JSON object (hand-formatted; strings go through the
-    /// workspace's one escaper).
+    /// Render as one compact JSON object.
     pub fn render_json(&self) -> String {
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"file\":{},\"line\":{},\"message\":{},\"excerpt\":{}}}",
-            self.rule,
-            self.severity.as_str(),
-            json_string(&self.file),
-            self.line,
-            json_string(&self.message),
-            json_string(&self.excerpt)
-        )
+        JsonWriter::object(|w| {
+            w.field("rule", self.rule.as_str())
+                .field("severity", self.severity.as_str())
+                .field("file", &self.file)
+                .field("line", self.line)
+                .field("message", &self.message)
+                .field("excerpt", &self.excerpt)
+        })
     }
+}
+
+/// The body of a golden-pinned JSON array: one compact `row` per line,
+/// indented four spaces, to close with `\n  ]` (so `[]` is `[\n  ]`).
+pub(crate) fn json_rows(rows: impl IntoIterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.into_iter().map(|r| format!("\n    {r}")).collect();
+    rows.join(",")
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 use crate::callgraph::StaticCallGraph;
 use crate::config::{self, Config};
 use crate::dataflow::Reachability;
-use crate::diag::{Diagnostic, RuleId, Severity};
+use crate::diag::{json_rows, Diagnostic, RuleId, Severity};
 use crate::lexer::Token;
 use crate::parse::{self, ParsedFile};
 use crate::rules;
@@ -114,37 +114,21 @@ impl LintReport {
     /// JSON rendering: a single stable object with per-rule counts and
     /// the diagnostic list, for CI artifacts.
     pub fn render_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warnings()));
-        out.push_str(&format!(
-            "  \"suppressions_used\": {},\n",
-            self.suppressions_used
-        ));
-        out.push_str("  \"counts\": {");
-        let counts = self.counts();
-        let mut first = true;
-        for (rule, n) in &counts {
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{rule}\": {n}"));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"diagnostics\": [\n");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(&d.render_json());
-            if i + 1 < self.diagnostics.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}");
-        out
+        let counts: Vec<String> = self
+            .counts()
+            .iter()
+            .map(|(rule, n)| format!("\"{rule}\": {n}"))
+            .collect();
+        format!(
+            "{{\n  \"files_scanned\": {},\n  \"errors\": {},\n  \"warnings\": {},\n  \
+             \"suppressions_used\": {},\n  \"counts\": {{{}}},\n  \"diagnostics\": [{}\n  ]\n}}",
+            self.files_scanned,
+            self.errors(),
+            self.warnings(),
+            self.suppressions_used,
+            counts.join(", "),
+            json_rows(self.diagnostics.iter().map(Diagnostic::render_json)),
+        )
     }
 }
 

@@ -11,8 +11,9 @@
 //!   across process boundaries into one tree per trace id;
 //! * [`mod@recorder`] — the [`FlightRecorder`], a lock-free ring of
 //!   recent operational events for live postmortems;
-//! * [`json`] — [`json_string`], the one JSON string escaper every
-//!   hand-formatted emitter in the workspace goes through;
+//! * [`json`] — [`JsonWriter`], the one compact JSON writer (and
+//!   string escaper) every hand-built document in the workspace goes
+//!   through;
 //! * [`logger`] — leveled stderr logging gated by `INCPROF_LOG`
 //!   (macros [`error!`], [`warn!`], [`info!`], [`debug!`], [`trace!`]);
 //! * [`mod@report`] — a serializable [`RunReport`] snapshotting everything
@@ -52,7 +53,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use json::json_string;
+pub use json::{json_string, JsonWriter, Raw};
 pub use logger::Level;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use recorder::{EventKind, EventRecord, FlightRecorder};

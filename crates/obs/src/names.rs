@@ -225,6 +225,9 @@ pub const SERVE_TRACE_SNAPSHOT: &str = "serve.trace.snapshot";
 pub const SERVE_TRACE_OBSERVE: &str = "serve.trace.observe";
 /// Span: server-side dispatch of one traced report query.
 pub const SERVE_TRACE_QUERY: &str = "serve.trace.query";
+/// Gauge: spans the daemon's full span store refused (set on each admin
+/// scrape); non-zero means no new span, traced or not, is kept.
+pub const SERVE_TRACE_SPANS_DROPPED: &str = "serve.trace.spans_dropped";
 
 // ---------------------------------------------------------------------
 // store (durable session logs, checkpoints, eviction)
@@ -352,6 +355,7 @@ pub const ALL: &[&str] = &[
     SERVE_TRACE_SNAPSHOT,
     SERVE_TRACE_OBSERVE,
     SERVE_TRACE_QUERY,
+    SERVE_TRACE_SPANS_DROPPED,
     STORE_APPENDS,
     STORE_BYTES_APPENDED,
     STORE_COMPACTIONS,

@@ -2,7 +2,7 @@
 //! observability layer saw — counters, gauges, histograms, and the span
 //! tree — for `incprof --metrics <path>` and the bench harness.
 
-use crate::json::json_string;
+use crate::json::JsonWriter;
 use crate::metrics::HistogramSnapshot;
 use crate::recorder::EventRecord;
 use crate::span::SpanRecord;
@@ -95,49 +95,44 @@ impl RunReport {
     /// the grep-friendly alternative to [`RunReport::to_json`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (name, value) in &self.counters {
-            out.push_str(&format!(
-                "{{\"kind\":\"counter\",\"name\":{},\"value\":{value}}}\n",
-                json_string(name)
-            ));
-        }
-        for (name, value) in &self.gauges {
-            out.push_str(&format!(
-                "{{\"kind\":\"gauge\",\"name\":{},\"value\":{value}}}\n",
-                json_string(name)
-            ));
-        }
-        for (name, h) in &self.histograms {
-            out.push_str(&format!(
-                "{{\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}\n",
-                json_string(name),
-                h.count,
-                h.sum,
-                h.min,
-                h.max
-            ));
-        }
-        fn walk(nodes: &[SpanNode], depth: u64, out: &mut String) {
-            for n in nodes {
-                out.push_str(&format!(
-                    "{{\"kind\":\"span\",\"name\":{},\"depth\":{depth},\"start_ns\":{},\"dur_ns\":{}}}\n",
-                    json_string(&n.name),
-                    n.start_ns,
-                    n.dur_ns
-                ));
-                walk(&n.children, depth + 1, out);
+        let mut line = |kind: &str, name_key: &str, name: &str, fields: &[(&str, u64)]| {
+            out.push_str(&JsonWriter::object(|w| {
+                w.field("kind", kind).field(name_key, name);
+                for &(key, value) in fields {
+                    w.field(key, value);
+                }
+                w
+            }));
+            out.push('\n');
+        };
+        for (kind, values) in [("counter", &self.counters), ("gauge", &self.gauges)] {
+            for (name, &value) in values {
+                line(kind, "name", name, &[("value", value)]);
             }
         }
-        walk(&self.spans, 0, &mut out);
+        for (name, h) in &self.histograms {
+            let fields = [
+                ("count", h.count),
+                ("sum", h.sum),
+                ("min", h.min),
+                ("max", h.max),
+            ];
+            line("histogram", "name", name, &fields);
+        }
+        // Depth-first, parents before children, siblings in start order.
+        let mut stack: Vec<(&SpanNode, u64)> = self.spans.iter().rev().map(|n| (n, 0)).collect();
+        while let Some((n, depth)) = stack.pop() {
+            let fields = [
+                ("depth", depth),
+                ("start_ns", n.start_ns),
+                ("dur_ns", n.dur_ns),
+            ];
+            line("span", "name", &n.name, &fields);
+            stack.extend(n.children.iter().rev().map(|c| (c, depth + 1)));
+        }
         for e in &self.events {
-            out.push_str(&format!(
-                "{{\"kind\":\"event\",\"event\":{},\"seq\":{},\"t_ns\":{},\"a\":{},\"b\":{}}}\n",
-                json_string(&format!("{:?}", e.kind)),
-                e.seq,
-                e.t_ns,
-                e.a,
-                e.b
-            ));
+            let fields = [("seq", e.seq), ("t_ns", e.t_ns), ("a", e.a), ("b", e.b)];
+            line("event", "event", &format!("{:?}", e.kind), &fields);
         }
         out
     }

@@ -27,6 +27,7 @@ use crate::frame::{ErrorCode, Frame, FrameType};
 use crate::plane::{error_reply, Reply};
 use crate::server::Shared;
 use crate::session::Registry;
+use incprof_obs::{JsonWriter, Raw};
 use std::time::Instant;
 
 /// Answer one admin frame on the daemon's admin plane.
@@ -56,10 +57,11 @@ fn health_json(sessions: usize, draining: bool) -> String {
     ]
     .iter()
     .any(|name| incprof_obs::counter(name).get() != 0);
-    format!(
-        "{{\"status\":\"{}\",\"sessions\":{sessions},\"draining\":{draining}}}",
-        if lost { "degraded" } else { "ok" }
-    )
+    JsonWriter::object(|w| {
+        w.field("status", if lost { "degraded" } else { "ok" })
+            .field("sessions", sessions)
+            .field("draining", draining)
+    })
 }
 
 /// Answer the admin requests that read only this process's own
@@ -83,19 +85,18 @@ pub fn answer_local(frame: &Frame, socket: &str) -> Frame {
             let tree =
                 incprof_obs::trace::store_trace_tree(incprof_obs::global().spans(), trace_id);
             let json = serde_json::to_string(&tree).unwrap_or_else(|e| {
-                let why = incprof_obs::json_string(&format!("serialize failed: {e}"));
-                format!("{{\"error\":{why}}}")
+                JsonWriter::object(|w| w.field("error", format!("serialize failed: {e}")))
             });
             Frame::with_payload(FrameType::TraceReply, 0, json.into_bytes())
         }
         FrameType::RecorderDump => {
             let recorder = incprof_obs::recorder();
             let events = recorder.snapshot();
-            let json = format!(
-                "{{\"total\":{},\"events\":{}}}",
-                recorder.total(),
-                serde_json::to_string(&events).unwrap_or_else(|_| "[]".to_string())
-            );
+            let events = serde_json::to_string(&events).unwrap_or_else(|_| "[]".to_string());
+            let json = JsonWriter::object(|w| {
+                w.field("total", recorder.total())
+                    .field("events", Raw(&events))
+            });
             Frame::with_payload(FrameType::RecorderReply, 0, json.into_bytes())
         }
         other => error_reply(
@@ -146,6 +147,8 @@ pub fn render_metrics(out: &mut String, keep: impl Fn(&str) -> bool) {
 /// Render the whole global metrics registry plus per-session vitals as
 /// Prometheus-style text exposition; sessions come back in id order.
 pub(crate) fn render_exposition(registry: &Registry, now: Instant) -> String {
+    incprof_obs::gauge(incprof_obs::names::SERVE_TRACE_SPANS_DROPPED)
+        .set(incprof_obs::global().spans().dropped());
     let mut out = String::with_capacity(4096);
     render_metrics(&mut out, |_| true);
     let stats = registry.stats(now);
@@ -254,6 +257,10 @@ mod tests {
         );
         assert!(
             text.contains(&format!("incprof_session_idle_seconds{{session=\"{id}\"}}")),
+            "{text}"
+        );
+        assert!(
+            text.contains("# TYPE incprof_serve_trace_spans_dropped gauge\nincprof_serve_trace_spans_dropped "),
             "{text}"
         );
     }

@@ -42,10 +42,6 @@ pub struct ServeConfig {
     pub read_timeout: Duration,
     /// Idle connections are dropped after this long without a frame.
     pub idle_timeout: Duration,
-    /// The offline detector answering report queries.
-    pub detector: PhaseDetector,
-    /// The incremental detector fed per frame.
-    pub online: OnlineConfig,
     /// Optional read-only admin listener (scrape, trace lookup, flight
     /// recorder, health). `None` = no admin surface.
     pub admin: Option<BindAddr>,
@@ -74,8 +70,6 @@ impl Default for ServeConfig {
             max_sessions: 64,
             read_timeout: Duration::from_millis(100),
             idle_timeout: crate::plane::IDLE_TIMEOUT,
-            detector: PhaseDetector::default(),
-            online: OnlineConfig::default(),
             admin: None,
             store_dir: None,
             retention: RetentionPolicy::keep_all(),
@@ -140,7 +134,7 @@ impl Server {
         let admin = config.admin.as_ref();
         let admin = admin.map(|a| Plane::bind(a, admin_spec)).transpose()?;
         let mut registry = Registry::new(
-            config.online.clone(),
+            OnlineConfig::default(),
             config.max_sessions,
             SESSION_QUEUE_BOUND,
             true,
@@ -448,7 +442,7 @@ fn handle_query(shared: &Shared, frame: &Frame) -> Frame {
     };
     let json = with_session(shared, sid, |session| {
         session.touch(received_at);
-        let json = session.report_json(&shared.config.detector, mode);
+        let json = session.report_json(&PhaseDetector::default(), mode);
         // The cache is freshest right after a report; a due checkpoint
         // written here rehydrates warm.
         session.maybe_checkpoint();

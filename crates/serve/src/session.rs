@@ -20,7 +20,7 @@ use crate::frame::{ErrorCode, ErrorInfo};
 use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
-use incprof_obs::json_string;
+use incprof_obs::{JsonWriter, Raw};
 use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
@@ -379,56 +379,48 @@ impl Session {
     pub fn report_json(&mut self, detector: &PhaseDetector, mode: ReportMode) -> String {
         // A drain failure leaves the fault recorded; report the prefix.
         let _ = self.drain();
-        let (analysis_json, source_context) = if self.series.is_empty() {
-            ("null".to_string(), "[]".to_string())
-        } else {
-            // The cache path returns byte-identical analyses (pinned by
-            // tests/equivalence.rs): a memo hit does no analysis, and a
-            // miss deltas only the new snapshots and resumes the k
-            // chains, though it still rebuilds the O(n·d) feature rows.
-            let analysis = match self.cache.as_mut() {
-                Some(cache) => cache.analyze(detector, &self.series),
-                None => detector.detect_series(&self.series),
-            };
-            match analysis {
-                Ok(analysis) => {
-                    let context =
-                        source_context_json(&analysis, |f| self.table.name(f), &self.source_graph);
-                    let json = serde_json::to_string(&analysis)
-                        .unwrap_or_else(|e| json_error_object("serialize failed", &e.to_string()));
-                    (json, context)
-                }
-                Err(e) => (
-                    json_error_object("analysis failed", &e.to_string()),
-                    "[]".to_string(),
-                ),
-            }
+        // The cache path returns byte-identical analyses (pinned by
+        // tests/equivalence.rs): a memo hit does no analysis, and a miss
+        // deltas only the new snapshots and resumes the k chains, though
+        // it still rebuilds the O(n·d) feature rows.
+        let analysis = (!self.series.is_empty()).then(|| match self.cache.as_mut() {
+            Some(cache) => cache.analyze(detector, &self.series),
+            None => detector.detect_series(&self.series),
+        });
+        let analysis_json = match &analysis {
+            None => "null".to_string(),
+            Some(result) => (result.as_ref())
+                .map_err(|e| format!("analysis failed: {e}"))
+                .and_then(|a| {
+                    serde_json::to_string(a).map_err(|e| format!("serialize failed: {e}"))
+                })
+                .unwrap_or_else(|why| JsonWriter::object(|w| w.field("analysis_error", why))),
         };
-        match mode {
-            ReportMode::AnalysisOnly => analysis_json,
-            ReportMode::Full => {
-                let mut out = String::with_capacity(analysis_json.len() + 256);
-                out.push_str(&format!(
-                    "{{\"session_id\":{},\"snapshots\":{},",
-                    self.id,
-                    self.series.len()
-                ));
-                out.push_str(&format!(
-                    "\"online\":{{\"phases\":{},\"assignments\":{},\"transitions\":{},\"phase_sizes\":{},\"capped\":{}}},",
-                    self.online.n_phases(),
-                    json_usize_array(self.online.assignments()),
-                    json_usize_array(self.online.transitions()),
-                    json_usize_array(self.online.phase_sizes()),
-                    json_usize_array(self.online.capped_intervals()),
-                ));
-                if let Some(why) = &self.fault {
-                    out.push_str(&format!("\"fault\":{},", json_string(why)));
-                }
-                out.push_str(&format!("\"source_context\":{source_context},"));
-                out.push_str(&format!("\"analysis\":{analysis_json}}}"));
-                out
-            }
+        if mode == ReportMode::AnalysisOnly {
+            return analysis_json;
         }
+        let source_context = match &analysis {
+            Some(Ok(a)) => source_context_json(a, |f| self.table.name(f), &self.source_graph),
+            _ => "[]".to_string(),
+        };
+        let online = &self.online;
+        JsonWriter::object(|w| {
+            w.field("session_id", self.id)
+                .field("snapshots", self.series.len())
+                .key("online")
+                .open('{')
+                .field("phases", online.n_phases())
+                .array_field("assignments", online.assignments())
+                .array_field("transitions", online.transitions())
+                .array_field("phase_sizes", online.phase_sizes())
+                .array_field("capped", online.capped_intervals())
+                .close('}');
+            if let Some(why) = &self.fault {
+                w.field("fault", why);
+            }
+            w.field("source_context", Raw(&source_context))
+                .field("analysis", Raw(&analysis_json))
+        })
     }
 
     /// The latest function table streamed into the session.
@@ -517,26 +509,6 @@ impl Session {
         self.evicted = true;
         self.persist = None;
     }
-}
-
-fn json_usize_array(values: &[usize]) -> String {
-    let mut out = String::with_capacity(values.len() * 3 + 2);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&v.to_string());
-    }
-    out.push(']');
-    out
-}
-
-fn json_error_object(what: &str, detail: &str) -> String {
-    format!(
-        "{{\"analysis_error\":{}}}",
-        json_string(&format!("{what}: {detail}"))
-    )
 }
 
 /// Shared, concurrency-safe session table.

@@ -29,6 +29,7 @@
 //! caused it.
 
 use crate::ring::Ring;
+use incprof_obs::{JsonWriter, Raw};
 use incprof_serve::admin::{answer_local, render_metrics};
 use incprof_serve::frame::{ErrorCode, ErrorInfo, Frame, FrameType};
 use incprof_serve::plane::{error_reply, Plane, PlaneHandle, PlaneSpec, Reply, Stop, IDLE_TIMEOUT};
@@ -499,38 +500,37 @@ fn merge_exposition(out: &mut String, text: &str, b: usize, seen_types: &mut BTr
 /// Aggregate per-backend health into one JSON document. Status is `ok`
 /// only while every backend is up and answering; otherwise `degraded`.
 fn merged_health(shared: &RouterShared) -> String {
-    let mut entries = Vec::with_capacity(shared.config.backends.len());
-    let mut all_ok = true;
-    for (b, spec) in shared.config.backends.iter().enumerate() {
-        let health = if !shared.backend_up(b) {
-            all_ok = false;
-            None
-        } else {
-            match &spec.admin {
-                Some(admin) => {
-                    match dial(admin, ADMIN_REPLY_TIMEOUT).and_then(|mut link| link.health()) {
-                        Ok(json) => Some(json),
-                        Err(_) => {
-                            all_ok = false;
-                            None
-                        }
-                    }
-                }
+    let health: Vec<(bool, Option<String>)> = shared
+        .config
+        .backends
+        .iter()
+        .enumerate()
+        .map(|(b, spec)| {
+            let up = shared.backend_up(b);
+            let health = match &spec.admin {
+                _ if !up => None,
+                Some(admin) => dial(admin, ADMIN_REPLY_TIMEOUT)
+                    .and_then(|mut link| link.health())
+                    .ok(),
                 None => Some("null".to_string()),
-            }
-        };
-        entries.push(format!(
-            "{{\"shard\":{b},\"up\":{},\"health\":{}}}",
-            shared.backend_up(b),
-            health.unwrap_or_else(|| "null".to_string())
-        ));
-    }
-    format!(
-        "{{\"status\":\"{}\",\"backends\":[{}],\"draining\":{}}}",
-        if all_ok { "ok" } else { "degraded" },
-        entries.join(","),
-        shared.stop.requested()
-    )
+            };
+            (up, health)
+        })
+        .collect();
+    let all_ok = health.iter().all(|(up, h)| *up && h.is_some());
+    JsonWriter::object(|w| {
+        w.field("status", if all_ok { "ok" } else { "degraded" })
+            .key("backends")
+            .open('[');
+        for (b, (up, h)) in health.iter().enumerate() {
+            w.open('{')
+                .field("shard", b)
+                .field("up", *up)
+                .field("health", h.as_deref().map(Raw))
+                .close('}');
+        }
+        w.close(']').field("draining", shared.stop.requested())
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@
 #                               # is registered in crates/obs/src/names.rs,
 #                               # no doc says `cargo bench`,
 #                               # docs/PERSISTENCE.md names the
-#                               # checkpoint blob version the code writes
+#                               # checkpoint blob version the code writes,
+#                               # docs/PROTOCOL.md's Full-report example
+#                               # is tests/golden/full_report.json
 #   scripts/check.sh sca        # only the static-analysis gate: incprof
 #                               # lint over the workspace (graph rules +
 #                               # per-line lints, warnings are errors)
@@ -100,6 +102,13 @@ docs_links() {
         [ -n "$want" ] && [ "$got" = "$want " ] \
             || { echo "docs-links: docs/PERSISTENCE.md: '$pat' gives '${got% }', STATE_VERSION is '$want'"; fail=1; }
     done
+    # PROTOCOL.md's Full-report example is tests/golden/full_report.json,
+    # which tests/json_pins.rs pins to what the daemon sends.
+    local example
+    example=$(awk '/^Mode `0x00` \(full\)/ { f = 1 } f && /^```$/ { exit }
+                   f == 2 { print } f && /^```json$/ { f = 2 }' docs/PROTOCOL.md)
+    [ -n "$example" ] && [ "$example" = "$(cat tests/golden/full_report.json)" ] \
+        || { echo "docs-links: docs/PROTOCOL.md's Full-report example differs from tests/golden/full_report.json"; fail=1; }
     [ "$fail" -eq 0 ] || exit 1
 }
 
