@@ -279,7 +279,7 @@ pub fn source_context_json<'a>(
             w.open('{')
                 .field("id", site.function.0)
                 .field("name", name)
-                .array_field("callers", ctx.into_iter().flat_map(|c| &c.callers))
+                .array("callers", ctx.into_iter().flat_map(|c| &c.callers))
                 .field("depth", ctx.and_then(|c| c.depth))
                 .field("cycle", ctx.and_then(|c| c.cycle))
                 .close('}');

@@ -1,20 +1,9 @@
 //! The one compact JSON writer behind every hand-built JSON document in
 //! the workspace (reports, health, diagnostics, call-graph rows, JSONL):
-//! commas, brackets, `null`s and string escapes are placed here and
-//! nowhere else. Typed documents go through `serde_json`.
+//! commas, brackets and string escapes are placed here and nowhere else.
+//! Typed documents go through `serde_json`.
 
 use std::fmt::Write as _;
-
-/// `s` as a JSON string literal, quotes included: `"` and `\` are
-/// backslash-escaped, `\n` / `\r` / `\t` use their short forms, every
-/// other control character below U+0020 becomes `\u00XX`, and
-/// everything else — DEL and non-ASCII included — passes through as
-/// UTF-8. This is how the writer places every string and key.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    s.write_json(&mut out);
-    out
-}
 
 /// A value the writer can place: integers, bools, strings, `Option`s
 /// (`None` is `null`) and [`Raw`] JSON rendered elsewhere.
@@ -23,7 +12,11 @@ pub trait Value {
     fn write_json(&self, out: &mut String);
 }
 
-/// The one escape loop (see [`json_string`]).
+/// A JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, `\n` / `\r` / `\t` use their short forms, every
+/// other control character below U+0020 becomes `\u00XX`, and
+/// everything else — DEL and non-ASCII included — passes through as
+/// UTF-8. The writer places every string and key through this one loop.
 impl Value for str {
     fn write_json(&self, out: &mut String) {
         out.push('"');
@@ -106,44 +99,35 @@ impl JsonWriter {
     }
 
     /// Open an object (`{`) or an array (`[`).
-    pub fn open(&mut self, bracket: char) -> &mut JsonWriter {
+    pub fn open(&mut self, bracket: char) -> &mut Self {
         self.item().push(bracket);
         self
     }
 
     /// Close the innermost object (`}`) or array (`]`).
-    pub fn close(&mut self, bracket: char) -> &mut JsonWriter {
+    pub fn close(&mut self, bracket: char) -> &mut Self {
         self.0.push(bracket);
         self
     }
 
     /// An object key; the next item written is its value.
-    pub fn key(&mut self, key: &str) -> &mut JsonWriter {
+    pub fn key(&mut self, key: &str) -> &mut Self {
         key.write_json(self.item());
         self.0.push(':');
         self
     }
 
-    /// One value: an array element, or the value of the last key.
-    pub fn value(&mut self, value: impl Value) -> &mut JsonWriter {
-        value.write_json(self.item());
+    /// `"key":value`.
+    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Self {
+        value.write_json(self.key(key).item());
         self
     }
 
-    /// `"key":value`.
-    pub fn field(&mut self, key: &str, value: impl Value) -> &mut JsonWriter {
-        self.key(key).value(value)
-    }
-
     /// `"key":[values…]`.
-    pub fn array_field<V: Value>(
-        &mut self,
-        key: &str,
-        values: impl IntoIterator<Item = V>,
-    ) -> &mut JsonWriter {
+    pub fn array(&mut self, key: &str, values: impl IntoIterator<Item = impl Value>) -> &mut Self {
         self.key(key).open('[');
         for v in values {
-            self.value(v);
+            v.write_json(self.item());
         }
         self.close(']')
     }
@@ -159,7 +143,7 @@ impl JsonWriter {
 
 #[cfg(test)]
 mod tests {
-    use super::{json_string, JsonWriter, Raw};
+    use super::{JsonWriter, Raw, Value};
 
     #[test]
     fn escapes_exactly_what_json_requires() {
@@ -175,7 +159,9 @@ mod tests {
             ("é→", "\"é→\""),
             ("a\"b\\c\nd", r#""a\"b\\c\nd""#),
         ] {
-            assert_eq!(json_string(raw), quoted, "{raw:?}");
+            let mut out = String::new();
+            raw.write_json(&mut out);
+            assert_eq!(out, quoted, "{raw:?}");
         }
     }
 
@@ -187,8 +173,8 @@ mod tests {
             .field("ok", true)
             .field("name", "a\"b")
             .field("none", None::<u64>)
-            .array_field("empty", Vec::<usize>::new())
-            .array_field("xs", [1usize, 2, 3])
+            .array("empty", Vec::<usize>::new())
+            .array("xs", [1usize, 2, 3])
             .key("nested")
             .open('[')
             .open('{')

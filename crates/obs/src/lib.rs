@@ -53,7 +53,7 @@ pub mod report;
 pub mod span;
 pub mod trace;
 
-pub use json::{json_string, JsonWriter, Raw};
+pub use json::{JsonWriter, Raw};
 pub use logger::Level;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use recorder::{EventKind, EventRecord, FlightRecorder};

@@ -410,10 +410,10 @@ impl Session {
                 .key("online")
                 .open('{')
                 .field("phases", online.n_phases())
-                .array_field("assignments", online.assignments())
-                .array_field("transitions", online.transitions())
-                .array_field("phase_sizes", online.phase_sizes())
-                .array_field("capped", online.capped_intervals())
+                .array("assignments", online.assignments())
+                .array("transitions", online.transitions())
+                .array("phase_sizes", online.phase_sizes())
+                .array("capped", online.capped_intervals())
                 .close('}');
             if let Some(why) = &self.fault {
                 w.field("fault", why);
