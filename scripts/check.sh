@@ -34,6 +34,10 @@
 #                               # workload for one second; the numbers
 #                               # mean nothing, a non-zero exit means a
 #                               # rename broke it
+#   scripts/check.sh experiments
+#                               # only the experiment goldens: the release
+#                               # ablation_interval's stdout must equal
+#                               # experiments_out/ablation_interval.txt
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -327,6 +331,24 @@ if [ "${1:-all}" = "perf-smoke" ]; then
     exit 0
 fi
 
+experiments() {
+    echo "==> experiment goldens (release ablation_interval stdout vs experiments_out/)"
+    cargo build -q --release -p incprof-bench --bin ablation_interval
+    mkdir -p target
+    target/release/ablation_interval >target/ablation_interval.txt
+    cmp -s target/ablation_interval.txt experiments_out/ablation_interval.txt || {
+        echo "experiments: ablation_interval drifted from experiments_out/ablation_interval.txt"
+        diff experiments_out/ablation_interval.txt target/ablation_interval.txt | head -20
+        exit 1
+    }
+}
+
+if [ "${1:-all}" = "experiments" ]; then
+    experiments
+    echo "Experiment goldens match."
+    exit 0
+fi
+
 if [ "${1:-all}" = "sca" ]; then
     sca_gate
     echo "Static-analysis gate passed."
@@ -360,5 +382,7 @@ serve_smoke
 cluster_smoke
 
 perf_smoke
+
+experiments
 
 echo "All checks passed."
