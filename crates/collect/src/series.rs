@@ -88,6 +88,31 @@ impl SampleSeries {
         before - self.snapshots.len()
     }
 
+    /// The series a collection at `m` times this one's interval would
+    /// have produced: every `m`-th boundary sample plus the final stop
+    /// sample, with `sample_index` renumbered from 0. `m` of 0 or 1
+    /// returns a copy, as the store's retention stride treats them.
+    ///
+    /// The identity holds on the virtual clock only, where every
+    /// boundary sample is taken exactly at its boundary. A wall-clock
+    /// collector samples late by its own jitter, so there the result is
+    /// an approximation of a coarse run.
+    pub fn coarsen(&self, m: usize) -> SampleSeries {
+        let Some((last, boundaries)) = self.snapshots.split_last() else {
+            return SampleSeries::new();
+        };
+        if m <= 1 {
+            return self.clone();
+        }
+        let kept = boundaries.iter().skip(m - 1).step_by(m).chain([last]);
+        kept.zip(0..)
+            .map(|(s, sample_index)| ProfileSnapshot {
+                sample_index,
+                ..s.clone()
+            })
+            .collect()
+    }
+
     /// Number of cumulative samples collected.
     pub fn len(&self) -> usize {
         self.snapshots.len()
@@ -284,5 +309,69 @@ mod tests {
         // The trimmed cumulative series still deltas cleanly.
         assert_eq!(series.interval_profiles().unwrap().len(), 3);
         assert_eq!(series.remove_sample_indices(&[]), 0);
+    }
+
+    fn indexed(n: u64) -> SampleSeries {
+        (0..n)
+            .map(|i| snap(i, &[(0, (i + 1) * 10, i + 1)]))
+            .collect()
+    }
+
+    fn times(series: &SampleSeries) -> Vec<u64> {
+        series.snapshots().iter().map(|s| s.timestamp_ns).collect()
+    }
+
+    #[test]
+    fn coarsen_keeps_every_mth_boundary_and_the_stop_sample() {
+        // Ten samples: nine boundary ticks (indices 0..=8) and a stop.
+        let series = indexed(10);
+        assert_eq!(
+            times(&series.coarsen(2)),
+            vec![1000, 3000, 5000, 7000, 9000]
+        );
+        assert_eq!(times(&series.coarsen(4)), vec![3000, 7000, 9000]);
+        // The last boundary lands on the stride: both it and the stop stay.
+        assert_eq!(times(&series.coarsen(3)), vec![2000, 5000, 8000, 9000]);
+        for m in 2..12 {
+            let coarse = series.coarsen(m);
+            let indices: Vec<u64> = coarse.snapshots().iter().map(|s| s.sample_index).collect();
+            assert_eq!(
+                indices,
+                (0..coarse.len() as u64).collect::<Vec<_>>(),
+                "m = {m}"
+            );
+            assert_eq!(
+                coarse.last(),
+                Some(&ProfileSnapshot {
+                    sample_index: coarse.len() as u64 - 1,
+                    ..series.last().unwrap().clone()
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn coarsen_by_zero_or_one_is_the_identity() {
+        let series = indexed(5);
+        assert_eq!(series.coarsen(0), series);
+        assert_eq!(series.coarsen(1), series);
+    }
+
+    #[test]
+    fn coarsen_past_the_tick_count_keeps_only_the_stop_sample() {
+        let series = indexed(5);
+        for m in [5, 6, usize::MAX] {
+            let coarse = series.coarsen(m);
+            assert_eq!(coarse.len(), 1, "m = {m}");
+            assert_eq!(coarse.snapshots()[0].sample_index, 0);
+            assert_eq!(coarse.snapshots()[0].flat, series.last().unwrap().flat);
+        }
+    }
+
+    #[test]
+    fn coarsen_of_an_empty_series_is_empty() {
+        for m in [0, 1, 4] {
+            assert!(SampleSeries::new().coarsen(m).is_empty());
+        }
     }
 }
