@@ -76,9 +76,16 @@ impl App {
         }
     }
 
-    /// Run in deterministic virtual mode at the given size.
+    /// Run in deterministic virtual mode at the given size, sampling at
+    /// the paper's 1 s interval.
     pub fn run_virtual(&self, size: Size, plan: &HeartbeatPlan) -> AppOutput {
-        let mode = RunMode::virtual_1s();
+        self.run_virtual_at(size, 1_000_000_000, plan)
+    }
+
+    /// [`App::run_virtual`] sampling every `interval_ns` virtual
+    /// nanoseconds.
+    pub fn run_virtual_at(&self, size: Size, interval_ns: u64, plan: &HeartbeatPlan) -> AppOutput {
+        let mode = RunMode::Virtual { interval_ns };
         match self {
             App::Graph500 => {
                 let cfg = match size {

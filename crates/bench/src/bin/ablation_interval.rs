@@ -3,71 +3,19 @@
 //! Gadget2's fast sub-second timestep functions defeat the paper's
 //! 1-second interval analysis (§VI-E: "this points to a need for an
 //! alternative analysis scheme for applications with fast phases").
-//! This binary re-runs each app with finer and coarser intervals and
-//! reports how the detected phase structure shifts.
+//! This binary collects each app once at 0.25 s and reads every coarser
+//! interval off that run with [`SampleSeries::coarsen`]: on the virtual
+//! clock a coarse run's samples are the fine run's samples at the coarse
+//! boundaries. It reports how the detected phase structure shifts.
+//!
+//! [`SampleSeries::coarsen`]: incprof_collect::SampleSeries::coarsen
 
-use hpc_apps::harness::RunMode;
 use hpc_apps::plan::{discovered_site_names, HeartbeatPlan};
-use hpc_apps::{gadget2, graph500, lammps, miniamr, minife};
-use incprof_bench::apps::App;
+use incprof_bench::apps::Size;
 use incprof_core::PhaseDetector;
 
-fn run_with_interval(app: App, interval_ns: u64) -> hpc_apps::AppOutput {
-    let mode = RunMode::Virtual { interval_ns };
-    let plan = HeartbeatPlan::none();
-    match app {
-        App::Graph500 => graph500::run(
-            &graph500::Graph500Config {
-                scale: 12,
-                edge_factor: 16,
-                num_roots: 20,
-                ..Default::default()
-            },
-            mode,
-            &plan,
-        ),
-        App::MiniFe => minife::run(
-            &minife::MiniFeConfig {
-                n: 14,
-                cg_iters: 60,
-                procs: 1,
-            },
-            mode,
-            &plan,
-        ),
-        App::MiniAmr => miniamr::run(
-            &miniamr::MiniAmrConfig {
-                blocks_per_side: 3,
-                steps: 150,
-                comm_burst_every: 25,
-                adapt_at_step: 75,
-                procs: 1,
-            },
-            mode,
-            &plan,
-        ),
-        App::Lammps => lammps::run(
-            &lammps::LammpsConfig {
-                atoms_per_side: 9,
-                steps: 60,
-                rebuild_every: 8,
-                ..Default::default()
-            },
-            mode,
-            &plan,
-        ),
-        App::Gadget2 => gadget2::run(
-            &gadget2::Gadget2Config {
-                particles: 700,
-                steps: 40,
-                pm_grid: 24,
-                ..Default::default()
-            },
-            mode,
-            &plan,
-        ),
-    }
-}
+/// The finest interval; every row's interval is a multiple of it.
+const FINE_NS: u64 = 250_000_000;
 
 fn main() {
     println!(
@@ -75,22 +23,19 @@ fn main() {
         "app", "interval", "intervals", "k"
     );
     for app in incprof_bench::ALL_APPS {
-        for (label, interval_ns) in [
-            ("0.25s", 250_000_000u64),
-            ("0.5s", 500_000_000),
-            ("1s", 1_000_000_000),
-            ("2s", 2_000_000_000),
-            ("4s", 4_000_000_000),
-        ] {
-            let out = run_with_interval(app, interval_ns);
-            match PhaseDetector::new().detect_series(&out.rank0.series) {
+        let fine = app
+            .run_virtual_at(Size::Medium, FINE_NS, &HeartbeatPlan::none())
+            .rank0;
+        for (label, m) in [("0.25s", 1), ("0.5s", 2), ("1s", 4), ("2s", 8), ("4s", 16)] {
+            let series = fine.series.coarsen(m);
+            match PhaseDetector::new().detect_series(&series) {
                 Ok(analysis) => {
-                    let names = discovered_site_names(&analysis, &out.rank0.table);
+                    let names = discovered_site_names(&analysis, &fine.table);
                     println!(
                         "{:<9} {:>9} {:>10} {:>2}  {}",
                         app.name(),
                         label,
-                        out.rank0.series.len(),
+                        series.len(),
                         analysis.k,
                         names.into_iter().collect::<Vec<_>>().join(", ")
                     );

@@ -2,6 +2,7 @@
 //! discovered-heartbeat re-instrumentation loop (the paper's complete
 //! workflow: profile → detect → instrument → heartbeat data).
 
+use incprof_bench::{apps::Size, ALL_APPS};
 use incprof_suite::appekg::HeartbeatSeries;
 use incprof_suite::core::PhaseDetector;
 use incprof_suite::hpc_apps::plan::discovered_site_names;
@@ -144,6 +145,34 @@ fn gadget2_fast_functions_stay_undetected_at_one_second() {
             !names.contains(fast),
             "{fast} should be invisible at 1 s intervals"
         );
+    }
+}
+
+#[test]
+fn coarse_runs_are_subsampled_fine_runs() {
+    // On the virtual clock a collection at m·Δ takes the samples a
+    // collection at Δ takes at the same instants, so one fine run yields
+    // every coarser one: flat and call graph, timestamps, stop sample.
+    const FINE_NS: u64 = 250_000_000;
+    let plan = HeartbeatPlan::none();
+    for app in ALL_APPS {
+        let fine = app.run_virtual_at(Size::Tiny, FINE_NS, &plan).rank0.series;
+        for m in [2, 4] {
+            let coarse = app
+                .run_virtual_at(Size::Tiny, m * FINE_NS, &plan)
+                .rank0
+                .series;
+            assert!(
+                coarse.len() >= 2,
+                "{}: too short to say anything",
+                app.name()
+            );
+            assert!(
+                fine.coarsen(m as usize) == coarse,
+                "{} at m = {m}: the coarse run is not the fine run subsampled",
+                app.name()
+            );
+        }
     }
 }
 
