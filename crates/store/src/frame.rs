@@ -351,57 +351,27 @@ impl Frame {
     }
 
     /// Decode one frame from the front of `buf`, returning it together
-    /// with the number of bytes consumed.
+    /// with the number of bytes consumed: [`read_frame`] over the slice.
     pub fn decode(buf: &[u8], max_payload: u32) -> Result<(Frame, usize), FrameError> {
-        if buf.len() < HEADER_LEN {
-            return Err(FrameError::Truncated { context: "header" });
+        let mut rest = buf;
+        match read_frame(&mut rest, max_payload) {
+            Ok(ReadOutcome::Frame(frame)) => Ok((frame, buf.len() - rest.len())),
+            Ok(ReadOutcome::Malformed(e)) => Err(e),
+            // A slice never blocks or fails to read; what is left is an
+            // empty one, which holds no header.
+            Ok(ReadOutcome::Closed | ReadOutcome::TimedOut) | Err(_) => {
+                Err(FrameError::Truncated { context: "header" })
+            }
         }
-        let header: [u8; HEADER_LEN] = buf[..HEADER_LEN]
-            .try_into()
-            .map_err(|_| FrameError::Truncated { context: "header" })?;
-        let (frame_type, session_id, len, has_trace) = parse_header(&header, max_payload)?;
-        let ext = if has_trace { TRACE_EXT_LEN } else { 0 };
-        let total = HEADER_LEN + ext + len as usize + CRC_LEN;
-        if buf.len() < total {
-            return Err(FrameError::Truncated { context: "payload" });
-        }
-        let trace = if has_trace {
-            let ext_bytes: [u8; TRACE_EXT_LEN] = buf[HEADER_LEN..HEADER_LEN + TRACE_EXT_LEN]
-                .try_into()
-                .map_err(|_| FrameError::Truncated { context: "trace" })?;
-            Some(TraceWire::decode(&ext_bytes))
-        } else {
-            None
-        };
-        let payload_at = HEADER_LEN + ext;
-        let payload = buf[payload_at..payload_at + len as usize].to_vec();
-        let carried = u32::from_le_bytes(
-            buf[total - CRC_LEN..total]
-                .try_into()
-                .map_err(|_| FrameError::Truncated { context: "crc" })?,
-        );
-        let computed = crc32(&buf[..total - CRC_LEN]);
-        if computed != carried {
-            return Err(FrameError::CrcMismatch { computed, carried });
-        }
-        Ok((
-            Frame {
-                frame_type,
-                session_id,
-                trace,
-                payload,
-            },
-            total,
-        ))
     }
 }
 
 /// Validate a fixed-size header, returning (type, session id, payload
-/// length, trace extension follows). Shared by the slice decoder and
-/// the streaming reader. Both protocol versions are accepted; the
-/// returned flag says whether [`TRACE_EXT_LEN`] extension bytes sit
-/// between this header and the payload.
-pub fn parse_header(
+/// length, trace extension follows) for [`read_frame`]. Both protocol
+/// versions are accepted; the returned flag says whether
+/// [`TRACE_EXT_LEN`] extension bytes sit between this header and the
+/// payload.
+fn parse_header(
     header: &[u8; HEADER_LEN],
     max_payload: u32,
 ) -> Result<(FrameType, u64, u32, bool), FrameError> {
