@@ -16,7 +16,7 @@
 //! Nothing else is measured here and nothing is written: throughput and
 //! latency are `perfbench/`'s business (`serve_ingest`, `serve_query`,
 //! `shard_ingest`). This binary stays only until perfbench has a
-//! traced-wire arm of its own (ROADMAP 3c).
+//! traced-wire arm of its own (ROADMAP 1(c)).
 //!
 //! Usage: `serve_load [clients] [workers]` (defaults: 8 clients, 4 workers).
 
