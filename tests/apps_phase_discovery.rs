@@ -2,7 +2,8 @@
 //! discovered-heartbeat re-instrumentation loop (the paper's complete
 //! workflow: profile → detect → instrument → heartbeat data).
 
-use incprof_bench::{apps::Size, ALL_APPS};
+use incprof_bench::apps::{App, Size};
+use incprof_bench::ALL_APPS;
 use incprof_suite::appekg::HeartbeatSeries;
 use incprof_suite::core::PhaseDetector;
 use incprof_suite::hpc_apps::plan::discovered_site_names;
@@ -42,15 +43,7 @@ fn graph500_discovered_sites_drive_heartbeats() {
 
 #[test]
 fn minife_phase_count_matches_paper_band() {
-    let out = minife::run(
-        &minife::MiniFeConfig {
-            n: 14,
-            cg_iters: 60,
-            procs: 1,
-        },
-        RunMode::virtual_1s(),
-        &HeartbeatPlan::none(),
-    );
+    let out = App::MiniFe.run_virtual(Size::Medium, &HeartbeatPlan::none());
     let analysis = PhaseDetector::new()
         .detect_series(&out.rank0.series)
         .unwrap();
