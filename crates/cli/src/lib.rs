@@ -917,6 +917,41 @@ mod tests {
   ]
 }}"#;
 
+    /// The run dump's bytes on disk: the table as its `infos` list, then
+    /// the series. Loading them back rebuilds the same table.
+    #[test]
+    fn run_dump_json_is_pinned() {
+        let mut table = FunctionTable::new();
+        let a = table.register_info(incprof_profile::FunctionInfo::with_location(
+            "cg_solve", "cg.cpp", 42,
+        ));
+        table.register("waxpby");
+        let mut flat = FlatProfile::new();
+        flat.record_self_time(a, 1500);
+        flat.record_calls(a, 2);
+        let mut series = SampleSeries::new();
+        series.push(incprof_profile::ProfileSnapshot {
+            sample_index: 0,
+            timestamp_ns: 1_000,
+            flat,
+            callgraph: Default::default(),
+        });
+        let dump = RunDump { table, series };
+        let json = serde_json::to_string(&dump).unwrap();
+        assert_eq!(json, RUN_DUMP_JSON);
+
+        let dir = std::env::temp_dir().join(format!("incprof_cli_dump_pin_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("dump.json");
+        std::fs::write(&path, &json).unwrap();
+        let back = load_dump(&path).unwrap();
+        assert_eq!(back.table, dump.table);
+        assert_eq!(back.series, dump.series);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    const RUN_DUMP_JSON: &str = r#"{"table":{"infos":[{"name":"cg_solve","source_file":"cg.cpp","line":42,"address":4096},{"name":"waxpby","source_file":null,"line":null,"address":4112}]},"series":{"snapshots":[{"sample_index":0,"timestamp_ns":1000,"flat":{"stats":{"0":{"self_time":1500,"calls":2,"child_time":0}}},"callgraph":{"arcs":[]}}]}}"#;
+
     #[test]
     fn analyze_reports_on_empty_dir_errors() {
         let dir = std::env::temp_dir().join(format!("incprof_cli_empty_{}", std::process::id()));

@@ -271,6 +271,65 @@ mod tests {
         assert_eq!(a, c, "round trip + rebuild must not reorder output");
     }
 
+    /// The JSON of a table is its `infos` list and nothing else; run
+    /// dumps and reports on disk depend on these exact bytes.
+    #[test]
+    fn json_is_pinned() {
+        let mut t = FunctionTable::new();
+        t.register_info(FunctionInfo::with_location("cg_solve", "cg.cpp", 42));
+        t.register("impose_dirichlet");
+        assert_eq!(
+            serde_json::to_string(&t).unwrap(),
+            TABLE_JSON,
+            "a table's JSON moved"
+        );
+        let mut back: FunctionTable = serde_json::from_str(TABLE_JSON).unwrap();
+        back.rebuild_index();
+        assert_eq!(back, t);
+    }
+
+    const TABLE_JSON: &str = r#"{"infos":[{"name":"cg_solve","source_file":"cg.cpp","line":42,"address":4096},{"name":"impose_dirichlet","source_file":null,"line":null,"address":4112}]}"#;
+
+    /// A clone is a value: registering into the original, whether a new
+    /// name or a location for a known one, leaves the clone as it was.
+    #[test]
+    fn clone_is_unchanged_by_later_registration() {
+        let mut t = FunctionTable::new();
+        t.register("run_bfs");
+        let before = t.clone();
+        let snapshot = format!("{before:?}");
+        t.register("validate");
+        t.register_info(FunctionInfo::with_location("run_bfs", "bfs.c", 120));
+        assert_eq!(format!("{before:?}"), snapshot);
+        assert_eq!(before.len(), 1);
+        assert_eq!(before.id_of("validate"), None);
+        let info = before.info(FunctionId(0)).unwrap();
+        assert_eq!((info.source_file.as_deref(), info.line), (None, None));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.info(FunctionId(0)).unwrap().line, Some(120));
+
+        // And the other way round: the clone's own registrations do not
+        // reach the table it came from.
+        let mut copy = t.clone();
+        copy.register("extra");
+        copy.rebuild_index();
+        assert_eq!((t.len(), t.id_of("extra")), (2, None));
+    }
+
+    /// Equality covers the name index: a deserialized table compares
+    /// unequal to its source until `rebuild_index` runs.
+    #[test]
+    fn deserialized_table_needs_rebuild_to_compare_equal() {
+        let mut t = FunctionTable::new();
+        t.register("one");
+        t.register("two");
+        let mut back: FunctionTable =
+            serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
+        assert_ne!(back, t);
+        back.rebuild_index();
+        assert_eq!(back, t);
+    }
+
     #[test]
     fn rebuild_index_restores_lookup() {
         let mut t = FunctionTable::new();
