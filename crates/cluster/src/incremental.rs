@@ -18,8 +18,12 @@
 //!   in place, starting from the previous converged centroids — typically
 //!   one or two iterations. The chain carries what the previous run
 //!   ended with (Hamerly bounds, cluster sums, point distances; see
-//!   [`mod@crate::kmeans`]), so a step re-examines only the appended row
-//!   and what it moves.
+//!   [`mod@crate::kmeans`]), so a step computes exact distances only for
+//!   the appended row and the rows whose bounds it breaks. It still
+//!   walks all t rows several times: every iteration checks and widens
+//!   every bound, and the run ends with a WCSS pass over every row, so a
+//!   step is O(t) even when nothing moves (the costs are itemised in
+//!   [`mod@crate::kmeans`]).
 //! * **Review** (t divisible by [`ChainConfig::review_every`]): a few
 //!   fresh single-restart k-means++ candidates, seeded by
 //!   `review_seed(seed, k, t, c)`, compete with the incumbent; a

@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense numeric identifier for a registered function.
 ///
@@ -76,8 +77,18 @@ impl FunctionInfo {
 /// Registration is idempotent per name: registering the same name twice
 /// returns the same [`FunctionId`]. Iteration order is id order, i.e.
 /// registration order, and is fully deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The contents are shared: a clone is a reference-count bump, and the
+/// first mutation of a shared table copies it (copy on write). Every
+/// snapshot of one stream carries the same table, so its readers hold
+/// one copy between them, not one per snapshot.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionTable {
+    contents: Arc<Contents>,
+}
+
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+struct Contents {
     infos: Vec<FunctionInfo>,
     // BTreeMap rather than HashMap so no hash-ordered iteration can ever
     // leak into serialized output (incprof-lint rule D02); the index is
@@ -85,6 +96,21 @@ pub struct FunctionTable {
     // anything that later walks it.
     #[serde(skip)]
     by_name: BTreeMap<String, FunctionId>,
+}
+
+/// The JSON is the contents' (`{"infos":[...]}`); sharing is invisible.
+impl Serialize for FunctionTable {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.contents.serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for FunctionTable {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        Contents::deserialize(deserializer).map(|contents| FunctionTable {
+            contents: Arc::new(contents),
+        })
+    }
 }
 
 impl FunctionTable {
@@ -104,66 +130,79 @@ impl FunctionTable {
     /// id is returned and any *new* source location fills previously-unknown
     /// fields (first writer wins for fields already set).
     pub fn register_info(&mut self, mut info: FunctionInfo) -> FunctionId {
-        if let Some(&id) = self.by_name.get(&info.name) {
-            let existing = &mut self.infos[id.index()];
-            if existing.source_file.is_none() {
-                existing.source_file = info.source_file.take();
-            }
-            if existing.line.is_none() {
-                existing.line = info.line;
+        if let Some(id) = self.id_of(&info.name) {
+            let existing = &self.contents.infos[id.index()];
+            let fill_file = existing.source_file.is_none() && info.source_file.is_some();
+            let fill_line = existing.line.is_none() && info.line.is_some();
+            if fill_file || fill_line {
+                let existing = &mut Arc::make_mut(&mut self.contents).infos[id.index()];
+                if fill_file {
+                    existing.source_file = info.source_file.take();
+                }
+                if fill_line {
+                    existing.line = info.line;
+                }
             }
             return id;
         }
-        let id = FunctionId(self.infos.len() as u32);
+        let contents = Arc::make_mut(&mut self.contents);
+        let id = FunctionId(contents.infos.len() as u32);
         if info.address == 0 {
             // Synthetic, stable, strictly increasing fake text addresses.
             info.address = 0x1000 + 16 * id.0 as u64;
         }
-        self.by_name.insert(info.name.clone(), id);
-        self.infos.push(info);
+        contents.by_name.insert(info.name.clone(), id);
+        contents.infos.push(info);
         id
     }
 
     /// Look up a function id by exact name.
     pub fn id_of(&self, name: &str) -> Option<FunctionId> {
-        self.by_name.get(name).copied()
+        self.contents.by_name.get(name).copied()
     }
 
     /// Metadata for `id`, or `None` if out of range.
     pub fn info(&self, id: FunctionId) -> Option<&FunctionInfo> {
-        self.infos.get(id.index())
+        self.contents.infos.get(id.index())
     }
 
     /// The name for `id`; `"<unknown>"` if the id is not registered
     /// (useful when rendering reports against a mismatched table).
     pub fn name(&self, id: FunctionId) -> &str {
-        self.infos
-            .get(id.index())
+        self.info(id)
             .map(|i| i.name.as_str())
             .unwrap_or("<unknown>")
     }
 
     /// Number of registered functions.
     pub fn len(&self) -> usize {
-        self.infos.len()
+        self.contents.infos.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.infos.is_empty()
+        self.contents.infos.is_empty()
     }
 
     /// Iterate `(FunctionId, &FunctionInfo)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (FunctionId, &FunctionInfo)> {
-        self.infos
+        self.contents
+            .infos
             .iter()
             .enumerate()
             .map(|(i, info)| (FunctionId(i as u32), info))
     }
 
+    /// Whether the two tables share one copy of their contents: one is a
+    /// clone of the other and neither has been written to since.
+    pub fn shares_contents_with(&self, other: &FunctionTable) -> bool {
+        Arc::ptr_eq(&self.contents, &other.contents)
+    }
+
     /// Rebuild the name index after deserialization (serde skips the map).
     pub fn rebuild_index(&mut self) {
-        self.by_name = self
+        let contents = Arc::make_mut(&mut self.contents);
+        contents.by_name = contents
             .infos
             .iter()
             .enumerate()

@@ -104,8 +104,39 @@ impl GmonData {
         buf.freeze()
     }
 
-    /// Deserialize from bytes.
-    pub fn decode(mut data: &[u8]) -> Result<GmonData, ProfileError> {
+    /// Deserialize from bytes. Each call parses the function table anew;
+    /// a reader of a stream of payloads holds a [`GmonDecoder`] instead.
+    pub fn decode(data: &[u8]) -> Result<GmonData, ProfileError> {
+        GmonDecoder::new().decode(data)
+    }
+}
+
+/// A decoder for one stream of gmon payloads.
+///
+/// Every payload of a stream carries the function table again, and the
+/// table changes only when the profiled program registers a function.
+/// The decoder remembers the bytes of the last function section it
+/// decoded into an empty table, and the table they gave. A payload whose
+/// section starts with exactly those bytes gets that table back as a
+/// shared clone instead of a fresh parse; any other payload, a second
+/// function section in one payload included, parses as
+/// [`GmonData::decode`] would. The output is equal to
+/// [`GmonData::decode`]'s for every input, errors included.
+#[derive(Debug, Default)]
+pub struct GmonDecoder {
+    /// The last function section parsed into an empty table, exactly
+    /// as many bytes as that parse consumed, and the table it gave.
+    section: Option<(Vec<u8>, FunctionTable)>,
+}
+
+impl GmonDecoder {
+    /// A decoder that remembers nothing yet.
+    pub fn new() -> GmonDecoder {
+        GmonDecoder::default()
+    }
+
+    /// Deserialize one payload of the stream.
+    pub fn decode(&mut self, mut data: &[u8]) -> Result<GmonData, ProfileError> {
         if data.remaining() < 4 {
             return Err(ProfileError::Truncated { context: "magic" });
         }
@@ -141,40 +172,20 @@ impl GmonData {
                     out.timestamp_ns = data.get_u64_le();
                 }
                 TAG_FUNCTIONS => {
-                    if data.remaining() < 4 {
-                        return Err(ProfileError::Truncated {
-                            context: "function count",
-                        });
-                    }
-                    let n = data.get_u32_le();
-                    for _ in 0..n {
-                        if data.remaining() < 12 {
-                            return Err(ProfileError::Truncated {
-                                context: "function record",
-                            });
+                    let into_empty = out.functions.is_empty();
+                    match &self.section {
+                        Some((bytes, table)) if into_empty && data.starts_with(bytes) => {
+                            out.functions = table.clone();
+                            data.advance(bytes.len());
                         }
-                        let _id = data.get_u32_le(); // ids are dense & in order
-                        let address = data.get_u64_le();
-                        let name = get_string(&mut data, "function name")?;
-                        if data.remaining() < 1 {
-                            return Err(ProfileError::Truncated {
-                                context: "location flag",
-                            });
-                        }
-                        let mut info = FunctionInfo::named(name);
-                        info.address = address;
-                        if data.get_u8() == 1 {
-                            let file = get_string(&mut data, "source file")?;
-                            if data.remaining() < 4 {
-                                return Err(ProfileError::Truncated {
-                                    context: "line number",
-                                });
+                        _ => {
+                            let start = data;
+                            read_functions(&mut data, &mut out.functions)?;
+                            if into_empty {
+                                let consumed = &start[..start.len() - data.len()];
+                                self.section = Some((consumed.to_vec(), out.functions.clone()));
                             }
-                            let line = data.get_u32_le();
-                            info.source_file = Some(file);
-                            info.line = if line > 0 { Some(line) } else { None };
                         }
-                        out.functions.register_info(info);
                     }
                 }
                 TAG_FLAT => {
@@ -235,6 +246,46 @@ impl GmonData {
         }
         Ok(out)
     }
+}
+
+/// Parse one function section (count, then the records) into `table`.
+fn read_functions(data: &mut &[u8], table: &mut FunctionTable) -> Result<(), ProfileError> {
+    if data.remaining() < 4 {
+        return Err(ProfileError::Truncated {
+            context: "function count",
+        });
+    }
+    let n = data.get_u32_le();
+    for _ in 0..n {
+        if data.remaining() < 12 {
+            return Err(ProfileError::Truncated {
+                context: "function record",
+            });
+        }
+        let _id = data.get_u32_le(); // ids are dense & in order
+        let address = data.get_u64_le();
+        let name = get_string(data, "function name")?;
+        if data.remaining() < 1 {
+            return Err(ProfileError::Truncated {
+                context: "location flag",
+            });
+        }
+        let mut info = FunctionInfo::named(name);
+        info.address = address;
+        if data.get_u8() == 1 {
+            let file = get_string(data, "source file")?;
+            if data.remaining() < 4 {
+                return Err(ProfileError::Truncated {
+                    context: "line number",
+                });
+            }
+            let line = data.get_u32_le();
+            info.source_file = Some(file);
+            info.line = if line > 0 { Some(line) } else { None };
+        }
+        table.register_info(info);
+    }
+    Ok(())
 }
 
 fn put_string(buf: &mut BytesMut, s: &str) {

@@ -22,7 +22,6 @@ use crate::plane::{
 use crate::session::{lock, Enqueue, Registry, ReportMode, Session};
 use incprof_core::online::OnlineConfig;
 use incprof_core::{PhaseDetector, SourceGraph};
-use incprof_profile::GmonData;
 use incprof_store::{RetentionPolicy, Store};
 use std::io;
 use std::path::PathBuf;
@@ -337,30 +336,26 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
             tw.parent_span,
         )
     });
-    let gmon = match GmonData::decode(&frame.payload) {
-        Ok(g) => g,
-        Err(e) => {
-            incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
-            incprof_obs::recorder().record(
-                incprof_obs::EventKind::DecodeError,
-                sid,
-                ErrorCode::BadPayload as u64,
-            );
-            let msg = format!("gmon decode: {e}");
-            return Reply::Send(error_reply(sid, ErrorCode::BadPayload, &msg));
-        }
-    };
-    let sample_index = gmon.sample_index;
-    let mut gmon = Some(gmon);
-    // Enqueue and drain under one lock hold: the queue bound gives
-    // overflow a BUSY answer, and atomicity guarantees this worker
-    // drains (and can ack) the frame it just enqueued.
+    // Decode, enqueue and drain under one lock hold: the session's
+    // decoder reuses the function table of its previous push, the queue
+    // bound gives overflow a BUSY answer, and atomicity guarantees this
+    // worker drains (and can ack) the frame it just enqueued.
     let handled = with_session(shared, sid, |session| {
-        let reply = match session.enqueue(
-            // lint: allow(P01, with_session invokes its closure at most once, so the Option is always populated here)
-            gmon.take().expect("with_session runs its closure once"),
-            received_at,
-        ) {
+        let gmon = match session.decode(&frame.payload) {
+            Ok(g) => g,
+            Err(e) => {
+                incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
+                incprof_obs::recorder().record(
+                    incprof_obs::EventKind::DecodeError,
+                    sid,
+                    ErrorCode::BadPayload as u64,
+                );
+                let msg = format!("gmon decode: {e}");
+                return (error_reply(sid, ErrorCode::BadPayload, &msg), false);
+            }
+        };
+        let sample_index = gmon.sample_index;
+        let reply = match session.enqueue(gmon, received_at) {
             Err(e) => error_reply_info(sid, &e),
             Ok(Enqueue::Busy) => {
                 incprof_obs::counter(incprof_obs::names::SERVE_BUSY_REPLIES).inc();

@@ -21,7 +21,9 @@ use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
 use incprof_obs::{JsonWriter, Raw};
-use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
+use incprof_profile::{
+    FlatProfile, FunctionTable, GmonData, GmonDecoder, ProfileError, ProfileSnapshot,
+};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -81,6 +83,9 @@ pub struct Session {
     series: SampleSeries,
     prev_flat: FlatProfile,
     table: FunctionTable,
+    /// Decodes this session's pushed payloads: the function table they
+    /// repeat is parsed once per change, not once per push.
+    decoder: GmonDecoder,
     online: OnlinePhaseDetector,
     pending: VecDeque<Pending>,
     max_pending: usize,
@@ -157,6 +162,7 @@ impl Session {
             series: SampleSeries::new(),
             prev_flat: FlatProfile::new(),
             table: FunctionTable::new(),
+            decoder: GmonDecoder::new(),
             online: OnlinePhaseDetector::new(online),
             pending: VecDeque::new(),
             max_pending,
@@ -253,6 +259,13 @@ impl Session {
     /// True when nothing has been ingested or queued.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty() && self.pending.is_empty()
+    }
+
+    /// Decode one pushed gmon payload with this session's decoder. The
+    /// result equals [`GmonData::decode`]'s; a function table equal to
+    /// the previous push's comes back shared instead of parsed again.
+    pub fn decode(&mut self, payload: &[u8]) -> Result<GmonData, ProfileError> {
+        self.decoder.decode(payload)
     }
 
     /// Offer a decoded snapshot. Enforces sample-index ordering and the

@@ -268,6 +268,23 @@ fn snapshot_garbage_payload_keeps_connection_and_session() {
 }
 
 #[test]
+fn snapshot_garbage_payload_for_unknown_session_is_unknown_session() {
+    let handle = live_server();
+    // The payload is decoded by its session, so a session that does not
+    // exist is the first thing wrong with this frame; the connection
+    // stays, as for any typed error.
+    let mut conn = connect(handle.addr());
+    let frame = Frame::with_payload(FrameType::Snapshot, 999, b"not gmon".to_vec());
+    write_frame(&mut conn, &frame).expect("write");
+    expect_error("daemon data", &mut conn, ErrorCode::UnknownSession);
+    write_frame(&mut conn, &Frame::empty(FrameType::Ping, 0)).expect("ping same conn");
+    let pong = read_reply(&mut conn).expect("pong");
+    assert_eq!(pong.frame_type, FrameType::Pong);
+    assert_eq!(handle.active_sessions(), 0);
+    handle.shutdown();
+}
+
+#[test]
 fn unknown_session_and_bad_type_are_typed_errors() {
     let handle = live_server();
     let mut conn = connect(handle.addr());

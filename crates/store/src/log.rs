@@ -17,7 +17,7 @@
 
 use crate::frame::{Frame, FrameType, DEFAULT_MAX_PAYLOAD};
 use crate::retention::RecordMeta;
-use incprof_profile::GmonData;
+use incprof_profile::{GmonData, GmonDecoder};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -70,6 +70,9 @@ impl SnapshotLog {
         let mut records = Vec::new();
         let mut snapshots = Vec::new();
         let mut last_index: Option<u64> = None;
+        // One decoder per log: its records repeat one function table,
+        // parsed once and shared by every replayed snapshot.
+        let mut decoder = GmonDecoder::new();
         while offset < bytes.len() {
             let (frame, consumed) = match Frame::decode(&bytes[offset..], DEFAULT_MAX_PAYLOAD) {
                 Ok(parts) => parts,
@@ -78,7 +81,7 @@ impl SnapshotLog {
             if frame.frame_type != FrameType::Snapshot || frame.session_id != session_id {
                 break;
             }
-            let gmon = match GmonData::decode(&frame.payload) {
+            let gmon = match decoder.decode(&frame.payload) {
                 Ok(g) => g,
                 Err(_) => break,
             };
