@@ -131,6 +131,8 @@ impl FunctionTable {
     /// fields (first writer wins for fields already set).
     pub fn register_info(&mut self, mut info: FunctionInfo) -> FunctionId {
         if let Some(id) = self.id_of(&info.name) {
+            // Apps re-register known names every interval, between the
+            // collector's clones: only a real fill may copy the table.
             let existing = &self.contents.infos[id.index()];
             let fill_file = existing.source_file.is_none() && info.source_file.is_some();
             let fill_line = existing.line.is_none() && info.line.is_some();

@@ -172,6 +172,8 @@ impl GmonDecoder {
                     out.timestamp_ns = data.get_u64_le();
                 }
                 TAG_FUNCTIONS => {
+                    // Only a section parsed into an empty table gives a
+                    // table that depends on its bytes alone.
                     let into_empty = out.functions.is_empty();
                     match &self.section {
                         Some((bytes, table)) if into_empty && data.starts_with(bytes) => {

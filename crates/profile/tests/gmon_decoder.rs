@@ -3,7 +3,7 @@
 //! [`GmonData::decode`] of that payload — equal data, or an equal typed
 //! error — and must never panic. The streams cover what a remembered
 //! function table could get wrong: a table that stays, one that grows,
-//! one renamed at equal length, a payload with two function sections,
+//! one renamed at equal length, payloads with several function sections,
 //! and every single-byte flip and truncation of a payload decoded right
 //! after a cache hit.
 
@@ -73,21 +73,15 @@ fn section(t: &FunctionTable) -> Vec<u8> {
     bytes[FUNCTIONS_TAG_AT + 1..bytes.len() - EMPTY_TAIL].to_vec()
 }
 
-/// `g`'s payload with one more function section, holding `extra`,
-/// spliced in before (`first`) or after its own.
-fn with_second_section(g: &GmonData, extra: &FunctionTable, first: bool) -> Vec<u8> {
+/// `g`'s payload with its function section replaced by one section per
+/// table of `tables`, in order.
+fn with_sections(g: &GmonData, tables: &[&FunctionTable]) -> Vec<u8> {
     let bytes = g.encode();
-    let own = section(&g.functions);
-    let own_end = FUNCTIONS_TAG_AT + 1 + own.len();
+    let own_end = FUNCTIONS_TAG_AT + 1 + section(&g.functions).len();
     let mut out = bytes[..FUNCTIONS_TAG_AT].to_vec();
-    let (a, b) = if first {
-        (section(extra), own)
-    } else {
-        (own, section(extra))
-    };
-    for s in [a, b] {
+    for t in tables {
         out.push(bytes[FUNCTIONS_TAG_AT]);
-        out.extend_from_slice(&s);
+        out.extend_from_slice(&section(t));
     }
     out.extend_from_slice(&bytes[own_end..]);
     out
@@ -182,7 +176,7 @@ fn a_same_length_rename_is_parsed_again() {
 }
 
 #[test]
-fn a_payload_with_two_function_sections() {
+fn payloads_with_several_function_sections() {
     let base = table(&["main", "cg_solve"]);
     let extra = table(&["waxpby", "dot", "main"]);
     let g = snapshot(1, &base);
@@ -192,19 +186,22 @@ fn a_payload_with_two_function_sections() {
         // The second section parses into a non-empty table, so what it
         // gives is not what its bytes alone give: it must not be
         // remembered as such.
-        with_second_section(&g, &extra, false),
+        with_sections(&g, &[&base, &extra]),
         only_extra.clone(),
         only_extra,
         // A remembered first section, then one more on top of it: the
         // shared table must be copied, not written through.
-        with_second_section(&g, &extra, true),
+        with_sections(&g, &[&extra, &base]),
+        // The remembered section again after another one: it must add
+        // to the table built so far, not replace it.
+        with_sections(&g, &[&base, &extra, &base]),
         g.encode().to_vec(),
     ];
     let out = check_stream(&payloads);
     let tables: Vec<&FunctionTable> = out.iter().map(|g| &g.as_ref().unwrap().functions).collect();
     assert_eq!(
         tables.iter().map(|t| t.len()).collect::<Vec<_>>(),
-        [2, 4, 3, 3, 4, 2]
+        [2, 4, 3, 3, 4, 4, 2]
     );
     assert!(tables[3].shares_contents_with(tables[2]));
     assert_eq!(

@@ -264,7 +264,7 @@ impl Session {
     /// Decode one pushed gmon payload with this session's decoder. The
     /// result equals [`GmonData::decode`]'s; a function table equal to
     /// the previous push's comes back shared instead of parsed again.
-    pub fn decode(&mut self, payload: &[u8]) -> Result<GmonData, ProfileError> {
+    pub(crate) fn decode(&mut self, payload: &[u8]) -> Result<GmonData, ProfileError> {
         self.decoder.decode(payload)
     }
 

@@ -249,6 +249,14 @@ mod tests {
         assert_eq!(replay.snapshots.len(), 5);
         for (i, snap) in replay.snapshots.iter().enumerate() {
             assert_eq!(snap.sample_index, i as u64);
+            assert_eq!(
+                *snap,
+                GmonData::decode(&gmon(i as u64, (i as u64 + 1) * 100).encode()).unwrap()
+            );
+            // The records repeat one function table: decoded once, shared.
+            assert!(snap
+                .functions
+                .shares_contents_with(&replay.snapshots[0].functions));
         }
         assert_eq!(log.records().len(), 5);
     }
