@@ -37,7 +37,10 @@
 #   scripts/check.sh experiments
 #                               # only the experiment goldens: the release
 #                               # ablation_interval's stdout must equal
-#                               # experiments_out/ablation_interval.txt
+#                               # experiments_out/ablation_interval.txt,
+#                               # and all_experiments' site tables II-VI
+#                               # (paper size, INCPROF_SCALE unset) their
+#                               # experiments_out/table*.txt files
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
@@ -332,8 +335,8 @@ if [ "${1:-all}" = "perf-smoke" ]; then
 fi
 
 experiments() {
-    echo "==> experiment goldens (release ablation_interval stdout vs experiments_out/)"
-    cargo build -q --release -p incprof-bench --bin ablation_interval
+    echo "==> experiment goldens (release ablation_interval stdout and site tables II-VI vs experiments_out/)"
+    cargo build -q --release -p incprof-bench --bin ablation_interval --bin all_experiments
     mkdir -p target
     target/release/ablation_interval >target/ablation_interval.txt
     cmp -s target/ablation_interval.txt experiments_out/ablation_interval.txt || {
@@ -341,6 +344,19 @@ experiments() {
         diff experiments_out/ablation_interval.txt target/ablation_interval.txt | head -20
         exit 1
     }
+    # all_experiments writes into ./experiments_out, so run it elsewhere.
+    local dir=target/experiments n name
+    mkdir -p "$dir"
+    for n in 2 3 4 5 6; do
+        (cd "$dir" && env -u INCPROF_SCALE ../release/all_experiments --only "table$n" >/dev/null 2>&1)
+    done
+    for name in table2_Graph500 table3_MiniFE table4_MiniAMR table5_LAMMPS table6_Gadget2; do
+        cmp -s "$dir/experiments_out/$name.txt" "experiments_out/$name.txt" || {
+            echo "experiments: $name drifted from experiments_out/$name.txt"
+            diff "experiments_out/$name.txt" "$dir/experiments_out/$name.txt" | head -20
+            exit 1
+        }
+    done
 }
 
 if [ "${1:-all}" = "experiments" ]; then
