@@ -8,7 +8,7 @@
 //! `--metrics` machinery in [`crate::run`].
 
 use crate::args::{number, Parsed};
-use crate::{load_dump, save_dump, usage_error, workspace_root, CliError};
+use crate::{load_dump, save_dump, usage_error, CliError};
 use incprof_serve::signal;
 use incprof_serve::{BindAddr, Client, PlaneHandle, RetentionPolicy, ServeConfig, Server};
 use std::path::Path;
@@ -106,13 +106,7 @@ fn serve_config(p: &Parsed) -> Result<ServeConfig, CliError> {
 /// returned summary reports the ingest tail latency via the histogram
 /// quantiles.
 pub(crate) fn serve_cmd(p: &Parsed) -> Result<String, CliError> {
-    let mut config = serve_config(p)?;
-
-    // Best-effort: the daemon joins the apps' static call graph into
-    // Full reports' `source_context`; outside a workspace it serves
-    // empty contexts instead of failing to start.
-    config.source_graph = build_source_graph();
-
+    let config = serve_config(p)?;
     signal::install_sigint_handler();
     let handle = Server::bind(config)
         .and_then(Server::start)
@@ -138,24 +132,6 @@ pub(crate) fn serve_cmd(p: &Parsed) -> Result<String, CliError> {
          ingest-to-detect latency: n={} p50={p50}ns p95={p95}ns p99={p99}ns",
         lat.count
     ))
-}
-
-/// Build the workspace apps' static call graph (via `incprof-lint`'s
-/// source analysis) for report source-context joins. Any failure —
-/// no workspace, unreadable sources — degrades to an empty graph.
-fn build_source_graph() -> incprof_core::SourceGraph {
-    let Ok(root) = workspace_root("serve", None) else {
-        return incprof_core::SourceGraph::default();
-    };
-    match incprof_lint::analyze_subtree(&root, "crates/apps/src") {
-        Ok(analysis) => {
-            incprof_core::SourceGraph::new(analysis.graph.named_edges(&analysis.symbols))
-        }
-        Err(e) => {
-            incprof_obs::warn!("source graph unavailable: {e}");
-            incprof_core::SourceGraph::default()
-        }
-    }
 }
 
 /// `incprof top`: live daemon vitals.

@@ -58,6 +58,7 @@ pub fn lift_sites_to_callers(
     callgraph: &CallGraphProfile,
 ) -> usize {
     let mut lifted = 0;
+    let depths = callgraph.depths_from_roots();
     for phase in &mut analysis.phases {
         let intervals = phase.intervals.clone();
         for site in &mut phase.sites {
@@ -85,7 +86,7 @@ pub fn lift_sites_to_callers(
                 if !dominates(callgraph, anc, f) {
                     continue;
                 }
-                let depth = callgraph.depth_from_roots(anc).unwrap_or(usize::MAX);
+                let depth = depths.get(&anc).copied().unwrap_or(usize::MAX);
                 let better = match best {
                     None => true,
                     Some((bd, bf)) => depth < bd || (depth == bd && anc < bf),

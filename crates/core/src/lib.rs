@@ -47,5 +47,5 @@ pub mod types;
 pub use cache::AnalysisCache;
 pub use online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 pub use pipeline::{ClusteringMethod, FeatureSet, PhaseAnalysis, PhaseDetector, PipelineError};
-pub use report::{source_context_json, SourceGraph};
+pub use report::source_context_json;
 pub use types::{InstrumentationSite, InstrumentationType, Phase};

@@ -12,7 +12,7 @@
 use crate::pipeline::PhaseAnalysis;
 use crate::types::InstrumentationType;
 use incprof_obs::JsonWriter;
-use incprof_profile::FunctionId;
+use incprof_profile::{cycle_membership, find_cycles, CallGraphProfile, FunctionId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
@@ -170,81 +170,23 @@ pub fn summarize(analysis: &PhaseAnalysis) -> String {
     )
 }
 
+/// `s` cut to at most `max` bytes, ending in `...` when cut. The cut
+/// falls on the last char boundary at or below `max - 3`, so multibyte
+/// names never split a character.
 fn truncate(s: &str, max: usize) -> String {
     if s.len() <= max {
-        s.to_string()
-    } else {
-        format!("{}...", &s[..max - 3])
+        return s.to_string();
     }
-}
-
-/// A name-keyed static call graph, as produced by `incprof-lint`'s
-/// source analysis but carried here as plain data so `incprof-core`
-/// stays independent of the lint crate.
-///
-/// Built from `(caller, callee, confident)` display-name triples. Only
-/// *confident* edges count: ambiguous ones are dropped on construction.
-/// Every name's static context is resolved once, here, so a
-/// [`source_context_json`] join is a lookup per site.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SourceGraph {
-    context: BTreeMap<String, StaticContext>,
-}
-
-/// One name's place in the confident subgraph: its callers, sorted; its
-/// fewest arcs from a root (`None` when no root reaches it, e.g. it sits
-/// only on a cycle); and the index of its Tarjan SCC, if any.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct StaticContext {
-    callers: Vec<String>,
-    depth: Option<usize>,
-    cycle: Option<usize>,
-}
-
-impl SourceGraph {
-    /// Build from edge triples, resolving each name's callers, depth and
-    /// cycle over the confident edges.
-    pub fn new(edges: Vec<(String, String, bool)>) -> SourceGraph {
-        use incprof_profile::{cycle_membership, find_cycles, CallGraphProfile};
-
-        let confident = || edges.iter().filter(|e| e.2);
-        // Sorted-name order makes the local ids, and so the Tarjan cycle
-        // indices, deterministic.
-        let names: Vec<&str> = confident()
-            .flat_map(|(caller, callee, _)| [caller.as_str(), callee.as_str()])
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let local: BTreeMap<&str, FunctionId> = (names.iter().enumerate())
-            .map(|(i, &n)| (n, FunctionId(i as u32)))
-            .collect();
-        let mut cg = CallGraphProfile::new();
-        for (caller, callee, _) in confident() {
-            cg.record_arcs(local[caller.as_str()], local[callee.as_str()], 1);
-        }
-        let cycles = cycle_membership(&find_cycles(&cg));
-        let context = local
-            .iter()
-            .map(|(&name, &f)| {
-                let mut callers: Vec<String> = (cg.callers_of(f).into_iter())
-                    .map(|c| names[c.index()].to_string())
-                    .collect();
-                callers.sort_unstable();
-                let ctx = StaticContext {
-                    callers,
-                    depth: cg.depth_from_roots(f),
-                    cycle: cycles.get(&f).copied(),
-                };
-                (name.to_string(), ctx)
-            })
-            .collect();
-        SourceGraph { context }
+    let mut cut = max.saturating_sub(3);
+    while !s.is_char_boundary(cut) {
+        cut -= 1;
     }
+    format!("{}...", &s[..cut])
 }
 
-/// Join a [`PhaseAnalysis`] against a static [`SourceGraph`]: for each
-/// phase, emit the dominant site functions with their *static* callers,
-/// call-path depth, and cycle membership.
+/// Join a [`PhaseAnalysis`] against the profiled run's own call graph:
+/// for each phase, emit the dominant site functions with their
+/// *measured* callers, call-path depth, and cycle membership.
 ///
 /// The result is a deterministic JSON array:
 ///
@@ -254,17 +196,27 @@ impl SourceGraph {
 /// ```
 ///
 /// `id` is the analysis' runtime [`FunctionId`] (so entries round-trip
-/// against the profile's function column map); `callers`/`depth`/`cycle`
-/// come from the static graph, joined by display name. Functions the
-/// static analysis never saw (e.g. macro-generated or external) get
-/// empty callers and `null` depth/cycle. Depth is the minimum number of
-/// confident call arcs from a static root (a function nobody calls);
-/// cycle is the index of the Tarjan SCC the function belongs to, if any.
+/// against the profile's function column map); `callers` are the
+/// display names of the functions with an arc into the site, sorted by
+/// name. Depth is the minimum number of arcs from a root (a function
+/// with no recorded caller); cycle is the index of the Tarjan SCC the
+/// function belongs to ([`find_cycles`] order), if any. A function in no
+/// arc gets empty callers and `null` depth/cycle.
+///
+/// The caller index, the depths (one multi-source BFS) and the cycles
+/// are each built once per call, so the join costs O(arcs · log arcs)
+/// however many sites it reports.
 pub fn source_context_json<'a>(
     analysis: &PhaseAnalysis,
     name_of: impl Fn(FunctionId) -> &'a str,
-    graph: &SourceGraph,
+    callgraph: &CallGraphProfile,
 ) -> String {
+    let mut callers: BTreeMap<FunctionId, Vec<FunctionId>> = BTreeMap::new();
+    for ((from, to), _) in callgraph.iter() {
+        callers.entry(to).or_default().push(from);
+    }
+    let depths = callgraph.depths_from_roots();
+    let cycles = cycle_membership(&find_cycles(callgraph));
     let mut w = JsonWriter::default();
     w.open('[');
     for phase in &analysis.phases {
@@ -274,14 +226,17 @@ pub fn source_context_json<'a>(
             .open('[');
         let mut seen = BTreeSet::new();
         for site in phase.sites.iter().filter(|s| seen.insert(s.function)) {
-            let name = name_of(site.function);
-            let ctx = graph.context.get(name);
+            let f = site.function;
+            let mut names: Vec<&str> = (callers.get(&f).into_iter().flatten())
+                .map(|&c| name_of(c))
+                .collect();
+            names.sort_unstable();
             w.open('{')
-                .field("id", site.function.0)
-                .field("name", name)
-                .array("callers", ctx.into_iter().flat_map(|c| &c.callers))
-                .field("depth", ctx.and_then(|c| c.depth))
-                .field("cycle", ctx.and_then(|c| c.cycle))
+                .field("id", f.0)
+                .field("name", name_of(f))
+                .array("callers", names)
+                .field("depth", depths.get(&f).copied())
+                .field("cycle", cycles.get(&f).copied())
                 .close('}');
         }
         w.close(']').close('}');
@@ -330,8 +285,21 @@ mod tests {
     fn names(id: FunctionId) -> &'static str {
         match id.0 {
             0 => "make_graph",
-            _ => "run_bfs",
+            1 => "run_bfs",
+            2 => "main",
+            3 => "helper",
+            4 => "zeta",
+            5 => "alpha",
+            _ => "f",
         }
+    }
+
+    fn arcs(edges: &[(u32, u32)]) -> CallGraphProfile {
+        let mut cg = CallGraphProfile::new();
+        for &(from, to) in edges {
+            cg.record_arc(FunctionId(from), FunctionId(to));
+        }
+        cg
     }
 
     #[test]
@@ -430,17 +398,23 @@ mod tests {
     }
 
     #[test]
-    fn source_context_joins_static_callers_depth_and_cycles() {
+    fn multibyte_names_are_cut_on_a_char_boundary() {
+        // 'α'.. are two bytes each and start at byte 16, so byte 31
+        // (34 - 3) falls inside one.
+        let name = "implicit_solveX_αβγδεζηθικλμνξοπρστ";
+        assert!(!name.is_char_boundary(31));
+        let cut = truncate(name, 34);
+        assert_eq!(cut, "implicit_solveX_αβγδεζη...");
+        assert!(cut.len() <= 34);
+    }
+
+    #[test]
+    fn source_context_joins_measured_callers_depth_and_cycles() {
         let a = analysis();
-        // Static shape: main -> make_graph -> run_bfs, with run_bfs and
-        // helper mutually recursive (one Tarjan cycle).
-        let graph = SourceGraph::new(vec![
-            ("main".into(), "make_graph".into(), true),
-            ("make_graph".into(), "run_bfs".into(), true),
-            ("run_bfs".into(), "helper".into(), true),
-            ("helper".into(), "run_bfs".into(), true),
-        ]);
-        let json = source_context_json(&a, names, &graph);
+        // main -> make_graph -> run_bfs, with run_bfs and helper
+        // mutually recursive (one Tarjan cycle).
+        let cg = arcs(&[(2, 0), (0, 1), (1, 3), (3, 1)]);
+        let json = source_context_json(&a, names, &cg);
         assert!(
             json.contains(
                 "\"name\":\"make_graph\",\"callers\":[\"main\"],\"depth\":1,\"cycle\":null"
@@ -459,31 +433,77 @@ mod tests {
     }
 
     #[test]
-    fn source_context_handles_unknown_functions_and_ambiguous_edges() {
+    fn a_function_only_on_a_cycle_has_no_depth() {
         let a = analysis();
-        // Only an ambiguous edge mentions make_graph: it must not count.
-        let graph = SourceGraph::new(vec![("main".into(), "make_graph".into(), false)]);
-        let json = source_context_json(&a, names, &graph);
+        // make_graph <-> helper, run_bfs calls itself; no root reaches
+        // either cycle. Cycles are indexed by their smallest member.
+        let cg = arcs(&[(0, 3), (3, 0), (1, 1)]);
+        let json = source_context_json(&a, names, &cg);
         assert!(
-            json.contains("\"name\":\"make_graph\",\"callers\":[],\"depth\":null,\"cycle\":null"),
+            json.contains(
+                "\"name\":\"make_graph\",\"callers\":[\"helper\"],\"depth\":null,\"cycle\":0"
+            ),
+            "{json}"
+        );
+        assert!(
+            json.contains(
+                "\"name\":\"run_bfs\",\"callers\":[\"run_bfs\"],\"depth\":null,\"cycle\":1"
+            ),
             "{json}"
         );
     }
 
     #[test]
-    fn source_context_is_deterministic() {
+    fn callers_are_sorted_by_name_not_id() {
         let a = analysis();
-        let graph = SourceGraph::new(vec![
-            ("z".into(), "run_bfs".into(), true),
-            ("a".into(), "run_bfs".into(), true),
-        ]);
-        assert_eq!(
-            source_context_json(&a, names, &graph),
-            source_context_json(&a, names, &graph)
+        // zeta (id 4) sorts after alpha (id 5) by name.
+        let cg = arcs(&[(4, 1), (5, 1)]);
+        let json = source_context_json(&a, names, &cg);
+        assert!(
+            json.contains("\"name\":\"run_bfs\",\"callers\":[\"alpha\",\"zeta\"],\"depth\":1"),
+            "{json}"
+        );
+        assert_eq!(json, source_context_json(&a, names, &cg));
+    }
+
+    #[test]
+    fn a_function_in_no_arc_gets_an_empty_context() {
+        let a = analysis();
+        for cg in [CallGraphProfile::new(), arcs(&[(2, 3)])] {
+            let json = source_context_json(&a, names, &cg);
+            for name in ["make_graph", "run_bfs"] {
+                let want =
+                    format!("\"name\":\"{name}\",\"callers\":[],\"depth\":null,\"cycle\":null");
+                assert!(json.contains(&want), "{json}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_50_000_arc_chain_renders_promptly() {
+        // 2 -> 3 -> ... -> 50_001 -> make_graph -> run_bfs: a per-site
+        // depth search that rescans every arc per node would take
+        // billions of steps here; one pass over the arcs takes well
+        // under a second.
+        let a = analysis();
+        let mut cg = CallGraphProfile::new();
+        for i in 2..50_001 {
+            cg.record_arc(FunctionId(i), FunctionId(i + 1));
+        }
+        cg.record_arc(FunctionId(50_001), FunctionId(0));
+        cg.record_arc(FunctionId(0), FunctionId(1));
+        assert_eq!(cg.len(), 50_001);
+        let started = std::time::Instant::now();
+        let json = source_context_json(&a, names, &cg);
+        let took = started.elapsed();
+        assert!(
+            json.contains("\"name\":\"make_graph\",\"callers\":[\"f\"],\"depth\":50000,"),
+            "{json}"
         );
         assert!(
-            source_context_json(&a, names, &graph).contains("\"callers\":[\"a\",\"z\"]"),
-            "callers sorted by name"
+            json.contains("\"name\":\"run_bfs\",\"callers\":[\"make_graph\"],\"depth\":50001,"),
+            "{json}"
         );
+        assert!(took.as_secs() < 5, "{took:?}");
     }
 }

@@ -165,28 +165,6 @@ impl StaticCallGraph {
         graph
     }
 
-    /// Edges as `(caller, callee, confident)` bare-name triples, for
-    /// consumers that join the static graph against runtime function
-    /// names (profiles key functions by unqualified name). Duplicate
-    /// name pairs are collapsed, preferring the confident label.
-    pub fn named_edges(&self, symbols: &SymbolTable) -> Vec<(String, String, bool)> {
-        let mut by_pair: std::collections::BTreeMap<(String, String), bool> =
-            std::collections::BTreeMap::new();
-        for e in &self.edges {
-            let key = (
-                symbols.defs[e.caller].name.clone(),
-                symbols.defs[e.callee].name.clone(),
-            );
-            let confident = e.confidence == Confidence::Confident;
-            let slot = by_pair.entry(key).or_insert(confident);
-            *slot |= confident;
-        }
-        by_pair
-            .into_iter()
-            .map(|((caller, callee), confident)| (caller, callee, confident))
-            .collect()
-    }
-
     /// Edge counts by confidence, for stats output.
     pub fn edge_counts(&self) -> (usize, usize) {
         let confident = self

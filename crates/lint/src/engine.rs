@@ -295,9 +295,8 @@ pub fn lint_workspace_analyzed(
 
 /// Build a [`WorkspaceAnalysis`] over only the `.rs` files under
 /// `root/subdir`, with paths still workspace-relative so crate scoping
-/// matches a full run. Used by `incprof callgraph` and the serve daemon
-/// to build the apps' static graph without analyzing the whole
-/// workspace.
+/// matches a full run. Used by `incprof callgraph` to build the apps'
+/// static graph without analyzing the whole workspace.
 pub fn analyze_subtree(root: &Path, subdir: &str) -> io::Result<WorkspaceAnalysis> {
     let mut paths = Vec::new();
     collect_rs_files(root, &root.join(subdir), &mut paths)?;

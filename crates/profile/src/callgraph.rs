@@ -186,41 +186,31 @@ impl CallGraphProfile {
         seen
     }
 
-    /// Depth of `f` from any root (function with no recorded caller):
-    /// the minimum number of arcs from a root to `f`. Roots have depth 0.
-    /// Returns `None` when `f` is unreachable from any root (e.g. only on a
-    /// cycle) or entirely absent from the graph.
-    pub fn depth_from_roots(&self, f: FunctionId) -> Option<usize> {
-        use std::collections::VecDeque;
-        let mut nodes: BTreeSet<FunctionId> = BTreeSet::new();
-        for &(from, to) in self.arcs.keys() {
-            nodes.insert(from);
-            nodes.insert(to);
-        }
-        if !nodes.contains(&f) {
-            return None;
-        }
-        let roots: Vec<FunctionId> = nodes
-            .iter()
-            .copied()
-            .filter(|&n| self.callers_of(n).is_empty())
-            .collect();
+    /// Depth of every function reachable from a root (a function with
+    /// no recorded caller): the minimum number of arcs from a root.
+    /// Roots have depth 0. A function missing from the map is
+    /// unreachable from every root (e.g. only on a cycle) or absent from
+    /// the graph. One multi-source BFS: O(arcs · log arcs).
+    pub fn depths_from_roots(&self) -> BTreeMap<FunctionId, usize> {
+        use std::collections::btree_map::Entry;
+        let called: BTreeSet<FunctionId> = self.arcs.keys().map(|&(_, to)| to).collect();
         let mut depth: BTreeMap<FunctionId, usize> = BTreeMap::new();
-        let mut q: VecDeque<FunctionId> = VecDeque::new();
-        for r in roots {
-            depth.insert(r, 0);
-            q.push_back(r);
+        let mut queue = std::collections::VecDeque::new();
+        for &(from, _) in self.arcs.keys() {
+            if !called.contains(&from) && depth.insert(from, 0).is_none() {
+                queue.push_back(from);
+            }
         }
-        while let Some(cur) = q.pop_front() {
+        while let Some(cur) = queue.pop_front() {
             let d = depth[&cur];
             for callee in self.callees_of(cur) {
-                if let std::collections::btree_map::Entry::Vacant(e) = depth.entry(callee) {
+                if let Entry::Vacant(e) = depth.entry(callee) {
                     e.insert(d + 1);
-                    q.push_back(callee);
+                    queue.push_back(callee);
                 }
             }
         }
-        depth.get(&f).copied()
+        depth
     }
 }
 
@@ -322,14 +312,19 @@ mod tests {
     }
 
     #[test]
-    fn depth_from_roots() {
+    fn depths_from_roots() {
         let mut g = CallGraphProfile::new();
         g.record_arc(fid(0), fid(1)); // root=0
         g.record_arc(fid(1), fid(2));
         g.record_arc(fid(0), fid(2)); // shortcut makes depth(2)=1
-        assert_eq!(g.depth_from_roots(fid(0)), Some(0));
-        assert_eq!(g.depth_from_roots(fid(1)), Some(1));
-        assert_eq!(g.depth_from_roots(fid(2)), Some(1));
-        assert_eq!(g.depth_from_roots(fid(77)), None);
+        g.record_arc(fid(5), fid(6)); // 5 <-> 6: a cycle no root reaches
+        g.record_arc(fid(6), fid(5));
+        let d = g.depths_from_roots();
+        assert_eq!(d.get(&fid(0)), Some(&0));
+        assert_eq!(d.get(&fid(1)), Some(&1));
+        assert_eq!(d.get(&fid(2)), Some(&1));
+        assert_eq!(d.get(&fid(5)), None);
+        assert_eq!(d.get(&fid(77)), None);
+        assert_eq!(d.len(), 3);
     }
 }

@@ -37,7 +37,6 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod cgparse;
 pub mod cycles;
 pub mod error;
 pub mod flat;

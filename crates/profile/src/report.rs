@@ -11,7 +11,6 @@
 use crate::error::ProfileError;
 use crate::flat::{FlatProfile, FunctionStats};
 use crate::function::FunctionTable;
-use crate::gmon::GmonData;
 use std::fmt::Write as _;
 
 /// Header lines reproduced from real gprof output.
@@ -52,64 +51,6 @@ pub fn write_flat_profile(flat: &FlatProfile, table: &FunctionTable) -> String {
             );
         }
     }
-    out
-}
-
-/// Render the call-graph section (gprof's second table), in a simplified
-/// but recognizable layout: one primary line per function with its callers
-/// indented above and callees indented below.
-pub fn write_call_graph(gmon: &GmonData) -> String {
-    let mut out = String::new();
-    out.push_str("\t\t     Call graph\n\n");
-    out.push_str("index  self  children    called     name\n");
-    let rows = gmon.flat.rows(|id| gmon.functions.name(id));
-    for (idx, r) in rows.iter().enumerate() {
-        // Caller lines.
-        for caller in gmon.callgraph.callers_of(r.id) {
-            let arc = gmon.callgraph.get(caller, r.id);
-            let _ = writeln!(
-                out,
-                "            {:>10.2} {:>10}/{:<10}    {}",
-                crate::ns_to_secs(arc.child_time),
-                arc.count,
-                gmon.flat.get(r.id).calls,
-                gmon.functions.name(caller)
-            );
-        }
-        // Primary line.
-        let stats = gmon.flat.get(r.id);
-        let _ = writeln!(
-            out,
-            "[{:<4}] {:>6.2} {:>9.2} {:>10}        {} [{}]",
-            idx + 1,
-            r.self_secs,
-            crate::ns_to_secs(stats.child_time),
-            stats.calls,
-            r.name,
-            idx + 1
-        );
-        // Callee lines.
-        for callee in gmon.callgraph.callees_of(r.id) {
-            let arc = gmon.callgraph.get(r.id, callee);
-            let _ = writeln!(
-                out,
-                "            {:>10.2} {:>10}/{:<10}        {}",
-                crate::ns_to_secs(arc.child_time),
-                arc.count,
-                gmon.flat.get(callee).calls,
-                gmon.functions.name(callee)
-            );
-        }
-        out.push_str("-----------------------------------------------\n");
-    }
-    out
-}
-
-/// Render a complete report (flat profile + call graph), as `gprof` would.
-pub fn write_report(gmon: &GmonData) -> String {
-    let mut out = write_flat_profile(&gmon.flat, &gmon.functions);
-    out.push('\n');
-    out.push_str(&write_call_graph(gmon));
     out
 }
 
@@ -359,36 +300,6 @@ Each sample counts as 0.01 seconds.
         let text = " time   seconds   seconds    calls  ms/call  ms/call  name\n\n";
         assert!(parse_flat_profile(text).unwrap().is_empty());
         assert!(parse_flat_profile("no header at all").unwrap().is_empty());
-    }
-
-    #[test]
-    fn call_graph_section_renders() {
-        let (flat, table) = build_profile();
-        let mut gmon = GmonData {
-            flat,
-            functions: table,
-            ..Default::default()
-        };
-        let a = gmon.functions.id_of("run_bfs").unwrap();
-        let b = gmon.functions.id_of("validate_bfs_result").unwrap();
-        gmon.callgraph.record_arcs(a, b, 12);
-        let text = write_call_graph(&gmon);
-        assert!(text.contains("Call graph"));
-        assert!(text.contains("run_bfs"));
-        assert!(text.contains("12/"));
-    }
-
-    #[test]
-    fn full_report_has_both_sections() {
-        let (flat, table) = build_profile();
-        let gmon = GmonData {
-            flat,
-            functions: table,
-            ..Default::default()
-        };
-        let text = write_report(&gmon);
-        assert!(text.contains("Flat profile:"));
-        assert!(text.contains("Call graph"));
     }
 
     #[test]

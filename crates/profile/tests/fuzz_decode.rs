@@ -1,8 +1,7 @@
-//! Decoder robustness: `GmonData::decode` and the report parsers must
+//! Decoder robustness: `GmonData::decode` and the flat-profile parser must
 //! never panic, whatever bytes arrive — the collector's files can be
 //! truncated by crashes or corrupted in transit.
 
-use incprof_profile::cgparse::parse_call_graph;
 use incprof_profile::gmon::GmonData;
 use incprof_profile::report::parse_flat_profile;
 use incprof_profile::{FlatProfile, FunctionId, FunctionStats, FunctionTable};
@@ -49,7 +48,6 @@ proptest! {
     #[test]
     fn report_parsers_never_panic_on_text(text in "\\PC{0,400}") {
         let _ = parse_flat_profile(&text);
-        let _ = parse_call_graph(&text);
     }
 
     #[test]
@@ -64,12 +62,6 @@ proptest! {
             text.push('\n');
         }
         let _ = parse_flat_profile(&text);
-        let mut cg = String::from("\t\t     Call graph\n\n");
-        for r in &rows {
-            cg.push_str(r);
-            cg.push('\n');
-        }
-        let _ = parse_call_graph(&cg);
         let _ = FunctionId(0);
     }
 }

@@ -21,7 +21,7 @@ use crate::plane::{
 };
 use crate::session::{lock, Enqueue, Registry, ReportMode, Session};
 use incprof_core::online::OnlineConfig;
-use incprof_core::{PhaseDetector, SourceGraph};
+use incprof_core::PhaseDetector;
 use incprof_store::{RetentionPolicy, Store};
 use std::io;
 use std::path::PathBuf;
@@ -56,9 +56,6 @@ pub struct ServeConfig {
     /// With a store: write an analysis checkpoint after this many
     /// appended snapshots (clamped to at least 1).
     pub checkpoint_every: u64,
-    /// Static call graph joined against phases in Full reports'
-    /// `source_context` section. Empty = report empty contexts.
-    pub source_graph: SourceGraph,
 }
 
 impl Default for ServeConfig {
@@ -74,7 +71,6 @@ impl Default for ServeConfig {
             retention: RetentionPolicy::keep_all(),
             max_live: 0,
             checkpoint_every: 16,
-            source_graph: SourceGraph::default(),
         }
     }
 }
@@ -137,8 +133,7 @@ impl Server {
             config.max_sessions,
             SESSION_QUEUE_BOUND,
             true,
-        )
-        .with_source_graph(config.source_graph.clone());
+        );
         if let Some(dir) = &config.store_dir {
             let store = Store::open(dir, config.retention, config.checkpoint_every)?;
             registry = registry.with_store(store, config.max_live);

@@ -19,7 +19,7 @@
 use crate::frame::{ErrorCode, ErrorInfo};
 use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
-use incprof_core::{source_context_json, AnalysisCache, PhaseDetector, SourceGraph};
+use incprof_core::{source_context_json, AnalysisCache, PhaseDetector};
 use incprof_obs::{JsonWriter, Raw};
 use incprof_profile::{
     FlatProfile, FunctionTable, GmonData, GmonDecoder, ProfileError, ProfileSnapshot,
@@ -121,10 +121,6 @@ pub struct Session {
     /// still holds its `Arc`: the worker must re-fetch (and rehydrate)
     /// instead of mutating a session the registry no longer owns.
     evicted: bool,
-    /// The workspace's static call graph (from `incprof-lint`'s source
-    /// analysis), joined against phases in Full reports. Empty when the
-    /// daemon starts without one — reports then carry empty contexts.
-    source_graph: Arc<SourceGraph>,
 }
 
 /// One session's vitals, snapshotted for the admin scrape and
@@ -150,13 +146,7 @@ pub struct SessionStats {
 }
 
 impl Session {
-    fn new(
-        id: u64,
-        online: OnlineConfig,
-        max_pending: usize,
-        analysis_cache: bool,
-        source_graph: Arc<SourceGraph>,
-    ) -> Session {
+    fn new(id: u64, online: OnlineConfig, max_pending: usize, analysis_cache: bool) -> Session {
         Session {
             id,
             series: SampleSeries::new(),
@@ -173,7 +163,6 @@ impl Session {
             next_index: 0,
             persist: None,
             evicted: false,
-            source_graph,
         }
     }
 
@@ -412,8 +401,12 @@ impl Session {
         if mode == ReportMode::AnalysisOnly {
             return analysis_json;
         }
-        let source_context = match &analysis {
-            Some(Ok(a)) => source_context_json(a, |f| self.table.name(f), &self.source_graph),
+        // Callers, depths and cycles come from the session's own
+        // measured arcs: the newest snapshot's cumulative call graph.
+        let source_context = match (&analysis, self.series.last()) {
+            (Some(Ok(a)), Some(last)) => {
+                source_context_json(a, |f| self.table.name(f), &last.callgraph)
+            }
             _ => "[]".to_string(),
         };
         let online = &self.online;
@@ -537,10 +530,6 @@ pub struct Registry {
     /// Evict idle sessions to disk once more than this many are live
     /// (0 = never evict). Only meaningful with a store.
     max_live: usize,
-    /// Static call graph handed to every session for Full-report
-    /// source-context joins. Empty unless [`Registry::with_source_graph`]
-    /// installed one at startup.
-    source_graph: Arc<SourceGraph>,
 }
 
 struct Inner {
@@ -570,17 +559,7 @@ impl Registry {
             analysis_cache,
             store: None,
             max_live: 0,
-            source_graph: Arc::new(SourceGraph::default()),
         }
-    }
-
-    /// Install the workspace's static call graph (built once at daemon
-    /// startup from `incprof-lint`'s source analysis). Every session —
-    /// new, recovered, or rehydrated — joins it against detected phases
-    /// in Full reports' `source_context` section.
-    pub fn with_source_graph(mut self, graph: SourceGraph) -> Registry {
-        self.source_graph = Arc::new(graph);
-        self
     }
 
     /// Attach durable session storage: every new session gets an
@@ -623,7 +602,6 @@ impl Registry {
             self.online.clone(),
             self.max_pending,
             self.analysis_cache,
-            Arc::clone(&self.source_graph),
         )
     }
 
@@ -1153,38 +1131,38 @@ mod tests {
     }
 
     #[test]
-    fn full_report_joins_installed_source_graph() {
-        let r = registry().with_source_graph(SourceGraph::new(vec![
-            ("main".to_string(), "f".to_string(), true),
-            ("main".to_string(), "other".to_string(), false),
-        ]));
-        let (_, s) = r.open().unwrap();
-        let mut s = lock(&s);
-        for i in 0..4 {
-            s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
-                .unwrap();
-            s.drain().unwrap();
-        }
-        let full = s.report_json(&PhaseDetector::default(), ReportMode::Full);
-        // The streamed function "f" resolves against the static graph:
-        // called by main, one confident arc deep, not on a cycle.
+    fn full_report_joins_the_newest_snapshots_arcs() {
+        // The same stream as `gmon`, plus a measured `main -> f` arc and
+        // `main` in the table.
+        let with_arcs = |idx: u64, self_ns: u64| {
+            let mut g = gmon(idx, self_ns);
+            let main = g.functions.register("main");
+            let f = g.functions.id_of("f").unwrap();
+            g.callgraph.record_arcs(main, f, idx + 1);
+            g
+        };
+        let report = |make: &dyn Fn(u64, u64) -> GmonData| {
+            let r = registry();
+            let (_, s) = r.open().unwrap();
+            let mut s = lock(&s);
+            for i in 0..4 {
+                s.enqueue(make(i, (i + 1) * 1_000_000_000), Instant::now())
+                    .unwrap();
+                s.drain().unwrap();
+            }
+            s.report_json(&PhaseDetector::default(), ReportMode::Full)
+        };
+        // "f" is called by main, one arc deep, not on a cycle.
+        let full = report(&with_arcs);
         assert!(
             full.contains("\"name\":\"f\",\"callers\":[\"main\"],\"depth\":1,\"cycle\":null"),
             "{full}"
         );
-        // Without an installed graph the same session reports an empty
-        // caller set for the same function.
-        let bare = registry();
-        let (_, s2) = bare.open().unwrap();
-        let mut s2 = lock(&s2);
-        for i in 0..4 {
-            s2.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
-                .unwrap();
-            s2.drain().unwrap();
-        }
-        let plain = s2.report_json(&PhaseDetector::default(), ReportMode::Full);
+        // A stream that carries no arcs reports an empty caller set for
+        // the same function.
+        let plain = report(&gmon);
         assert!(
-            plain.contains("\"callers\":[],\"depth\":null,\"cycle\":null"),
+            plain.contains("\"name\":\"f\",\"callers\":[],\"depth\":null,\"cycle\":null"),
             "{plain}"
         );
     }

@@ -4,10 +4,9 @@
 //! site up toward the human-chosen driver when the caller is
 //! behaviorally equivalent (paper §VI-B).
 //!
-//! The source-context section at the end consumes the *static* call
-//! graph produced by `incprof-lint`'s source analysis (the same JSON
-//! `incprof callgraph` exports), joining each discovered site back to
-//! its static callers, call-path depth, and cycle membership — the
+//! The source-context section at the end joins each discovered site to
+//! the run's own measured call graph — its callers, call-path depth and
+//! cycle membership, as the daemon's Full report does — the
 //! source-oriented attribution the paper motivates.
 //!
 //! ```text
@@ -18,7 +17,7 @@ use incprof_suite::collect::IntervalMatrix;
 use incprof_suite::core::callgraph_select::lift_sites_to_callers;
 use incprof_suite::core::merge::merge_phases_with_same_sites;
 use incprof_suite::core::report::render_sites_table;
-use incprof_suite::core::{source_context_json, PhaseDetector, SourceGraph};
+use incprof_suite::core::{source_context_json, PhaseDetector};
 use incprof_suite::hpc_apps::minife::{self, MiniFeConfig};
 use incprof_suite::hpc_apps::{HeartbeatPlan, RunMode};
 
@@ -74,17 +73,12 @@ fn main() {
         merged.phases.len()
     );
 
-    // Extension 3: source-oriented attribution. Build the apps' static
-    // call graph from source (no run needed) and join it against the
-    // detected phases: who statically calls each dominant function, how
-    // deep it sits under the app driver, whether it is on a recursion
-    // cycle.
-    let root = incprof_lint::find_workspace_root(&std::env::current_dir().unwrap())
-        .expect("run from inside the workspace");
-    let sca = incprof_lint::analyze_subtree(&root, "crates/apps/src").unwrap();
-    let graph = SourceGraph::new(sca.graph.named_edges(&sca.symbols));
+    // Extension 3: source-oriented attribution. Join the detected phases
+    // against the same measured arcs: who calls each dominant function,
+    // how deep it sits under the call roots, whether it is on a
+    // recursion cycle.
     println!(
-        "\nsource context (static callers / depth / cycle per site):\n{}",
-        source_context_json(&analysis, |id| table.name(id), &graph)
+        "\nsource context (measured callers / depth / cycle per site):\n{}",
+        source_context_json(&analysis, |id| table.name(id), callgraph)
     );
 }

@@ -7,7 +7,9 @@
 //! - `detect_series` on a prefix anchors analysis-only bytes, one
 //!   reference per (app, detector, prefix);
 //! - one uninterrupted, store-less daemon that streams the five apps in
-//!   order anchors Full-report bytes and session ids.
+//!   order anchors Full-report bytes and session ids; its reports'
+//!   `source_context` sections are checked against offline's join of
+//!   the same analysis with the last snapshot's arcs.
 //!
 //! A [`Path`] is one way the system reaches an answer: the incremental
 //! cache, the thread pool, the daemon, the router, a restart. Its arm
@@ -30,8 +32,8 @@ mod common;
 use common::{apps, App, MINIAMR, MINIFE};
 use incprof_suite::cluster::KSelectionMethod;
 use incprof_suite::collect::{IntervalMatrix, SampleSeries};
+use incprof_suite::core::{source_context_json, PhaseAnalysis, PhaseDetector, PipelineError};
 use incprof_suite::core::{AnalysisCache, ClusteringMethod, FeatureSet, OnlineConfig};
-use incprof_suite::core::{PhaseAnalysis, PhaseDetector, PipelineError};
 use incprof_suite::obs::TraceIdGen;
 use incprof_suite::serve::{BindAddr, Client, Push, Registry, ReportMode};
 use incprof_suite::serve::{ServeConfig, Server, ServerHandle};
@@ -124,13 +126,16 @@ fn reference(app: usize, det: usize, prefix: usize) -> &'static Reference {
 }
 
 /// Session id and Full report per app from one uninterrupted,
-/// store-less daemon that streams the five apps in order.
+/// store-less daemon that streams the five apps in order. Each report's
+/// `source_context` is anchored on offline too, and at least one names
+/// a caller, so every arm that compares Full reports compares measured
+/// arcs carried through its path, not empty lists.
 fn full_reference(app: usize) -> &'static (u64, String) {
     static FULL: OnceLock<Vec<(u64, String)>> = OnceLock::new();
     &FULL.get_or_init(|| {
         let daemon = start(ServeConfig::default());
         let mut client = connect(daemon.addr());
-        let full = (0..apps().len())
+        let full: Vec<(u64, String)> = (0..apps().len())
             .map(|app| {
                 let (a, session) = (&apps()[app], ok(client.open(), "open"));
                 stream(&mut client, session, a, 0..whole(app));
@@ -138,8 +143,27 @@ fn full_reference(app: usize) -> &'static (u64, String) {
             })
             .collect();
         daemon.shutdown();
+        let contexts: Vec<String> = (0..apps().len()).map(offline_source_context).collect();
+        for ((_, report), context) in full.iter().zip(&contexts) {
+            let section = format!("\"source_context\":{context},\"analysis\":");
+            assert!(
+                report.contains(&section),
+                "not offline's source_context:\n{report}"
+            );
+        }
+        let named = contexts.iter().any(|c| c.contains("\"callers\":[\""));
+        assert!(named, "no app's source_context names a caller");
         full
     })[app]
+}
+
+/// The offline `source_context` of `app`: the whole series' analysis
+/// under `DEFAULT`, joined with its last snapshot's arcs.
+fn offline_source_context(app: usize) -> String {
+    let a = &apps()[app];
+    let analysis = ok(detectors()[DEFAULT].detect_series(&a.series), a.name);
+    let last = a.series.last().expect("a profiled series is not empty");
+    source_context_json(&analysis, |f| a.table.name(f), &last.callgraph)
 }
 
 /// What a path answered: (app, detector, prefix, answer).

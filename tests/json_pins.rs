@@ -7,7 +7,7 @@
 
 use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::online::OnlineConfig;
-use incprof_suite::core::{source_context_json, PhaseDetector, SourceGraph};
+use incprof_suite::core::{source_context_json, PhaseDetector};
 use incprof_suite::obs::{EventKind, Obs, RunReport, SpanStore, TimeSource, VirtualClock};
 use incprof_suite::profile::{
     FlatProfile, FunctionStats, FunctionTable, GmonData, ProfileSnapshot,
@@ -47,26 +47,27 @@ fn snapshot(idx: u64) -> GmonData {
     }
 }
 
-/// The static graph the pinned session joins against: `main` calls
-/// `setup` and `solve`, `solve` and `halo` recurse into each other, one
-/// edge is ambiguous, and `io_flush` is absent.
-fn graph() -> SourceGraph {
-    SourceGraph::new(vec![
-        ("main".to_string(), "setup".to_string(), true),
-        ("main".to_string(), "solve".to_string(), true),
-        ("solve".to_string(), "halo".to_string(), true),
-        ("halo".to_string(), "solve".to_string(), true),
-        ("setup".to_string(), "io_flush".to_string(), false),
-    ])
+/// `snapshot(idx)` with the measured arcs the pinned session carries:
+/// `main` calls `setup` and `solve`, `solve` and `halo` recurse into
+/// each other, and `io_flush` is in no arc. `main` and `halo` are in
+/// the table but never in the flat profile.
+fn with_arcs(idx: u64) -> GmonData {
+    let mut gmon = snapshot(idx);
+    let [setup, solve] = ["setup", "solve"].map(|name| gmon.functions.id_of(name).expect("id"));
+    let [main, halo] = ["main", "halo"].map(|name| gmon.functions.register(name));
+    for (caller, callee) in [(main, setup), (main, solve), (solve, halo), (halo, solve)] {
+        gmon.callgraph.record_arcs(caller, callee, idx + 1);
+    }
+    gmon
 }
 
 fn full_report(snapshots: u64) -> String {
-    let registry = Registry::new(OnlineConfig::default(), 4, 2, true).with_source_graph(graph());
+    let registry = Registry::new(OnlineConfig::default(), 4, 2, true);
     let (_, session) = registry.open().expect("open");
     let mut session = lock(&session);
     for idx in 0..snapshots {
         session
-            .enqueue(snapshot(idx), Instant::now())
+            .enqueue(with_arcs(idx), Instant::now())
             .expect("enqueue");
         session.drain().expect("drain");
     }
@@ -122,15 +123,15 @@ fn source_context_is_pinned() {
     let mut series = SampleSeries::new();
     for idx in 0..10 {
         series
-            .append_monotonic(ProfileSnapshot::from_gmon(&snapshot(idx)))
+            .append_monotonic(ProfileSnapshot::from_gmon(&with_arcs(idx)))
             .expect("monotonic");
     }
     let analysis = PhaseDetector::default()
         .detect_series(&series)
         .expect("detect");
-    let table = snapshot(9).functions;
+    let last = with_arcs(9);
     assert_eq!(
-        source_context_json(&analysis, |f| table.name(f), &graph()),
+        source_context_json(&analysis, |f| last.functions.name(f), &last.callgraph),
         SOURCE_CONTEXT
     );
 }

@@ -374,43 +374,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Call-graph report & cycle invariants
+// Call-graph cycle invariants
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn call_graph_report_roundtrips_arcs(
-        arcs in proptest::collection::btree_map((0u32..6, 0u32..6), 1u64..1000, 1..12),
-    ) {
-        use incprof_suite::profile::cgparse::{callgraph_from_entries, parse_call_graph};
-        use incprof_suite::profile::report::write_call_graph;
-        use incprof_suite::profile::GmonData;
-
-        let mut gmon = GmonData::default();
-        for f in 0..6u32 {
-            gmon.functions.register(format!("fn_{f}"));
-        }
-        for (&(from, to), &count) in &arcs {
-            gmon.callgraph.record_arcs(FunctionId(from), FunctionId(to), count);
-            // Ensure endpoints appear in the flat profile so the writer
-            // emits their primary lines.
-            gmon.flat.record_self_time(FunctionId(from), 1_000_000);
-            gmon.flat.record_self_time(FunctionId(to), 1_000_000);
-            gmon.flat.record_calls(FunctionId(to), count);
-        }
-        let text = write_call_graph(&gmon);
-        let entries = parse_call_graph(&text).unwrap();
-        let mut table = FunctionTable::new();
-        let rebuilt = callgraph_from_entries(&entries, &mut table);
-        for (&(from, to), &count) in &arcs {
-            let f = table.id_of(&format!("fn_{from}")).unwrap();
-            let t = table.id_of(&format!("fn_{to}")).unwrap();
-            prop_assert_eq!(rebuilt.get(f, t).count, count);
-        }
-        prop_assert_eq!(rebuilt.len(), arcs.len());
-    }
 
     #[test]
     fn cycles_partition_and_detect_self_loops(

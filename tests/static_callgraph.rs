@@ -1,10 +1,10 @@
-//! The paper-facing static call graph: `incprof callgraph`'s JSON over
-//! the five apps is golden-pinned, and the `source_context` join gives
-//! back function ids that round-trip against the profile's function
-//! table.
+//! The paper-facing call graphs: `incprof callgraph`'s static JSON over
+//! the five apps is golden-pinned, and the `source_context` join over a
+//! run's measured arcs gives back function ids that round-trip against
+//! the profile's function table.
 
 use incprof_suite::collect::IntervalMatrix;
-use incprof_suite::core::{source_context_json, PhaseDetector, SourceGraph};
+use incprof_suite::core::{source_context_json, PhaseDetector};
 use incprof_suite::hpc_apps::minife::{self, MiniFeConfig};
 use incprof_suite::hpc_apps::{HeartbeatPlan, RunMode};
 use std::path::Path;
@@ -61,9 +61,10 @@ fn apps_callgraph_is_deterministic_and_covers_all_five_apps() {
 
 #[test]
 fn source_context_ids_round_trip_against_the_function_table() {
-    // Run MiniFE, detect phases, join against the real static graph,
-    // then check every (id, name) pair in the emitted source_context
-    // resolves back through the run's FunctionTable both ways.
+    // Run MiniFE, detect phases, join against the run's own arcs (the
+    // last cumulative snapshot's call graph, as the daemon does), then
+    // check every (id, name) pair in the emitted source_context resolves
+    // back through the run's FunctionTable both ways.
     let cfg = MiniFeConfig {
         n: 10,
         cg_iters: 40,
@@ -75,9 +76,8 @@ fn source_context_ids_round_trip_against_the_function_table() {
     let analysis = PhaseDetector::new().detect(&matrix).unwrap();
     let table = &out.rank0.table;
 
-    let sca = apps_analysis();
-    let graph = SourceGraph::new(sca.graph.named_edges(&sca.symbols));
-    let json = source_context_json(&analysis, |id| table.name(id), &graph);
+    let callgraph = &out.rank0.series.last().unwrap().callgraph;
+    let json = source_context_json(&analysis, |id| table.name(id), callgraph);
 
     let mut checked = 0;
     for entry in json.split("{\"id\":").skip(1) {
@@ -92,10 +92,12 @@ fn source_context_ids_round_trip_against_the_function_table() {
         checked += 1;
     }
     assert!(checked > 0, "no functions in source_context:\n{json}");
-    // And the known MiniFE shape: the CG solve phase is attributed to a
-    // function whose static caller is the app driver.
+    // And the paper's §VI-B shape: the assembly leaf's measured caller
+    // is the human-chosen driver, `perform_element_loop`.
     assert!(
-        json.contains("\"name\":\"cg_solve\",\"callers\":[\"run\"]"),
+        json.contains(
+            "\"name\":\"sum_in_symm_elem_matrix\",\"callers\":[\"perform_element_loop\"]"
+        ),
         "{json}"
     );
 }
