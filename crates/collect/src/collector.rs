@@ -12,7 +12,7 @@
 //!   boundary, giving a deterministic sample series.
 
 use crate::series::SampleSeries;
-use incprof_profile::{GmonData, GmonDecoder};
+use incprof_profile::GmonData;
 use incprof_runtime::ProfilerRuntime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -189,10 +189,9 @@ impl IncProfCollector {
     /// Decode the collected gmon dumps back into [`GmonData`] (test and
     /// experiment support for the binary data path).
     pub fn decode_gmon_dumps(&self) -> Result<Vec<GmonData>, incprof_profile::ProfileError> {
-        let mut decoder = GmonDecoder::new();
         self.gmon_dumps()
             .iter()
-            .map(|b| decoder.decode(b))
+            .map(|b| GmonData::decode(b))
             .collect()
     }
 }

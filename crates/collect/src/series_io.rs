@@ -7,7 +7,7 @@
 //! `gmon.out.<index>` so lexicographic order is sample order.
 
 use crate::series::SampleSeries;
-use incprof_profile::{FunctionTable, GmonDecoder, ProfileError, ProfileSnapshot};
+use incprof_profile::{FunctionTable, GmonData, ProfileError, ProfileSnapshot};
 use std::path::Path;
 
 /// Write one `gmon.out.<index>` binary per sample into `dir` (created if
@@ -40,10 +40,9 @@ pub fn read_gmon_dir(dir: &Path) -> Result<(SampleSeries, FunctionTable), Profil
     paths.sort();
     let mut series = SampleSeries::new();
     let mut table = FunctionTable::new();
-    let mut decoder = GmonDecoder::new();
     for (i, path) in paths.iter().enumerate() {
-        let bytes = std::fs::read(path)?;
-        let gmon = decoder.decode(&bytes)?;
+        // Each sample file is a self-contained dump, table included.
+        let gmon = GmonData::decode(&std::fs::read(path)?)?;
         let mut snap = ProfileSnapshot::from_gmon(&gmon);
         snap.sample_index = i as u64;
         if gmon.functions.len() >= table.len() {

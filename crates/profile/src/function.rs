@@ -81,11 +81,20 @@ impl FunctionInfo {
 /// The contents are shared: a clone is a reference-count bump, and the
 /// first mutation of a shared table copies it (copy on write). Every
 /// snapshot of one stream carries the same table, so its readers hold
-/// one copy between them, not one per snapshot.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// one copy between them, not one per snapshot. Equality compares
+/// contents, and two tables that share them are equal without a read.
+#[derive(Debug, Clone, Default)]
 pub struct FunctionTable {
     contents: Arc<Contents>,
 }
+
+impl PartialEq for FunctionTable {
+    fn eq(&self, other: &FunctionTable) -> bool {
+        self.shares_contents_with(other) || self.contents == other.contents
+    }
+}
+
+impl Eq for FunctionTable {}
 
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 struct Contents {

@@ -13,12 +13,23 @@
 //! | tag | record |
 //! |-----|--------|
 //! | 0x01 | header: sample index (u64), timestamp ns (u64) |
-//! | 0x02 | function table: count, then per function id/address/name/file?/line? |
+//! | 0x02 | function table (absent in a counters-only payload): count, then per function id/address/name/file?/line? |
 //! | 0x03 | flat records: count, then per function id/self_ns/calls/child_ns |
 //! | 0x04 | arc records: count, then per arc from/to/count/child_ns |
 //! | 0xFF | end of stream |
 //!
 //! All integers are little-endian. Strings are u32 length + UTF-8 bytes.
+//!
+//! **Streams.** A payload is either self-contained, written by
+//! [`GmonData::encode`], or the counters of one snapshot in a stream,
+//! written by [`GmonData::encode_counters`] without the function section.
+//! Like a real gmon dump, which holds counters while gprof resolves names
+//! once from the binary, a stream sends its function table only when it
+//! changes. One rule reads both kinds, [`GmonData::decode_in`]: a payload
+//! without a function section means the stream's current table, and a
+//! payload with one replaces that table. [`GmonData::decode`] is the same
+//! rule with an empty current table. The daemon's wire and its snapshot
+//! log are such streams.
 
 use crate::callgraph::{ArcStats, CallGraphProfile};
 use crate::error::ProfileError;
@@ -54,10 +65,23 @@ pub struct GmonData {
 }
 
 impl GmonData {
-    /// Serialize to bytes.
+    /// Serialize to one self-contained payload, function table
+    /// included.
     pub fn encode(&self) -> Bytes {
+        self.encode_with(true)
+    }
+
+    /// The same payload without its function section: the counters of
+    /// one stream snapshot, to be read with [`GmonData::decode_in`]
+    /// against the table the stream already carries.
+    pub fn encode_counters(&self) -> Bytes {
+        self.encode_with(false)
+    }
+
+    fn encode_with(&self, table: bool) -> Bytes {
+        let functions = if table { self.functions.len() } else { 0 };
         let mut buf = BytesMut::with_capacity(
-            64 + self.functions.len() * 48 + self.flat.len() * 28 + self.callgraph.len() * 24,
+            64 + functions * 48 + self.flat.len() * 28 + self.callgraph.len() * 24,
         );
         buf.put_slice(MAGIC);
         buf.put_u32_le(VERSION);
@@ -66,19 +90,21 @@ impl GmonData {
         buf.put_u64_le(self.sample_index);
         buf.put_u64_le(self.timestamp_ns);
 
-        buf.put_u8(TAG_FUNCTIONS);
-        buf.put_u32_le(self.functions.len() as u32);
-        for (id, info) in self.functions.iter() {
-            buf.put_u32_le(id.0);
-            buf.put_u64_le(info.address);
-            put_string(&mut buf, &info.name);
-            match (&info.source_file, info.line) {
-                (Some(file), line) => {
-                    buf.put_u8(1);
-                    put_string(&mut buf, file);
-                    buf.put_u32_le(line.unwrap_or(0));
+        if table {
+            buf.put_u8(TAG_FUNCTIONS);
+            buf.put_u32_le(self.functions.len() as u32);
+            for (id, info) in self.functions.iter() {
+                buf.put_u32_le(id.0);
+                buf.put_u64_le(info.address);
+                put_string(&mut buf, &info.name);
+                match (&info.source_file, info.line) {
+                    (Some(file), line) => {
+                        buf.put_u8(1);
+                        put_string(&mut buf, file);
+                        buf.put_u32_le(line.unwrap_or(0));
+                    }
+                    (None, _) => buf.put_u8(0),
                 }
-                (None, _) => buf.put_u8(0),
             }
         }
 
@@ -104,39 +130,21 @@ impl GmonData {
         buf.freeze()
     }
 
-    /// Deserialize from bytes. Each call parses the function table anew;
-    /// a reader of a stream of payloads holds a [`GmonDecoder`] instead.
+    /// Deserialize one self-contained payload: a payload without a
+    /// function section gets an empty table.
     pub fn decode(data: &[u8]) -> Result<GmonData, ProfileError> {
-        GmonDecoder::new().decode(data)
-    }
-}
-
-/// A decoder for one stream of gmon payloads.
-///
-/// Every payload of a stream carries the function table again, and the
-/// table changes only when the profiled program registers a function.
-/// The decoder remembers the bytes of the last function section it
-/// decoded into an empty table, and the table they gave. A payload whose
-/// section starts with exactly those bytes gets that table back as a
-/// shared clone instead of a fresh parse; any other payload, a second
-/// function section in one payload included, parses as
-/// [`GmonData::decode`] would. The output is equal to
-/// [`GmonData::decode`]'s for every input, errors included.
-#[derive(Debug, Default)]
-pub struct GmonDecoder {
-    /// The last function section parsed into an empty table, exactly
-    /// as many bytes as that parse consumed, and the table it gave.
-    section: Option<(Vec<u8>, FunctionTable)>,
-}
-
-impl GmonDecoder {
-    /// A decoder that remembers nothing yet.
-    pub fn new() -> GmonDecoder {
-        GmonDecoder::default()
+        GmonData::decode_in(data, &FunctionTable::new())
     }
 
-    /// Deserialize one payload of the stream.
-    pub fn decode(&mut self, mut data: &[u8]) -> Result<GmonData, ProfileError> {
+    /// Deserialize one payload of a stream whose current function table
+    /// is `table`. A payload whose first record after its headers is a
+    /// function section builds its table from that section alone; any
+    /// other payload gets `table` (shared, not copied), and its flat and
+    /// arc records must name functions of it. A later function section in
+    /// the same payload adds to the table built so far. The result equals
+    /// [`GmonData::decode`] of the payload with `table`'s section spliced
+    /// in after its headers, errors included.
+    pub fn decode_in(mut data: &[u8], table: &FunctionTable) -> Result<GmonData, ProfileError> {
         if data.remaining() < 4 {
             return Err(ProfileError::Truncated { context: "magic" });
         }
@@ -154,6 +162,8 @@ impl GmonDecoder {
         }
 
         let mut out = GmonData::default();
+        // Undecided until the first record that is not a header.
+        let mut functions: Option<FunctionTable> = None;
         loop {
             if data.remaining() < 1 {
                 return Err(ProfileError::Truncated {
@@ -172,25 +182,10 @@ impl GmonDecoder {
                     out.timestamp_ns = data.get_u64_le();
                 }
                 TAG_FUNCTIONS => {
-                    // Only a section parsed into an empty table gives a
-                    // table that depends on its bytes alone.
-                    let into_empty = out.functions.is_empty();
-                    match &self.section {
-                        Some((bytes, table)) if into_empty && data.starts_with(bytes) => {
-                            out.functions = table.clone();
-                            data.advance(bytes.len());
-                        }
-                        _ => {
-                            let start = data;
-                            read_functions(&mut data, &mut out.functions)?;
-                            if into_empty {
-                                let consumed = &start[..start.len() - data.len()];
-                                self.section = Some((consumed.to_vec(), out.functions.clone()));
-                            }
-                        }
-                    }
+                    read_functions(&mut data, functions.get_or_insert_with(FunctionTable::new))?
                 }
                 TAG_FLAT => {
+                    let known = functions.get_or_insert_with(|| table.clone()).len();
                     if data.remaining() < 4 {
                         return Err(ProfileError::Truncated {
                             context: "flat count",
@@ -209,13 +204,14 @@ impl GmonDecoder {
                             calls: data.get_u64_le(),
                             child_time: data.get_u64_le(),
                         };
-                        if id.index() >= out.functions.len() {
+                        if id.index() >= known {
                             return Err(ProfileError::UnknownFunction { id: id.0 });
                         }
                         out.flat.set(id, stats);
                     }
                 }
                 TAG_ARCS => {
+                    let known = functions.get_or_insert_with(|| table.clone()).len();
                     if data.remaining() < 4 {
                         return Err(ProfileError::Truncated {
                             context: "arc count",
@@ -234,8 +230,7 @@ impl GmonDecoder {
                             count: data.get_u64_le(),
                             child_time: data.get_u64_le(),
                         };
-                        if from.index() >= out.functions.len() || to.index() >= out.functions.len()
-                        {
+                        if from.index() >= known || to.index() >= known {
                             return Err(ProfileError::UnknownFunction {
                                 id: from.0.max(to.0),
                             });
@@ -246,8 +241,21 @@ impl GmonDecoder {
                 tag => return Err(ProfileError::UnknownTag { tag }),
             }
         }
+        out.functions = functions.unwrap_or_else(|| table.clone());
         Ok(out)
     }
+}
+
+/// Whether `payload` carries its own function table under
+/// [`GmonData::decode_in`]'s rule: its first record after the magic,
+/// the version and any header records is a function section. Reads no
+/// further than that record's tag.
+pub fn carries_table(payload: &[u8]) -> bool {
+    let mut at = 8;
+    while payload.get(at) == Some(&TAG_HEADER) && payload.len() > at + 16 {
+        at += 17;
+    }
+    payload.get(at) == Some(&TAG_FUNCTIONS)
 }
 
 /// Parse one function section (count, then the records) into `table`.
@@ -437,6 +445,25 @@ mod tests {
             GmonData::decode(&bytes),
             Err(ProfileError::UnknownFunction { id: 5 })
         ));
+    }
+
+    #[test]
+    fn counters_decode_against_the_stream_table() {
+        let g = sample_gmon();
+        let counters = g.encode_counters();
+        assert!(counters.len() < g.encode().len());
+        assert!(carries_table(&g.encode()) && !carries_table(&counters));
+        let back = GmonData::decode_in(&counters, &g.functions).unwrap();
+        assert_eq!(back, g);
+        assert!(back.functions.shares_contents_with(&g.functions));
+        // Without the table, the counters name functions nobody knows.
+        assert!(matches!(
+            GmonData::decode(&counters),
+            Err(ProfileError::UnknownFunction { id: 0 })
+        ));
+        // A payload with its own section ignores the stream's table.
+        let other = GmonData::default().functions;
+        assert_eq!(GmonData::decode_in(&g.encode(), &other).unwrap(), g);
     }
 
     #[test]

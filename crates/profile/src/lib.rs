@@ -21,9 +21,9 @@
 //!   "future work" call-graph-aware site selection, which we implement in
 //!   `incprof-core`).
 //! * [`GmonData`] — a binary snapshot format in the spirit of `gmon.out`
-//!   (tagged records, little-endian), with a writer and reader;
-//!   [`GmonDecoder`] reads a stream of them, parsing each distinct
-//!   function table once.
+//!   (tagged records, little-endian), with a writer and reader. In a
+//!   stream of them the function table goes only when it changes
+//!   ([`GmonData::encode_counters`], [`GmonData::decode_in`]).
 //! * [`report`] — a gprof-style **text report** writer and a parser for the
 //!   flat-profile table, so the analysis pipeline can consume exactly the
 //!   kind of artifact the paper's tooling consumed.
@@ -50,7 +50,7 @@ pub use cycles::{cycle_membership, find_cycles, Cycle};
 pub use error::ProfileError;
 pub use flat::{FlatProfile, FlatRow, FunctionStats};
 pub use function::{FunctionId, FunctionInfo, FunctionTable};
-pub use gmon::{GmonData, GmonDecoder};
+pub use gmon::GmonData;
 pub use snapshot::ProfileSnapshot;
 
 /// Nanoseconds, the time unit used throughout the profile data model.

@@ -1,11 +1,24 @@
-//! Decoder robustness: `GmonData::decode` and the flat-profile parser must
-//! never panic, whatever bytes arrive — the collector's files can be
-//! truncated by crashes or corrupted in transit.
+//! Decoder robustness: `GmonData::decode`, `GmonData::decode_in` against a
+//! stream's non-empty table, and the flat-profile parser must never
+//! panic, whatever bytes arrive — the collector's files can be truncated
+//! by crashes or corrupted in transit, and a counters-only push is read
+//! against the table its session already holds.
 
 use incprof_profile::gmon::GmonData;
 use incprof_profile::report::parse_flat_profile;
 use incprof_profile::{FlatProfile, FunctionId, FunctionStats, FunctionTable};
 use proptest::prelude::*;
+
+/// A stream's current table: three functions, one with a location.
+fn stream_table() -> FunctionTable {
+    let mut table = FunctionTable::new();
+    table.register("alpha");
+    table.register_info(incprof_profile::FunctionInfo::with_location(
+        "beta", "b.c", 7,
+    ));
+    table.register("gamma");
+    table
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -14,6 +27,7 @@ proptest! {
     fn decode_never_panics_on_random_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         // Any outcome is fine except a panic.
         let _ = GmonData::decode(&bytes);
+        let _ = GmonData::decode_in(&bytes, &stream_table());
     }
 
     #[test]
@@ -35,14 +49,17 @@ proptest! {
             flat,
             callgraph: Default::default(),
         };
-        let mut bytes = gmon.encode().to_vec();
-        if !bytes.is_empty() {
+        let current = gmon.functions.clone();
+        for payload in [gmon.encode(), gmon.encode_counters()] {
+            let mut bytes = payload.to_vec();
             let i = flip_at % bytes.len();
             bytes[i] = new_byte;
+            let _ = GmonData::decode(&bytes);
+            let _ = GmonData::decode_in(&bytes, &current);
+            bytes.truncate(truncate_to.min(bytes.len()));
+            let _ = GmonData::decode(&bytes);
+            let _ = GmonData::decode_in(&bytes, &current);
         }
-        let _ = GmonData::decode(&bytes);
-        bytes.truncate(truncate_to.min(bytes.len()));
-        let _ = GmonData::decode(&bytes);
     }
 
     #[test]

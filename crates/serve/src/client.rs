@@ -13,7 +13,8 @@ use crate::frame::{
     TraceWire, DEFAULT_MAX_PAYLOAD,
 };
 use crate::plane::{BindAddr, Conn};
-use incprof_profile::GmonData;
+use incprof_profile::{FunctionTable, GmonData};
+use std::collections::BTreeMap;
 use std::io;
 use std::time::Duration;
 
@@ -87,6 +88,10 @@ pub struct Client {
     /// Longest wait for a reply; `None` waits forever. It is the
     /// socket's read timeout, so enforcing it reads no clock.
     reply_deadline: Option<Duration>,
+    /// Per session, the function table of its last push, kept only
+    /// while that push was acked: the server holds exactly that table,
+    /// so a push with an equal one leaves it out.
+    acked_tables: BTreeMap<u64, FunctionTable>,
 }
 
 impl Client {
@@ -99,6 +104,7 @@ impl Client {
             target,
             reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
             reply_deadline,
+            acked_tables: BTreeMap::new(),
         })
     }
 
@@ -204,6 +210,10 @@ impl Client {
     }
 
     /// Push one cumulative snapshot (as gmon wire bytes) into a session.
+    /// The payload leaves the function table out when it equals the
+    /// table of the session's previous push and that push was acked;
+    /// after a `Busy`, an error or a lost connection the next push
+    /// carries it again.
     pub fn push(&mut self, session_id: u64, gmon: &GmonData) -> Result<Push, ClientError> {
         self.push_inner(session_id, gmon, None)
     }
@@ -240,11 +250,19 @@ impl Client {
             trace_id: tid,
             parent_span: root.as_ref().map(|r| r.wire_span()).unwrap_or(0),
         });
-        let frame = Frame::with_payload(FrameType::Snapshot, session_id, gmon.encode().to_vec())
-            .traced(trace);
+        let payload = match self.acked_tables.remove(&session_id) {
+            Some(table) if table == gmon.functions => gmon.encode_counters(),
+            _ => gmon.encode(),
+        };
+        let frame =
+            Frame::with_payload(FrameType::Snapshot, session_id, payload.to_vec()).traced(trace);
         let reply = self.request(&frame)?;
         match reply.frame_type {
-            FrameType::SnapshotAck => Ok(Push::Ack(SnapshotAck::decode(&reply.payload)?)),
+            FrameType::SnapshotAck => {
+                let ack = SnapshotAck::decode(&reply.payload)?;
+                self.acked_tables.insert(session_id, gmon.functions.clone());
+                Ok(Push::Ack(ack))
+            }
             FrameType::Busy => Ok(Push::Busy),
             FrameType::Error => Err(ClientError::Server(ErrorInfo::decode(&reply.payload)?)),
             other => Err(ClientError::Protocol(format!(
@@ -362,6 +380,7 @@ impl Client {
 
     /// Close a session, draining anything still pending server-side.
     pub fn close(&mut self, session_id: u64) -> Result<(), ClientError> {
+        self.acked_tables.remove(&session_id);
         self.expect_reply(
             &Frame::empty(FrameType::Close, session_id),
             FrameType::CloseAck,

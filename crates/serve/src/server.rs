@@ -331,8 +331,8 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
             tw.parent_span,
         )
     });
-    // Decode, enqueue and drain under one lock hold: the session's
-    // decoder reuses the function table of its previous push, the queue
+    // Decode, enqueue and drain under one lock hold: a push without a
+    // function section reads the session's current table, the queue
     // bound gives overflow a BUSY answer, and atomicity guarantees this
     // worker drains (and can ack) the frame it just enqueued.
     let handled = with_session(shared, sid, |session| {

@@ -21,9 +21,7 @@ use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector};
 use incprof_obs::{JsonWriter, Raw};
-use incprof_profile::{
-    FlatProfile, FunctionTable, GmonData, GmonDecoder, ProfileError, ProfileSnapshot,
-};
+use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -83,9 +81,6 @@ pub struct Session {
     series: SampleSeries,
     prev_flat: FlatProfile,
     table: FunctionTable,
-    /// Decodes this session's pushed payloads: the function table they
-    /// repeat is parsed once per change, not once per push.
-    decoder: GmonDecoder,
     online: OnlinePhaseDetector,
     pending: VecDeque<Pending>,
     max_pending: usize,
@@ -152,7 +147,6 @@ impl Session {
             series: SampleSeries::new(),
             prev_flat: FlatProfile::new(),
             table: FunctionTable::new(),
-            decoder: GmonDecoder::new(),
             online: OnlinePhaseDetector::new(online),
             pending: VecDeque::new(),
             max_pending,
@@ -250,11 +244,15 @@ impl Session {
         self.series.is_empty() && self.pending.is_empty()
     }
 
-    /// Decode one pushed gmon payload with this session's decoder. The
-    /// result equals [`GmonData::decode`]'s; a function table equal to
-    /// the previous push's comes back shared instead of parsed again.
-    pub(crate) fn decode(&mut self, payload: &[u8]) -> Result<GmonData, ProfileError> {
-        self.decoder.decode(payload)
+    /// Decode one pushed gmon payload against the stream's current
+    /// table: the newest queued snapshot's, else [`Session::table`]. A
+    /// payload without a function section gets that table, shared.
+    pub(crate) fn decode(&self, payload: &[u8]) -> Result<GmonData, ProfileError> {
+        let table = self
+            .pending
+            .back()
+            .map_or(&self.table, |p| &p.gmon.functions);
+        GmonData::decode_in(payload, table)
     }
 
     /// Offer a decoded snapshot. Enforces sample-index ordering and the
@@ -344,7 +342,7 @@ impl Session {
                     ));
                 }
             };
-            self.persist_snapshot(sample_index, &p.gmon);
+            self.persist_snapshot(&p.gmon);
             incprof_obs::histogram(incprof_obs::names::SERVE_INGEST_DETECT_LATENCY_NS)
                 .record(p.enqueued_at.elapsed().as_nanos() as u64);
             acks.push(ack);
@@ -457,17 +455,18 @@ impl Session {
         self.persist.is_some()
     }
 
-    /// Append one drained snapshot to the durable log, mirroring any
-    /// retention drops onto the in-memory series so a later rehydration
-    /// (which only sees retained records) rebuilds exactly this state.
-    /// An I/O error drops persistence for the session — the divergent
-    /// log must not accept further records — but ingest continues in
-    /// memory.
-    fn persist_snapshot(&mut self, sample_index: u64, gmon: &GmonData) {
+    /// Append one drained snapshot to the durable log — its counters,
+    /// and its function table only when the log's last retained record
+    /// has another — mirroring any retention drops onto the in-memory
+    /// series so a later rehydration (which only sees retained records)
+    /// rebuilds exactly this state. An I/O error drops persistence for
+    /// the session — the divergent log must not accept further records —
+    /// but ingest continues in memory.
+    fn persist_snapshot(&mut self, gmon: &GmonData) {
         let Some(store) = self.persist.as_mut() else {
             return;
         };
-        match store.append_snapshot(sample_index, &gmon.encode()) {
+        match store.append_gmon(gmon) {
             Ok(outcome) => {
                 if !outcome.dropped.is_empty() {
                     self.series.remove_sample_indices(&outcome.dropped);

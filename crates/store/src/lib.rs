@@ -17,10 +17,10 @@
 //! any storage-specific framing:
 //!
 //! * **Snapshot records** ([`frame::FrameType::Snapshot`]) — one per
-//!   ingested cumulative snapshot, payload the gmon-encoded profile
-//!   exactly as pushed over the wire. They live in the append-only
-//!   `log.iprf` (see [`log`]) and are the source of truth: replaying
-//!   them rebuilds the session bit-for-bit.
+//!   ingested cumulative snapshot, payload a gmon payload: the counters,
+//!   plus the function table when it changed (rule R in [`log`]). They
+//!   live in the append-only `log.iprf` and are the source of truth:
+//!   replaying them rebuilds the session bit-for-bit.
 //! * **Checkpoint records** ([`frame::FrameType::Checkpoint`]) — a
 //!   single frame in `checkpoint.iprf` whose payload is an
 //!   `incprof_core::AnalysisCache` state blob. Checkpoints are an

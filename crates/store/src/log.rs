@@ -2,11 +2,19 @@
 //!
 //! One log file holds one session's cumulative snapshots, oldest first,
 //! each encoded as an ordinary [`crate::frame::Frame`] of type
-//! [`FrameType::Snapshot`] whose payload is the gmon-encoded snapshot —
-//! byte-for-byte the same record the client pushed over the wire, which
-//! means every record carries the codec's CRC and version field for
-//! free and the corruption-handling test surface is shared with the
-//! protocol.
+//! [`FrameType::Snapshot`] whose payload is a gmon payload, so every
+//! record carries the codec's CRC and version field for free and the
+//! corruption-handling test surface is shared with the protocol.
+//!
+//! **Table rule (R).** The records form one gmon stream
+//! ([`GmonData::decode_in`]): a record without a function section reads
+//! the table of the record before it. A record carries its table
+//! whenever that table differs from the previous *retained* record's, so
+//! the first retained record always carries one; it may carry it in other
+//! cases too, which is why a log that repeats the table in every record
+//! replays unchanged. [`SnapshotLog::append_gmon`] writes the table only
+//! when R asks for it, and [`SnapshotLog::compact`] puts the table back
+//! into the first kept record that read it from a dropped one.
 //!
 //! **Torn-tail rule.** A crash can leave a partially-written record at
 //! the end of the file. On open, the log is scanned front to back; the
@@ -17,9 +25,11 @@
 
 use crate::frame::{Frame, FrameType, DEFAULT_MAX_PAYLOAD};
 use crate::retention::RecordMeta;
-use incprof_profile::{GmonData, GmonDecoder};
+use incprof_profile::gmon::carries_table;
+use incprof_profile::{FunctionTable, GmonData};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// An open snapshot log: an append handle plus an in-memory index of
@@ -31,6 +41,11 @@ pub struct SnapshotLog {
     file: File,
     session_id: u64,
     records: Vec<RecordMeta>,
+    /// Per retained record: whether it carries its function table.
+    carries: Vec<bool>,
+    /// The last retained record's table, when known; `None` makes the
+    /// next [`SnapshotLog::append_gmon`] write its table.
+    tail_table: Option<FunctionTable>,
 }
 
 /// What [`SnapshotLog::open`] recovered from disk.
@@ -57,6 +72,8 @@ impl SnapshotLog {
             file,
             session_id,
             records: Vec::new(),
+            carries: Vec::new(),
+            tail_table: None,
         })
     }
 
@@ -68,11 +85,10 @@ impl SnapshotLog {
         File::open(path)?.read_to_end(&mut bytes)?;
         let mut offset = 0usize;
         let mut records = Vec::new();
-        let mut snapshots = Vec::new();
+        let mut carries = Vec::new();
+        let mut snapshots: Vec<GmonData> = Vec::new();
         let mut last_index: Option<u64> = None;
-        // One decoder per log: its records repeat one function table,
-        // parsed once and shared by every replayed snapshot.
-        let mut decoder = GmonDecoder::new();
+        let empty = FunctionTable::new();
         while offset < bytes.len() {
             let (frame, consumed) = match Frame::decode(&bytes[offset..], DEFAULT_MAX_PAYLOAD) {
                 Ok(parts) => parts,
@@ -81,7 +97,8 @@ impl SnapshotLog {
             if frame.frame_type != FrameType::Snapshot || frame.session_id != session_id {
                 break;
             }
-            let gmon = match decoder.decode(&frame.payload) {
+            let table = snapshots.last().map_or(&empty, |g| &g.functions);
+            let gmon = match GmonData::decode_in(&frame.payload, table) {
                 Ok(g) => g,
                 Err(_) => break,
             };
@@ -93,6 +110,7 @@ impl SnapshotLog {
                 sample_index: gmon.sample_index,
                 bytes: consumed as u64,
             });
+            carries.push(carries_table(&frame.payload));
             snapshots.push(gmon);
             offset += consumed;
         }
@@ -113,6 +131,8 @@ impl SnapshotLog {
                 file,
                 session_id,
                 records,
+                carries,
+                tail_table: snapshots.last().map(|g| g.functions.clone()),
             },
             LogReplay {
                 snapshots,
@@ -121,10 +141,37 @@ impl SnapshotLog {
         ))
     }
 
-    /// Append one gmon-encoded snapshot payload; `sample_index` must
-    /// exceed the last retained record's. Returns the encoded record
-    /// size in bytes.
+    /// Append one gmon payload as it is; `sample_index` must exceed the
+    /// last retained record's. A payload without a function section reads
+    /// the last retained record's table. Returns the encoded record size
+    /// in bytes.
     pub fn append(&mut self, sample_index: u64, payload: &[u8]) -> io::Result<u64> {
+        let bytes = self.write_record(sample_index, payload, carries_table(payload))?;
+        self.tail_table = None;
+        Ok(bytes)
+    }
+
+    /// Append one snapshot, its function table included only when it
+    /// differs from the last retained record's (rule R). Returns the
+    /// encoded record size in bytes.
+    pub fn append_gmon(&mut self, gmon: &GmonData) -> io::Result<u64> {
+        let carries = self.tail_table.as_ref() != Some(&gmon.functions);
+        let payload = if carries {
+            gmon.encode()
+        } else {
+            gmon.encode_counters()
+        };
+        let bytes = self.write_record(gmon.sample_index, &payload, carries)?;
+        self.tail_table = Some(gmon.functions.clone());
+        Ok(bytes)
+    }
+
+    fn write_record(
+        &mut self,
+        sample_index: u64,
+        payload: &[u8],
+        carries: bool,
+    ) -> io::Result<u64> {
         if self
             .records
             .last()
@@ -138,22 +185,28 @@ impl SnapshotLog {
                 ),
             ));
         }
-        let frame = Frame::with_payload(FrameType::Snapshot, self.session_id, payload.to_vec());
-        let bytes = frame
-            .try_encode(DEFAULT_MAX_PAYLOAD)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let bytes = self.frame(payload.to_vec())?;
         self.file.write_all(&bytes)?;
         self.file.flush()?;
         self.records.push(RecordMeta {
             sample_index,
             bytes: bytes.len() as u64,
         });
+        self.carries.push(carries);
         Ok(bytes.len() as u64)
+    }
+
+    fn frame(&self, payload: Vec<u8>) -> io::Result<Vec<u8>> {
+        Frame::with_payload(FrameType::Snapshot, self.session_id, payload)
+            .try_encode(DEFAULT_MAX_PAYLOAD)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
     }
 
     /// Rewrite the log without the records at the given ascending
     /// positions (a retention trim), atomically via tmp-file + rename.
-    /// Returns the dropped records' sample indices.
+    /// A kept record that read its table from a dropped one is rewritten
+    /// with that table, which keeps rule R. Returns the dropped records'
+    /// sample indices.
     pub fn compact(&mut self, drop_positions: &[usize]) -> io::Result<Vec<u64>> {
         if drop_positions.is_empty() {
             return Ok(Vec::new());
@@ -161,20 +214,43 @@ impl SnapshotLog {
         let mut bytes = Vec::new();
         File::open(&self.path)?.read_to_end(&mut bytes)?;
         let mut keep_bytes = Vec::with_capacity(bytes.len());
-        let mut kept = Vec::with_capacity(self.records.len() - drop_positions.len());
+        let kept_len = self.records.len() - drop_positions.len();
+        let (mut kept, mut kept_carries) =
+            (Vec::with_capacity(kept_len), Vec::with_capacity(kept_len));
         let mut dropped = Vec::with_capacity(drop_positions.len());
         let mut drops = drop_positions.iter().peekable();
+        // The newest record so far that carries a table, and whether the
+        // last kept record reads that table.
+        let mut introducer: Option<Range<usize>> = None;
+        let mut kept_reads_it = true;
         let mut offset = 0usize;
         for (pos, rec) in self.records.iter().enumerate() {
-            let end = offset + rec.bytes as usize;
+            let range = offset..offset + rec.bytes as usize;
+            offset = range.end;
+            if self.carries[pos] {
+                introducer = Some(range.clone());
+                kept_reads_it = false;
+            }
             if drops.peek() == Some(&&pos) {
                 drops.next();
                 dropped.push(rec.sample_index);
-            } else {
-                keep_bytes.extend_from_slice(&bytes[offset..end]);
-                kept.push(*rec);
+                continue;
             }
-            offset = end;
+            let mut record = *rec;
+            match &introducer {
+                Some(from) if !kept_reads_it && !self.carries[pos] => {
+                    let rewritten = self.with_table_of(&bytes[from.clone()], &bytes[range])?;
+                    record.bytes = rewritten.len() as u64;
+                    keep_bytes.extend_from_slice(&rewritten);
+                    kept_carries.push(true);
+                }
+                _ => {
+                    keep_bytes.extend_from_slice(&bytes[range]);
+                    kept_carries.push(self.carries[pos]);
+                }
+            }
+            kept.push(record);
+            kept_reads_it = true;
         }
         let tmp = self.path.with_extension("tmp");
         {
@@ -184,10 +260,32 @@ impl SnapshotLog {
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
+        if drop_positions.last() == Some(&(self.records.len() - 1)) {
+            // The newest record is gone: the next append writes its table.
+            self.tail_table = None;
+        }
         self.records = kept;
+        self.carries = kept_carries;
         incprof_obs::counter(incprof_obs::names::STORE_COMPACTIONS).inc();
         incprof_obs::counter(incprof_obs::names::STORE_RECORDS_DROPPED).add(dropped.len() as u64);
         Ok(dropped)
+    }
+
+    /// The framed `record`, rewritten to carry the table of the framed
+    /// record `introducer`, which it reads its table from.
+    fn with_table_of(&self, introducer: &[u8], record: &[u8]) -> io::Result<Vec<u8>> {
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        let payload = |framed: &[u8]| {
+            Frame::decode(framed, DEFAULT_MAX_PAYLOAD)
+                .map(|(frame, _)| frame.payload)
+                .map_err(|e| invalid(e.to_string()))
+        };
+        let table = GmonData::decode(&payload(introducer)?)
+            .map_err(|e| invalid(e.to_string()))?
+            .functions;
+        let gmon =
+            GmonData::decode_in(&payload(record)?, &table).map_err(|e| invalid(e.to_string()))?;
+        self.frame(gmon.encode().to_vec())
     }
 
     /// The retained records' metadata, oldest first.
@@ -204,7 +302,8 @@ impl SnapshotLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::{FlatProfile, FunctionStats, FunctionTable};
+    use crate::retention::RetentionPolicy;
+    use incprof_profile::{FlatProfile, FunctionStats};
 
     fn gmon(idx: u64, self_ns: u64) -> GmonData {
         let mut table = FunctionTable::new();
@@ -253,12 +352,188 @@ mod tests {
                 *snap,
                 GmonData::decode(&gmon(i as u64, (i as u64 + 1) * 100).encode()).unwrap()
             );
-            // The records repeat one function table: decoded once, shared.
-            assert!(snap
-                .functions
-                .shares_contents_with(&replay.snapshots[0].functions));
         }
         assert_eq!(log.records().len(), 5);
+    }
+
+    /// `n` functions named as perfbench names them.
+    fn names(n: usize) -> FunctionTable {
+        let mut t = FunctionTable::new();
+        for i in 0..n {
+            t.register(format!("fn_{i:03}"));
+        }
+        t
+    }
+
+    /// Snapshot `idx` over `table`: every function's counters grow.
+    fn snap(idx: u64, table: &FunctionTable) -> GmonData {
+        let mut flat = FlatProfile::new();
+        for (id, _) in table.iter() {
+            let stats = FunctionStats {
+                self_time: (idx + 1) * (id.0 as u64 + 1) * 100,
+                calls: idx + 1,
+                child_time: 0,
+            };
+            flat.set(id, stats);
+        }
+        GmonData {
+            sample_index: idx,
+            timestamp_ns: idx * 1_000_000_000,
+            functions: table.clone(),
+            flat,
+            callgraph: Default::default(),
+        }
+    }
+
+    /// Append `g` the way a session store does: write, then trim.
+    fn append_retained(log: &mut SnapshotLog, policy: &RetentionPolicy, g: &GmonData) {
+        log.append_gmon(g).unwrap();
+        let drops = policy.drops(log.records());
+        log.compact(&drops).unwrap();
+    }
+
+    /// Reopen `path` and check that it replays exactly `want`, tables
+    /// included, with every retained record obeying rule R.
+    fn assert_replays(path: &Path, session_id: u64, want: &[&GmonData]) {
+        let (log, replay) = SnapshotLog::open(path, session_id).unwrap();
+        assert_eq!(replay.truncated_bytes, 0);
+        let got: Vec<&GmonData> = replay.snapshots.iter().collect();
+        assert_eq!(got, want);
+        for (i, carries) in log.carries.iter().enumerate() {
+            let changed = i == 0 || want[i].functions != want[i - 1].functions;
+            assert!(
+                *carries || !changed,
+                "record {i} lacks the table it changed to"
+            );
+        }
+    }
+
+    #[test]
+    fn table_once_log_writes_the_table_where_it_changes() {
+        let dir = tmpdir("table_once");
+        let path = dir.join("log.iprf");
+        let (small, big) = (names(20), names(24));
+        let snaps: Vec<GmonData> = (0..6)
+            .map(|i| snap(i, if i < 3 { &small } else { &big }))
+            .collect();
+        let mut log = SnapshotLog::create(&path, 4).unwrap();
+        let sizes: Vec<u64> = snaps.iter().map(|g| log.append_gmon(g).unwrap()).collect();
+        assert_eq!(log.carries, [true, false, false, true, false, false]);
+        assert!(sizes[1] < sizes[0] && sizes[4] < sizes[3], "{sizes:?}");
+        drop(log);
+        assert_replays(&path, 4, &snaps.iter().collect::<Vec<_>>());
+        let (_, replay) = SnapshotLog::open(&path, 4).unwrap();
+        let t = |i: usize| &replay.snapshots[i].functions;
+        assert!(t(2).shares_contents_with(t(0)) && t(5).shares_contents_with(t(3)));
+    }
+
+    #[test]
+    fn stride_retention_keeps_the_table_of_a_dropped_growth_record() {
+        // Record 5 grows the table between the retained 4 and 8; the
+        // stride drops it, and 6 and 7 after it, once they leave the
+        // hot tail.
+        let dir = tmpdir("stride_growth");
+        let path = dir.join("log.iprf");
+        let policy = RetentionPolicy {
+            hot: 2,
+            stride: 4,
+            max_bytes: 0,
+        };
+        let (small, big) = (names(20), names(24));
+        let snaps: Vec<GmonData> = (0..11)
+            .map(|i| snap(i, if i < 5 { &small } else { &big }))
+            .collect();
+        let mut log = SnapshotLog::create(&path, 5).unwrap();
+        for g in &snaps {
+            append_retained(&mut log, &policy, g);
+        }
+        drop(log);
+        assert_replays(
+            &path,
+            5,
+            &[&snaps[0], &snaps[4], &snaps[8], &snaps[9], &snaps[10]],
+        );
+    }
+
+    #[test]
+    fn byte_budget_dropping_the_first_record_moves_its_table_forward() {
+        let dir = tmpdir("budget_first");
+        let path = dir.join("log.iprf");
+        let t = names(24);
+        let snaps: Vec<GmonData> = (0..6).map(|i| snap(i, &t)).collect();
+        let policy = RetentionPolicy {
+            hot: 2,
+            stride: 1,
+            max_bytes: 1,
+        };
+        let mut log = SnapshotLog::create(&path, 6).unwrap();
+        for g in &snaps {
+            append_retained(&mut log, &policy, g);
+        }
+        // Only the hot tail survives, and its first record carries the
+        // table the dropped record 0 introduced.
+        assert_eq!(log.carries, [true, false]);
+        drop(log);
+        assert_replays(&path, 6, &[&snaps[4], &snaps[5]]);
+    }
+
+    #[test]
+    fn a_policy_without_a_hot_tail_drops_the_newest_and_the_next_append_carries_its_table() {
+        let dir = tmpdir("hot_zero");
+        let path = dir.join("log.iprf");
+        let policy = RetentionPolicy {
+            hot: 0,
+            stride: 4,
+            max_bytes: 0,
+        };
+        // Record 2 grows the table and is dropped as soon as it lands;
+        // record 4 must carry the grown table although the last table
+        // appended was that same one.
+        let (small, big) = (names(20), names(24));
+        let snaps: Vec<GmonData> = (0..6)
+            .map(|i| snap(i, if i < 2 { &small } else { &big }))
+            .collect();
+        let mut log = SnapshotLog::create(&path, 8).unwrap();
+        for g in &snaps[..5] {
+            append_retained(&mut log, &policy, g);
+        }
+        assert_eq!(log.carries, [true, true]);
+        drop(log);
+        assert_replays(&path, 8, &[&snaps[0], &snaps[4]]);
+        let (mut log, _) = SnapshotLog::open(&path, 8).unwrap();
+        append_retained(&mut log, &policy, &snaps[5]);
+        drop(log);
+        assert_replays(&path, 8, &[&snaps[0], &snaps[4]]);
+    }
+
+    #[test]
+    fn a_torn_tail_right_after_a_growth_record_leaves_the_prefix() {
+        let (small, big) = (names(20), names(24));
+        let snaps: Vec<GmonData> = (0..4)
+            .map(|i| snap(i, if i < 2 { &small } else { &big }))
+            .collect();
+        // Tear the growth record itself, then the record right after it.
+        for (torn, name) in [(2usize, "torn_growth"), (3, "torn_after_growth")] {
+            let dir = tmpdir(name);
+            let path = dir.join("log.iprf");
+            let mut log = SnapshotLog::create(&path, 2).unwrap();
+            for g in &snaps[..=torn] {
+                log.append_gmon(g).unwrap();
+            }
+            drop(log);
+            let bytes = std::fs::read(&path).unwrap();
+            std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
+            let (mut log, replay) = SnapshotLog::open(&path, 2).unwrap();
+            assert!(replay.truncated_bytes > 0);
+            let prefix: Vec<&GmonData> = snaps[..torn].iter().collect();
+            assert_eq!(replay.snapshots.iter().collect::<Vec<_>>(), prefix);
+            // The stream picks up where the prefix left it.
+            for g in &snaps[torn..] {
+                log.append_gmon(g).unwrap();
+            }
+            drop(log);
+            assert_replays(&path, 2, &snaps.iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::frame::{Frame, FrameType, DEFAULT_MAX_PAYLOAD};
 use crate::log::{LogReplay, SnapshotLog};
 use crate::retention::RetentionPolicy;
+use incprof_profile::GmonData;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -161,7 +162,7 @@ impl SessionStore {
         self.id
     }
 
-    /// Append one gmon-encoded snapshot and apply the retention policy,
+    /// Append one gmon payload as it is and apply the retention policy,
     /// compacting the log when it decides to drop records.
     pub fn append_snapshot(
         &mut self,
@@ -169,6 +170,19 @@ impl SessionStore {
         payload: &[u8],
     ) -> io::Result<AppendOutcome> {
         let bytes = self.log.append(sample_index, payload)?;
+        self.retain(bytes)
+    }
+
+    /// [`SessionStore::append_snapshot`] for a decoded snapshot: the
+    /// record holds its counters, and its function table only when that
+    /// differs from the last retained record's
+    /// ([`SnapshotLog::append_gmon`]).
+    pub fn append_gmon(&mut self, gmon: &GmonData) -> io::Result<AppendOutcome> {
+        let bytes = self.log.append_gmon(gmon)?;
+        self.retain(bytes)
+    }
+
+    fn retain(&mut self, bytes: u64) -> io::Result<AppendOutcome> {
         incprof_obs::counter(incprof_obs::names::STORE_APPENDS).inc();
         incprof_obs::counter(incprof_obs::names::STORE_BYTES_APPENDED).add(bytes);
         self.appends_since_checkpoint += 1;
@@ -242,7 +256,7 @@ fn read_checkpoint(path: &Path, session_id: u64) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::{FlatProfile, FunctionStats, FunctionTable, GmonData};
+    use incprof_profile::{FlatProfile, FunctionStats, FunctionTable};
 
     fn gmon(idx: u64, self_ns: u64) -> GmonData {
         let mut table = FunctionTable::new();

@@ -151,6 +151,10 @@ serve_smoke() {
         >"$SMOKE_DIR/report.json"
     grep -q '"phases"' "$SMOKE_DIR/report.json" \
         || { echo "serve smoke: report has no phases"; cat "$SMOKE_DIR/report.json"; exit 1; }
+    # The Full report too: its source_context and site names read the
+    # session's function table, which a restart rebuilds from table-less
+    # log records.
+    timeout 60 "$INCPROF" query "$ADDR" "$(cat "$SMOKE_DIR/session.txt")" >"$SMOKE_DIR/full.json"
     # Admin plane: the scrape must be well-formed exposition that saw
     # the push traffic, and the flight-recorder dump valid JSON. grep -v
     # drops the CLI's trailing "top: 1 refresh(es) of ..." status line.
@@ -196,6 +200,12 @@ serve_smoke() {
     cmp -s "$SMOKE_DIR/report.json" "$SMOKE_DIR/report2.json" || {
         echo "serve smoke: rehydrated report differs from the first life"
         diff "$SMOKE_DIR/report.json" "$SMOKE_DIR/report2.json" | head -20
+        exit 1
+    }
+    timeout 60 "$INCPROF" query "$ADDR2" "$SID" >"$SMOKE_DIR/full2.json"
+    cmp -s "$SMOKE_DIR/full.json" "$SMOKE_DIR/full2.json" || {
+        echo "serve smoke: rehydrated Full report differs from the first life"
+        diff "$SMOKE_DIR/full.json" "$SMOKE_DIR/full2.json" | head -20
         exit 1
     }
     timeout 60 "$INCPROF" top "$(cat "$SMOKE_DIR/admin2.txt")" --iterations 1 --raw \
@@ -250,6 +260,8 @@ cluster_smoke() {
         >"$SMOKE_DIR/cluster-report.json"
     grep -q '"phases"' "$SMOKE_DIR/cluster-report.json" \
         || { echo "cluster smoke: report has no phases"; cat "$SMOKE_DIR/cluster-report.json"; exit 1; }
+    timeout 60 "$INCPROF" query "$RADDR" "$(cat "$SMOKE_DIR/cluster-session.txt")" \
+        >"$SMOKE_DIR/cluster-full.json"
 
     # The merged scrape must be well-formed exposition carrying both
     # shards' samples under the shard label, with TYPE lines deduped.
@@ -279,6 +291,12 @@ cluster_smoke() {
     cmp -s "$SMOKE_DIR/cluster-report.json" "$SMOKE_DIR/cluster-report2.json" || {
         echo "cluster smoke: post-failover report differs from the pre-kill report"
         diff "$SMOKE_DIR/cluster-report.json" "$SMOKE_DIR/cluster-report2.json" | head -20
+        exit 1
+    }
+    timeout 60 "$INCPROF" query "$RADDR" "$SID" >"$SMOKE_DIR/cluster-full2.json"
+    cmp -s "$SMOKE_DIR/cluster-full.json" "$SMOKE_DIR/cluster-full2.json" || {
+        echo "cluster smoke: post-failover Full report differs from the pre-kill one"
+        diff "$SMOKE_DIR/cluster-full.json" "$SMOKE_DIR/cluster-full2.json" | head -20
         exit 1
     }
     timeout 60 "$INCPROF" top "$RADMIN" --iterations 1 --health | grep -q '"status":"degraded"' \

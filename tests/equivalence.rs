@@ -309,6 +309,10 @@ enum Path {
     Restart,
     /// A durable daemon whose log loses the tail of its last record.
     TornTail,
+    /// A durable daemon keeping one session live while the apps push
+    /// interleaved: every push after the first rehydrates an evicted
+    /// session and reads a table-less push against the replayed table.
+    Evict,
     /// Traced (version 2) frames to a daemon on a Unix socket.
     TracedUnix,
 }
@@ -536,6 +540,36 @@ impl Path {
                 }
                 assert_closed(second, Some(&store));
             }
+            Path::Evict => {
+                let store = tmpdir(format!("{self:?}"));
+                let daemon = start(ServeConfig {
+                    store_dir: Some(store.clone()),
+                    max_live: 1,
+                    ..ServeConfig::default()
+                });
+                let mut client = connect(daemon.addr());
+                let sessions: Vec<u64> = cases
+                    .iter()
+                    .map(|&(app, _)| open(&mut client, app))
+                    .collect();
+                let longest = cases.iter().map(|&(app, _)| whole(app)).max().unwrap_or(0);
+                for i in 0..longest {
+                    for (&(app, _), &session) in cases.iter().zip(&sessions) {
+                        if i < whole(app) {
+                            stream(&mut client, session, &apps()[app], i..i + 1);
+                        }
+                    }
+                }
+                // A ping is read after the last push's eviction ran.
+                ok(client.ping(), "ping");
+                assert_eq!(daemon.active_sessions(), 1, "sessions were not evicted");
+                for (&(app, det), &session) in cases.iter().zip(&sessions) {
+                    let full = ok(client.query_report(session), apps()[app].name);
+                    out.push(Seen(app, det, whole(app), Answer::Full(full)));
+                    ok(client.close(session), apps()[app].name);
+                }
+                assert_closed(daemon, Some(&store));
+            }
             Path::TornTail => {
                 let store = tmpdir(format!("{self:?}"));
                 let first = durable(&store);
@@ -624,6 +658,7 @@ arms! {
     router_with_a_backend_stopped_mid_stream => Failover,
     daemon_restarted_mid_stream => Restart,
     torn_log_tail_leaves_the_prefix_queryable => TornTail,
+    evicted_sessions_rehydrate_between_interleaved_pushes => Evict,
     traced_frames_over_a_unix_socket => TracedUnix,
 }
 
