@@ -17,13 +17,13 @@
 //! * **Step** (t → t+1): one warm Lloyd run over the grown prefix, read
 //!   in place, starting from the previous converged centroids — typically
 //!   one or two iterations. The chain carries what the previous run
-//!   ended with (Hamerly bounds, cluster sums, point distances; see
+//!   ended with (bound keys, cluster sums, point distances; see
 //!   [`mod@crate::kmeans`]), so a step computes exact distances only for
-//!   the appended row and the rows whose bounds it breaks. It still
-//!   walks all t rows several times: every iteration checks and widens
-//!   every bound, and the run ends with a WCSS pass over every row, so a
-//!   step is O(t) even when nothing moves (the costs are itemised in
-//!   [`mod@crate::kmeans`]).
+//!   the appended row and the rows whose bounds it breaks. What it still
+//!   pays per row is one compare per Lloyd iteration (the row's key
+//!   against its cluster's threshold) and the WCSS pass over every row
+//!   that ends the run, so a step is O(t) even when nothing moves (the
+//!   costs are itemised in [`mod@crate::kmeans`]).
 //! * **Review** (t divisible by [`ChainConfig::review_every`]): a few
 //!   fresh single-restart k-means++ candidates, seeded by
 //!   `review_seed(seed, k, t, c)`, compete with the incumbent; a
@@ -83,7 +83,7 @@ pub struct KChain {
     /// The converged clustering of the covered prefix.
     pub last: KMeansResult,
     /// What the Lloyd run that produced `last` left for the next step
-    /// (bounds, cluster sums, point distances). Derived, not state:
+    /// (bound keys, cluster sums, point distances). Derived, not state:
     /// equality ignores it, a checkpoint does not store it, and it is
     /// `None` whenever `last` did not come from a continuation, which
     /// only makes the next step start with one exact pass.
@@ -223,9 +223,9 @@ impl SweepChains {
     /// [`PairwiseDistances::extend`] keep old entries. Centroid means
     /// gain all-zero columns, which average to exactly `+0.0`.
     ///
-    /// Each chain's carried state (bounds, cluster sums and distances of
-    /// its last run) is dropped rather than widened, so the next step
-    /// starts with one exact pass; only the fold state moves.
+    /// Each chain's carried state (bound keys, cluster sums and
+    /// distances of its last run) is dropped rather than widened, so the
+    /// next step starts with one exact pass; only the fold state moves.
     ///
     /// # Panics
     /// Panics if the mapping is not strictly increasing (reordering

@@ -13,8 +13,11 @@
 //!
 //! * **Hamerly-style pruning** ([`KMeansConfig::pruning`]): per-point
 //!   triangle-inequality bounds skip the k distance evaluations whenever
-//!   the assigned centroid is provably still the unique nearest. Bounds
-//!   are padded conservatively, so a bound error can only cause an extra
+//!   the assigned centroid is provably still the unique nearest. They
+//!   are stored drift-offset: one slack key per row, measured against
+//!   per-cluster sums of centroid movement, so widening every bound after
+//!   an update costs O(k) and a pruned row costs one compare. Keys round
+//!   down and thresholds up, so a bound error can only cause an extra
 //!   exact recomputation — never a wrong (or even differently tie-broken)
 //!   assignment.
 //! * **Fixed-point detection**: a Lloyd iteration is a deterministic
@@ -26,15 +29,18 @@
 //!   computed, the next assignment step undid it, and every restart burned
 //!   the full `MAX_ITERS` budget (the k=7/k=8 "~1650 iterations" burn in
 //!   `serve_report.json`). Detecting the repeated state exits with the
-//!   exact same final state, just without the burn.
+//!   exact same final state, just without the burn. The test reads the
+//!   iteration's log of assignment changes and the centroid bits; it
+//!   copies no assignment vector.
 //! * **Carried state** (a run's `Carry`): the incremental fold runs
 //!   Lloyd once per appended row, from the centroids the previous run
-//!   ended with. That run also leaves its bounds (already widened by its
-//!   final centroid movement), its cluster sums and counts, and each
-//!   point's squared distance to its centroid; the continuation reads
-//!   them instead of starting from nothing. Old rows prune from the first
-//!   iteration on and the new row starts at ∞/0. Within any run, a
-//!   cluster's sum is rebuilt from zero, in row order, only when its
+//!   ended with. That run also leaves its bound keys and the movement
+//!   sums they are measured against (already widened by its final
+//!   centroid movement), its cluster sums and counts, and each point's
+//!   squared distance to its centroid; the continuation reads them
+//!   instead of starting from nothing. Old rows prune from the first
+//!   iteration on and the new row starts with a −∞ key. Within any run,
+//!   a cluster's sum is rebuilt from zero, in row order, only when its
 //!   membership changed; otherwise the new rows are added to its running
 //!   sum, which is the same additions in the same order. The final WCSS
 //!   is summed in row order, reusing a row's distance when neither its
@@ -42,18 +48,24 @@
 //!   all of it and is the from-scratch oracle `tests/fold_oracle.rs`
 //!   holds the fold to.
 //!
-//! **What a continuation still costs.** The carry saves exact distance
-//! evaluations, not passes over the rows. Every Lloyd iteration of a
-//! continuation over n rows still scans all n for the bound check and
-//! again for the bound widening, and each iteration that does not
-//! converge copies `assignments` for the fixed-point test; every run
-//! ends with an O(n) WCSS pass. A phase timing of a single-thread cold
-//! fold over four 512-row synthetic series put continuations at k > 1
-//! at ~41 % of Lloyd time, split as: assignment scan 43 %, WCSS 19 %,
-//! widening 16 %, centroid update 11 %, fixed-point copy 5 %. Reviews
-//! and chain starts (fresh k-means++ runs) took another ~47 %. A
-//! continuation is therefore O(n + k·d·(1 + violated)) per iteration,
-//! not O(k·d + violated).
+//! **What a continuation costs.** Per Lloyd iteration over n rows: one
+//! compare per row (its key against its cluster's threshold), k·d per
+//! exact row (the new row, and the rows whose keys the movement broke),
+//! and the O(k·d) centroid update. Only the exact rows are written, and
+//! only they go to the pool once there are enough of them. An iteration
+//! in which a carried row changes cluster also re-sums the clusters it
+//! left and joined, one more pass over the rows. Every run then ends with
+//! the WCSS pass over every row. A continuation is therefore
+//! O(n + k·d·(1 + exact)) per iteration, and its O(n) term is one compare
+//! per row. A phase timing of one-thread cold folds (k ≤ 8) over the
+//! oracle's 512-row drifting-blob, lattice and widening series put
+//! continuations at 42–51 % of Lloyd time, split as: WCSS pass and carry
+//! 34–36 %, bound scan 20–22 %, update 18–19 %, exact rows 11–15 %, run
+//! set-up 8–9 %, widening and fixed-point test 3–4 %. On the
+//! duplicate-heavy series continuations are 86 %, almost all exact rows
+//! (58 %) and updates (35 %): a row tied between two coincident centroids
+//! never prunes, so each iteration of the repair oscillation is a full
+//! exact pass.
 
 use crate::dataset::Dataset;
 use crate::distance::sq_euclidean;
@@ -64,6 +76,11 @@ use rand::{Rng, SeedableRng};
 const MAX_ITERS: usize = 100;
 /// Convergence tolerance on centroid movement (squared distance).
 const TOL: f64 = 1e-12;
+/// Most Lloyd iterations one bound frame spans (see [`Frame`]). Each
+/// iteration's rounding in the movement sums is at most one unit
+/// roundoff (2⁻⁵³) of the threshold, so 1024 of them stay ~9× inside
+/// the 10⁻¹² relative pad of [`pad_up`].
+const MAX_FRAME_ITERS: usize = 1024;
 
 /// Configuration for [`kmeans`].
 #[derive(Debug, Clone)]
@@ -135,10 +152,11 @@ impl KMeansResult {
 /// encoded, and dropping it costs only an exact first iteration.
 #[derive(Debug, Clone)]
 pub(crate) struct Carry {
-    /// Hamerly bounds per row, already widened by the final centroid
-    /// movement: valid against the run's final centroids.
-    upper: Vec<f64>,
-    lower: Vec<f64>,
+    /// Per row, the slack key of its drift-offset bounds (see `lloyd`),
+    /// and the frame the keys are measured in. Together they bound
+    /// every row against the run's final centroids.
+    key: Vec<f64>,
+    frame: Frame,
     /// Squared distance from each row to its final centroid: the terms
     /// the run's WCSS summed.
     dist: Vec<f64>,
@@ -146,6 +164,71 @@ pub(crate) struct Carry {
     /// assignment, accumulated in row order.
     sums: Dataset,
     counts: Vec<usize>,
+}
+
+/// The frame drift-offset keys are measured in (see `lloyd`): how far
+/// the centroids have moved, summed per iteration since it began.
+#[derive(Debug, Clone)]
+struct Frame {
+    /// Per cluster, the summed (padded) movement of its centroid.
+    drift: Vec<f64>,
+    /// The summed largest movement of any centroid.
+    lg: f64,
+    /// Lloyd iterations the sums span. A run that could take the frame
+    /// past [`MAX_FRAME_ITERS`] first moves every key into a fresh one,
+    /// which bounds the rounding the sums accumulate.
+    iters: usize,
+}
+
+impl Frame {
+    fn new(k: usize) -> Frame {
+        Frame {
+            drift: vec![0.0; k],
+            lg: 0.0,
+            iters: 0,
+        }
+    }
+
+    /// The key of a row just computed exactly: nearest centroid `c` at
+    /// squared distance `best`, the next nearest at `second`. Rounded
+    /// down.
+    #[inline]
+    fn key(&self, c: usize, best: f64, second: f64) -> f64 {
+        pad_down(pad_down(second.sqrt()) - pad_up(best.sqrt()) + (self.drift[c] + self.lg))
+    }
+
+    /// What a key in cluster `c` must exceed to prune. Rounded up.
+    #[inline]
+    fn threshold(&self, c: usize) -> f64 {
+        pad_up(self.drift[c] + self.lg)
+    }
+
+    /// Widen every row's bounds by one update whose centroids moved
+    /// `moved` (padded plain distances): a row's distance to its own
+    /// centroid grew by at most that centroid's travel, its distance to
+    /// any other shrank by at most the largest travel. O(k); no key moves.
+    fn widen(&mut self, moved: &[f64]) {
+        let mut max_move = 0.0f64;
+        for (dc, &m) in self.drift.iter_mut().zip(moved) {
+            *dc += m;
+            if m > max_move {
+                max_move = m;
+            }
+        }
+        self.lg += max_move;
+        self.iters += 1;
+    }
+
+    /// Start afresh: each key, of a row assigned as in `assignments`,
+    /// gives up its cluster's threshold, so the slack the old frame's
+    /// rounding needed stays in the key, and the sums restart at zero.
+    fn rebase(&mut self, key: &mut [f64], assignments: &[usize]) {
+        let threshold: Vec<f64> = (0..self.drift.len()).map(|c| self.threshold(c)).collect();
+        for (kv, &a) in key.iter_mut().zip(assignments) {
+            *kv = pad_down(*kv - threshold[a]);
+        }
+        *self = Frame::new(self.drift.len());
+    }
 }
 
 /// What [`kmeans`] and [`kmeans_continue`] both require of the first
@@ -252,7 +335,7 @@ pub(crate) fn kmeans_continue(
     );
     let carried = carry.filter(|_| config.pruning).map(|c| {
         assert_eq!(
-            c.upper.len(),
+            c.key.len(),
             prev.assignments.len(),
             "carry covers other rows"
         );
@@ -286,16 +369,21 @@ fn lloyd(
     let mut pruned_points = 0u64;
     let mut exact_points = 0u64;
 
-    // Hamerly-style bounds, in plain (square-rooted) distance space:
-    // `upper[i]` bounds the distance from point i to its assigned
-    // centroid from above, `lower[i]` bounds the distance to every
-    // *other* centroid from below. While strictly `upper[i] < lower[i]`,
-    // the assigned centroid is provably the unique nearest, so the naive
-    // argmin (strict `<`, lowest index on ties) would reproduce the same
-    // assignment — skipping it is bit-identical. A row starts at ∞/0
-    // (always exact) unless a carried run left valid bounds for it.
-    // `moved[c]` is how far centroid c traveled in the last update, used
-    // to loosen the bounds via the triangle inequality.
+    // Drift-offset Hamerly bounds, in plain (square-rooted) distance
+    // space. When row i is computed exactly, its upper bound u (distance
+    // to its centroid a) and lower bound l (distance to every *other*
+    // centroid) fold into one slack key, `key[i] = l − u + drift[a] +
+    // lg` ([`Frame::key`]), where the frame's `drift[c]` sums centroid
+    // c's movement and `lg` the largest movement of any centroid, one
+    // term per iteration. By the triangle inequality the row's bounds
+    // now are u plus `drift[a]`'s growth since and l minus `lg`'s, so
+    // the strict `upper < lower` that proves a the unique nearest (the
+    // naive argmin — strict `<`, lowest index on ties — would pick it
+    // again, so skipping it is bit-identical) reads `key[i] > drift[a] +
+    // lg` ([`Frame::threshold`]). Keys round down and thresholds up, so
+    // rounding can only cost an exact recomputation. A NaN key never
+    // prunes; a row without a key (new, or re-homed by the repair) holds
+    // −∞. Widening after an update moves the frame, never a key.
     //
     // `sums`/`counts` are the per-cluster sums of the assignment after
     // the last assignment step, over the first `summed` rows. `dirty[c]`
@@ -310,77 +398,84 @@ fn lloyd(
     assignments.extend_from_slice(carried);
     assignments.resize(n, 0);
     let Carry {
-        mut upper,
-        mut lower,
+        mut key,
+        mut frame,
         mut dist,
         mut sums,
         mut counts,
     } = carry.unwrap_or_else(|| Carry {
-        upper: Vec::new(),
-        lower: Vec::new(),
+        key: Vec::new(),
+        frame: Frame::new(k),
         dist: Vec::new(),
         sums: Dataset::zeros(k, d),
         counts: vec![0; k],
     });
-    upper.resize(n, f64::INFINITY);
-    lower.resize(n, 0.0);
+    if frame.iters + MAX_ITERS > MAX_FRAME_ITERS {
+        frame.rebase(&mut key, carried);
+    }
+    key.resize(n, f64::NEG_INFINITY);
     dist.resize(n, 0.0);
     let mut dirty = vec![false; k];
     let mut moved = vec![0.0f64; k];
-
-    // End-of-iteration state of the previous iteration, for the
-    // fixed-point break (see the module docs).
-    let mut prev_assignments: Vec<usize> = Vec::new();
-    let mut prev_centroid_bits: Vec<u64> = Vec::new();
-
-    // Parallelize the assignment step (each point's argmin is
-    // independent and deterministic) once the work justifies the
-    // fork/join overhead. Inside a full k-sweep this call already
-    // runs on a pool worker, so the nested call degrades to sequential.
-    let parallel = n * k * d >= 200_000;
+    let mut threshold = vec![0.0f64; k];
+    // The rows the bound check could not prune, in row order.
+    let mut exact: Vec<usize> = Vec::new();
+    // This iteration's assignment changes as `(row, assignment before)`:
+    // the assignment step's first, in row order, then the repair's.
+    let mut log: Vec<(usize, usize)> = Vec::new();
+    // The previous iteration's final centroid bits, for the fixed-point
+    // break (see the module docs).
+    let mut prev_bits: Vec<u64> = Vec::with_capacity(k * d);
 
     for iter in 0..MAX_ITERS {
         iterations = iter + 1;
-        // Assignment step. Pruned points keep their assignment and
-        // bounds. The first iteration counts `changed` against the
-        // all-zero start a from-scratch run begins with, so a carried
-        // run converges after exactly as many iterations.
-        let parallel_out = parallel.then(|| {
-            let (a, up, lo) = (&assignments, &upper, &lower);
-            incprof_par::par_map_index(n, |i| {
-                assign_point(data.row(i), &centroids, a[i], up[i], lo[i], config.pruning)
-            })
+        for (c, t) in threshold.iter_mut().enumerate() {
+            *t = frame.threshold(c);
+        }
+        // Assignment step. A pruned row keeps its assignment and key and
+        // costs one compare; only the exact rows are computed and
+        // written.
+        exact.clear();
+        log.clear();
+        for (i, (&a, &kv)) in assignments.iter().zip(&key).enumerate() {
+            if !(config.pruning && kv > threshold[a]) {
+                exact.push(i);
+            }
+        }
+        exact_points += exact.len() as u64;
+        pruned_points += (n - exact.len()) as u64;
+        // Parallelize the exact rows (each argmin is independent and
+        // deterministic) once the work justifies the fork/join overhead.
+        // Inside a full k-sweep this call already runs on a pool worker,
+        // so the nested call degrades to sequential.
+        let parallel_out = (exact.len() * k * d >= 200_000).then(|| {
+            incprof_par::par_map_index(exact.len(), |j| nearest(data.row(exact[j]), &centroids))
         });
-        let mut changed = false;
-        for i in 0..n {
-            let (c, up, lo, exact) = match &parallel_out {
-                Some(out) => out[i],
-                None => assign_point(
-                    data.row(i),
-                    &centroids,
-                    assignments[i],
-                    upper[i],
-                    lower[i],
-                    config.pruning,
-                ),
+        for (j, &i) in exact.iter().enumerate() {
+            let (c, best, second) = match &parallel_out {
+                Some(out) => out[j],
+                None => nearest(data.row(i), &centroids),
             };
-            let before = if iter == 0 { 0 } else { assignments[i] };
-            changed |= c != before;
-            if c != assignments[i] {
+            key[i] = frame.key(c, best, second);
+            let a = assignments[i];
+            if c != a {
+                log.push((i, a));
                 if i < summed {
-                    dirty[assignments[i]] = true;
+                    dirty[a] = true;
                     dirty[c] = true;
                 }
                 assignments[i] = c;
             }
-            upper[i] = up;
-            lower[i] = lo;
-            if exact {
-                exact_points += 1;
-            } else {
-                pruned_points += 1;
-            }
         }
+        let stepped = log.len();
+        // The first iteration counts `changed` against the all-zero
+        // start a from-scratch run begins with, so a carried run
+        // converges after exactly as many iterations.
+        let changed = if iter == 0 {
+            assignments.iter().any(|&a| a != 0)
+        } else {
+            stepped > 0
+        };
 
         // Update step: bring the sums to this assignment. The oracle
         // (pruning off) rebuilds every cluster from zero; otherwise only
@@ -405,14 +500,7 @@ fn lloyd(
             if counts[c] == 0 {
                 // Empty cluster: reseed on the point farthest from its
                 // current centroid (a standard repair strategy).
-                let far = (0..n)
-                    .max_by(|&a, &b| {
-                        let da = sq_euclidean(data.row(a), centroids.row(assignments[a]));
-                        let db = sq_euclidean(data.row(b), centroids.row(assignments[b]));
-                        da.total_cmp(&db)
-                    })
-                    // lint: allow(P01, lloyd is only reachable with a non-empty dataset so max_by has candidates)
-                    .expect("n >= 1");
+                let far = farthest(data, &assignments, &centroids);
                 let row = data.row(far).to_vec();
                 let m = sq_euclidean(&row, centroids.row(c));
                 movement += m;
@@ -420,14 +508,14 @@ fn lloyd(
                 centroids.row_mut(c).copy_from_slice(&row);
                 // The sums still count `far` in its old cluster: both
                 // sums are stale from here on.
+                log.push((far, assignments[far]));
                 dirty[assignments[far]] = true;
                 dirty[c] = true;
                 assignments[far] = c;
                 // The repair re-homed `far` outside the assignment step;
-                // its bounds describe the old assignment, so force an
+                // its key describes the old assignment, so force an
                 // exact recomputation next iteration.
-                upper[far] = f64::INFINITY;
-                lower[far] = 0.0;
+                key[far] = f64::NEG_INFINITY;
                 continue;
             }
             let inv = 1.0 / counts[c] as f64;
@@ -441,22 +529,7 @@ fn lloyd(
             centroids.row_mut(c).copy_from_slice(&new_c);
         }
 
-        if config.pruning {
-            // Triangle inequality: a point's distance to its (moved)
-            // centroid grew by at most the centroid's travel; its
-            // distance to any other centroid shrank by at most the
-            // largest travel of any centroid.
-            let mut max_move = 0.0f64;
-            for &m in &moved {
-                if m > max_move {
-                    max_move = m;
-                }
-            }
-            for i in 0..n {
-                upper[i] = pad_up(upper[i] + moved[assignments[i]]);
-                lower[i] = pad_down(lower[i] - max_move);
-            }
-        }
+        frame.widen(&moved);
 
         last_movement = movement;
         if !changed && movement <= TOL {
@@ -468,14 +541,13 @@ fn lloyd(
         // at MAX_ITERS is exactly this one. Catches the empty-cluster
         // repair oscillation on duplicate-heavy data without changing a
         // single output bit.
-        let centroid_bits: Vec<u64> = (0..k)
-            .flat_map(|c| centroids.row(c).iter().map(|v| v.to_bits()))
-            .collect();
-        if prev_assignments == assignments && prev_centroid_bits == centroid_bits {
+        let bits = || centroids.iter_rows().flatten().map(|v| v.to_bits());
+        if iter > 0 && bits().eq(prev_bits.iter().copied()) && reverted(&log, stepped, &assignments)
+        {
             break;
         }
-        prev_assignments.clone_from(&assignments);
-        prev_centroid_bits = centroid_bits;
+        prev_bits.clear();
+        prev_bits.extend(bits());
     }
 
     // Centroid movement of the final iteration, in picounits (×1e12) so
@@ -512,8 +584,8 @@ fn lloyd(
         // describing the assignment before it.
         resum(data, n, &assignments, &mut sums, &mut counts, &mut dirty, n);
         Carry {
-            upper,
-            lower,
+            key,
+            frame,
             dist,
             sums,
             counts,
@@ -529,22 +601,11 @@ fn lloyd(
     (result, carry)
 }
 
-/// The assignment of one point: `(cluster, upper, lower, exact)`. With
-/// `pruning` and a strict `upper < lower`, the current assignment `a`
-/// and its bounds stand; otherwise the exact argmin over every centroid
-/// (strict `<`, so the lowest index wins a tie) with fresh bounds.
+/// The exact assignment of one row: `(cluster, best, second)`, the
+/// argmin over every centroid (strict `<`, so the lowest index wins a
+/// tie) with the squared distances to it and to the next nearest.
 #[inline]
-fn assign_point(
-    row: &[f64],
-    centroids: &Dataset,
-    a: usize,
-    upper: f64,
-    lower: f64,
-    pruning: bool,
-) -> (usize, f64, f64, bool) {
-    if pruning && upper < lower {
-        return (a, upper, lower, false);
-    }
+fn nearest(row: &[f64], centroids: &Dataset) -> (usize, f64, f64) {
     let mut best_c = 0;
     let mut best_d = f64::INFINITY;
     let mut second_d = f64::INFINITY;
@@ -558,12 +619,37 @@ fn assign_point(
             second_d = dist;
         }
     }
-    (
-        best_c,
-        pad_up(best_d.sqrt()),
-        pad_down(second_d.sqrt()),
-        true,
-    )
+    (best_c, best_d, second_d)
+}
+
+/// The row farthest from its assigned centroid, by `total_cmp`; the
+/// last such row wins a tie, as with `Iterator::max_by`. Each distance
+/// is computed once.
+fn farthest(data: &Dataset, assignments: &[usize], centroids: &Dataset) -> usize {
+    let dist = |i: usize| sq_euclidean(data.row(i), centroids.row(assignments[i]));
+    let (mut far, mut far_d) = (0, dist(0));
+    for i in 1..assignments.len() {
+        let d = dist(i);
+        if d.total_cmp(&far_d).is_ge() {
+            (far, far_d) = (i, d);
+        }
+    }
+    far
+}
+
+/// Whether an iteration whose assignment changes are `log` (`(row,
+/// assignment before)`, the first `stepped` from the assignment step in
+/// row order, then the repair's) left every row where it began: each
+/// row's first entry holds its assignment at the start, so a row moved
+/// by the step and moved back by the repair counts as unchanged.
+fn reverted(log: &[(usize, usize)], stepped: usize, assignments: &[usize]) -> bool {
+    let (step, repairs) = log.split_at(stepped);
+    step.iter().all(|&(i, before)| assignments[i] == before)
+        && repairs.iter().enumerate().all(|(j, &(i, before))| {
+            let seen = step.binary_search_by_key(&i, |e| e.0).is_ok()
+                || repairs[..j].iter().any(|e| e.0 == i);
+            seen || assignments[i] == before
+        })
 }
 
 /// Bring `sums`/`counts`, which describe `assignments` over the first
@@ -601,9 +687,10 @@ fn resum(
 
 /// Round a bound up so that accumulated floating-point error can never
 /// make it optimistic. ~4500 ulps of relative slack plus a subnormal
-/// floor covers the handful of rounded operations per bound update by
-/// orders of magnitude; the only cost of over-padding is an extra exact
-/// distance computation.
+/// floor covers the handful of rounded operations behind a key by orders
+/// of magnitude, and behind a threshold the one rounding per iteration
+/// of a frame's sums ([`MAX_FRAME_ITERS`]); the only cost of
+/// over-padding is an extra exact distance computation.
 #[inline]
 fn pad_up(x: f64) -> f64 {
     x + (x.abs() * 1e-12 + 1e-300)
@@ -882,8 +969,9 @@ mod tests {
     /// the pruning-off oracle. All three must agree on every bit, and
     /// after every step the carry must describe the run's final state
     /// exactly: sums and counts as a from-zero row-order pass over the
-    /// final assignment, distances as the WCSS terms, and bounds that
-    /// hold against the final centroids.
+    /// final assignment, distances as the WCSS terms, and keys that
+    /// prune a row only where its centroid is strictly the nearest of
+    /// the final ones.
     fn carry_matches_from_scratch(data: &Dataset, k: usize) {
         let cfg = KMeansConfig::new(k);
         let oracle_cfg = KMeansConfig {
@@ -912,13 +1000,22 @@ mod tests {
                 }
                 let exact = carried.sq_dist_to_centroid(data, i);
                 assert_eq!(c.dist[i].to_bits(), exact.to_bits(), "k={k} n={n} row {i}");
-                assert!(c.upper[i] >= exact.sqrt(), "k={k} n={n} row {i}: upper");
-                for o in (0..k).filter(|&o| o != a) {
-                    let other = sq_euclidean(data.row(i), carried.centroids.row(o)).sqrt();
-                    assert!(c.lower[i] <= other, "k={k} n={n} row {i}: lower");
+                // A pruning key proves `a` strictly the nearest; a NaN
+                // distance is never nearer, and a NaN own distance must
+                // not prune.
+                if c.key[i] > c.frame.threshold(a) {
+                    assert!(!exact.is_nan(), "k={k} n={n} row {i} prunes at NaN");
+                    for o in (0..k).filter(|&o| o != a) {
+                        let other = sq_euclidean(data.row(i), carried.centroids.row(o));
+                        assert!(
+                            other > exact || other.is_nan(),
+                            "k={k} n={n} row {i} prunes but {o} is as near"
+                        );
+                    }
                 }
             }
             assert_eq!(c.counts, counts, "k={k} n={n}");
+            assert_eq!(c.key.len(), n, "k={k} n={n}");
             let bits = |d: &Dataset| {
                 d.iter_rows()
                     .flatten()
@@ -951,5 +1048,38 @@ mod tests {
         for k in 3..=6 {
             carry_matches_from_scratch(&data, k);
         }
+    }
+
+    /// A NaN row turns its cluster's centroid to NaN, and with it that
+    /// cluster's movement sums and threshold: every other member must be
+    /// computed again (a NaN threshold never prunes) and move away.
+    #[test]
+    fn carried_continuations_match_from_scratch_with_a_nan_row() {
+        let mut rows = two_blobs().to_rows();
+        rows.extend((0..12).map(|i| vec![5.0 + 0.3 * (i % 4) as f64, 5.0 - 0.2 * (i % 3) as f64]));
+        rows.insert(14, vec![f64::NAN, 1.0]);
+        let data = Dataset::from_rows(rows);
+        for k in 1..=4 {
+            carry_matches_from_scratch(&data, k);
+        }
+    }
+
+    /// A frame's sums round: a movement under half an ulp of a sum is
+    /// lost from it. Over the most iterations a frame spans, a threshold
+    /// must still cover the exact total movement, so a row keyed when
+    /// the frame began cannot prune past its true slack.
+    #[test]
+    fn frame_threshold_covers_movement_the_sums_round_away() {
+        let mut frame = Frame::new(2);
+        frame.widen(&[1.0, 1.0]);
+        // A quarter ulp of 1.0: lost from `drift[0]` and from `lg`.
+        let tiny = f64::EPSILON / 4.0;
+        for _ in 1..MAX_FRAME_ITERS {
+            frame.widen(&[tiny, 0.0]);
+        }
+        assert_eq!(frame.drift[0] + frame.lg, 2.0, "the sums kept a tiny move");
+        // Exact: a small integer times a power of two.
+        let lost = 2.0 * (MAX_FRAME_ITERS - 1) as f64 * tiny;
+        assert!(frame.threshold(0) - 2.0 >= lost);
     }
 }

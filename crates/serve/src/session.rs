@@ -1414,4 +1414,53 @@ mod tests {
             live
         );
     }
+
+    #[test]
+    fn a_stride_only_policy_keeps_the_newest_snapshot_across_a_restart() {
+        // `stride=4` alone has no hot tail; the newest snapshot must
+        // still survive, or the rehydrated session would expect the
+        // index after the last *retained* one and refuse the next push.
+        let policy = RetentionPolicy::parse("stride=4").unwrap();
+        let (root, store) = durable("stride_only", policy);
+        let r = registry().with_store(store, 0);
+        let (id, s) = r.open().unwrap();
+        let detector = PhaseDetector::default();
+        let indices = |s: &Session| -> Vec<u64> {
+            s.series()
+                .snapshots()
+                .iter()
+                .map(|x| x.sample_index)
+                .collect()
+        };
+        let live = {
+            let mut s = lock(&s);
+            for i in 0..6u64 {
+                s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
+                    .unwrap();
+                s.drain().unwrap();
+            }
+            assert_eq!(indices(&s), vec![0, 4, 5]);
+            let full = s.report_json(&detector, ReportMode::Full);
+            assert!(full.contains("\"snapshots\":3"), "{full}");
+            s.report_json(&detector, ReportMode::AnalysisOnly)
+        };
+        drop(s);
+        drop(r);
+        let store = Store::open(&root, policy, 4).unwrap();
+        let r2 = registry().with_store(store, 0);
+        assert_eq!(r2.recover(), vec![id]);
+        let s2 = r2.get(id).unwrap();
+        let mut s2 = lock(&s2);
+        assert_eq!(indices(&s2), vec![0, 4, 5]);
+        assert_eq!(s2.report_json(&detector, ReportMode::AnalysisOnly), live);
+        assert_eq!(
+            s2.enqueue(gmon(6, 7_000_000_000), Instant::now()),
+            Ok(Enqueue::Accepted)
+        );
+        let acks = s2.drain().unwrap();
+        assert_eq!(acks.len(), 1);
+        assert_eq!(acks[0].sample_index, 6);
+        assert_eq!(indices(&s2), vec![0, 4, 6]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }

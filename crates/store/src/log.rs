@@ -206,10 +206,18 @@ impl SnapshotLog {
     /// positions (a retention trim), atomically via tmp-file + rename.
     /// A kept record that read its table from a dropped one is rewritten
     /// with that table, which keeps rule R. Returns the dropped records'
-    /// sample indices.
+    /// sample indices. The newest record is never dropped (no
+    /// [`RetentionPolicy`](crate::RetentionPolicy) drops it): the next
+    /// append is ordered after it and compares its table with it.
     pub fn compact(&mut self, drop_positions: &[usize]) -> io::Result<Vec<u64>> {
         if drop_positions.is_empty() {
             return Ok(Vec::new());
+        }
+        if drop_positions.last() == Some(&(self.records.len() - 1)) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "compaction never drops the newest record",
+            ));
         }
         let mut bytes = Vec::new();
         File::open(&self.path)?.read_to_end(&mut bytes)?;
@@ -260,10 +268,6 @@ impl SnapshotLog {
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        if drop_positions.last() == Some(&(self.records.len() - 1)) {
-            // The newest record is gone: the next append writes its table.
-            self.tail_table = None;
-        }
         self.records = kept;
         self.carries = kept_carries;
         incprof_obs::counter(incprof_obs::names::STORE_COMPACTIONS).inc();
@@ -478,17 +482,14 @@ mod tests {
     }
 
     #[test]
-    fn a_policy_without_a_hot_tail_drops_the_newest_and_the_next_append_carries_its_table() {
+    fn a_policy_without_a_hot_tail_keeps_the_newest_record() {
         let dir = tmpdir("hot_zero");
         let path = dir.join("log.iprf");
-        let policy = RetentionPolicy {
-            hot: 0,
-            stride: 4,
-            max_bytes: 0,
-        };
-        // Record 2 grows the table and is dropped as soon as it lands;
-        // record 4 must carry the grown table although the last table
-        // appended was that same one.
+        let policy = RetentionPolicy::parse("stride=4").unwrap();
+        assert_eq!(policy.hot, 0);
+        // Record 2 grows the table. Each record stays while it is the
+        // newest; the next append drops it unless it is a stride
+        // multiple, and that append's record takes over its table.
         let (small, big) = (names(20), names(24));
         let snaps: Vec<GmonData> = (0..6)
             .map(|i| snap(i, if i < 2 { &small } else { &big }))
@@ -496,14 +497,17 @@ mod tests {
         let mut log = SnapshotLog::create(&path, 8).unwrap();
         for g in &snaps[..5] {
             append_retained(&mut log, &policy, g);
+            let newest = log.records().last().map(|r| r.sample_index);
+            assert_eq!(newest, Some(g.sample_index));
         }
         assert_eq!(log.carries, [true, true]);
         drop(log);
         assert_replays(&path, 8, &[&snaps[0], &snaps[4]]);
         let (mut log, _) = SnapshotLog::open(&path, 8).unwrap();
         append_retained(&mut log, &policy, &snaps[5]);
+        assert_eq!(log.carries, [true, true, false]);
         drop(log);
-        assert_replays(&path, 8, &[&snaps[0], &snaps[4]]);
+        assert_replays(&path, 8, &[&snaps[0], &snaps[4], &snaps[5]]);
     }
 
     #[test]
@@ -614,6 +618,9 @@ mod tests {
         assert_eq!(dropped, vec![1, 3]);
         let kept: Vec<u64> = log.records().iter().map(|r| r.sample_index).collect();
         assert_eq!(kept, vec![0, 2, 4, 5]);
+        let newest = log.compact(&[2, 3]).unwrap_err();
+        assert_eq!(newest.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(log.records().len(), 4, "a refused compaction drops nothing");
         // Appends keep working after the rewrite.
         log.append(6, &gmon(6, 100).encode()).unwrap();
         drop(log);

@@ -6,8 +6,10 @@
 //! old record never loses totals — consecutive retained snapshots simply
 //! delta into coarser merged intervals. The tiers:
 //!
-//! 1. **Hot tail** — the newest [`RetentionPolicy::hot`] records are
-//!    always kept at full resolution.
+//! 1. **Hot tail** — the newest [`RetentionPolicy::hot`] records, and
+//!    never fewer than one, are always kept at full resolution. The
+//!    newest record is what a session's next push is ordered after, so
+//!    no policy drops the record just appended.
 //! 2. **Strided history** — older records are kept only when their
 //!    `sample_index` is a multiple of [`RetentionPolicy::stride`].
 //!    Keying on the original sample index (never on position) makes the
@@ -36,7 +38,8 @@ pub struct RecordMeta {
 /// Tiered retention configuration. The default keeps everything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionPolicy {
-    /// Newest records always kept at full resolution.
+    /// Newest records always kept at full resolution; `0` keeps the
+    /// newest one all the same.
     pub hot: usize,
     /// Beyond the hot tail, keep records whose `sample_index` is a
     /// multiple of this; `0` or `1` keeps every record.
@@ -69,8 +72,9 @@ impl RetentionPolicy {
     /// Parse a `--retention` spec: comma-separated `key=value` pairs of
     /// `hot`, `stride`, and `max_bytes`, e.g. `hot=64,stride=8` or
     /// `hot=128,stride=16,max_bytes=1048576`. Omitted keys keep their
-    /// keep-all defaults (`hot` defaults to 0 once any key is given, so
-    /// `stride=8` alone strides the entire log).
+    /// keep-all defaults, except `hot`, which defaults to 0 once any key
+    /// is given: `stride=8` alone strides the whole log but its newest
+    /// record, which every policy keeps.
     pub fn parse(spec: &str) -> Result<RetentionPolicy, String> {
         let mut policy = RetentionPolicy {
             hot: 0,
@@ -106,7 +110,7 @@ impl RetentionPolicy {
         if self.is_keep_all() {
             return Vec::new();
         }
-        let hot_start = records.len().saturating_sub(self.hot);
+        let hot_start = records.len().saturating_sub(self.hot.max(1));
         let mut keep: Vec<bool> = records
             .iter()
             .enumerate()
@@ -188,6 +192,18 @@ mod tests {
         // Only indices 0 (stride multiple) and the hot tail 7,8,9 survive.
         let r = recs(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 10);
         assert_eq!(p.drops(&r), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn the_newest_record_is_kept_without_a_hot_tail() {
+        let p = RetentionPolicy::parse("stride=4,max_bytes=1").unwrap();
+        assert_eq!(p.hot, 0);
+        // 5 is neither a stride multiple nor under the budget, but it is
+        // the newest record: everything older goes, 5 stays.
+        let r = recs(&[0, 4, 5], 10);
+        assert_eq!(p.drops(&r), vec![0, 1]);
+        let r = recs(&[0, 4, 5, 6], 10);
+        assert_eq!(p.drops(&r), vec![0, 1, 2]);
     }
 
     #[test]

@@ -667,8 +667,9 @@ fn pruned_kmeans_is_bit_identical_across_thread_counts() {
     // The Hamerly-bound fast path skips exact distance work per point;
     // its claim is "identical bits to the naive argmin, at any worker
     // count". The app series stay under Lloyd's parallel threshold
-    // (n·k·d >= 200_000), so a 3000×10 dataset at k = 8 crosses it and
-    // the pruned assignment really runs chunked.
+    // (exact rows·k·d >= 200_000), so a 3000×10 dataset at k = 8 crosses
+    // it on each restart's first, all-exact iteration and the pruned
+    // run's exact rows really go to the pool chunked.
     use incprof_suite::cluster::{kmeans, Dataset, KMeansConfig, KMeansResult};
     let (n, d) = (3000usize, 10usize);
     let mut state = 0x1234_5678_9abc_def0u64;
