@@ -82,13 +82,8 @@ impl RankContext {
                 let clock = Clock::virtual_clock();
                 let rt = ProfilerRuntime::with_clock(clock.clone());
                 let ekg = AppEkg::new(clock.clone(), interval_ns);
-                let collector = IncProfCollector::manual(
-                    rt.clone(),
-                    CollectorConfig {
-                        interval_ns,
-                        encode_gmon: false,
-                    },
-                );
+                let collector =
+                    IncProfCollector::manual(rt.clone(), CollectorConfig { interval_ns });
                 RankContext {
                     rt,
                     ekg,
@@ -109,13 +104,7 @@ impl RankContext {
                 rt.set_enabled(profile);
                 let ekg = AppEkg::new(clock.clone(), interval_ns);
                 let collector = profile.then(|| {
-                    IncProfCollector::start_wall(
-                        rt.clone(),
-                        CollectorConfig {
-                            interval_ns,
-                            encode_gmon: false,
-                        },
-                    )
+                    IncProfCollector::start_wall(rt.clone(), CollectorConfig { interval_ns })
                 });
                 RankContext {
                     rt,

@@ -31,7 +31,6 @@ use incprof_core::report::{
 use incprof_core::{ClusteringMethod, PhaseAnalysis, PhaseDetector};
 use incprof_obs::{JsonWriter, Raw};
 use incprof_profile::{FlatProfile, FunctionTable, ProfileError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -65,21 +64,15 @@ const GLOBAL_HELP: &str = "\
 static COMMANDS: &[Spec] = &[
     Spec {
         cmd: "demo",
-        positionals: "<dump.json>",
+        positionals: "<dir>",
         flags: &[],
         run: |p| demo(Path::new(p.rest[0])),
     },
     Spec {
         cmd: "render-reports",
-        positionals: "<dump.json> <dir>",
+        positionals: "<gmon-dir> <out-dir>",
         flags: &[],
         run: |p| render_reports_cmd(Path::new(p.rest[0]), Path::new(p.rest[1])),
-    },
-    Spec {
-        cmd: "render-gmon",
-        positionals: "<dump.json> <dir>",
-        flags: &[],
-        run: |p| render_gmon_cmd(Path::new(p.rest[0]), Path::new(p.rest[1])),
     },
     Spec {
         cmd: "analyze-gmon",
@@ -92,12 +85,6 @@ static COMMANDS: &[Spec] = &[
         positionals: "<dir>",
         flags: ANALYZE_FLAGS,
         run: |p| analyze_reports(Path::new(p.rest[0]), &analyze_options(p)?),
-    },
-    Spec {
-        cmd: "analyze-json",
-        positionals: "<dump.json>",
-        flags: ANALYZE_FLAGS,
-        run: |p| analyze_json(Path::new(p.rest[0]), &analyze_options(p)?),
     },
     Spec {
         cmd: "lint",
@@ -159,7 +146,7 @@ static COMMANDS: &[Spec] = &[
     },
     Spec {
         cmd: "push",
-        positionals: "<addr> <dump.json>",
+        positionals: "<addr> <dir>",
         flags: &[
             flag("--analysis", ""),
             flag("--keep-open", ""),
@@ -180,7 +167,7 @@ static COMMANDS: &[Spec] = &[
     },
     Spec {
         cmd: "collect",
-        positionals: "<out.json>",
+        positionals: "<dir>",
         flags: &[flag("--interval-ms", "n"), flag("--max-samples", "n")],
         run: serve_cmd::collect_cmd,
     },
@@ -204,29 +191,16 @@ pub fn usage() -> String {
     format!("{}\n{GLOBAL_HELP}", args::usage(title, COMMANDS, GLOBAL))
 }
 
-/// A collected run, as serialized to disk: the function table plus the
-/// cumulative sample series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunDump {
-    /// Function names, indexed by id.
-    pub table: FunctionTable,
-    /// Cumulative profile samples.
-    pub series: SampleSeries,
-}
-
-/// Read a run dump back from disk, with its name index rebuilt.
-fn load_dump(path: &Path) -> Result<RunDump, CliError> {
-    let text = std::fs::read_to_string(path)?;
-    let mut dump: RunDump = serde_json::from_str(&text)?;
-    dump.table.rebuild_index();
-    Ok(dump)
-}
-
-/// Write a run dump to disk, returning its sample count.
-fn save_dump(path: &Path, table: FunctionTable, series: SampleSeries) -> Result<usize, CliError> {
-    let dump = RunDump { table, series };
-    std::fs::write(path, serde_json::to_string(&dump)?)?;
-    Ok(dump.series.len())
+/// Read a collected run: a directory of `gmon.out.N` cumulative
+/// profiles, one per interval, as the paper's collector leaves them and
+/// `demo` and `collect` write them (`series_io::write_gmon_dir`). An
+/// empty directory is a usage error.
+fn load_run(dir: &Path) -> Result<(SampleSeries, FunctionTable), CliError> {
+    let (series, table) = incprof_collect::series_io::read_gmon_dir(dir).map_err(pipeline)?;
+    if series.is_empty() {
+        return usage_error(format!("no gmon files in {}", dir.display()));
+    }
+    Ok((series, table))
 }
 
 /// CLI errors.
@@ -316,7 +290,7 @@ impl Default for AnalyzeOptions {
     }
 }
 
-/// The options shared by the three `analyze-*` commands.
+/// The options shared by the two `analyze-*` commands.
 fn analyze_options(p: &Parsed) -> Result<AnalyzeOptions, CliError> {
     let defaults = AnalyzeOptions::default();
     let threshold = p.num("--threshold")?.unwrap_or(defaults.threshold);
@@ -402,12 +376,6 @@ fn analyze_intervals(
     render(&analyze(&matrix, opts)?, &matrix, table, opts)
 }
 
-/// `incprof analyze-json`: analyze a collected run dump.
-pub fn analyze_json(path: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
-    let dump = load_dump(path)?;
-    analyze_intervals(dump.series.interval_profiles(), &dump.table, opts)
-}
-
 /// `incprof analyze-reports`: read every regular file in `dir` in
 /// lexicographic name order as a cumulative gprof flat-profile text
 /// report (one per interval).
@@ -430,31 +398,19 @@ pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliE
     analyze_intervals(intervals, &table, opts)
 }
 
-/// `incprof render-gmon`: write one binary `gmon.out.N` per sample —
-/// the paper's literal on-disk artifact.
-pub fn render_gmon_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, CliError> {
-    let dump = load_dump(dump_path)?;
-    let n = incprof_collect::series_io::write_gmon_dir(&dump.series, &dump.table, out_dir)
-        .map_err(pipeline)?;
-    Ok(format!("wrote {n} gmon binaries to {}", out_dir.display()))
-}
-
-/// `incprof analyze-gmon`: analyze a directory of binary `gmon.out.N`
-/// cumulative profiles.
+/// `incprof analyze-gmon`: analyze a collected run, a directory of
+/// binary `gmon.out.N` cumulative profiles.
 pub fn analyze_gmon(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
-    let (series, table) = incprof_collect::series_io::read_gmon_dir(dir).map_err(pipeline)?;
-    if series.is_empty() {
-        return usage_error(format!("no gmon files in {}", dir.display()));
-    }
+    let (series, table) = load_run(dir)?;
     analyze_intervals(series.interval_profiles(), &table, opts)
 }
 
 /// `incprof render-reports`: write one gprof flat-profile text report
-/// per sample (the paper's renamed per-interval files).
-pub fn render_reports_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, CliError> {
-    let dump = load_dump(dump_path)?;
+/// per sample of a collected run (the paper's per-interval reports).
+pub fn render_reports_cmd(run_dir: &Path, out_dir: &Path) -> Result<String, CliError> {
+    let (series, table) = load_run(run_dir)?;
     std::fs::create_dir_all(out_dir)?;
-    let reports = incprof_collect::report_path::render_reports(&dump.series, &dump.table);
+    let reports = incprof_collect::report_path::render_reports(&series, &table);
     for (i, report) in reports.iter().enumerate() {
         std::fs::write(out_dir.join(format!("gmon.out.{i:05}.txt")), report)?;
     }
@@ -465,9 +421,9 @@ pub fn render_reports_cmd(dump_path: &Path, out_dir: &Path) -> Result<String, Cl
     ))
 }
 
-/// `incprof demo`: generate a synthetic three-phase run dump for trying
-/// out the analyze commands.
-pub fn demo(out_path: &Path) -> Result<String, CliError> {
+/// `incprof demo`: collect a synthetic three-phase run into `out_dir`
+/// for trying out the other commands.
+pub fn demo(out_dir: &Path) -> Result<String, CliError> {
     use incprof_collect::{CollectorConfig, IncProfCollector};
     use incprof_runtime::{Clock, ProfilerRuntime};
 
@@ -499,10 +455,12 @@ pub fn demo(out_path: &Path) -> Result<String, CliError> {
         collector.tick();
     }
 
-    let n = save_dump(out_path, rt.function_table(), collector.into_series())?;
+    let series = collector.into_series();
+    let n = incprof_collect::series_io::write_gmon_dir(&series, &rt.function_table(), out_dir)
+        .map_err(pipeline)?;
     Ok(format!(
         "wrote a {n}-sample demo run to {}",
-        out_path.display()
+        out_dir.display()
     ))
 }
 
@@ -668,11 +626,11 @@ mod tests {
         args::strip("global", GLOBAL, args)
     }
 
-    /// The `analyze-*` options of a line, as `analyze-json d.json <args>`
+    /// The `analyze-*` options of a line, as `analyze-gmon run <args>`
     /// parses them.
     fn parse_options(args: &[String]) -> Result<AnalyzeOptions, CliError> {
-        let line = [s(&["d.json"]), args.to_vec()].concat();
-        analyze_options(&spec("analyze-json")?.parse(&line)?)
+        let line = [s(&["run"]), args.to_vec()].concat();
+        analyze_options(&spec("analyze-gmon")?.parse(&line)?)
     }
 
     #[test]
@@ -704,19 +662,31 @@ mod tests {
         assert!(parse_options(&s(&["--dbscan", "0.3"])).is_err());
     }
 
-    #[test]
-    fn demo_then_analyze_json_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("incprof_cli_test_{}", std::process::id()));
+    /// A fresh scratch directory for one test.
+    fn tmpdir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("incprof_cli_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("demo.json");
-        demo(&dump).unwrap();
-        let text = analyze_json(&dump, &AnalyzeOptions::default()).unwrap();
+        dir
+    }
+
+    #[test]
+    fn demo_then_analyze_gmon_roundtrip() {
+        let dir = tmpdir("test");
+        let run = dir.join("run");
+        demo(&run).unwrap();
+        let text = analyze_gmon(&run, &AnalyzeOptions::default()).unwrap();
         assert!(text.contains("chosen k = 3"), "{text}");
         assert!(text.contains("implicit_solve"));
         assert!(text.contains("setup_mesh"));
+        // A second run into the same directory is refused; `collect`
+        // refuses it before collecting anything.
+        assert!(matches!(demo(&run), Err(CliError::Pipeline(_))));
+        let collect = crate::run(&s(&["collect", run.to_str().unwrap()]));
+        assert!(matches!(collect, Err(CliError::Pipeline(_))), "{collect:?}");
         // JSON mode parses back as an analysis.
-        let json = analyze_json(
-            &dump,
+        let json = analyze_gmon(
+            &run,
             &AnalyzeOptions {
                 json: true,
                 ..Default::default()
@@ -730,12 +700,11 @@ mod tests {
 
     #[test]
     fn reports_roundtrip_through_directory() {
-        let dir = std::env::temp_dir().join(format!("incprof_cli_reports_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("demo.json");
-        demo(&dump).unwrap();
+        let dir = tmpdir("reports");
+        let run = dir.join("run");
+        demo(&run).unwrap();
         let reports_dir = dir.join("reports");
-        let msg = render_reports_cmd(&dump, &reports_dir).unwrap();
+        let msg = render_reports_cmd(&run, &reports_dir).unwrap();
         assert!(msg.contains("reports"));
         let text = analyze_reports(&reports_dir, &AnalyzeOptions::default()).unwrap();
         assert!(text.contains("chosen k = 3"), "{text}");
@@ -753,28 +722,28 @@ mod tests {
 
     #[test]
     fn global_flags_are_stripped_anywhere() {
-        let line = s(&["analyze-json", "--metrics", "m.json", "d.json", "--verbose"]);
+        let line = s(&["analyze-gmon", "--metrics", "m.json", "run", "--verbose"]);
         let g = split_global_flags(&line).unwrap();
         assert_eq!(g.path("--metrics").as_deref(), Some(Path::new("m.json")));
         assert!(g.has("--verbose"));
-        assert_eq!(g.rest, ["analyze-json", "d.json"]);
+        assert_eq!(g.rest, ["analyze-gmon", "run"]);
         assert!(matches!(
             split_global_flags(&s(&["demo", "--metrics"])),
             Err(CliError::Usage(_))
         ));
-        let line = s(&["demo", "x.json"]);
+        let line = s(&["demo", "run"]);
         let g = split_global_flags(&line).unwrap();
         assert!(GLOBAL.iter().all(|f| !g.has(f.names)));
-        assert_eq!(g.rest, ["demo", "x.json"]);
+        assert_eq!(g.rest, ["demo", "run"]);
     }
 
     #[test]
     fn threads_flag_parses_and_rejects_garbage() {
         let threads = |line: &[&str]| split_global_flags(&s(line))?.at_least("--threads", 1usize);
-        let line = s(&["--threads", "4", "demo", "x.json"]);
+        let line = s(&["--threads", "4", "demo", "run"]);
         let g = split_global_flags(&line).unwrap();
         assert_eq!(g.at_least("--threads", 1).unwrap(), Some(4));
-        assert_eq!(g.rest, ["demo", "x.json"]);
+        assert_eq!(g.rest, ["demo", "run"]);
         assert!(matches!(threads(&["--threads"]), Err(CliError::Usage(_))));
         assert!(matches!(
             threads(&["--threads", "0"]),
@@ -788,14 +757,13 @@ mod tests {
 
     #[test]
     fn metrics_flag_writes_run_report() {
-        let dir = std::env::temp_dir().join(format!("incprof_cli_obs_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("demo.json");
+        let dir = tmpdir("obs");
+        let demo_run = dir.join("run");
         let metrics = dir.join("metrics.json");
-        run(&s(&["demo", dump.to_str().unwrap()])).unwrap();
+        run(&s(&["demo", demo_run.to_str().unwrap()])).unwrap();
         run(&s(&[
-            "analyze-json",
-            dump.to_str().unwrap(),
+            "analyze-gmon",
+            demo_run.to_str().unwrap(),
             "--json",
             "--metrics",
             metrics.to_str().unwrap(),
@@ -843,7 +811,7 @@ mod tests {
         let jsonl = dir.join("metrics.jsonl");
         run(&s(&[
             "demo",
-            dump.to_str().unwrap(),
+            dir.join("run2").to_str().unwrap(),
             "--metrics",
             jsonl.to_str().unwrap(),
         ]))
@@ -917,41 +885,6 @@ mod tests {
   ]
 }}"#;
 
-    /// The run dump's bytes on disk: the table as its `infos` list, then
-    /// the series. Loading them back rebuilds the same table.
-    #[test]
-    fn run_dump_json_is_pinned() {
-        let mut table = FunctionTable::new();
-        let a = table.register_info(incprof_profile::FunctionInfo::with_location(
-            "cg_solve", "cg.cpp", 42,
-        ));
-        table.register("waxpby");
-        let mut flat = FlatProfile::new();
-        flat.record_self_time(a, 1500);
-        flat.record_calls(a, 2);
-        let mut series = SampleSeries::new();
-        series.push(incprof_profile::ProfileSnapshot {
-            sample_index: 0,
-            timestamp_ns: 1_000,
-            flat,
-            callgraph: Default::default(),
-        });
-        let dump = RunDump { table, series };
-        let json = serde_json::to_string(&dump).unwrap();
-        assert_eq!(json, RUN_DUMP_JSON);
-
-        let dir = std::env::temp_dir().join(format!("incprof_cli_dump_pin_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dump.json");
-        std::fs::write(&path, &json).unwrap();
-        let back = load_dump(&path).unwrap();
-        assert_eq!(back.table, dump.table);
-        assert_eq!(back.series, dump.series);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    const RUN_DUMP_JSON: &str = r#"{"table":{"infos":[{"name":"cg_solve","source_file":"cg.cpp","line":42,"address":4096},{"name":"waxpby","source_file":null,"line":null,"address":4112}]},"series":{"snapshots":[{"sample_index":0,"timestamp_ns":1000,"flat":{"stats":{"0":{"self_time":1500,"calls":2,"child_time":0}}},"callgraph":{"arcs":[]}}]}}"#;
-
     #[test]
     fn analyze_reports_on_empty_dir_errors() {
         let dir = std::env::temp_dir().join(format!("incprof_cli_empty_{}", std::process::id()));
@@ -964,13 +897,22 @@ mod tests {
     }
 
     #[test]
+    fn analyze_gmon_empty_dir_is_usage_error() {
+        let dir = tmpdir("gmon_empty");
+        assert!(matches!(
+            analyze_gmon(&dir, &AnalyzeOptions::default()),
+            Err(CliError::Usage(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn merge_and_dbscan_paths_execute() {
-        let dir = std::env::temp_dir().join(format!("incprof_cli_opts_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("demo.json");
-        demo(&dump).unwrap();
-        let merged = analyze_json(
-            &dump,
+        let dir = tmpdir("opts");
+        let run = dir.join("run");
+        demo(&run).unwrap();
+        let merged = analyze_gmon(
+            &run,
             &AnalyzeOptions {
                 merge: true,
                 ..Default::default()
@@ -978,8 +920,8 @@ mod tests {
         )
         .unwrap();
         assert!(merged.contains("Discovered"));
-        let db = analyze_json(
-            &dump,
+        let db = analyze_gmon(
+            &run,
             &AnalyzeOptions {
                 dbscan: Some((0.3, 2)),
                 ..Default::default()
@@ -1091,7 +1033,7 @@ mod table_tests {
 
     #[test]
     fn global_flags_are_stripped_before_and_after_the_subcommand() {
-        let command = vec!["demo".to_string(), "x.json".to_string()];
+        let command = vec!["demo".to_string(), "run".to_string()];
         for flag in GLOBAL {
             let given = [vec![flag.names.to_string()], samples(flag.values)].concat();
             for line in [
@@ -1131,37 +1073,5 @@ mod table_tests {
             run(&line(&["lint", "--allow", "Z99"])),
             Err(CliError::Usage(_))
         ));
-    }
-}
-
-#[cfg(test)]
-mod gmon_cli_tests {
-    use super::*;
-
-    #[test]
-    fn gmon_directory_roundtrip_via_cli() {
-        let dir = std::env::temp_dir().join(format!("incprof_cli_gmon_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let dump = dir.join("demo.json");
-        demo(&dump).unwrap();
-        let gmon_dir = dir.join("gmons");
-        let msg = render_gmon_cmd(&dump, &gmon_dir).unwrap();
-        assert!(msg.contains("gmon binaries"));
-        let text = analyze_gmon(&gmon_dir, &AnalyzeOptions::default()).unwrap();
-        assert!(text.contains("chosen k = 3"), "{text}");
-        assert!(text.contains("implicit_solve"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn analyze_gmon_empty_dir_is_usage_error() {
-        let dir =
-            std::env::temp_dir().join(format!("incprof_cli_gmon_empty_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        assert!(matches!(
-            analyze_gmon(&dir, &AnalyzeOptions::default()),
-            Err(CliError::Usage(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

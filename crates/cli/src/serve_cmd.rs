@@ -8,7 +8,7 @@
 //! `--metrics` machinery in [`crate::run`].
 
 use crate::args::{number, Parsed};
-use crate::{load_dump, save_dump, usage_error, CliError};
+use crate::{load_run, pipeline, usage_error, CliError};
 use incprof_serve::signal;
 use incprof_serve::{BindAddr, Client, PlaneHandle, RetentionPolicy, ServeConfig, Server};
 use std::path::Path;
@@ -376,7 +376,8 @@ fn report_and_finish(
     Ok(report)
 }
 
-/// `incprof push`: replay a collected run dump into a live daemon.
+/// `incprof push`: replay a collected run (a `gmon.out.N` directory)
+/// into a live daemon.
 ///
 /// Opens a session, streams every cumulative snapshot as a gmon-encoded
 /// frame (with bounded busy-retry), and prints the session's JSON
@@ -384,14 +385,14 @@ fn report_and_finish(
 /// `--keep-open` so a later `incprof query` can address the same
 /// session, e.g. across a daemon restart).
 pub(crate) fn push_cmd(p: &Parsed) -> Result<String, CliError> {
-    let dump = load_dump(Path::new(p.rest[1]))?;
+    let (series, table) = load_run(Path::new(p.rest[1]))?;
     let mut client = Client::connect(p.rest[0])?;
     let session = client.open()?;
     if let Some(path) = p.path("--session-file") {
         std::fs::write(path, session.to_string())?;
     }
-    for snap in dump.series.snapshots() {
-        let gmon = snap.to_gmon(&dump.table);
+    for snap in series.snapshots() {
+        let gmon = snap.to_gmon(&table);
         client.push_retry(session, &gmon, 50)?;
     }
     report_and_finish(p, &mut client, session, !p.has("--keep-open"))
@@ -413,16 +414,19 @@ pub(crate) fn query_cmd(p: &Parsed) -> Result<String, CliError> {
 ///
 /// Runs a small three-phase synthetic workload on the main thread while
 /// the wall-clock collector samples it in the background, until SIGINT
-/// (or `--max-samples`) stops it. The drained series is written as a
-/// run dump usable by `analyze-json` and `push`. Exits 0 on Ctrl-C by
-/// design: interruption is the normal way to end a collection.
+/// (or `--max-samples`) stops it. The drained series is written as one
+/// `gmon.out.N` per sample into the run directory, which `analyze-gmon`,
+/// `render-reports` and `push` read. Exits 0 on Ctrl-C by design:
+/// interruption is the normal way to end a collection.
 pub(crate) fn collect_cmd(p: &Parsed) -> Result<String, CliError> {
-    use incprof_collect::{CollectorConfig, IncProfCollector};
+    use incprof_collect::{series_io, CollectorConfig, IncProfCollector};
     use incprof_runtime::ProfilerRuntime;
 
-    let out_path = Path::new(p.rest[0]);
+    let out_dir = Path::new(p.rest[0]);
     let interval_ms: u64 = p.at_least("--interval-ms", 1)?.unwrap_or(50);
     let max_samples: u64 = p.num("--max-samples")?.unwrap_or(u64::MAX);
+    // Refuse an occupied directory now, not after the collection.
+    series_io::ensure_fresh_run_dir(out_dir).map_err(pipeline)?;
 
     signal::install_sigint_handler();
     let rt = ProfilerRuntime::new();
@@ -433,16 +437,15 @@ pub(crate) fn collect_cmd(p: &Parsed) -> Result<String, CliError> {
         rt.clone(),
         CollectorConfig {
             interval_ns: interval_ms * 1_000_000,
-            ..CollectorConfig::default()
         },
     );
     println!(
         "collecting every {interval_ms} ms to {} (Ctrl-C to stop)",
-        out_path.display()
+        out_dir.display()
     );
 
     // A three-phase synthetic workload, phased by sample count so the
-    // dump's shape tracks collection progress rather than wall time.
+    // run's shape tracks collection progress rather than wall time.
     while !signal::interrupted().load(std::sync::atomic::Ordering::Acquire)
         && collector.samples_taken() < max_samples
     {
@@ -456,10 +459,11 @@ pub(crate) fn collect_cmd(p: &Parsed) -> Result<String, CliError> {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
 
-    let n = save_dump(out_path, rt.function_table(), collector.stop())?;
+    let series = collector.stop();
+    let n = series_io::write_gmon_dir(&series, &rt.function_table(), out_dir).map_err(pipeline)?;
     Ok(format!(
         "collected {n} sample(s) to {} (drained cleanly)",
-        out_path.display()
+        out_dir.display()
     ))
 }
 

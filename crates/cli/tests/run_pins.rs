@@ -32,7 +32,7 @@ fn path(p: &Path) -> &str {
 
 /// `demo` into a fresh directory; returns the run's path.
 fn demo_run(dir: &Path) -> PathBuf {
-    let run = dir.join("run.json");
+    let run = dir.join("run");
     cli(&["demo", path(&run)]);
     run
 }
@@ -42,11 +42,11 @@ fn demo_analysis_is_pinned() {
     let dir = tmpdir("analyze");
     let run = demo_run(&dir);
     assert_eq!(
-        format!("{}\n", cli(&["analyze-json", path(&run)])),
+        format!("{}\n", cli(&["analyze-gmon", path(&run)])),
         ANALYSIS_TABLE
     );
     assert_eq!(
-        format!("{}\n", cli(&["analyze-json", path(&run), "--json"])),
+        format!("{}\n", cli(&["analyze-gmon", path(&run), "--json"])),
         ANALYSIS_JSON
     );
     std::fs::remove_dir_all(&dir).ok();

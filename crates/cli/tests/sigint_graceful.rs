@@ -156,13 +156,13 @@ fn serve_drains_and_exits_zero_on_sigint() {
 #[test]
 fn collect_drains_and_exits_zero_on_sigint() {
     let dir = temp_dir("collect");
-    let dump = dir.join("dump.json");
+    let run = dir.join("run");
     let metrics = dir.join("metrics.json");
 
     let child = incprof()
         .args([
             "collect",
-            dump.to_str().expect("utf8 path"),
+            run.to_str().expect("utf8 path"),
             "--interval-ms",
             "10",
             "--metrics",
@@ -182,10 +182,15 @@ fn collect_drains_and_exits_zero_on_sigint() {
         "collect must exit 0 on SIGINT: {status:?}"
     );
 
-    // The interrupted collection still produced a loadable dump...
-    let dump_text = std::fs::read_to_string(&dump).expect("dump written");
-    let parsed: incprof_cli::RunDump = serde_json::from_str(&dump_text).expect("dump parses");
-    assert!(!parsed.series.is_empty(), "dump must contain samples");
+    // The interrupted collection still produced a loadable run...
+    let (series, table) =
+        incprof_collect::series_io::read_gmon_dir(&run).expect("run directory reads back");
+    assert!(!series.is_empty(), "run must contain samples");
+    assert!(
+        table.id_of("implicit_solve").is_some(),
+        "run carries its table"
+    );
+    assert!(series.interval_profiles().is_ok(), "samples are cumulative");
     // ...and the flushed report shows collector activity.
     let report =
         incprof_obs::RunReport::from_json(&std::fs::read_to_string(&metrics).expect("metrics"))

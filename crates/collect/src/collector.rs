@@ -12,7 +12,6 @@
 //!   boundary, giving a deterministic sample series.
 
 use crate::series::SampleSeries;
-use incprof_profile::GmonData;
 use incprof_runtime::ProfilerRuntime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,18 +25,12 @@ pub struct CollectorConfig {
     /// Sampling interval in nanoseconds. The paper samples once per
     /// second ("Our IncProf sampling rate was set to one second", §VI).
     pub interval_ns: u64,
-    /// When true, every snapshot is also encoded to gmon bytes (the
-    /// equivalent of actually writing each renamed `gmon.out.N`), which
-    /// costs time and memory but lets tests and experiments exercise the
-    /// full binary data path.
-    pub encode_gmon: bool,
 }
 
 impl Default for CollectorConfig {
     fn default() -> Self {
         CollectorConfig {
             interval_ns: 1_000_000_000,
-            encode_gmon: false,
         }
     }
 }
@@ -46,7 +39,6 @@ struct CollectorShared {
     runtime: ProfilerRuntime,
     config: CollectorConfig,
     series: Mutex<SampleSeries>,
-    gmon_dumps: Mutex<Vec<Vec<u8>>>,
     next_index: AtomicU64,
     stop: AtomicBool,
 }
@@ -56,13 +48,6 @@ impl CollectorShared {
         let started = Instant::now();
         let idx = self.next_index.fetch_add(1, Ordering::Relaxed);
         let snap = self.runtime.snapshot(idx);
-        if self.config.encode_gmon {
-            let gmon = snap.to_gmon(&self.runtime.function_table());
-            let bytes = gmon.encode().to_vec();
-            incprof_obs::counter(incprof_obs::names::COLLECT_GMON_ENCODED_BYTES)
-                .add(bytes.len() as u64);
-            self.gmon_dumps.lock().push(bytes);
-        }
         self.series.lock().push(snap);
         incprof_obs::histogram(incprof_obs::names::COLLECT_SNAPSHOT_LATENCY_NS)
             .record(started.elapsed().as_nanos() as u64);
@@ -85,7 +70,6 @@ impl IncProfCollector {
                 runtime,
                 config,
                 series: Mutex::new(SampleSeries::new()),
-                gmon_dumps: Mutex::new(Vec::new()),
                 next_index: AtomicU64::new(0),
                 stop: AtomicBool::new(false),
             }),
@@ -180,20 +164,6 @@ impl IncProfCollector {
     pub fn samples_taken(&self) -> u64 {
         self.shared.next_index.load(Ordering::Relaxed)
     }
-
-    /// The encoded gmon dumps (empty unless `config.encode_gmon`).
-    pub fn gmon_dumps(&self) -> Vec<Vec<u8>> {
-        self.shared.gmon_dumps.lock().clone()
-    }
-
-    /// Decode the collected gmon dumps back into [`GmonData`] (test and
-    /// experiment support for the binary data path).
-    pub fn decode_gmon_dumps(&self) -> Result<Vec<GmonData>, incprof_profile::ProfileError> {
-        self.gmon_dumps()
-            .iter()
-            .map(|b| GmonData::decode(b))
-            .collect()
-    }
 }
 
 impl Drop for IncProfCollector {
@@ -235,42 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn gmon_dumps_encode_every_sample() {
-        let clock = Clock::virtual_clock();
-        let rt = ProfilerRuntime::with_clock(clock.clone());
-        let f = rt.register_function("work");
-        let collector = IncProfCollector::manual(
-            rt.clone(),
-            CollectorConfig {
-                interval_ns: 1000,
-                encode_gmon: true,
-            },
-        );
-        for _ in 0..3 {
-            let _g = rt.enter(f);
-            clock.advance(1000);
-            drop(_g);
-            collector.tick();
-        }
-        let dumps = collector.decode_gmon_dumps().unwrap();
-        assert_eq!(dumps.len(), 3);
-        assert_eq!(dumps[0].sample_index, 0);
-        assert_eq!(dumps[2].sample_index, 2);
-        // Dumps are cumulative: self time grows.
-        let id = dumps[2].functions.iter().next().unwrap().0;
-        assert!(dumps[2].flat.get(id).self_time > dumps[0].flat.get(id).self_time);
-    }
-
-    #[test]
     fn wall_mode_collects_samples_over_real_time() {
         let rt = ProfilerRuntime::new(); // wall clock
         let f = rt.register_function("spin");
         let collector = IncProfCollector::start_wall(
             rt.clone(),
             CollectorConfig {
-                interval_ns: 20_000_000,
-                encode_gmon: false,
-            }, // 20 ms
+                interval_ns: 20_000_000, // 20 ms
+            },
         );
         let deadline = std::time::Instant::now() + Duration::from_millis(120);
         while std::time::Instant::now() < deadline {
@@ -294,9 +236,8 @@ mod tests {
         let collector = IncProfCollector::start_wall(
             rt,
             CollectorConfig {
-                interval_ns: 10_000_000,
-                encode_gmon: false,
-            }, // 10 ms
+                interval_ns: 10_000_000, // 10 ms
+            },
         );
         std::thread::sleep(Duration::from_millis(105));
         let series = collector.stop();

@@ -16,6 +16,9 @@
 //!   [`incprof_runtime::ProfilerRuntime`] once per interval.
 //! * [`SampleSeries`] — the ordered cumulative snapshots ("the renamed
 //!   gmon.out files"), with the delta step producing interval profiles.
+//! * [`series_io`] — a run on disk, the paper's directory of renamed
+//!   `gmon.out.N` binaries: the one run format the `incprof` CLI writes
+//!   and reads.
 //! * [`report_path`] — the optional full-fidelity data path that encodes
 //!   every snapshot to a gmon byte stream, renders it to a gprof text
 //!   report, and parses it back, reproducing the paper's exact pipeline

@@ -1,11 +1,10 @@
 //! Ordered cumulative snapshot series and the delta step.
 
 use incprof_profile::{FlatProfile, ProfileError, ProfileSnapshot};
-use serde::{Deserialize, Serialize};
 
 /// The sequence of cumulative snapshots produced by a collection run —
 /// the in-memory equivalent of the paper's numbered `gmon.out` samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleSeries {
     snapshots: Vec<ProfileSnapshot>,
 }
@@ -126,6 +125,11 @@ impl SampleSeries {
     /// Borrow the cumulative snapshots.
     pub fn snapshots(&self) -> &[ProfileSnapshot] {
         &self.snapshots
+    }
+
+    /// Take the cumulative snapshots out of the series.
+    pub fn into_snapshots(self) -> Vec<ProfileSnapshot> {
+        self.snapshots
     }
 
     /// The last cumulative snapshot, if any (the whole-run profile).

@@ -8,19 +8,63 @@
 
 use crate::series::SampleSeries;
 use incprof_profile::{FunctionTable, GmonData, ProfileError, ProfileSnapshot};
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// The regular files of `dir`, in name order: what [`read_gmon_dir`]
+/// reads as samples.
+fn sample_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut paths: Vec<_> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.is_file())
+        .collect();
+    paths.sort();
+    Ok(paths)
+}
+
+/// Fail with [`io::ErrorKind::AlreadyExists`] when `dir` holds a file
+/// [`read_gmon_dir`] would read; a missing directory holds none. Writing
+/// files into a directory does not replace the ones already there, so a
+/// shorter run written over a longer one would leave the old tail to be
+/// read as part of it, and any other file would fail the read.
+pub fn ensure_fresh_run_dir(dir: &Path) -> Result<(), ProfileError> {
+    let files = match sample_files(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        files => files?,
+    };
+    match files.first() {
+        Some(file) => Err(ProfileError::Io(io::Error::new(
+            io::ErrorKind::AlreadyExists,
+            format!(
+                "{} is not a fresh run directory: it holds {}",
+                dir.display(),
+                file.display()
+            ),
+        ))),
+        None => Ok(()),
+    }
+}
 
 /// Write one `gmon.out.<index>` binary per sample into `dir` (created if
 /// missing). Returns the number of files written.
+///
+/// Every index in one directory is zero-padded to the width of the
+/// largest, and never to fewer than 6 digits, so name order stays sample
+/// order past 999 999 samples. A directory that already holds files is
+/// refused by [`ensure_fresh_run_dir`] before anything is written.
 pub fn write_gmon_dir(
     series: &SampleSeries,
     table: &FunctionTable,
     dir: &Path,
 ) -> Result<usize, ProfileError> {
+    ensure_fresh_run_dir(dir)?;
     std::fs::create_dir_all(dir)?;
+    let last = series.last().map_or(0, |s| s.sample_index);
+    let width = last.to_string().len().max(6);
     for snap in series.snapshots() {
         let gmon = snap.to_gmon(table);
-        let path = dir.join(format!("gmon.out.{:06}", snap.sample_index));
+        let path = dir.join(format!("gmon.out.{:0width$}", snap.sample_index));
         std::fs::write(path, gmon.encode())?;
     }
     Ok(series.len())
@@ -32,12 +76,7 @@ pub fn write_gmon_dir(
 /// that order, so a directory of files renamed by any monotone scheme
 /// loads correctly.
 pub fn read_gmon_dir(dir: &Path) -> Result<(SampleSeries, FunctionTable), ProfileError> {
-    let mut paths: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_file())
-        .collect();
-    paths.sort();
+    let paths = sample_files(dir)?;
     let mut series = SampleSeries::new();
     let mut table = FunctionTable::new();
     for (i, path) in paths.iter().enumerate() {
@@ -56,7 +95,7 @@ pub fn read_gmon_dir(dir: &Path) -> Result<(SampleSeries, FunctionTable), Profil
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::{FlatProfile, FunctionId, FunctionStats};
+    use incprof_profile::FlatProfile;
 
     fn sample_series() -> (SampleSeries, FunctionTable) {
         let mut table = FunctionTable::new();
@@ -147,7 +186,83 @@ mod tests {
         write_gmon_dir(&series, &table, &dir).unwrap();
         let (_, back_table) = read_gmon_dir(&dir).unwrap();
         assert_eq!(back_table.len(), 2);
-        let _ = (FunctionId(0), FunctionStats::default());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Writing over a run is refused whole: a shorter run written into
+    /// the directory of a longer one would otherwise read back with the
+    /// old run's tail spliced on.
+    #[test]
+    fn a_directory_holding_a_run_is_refused_and_left_as_it_was() {
+        let (series, table) = sample_series();
+        let dir = tmpdir("refuse");
+        write_gmon_dir(&series, &table, &dir).unwrap();
+        let listing = |dir: &Path| -> Vec<(String, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    let name = e.file_name().into_string().unwrap();
+                    (name, std::fs::read(e.path()).unwrap())
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = listing(&dir);
+        let mut shorter = SampleSeries::new();
+        shorter.push(series.snapshots()[0].clone());
+        match write_gmon_dir(&shorter, &table, &dir) {
+            Err(ProfileError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::AlreadyExists),
+            other => panic!("expected AlreadyExists, got {other:?}"),
+        }
+        assert_eq!(listing(&dir), before);
+        // Any file the read would take for a sample is refused too; a
+        // subdirectory, which the read skips, is not.
+        let other = tmpdir("refuse_other");
+        std::fs::create_dir_all(other.join("reports")).unwrap();
+        assert_eq!(write_gmon_dir(&shorter, &table, &other).unwrap(), 1);
+        assert_eq!(read_gmon_dir(&other).unwrap().0.len(), 1);
+        let notes = tmpdir("refuse_notes");
+        std::fs::create_dir_all(&notes).unwrap();
+        std::fs::write(notes.join("notes.txt"), b"x").unwrap();
+        assert!(write_gmon_dir(&shorter, &table, &notes).is_err());
+        assert_eq!(listing(&notes).len(), 1);
+        for d in [dir, other, notes] {
+            std::fs::remove_dir_all(d).ok();
+        }
+    }
+
+    /// Past 999 999 samples every name in the directory widens together,
+    /// so name order stays sample order and the deltas read back in it.
+    #[test]
+    fn indices_past_six_digits_keep_name_order() {
+        let (five, table) = sample_series();
+        let mut series = SampleSeries::new();
+        for (snap, index) in five.snapshots().iter().zip([999_998, 999_999, 1_000_000]) {
+            let snap = ProfileSnapshot {
+                sample_index: index,
+                ..snap.clone()
+            };
+            series.append_monotonic(snap).unwrap();
+        }
+        let dir = tmpdir("wide");
+        write_gmon_dir(&series, &table, &dir).unwrap();
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["gmon.out.0999998", "gmon.out.0999999", "gmon.out.1000000"]
+        );
+        let (back, _) = read_gmon_dir(&dir).unwrap();
+        let flats = |s: &SampleSeries| -> Vec<FlatProfile> {
+            s.snapshots().iter().map(|x| x.flat.clone()).collect()
+        };
+        assert_eq!(flats(&back), flats(&series));
+        assert_eq!(back.interval_profiles().unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

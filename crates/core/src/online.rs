@@ -157,6 +157,26 @@ impl OnlinePhaseDetector {
         }
     }
 
+    /// Forget every observation, as [`OnlinePhaseDetector::new`] with
+    /// this configuration would, keeping the buffers' capacity.
+    pub fn reset(&mut self) {
+        let OnlinePhaseDetector {
+            config: _,
+            columns,
+            centroids,
+            member_counts,
+            assignments,
+            transitions,
+            capped,
+        } = self;
+        columns.clear();
+        centroids.clear();
+        member_counts.clear();
+        assignments.clear();
+        transitions.clear();
+        capped.clear();
+    }
+
     /// Number of phases opened so far.
     pub fn n_phases(&self) -> usize {
         self.centroids.len()
@@ -238,6 +258,24 @@ mod tests {
             .map(|o| o.interval)
             .collect();
         assert_eq!(new_flags, vec![0, 10]);
+    }
+
+    /// A reset detector answers every later interval as a fresh one does.
+    #[test]
+    fn reset_detector_matches_a_fresh_one() {
+        let config = OnlineConfig { max_phases: 2 };
+        let mut reused = OnlinePhaseDetector::new(config.clone());
+        for id in [0, 1, 2, 3] {
+            reused.observe(&interval(&[(id, 1.0)]));
+        }
+        assert!(!reused.capped_intervals().is_empty());
+        reused.reset();
+        let mut fresh = OnlinePhaseDetector::new(config);
+        for id in [3, 3, 1, 0, 2] {
+            let one = interval(&[(id, 1.0)]);
+            assert_eq!(reused.observe(&one), fresh.observe(&one));
+        }
+        assert_eq!(format!("{reused:?}"), format!("{fresh:?}"));
     }
 
     #[test]

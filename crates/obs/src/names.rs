@@ -35,9 +35,7 @@ pub const RUNTIME_GUARD_UNBALANCED_EXITS: &str = "runtime.guard.unbalanced_exits
 // collect
 // ---------------------------------------------------------------------
 
-/// Counter: total bytes of gmon-encoded snapshot data produced.
-pub const COLLECT_GMON_ENCODED_BYTES: &str = "collect.gmon.encoded_bytes";
-/// Histogram: latency of taking + encoding one snapshot, nanoseconds.
+/// Histogram: latency of taking one snapshot, nanoseconds.
 pub const COLLECT_SNAPSHOT_LATENCY_NS: &str = "collect.snapshot.latency_ns";
 /// Counter: snapshots collected.
 pub const COLLECT_SNAPSHOT_COUNT: &str = "collect.snapshot.count";
@@ -296,7 +294,6 @@ pub const ALL: &[&str] = &[
     RUNTIME_SNAPSHOT_COUNT,
     RUNTIME_STACK_DEPTH_HWM,
     RUNTIME_GUARD_UNBALANCED_EXITS,
-    COLLECT_GMON_ENCODED_BYTES,
     COLLECT_SNAPSHOT_LATENCY_NS,
     COLLECT_SNAPSHOT_COUNT,
     COLLECT_TICK_JITTER_NS,

@@ -10,11 +10,10 @@
 use crate::error::ProfileError;
 use crate::function::FunctionId;
 use crate::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters for one caller→callee arc.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArcStats {
     /// Number of calls along this arc.
     pub count: u64,
@@ -29,34 +28,9 @@ impl ArcStats {
 }
 
 /// Call-graph profile: map from `(caller, callee)` to arc counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CallGraphProfile {
-    // Serialized as a sequence of (caller, callee, stats) triples because
-    // JSON map keys must be strings.
-    #[serde(with = "arc_serde")]
     arcs: BTreeMap<(FunctionId, FunctionId), ArcStats>,
-}
-
-mod arc_serde {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        map: &BTreeMap<(FunctionId, FunctionId), ArcStats>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        s.collect_seq(map.iter().map(|(&(from, to), &st)| (from, to, st)))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<BTreeMap<(FunctionId, FunctionId), ArcStats>, D::Error> {
-        let triples: Vec<(FunctionId, FunctionId, ArcStats)> = serde::Deserialize::deserialize(d)?;
-        Ok(triples
-            .into_iter()
-            .map(|(from, to, st)| ((from, to), st))
-            .collect())
-    }
 }
 
 impl CallGraphProfile {

@@ -9,11 +9,10 @@
 use crate::error::ProfileError;
 use crate::function::FunctionId;
 use crate::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Counters for one function within a [`FlatProfile`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FunctionStats {
     /// Time spent in the function itself, excluding callees (gprof "self").
     pub self_time: Nanos,
@@ -48,7 +47,7 @@ impl FunctionStats {
 }
 
 /// One rendered row of a flat profile, in gprof report order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlatRow {
     /// Percent of total self time ("% time" column).
     pub percent_time: f64,
@@ -73,7 +72,7 @@ pub struct FlatRow {
 /// May represent either a *cumulative* profile (monotonically growing over
 /// the run) or an *interval* profile (the delta between two cumulative
 /// samples). The two are distinguished only by how they were produced.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlatProfile {
     stats: BTreeMap<FunctionId, FunctionStats>,
 }

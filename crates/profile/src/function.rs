@@ -34,7 +34,7 @@ impl fmt::Display for FunctionId {
 }
 
 /// Metadata about one registered function.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionInfo {
     /// Fully qualified (possibly demangled) function name, e.g.
     /// `PairLJCut::compute` or `validate_bfs_result`.
@@ -96,30 +96,14 @@ impl PartialEq for FunctionTable {
 
 impl Eq for FunctionTable {}
 
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Contents {
     infos: Vec<FunctionInfo>,
     // BTreeMap rather than HashMap so no hash-ordered iteration can ever
-    // leak into serialized output (incprof-lint rule D02); the index is
-    // lookup-only today, but the ordering guarantee is load-bearing for
-    // anything that later walks it.
-    #[serde(skip)]
+    // leak into output (incprof-lint rule D02); the index is lookup-only
+    // today, but the ordering guarantee is load-bearing for anything that
+    // later walks it.
     by_name: BTreeMap<String, FunctionId>,
-}
-
-/// The JSON is the contents' (`{"infos":[...]}`); sharing is invisible.
-impl Serialize for FunctionTable {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        self.contents.serialize(serializer)
-    }
-}
-
-impl<'de> Deserialize<'de> for FunctionTable {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        Contents::deserialize(deserializer).map(|contents| FunctionTable {
-            contents: Arc::new(contents),
-        })
-    }
 }
 
 impl FunctionTable {
@@ -209,17 +193,6 @@ impl FunctionTable {
     pub fn shares_contents_with(&self, other: &FunctionTable) -> bool {
         Arc::ptr_eq(&self.contents, &other.contents)
     }
-
-    /// Rebuild the name index after deserialization (serde skips the map).
-    pub fn rebuild_index(&mut self) {
-        let contents = Arc::make_mut(&mut self.contents);
-        contents.by_name = contents
-            .infos
-            .iter()
-            .enumerate()
-            .map(|(i, info)| (info.name.clone(), FunctionId(i as u32)))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -298,48 +271,6 @@ mod tests {
         assert_eq!(names, vec!["z", "a", "m"]);
     }
 
-    /// D02 regression: serialization must be a pure function of the
-    /// registration sequence — byte-identical across repeated dumps and
-    /// across a serialize/deserialize/rebuild round trip, never
-    /// dependent on container iteration order.
-    #[test]
-    fn serialization_is_stable() {
-        let build = || {
-            let mut t = FunctionTable::new();
-            for name in ["zeta", "alpha", "mid", "omega", "beta"] {
-                t.register_info(FunctionInfo::with_location(name, "app.c", 7));
-            }
-            t
-        };
-        let a = serde_json::to_string(&build()).unwrap();
-        let b = serde_json::to_string(&build()).unwrap();
-        assert_eq!(a, b, "same registrations must serialize identically");
-
-        let mut back: FunctionTable = serde_json::from_str(&a).unwrap();
-        back.rebuild_index();
-        let c = serde_json::to_string(&back).unwrap();
-        assert_eq!(a, c, "round trip + rebuild must not reorder output");
-    }
-
-    /// The JSON of a table is its `infos` list and nothing else; run
-    /// dumps and reports on disk depend on these exact bytes.
-    #[test]
-    fn json_is_pinned() {
-        let mut t = FunctionTable::new();
-        t.register_info(FunctionInfo::with_location("cg_solve", "cg.cpp", 42));
-        t.register("impose_dirichlet");
-        assert_eq!(
-            serde_json::to_string(&t).unwrap(),
-            TABLE_JSON,
-            "a table's JSON moved"
-        );
-        let mut back: FunctionTable = serde_json::from_str(TABLE_JSON).unwrap();
-        back.rebuild_index();
-        assert_eq!(back, t);
-    }
-
-    const TABLE_JSON: &str = r#"{"infos":[{"name":"cg_solve","source_file":"cg.cpp","line":42,"address":4096},{"name":"impose_dirichlet","source_file":null,"line":null,"address":4112}]}"#;
-
     /// A clone is a value: registering into the original, whether a new
     /// name or a location for a known one, leaves the clone as it was.
     #[test]
@@ -362,34 +293,6 @@ mod tests {
         // reach the table it came from.
         let mut copy = t.clone();
         copy.register("extra");
-        copy.rebuild_index();
         assert_eq!((t.len(), t.id_of("extra")), (2, None));
-    }
-
-    /// Equality covers the name index: a deserialized table compares
-    /// unequal to its source until `rebuild_index` runs.
-    #[test]
-    fn deserialized_table_needs_rebuild_to_compare_equal() {
-        let mut t = FunctionTable::new();
-        t.register("one");
-        t.register("two");
-        let mut back: FunctionTable =
-            serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
-        assert_ne!(back, t);
-        back.rebuild_index();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut t = FunctionTable::new();
-        t.register("one");
-        t.register("two");
-        let json = serde_json::to_string(&t).unwrap();
-        let mut back: FunctionTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.id_of("one"), None); // index skipped by serde
-        back.rebuild_index();
-        assert_eq!(back.id_of("one"), Some(FunctionId(0)));
-        assert_eq!(back.id_of("two"), Some(FunctionId(1)));
     }
 }

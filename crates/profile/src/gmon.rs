@@ -361,8 +361,7 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let g = sample_gmon();
         let bytes = g.encode();
-        let mut back = GmonData::decode(&bytes).unwrap();
-        back.functions.rebuild_index();
+        let back = GmonData::decode(&bytes).unwrap();
         assert_eq!(back.sample_index, 7);
         assert_eq!(back.timestamp_ns, 123_456_789);
         assert_eq!(back.functions.len(), 2);

@@ -8,11 +8,10 @@ use crate::callgraph::CallGraphProfile;
 use crate::flat::FlatProfile;
 use crate::function::FunctionTable;
 use crate::gmon::GmonData;
-use serde::{Deserialize, Serialize};
 
 /// One cumulative profile snapshot, tagged with its sample index and the
 /// time at which it was taken.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProfileSnapshot {
     /// Monotone index assigned by the collector: 0, 1, 2, ...
     pub sample_index: u64,
@@ -52,7 +51,6 @@ impl ProfileSnapshot {
 mod tests {
     use super::*;
     use crate::flat::FunctionStats;
-    use crate::function::FunctionId;
 
     #[test]
     fn gmon_roundtrip_via_snapshot() {
@@ -76,22 +74,6 @@ mod tests {
         let gmon = snap.to_gmon(&table);
         let decoded = GmonData::decode(&gmon.encode()).unwrap();
         let back = ProfileSnapshot::from_gmon(&decoded);
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn snapshot_serializes_to_json() {
-        let mut snap = ProfileSnapshot::default();
-        snap.flat.set(
-            FunctionId(0),
-            FunctionStats {
-                self_time: 5,
-                calls: 2,
-                child_time: 1,
-            },
-        );
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: ProfileSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
     }
 }

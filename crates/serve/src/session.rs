@@ -79,7 +79,6 @@ struct Pending {
 pub struct Session {
     id: u64,
     series: SampleSeries,
-    prev_flat: FlatProfile,
     table: FunctionTable,
     online: OnlinePhaseDetector,
     pending: VecDeque<Pending>,
@@ -102,11 +101,6 @@ pub struct Session {
     /// on rehydration because replay runs the same detector over the
     /// same log.
     last_ack: Option<IngestAck>,
-    /// The next expected `sample_index`. Tracked explicitly rather than
-    /// derived from `series.len()` because tiered retention can trim old
-    /// snapshots out of the series without resetting the stream's index
-    /// space.
-    next_index: u64,
     /// Durable backing for this session's snapshot log and checkpoint.
     /// `None` when the daemon runs memory-only, or after an append error
     /// dropped persistence for this session (the stream continues in
@@ -145,7 +139,6 @@ impl Session {
         Session {
             id,
             series: SampleSeries::new(),
-            prev_flat: FlatProfile::new(),
             table: FunctionTable::new(),
             online: OnlinePhaseDetector::new(online),
             pending: VecDeque::new(),
@@ -154,44 +147,67 @@ impl Session {
             cache: analysis_cache.then(AnalysisCache::new),
             last_activity: None,
             last_ack: None,
-            next_index: 0,
             persist: None,
             evicted: false,
         }
     }
 
-    /// Turn one snapshot into session state: its delta against the
-    /// previous cumulative profile goes through the online detector,
-    /// then `prev_flat`, `table`, `next_index`, the series and
-    /// `last_ack` advance. Live ingest ([`Session::drain_traced`]) and
-    /// log replay ([`Session::rehydrate`]) both come through here and
-    /// nothing else writes those fields, which is what makes a replayed
-    /// session's ack bitwise the one its previous owner sent. A delta
-    /// error leaves the session untouched.
+    /// Live ingest of one drained snapshot: [`Session::fold`] it, then
+    /// adopt its function table. A delta error leaves the session
+    /// untouched.
     fn apply(&mut self, gmon: &GmonData, traced: bool) -> Result<IngestAck, ProfileError> {
-        let interval = gmon.flat.delta(&self.prev_flat)?;
+        let ack = self.fold(ProfileSnapshot::from_gmon(gmon), traced)?;
+        self.table = gmon.functions.clone();
+        Ok(ack)
+    }
+
+    /// Turn one snapshot into session state: its delta against the
+    /// series tail (the previous cumulative profile) goes through the
+    /// online detector, then the series and `last_ack` advance. Live
+    /// ingest ([`Session::apply`]) and every replay ([`Session::replay`])
+    /// come through here and nothing else writes those fields, which is
+    /// what makes a replayed session's ack bitwise the one its previous
+    /// owner sent. A delta error leaves the session untouched.
+    fn fold(&mut self, snap: ProfileSnapshot, traced: bool) -> Result<IngestAck, ProfileError> {
+        let start = FlatProfile::new();
+        let interval = snap
+            .flat
+            .delta(self.series.last().map_or(&start, |prev| &prev.flat))?;
         let observation = {
             let _obs_span =
                 traced.then(|| incprof_obs::span(incprof_obs::names::SERVE_TRACE_OBSERVE));
             self.online.observe(&interval)
         };
-        self.prev_flat = gmon.flat.clone();
-        self.table = gmon.functions.clone();
-        self.next_index = gmon.sample_index + 1;
-        self.series
-            .append_monotonic(ProfileSnapshot::from_gmon(gmon))
-            // lint: allow(P01, enqueue rejects any index at or below next_index-1 and SnapshotLog::open validated the same of a replayed log, so applied indices strictly increase; a regression is log-layer corruption and must abort loudly)
-            .expect("applied sample indices strictly increase");
         let ack = IngestAck {
-            sample_index: gmon.sample_index,
+            sample_index: snap.sample_index,
             observation,
         };
+        self.series
+            .append_monotonic(snap)
+            // lint: allow(P01, enqueue rejects any index at or below the series tail's and SnapshotLog::open validated the same of a replayed log, so folded indices strictly increase; a regression is log-layer corruption and must abort loudly)
+            .expect("folded sample indices strictly increase");
         self.last_ack = Some(ack);
         Ok(ack)
     }
 
+    /// Fold `snapshots`, oldest first, into a session whose series and
+    /// online detector are blank: what rehydration runs over a log, and
+    /// what a retention drop runs over the retained series. Every one of
+    /// them delta'd cleanly against an older one when it was ingested,
+    /// and cumulative profiles that grow pairwise grow across gaps, so an
+    /// error means on-disk corruption past the frame CRC: keep the good
+    /// prefix and fault the tail, as live ingest would.
+    fn replay(&mut self, snapshots: impl IntoIterator<Item = ProfileSnapshot>) {
+        for snap in snapshots {
+            if let Err(e) = self.fold(snap, false) {
+                self.fault = Some(format!("log replay: {e}"));
+                break;
+            }
+        }
+    }
+
     /// Rebuild this (blank) session from its durable state: replay every
-    /// retained snapshot through [`Session::apply`] (exactly the drain
+    /// retained snapshot through [`Session::fold`] (exactly the drain
     /// path, so the rebuilt timeline and final ack match the live ones),
     /// then adopt the analysis checkpoint *iff* it provably covers a
     /// prefix of the rebuilt series — otherwise the checkpoint is
@@ -203,16 +219,10 @@ impl Session {
         replay: LogReplay,
         checkpoint: Option<Vec<u8>>,
     ) -> Session {
-        for gmon in &replay.snapshots {
-            // The log only ever holds snapshots that delta'd cleanly
-            // when appended, so an error means on-disk corruption past
-            // the frame CRC; keep the good prefix and fault the tail, as
-            // live ingest would.
-            if let Err(e) = self.apply(gmon, false) {
-                self.fault = Some(format!("log replay: {e}"));
-                break;
-            }
+        if let Some(newest) = replay.snapshots.last() {
+            self.table = newest.functions.clone();
         }
+        self.replay(replay.snapshots.iter().map(ProfileSnapshot::from_gmon));
         if let (Some(blob), Some(slot)) = (checkpoint, self.cache.as_mut()) {
             match AnalysisCache::decode_state(&blob) {
                 Some(cache) if cache.covers(&self.series) => *slot = cache,
@@ -264,7 +274,8 @@ impl Session {
                 format!("session {} is faulted: {why}", self.id),
             ));
         }
-        let expected = self.next_index + self.pending.len() as u64;
+        let next_index = self.series.last().map_or(0, |tail| tail.sample_index + 1);
+        let expected = next_index + self.pending.len() as u64;
         if gmon.sample_index != expected {
             // At-least-once delivery: a client whose connection died
             // between our ack and its read retransmits the same
@@ -343,6 +354,9 @@ impl Session {
                 }
             };
             self.persist_snapshot(&p.gmon);
+            // A retention drop re-folded the online detector over the
+            // retained series; the push is acked with that verdict.
+            let ack = self.last_ack.unwrap_or(ack);
             incprof_obs::histogram(incprof_obs::names::SERVE_INGEST_DETECT_LATENCY_NS)
                 .record(p.enqueued_at.elapsed().as_nanos() as u64);
             acks.push(ack);
@@ -458,10 +472,13 @@ impl Session {
     /// Append one drained snapshot to the durable log — its counters,
     /// and its function table only when the log's last retained record
     /// has another — mirroring any retention drops onto the in-memory
-    /// series so a later rehydration (which only sees retained records)
-    /// rebuilds exactly this state. An I/O error drops persistence for
-    /// the session — the divergent log must not accept further records —
-    /// but ingest continues in memory.
+    /// series and re-folding the online detector and `last_ack` over
+    /// what is left, so a later rehydration (which only sees retained
+    /// records) rebuilds exactly this state. The re-fold costs
+    /// O(retained), as the log compaction of that append already does;
+    /// a keep-all session never drops. An I/O error drops persistence
+    /// for the session — the divergent log must not accept further
+    /// records — but ingest continues in memory.
     fn persist_snapshot(&mut self, gmon: &GmonData) {
         let Some(store) = self.persist.as_mut() else {
             return;
@@ -470,6 +487,9 @@ impl Session {
             Ok(outcome) => {
                 if !outcome.dropped.is_empty() {
                     self.series.remove_sample_indices(&outcome.dropped);
+                    let retained = std::mem::take(&mut self.series);
+                    self.online.reset();
+                    self.replay(retained.into_snapshots());
                 }
             }
             Err(e) => {
@@ -1432,17 +1452,21 @@ mod tests {
                 .map(|x| x.sample_index)
                 .collect()
         };
-        let live = {
+        let (live, live_ack, last_push_ack) = {
             let mut s = lock(&s);
+            let mut last_push_ack = None;
             for i in 0..6u64 {
                 s.enqueue(gmon(i, (i + 1) * 1_000_000_000), Instant::now())
                     .unwrap();
-                s.drain().unwrap();
+                last_push_ack = s.drain().unwrap().pop();
             }
             assert_eq!(indices(&s), vec![0, 4, 5]);
             let full = s.report_json(&detector, ReportMode::Full);
             assert!(full.contains("\"snapshots\":3"), "{full}");
-            s.report_json(&detector, ReportMode::AnalysisOnly)
+            // The online section folds the retained series, not every
+            // interval ever pushed: three snapshots, three intervals.
+            assert!(full.contains("\"assignments\":[0,1,0]"), "{full}");
+            (full, s.last_ack().unwrap(), last_push_ack.unwrap())
         };
         drop(s);
         drop(r);
@@ -1452,7 +1476,14 @@ mod tests {
         let s2 = r2.get(id).unwrap();
         let mut s2 = lock(&s2);
         assert_eq!(indices(&s2), vec![0, 4, 5]);
-        assert_eq!(s2.report_json(&detector, ReportMode::AnalysisOnly), live);
+        assert_eq!(s2.report_json(&detector, ReportMode::Full), live);
+        // The live session's last push ack, its remembered ack and the
+        // rehydrated one are one verdict.
+        let replayed = s2.last_ack().unwrap();
+        for ack in [live_ack, last_push_ack] {
+            assert_eq!(ack.sample_index, replayed.sample_index);
+            assert_eq!(ack.observation, replayed.observation);
+        }
         assert_eq!(
             s2.enqueue(gmon(6, 7_000_000_000), Instant::now()),
             Ok(Enqueue::Accepted)
@@ -1461,6 +1492,11 @@ mod tests {
         assert_eq!(acks.len(), 1);
         assert_eq!(acks[0].sample_index, 6);
         assert_eq!(indices(&s2), vec![0, 4, 6]);
+        // That push dropped snapshot 5, so it is acked with the re-folded
+        // verdict: the third interval of the retained series, not the
+        // fourth of the ones pushed, and what a retransmission gets.
+        assert_eq!(acks[0].observation.interval, 2);
+        assert_eq!(s2.last_ack().unwrap().observation, acks[0].observation);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -129,7 +129,10 @@ serve_smoke() {
     else
         mkdir -p "$SMOKE_DIR"
     fi
-    "$INCPROF" demo "$SMOKE_DIR/run.json" >/dev/null
+    # A run is a gmon.out.N directory, and demo refuses one that holds
+    # files already (the other smoke may have left one in this SMOKE_DIR).
+    rm -rf "$SMOKE_DIR/run"
+    "$INCPROF" demo "$SMOKE_DIR/run" >/dev/null
     # timeout(1) hard-bounds the whole exchange so a wedged daemon fails
     # the gate instead of hanging it; the daemon picks its own ports and
     # reports them through --addr-file / --admin-addr-file.
@@ -146,7 +149,7 @@ serve_smoke() {
     [ -s "$SMOKE_DIR/admin.txt" ] || { echo "serve smoke: admin socket never bound"; exit 1; }
     ADDR="$(cat "$SMOKE_DIR/addr.txt")"
     ADMIN="$(cat "$SMOKE_DIR/admin.txt")"
-    timeout 60 "$INCPROF" push "$ADDR" "$SMOKE_DIR/run.json" --analysis --keep-open \
+    timeout 60 "$INCPROF" push "$ADDR" "$SMOKE_DIR/run" --analysis --keep-open \
         --session-file "$SMOKE_DIR/session.txt" \
         >"$SMOKE_DIR/report.json"
     grep -q '"phases"' "$SMOKE_DIR/report.json" \
@@ -172,7 +175,7 @@ serve_smoke() {
         || { echo "serve smoke: recorder dump malformed"; cat "$SMOKE_DIR/recorder.json"; exit 1; }
     timeout 60 "$INCPROF" top "$ADMIN" --iterations 1 --health | grep -q '"status":"ok"' \
         || { echo "serve smoke: health not ok"; exit 1; }
-    timeout 60 "$INCPROF" push "$ADDR" "$SMOKE_DIR/run.json" --analysis --shutdown >/dev/null
+    timeout 60 "$INCPROF" push "$ADDR" "$SMOKE_DIR/run" --analysis --shutdown >/dev/null
     wait "$SERVE_PID" || { echo "serve smoke: daemon exited non-zero"; cat "$SMOKE_DIR/serve.log"; exit 1; }
 
     # Second life: a fresh daemon over the same --store-dir must answer
@@ -231,7 +234,10 @@ cluster_smoke() {
     else
         mkdir -p "$SMOKE_DIR"
     fi
-    "$INCPROF" demo "$SMOKE_DIR/run.json" >/dev/null
+    # A run is a gmon.out.N directory, and demo refuses one that holds
+    # files already (the other smoke may have left one in this SMOKE_DIR).
+    rm -rf "$SMOKE_DIR/run"
+    "$INCPROF" demo "$SMOKE_DIR/run" >/dev/null
     mkdir -p "$SMOKE_DIR/pids"
     # The router spawns its two serve children itself (spawn mode); all
     # three processes share the store so a killed backend's sessions can
@@ -255,7 +261,7 @@ cluster_smoke() {
 
     # Push/query round-trip through the router, session kept open so the
     # failover below addresses the same id.
-    timeout 60 "$INCPROF" push "$RADDR" "$SMOKE_DIR/run.json" --analysis --keep-open \
+    timeout 60 "$INCPROF" push "$RADDR" "$SMOKE_DIR/run" --analysis --keep-open \
         --session-file "$SMOKE_DIR/cluster-session.txt" \
         >"$SMOKE_DIR/cluster-report.json"
     grep -q '"phases"' "$SMOKE_DIR/cluster-report.json" \

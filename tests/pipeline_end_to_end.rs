@@ -2,6 +2,7 @@
 //! phase detection → Algorithm 1, on a synthetic workload with planted
 //! phases.
 
+use incprof_suite::collect::series_io::{read_gmon_dir, write_gmon_dir};
 use incprof_suite::collect::{CollectorConfig, IncProfCollector, IntervalMatrix};
 use incprof_suite::core::types::InstrumentationType;
 use incprof_suite::core::{PhaseAnalysis, PhaseDetector};
@@ -191,7 +192,6 @@ fn gmon_binary_path_roundtrips_through_collector() {
         rt.clone(),
         CollectorConfig {
             interval_ns: INTERVAL,
-            encode_gmon: true,
         },
     );
     for _ in 0..4 {
@@ -200,11 +200,15 @@ fn gmon_binary_path_roundtrips_through_collector() {
         drop(_g);
         collector.tick();
     }
-    let dumps = collector.decode_gmon_dumps().unwrap();
-    assert_eq!(dumps.len(), 4);
-    for (i, d) in dumps.iter().enumerate() {
-        assert_eq!(d.sample_index as usize, i);
-        let id = d.functions.iter().next().unwrap().0;
-        assert_eq!(d.flat.get(id).self_time, (i as u64 + 1) * INTERVAL);
+    let dir = std::env::temp_dir().join(format!("incprof_e2e_gmon_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_gmon_dir(&collector.into_series(), &rt.function_table(), &dir).unwrap();
+    let (series, table) = read_gmon_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(series.len(), 4);
+    for (i, snap) in series.snapshots().iter().enumerate() {
+        assert_eq!(snap.sample_index as usize, i);
+        let id = table.iter().next().unwrap().0;
+        assert_eq!(snap.flat.get(id).self_time, (i as u64 + 1) * INTERVAL);
     }
 }

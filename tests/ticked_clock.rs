@@ -44,7 +44,6 @@ fn wall_snapshots_of_four_busy_threads_are_consistent() {
         rt.clone(),
         CollectorConfig {
             interval_ns: 2_000_000,
-            encode_gmon: false,
         },
     );
     let deadline = Instant::now() + Duration::from_secs(30);
