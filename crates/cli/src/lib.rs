@@ -100,12 +100,6 @@ static COMMANDS: &[Spec] = &[
         run: lint_cmd,
     },
     Spec {
-        cmd: "callgraph",
-        positionals: "[root]",
-        flags: &[flag("--json", "path")],
-        run: callgraph_cmd,
-    },
-    Spec {
         cmd: "serve",
         positionals: "",
         flags: &[
@@ -393,9 +387,18 @@ pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliE
         .iter()
         .map(std::fs::read_to_string)
         .collect::<Result<_, _>>()?;
-    let (cumulative, table) = parse_reports(&reports).map_err(pipeline)?;
-    let intervals = SampleSeries::deltas_of(&clamp_monotone(cumulative));
-    analyze_intervals(intervals, &table, opts)
+    let (mut cumulative, table) = parse_reports(&reports).map_err(pipeline)?;
+    let raised = clamp_monotone(&mut cumulative);
+    let out = analyze_intervals(SampleSeries::deltas_of(&cumulative), &table, opts)?;
+    // Counters a report lowered, raised back to keep the series
+    // cumulative; stdout stays one document under --json.
+    let note = format!("counters raised to keep the reports cumulative: {raised}");
+    if opts.json {
+        eprintln!("{note}");
+        Ok(out)
+    } else {
+        Ok(format!("{out}\n{note}"))
+    }
 }
 
 /// `incprof analyze-gmon`: analyze a collected run, a directory of
@@ -411,8 +414,10 @@ pub fn render_reports_cmd(run_dir: &Path, out_dir: &Path) -> Result<String, CliE
     let (series, table) = load_run(run_dir)?;
     std::fs::create_dir_all(out_dir)?;
     let reports = incprof_collect::report_path::render_reports(&series, &table);
+    let last = reports.len().saturating_sub(1) as u64;
     for (i, report) in reports.iter().enumerate() {
-        std::fs::write(out_dir.join(format!("gmon.out.{i:05}.txt")), report)?;
+        let name = incprof_collect::series_io::sample_name(i as u64, last);
+        std::fs::write(out_dir.join(format!("{name}.txt")), report)?;
     }
     Ok(format!(
         "wrote {} reports to {}",
@@ -464,7 +469,7 @@ pub fn demo(out_dir: &Path) -> Result<String, CliError> {
     ))
 }
 
-/// The workspace root `lint`, `callgraph` and `serve` analyze:
+/// The workspace root `lint` and `serve` analyze:
 /// the explicit `[root]` positional, else discovered upward from the
 /// current directory.
 fn workspace_root(cmd: &str, explicit: Option<&str>) -> Result<PathBuf, CliError> {
@@ -551,8 +556,8 @@ fn lint_cmd(p: &Parsed) -> Result<String, CliError> {
     }
 }
 
-/// Print `rendered`, or write it to the `--json <path>` of `lint` and
-/// `callgraph` and print `summary` instead.
+/// Print `rendered`, or write it to `lint`'s `--json <path>` and print
+/// `summary` instead.
 fn emit(p: &Parsed, rendered: String, summary: &str) -> Result<String, CliError> {
     match p.path("--json") {
         Some(path) => {
@@ -561,17 +566,6 @@ fn emit(p: &Parsed, rendered: String, summary: &str) -> Result<String, CliError>
         }
         None => Ok(rendered),
     }
-}
-
-/// `incprof callgraph`: export the workspace apps' static call graph
-/// (functions, confidence-labelled edges, hazard facts) as
-/// deterministic JSON — the paper-facing bridge from detected phases
-/// back to source structure.
-fn callgraph_cmd(p: &Parsed) -> Result<String, CliError> {
-    let root = workspace_root("callgraph", p.rest.first().copied())?;
-    let analysis = incprof_lint::analyze_subtree(&root, "crates/apps/src")?;
-    let rendered = analysis.graph.render_json(&analysis.symbols);
-    emit(p, rendered, "static call graph")
 }
 
 /// Top-level entry: strip the global flags, dispatch, and (when
@@ -708,6 +702,10 @@ mod tests {
         assert!(msg.contains("reports"));
         let text = analyze_reports(&reports_dir, &AnalyzeOptions::default()).unwrap();
         assert!(text.contains("chosen k = 3"), "{text}");
+        assert!(
+            text.ends_with("counters raised to keep the reports cumulative: 0"),
+            "{text}"
+        );
         assert!(text.contains("implicit_solve"));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -50,16 +50,18 @@ pub fn intervals_via_reports(
     table: &FunctionTable,
 ) -> Result<(Vec<FlatProfile>, FunctionTable), ProfileError> {
     let reports = render_reports(series, table);
-    let (cumulative, parsed_table) = parse_reports(&reports)?;
-    let clamped = clamp_monotone(cumulative);
-    let intervals = SampleSeries::deltas_of(&clamped)?;
+    let (mut cumulative, parsed_table) = parse_reports(&reports)?;
+    clamp_monotone(&mut cumulative);
+    let intervals = SampleSeries::deltas_of(&cumulative)?;
     Ok((intervals, parsed_table))
 }
 
 /// Force a sequence of nearly-cumulative profiles to be monotone by
 /// clamping each counter to at least its previous value (absorbing report
-/// rounding artifacts).
-pub fn clamp_monotone(mut profiles: Vec<FlatProfile>) -> Vec<FlatProfile> {
+/// rounding artifacts). Returns how many counters it raised: 0 on reports
+/// that were cumulative to begin with.
+pub fn clamp_monotone(profiles: &mut [FlatProfile]) -> u64 {
+    let mut raised = 0;
     for i in 1..profiles.len() {
         let (before, after) = profiles.split_at_mut(i);
         let prev = &before[i - 1];
@@ -67,10 +69,14 @@ pub fn clamp_monotone(mut profiles: Vec<FlatProfile>) -> Vec<FlatProfile> {
         let mut fixes = Vec::new();
         for (id, stats) in prev.iter() {
             let now = cur.get(id);
-            if now.self_time < stats.self_time
-                || now.calls < stats.calls
-                || now.child_time < stats.child_time
-            {
+            let below = [
+                now.self_time < stats.self_time,
+                now.calls < stats.calls,
+                now.child_time < stats.child_time,
+            ];
+            let n = below.iter().filter(|&&b| b).count() as u64;
+            if n > 0 {
+                raised += n;
                 fixes.push((
                     id,
                     incprof_profile::FunctionStats {
@@ -85,7 +91,7 @@ pub fn clamp_monotone(mut profiles: Vec<FlatProfile>) -> Vec<FlatProfile> {
             cur.set(id, s);
         }
     }
-    profiles
+    raised
 }
 
 #[cfg(test)]
@@ -183,9 +189,11 @@ mod tests {
                 child_time: 0,
             },
         );
-        let clamped = clamp_monotone(vec![p0, p1]);
+        let mut clamped = vec![p0, p1];
+        assert_eq!(clamp_monotone(&mut clamped), 1, "one counter raised");
         assert_eq!(clamped[1].get(FunctionId(0)).self_time, 20_000_000);
         assert!(SampleSeries::deltas_of(&clamped).is_ok());
+        assert_eq!(clamp_monotone(&mut clamped), 0, "now cumulative");
     }
 
     #[test]

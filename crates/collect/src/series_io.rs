@@ -46,13 +46,20 @@ pub fn ensure_fresh_run_dir(dir: &Path) -> Result<(), ProfileError> {
     }
 }
 
+/// The file name of sample `index` in a run whose largest index is
+/// `last`: `gmon.out.` and the index, zero-padded to the width of `last`
+/// and never to fewer than 6 digits, so that name order is sample order
+/// however long the run. Every file of one run, binary or text report,
+/// is named by it.
+pub fn sample_name(index: u64, last: u64) -> String {
+    let width = last.to_string().len().max(6);
+    format!("gmon.out.{index:0width$}")
+}
+
 /// Write one `gmon.out.<index>` binary per sample into `dir` (created if
-/// missing). Returns the number of files written.
-///
-/// Every index in one directory is zero-padded to the width of the
-/// largest, and never to fewer than 6 digits, so name order stays sample
-/// order past 999 999 samples. A directory that already holds files is
-/// refused by [`ensure_fresh_run_dir`] before anything is written.
+/// missing), named by [`sample_name`]. Returns the number of files
+/// written. A directory that already holds files is refused by
+/// [`ensure_fresh_run_dir`] before anything is written.
 pub fn write_gmon_dir(
     series: &SampleSeries,
     table: &FunctionTable,
@@ -61,10 +68,9 @@ pub fn write_gmon_dir(
     ensure_fresh_run_dir(dir)?;
     std::fs::create_dir_all(dir)?;
     let last = series.last().map_or(0, |s| s.sample_index);
-    let width = last.to_string().len().max(6);
     for snap in series.snapshots() {
         let gmon = snap.to_gmon(table);
-        let path = dir.join(format!("gmon.out.{:0width$}", snap.sample_index));
+        let path = dir.join(sample_name(snap.sample_index, last));
         std::fs::write(path, gmon.encode())?;
     }
     Ok(series.len())
@@ -264,5 +270,22 @@ mod tests {
         assert_eq!(flats(&back), flats(&series));
         assert_eq!(back.interval_profiles().unwrap().len(), 3);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sample_names_sort_in_sample_order_across_a_digit() {
+        let indices = [99_998u64, 99_999, 100_000, 100_001];
+        let last = indices[3];
+        let names: Vec<String> = indices.iter().map(|&i| sample_name(i, last)).collect();
+        let mut sorted = names.clone();
+        sorted.sort();
+        assert_eq!(sorted, names, "name order is sample order");
+        assert_eq!(names[0], "gmon.out.099998");
+        assert_eq!(sample_name(7, 0), "gmon.out.000007");
+        // With a text suffix, as `render-reports` names them.
+        let reports: Vec<String> = names.iter().map(|n| format!("{n}.txt")).collect();
+        let mut sorted = reports.clone();
+        sorted.sort();
+        assert_eq!(sorted, reports);
     }
 }

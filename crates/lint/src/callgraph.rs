@@ -17,11 +17,9 @@
 //! allocation constructors), again with the source line so graph rules
 //! can point at the exact site.
 
-use crate::diag::json_rows;
 use crate::lexer::{Token, TokenKind};
 use crate::parse::ParsedFile;
 use crate::symbols::SymbolTable;
-use incprof_obs::JsonWriter;
 use std::collections::BTreeMap;
 
 /// Edge label: did the callee resolve uniquely?
@@ -31,16 +29,6 @@ pub enum Confidence {
     Confident,
     /// Multiple candidates or an untyped receiver; reported only.
     Ambiguous,
-}
-
-impl Confidence {
-    /// Lowercase label used in JSON output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Confidence::Confident => "confident",
-            Confidence::Ambiguous => "ambiguous",
-        }
-    }
 }
 
 /// One call edge between two workspace functions.
@@ -65,17 +53,6 @@ pub enum FactKind {
     Blocking,
     /// Vec/Box/String constructors and `vec!`.
     Alloc,
-}
-
-impl FactKind {
-    /// Lowercase label used in JSON and diagnostics.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            FactKind::Panic => "panic",
-            FactKind::Blocking => "blocking",
-            FactKind::Alloc => "alloc",
-        }
-    }
 }
 
 /// A hazard-relevant call observed directly in a function body.
@@ -173,51 +150,6 @@ impl StaticCallGraph {
             .filter(|e| e.confidence == Confidence::Confident)
             .count();
         (confident, self.edges.len() - confident)
-    }
-
-    /// Render the graph as deterministic JSON: functions sorted by
-    /// (file, line), edges by (caller, callee, line), facts likewise.
-    pub fn render_json(&self, symbols: &SymbolTable) -> String {
-        let functions = symbols.defs.iter().enumerate().map(|(i, d)| {
-            JsonWriter::object(|w| {
-                w.field("id", i)
-                    .field("name", &d.name)
-                    .field("qualified", &d.qualified)
-                    .field("file", &d.file)
-                    .field("line", d.line)
-                    .field("crate", &d.crate_name)
-                    .field("pub", d.is_pub)
-            })
-        });
-        let edges = self.edges.iter().map(|e| {
-            JsonWriter::object(|w| {
-                w.field("caller", e.caller)
-                    .field("callee", e.callee)
-                    .field("confidence", e.confidence.as_str())
-                    .field("line", e.line)
-            })
-        });
-        let facts = self.facts.iter().map(|f| {
-            JsonWriter::object(|w| {
-                w.field("node", f.node)
-                    .field("kind", f.kind.as_str())
-                    .field("what", &f.what)
-                    .field("line", f.line)
-            })
-        });
-        let (confident, ambiguous) = self.edge_counts();
-        let stats = JsonWriter::object(|w| {
-            w.field("functions", self.nodes)
-                .field("edges_confident", confident)
-                .field("edges_ambiguous", ambiguous)
-        });
-        format!(
-            "{{\n  \"functions\": [{}\n  ],\n  \"edges\": [{}\n  ],\n  \"facts\": [{}\n  ],\n  \
-             \"stats\": {stats}\n}}\n",
-            json_rows(functions),
-            json_rows(edges),
-            json_rows(facts),
-        )
     }
 }
 
@@ -510,21 +442,6 @@ mod tests {
         )]);
         let caller = def_idx(&s, "f");
         assert!(g.edges.iter().all(|e| e.caller != caller));
-    }
-
-    #[test]
-    fn json_is_deterministic_and_sorted() {
-        let files = [
-            (
-                "crates/core/src/a.rs",
-                "pub fn a() { b(); }\npub fn b() {}\n",
-            ),
-            ("crates/core/src/b.rs", "pub fn c() { b(); }\n"),
-        ];
-        let (s1, g1) = build(&files);
-        let (s2, g2) = build(&files);
-        assert_eq!(g1.render_json(&s1), g2.render_json(&s2));
-        assert!(g1.render_json(&s1).contains("\"edges_confident\""));
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// The product of the multi-pass static analysis: the symbol table,
 /// the call graph, and reachability over its confident edges. Built
 /// once per run, shared by the graph rules (P02/D05/A01) and the
-/// `incprof lint --json` / `incprof callgraph` exports.
+/// `incprof lint --json` stats.
 pub struct WorkspaceAnalysis {
     /// Function definitions and name indexes.
     pub symbols: SymbolTable,
@@ -291,23 +291,6 @@ pub fn lint_workspace_analyzed(
     incprof_obs::counter(incprof_obs::names::SCA_EDGES_AMBIGUOUS).add(ambiguous as u64);
 
     Ok((report, analysis))
-}
-
-/// Build a [`WorkspaceAnalysis`] over only the `.rs` files under
-/// `root/subdir`, with paths still workspace-relative so crate scoping
-/// matches a full run. Used by `incprof callgraph` to build the apps'
-/// static graph without analyzing the whole workspace.
-pub fn analyze_subtree(root: &Path, subdir: &str) -> io::Result<WorkspaceAnalysis> {
-    let mut paths = Vec::new();
-    collect_rs_files(root, &root.join(subdir), &mut paths)?;
-    paths.sort();
-    let files: Vec<SourceFile> = paths
-        .iter()
-        .map(|p| {
-            std::fs::read_to_string(p).map(|text| SourceFile::parse(&rel_path(root, p), &text))
-        })
-        .collect::<io::Result<_>>()?;
-    Ok(WorkspaceAnalysis::build(&files))
 }
 
 /// Walk upward from `start` to the directory whose `Cargo.toml`

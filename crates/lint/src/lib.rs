@@ -31,8 +31,7 @@
 //! [`symbols`] resolves names per crate, [`callgraph`] links call sites
 //! into a workspace call graph with confident/ambiguous edge labels,
 //! and [`dataflow`] computes reachability over the confident edges —
-//! powering the graph rules (P02/D05/A01) and the `incprof callgraph`
-//! export that joins static structure against detected phases.
+//! powering the graph rules (P02/D05/A01).
 //! Findings can be silenced per line with
 //! `// lint: allow(RULE, reason)` (several rules may share one marker:
 //! `// lint: allow(P01, D04, reason)`) — the reason is mandatory, and
@@ -62,6 +61,6 @@ pub use callgraph::StaticCallGraph;
 pub use config::Config;
 pub use diag::{Diagnostic, RuleId, Severity};
 pub use engine::{
-    analyze_subtree, find_workspace_root, lint_files, lint_source, lint_source_counted,
-    lint_workspace_analyzed, LintReport, WorkspaceAnalysis,
+    find_workspace_root, lint_files, lint_source, lint_source_counted, lint_workspace_analyzed,
+    LintReport, WorkspaceAnalysis,
 };

@@ -31,6 +31,20 @@ pub enum ProfileError {
         /// The raw id that failed to resolve.
         id: u32,
     },
+    /// A delta record named a base that is not the snapshot it is read
+    /// against: the stream's newest one (none for a self-contained
+    /// payload, or a stream that holds no snapshot).
+    WrongBase {
+        /// The base sample index the delta record names.
+        base: u64,
+        /// The sample index of the snapshot it was read against.
+        tail: Option<u64>,
+    },
+    /// A varint or a counter summed from a delta does not fit in a u64.
+    Overflow {
+        /// Human-readable description of what was being decoded.
+        context: &'static str,
+    },
     /// A string field was not valid UTF-8.
     InvalidUtf8 {
         /// Human-readable description of the offending field.
@@ -71,6 +85,16 @@ impl fmt::Display for ProfileError {
             ProfileError::UnknownTag { tag } => write!(f, "unknown gmon record tag {tag:#x}"),
             ProfileError::UnknownFunction { id } => {
                 write!(f, "record references unknown function id {id}")
+            }
+            ProfileError::WrongBase { base, tail } => match tail {
+                Some(tail) => write!(
+                    f,
+                    "delta against snapshot {base} read after snapshot {tail}"
+                ),
+                None => write!(f, "delta against snapshot {base} read without a base"),
+            },
+            ProfileError::Overflow { context } => {
+                write!(f, "value overflows 64 bits while decoding {context}")
             }
             ProfileError::InvalidUtf8 { context } => {
                 write!(f, "invalid UTF-8 in {context}")
@@ -119,6 +143,26 @@ mod tests {
             ),
             (ProfileError::UnknownTag { tag: 0xAB }, "0xab"),
             (ProfileError::UnknownFunction { id: 7 }, "id 7"),
+            (
+                ProfileError::WrongBase {
+                    base: 4,
+                    tail: Some(6),
+                },
+                "snapshot 4 read after snapshot 6",
+            ),
+            (
+                ProfileError::WrongBase {
+                    base: 4,
+                    tail: None,
+                },
+                "without a base",
+            ),
+            (
+                ProfileError::Overflow {
+                    context: "delta row",
+                },
+                "delta row",
+            ),
             (
                 ProfileError::NonMonotonicDelta {
                     id: 3,

@@ -22,8 +22,8 @@
 //!   `incprof-core`).
 //! * [`GmonData`] — a binary snapshot format in the spirit of `gmon.out`
 //!   (tagged records, little-endian), with a writer and reader. In a
-//!   stream of them the function table goes only when it changes
-//!   ([`GmonData::encode_counters`], [`GmonData::decode_in`]).
+//!   [`gmon::Stream`] of them the function table goes only when it
+//!   changes, and the counters only as the rows that moved.
 //! * [`report`] — a gprof-style **text report** writer and a parser for the
 //!   flat-profile table, so the analysis pipeline can consume exactly the
 //!   kind of artifact the paper's tooling consumed.

@@ -1,18 +1,31 @@
-//! Differential oracle for [`GmonData::decode_in`], the stream rule: a
-//! payload without a function section means the stream's current table,
-//! and a payload with one replaces it. Over every stream below, each
-//! payload decoded against the table its predecessor left must equal a
-//! plain [`GmonData::decode`] of the same payload with that table's
-//! section spliced in after its headers (a payload that already carries
-//! one is decoded as it is) — equal data, or an equal typed error — and
-//! must never panic. The streams send the table once, repeat it in every
-//! payload, grow it, replace it at equal length, and stack several
-//! sections in one payload; every single-byte flip and truncation of a
-//! counters-only payload and of a full one is checked the same way.
+//! Differential oracles for [`Stream::decode`], the stream rule.
+//!
+//! * **The table.** A payload without a function section means the
+//!   stream's current table, and a payload with one replaces it. Over
+//!   every stream below, each payload decoded against the table its
+//!   predecessor left must equal a plain [`GmonData::decode`] of the same
+//!   payload with that table's section spliced in after its headers (a
+//!   payload that already carries one is decoded as it is) — equal data,
+//!   or an equal typed error — and must never panic. The streams send the
+//!   table once, repeat it in every payload, grow it, replace it at equal
+//!   length, and stack several sections in one payload; every single-byte
+//!   flip and truncation of a counters-only payload and of a full one is
+//!   checked the same way.
+//! * **The counters.** A delta record reads the counters of the snapshot
+//!   it names as its base, which no splice can give. Read against its
+//!   base, a delta must equal the decoded self-contained payload of the
+//!   same snapshot; and every payload that holds one is also held to
+//!   [`reference`], a second reader of the payload grammar written apart
+//!   from the codec: both accept it with equal data, or both refuse it.
+//!   Every single-byte flip and truncation of a delta is checked so,
+//!   against its base, another base and no base.
 
-use incprof_profile::gmon::carries_table;
+use incprof_profile::gmon::{carries_table, Stream};
 use incprof_profile::{ArcStats, FunctionInfo, FunctionStats, FunctionTable, GmonData};
 use incprof_profile::{FunctionId, ProfileError};
+use reference::reference;
+
+mod reference;
 
 /// Byte offset of the function section's tag in an encoded payload:
 /// magic (4), version (4), header tag (1) and header (16).
@@ -113,14 +126,31 @@ fn same(a: &Result<GmonData, ProfileError>, b: &Result<GmonData, ProfileError>) 
     }
 }
 
-/// Decode `payload` against `table` and check it against the oracle.
+/// A stream whose newest snapshot is `g`.
+fn stream_at(g: &GmonData) -> Stream {
+    let mut stream = Stream::new();
+    stream.advance(g.clone());
+    stream
+}
+
+/// Decode `payload` against a stream that holds `table` and no counters,
+/// and check it against the oracle: the spliced decode, or, for a payload
+/// whose delta record the spliced one cannot read, [`reference`].
 fn check(payload: &[u8], table: &FunctionTable, what: &str) -> Result<GmonData, ProfileError> {
-    let got = GmonData::decode_in(payload, table);
+    let tail = GmonData {
+        functions: table.clone(),
+        ..Default::default()
+    };
+    let got = stream_at(&tail).decode(payload);
     let want = GmonData::decode(&spliced(payload, table));
-    assert!(
-        same(&got, &want),
-        "{what}: decode_in {got:?}, spliced decode {want:?}"
-    );
+    if matches!(want, Err(ProfileError::WrongBase { .. })) {
+        let _ = agrees(payload, Some(&tail), what);
+    } else {
+        assert!(
+            same(&got, &want),
+            "{what}: stream decode {got:?}, spliced decode {want:?}"
+        );
+    }
     got
 }
 
@@ -303,5 +333,185 @@ fn every_flip_and_truncation_against_a_stream_table() {
                 let _ = check(&payload[..len], current, &format!("truncated to {len}"));
             }
         }
+    }
+}
+
+/// Decode `payload` against a stream whose newest snapshot is `tail` and
+/// hold the answer to [`reference`]'s: both accept it with equal data, or
+/// both refuse it.
+fn agrees(payload: &[u8], tail: Option<&GmonData>, what: &str) -> Result<GmonData, ProfileError> {
+    let got = match tail {
+        Some(t) => stream_at(t).decode(payload),
+        None => GmonData::decode(payload),
+    };
+    let want = reference(payload, tail);
+    assert_eq!(
+        got.as_ref().ok(),
+        want.as_ref(),
+        "{what}: stream decode {got:?}, reference {want:?}"
+    );
+    got
+}
+
+/// A stream of `n` snapshots over a 12-function table where, at each
+/// step, only the phase's third of the functions move, a function first
+/// appears at step 2, arcs appear at step 3, and counters grow by more
+/// than one varint byte holds.
+fn sparse_stream(n: u64) -> Vec<GmonData> {
+    let t = table(&[
+        "main", "setup", "exchange", "solve", "pack", "unpack", "dot", "axpy", "matvec", "halo",
+        "reduce", "exit",
+    ]);
+    let mut g = GmonData {
+        functions: t.clone(),
+        ..Default::default()
+    };
+    let mut out = Vec::new();
+    for i in 0..n {
+        g.sample_index = i;
+        g.timestamp_ns = 10_000_000 * (i + 1);
+        for f in 0..12u32 {
+            let id = FunctionId(f);
+            if f % 3 == (i % 3) as u32 && (f != 11 || i >= 2) {
+                let s = g.flat.get(id);
+                let stats = FunctionStats {
+                    self_time: s.self_time + 1_000_003 * u64::from(f + 1),
+                    calls: s.calls + 1 + u64::from(f),
+                    child_time: s.child_time + 77 * i,
+                };
+                g.flat.set(id, stats);
+            }
+        }
+        if i >= 3 {
+            let a = g.callgraph.get(FunctionId(0), FunctionId(3));
+            let arc = ArcStats {
+                count: a.count + 2,
+                child_time: a.child_time + 300 * i,
+            };
+            g.callgraph.set(FunctionId(0), FunctionId(3), arc);
+        }
+        out.push(g.clone());
+    }
+    out
+}
+
+#[test]
+fn a_delta_read_against_its_base_equals_the_whole_snapshot() {
+    let sparse = sparse_stream(9);
+    let t = table(&["main", "cg_solve", "waxpby"]);
+    let dense: Vec<GmonData> = (0..6).map(|i| snapshot(i, &t)).collect();
+    // A counter lowered at step 2: that snapshot goes whole, and the
+    // stream carries on in deltas after it.
+    let mut lowered = dense.clone();
+    lowered[2].flat.set(FunctionId(1), FunctionStats::default());
+    for (name, stream) in [
+        ("sparse", &sparse),
+        ("dense", &dense),
+        ("lowered", &lowered),
+    ] {
+        let mut writer = Stream::new();
+        let mut forms = Vec::new();
+        for (i, g) in stream.iter().enumerate() {
+            let payload = writer.encode(g);
+            forms.push(carries_table(&payload));
+            let whole = GmonData::decode(&g.encode()).unwrap();
+            let read = agrees(&payload, writer.tail(), &format!("{name} {i}")).unwrap();
+            assert_eq!(read, whole, "{name} {i}: the delta is not the snapshot");
+            writer.advance(read);
+        }
+        let mut want = vec![false; stream.len()];
+        want[0] = true;
+        if name == "lowered" {
+            want[2] = true;
+        }
+        assert_eq!(forms, want, "{name}: which payloads went whole");
+    }
+}
+
+#[test]
+fn a_delta_against_any_other_base_is_refused() {
+    let s = sparse_stream(5);
+    let delta = stream_at(&s[2]).encode(&s[3]);
+    assert!(!carries_table(&delta));
+    for (tail, at) in [(Some(&s[1]), Some(1)), (Some(&s[3]), Some(3)), (None, None)] {
+        let got = agrees(&delta, tail, "another base");
+        assert!(
+            matches!(got, Err(ProfileError::WrongBase { base: 2, tail }) if tail == at),
+            "{got:?}"
+        );
+    }
+    // A snapshot with the base's index but other counters is not told
+    // apart by the index alone; the reader trusts the stream it holds.
+    let mut impostor = s[2].clone();
+    impostor.flat = s[0].flat.clone();
+    let read = agrees(&delta, Some(&impostor), "impostor base").unwrap();
+    assert_ne!(read, s[3]);
+}
+
+#[test]
+fn every_flip_and_truncation_of_a_delta() {
+    let s = sparse_stream(6);
+    let delta = stream_at(&s[4]).encode(&s[5]).to_vec();
+    assert!(delta.len() > 40, "the delta holds rows and an arc");
+    let mut other = s[4].clone();
+    other.sample_index = 9;
+    for tail in [Some(&s[4]), Some(&s[3]), Some(&other), None] {
+        let at_base = tail.is_some_and(|t| t.sample_index == 4);
+        for at in 0..delta.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut mutant = delta.clone();
+                mutant[at] ^= mask;
+                let _ = agrees(&mutant, tail, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
+        for len in 0..delta.len() {
+            let got = agrees(&delta[..len], tail, &format!("truncated to {len}"));
+            assert!(got.is_err(), "a truncated delta decoded");
+        }
+        assert_eq!(agrees(&delta, tail, "whole").is_ok(), at_base);
+    }
+}
+
+#[test]
+fn a_count_past_the_bytes_left_is_refused_before_its_records() {
+    let t = table(&["main", "solve"]);
+    let g = snapshot(1, &t);
+    let head = &g.encode()[..25];
+    let truncated = |context| Err::<GmonData, _>(ProfileError::Truncated { context });
+    // Absolute sections: a u32 count, then a few bytes of one record.
+    for (tag, context) in [
+        (0x02u8, "function records"),
+        (0x03, "flat records"),
+        (0x04, "arc records"),
+    ] {
+        for count in [2u32, 1 << 20, u32::MAX] {
+            let payload = [head, &[tag], &count.to_le_bytes(), &[0u8; 20], &[0xFF]].concat();
+            let got = GmonData::decode(&payload);
+            assert!(
+                same(&got, &truncated(context)),
+                "{tag:#x} x{count}: {got:?}"
+            );
+        }
+    }
+    // Delta sections: a varint count, then fewer than four bytes a row.
+    let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0x0F];
+    let base = stream_at(&g);
+    for (payload, context) in [
+        (
+            [head, &[0x05, 1], &huge, &[1, 2, 3, 0xFF]].concat(),
+            "delta rows",
+        ),
+        (
+            [head, &[0x05, 1, 0], &huge, &[1, 2, 0xFF]].concat(),
+            "delta arcs",
+        ),
+        (
+            [head, &[0x05, 1, 4], &[0; 11], &[0xFF]].concat(),
+            "delta rows",
+        ),
+    ] {
+        let got = base.decode(&payload);
+        assert!(same(&got, &truncated(context)), "{context}: {got:?}");
+        assert!(reference(&payload, Some(&g)).is_none());
     }
 }

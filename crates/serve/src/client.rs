@@ -13,7 +13,8 @@ use crate::frame::{
     TraceWire, DEFAULT_MAX_PAYLOAD,
 };
 use crate::plane::{BindAddr, Conn};
-use incprof_profile::{FunctionTable, GmonData};
+use incprof_profile::gmon::Stream;
+use incprof_profile::GmonData;
 use std::collections::BTreeMap;
 use std::io;
 use std::time::Duration;
@@ -88,10 +89,10 @@ pub struct Client {
     /// Longest wait for a reply; `None` waits forever. It is the
     /// socket's read timeout, so enforcing it reads no clock.
     reply_deadline: Option<Duration>,
-    /// Per session, the function table of its last push, kept only
-    /// while that push was acked: the server holds exactly that table,
-    /// so a push with an equal one leaves it out.
-    acked_tables: BTreeMap<u64, FunctionTable>,
+    /// Per session, the gmon stream at its last push, kept only while
+    /// that push was acked: the server holds exactly that snapshot, so
+    /// the next push is written against it.
+    streams: BTreeMap<u64, Stream>,
 }
 
 impl Client {
@@ -104,7 +105,7 @@ impl Client {
             target,
             reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
             reply_deadline,
-            acked_tables: BTreeMap::new(),
+            streams: BTreeMap::new(),
         })
     }
 
@@ -210,10 +211,11 @@ impl Client {
     }
 
     /// Push one cumulative snapshot (as gmon wire bytes) into a session.
-    /// The payload leaves the function table out when it equals the
-    /// table of the session's previous push and that push was acked;
-    /// after a `Busy`, an error or a lost connection the next push
-    /// carries it again.
+    /// After an ack the next push is a delta against the acked snapshot
+    /// (the [`Stream`] picks the form); after a `Busy`, an error or a
+    /// lost connection it is self-contained again. A retransmission
+    /// after a lost reply resends the same bytes, which the server
+    /// recognizes by sample index before it reads the delta.
     pub fn push(&mut self, session_id: u64, gmon: &GmonData) -> Result<Push, ClientError> {
         self.push_inner(session_id, gmon, None)
     }
@@ -250,17 +252,19 @@ impl Client {
             trace_id: tid,
             parent_span: root.as_ref().map(|r| r.wire_span()).unwrap_or(0),
         });
-        let payload = match self.acked_tables.remove(&session_id) {
-            Some(table) if table == gmon.functions => gmon.encode_counters(),
-            _ => gmon.encode(),
-        };
+        let payload = self
+            .streams
+            .remove(&session_id)
+            .unwrap_or_default()
+            .encode(gmon);
         let frame =
             Frame::with_payload(FrameType::Snapshot, session_id, payload.to_vec()).traced(trace);
         let reply = self.request(&frame)?;
         match reply.frame_type {
             FrameType::SnapshotAck => {
                 let ack = SnapshotAck::decode(&reply.payload)?;
-                self.acked_tables.insert(session_id, gmon.functions.clone());
+                let stream = self.streams.entry(session_id).or_default();
+                stream.advance(gmon.clone());
                 Ok(Push::Ack(ack))
             }
             FrameType::Busy => Ok(Push::Busy),
@@ -380,7 +384,7 @@ impl Client {
 
     /// Close a session, draining anything still pending server-side.
     pub fn close(&mut self, session_id: u64) -> Result<(), ClientError> {
-        self.acked_tables.remove(&session_id);
+        self.streams.remove(&session_id);
         self.expect_reply(
             &Frame::empty(FrameType::Close, session_id),
             FrameType::CloseAck,

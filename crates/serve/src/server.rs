@@ -19,7 +19,7 @@ use crate::frame::{ErrorCode, Frame, FrameType, SnapshotAck};
 use crate::plane::{
     error_reply, error_reply_info, BindAddr, Plane, PlaneHandle, PlaneSpec, Reply, Stop,
 };
-use crate::session::{lock, Enqueue, Registry, ReportMode, Session};
+use crate::session::{lock, Enqueue, Refused, Registry, ReportMode, Session};
 use incprof_core::online::OnlineConfig;
 use incprof_core::PhaseDetector;
 use incprof_store::{RetentionPolicy, Store};
@@ -331,28 +331,23 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
             tw.parent_span,
         )
     });
-    // Decode, enqueue and drain under one lock hold: a push without a
-    // function section reads the session's current table, the queue
-    // bound gives overflow a BUSY answer, and atomicity guarantees this
-    // worker drains (and can ack) the frame it just enqueued.
+    // Decode, enqueue and drain under one lock hold: a push is read
+    // against the session's stream, the queue bound gives overflow a
+    // BUSY answer, and atomicity guarantees this worker drains (and can
+    // ack) the frame it just enqueued.
     let handled = with_session(shared, sid, |session| {
-        let gmon = match session.decode(&frame.payload) {
-            Ok(g) => g,
-            Err(e) => {
+        let reply = match session.offer(&frame.payload, received_at) {
+            Err(Refused::Decode(e)) => {
                 incprof_obs::counter(incprof_obs::names::SERVE_DECODE_ERRORS).inc();
                 incprof_obs::recorder().record(
                     incprof_obs::EventKind::DecodeError,
                     sid,
                     ErrorCode::BadPayload as u64,
                 );
-                let msg = format!("gmon decode: {e}");
-                return (error_reply(sid, ErrorCode::BadPayload, &msg), false);
+                error_reply(sid, ErrorCode::BadPayload, &format!("gmon decode: {e}"))
             }
-        };
-        let sample_index = gmon.sample_index;
-        let reply = match session.enqueue(gmon, received_at) {
-            Err(e) => error_reply_info(sid, &e),
-            Ok(Enqueue::Busy) => {
+            Err(Refused::Enqueue(e)) => error_reply_info(sid, &e),
+            Ok((Enqueue::Busy, _)) => {
                 incprof_obs::counter(incprof_obs::names::SERVE_BUSY_REPLIES).inc();
                 incprof_obs::recorder().record(
                     incprof_obs::EventKind::BusyReply,
@@ -364,7 +359,7 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
             // A retransmission of the most recently acked snapshot
             // (client reconnect or router failover): replay the
             // remembered ack so at-least-once delivery is invisible.
-            Ok(Enqueue::Duplicate) => match session.last_ack() {
+            Ok((Enqueue::Duplicate, _)) => match session.last_ack() {
                 Some(ack) => snapshot_ack(sid, &ack),
                 None => error_reply(
                     sid,
@@ -372,7 +367,7 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
                     "duplicate verdict without a remembered ack",
                 ),
             },
-            Ok(Enqueue::Accepted) => match session.drain_traced(traced) {
+            Ok((Enqueue::Accepted, sample_index)) => match session.drain_traced(traced) {
                 Err(e) => error_reply_info(sid, &e),
                 Ok(acks) => match acks.iter().find(|a| a.sample_index == sample_index) {
                     Some(ack) => snapshot_ack(sid, ack),

@@ -21,6 +21,7 @@ use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector};
 use incprof_obs::{JsonWriter, Raw};
+use incprof_profile::gmon::{self, Stream};
 use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
@@ -47,6 +48,15 @@ pub enum Enqueue {
     /// caller should answer with [`Session::last_ack`] instead of
     /// ingesting it again.
     Duplicate,
+}
+
+/// Why [`Session::offer`] refused a pushed payload.
+#[derive(Debug)]
+pub(crate) enum Refused {
+    /// The payload does not decode against the session's stream.
+    Decode(ProfileError),
+    /// The decoded snapshot was refused by [`Session::enqueue`].
+    Enqueue(ErrorInfo),
 }
 
 /// One processed snapshot: its sample index plus the online detector's
@@ -80,6 +90,9 @@ pub struct Session {
     id: u64,
     series: SampleSeries,
     table: FunctionTable,
+    /// The pushed payloads as one gmon stream: its newest snapshot is
+    /// the newest queued one, else the series tail.
+    stream: Stream,
     online: OnlinePhaseDetector,
     pending: VecDeque<Pending>,
     max_pending: usize,
@@ -140,6 +153,7 @@ impl Session {
             id,
             series: SampleSeries::new(),
             table: FunctionTable::new(),
+            stream: Stream::new(),
             online: OnlinePhaseDetector::new(online),
             pending: VecDeque::new(),
             max_pending,
@@ -221,6 +235,7 @@ impl Session {
     ) -> Session {
         if let Some(newest) = replay.snapshots.last() {
             self.table = newest.functions.clone();
+            self.stream.advance(newest.clone());
         }
         self.replay(replay.snapshots.iter().map(ProfileSnapshot::from_gmon));
         if let (Some(blob), Some(slot)) = (checkpoint, self.cache.as_mut()) {
@@ -254,15 +269,32 @@ impl Session {
         self.series.is_empty() && self.pending.is_empty()
     }
 
-    /// Decode one pushed gmon payload against the stream's current
-    /// table: the newest queued snapshot's, else [`Session::table`]. A
-    /// payload without a function section gets that table, shared.
-    pub(crate) fn decode(&self, payload: &[u8]) -> Result<GmonData, ProfileError> {
-        let table = self
-            .pending
-            .back()
-            .map_or(&self.table, |p| &p.gmon.functions);
-        GmonData::decode_in(payload, table)
+    /// Offer one pushed gmon payload: decode it against the session's
+    /// stream, then [`Session::enqueue`] it. Returns the verdict and the
+    /// payload's sample index. A retransmission of the most recently
+    /// acked snapshot is recognized from its header first: once that
+    /// snapshot is the stream's newest, a delta written against the one
+    /// before no longer reads.
+    pub(crate) fn offer(&mut self, payload: &[u8], at: Instant) -> Result<(Enqueue, u64), Refused> {
+        if let Some(index) = gmon::sample_index(payload) {
+            if self.fault.is_none() && self.retransmits(index) {
+                self.last_activity = Some(at);
+                return Ok((Enqueue::Duplicate, index));
+            }
+        }
+        let snapshot = self.stream.decode(payload).map_err(Refused::Decode)?;
+        let index = snapshot.sample_index;
+        let verdict = self.enqueue(snapshot, at).map_err(Refused::Enqueue)?;
+        Ok((verdict, index))
+    }
+
+    /// Whether `sample_index` is the most recently acked snapshot's, with
+    /// nothing queued behind it: an at-least-once retransmission.
+    fn retransmits(&self, sample_index: u64) -> bool {
+        self.pending.is_empty()
+            && self
+                .last_ack
+                .is_some_and(|a| a.sample_index == sample_index)
     }
 
     /// Offer a decoded snapshot. Enforces sample-index ordering and the
@@ -282,11 +314,7 @@ impl Session {
             // snapshot. Recognize exactly the most recently acked index
             // (nothing queued behind it) and let the caller replay the
             // remembered ack instead of erroring the stream.
-            if self.pending.is_empty()
-                && self
-                    .last_ack
-                    .is_some_and(|a| a.sample_index == gmon.sample_index)
-            {
+            if self.retransmits(gmon.sample_index) {
                 self.last_activity = Some(enqueued_at);
                 return Ok(Enqueue::Duplicate);
             }
@@ -302,6 +330,7 @@ impl Session {
             return Ok(Enqueue::Busy);
         }
         self.last_activity = Some(enqueued_at);
+        self.stream.advance(gmon.clone());
         self.pending.push_back(Pending { gmon, enqueued_at });
         Ok(Enqueue::Accepted)
     }
@@ -469,9 +498,9 @@ impl Session {
         self.persist.is_some()
     }
 
-    /// Append one drained snapshot to the durable log — its counters,
-    /// and its function table only when the log's last retained record
-    /// has another — mirroring any retention drops onto the in-memory
+    /// Append one drained snapshot to the durable log — in the form the
+    /// log's stream picks, mostly a delta against the last retained
+    /// record — mirroring any retention drops onto the in-memory
     /// series and re-folding the online detector and `last_ack` over
     /// what is left, so a later rehydration (which only sees retained
     /// records) rebuilds exactly this state. The re-fold costs

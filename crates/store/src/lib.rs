@@ -17,8 +17,9 @@
 //! any storage-specific framing:
 //!
 //! * **Snapshot records** ([`frame::FrameType::Snapshot`]) — one per
-//!   ingested cumulative snapshot, payload a gmon payload: the counters,
-//!   plus the function table when it changed (rule R in [`log`]). They
+//!   ingested cumulative snapshot, payload a gmon payload: a delta
+//!   against the record before it, or the whole snapshot where the
+//!   stream needs one (rule R in [`log`]). They
 //!   live in the append-only `log.iprf` and are the source of truth:
 //!   replaying them rebuilds the session bit-for-bit.
 //! * **Checkpoint records** ([`frame::FrameType::Checkpoint`]) — a

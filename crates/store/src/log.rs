@@ -6,30 +6,31 @@
 //! record carries the codec's CRC and version field for free and the
 //! corruption-handling test surface is shared with the protocol.
 //!
-//! **Table rule (R).** The records form one gmon stream
-//! ([`GmonData::decode_in`]): a record without a function section reads
-//! the table of the record before it. A record carries its table
-//! whenever that table differs from the previous *retained* record's, so
-//! the first retained record always carries one; it may carry it in other
-//! cases too, which is why a log that repeats the table in every record
-//! replays unchanged. [`SnapshotLog::append_gmon`] writes the table only
-//! when R asks for it, and [`SnapshotLog::compact`] puts the table back
-//! into the first kept record that read it from a dropped one.
+//! **Stream rule (R).** The records form one gmon [`Stream`]: each
+//! record is read against the retained record before it, and
+//! [`SnapshotLog::append_gmon`] writes what that stream's encoder
+//! picks — a delta against the previous record, or the snapshot
+//! self-contained (the first record, a new table, a lowered counter).
+//! Every record a stream reads must still follow the record it was
+//! written after, so [`SnapshotLog::compact`] rewrites self-contained
+//! each kept record that is not, and whose predecessor it drops. A log
+//! written before deltas (a table in every record, or counters without
+//! one) replays unchanged.
 //!
 //! **Torn-tail rule.** A crash can leave a partially-written record at
 //! the end of the file. On open, the log is scanned front to back; the
 //! first record that fails to decode (truncated, bad CRC, wrong type,
-//! undecodable payload, or a non-increasing sample index) marks the end
-//! of the valid prefix, and the file is truncated there. Everything
-//! before the tear survives; nothing after it is trusted.
+//! undecodable payload, a delta whose base is not the record before it,
+//! or a non-increasing sample index) marks the end of the valid prefix,
+//! and the file is truncated there. Everything before the tear
+//! survives; nothing after it is trusted.
 
 use crate::frame::{Frame, FrameType, DEFAULT_MAX_PAYLOAD};
 use crate::retention::RecordMeta;
-use incprof_profile::gmon::carries_table;
-use incprof_profile::{FunctionTable, GmonData};
+use incprof_profile::gmon::{carries_table, Stream};
+use incprof_profile::GmonData;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// An open snapshot log: an append handle plus an in-memory index of
@@ -41,11 +42,9 @@ pub struct SnapshotLog {
     file: File,
     session_id: u64,
     records: Vec<RecordMeta>,
-    /// Per retained record: whether it carries its function table.
-    carries: Vec<bool>,
-    /// The last retained record's table, when known; `None` makes the
-    /// next [`SnapshotLog::append_gmon`] write its table.
-    tail_table: Option<FunctionTable>,
+    /// The records as one stream: its newest snapshot is the last
+    /// retained record's, when known.
+    stream: Stream,
 }
 
 /// What [`SnapshotLog::open`] recovered from disk.
@@ -72,8 +71,7 @@ impl SnapshotLog {
             file,
             session_id,
             records: Vec::new(),
-            carries: Vec::new(),
-            tail_table: None,
+            stream: Stream::new(),
         })
     }
 
@@ -85,10 +83,8 @@ impl SnapshotLog {
         File::open(path)?.read_to_end(&mut bytes)?;
         let mut offset = 0usize;
         let mut records = Vec::new();
-        let mut carries = Vec::new();
         let mut snapshots: Vec<GmonData> = Vec::new();
-        let mut last_index: Option<u64> = None;
-        let empty = FunctionTable::new();
+        let mut stream = Stream::new();
         while offset < bytes.len() {
             let (frame, consumed) = match Frame::decode(&bytes[offset..], DEFAULT_MAX_PAYLOAD) {
                 Ok(parts) => parts,
@@ -97,23 +93,24 @@ impl SnapshotLog {
             if frame.frame_type != FrameType::Snapshot || frame.session_id != session_id {
                 break;
             }
-            let table = snapshots.last().map_or(&empty, |g| &g.functions);
-            let gmon = match GmonData::decode_in(&frame.payload, table) {
+            let gmon = match stream.decode(&frame.payload) {
                 Ok(g) => g,
                 Err(_) => break,
             };
-            if last_index.is_some_and(|prev| gmon.sample_index <= prev) {
+            if records
+                .last()
+                .is_some_and(|prev: &RecordMeta| gmon.sample_index <= prev.sample_index)
+            {
                 break;
             }
-            last_index = Some(gmon.sample_index);
             records.push(RecordMeta {
                 sample_index: gmon.sample_index,
                 bytes: consumed as u64,
             });
-            carries.push(carries_table(&frame.payload));
-            snapshots.push(gmon);
+            snapshots.extend(stream.advance(gmon));
             offset += consumed;
         }
+        snapshots.extend(stream.tail().cloned());
         let truncated_bytes = (bytes.len() - offset) as u64;
         if truncated_bytes > 0 {
             incprof_obs::counter(incprof_obs::names::STORE_TORN_TAILS).inc();
@@ -131,8 +128,7 @@ impl SnapshotLog {
                 file,
                 session_id,
                 records,
-                carries,
-                tail_table: snapshots.last().map(|g| g.functions.clone()),
+                stream,
             },
             LogReplay {
                 snapshots,
@@ -142,36 +138,25 @@ impl SnapshotLog {
     }
 
     /// Append one gmon payload as it is; `sample_index` must exceed the
-    /// last retained record's. A payload without a function section reads
-    /// the last retained record's table. Returns the encoded record size
-    /// in bytes.
+    /// last retained record's, and the payload is read against that
+    /// record on replay. The next [`SnapshotLog::append_gmon`] writes its
+    /// snapshot self-contained. Returns the encoded record size in bytes.
     pub fn append(&mut self, sample_index: u64, payload: &[u8]) -> io::Result<u64> {
-        let bytes = self.write_record(sample_index, payload, carries_table(payload))?;
-        self.tail_table = None;
+        let bytes = self.write_record(sample_index, payload)?;
+        self.stream = Stream::new();
         Ok(bytes)
     }
 
-    /// Append one snapshot, its function table included only when it
-    /// differs from the last retained record's (rule R). Returns the
-    /// encoded record size in bytes.
+    /// Append one snapshot in the form the log's stream picks (rule R).
+    /// Returns the encoded record size in bytes.
     pub fn append_gmon(&mut self, gmon: &GmonData) -> io::Result<u64> {
-        let carries = self.tail_table.as_ref() != Some(&gmon.functions);
-        let payload = if carries {
-            gmon.encode()
-        } else {
-            gmon.encode_counters()
-        };
-        let bytes = self.write_record(gmon.sample_index, &payload, carries)?;
-        self.tail_table = Some(gmon.functions.clone());
+        let payload = self.stream.encode(gmon);
+        let bytes = self.write_record(gmon.sample_index, &payload)?;
+        self.stream.advance(gmon.clone());
         Ok(bytes)
     }
 
-    fn write_record(
-        &mut self,
-        sample_index: u64,
-        payload: &[u8],
-        carries: bool,
-    ) -> io::Result<u64> {
+    fn write_record(&mut self, sample_index: u64, payload: &[u8]) -> io::Result<u64> {
         if self
             .records
             .last()
@@ -192,7 +177,6 @@ impl SnapshotLog {
             sample_index,
             bytes: bytes.len() as u64,
         });
-        self.carries.push(carries);
         Ok(bytes.len() as u64)
     }
 
@@ -204,16 +188,17 @@ impl SnapshotLog {
 
     /// Rewrite the log without the records at the given ascending
     /// positions (a retention trim), atomically via tmp-file + rename.
-    /// A kept record that read its table from a dropped one is rewritten
-    /// with that table, which keeps rule R. Returns the dropped records'
-    /// sample indices. The newest record is never dropped (no
-    /// [`RetentionPolicy`](crate::RetentionPolicy) drops it): the next
-    /// append is ordered after it and compares its table with it.
+    /// A kept record that is not self-contained and whose predecessor is
+    /// dropped is rewritten self-contained, which keeps rule R. Returns
+    /// the dropped records' sample indices. The newest record is never
+    /// dropped (no [`RetentionPolicy`](crate::RetentionPolicy) drops
+    /// it): the next append is written against it.
     pub fn compact(&mut self, drop_positions: &[usize]) -> io::Result<Vec<u64>> {
         if drop_positions.is_empty() {
             return Ok(Vec::new());
         }
-        if drop_positions.last() == Some(&(self.records.len() - 1)) {
+        let n = self.records.len();
+        if drop_positions.last() == Some(&(n - 1)) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "compaction never drops the newest record",
@@ -221,44 +206,58 @@ impl SnapshotLog {
         }
         let mut bytes = Vec::new();
         File::open(&self.path)?.read_to_end(&mut bytes)?;
-        let mut keep_bytes = Vec::with_capacity(bytes.len());
-        let kept_len = self.records.len() - drop_positions.len();
-        let (mut kept, mut kept_carries) =
-            (Vec::with_capacity(kept_len), Vec::with_capacity(kept_len));
-        let mut dropped = Vec::with_capacity(drop_positions.len());
-        let mut drops = drop_positions.iter().peekable();
-        // The newest record so far that carries a table, and whether the
-        // last kept record reads that table.
-        let mut introducer: Option<Range<usize>> = None;
-        let mut kept_reads_it = true;
+        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
+        let mut ranges = Vec::with_capacity(n);
         let mut offset = 0usize;
+        for rec in &self.records {
+            ranges.push(offset..offset + rec.bytes as usize);
+            offset += rec.bytes as usize;
+        }
+        let payload = |pos: usize| {
+            Frame::decode(&bytes[ranges[pos].clone()], DEFAULT_MAX_PAYLOAD)
+                .map(|(frame, _)| frame.payload)
+                .map_err(|e| invalid(e.to_string()))
+        };
+        let mut kept = vec![true; n];
+        for &pos in drop_positions {
+            kept[pos] = false;
+        }
+        let mut rewrite = vec![false; n];
+        for pos in 1..n {
+            rewrite[pos] = kept[pos] && !kept[pos - 1] && !carries_table(&payload(pos)?);
+        }
+        // A rewritten record is decoded as the stream reads it: from the
+        // last self-contained record before the first rewrite on.
+        let last = rewrite.iter().rposition(|&r| r);
+        let mut from = rewrite.iter().position(|&r| r).unwrap_or(n);
+        while from > 0 && from < n && !carries_table(&payload(from)?) {
+            from -= 1;
+        }
+        let mut stream = Stream::new();
+        let mut keep_bytes = Vec::with_capacity(bytes.len());
+        let mut records = Vec::with_capacity(n - drop_positions.len());
+        let mut dropped = Vec::with_capacity(drop_positions.len());
         for (pos, rec) in self.records.iter().enumerate() {
-            let range = offset..offset + rec.bytes as usize;
-            offset = range.end;
-            if self.carries[pos] {
-                introducer = Some(range.clone());
-                kept_reads_it = false;
+            let mut rewritten = None;
+            if last.is_some_and(|last| (from..=last).contains(&pos)) {
+                let gmon = stream
+                    .decode(&payload(pos)?)
+                    .map_err(|e| invalid(e.to_string()))?;
+                if rewrite[pos] {
+                    rewritten = Some(self.frame(gmon.encode().to_vec())?);
+                }
+                stream.advance(gmon);
             }
-            if drops.peek() == Some(&&pos) {
-                drops.next();
+            if !kept[pos] {
                 dropped.push(rec.sample_index);
                 continue;
             }
-            let mut record = *rec;
-            match &introducer {
-                Some(from) if !kept_reads_it && !self.carries[pos] => {
-                    let rewritten = self.with_table_of(&bytes[from.clone()], &bytes[range])?;
-                    record.bytes = rewritten.len() as u64;
-                    keep_bytes.extend_from_slice(&rewritten);
-                    kept_carries.push(true);
-                }
-                _ => {
-                    keep_bytes.extend_from_slice(&bytes[range]);
-                    kept_carries.push(self.carries[pos]);
-                }
-            }
-            kept.push(record);
-            kept_reads_it = true;
+            let framed = rewritten.as_deref().unwrap_or(&bytes[ranges[pos].clone()]);
+            keep_bytes.extend_from_slice(framed);
+            records.push(RecordMeta {
+                sample_index: rec.sample_index,
+                bytes: framed.len() as u64,
+            });
         }
         let tmp = self.path.with_extension("tmp");
         {
@@ -268,28 +267,10 @@ impl SnapshotLog {
         }
         std::fs::rename(&tmp, &self.path)?;
         self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.records = kept;
-        self.carries = kept_carries;
+        self.records = records;
         incprof_obs::counter(incprof_obs::names::STORE_COMPACTIONS).inc();
         incprof_obs::counter(incprof_obs::names::STORE_RECORDS_DROPPED).add(dropped.len() as u64);
         Ok(dropped)
-    }
-
-    /// The framed `record`, rewritten to carry the table of the framed
-    /// record `introducer`, which it reads its table from.
-    fn with_table_of(&self, introducer: &[u8], record: &[u8]) -> io::Result<Vec<u8>> {
-        let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-        let payload = |framed: &[u8]| {
-            Frame::decode(framed, DEFAULT_MAX_PAYLOAD)
-                .map(|(frame, _)| frame.payload)
-                .map_err(|e| invalid(e.to_string()))
-        };
-        let table = GmonData::decode(&payload(introducer)?)
-            .map_err(|e| invalid(e.to_string()))?
-            .functions;
-        let gmon =
-            GmonData::decode_in(&payload(record)?, &table).map_err(|e| invalid(e.to_string()))?;
-        self.frame(gmon.encode().to_vec())
     }
 
     /// The retained records' metadata, oldest first.
@@ -307,7 +288,7 @@ impl SnapshotLog {
 mod tests {
     use super::*;
     use crate::retention::RetentionPolicy;
-    use incprof_profile::{FlatProfile, FunctionStats};
+    use incprof_profile::{FlatProfile, FunctionId, FunctionStats, FunctionTable};
 
     fn gmon(idx: u64, self_ns: u64) -> GmonData {
         let mut table = FunctionTable::new();
@@ -397,23 +378,29 @@ mod tests {
     }
 
     /// Reopen `path` and check that it replays exactly `want`, tables
-    /// included, with every retained record obeying rule R.
+    /// included: every retained record reads the one before it.
     fn assert_replays(path: &Path, session_id: u64, want: &[&GmonData]) {
-        let (log, replay) = SnapshotLog::open(path, session_id).unwrap();
+        let (_, replay) = SnapshotLog::open(path, session_id).unwrap();
         assert_eq!(replay.truncated_bytes, 0);
         let got: Vec<&GmonData> = replay.snapshots.iter().collect();
         assert_eq!(got, want);
-        for (i, carries) in log.carries.iter().enumerate() {
-            let changed = i == 0 || want[i].functions != want[i - 1].functions;
-            assert!(
-                *carries || !changed,
-                "record {i} lacks the table it changed to"
-            );
+    }
+
+    /// Per record of the log at `path`: whether it is self-contained.
+    fn whole(path: &Path) -> Vec<bool> {
+        let bytes = std::fs::read(path).unwrap();
+        let mut at = 0;
+        let mut out = Vec::new();
+        while at < bytes.len() {
+            let (frame, used) = Frame::decode(&bytes[at..], DEFAULT_MAX_PAYLOAD).unwrap();
+            out.push(carries_table(&frame.payload));
+            at += used;
         }
+        out
     }
 
     #[test]
-    fn table_once_log_writes_the_table_where_it_changes() {
+    fn a_delta_log_writes_the_table_where_it_changes() {
         let dir = tmpdir("table_once");
         let path = dir.join("log.iprf");
         let (small, big) = (names(20), names(24));
@@ -422,7 +409,7 @@ mod tests {
             .collect();
         let mut log = SnapshotLog::create(&path, 4).unwrap();
         let sizes: Vec<u64> = snaps.iter().map(|g| log.append_gmon(g).unwrap()).collect();
-        assert_eq!(log.carries, [true, false, false, true, false, false]);
+        assert_eq!(whole(&path), [true, false, false, true, false, false]);
         assert!(sizes[1] < sizes[0] && sizes[4] < sizes[3], "{sizes:?}");
         drop(log);
         assert_replays(&path, 4, &snaps.iter().collect::<Vec<_>>());
@@ -474,9 +461,9 @@ mod tests {
         for g in &snaps {
             append_retained(&mut log, &policy, g);
         }
-        // Only the hot tail survives, and its first record carries the
-        // table the dropped record 0 introduced.
-        assert_eq!(log.carries, [true, false]);
+        // Only the hot tail survives, and its first record, whose base
+        // was dropped, is rewritten self-contained.
+        assert_eq!(whole(&path), [true, false]);
         drop(log);
         assert_replays(&path, 6, &[&snaps[4], &snaps[5]]);
     }
@@ -500,12 +487,12 @@ mod tests {
             let newest = log.records().last().map(|r| r.sample_index);
             assert_eq!(newest, Some(g.sample_index));
         }
-        assert_eq!(log.carries, [true, true]);
+        assert_eq!(whole(&path), [true, true]);
         drop(log);
         assert_replays(&path, 8, &[&snaps[0], &snaps[4]]);
         let (mut log, _) = SnapshotLog::open(&path, 8).unwrap();
         append_retained(&mut log, &policy, &snaps[5]);
-        assert_eq!(log.carries, [true, true, false]);
+        assert_eq!(whole(&path), [true, true, false]);
         drop(log);
         assert_replays(&path, 8, &[&snaps[0], &snaps[4], &snaps[5]]);
     }
@@ -538,6 +525,78 @@ mod tests {
             drop(log);
             assert_replays(&path, 2, &snaps.iter().collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn a_log_written_before_deltas_replays_and_compacts_unchanged() {
+        // Tables in records 0 and 3, absolute counters without one in
+        // the others: the form logs took before deltas.
+        let dir = tmpdir("before_deltas");
+        let path = dir.join("log.iprf");
+        let (small, big) = (names(20), names(24));
+        let snaps: Vec<GmonData> = (0..6)
+            .map(|i| snap(i, if i < 3 { &small } else { &big }))
+            .collect();
+        let mut log = SnapshotLog::create(&path, 3).unwrap();
+        for (i, g) in snaps.iter().enumerate() {
+            let payload = if i % 3 == 0 {
+                g.encode()
+            } else {
+                g.encode_counters()
+            };
+            log.append(g.sample_index, &payload).unwrap();
+        }
+        drop(log);
+        assert_replays(&path, 3, &snaps.iter().collect::<Vec<_>>());
+        // Dropping 1 and 3 leaves 2 and 4 without the record they read
+        // their table from: both are rewritten whole, 5 still reads 4.
+        let (mut log, _) = SnapshotLog::open(&path, 3).unwrap();
+        assert_eq!(log.compact(&[1, 3]).unwrap(), [1, 3]);
+        assert_eq!(whole(&path), [true, true, true, false]);
+        // The stream picks up after the old records: a delta.
+        let next = snap(6, &big);
+        log.append_gmon(&next).unwrap();
+        assert_eq!(whole(&path), [true, true, true, false, false]);
+        drop(log);
+        let want = [&snaps[0], &snaps[2], &snaps[4], &snaps[5], &next];
+        assert_replays(&path, 3, &want);
+    }
+
+    #[test]
+    fn a_lowered_counter_is_written_whole_and_deltas_resume_after_it() {
+        let dir = tmpdir("lowered");
+        let path = dir.join("log.iprf");
+        let t = names(4);
+        let mut snaps: Vec<GmonData> = (0..5).map(|i| snap(i, &t)).collect();
+        snaps[2].flat.set(FunctionId(1), FunctionStats::default());
+        let mut log = SnapshotLog::create(&path, 5).unwrap();
+        for g in &snaps {
+            log.append_gmon(g).unwrap();
+        }
+        assert_eq!(whole(&path), [true, false, true, false, false]);
+        drop(log);
+        assert_replays(&path, 5, &snaps.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_delta_whose_base_is_not_the_record_before_cuts_the_replay() {
+        let dir = tmpdir("wrong_base");
+        let path = dir.join("log.iprf");
+        let t = names(4);
+        let snaps: Vec<GmonData> = (0..4).map(|i| snap(i, &t)).collect();
+        let mut log = SnapshotLog::create(&path, 6).unwrap();
+        for g in &snaps[..2] {
+            log.append_gmon(g).unwrap();
+        }
+        // Snapshot 3 as a delta against 2, which the log never held.
+        let mut stream = Stream::new();
+        stream.advance(snaps[2].clone());
+        log.append(3, &stream.encode(&snaps[3])).unwrap();
+        drop(log);
+        let (log, replay) = SnapshotLog::open(&path, 6).unwrap();
+        assert!(replay.truncated_bytes > 0);
+        assert_eq!(replay.snapshots, snaps[..2]);
+        assert_eq!(log.records().len(), 2);
     }
 
     #[test]

@@ -174,8 +174,8 @@ impl SessionStore {
     }
 
     /// [`SessionStore::append_snapshot`] for a decoded snapshot: the
-    /// record holds its counters, and its function table only when that
-    /// differs from the last retained record's
+    /// record holds what moved since the last retained record, or the
+    /// whole snapshot where the log's stream needs it
     /// ([`SnapshotLog::append_gmon`]).
     pub fn append_gmon(&mut self, gmon: &GmonData) -> io::Result<AppendOutcome> {
         let bytes = self.log.append_gmon(gmon)?;

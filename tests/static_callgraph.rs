@@ -1,63 +1,11 @@
-//! The paper-facing call graphs: `incprof callgraph`'s static JSON over
-//! the five apps is golden-pinned, and the `source_context` join over a
-//! run's measured arcs gives back function ids that round-trip against
-//! the profile's function table.
+//! The paper-facing call graph: the `source_context` join over a run's
+//! measured arcs gives back function ids that round-trip against the
+//! profile's function table.
 
 use incprof_suite::collect::IntervalMatrix;
 use incprof_suite::core::{source_context_json, PhaseDetector};
 use incprof_suite::hpc_apps::minife::{self, MiniFeConfig};
 use incprof_suite::hpc_apps::{HeartbeatPlan, RunMode};
-use std::path::Path;
-
-const GOLDEN: &str = include_str!("golden/apps_callgraph.json");
-
-fn apps_analysis() -> incprof_lint::WorkspaceAnalysis {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    incprof_lint::analyze_subtree(root, "crates/apps/src").expect("apps subtree walk failed")
-}
-
-#[test]
-fn apps_callgraph_json_matches_golden() {
-    let analysis = apps_analysis();
-    let rendered = analysis.graph.render_json(&analysis.symbols);
-    assert_eq!(
-        rendered, GOLDEN,
-        "apps static call graph drifted from tests/golden/apps_callgraph.json; \
-         regenerate with: cargo run -p incprof-cli --bin incprof -- callgraph . \
-         --json tests/golden/apps_callgraph.json"
-    );
-}
-
-#[test]
-fn apps_callgraph_is_deterministic_and_covers_all_five_apps() {
-    let a = apps_analysis();
-    let b = apps_analysis();
-    assert_eq!(
-        a.graph.render_json(&a.symbols),
-        b.graph.render_json(&b.symbols)
-    );
-    for app in [
-        "minife.rs",
-        "miniamr.rs",
-        "lammps.rs",
-        "gadget2.rs",
-        "graph500.rs",
-    ] {
-        assert!(
-            a.symbols
-                .defs
-                .iter()
-                .any(|d| d.file.ends_with(app) && d.name == "run"),
-            "no `run` parsed out of {app}"
-        );
-    }
-    // The paper's MiniFE hot kernel hangs off the app driver.
-    let golden: &str = GOLDEN;
-    assert!(
-        golden.contains("\"qualified\":\"cg_solve\""),
-        "cg_solve missing"
-    );
-}
 
 #[test]
 fn source_context_ids_round_trip_against_the_function_table() {
