@@ -17,19 +17,25 @@
 //! * **Step** (t → t+1): one warm Lloyd run over the grown prefix, read
 //!   in place, starting from the previous converged centroids — typically
 //!   one or two iterations. The chain carries what the previous run
-//!   ended with (bound keys, cluster sums, point distances; see
-//!   [`mod@crate::kmeans`]), so a step computes exact distances only for
-//!   the appended row and the rows whose bounds it breaks. What it still
-//!   pays per row is one compare per Lloyd iteration (the row's key
-//!   against its cluster's threshold) and the WCSS pass over every row
-//!   that ends the run, so a step is O(t) even when nothing moves (the
-//!   costs are itemised in [`mod@crate::kmeans`]).
-//! * **Review** (t divisible by [`ChainConfig::review_every`]): a few
-//!   fresh single-restart k-means++ candidates, seeded by
+//!   ended with (bound keys and cluster sums; see [`mod@crate::kmeans`]),
+//!   so a step computes exact distances only for the appended row and the
+//!   rows whose bounds it breaks. What it still pays per row is one
+//!   compare per Lloyd iteration (the row's key against its cluster's
+//!   threshold), so a step is O(t) even when nothing moves (the costs are
+//!   itemised in [`mod@crate::kmeans`]). The step measures its WCSS, one
+//!   more pass over the rows, only where it is read: at a review and at
+//!   the last step of [`KChain::advance`], so every chain's `last` holds
+//!   a measured WCSS.
+//! * **Review** (t divisible by [`ChainConfig::review_every`], k ≥ 2): a
+//!   few fresh single-restart k-means++ candidates, seeded by
 //!   `review_seed(seed, k, t, c)`, compete with the incumbent; a
 //!   candidate replaces it only on *strictly* lower WCSS (ties keep the
 //!   incumbent). Reviews bound how far the greedy warm path can drift
-//!   from a good optimum as the data grows.
+//!   from a good optimum as the data grows. The k = 1 chain is exempt:
+//!   with one centroid, every run assigns every row to it and converges
+//!   to the row-order mean of the prefix, the same additions in the same
+//!   order from any start. A candidate therefore ends in the incumbent's
+//!   centroid and WCSS bits, and a tie keeps the incumbent.
 //!
 //! The fold state at prefix length t is a pure function of the prefix
 //! and the configuration — independent of the query pattern. A chain
@@ -83,9 +89,9 @@ pub struct KChain {
     /// The converged clustering of the covered prefix.
     pub last: KMeansResult,
     /// What the Lloyd run that produced `last` left for the next step
-    /// (bound keys, cluster sums, point distances). Derived, not state:
-    /// equality ignores it, a checkpoint does not store it, and it is
-    /// `None` whenever `last` did not come from a continuation, which
+    /// (bound keys and cluster sums). Derived, not state: equality
+    /// ignores it, a checkpoint does not store it, and it is `None`
+    /// whenever `last` did not come from a continuation, which
     /// only makes the next step start with one exact pass.
     carry: Option<Carry>,
 }
@@ -146,9 +152,19 @@ impl KChain {
         };
         while self.covered < t {
             let u = self.covered + 1;
-            let (mut best, carry) = kmeans_continue(data, u, &base, &self.last, self.carry.take());
+            // k = 1 is exempt from review (see the module docs). WCSS is
+            // read by a review and by whoever reads `last` after the loop.
+            let review = self.k > 1 && cfg.review_every > 0 && u.is_multiple_of(cfg.review_every);
+            let (mut best, carry) = kmeans_continue(
+                data,
+                u,
+                &base,
+                &self.last,
+                self.carry.take(),
+                review || u == t,
+            );
             self.carry = carry;
-            if cfg.review_every > 0 && u.is_multiple_of(cfg.review_every) {
+            if review {
                 for c in 0..cfg.review_candidates {
                     let cand_cfg = KMeansConfig {
                         restarts: 1,
@@ -223,9 +239,9 @@ impl SweepChains {
     /// [`PairwiseDistances::extend`] keep old entries. Centroid means
     /// gain all-zero columns, which average to exactly `+0.0`.
     ///
-    /// Each chain's carried state (bound keys, cluster sums and
-    /// distances of its last run) is dropped rather than widened, so the
-    /// next step starts with one exact pass; only the fold state moves.
+    /// Each chain's carried state (bound keys and cluster sums of its
+    /// last run) is dropped rather than widened, so the next step starts
+    /// with one exact pass; only the fold state moves.
     ///
     /// # Panics
     /// Panics if the mapping is not strictly increasing (reordering
@@ -347,11 +363,15 @@ impl SweepChains {
             evaluated
         } else {
             // Per-k chains advance independently; fan out one
-            // self-scheduled pool task per k, so the expensive large k's
-            // do not stall the cheap ones (bit-identical at any worker
-            // count — each task reads only its own chain).
-            incprof_par::Pool::current()
-                .map_index(cap, 1, |i| eval_one(data, cfg, pair, i + 1, take(i), n))
+            // self-scheduled pool task per k, largest k first, so the
+            // costliest chain does not start last (bit-identical at any
+            // worker count — each task reads only its own chain).
+            let mut evaluated = incprof_par::Pool::current().map_index(cap, 1, |j| {
+                let i = cap - 1 - j;
+                eval_one(data, cfg, pair, i + 1, take(i), n)
+            });
+            evaluated.reverse();
+            evaluated
         };
         // Chains past an early exit were not evaluated: they stay as
         // they were, after the evaluated ones.
@@ -653,6 +673,55 @@ mod tests {
         assert_chains_bit_equal(&warm, &cold);
         assert_eq!(sel_warm.k, sel_cold.k);
         assert_eq!(sel_warm.result.assignments, sel_cold.result.assignments);
+    }
+
+    /// Why the k = 1 chain is exempt from review: at every prefix of a
+    /// blob, a duplicate-heavy and a NaN-row series, every review
+    /// candidate ends in the chain's assignment, centroid and WCSS bits,
+    /// so the strict `<` would keep the incumbent.
+    #[test]
+    fn a_k1_review_candidate_always_ties_the_incumbent() {
+        let duplicates: Vec<Vec<f64>> = (0..24)
+            .map(|i| vec![((i * 7) % 3) as f64 * 10.0 + 0.1, 0.3])
+            .collect();
+        let mut nan_row = blobs(2, 6).to_rows();
+        nan_row.insert(5, vec![f64::NAN, 1.0]);
+        let series = [
+            blobs(3, 8),
+            Dataset::from_rows(duplicates),
+            Dataset::from_rows(nan_row),
+        ];
+        let cfg = cfg();
+        for (s, data) in series.iter().enumerate() {
+            let mut chain = KChain::start(data, 1, &cfg);
+            for u in 1..=data.nrows() {
+                chain.advance(data, u, &cfg);
+                let last = &chain.last;
+                for c in 0..4 {
+                    let cand = kmeans_rows(
+                        data,
+                        u,
+                        &KMeansConfig {
+                            k: 1,
+                            restarts: 1,
+                            seed: review_seed(cfg.base.seed, 1, u, c),
+                            ..cfg.base.clone()
+                        },
+                    );
+                    let at = format!("series {s} prefix {u} candidate {c}");
+                    assert_eq!(cand.assignments, last.assignments, "{at}");
+                    assert_eq!(cand.wcss.to_bits(), last.wcss.to_bits(), "{at}");
+                    let centroid = |r: &KMeansResult| {
+                        r.centroids
+                            .row(0)
+                            .iter()
+                            .map(|v| v.to_bits())
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(centroid(&cand), centroid(last), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! several restarts and keeps the best (lowest-WCSS) run, and repairs empty
 //! clusters by reseeding them on the point farthest from its centroid.
 //!
-//! Three cost controls keep the hot path cheap without moving a single
+//! Five cost controls keep the hot path cheap without moving a single
 //! output bit:
 //!
 //! * **Hamerly-style pruning** ([`KMeansConfig::pruning`]): per-point
@@ -36,17 +36,25 @@
 //!   Lloyd once per appended row, from the centroids the previous run
 //!   ended with. That run also leaves its bound keys and the movement
 //!   sums they are measured against (already widened by its final
-//!   centroid movement), its cluster sums and counts, and each point's
-//!   squared distance to its centroid; the continuation reads them
-//!   instead of starting from nothing. Old rows prune from the first
-//!   iteration on and the new row starts with a −∞ key. Within any run,
-//!   a cluster's sum is rebuilt from zero, in row order, only when its
-//!   membership changed; otherwise the new rows are added to its running
-//!   sum, which is the same additions in the same order. The final WCSS
-//!   is summed in row order, reusing a row's distance when neither its
-//!   assignment nor its centroid's bits moved. `pruning = false` skips
-//!   all of it and is the from-scratch oracle `tests/fold_oracle.rs`
-//!   holds the fold to.
+//!   centroid movement), and its cluster sums and counts; the
+//!   continuation reads them instead of starting from nothing. Old rows
+//!   prune from the first iteration on and the new row starts with a −∞
+//!   key. Within any run, a cluster's sum is rebuilt from zero, in row
+//!   order, only when its membership changed; otherwise the new rows are
+//!   added to its running sum, which is the same additions in the same
+//!   order.
+//! * **Seeded first assignment**: k-means++ measures every row against
+//!   every centroid but the last, in order, while it seeds; a from-scratch
+//!   run keeps each row's running `(nearest, best, second)` from it,
+//!   under `nearest`'s strict-`<` rule, and its first assignment step
+//!   measures only centroid k−1.
+//! * **WCSS on request**: a continuation measures WCSS only when its
+//!   caller reads it (the fold reads it at review steps and at the last
+//!   step), as the row-order sum of each row's squared distance to its
+//!   centroid. Best-of-restarts runs always measure it.
+//!
+//! `pruning = false` skips all of the above and is the from-scratch
+//! oracle `tests/fold_oracle.rs` holds the fold to.
 //!
 //! **What a continuation costs.** Per Lloyd iteration over n rows: one
 //! compare per row (its key against its cluster's threshold), k·d per
@@ -54,18 +62,20 @@
 //! and the O(k·d) centroid update. Only the exact rows are written, and
 //! only they go to the pool once there are enough of them. An iteration
 //! in which a carried row changes cluster also re-sums the clusters it
-//! left and joined, one more pass over the rows. Every run then ends with
-//! the WCSS pass over every row. A continuation is therefore
+//! left and joined, one more pass over the rows. A run whose WCSS is read
+//! ends with one d-term distance per row. A continuation is therefore
 //! O(n + k·d·(1 + exact)) per iteration, and its O(n) term is one compare
 //! per row. A phase timing of one-thread cold folds (k ≤ 8) over the
-//! oracle's 512-row drifting-blob, lattice and widening series put
-//! continuations at 42–51 % of Lloyd time, split as: WCSS pass and carry
-//! 34–36 %, bound scan 20–22 %, update 18–19 %, exact rows 11–15 %, run
-//! set-up 8–9 %, widening and fixed-point test 3–4 %. On the
-//! duplicate-heavy series continuations are 86 %, almost all exact rows
-//! (58 %) and updates (35 %): a row tied between two coincident centroids
-//! never prunes, so each iteration of the repair oscillation is a full
-//! exact pass.
+//! oracle's 512-row drifting-blob, lattice and widening series, taken
+//! while every run still ended with a WCSS pass and carried each row's
+//! distance, put continuations at 42–51 % of Lloyd time, split as: WCSS
+//! pass and carry 34–36 %, bound scan 20–22 %, update 18–19 %, exact rows
+//! 11–15 %, run set-up 8–9 %, widening and fixed-point test 3–4 %; the
+//! fold now pays that first share only at review steps and the last
+//! step. On the duplicate-heavy series continuations are 86 %, almost
+//! all exact rows (58 %) and updates (35 %): a row tied between two
+//! coincident centroids never prunes, so each iteration of the repair
+//! oscillation is a full exact pass.
 
 use crate::dataset::Dataset;
 use crate::distance::sq_euclidean;
@@ -91,11 +101,12 @@ pub struct KMeansConfig {
     pub restarts: usize,
     /// RNG seed for the k-means++ initialization.
     pub seed: u64,
-    /// Skip provably-unchanged work: Hamerly-style bounds, cluster sums
-    /// that did not change, and the state a warm run carries over (see
-    /// the module docs). Output is bit-identical either way; `false`
-    /// rebuilds everything from scratch and exists as the test oracle
-    /// and for debugging.
+    /// Skip provably-unchanged or unread work: Hamerly-style bounds,
+    /// cluster sums that did not change, the state a warm run carries
+    /// over, distances seeding already measured, and a continuation's
+    /// unread WCSS (see the module docs). Output is bit-identical either
+    /// way; `false` rebuilds everything from scratch and exists as the
+    /// test oracle and for debugging.
     pub pruning: bool,
 }
 
@@ -157,9 +168,6 @@ pub(crate) struct Carry {
     /// every row against the run's final centroids.
     key: Vec<f64>,
     frame: Frame,
-    /// Squared distance from each row to its final centroid: the terms
-    /// the run's WCSS summed.
-    dist: Vec<f64>,
     /// Per-cluster coordinate sums and member counts of the final
     /// assignment, accumulated in row order.
     sums: Dataset,
@@ -264,8 +272,8 @@ pub(crate) fn kmeans_rows(data: &Dataset, n: usize, config: &KMeansConfig) -> KM
     let mut total_iterations = 0u64;
     for r in 0..config.restarts.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
-        let init = kmeanspp_init(data, n, config.k, &mut rng);
-        let (result, _) = lloyd(data, n, config, init, None);
+        let (init, seen) = kmeanspp_init(data, n, config.k, &mut rng);
+        let (result, _) = lloyd(data, n, config, init, Known::Seeded(seen), true);
         total_iterations += result.iterations as u64;
         if best.as_ref().is_none_or(|b| result.wcss < b.wcss) {
             best = Some(result);
@@ -296,10 +304,13 @@ pub(crate) fn kmeans_rows(data: &Dataset, n: usize, config: &KMeansConfig) -> KM
 ///
 /// `carry` is what the run that produced `prev` left behind. With it
 /// (and [`KMeansConfig::pruning`]), the rows `prev` covers keep their
-/// bounds, sums and distances, and only what moved is recomputed;
-/// without it the first iteration is one exact pass. The output bits
-/// are the same either way. The returned carry describes the new run
-/// (`None` when pruning is off).
+/// bounds and sums, and only what moved is recomputed; without it the
+/// first iteration is one exact pass. The output bits are the same
+/// either way. The returned carry describes the new run (`None` when
+/// pruning is off).
+///
+/// Under pruning, the result's WCSS is measured only if `measure` is
+/// set, and is NaN otherwise; the oracle (pruning off) always measures.
 ///
 /// # Panics
 /// Panics if `config.k == 0`, `n` is zero or exceeds the rows of
@@ -312,6 +323,7 @@ pub(crate) fn kmeans_continue(
     config: &KMeansConfig,
     prev: &KMeansResult,
     carry: Option<Carry>,
+    measure: bool,
 ) -> (KMeansResult, Option<Carry>) {
     check_preconditions(data, n, config);
     assert_eq!(
@@ -333,15 +345,18 @@ pub(crate) fn kmeans_continue(
         "warm start covers {} rows but only {n} are given",
         prev.assignments.len()
     );
-    let carried = carry.filter(|_| config.pruning).map(|c| {
-        assert_eq!(
-            c.key.len(),
-            prev.assignments.len(),
-            "carry covers other rows"
-        );
-        (prev, c)
-    });
-    let (result, carry) = lloyd(data, n, config, prev.centroids.clone(), carried);
+    let known = match carry {
+        Some(c) => {
+            assert_eq!(
+                c.key.len(),
+                prev.assignments.len(),
+                "carry covers other rows"
+            );
+            Known::Carried(&prev.assignments, c)
+        }
+        None => Known::Nothing,
+    };
+    let (result, carry) = lloyd(data, n, config, prev.centroids.clone(), known, measure);
     incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
         config.k,
     ))
@@ -349,16 +364,38 @@ pub(crate) fn kmeans_continue(
     (result, carry)
 }
 
-/// Lloyd's algorithm over the first `n` rows of `data` from `init`.
-/// `prev` is a previous run over the first `m ≤ n` rows whose final
-/// centroids are `init`, with the carry it left; rows `m..n` are new.
-/// Returns the result and, under pruning, the carry of this run.
+/// Per row, what an exact assignment has seen of the centroids so far:
+/// `(nearest, best, second)` as [`nearest`] keeps them.
+type Seen = (usize, f64, f64);
+
+/// A row that has seen no centroid.
+const UNSEEN: Seen = (0, f64::INFINITY, f64::INFINITY);
+
+/// What a Lloyd run knows of its rows before its first assignment step.
+enum Known<'a> {
+    /// Nothing: the first step measures every row against every centroid.
+    Nothing,
+    /// Each row's [`Seen`] over every centroid but the last, left by
+    /// [`kmeanspp_init`] for the centroids it chose.
+    Seeded(Vec<Seen>),
+    /// A previous run over the first `m ≤ n` rows, whose final centroids
+    /// are `init`: its assignment of them and the carry it left. Rows
+    /// `m..n` are new.
+    Carried(&'a [usize], Carry),
+}
+
+/// Lloyd's algorithm over the first `n` rows of `data` from `init`,
+/// knowing `known` of the rows (only under pruning: the oracle knows
+/// nothing). Returns the result, with its WCSS measured if `measure` is
+/// set or pruning is off (NaN otherwise), and, under pruning, the carry
+/// of this run.
 fn lloyd(
     data: &Dataset,
     n: usize,
     config: &KMeansConfig,
     init: Dataset,
-    prev: Option<(&KMeansResult, Carry)>,
+    known: Known,
+    measure: bool,
 ) -> (KMeansResult, Option<Carry>) {
     let d = data.ncols();
     let k = config.k;
@@ -367,7 +404,7 @@ fn lloyd(
     let mut iterations = 0;
     let mut last_movement = 0.0f64;
     let mut pruned_points = 0u64;
-    let mut exact_points = 0u64;
+    let mut distance_evals = 0u64;
 
     // Drift-offset Hamerly bounds, in plain (square-rooted) distance
     // space. When row i is computed exactly, its upper bound u (distance
@@ -390,9 +427,11 @@ fn lloyd(
     // marks a cluster whose sum no longer describes `assignments`: a
     // member moved in or out among the summed rows, or the empty-cluster
     // repair re-homed a point after the sums were taken.
-    let (prev, carry) = prev.unzip();
-    // The previous run's assignment of the rows it covered.
-    let carried: &[usize] = prev.map_or(&[], |p| &p.assignments);
+    let (carried, carry, mut seeded): (&[usize], _, _) = match known {
+        Known::Seeded(seen) if config.pruning => (&[], None, seen),
+        Known::Carried(carried, carry) if config.pruning => (carried, Some(carry), Vec::new()),
+        _ => (&[], None, Vec::new()),
+    };
     let mut summed = carried.len();
     let mut assignments = Vec::with_capacity(n);
     assignments.extend_from_slice(carried);
@@ -400,13 +439,11 @@ fn lloyd(
     let Carry {
         mut key,
         mut frame,
-        mut dist,
         mut sums,
         mut counts,
     } = carry.unwrap_or_else(|| Carry {
         key: Vec::new(),
         frame: Frame::new(k),
-        dist: Vec::new(),
         sums: Dataset::zeros(k, d),
         counts: vec![0; k],
     });
@@ -414,7 +451,6 @@ fn lloyd(
         frame.rebase(&mut key, carried);
     }
     key.resize(n, f64::NEG_INFINITY);
-    dist.resize(n, 0.0);
     let mut dirty = vec![false; k];
     let mut moved = vec![0.0f64; k];
     let mut threshold = vec![0.0f64; k];
@@ -442,19 +478,26 @@ fn lloyd(
                 exact.push(i);
             }
         }
-        exact_points += exact.len() as u64;
         pruned_points += (n - exact.len()) as u64;
+        // A seeded run's first step (every row exact) resumes each row's
+        // argmin at the one centroid seeding did not measure it against.
+        let seen = std::mem::take(&mut seeded);
+        let from = if seen.is_empty() { 0 } else { k - 1 };
+        distance_evals += (exact.len() * (k - from)) as u64;
+        let assign = |i: usize| {
+            let start = seen.get(i).copied().unwrap_or(UNSEEN);
+            nearest(data.row(i), &centroids, from, start)
+        };
         // Parallelize the exact rows (each argmin is independent and
         // deterministic) once the work justifies the fork/join overhead.
         // Inside a full k-sweep this call already runs on a pool worker,
         // so the nested call degrades to sequential.
-        let parallel_out = (exact.len() * k * d >= 200_000).then(|| {
-            incprof_par::par_map_index(exact.len(), |j| nearest(data.row(exact[j]), &centroids))
-        });
+        let parallel_out = (exact.len() * k * d >= 200_000)
+            .then(|| incprof_par::par_map_index(exact.len(), |j| assign(exact[j])));
         for (j, &i) in exact.iter().enumerate() {
             let (c, best, second) = match &parallel_out {
                 Some(out) => out[j],
-                None => nearest(data.row(i), &centroids),
+                None => assign(i),
             };
             key[i] = frame.key(c, best, second);
             let a = assignments[i];
@@ -555,29 +598,18 @@ fn lloyd(
     incprof_obs::histogram(incprof_obs::names::CLUSTER_KMEANS_CONVERGENCE_DELTA_E12)
         .record((last_movement * 1e12) as u64);
     incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_PRUNED).add(pruned_points);
-    incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_DISTANCE_EVALS)
-        .add(exact_points * k as u64);
+    incprof_obs::counter(incprof_obs::names::CLUSTER_KMEANS_DISTANCE_EVALS).add(distance_evals);
 
-    // WCSS in row order. A carried row whose assignment and centroid
-    // bits both ended where the previous run left them keeps its
-    // distance; every other row is measured again.
-    let unmoved: Vec<bool> = match prev {
-        Some(p) => (0..k)
-            .map(|c| {
-                let (a, b) = (centroids.row(c), p.centroids.row(c));
-                a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            })
-            .collect(),
-        None => vec![false; k],
+    let wcss = if measure || !config.pruning {
+        let dist = assignments
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| sq_euclidean(data.row(i), centroids.row(c)));
+        // lint: allow(D04, WCSS is summed sequentially in point order on the caller thread after assignment settles)
+        dist.sum()
+    } else {
+        f64::NAN
     };
-    for i in 0..n {
-        let c = assignments[i];
-        if !(carried.get(i) == Some(&c) && unmoved[c]) {
-            dist[i] = sq_euclidean(data.row(i), centroids.row(c));
-        }
-    }
-    // lint: allow(D04, WCSS is summed sequentially in point order on the caller thread after assignment settles)
-    let wcss = dist.iter().copied().sum();
 
     let carry = config.pruning.then(|| {
         // A repair in the final iteration left its clusters' sums
@@ -586,7 +618,6 @@ fn lloyd(
         Carry {
             key,
             frame,
-            dist,
             sums,
             counts,
         }
@@ -604,22 +635,24 @@ fn lloyd(
 /// The exact assignment of one row: `(cluster, best, second)`, the
 /// argmin over every centroid (strict `<`, so the lowest index wins a
 /// tie) with the squared distances to it and to the next nearest.
+/// `seen` is the row's argmin over the centroids before `from`; the
+/// search resumes there.
 #[inline]
-fn nearest(row: &[f64], centroids: &Dataset) -> (usize, f64, f64) {
-    let mut best_c = 0;
-    let mut best_d = f64::INFINITY;
-    let mut second_d = f64::INFINITY;
-    for c in 0..centroids.nrows() {
-        let dist = sq_euclidean(row, centroids.row(c));
-        if dist < best_d {
-            second_d = best_d;
-            best_d = dist;
-            best_c = c;
-        } else if dist < second_d {
-            second_d = dist;
-        }
+fn nearest(row: &[f64], centroids: &Dataset, from: usize, mut seen: Seen) -> Seen {
+    for c in from..centroids.nrows() {
+        see(&mut seen, c, sq_euclidean(row, centroids.row(c)));
     }
-    (best_c, best_d, second_d)
+    seen
+}
+
+/// Fold centroid `c` at squared distance `dist` into a row's argmin.
+#[inline]
+fn see(seen: &mut Seen, c: usize, dist: f64) {
+    if dist < seen.1 {
+        *seen = (c, dist, seen.1);
+    } else if dist < seen.2 {
+        seen.2 = dist;
+    }
 }
 
 /// The row farthest from its assigned centroid, by `total_cmp`; the
@@ -709,27 +742,25 @@ fn pad_down(x: f64) -> f64 {
 
 /// k-means++ seeding: first centroid uniform, each subsequent centroid
 /// sampled with probability proportional to squared distance from the
-/// nearest already-chosen centroid.
-fn kmeanspp_init(data: &Dataset, n: usize, k: usize, rng: &mut StdRng) -> Dataset {
+/// nearest already-chosen centroid. Also returns each row's [`Seen`]
+/// over every centroid but the last, in centroid order.
+fn kmeanspp_init(data: &Dataset, n: usize, k: usize, rng: &mut StdRng) -> (Dataset, Vec<Seen>) {
     let d = data.ncols();
     let mut centroids = Dataset::zeros(k, d);
     let first = rng.gen_range(0..n);
     centroids.row_mut(0).copy_from_slice(data.row(first));
 
-    let mut min_sq = vec![f64::INFINITY; n];
+    let mut seen = vec![UNSEEN; n];
     for c in 1..k {
-        for i in 0..n {
-            let dist = sq_euclidean(data.row(i), centroids.row(c - 1));
-            if dist < min_sq[i] {
-                min_sq[i] = dist;
-            }
+        for (i, s) in seen.iter_mut().enumerate() {
+            see(s, c - 1, sq_euclidean(data.row(i), centroids.row(c - 1)));
         }
         // lint: allow(D04, kmeans++ seeding is sequential by construction; the running distance sum never crosses threads)
-        let total: f64 = min_sq.iter().sum();
+        let total: f64 = seen.iter().map(|s| s.1).sum();
         let chosen = if total > 0.0 {
             let mut target = rng.gen::<f64>() * total;
             let mut pick = n - 1;
-            for (i, &w) in min_sq.iter().enumerate() {
+            for (i, &(_, w, _)) in seen.iter().enumerate() {
                 if target < w {
                     pick = i;
                     break;
@@ -743,7 +774,7 @@ fn kmeanspp_init(data: &Dataset, n: usize, k: usize, rng: &mut StdRng) -> Datase
         };
         centroids.row_mut(c).copy_from_slice(data.row(chosen));
     }
-    centroids
+    (centroids, seen)
 }
 
 #[cfg(test)]
@@ -884,34 +915,51 @@ mod tests {
         }
     }
 
-    /// The pruned assignment path must be bit-for-bit the naive one:
-    /// same assignments, same centroid bits, same WCSS bits, same
-    /// iteration trajectory.
+    /// The pruned assignment path (bounds, and a first step resumed from
+    /// k-means++'s distances) must be bit-for-bit the naive one: same
+    /// assignments, same centroid bits, same WCSS bits, same iteration
+    /// trajectory, at k = 1..8 over several seeds.
     #[test]
     fn pruning_is_bit_identical_to_naive() {
         let mut rows = two_blobs().to_rows();
         // Add duplicates and a third clump so ties and repairs happen.
         rows.extend(vec![vec![5.0, 5.0]; 4]);
         rows.push(vec![0.0, 0.0]);
+        // Integer points on a line: each lies exactly halfway between
+        // its neighbours, so seeding's running argmin meets exact ties.
+        rows.extend((0..9).map(|x| vec![x as f64, 20.0]));
         let data = Dataset::from_rows(rows);
-        for k in 1..=8 {
-            let pruned = kmeans(&data, &KMeansConfig::new(k));
-            let naive = kmeans(
-                &data,
-                &KMeansConfig {
-                    pruning: false,
-                    ..KMeansConfig::new(k)
-                },
-            );
-            assert_eq!(pruned.assignments, naive.assignments, "k={k}");
-            assert_eq!(pruned.iterations, naive.iterations, "k={k}");
-            assert_eq!(pruned.wcss.to_bits(), naive.wcss.to_bits(), "k={k}");
-            for c in 0..k {
-                for (a, b) in pruned.centroids.row(c).iter().zip(naive.centroids.row(c)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "k={k} centroid {c}");
+        let mut seeding_ties = 0;
+        for seed in 0..4 {
+            for k in 1..=8 {
+                let cfg = KMeansConfig::new(k).with_seed(seed);
+                let pruned = kmeans(&data, &cfg);
+                let naive = kmeans(
+                    &data,
+                    &KMeansConfig {
+                        pruning: false,
+                        ..cfg.clone()
+                    },
+                );
+                assert_eq!(pruned.assignments, naive.assignments, "k={k} seed {seed}");
+                assert_eq!(pruned.iterations, naive.iterations, "k={k} seed {seed}");
+                assert_eq!(
+                    pruned.wcss.to_bits(),
+                    naive.wcss.to_bits(),
+                    "k={k} seed {seed}"
+                );
+                for c in 0..k {
+                    for (a, b) in pruned.centroids.row(c).iter().zip(naive.centroids.row(c)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "k={k} seed {seed} centroid {c}");
+                    }
                 }
+                // The first restart's seeding, as `kmeans_rows` draws it.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (_, seen) = kmeanspp_init(&data, data.nrows(), k, &mut rng);
+                seeding_ties += seen.iter().filter(|s| s.1 == s.2).count();
             }
         }
+        assert!(seeding_ties > 0, "no row tied between two seeded centroids");
     }
 
     /// Warm-starting from already-converged centroids must settle
@@ -921,7 +969,7 @@ mod tests {
         let data = two_blobs();
         let cfg = KMeansConfig::new(2);
         let cold = kmeans(&data, &cfg);
-        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &cold, None);
+        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &cold, None, true);
         assert_eq!(warm.assignments, cold.assignments);
         assert_eq!(warm.wcss.to_bits(), cold.wcss.to_bits());
         assert!(
@@ -941,7 +989,7 @@ mod tests {
             res.total_iterations >= cfg.restarts as u64,
             "every restart runs at least one iteration"
         );
-        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &res, None);
+        let (warm, _) = kmeans_continue(&data, data.nrows(), &cfg, &res, None, true);
         assert_eq!(warm.total_iterations, warm.iterations as u64);
     }
 
@@ -950,28 +998,34 @@ mod tests {
     fn warm_start_shape_mismatch_panics() {
         let data = two_blobs();
         let prev = kmeans(&data, &KMeansConfig::new(3));
-        let _ = kmeans_continue(&data, data.nrows(), &KMeansConfig::new(2), &prev, None);
+        let _ = kmeans_continue(
+            &data,
+            data.nrows(),
+            &KMeansConfig::new(2),
+            &prev,
+            None,
+            true,
+        );
     }
 
-    /// Bits of a result, for exact comparison.
-    fn result_bits(r: &KMeansResult) -> (Vec<usize>, Vec<u64>, u64, usize) {
+    /// Assignment, centroid and iteration bits of a result, for exact
+    /// comparison.
+    fn state_bits(r: &KMeansResult) -> (Vec<usize>, Vec<u64>, usize) {
         let c = (0..r.k()).flat_map(|c| r.centroids.row(c).iter().map(|v| v.to_bits()));
-        (
-            r.assignments.clone(),
-            c.collect(),
-            r.wcss.to_bits(),
-            r.iterations,
-        )
+        (r.assignments.clone(), c.collect(), r.iterations)
     }
 
     /// Continue row by row over `data` from k-means on its first `k`
     /// rows, three ways: carrying, dropping the carry at every step, and
-    /// the pruning-off oracle. All three must agree on every bit, and
-    /// after every step the carry must describe the run's final state
-    /// exactly: sums and counts as a from-zero row-order pass over the
-    /// final assignment, distances as the WCSS terms, and keys that
-    /// prune a row only where its centroid is strictly the nearest of
-    /// the final ones.
+    /// the pruning-off oracle. The first two measure WCSS only where the
+    /// fold reads it, at every fourth step (a review) and at the last.
+    /// All three must agree on every assignment, centroid and iteration
+    /// bit at every step, and on the WCSS bits wherever it was measured
+    /// (it is NaN elsewhere). After every step the carry must describe
+    /// the run's final state exactly: sums and counts as a from-zero
+    /// row-order pass over the final assignment, and keys that prune a
+    /// row only where its centroid is strictly the nearest of the final
+    /// ones.
     fn carry_matches_from_scratch(data: &Dataset, k: usize) {
         let cfg = KMeansConfig::new(k);
         let oracle_cfg = KMeansConfig {
@@ -982,12 +1036,21 @@ mod tests {
         let (mut carried, mut dropped, mut oracle) = (start.clone(), start.clone(), start);
         let mut carry = None;
         for n in k + 1..=data.nrows() {
-            let (next, next_carry) = kmeans_continue(data, n, &cfg, &carried, carry);
+            let measure = n % 4 == 0 || n == data.nrows();
+            let (next, next_carry) = kmeans_continue(data, n, &cfg, &carried, carry, measure);
             (carried, carry) = (next, next_carry);
-            dropped = kmeans_continue(data, n, &cfg, &dropped, None).0;
-            oracle = kmeans_continue(data, n, &oracle_cfg, &oracle, None).0;
-            assert_eq!(result_bits(&carried), result_bits(&oracle), "k={k} n={n}");
-            assert_eq!(result_bits(&dropped), result_bits(&oracle), "k={k} n={n}");
+            dropped = kmeans_continue(data, n, &cfg, &dropped, None, measure).0;
+            // Pruning off measures WCSS unasked.
+            oracle = kmeans_continue(data, n, &oracle_cfg, &oracle, None, false).0;
+            assert_eq!(state_bits(&carried), state_bits(&oracle), "k={k} n={n}");
+            assert_eq!(state_bits(&dropped), state_bits(&oracle), "k={k} n={n}");
+            for r in [&carried, &dropped] {
+                if measure {
+                    assert_eq!(r.wcss.to_bits(), oracle.wcss.to_bits(), "k={k} n={n}");
+                } else {
+                    assert!(r.wcss.is_nan(), "k={k} n={n}: WCSS measured unasked");
+                }
+            }
 
             let c = carry.as_ref().expect("pruning leaves a carry");
             let mut sums = Dataset::zeros(k, data.ncols());
@@ -999,7 +1062,6 @@ mod tests {
                     *t += x;
                 }
                 let exact = carried.sq_dist_to_centroid(data, i);
-                assert_eq!(c.dist[i].to_bits(), exact.to_bits(), "k={k} n={n} row {i}");
                 // A pruning key proves `a` strictly the nearest; a NaN
                 // distance is never nearer, and a NaN own distance must
                 // not prune.

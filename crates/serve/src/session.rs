@@ -972,6 +972,13 @@ mod tests {
         let err = s.enqueue(gmon(3, 10), Instant::now()).unwrap_err();
         assert_eq!(err.code, ErrorCode::OutOfOrder);
         assert!(s.is_empty());
+        // An `OutOfOrder` answer changes nothing: the session is not
+        // faulted and still takes the index it expected.
+        assert_eq!(
+            s.enqueue(gmon(0, 10), Instant::now()),
+            Ok(Enqueue::Accepted)
+        );
+        assert!(!s.stats(Instant::now()).faulted);
     }
 
     #[test]

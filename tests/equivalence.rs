@@ -293,7 +293,8 @@ enum Path {
     CacheCodec,
     /// Cached and uncached `Registry` sessions, queried after every push.
     Registry,
-    /// `detect_series` at 1, 2 and 8 threads.
+    /// `detect_series` at 1, 2, 3 and 8 threads (3 does not divide the
+    /// eight k-sweep tasks).
     Threads,
     /// `detect_many` at 8 threads, one pool task per run.
     DetectMany,
@@ -392,7 +393,7 @@ impl Path {
             }
             Path::Threads => {
                 let _only_caller = THREADS.lock().unwrap_or_else(PoisonError::into_inner);
-                for threads in [1, 2, 8] {
+                for threads in [1, 2, 3, 8] {
                     incprof_suite::par::set_threads(threads);
                     for &(app, det) in &cases {
                         let r = detectors()[det].detect_series(&apps()[app].series);
@@ -650,7 +651,7 @@ arms! {
     cache_sparse_at_strides_2_and_5 => CacheSparse,
     cache_encoded_and_decoded_mid_stream => CacheCodec,
     registry_cached_and_uncached_under_interleave => Registry,
-    threads_1_2_8_elbow_and_silhouette => Threads,
+    threads_1_2_3_8_elbow_and_silhouette => Threads,
     detect_many_at_8_threads_against_offline => DetectMany,
     daemon_at_1_and_4_workers => Daemon,
     eight_concurrent_sessions => Concurrent,

@@ -12,9 +12,12 @@
 //!   bounds and the fold's carried state leave to compute. The count is
 //!   pinned exactly, so a change to the bounds that computes more (or,
 //!   unexpectedly, fewer) distances shows here and must say why.
+//! * **Lloyd iterations at k = 1**, pinned exactly: the k = 1 chain is
+//!   exempt from review, so its count is the base cases' restarts and
+//!   the fold's continuations alone.
 //!
-//! Both counts are deterministic at the fixed seed — they do not depend
-//! on the thread count or on timing.
+//! All three counts are deterministic at the fixed seed — they do not
+//! depend on the thread count or on timing.
 //!
 //! The counters are process-global and `cargo test` runs a binary's
 //! tests concurrently, so this file holds exactly one `#[test]`.
@@ -29,13 +32,24 @@ use incprof_suite::obs::{counter, names};
 /// k = 8 (one fifth of the ~1650 the repair oscillation used to burn).
 const MAX_K78_ITERS_PER_ANALYSIS: u64 = 330;
 
-/// Exact point–centroid distance evaluations over all 57 analyses. The
-/// same under per-row Hamerly bounds and under their drift-offset form
-/// (one slack key per row). It was 233 831 while k = 1 rows could not
-/// prune (their +∞ lower bound had been padded to NaN), and 361 554
-/// before each fold step carried its bounds, cluster sums and point
-/// distances, when every step started with an exact pass.
-const DISTANCE_EVALS: u64 = 222_674;
+/// Exact point–centroid distance evaluations over all 57 analyses. It
+/// was 222 674 while a from-scratch run's first assignment step counted
+/// k evaluations per row (it now resumes from k-means++'s distances and
+/// computes one: −64 016) and k = 1 chains were reviewed (−544: 17
+/// analyses reach the review at 16 rows, whose two k = 1 candidates
+/// each computed 16 rows exactly, then pruned them all). The same under
+/// per-row Hamerly bounds and under their drift-offset form (one slack
+/// key per row). It was 233 831 while k = 1 rows could not prune (their
+/// +∞ lower bound had been padded to NaN), and 361 554 before each fold
+/// step carried its bounds, cluster sums and point distances, when
+/// every step started with an exact pass.
+const DISTANCE_EVALS: u64 = 158_114;
+
+/// Exact k = 1 Lloyd iterations over all 57 analyses
+/// (`cluster.kmeans.iterations_total.k1`). It was 1 666 while k = 1
+/// chains were reviewed: the 17 reviews' two candidates ran two
+/// iterations each.
+const K1_ITERATIONS: u64 = 1_598;
 
 fn k78_iterations() -> u64 {
     counter(&names::cluster_kmeans_iterations_total(7)).get()
@@ -47,8 +61,10 @@ fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
     let apps = common::apps();
     let detector = PhaseDetector::default();
     let evals = || counter(names::CLUSTER_KMEANS_DISTANCE_EVALS).get();
+    let k1 = || counter(&names::cluster_kmeans_iterations_total(1)).get();
     let before = k78_iterations();
     let evals_before = evals();
+    let k1_before = k1();
     let mut analyses = 0u64;
     for app in apps {
         let mut prefix = SampleSeries::new();
@@ -62,6 +78,7 @@ fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
     }
     let iterations = k78_iterations() - before;
     let distance_evals = evals() - evals_before;
+    let k1_iterations = k1() - k1_before;
 
     assert_eq!(analyses, 57, "one analysis per prefix of the five series");
     assert!(iterations > 0, "the k = 7/8 counters must be live");
@@ -73,5 +90,9 @@ fn k7_k8_lloyd_iterations_stay_within_budget_over_all_app_prefixes() {
     assert_eq!(
         distance_evals, DISTANCE_EVALS,
         "exact distance evaluations over {analyses} analyses"
+    );
+    assert_eq!(
+        k1_iterations, K1_ITERATIONS,
+        "k = 1 Lloyd iterations over {analyses} analyses"
     );
 }
