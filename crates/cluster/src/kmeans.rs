@@ -8,7 +8,7 @@
 //! several restarts and keeps the best (lowest-WCSS) run, and repairs empty
 //! clusters by reseeding them on the point farthest from its centroid.
 //!
-//! Five cost controls keep the hot path cheap without moving a single
+//! Six cost controls keep the hot path cheap without moving a single
 //! output bit:
 //!
 //! * **Hamerly-style pruning** ([`KMeansConfig::pruning`]): per-point
@@ -32,6 +32,18 @@
 //!   exact same final state, just without the burn. The test reads the
 //!   iteration's log of assignment changes and the centroid bits; it
 //!   copies no assignment vector.
+//! * **Cycle skip** (under pruning): the same argument for a longer
+//!   period. On duplicate-heavy data the repair and the argmin step also
+//!   cycle through 2 to 7 or more states, and such a run used to burn
+//!   all `MAX_ITERS` iterations. From iteration 8 on, Brent's scheme
+//!   compares each end-of-iteration state (assignments and centroid
+//!   bits) with one saved state, re-saved at doubling distances. When the
+//!   state at iteration i repeats with period p, the state iteration
+//!   `MAX_ITERS` would end in is `(MAX_ITERS − 1 − i) mod p` iterations
+//!   ahead, so the run stops there. The result keeps the trajectory
+//!   length (`iterations` = `MAX_ITERS`), so chains and checkpoints do
+//!   not move; `cluster.kmeans.iterations_total.k*` and
+//!   `cluster.kmeans.distance_evals` count only the iterations run.
 //! * **Carried state** (a run's `Carry`): the incremental fold runs
 //!   Lloyd once per appended row, from the centroids the previous run
 //!   ended with. That run also leaves its bound keys and the movement
@@ -72,10 +84,13 @@
 //! pass and carry 34–36 %, bound scan 20–22 %, update 18–19 %, exact rows
 //! 11–15 %, run set-up 8–9 %, widening and fixed-point test 3–4 %; the
 //! fold now pays that first share only at review steps and the last
-//! step. On the duplicate-heavy series continuations are 86 %, almost
+//! step. On the duplicate-heavy series continuations were 86 %, almost
 //! all exact rows (58 %) and updates (35 %): a row tied between two
 //! coincident centroids never prunes, so each iteration of the repair
-//! oscillation is a full exact pass.
+//! oscillation is a full exact pass. The cycle skip now ends those runs
+//! once the period is found: the 96-row duplicate-heavy cold fold of
+//! `tests/kmeans_budget.rs` runs 8 867 Lloyd iterations where the
+//! oracle runs 33 213.
 
 use crate::dataset::Dataset;
 use crate::distance::sq_euclidean;
@@ -86,6 +101,9 @@ use rand::{Rng, SeedableRng};
 const MAX_ITERS: usize = 100;
 /// Convergence tolerance on centroid movement (squared distance).
 const TOL: f64 = 1e-12;
+/// First Lloyd iteration (0-based) whose end state the cycle skip
+/// saves (see [`Cycle`]); runs that settle sooner never allocate it.
+const CYCLE_FROM: usize = 8;
 /// Most Lloyd iterations one bound frame spans (see [`Frame`]). Each
 /// iteration's rounding in the movement sums is at most one unit
 /// roundoff (2⁻⁵³) of the threshold, so 1024 of them stay ~9× inside
@@ -103,8 +121,9 @@ pub struct KMeansConfig {
     pub seed: u64,
     /// Skip provably-unchanged or unread work: Hamerly-style bounds,
     /// cluster sums that did not change, the state a warm run carries
-    /// over, distances seeding already measured, and a continuation's
-    /// unread WCSS (see the module docs). Output is bit-identical either
+    /// over, distances seeding already measured, a continuation's
+    /// unread WCSS, and the rest of a run caught in a cycle (see the
+    /// module docs). Output is bit-identical either
     /// way; `false` rebuilds everything from scratch and exists as the
     /// test oracle and for debugging.
     pub pruning: bool,
@@ -137,12 +156,14 @@ pub struct KMeansResult {
     pub centroids: Dataset,
     /// Within-cluster sum of squares (inertia) of the final assignment.
     pub wcss: f64,
-    /// Lloyd iterations performed by the winning restart.
+    /// Lloyd iterations in the winning restart's trajectory: a run that
+    /// skipped the rest of a cycle counts `MAX_ITERS`, as if it had run
+    /// them (see the module docs).
     pub iterations: usize,
-    /// Lloyd iterations summed across every restart of the call (for a
-    /// single warm run, equal to `iterations`). This is the compute-cost
-    /// view the `cluster.kmeans.iterations_total.k*` counter tracks;
-    /// `iterations` is the convergence view.
+    /// `iterations` summed across every restart of the call (for a
+    /// single warm run, equal to `iterations`). This is the convergence
+    /// view; the `cluster.kmeans.iterations_total.k*` counter counts the
+    /// iterations actually run, which a cycle skip makes fewer.
     pub total_iterations: u64,
 }
 
@@ -270,10 +291,12 @@ pub(crate) fn kmeans_rows(data: &Dataset, n: usize, config: &KMeansConfig) -> KM
 
     let mut best: Option<KMeansResult> = None;
     let mut total_iterations = 0u64;
+    let mut executed = 0u64;
     for r in 0..config.restarts.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(r as u64));
         let (init, seen) = kmeanspp_init(data, n, config.k, &mut rng);
-        let (result, _) = lloyd(data, n, config, init, Known::Seeded(seen), true);
+        let (result, _, ran) = lloyd(data, n, config, init, Known::Seeded(seen), true);
+        executed += ran;
         total_iterations += result.iterations as u64;
         if best.as_ref().is_none_or(|b| result.wcss < b.wcss) {
             best = Some(result);
@@ -283,15 +306,16 @@ pub(crate) fn kmeans_rows(data: &Dataset, n: usize, config: &KMeansConfig) -> KM
     let mut best = best.expect("at least one restart ran");
     best.total_iterations = total_iterations;
     // Two views of the same sweep: the winner's iteration count measures
-    // convergence, the cross-restart total measures compute spent. The
-    // old single counter conflated them (it added the total under the
-    // winner's name).
+    // convergence, the cross-restart total measures compute spent (the
+    // iterations actually run: a skipped cycle's are not). The old single
+    // counter conflated them (it added the total under the winner's
+    // name).
     incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations(config.k))
         .add(best.iterations as u64);
     incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
         config.k,
     ))
-    .add(total_iterations);
+    .add(executed);
     best
 }
 
@@ -356,11 +380,11 @@ pub(crate) fn kmeans_continue(
         }
         None => Known::Nothing,
     };
-    let (result, carry) = lloyd(data, n, config, prev.centroids.clone(), known, measure);
+    let (result, carry, ran) = lloyd(data, n, config, prev.centroids.clone(), known, measure);
     incprof_obs::counter(&incprof_obs::names::cluster_kmeans_iterations_total(
         config.k,
     ))
-    .add(result.iterations as u64);
+    .add(ran);
     (result, carry)
 }
 
@@ -387,8 +411,9 @@ enum Known<'a> {
 /// Lloyd's algorithm over the first `n` rows of `data` from `init`,
 /// knowing `known` of the rows (only under pruning: the oracle knows
 /// nothing). Returns the result, with its WCSS measured if `measure` is
-/// set or pruning is off (NaN otherwise), and, under pruning, the carry
-/// of this run.
+/// set or pruning is off (NaN otherwise); under pruning, the carry of
+/// this run; and the iterations it actually ran, fewer than the result's
+/// `iterations` when it skipped a cycle.
 fn lloyd(
     data: &Dataset,
     n: usize,
@@ -396,7 +421,7 @@ fn lloyd(
     init: Dataset,
     known: Known,
     measure: bool,
-) -> (KMeansResult, Option<Carry>) {
+) -> (KMeansResult, Option<Carry>, u64) {
     let d = data.ncols();
     let k = config.k;
 
@@ -462,6 +487,11 @@ fn lloyd(
     // The previous iteration's final centroid bits, for the fixed-point
     // break (see the module docs).
     let mut prev_bits: Vec<u64> = Vec::with_capacity(k * d);
+    // The cycle skip (pruning only; see the module docs): the state
+    // Brent's scheme compares against, and once a cycle is found, the
+    // iteration that ends in the state iteration `MAX_ITERS` would.
+    let mut cycle: Option<Cycle> = None;
+    let mut stop_at: Option<usize> = None;
 
     for iter in 0..MAX_ITERS {
         iterations = iter + 1;
@@ -591,6 +621,24 @@ fn lloyd(
         }
         prev_bits.clear();
         prev_bits.extend(bits());
+        // Cycle skip: the state sequence is deterministic, so once the
+        // state at `iter` repeats the one `p` iterations back, the state
+        // `MAX_ITERS` would end in is `(MAX_ITERS − 1 − iter) mod p`
+        // iterations ahead, and no break fires in between: every
+        // transition of the cycle has just run without one.
+        if stop_at.is_none() && config.pruning && iter >= CYCLE_FROM {
+            let saved = cycle.get_or_insert_with(|| Cycle::new(n, k * d));
+            if let Some(p) = saved.period(iter, &assignments, &centroids) {
+                stop_at = Some(iter + (MAX_ITERS - 1 - iter) % p);
+            }
+        }
+        if stop_at == Some(iter) {
+            break;
+        }
+    }
+    let executed = iterations;
+    if stop_at.is_some() {
+        iterations = MAX_ITERS;
     }
 
     // Centroid movement of the final iteration, in picounits (×1e12) so
@@ -629,7 +677,52 @@ fn lloyd(
         iterations,
         total_iterations: iterations as u64,
     };
-    (result, carry)
+    (result, carry, executed as u64)
+}
+
+/// Brent's cycle detection over Lloyd's end-of-iteration states
+/// (assignments and centroid bits): one saved state, compared with each
+/// later one, and moved to the newest state whenever `power` states have
+/// passed since it was saved, doubling `power`. A cycle of period p
+/// entered by iteration μ is found by about iteration 2·max(μ, p).
+struct Cycle {
+    /// The iteration the saved state ended; `None` until one is saved.
+    at: Option<usize>,
+    power: usize,
+    assignments: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl Cycle {
+    fn new(n: usize, kd: usize) -> Cycle {
+        Cycle {
+            at: None,
+            power: 1,
+            assignments: Vec::with_capacity(n),
+            bits: Vec::with_capacity(kd),
+        }
+    }
+
+    /// Observe the state iteration `iter` ended in: the period, if it is
+    /// the saved state again.
+    fn period(&mut self, iter: usize, assignments: &[usize], centroids: &Dataset) -> Option<usize> {
+        let bits = || centroids.iter_rows().flatten().map(|v| v.to_bits());
+        if let Some(at) = self.at {
+            if bits().eq(self.bits.iter().copied()) && assignments == self.assignments {
+                return Some(iter - at);
+            }
+            if iter - at < self.power {
+                return None;
+            }
+            self.power *= 2;
+        }
+        self.at = Some(iter);
+        self.assignments.clear();
+        self.assignments.extend_from_slice(assignments);
+        self.bits.clear();
+        self.bits.extend(bits());
+        None
+    }
 }
 
 /// The exact assignment of one row: `(cluster, best, second)`, the

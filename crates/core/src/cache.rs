@@ -54,6 +54,7 @@ use crate::pipeline::{FeatureSet, PhaseAnalysis, PhaseDetector, PipelineError};
 use incprof_cluster::{Dataset, KChain, KMeansResult, SweepChains};
 use incprof_collect::{IntervalMatrix, SampleSeries};
 use incprof_profile::{FlatProfile, FunctionId};
+use std::sync::Arc;
 
 /// Flight-recorder `b` tag: detector config fingerprint changed.
 pub const INVALIDATE_FINGERPRINT: u64 = 1;
@@ -134,6 +135,10 @@ pub struct AnalysisCache {
     /// Converged k-means chain state per k, resumed by warm analyses
     /// (layer 3 of the module docs).
     chains: SweepChains,
+    /// The blob [`AnalysisCache::state_blob`] last encoded, while it
+    /// still describes the state: dropped on every memo miss, the one
+    /// path that changes what the blob encodes.
+    blob: Option<Arc<[u8]>>,
     /// This instance's memo hits (the global `core.cache.memo_hits`
     /// counter aggregates across sessions; per-session gauges need the
     /// split). Survives cache resets.
@@ -183,6 +188,7 @@ impl AnalysisCache {
         }
         incprof_obs::counter(incprof_obs::names::CORE_CACHE_MISSES).inc();
         self.memo_misses += 1;
+        self.blob = None;
 
         if series.is_empty() {
             return Err(PipelineError::NoIntervals);
@@ -232,7 +238,9 @@ impl AnalysisCache {
     /// replay of the snapshot log — so the format can evolve by bumping
     /// the version byte without migration code. It holds only what the
     /// log cannot give back: the intervals and the feature columns are
-    /// rebuilt from the replayed series.
+    /// rebuilt from the replayed series. A checkpoint writer takes
+    /// [`AnalysisCache::state_blob`] instead, which encodes once per
+    /// state.
     pub fn encode_state(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.push(STATE_VERSION);
@@ -280,6 +288,20 @@ impl AnalysisCache {
             out.extend_from_slice(json.as_bytes());
         }
         out
+    }
+
+    /// [`AnalysisCache::encode_state`]'s bytes as one shared immutable
+    /// blob, encoded at most once per state: until the next memo miss
+    /// every call returns the same allocation, so a checkpoint writer can
+    /// tell an unchanged state by identity (`Arc::ptr_eq`) without
+    /// comparing bytes. A memo hit changes nothing the blob encodes.
+    pub fn state_blob(&mut self) -> Arc<[u8]> {
+        if let Some(blob) = &self.blob {
+            return Arc::clone(blob);
+        }
+        let blob: Arc<[u8]> = self.encode_state().into();
+        self.blob = Some(Arc::clone(&blob));
+        blob
     }
 
     /// Rebuild a cache from an [`AnalysisCache::encode_state`] blob.
@@ -623,6 +645,37 @@ mod tests {
         assert_eq!(back.frontier, Frontier::default());
         assert!(back.covers(&series(3)), "an empty cache covers any series");
         assert!(back.memo.is_none());
+    }
+
+    #[test]
+    fn the_state_blob_is_encoded_once_per_state() {
+        let detector = PhaseDetector::default();
+        let mut cache = AnalysisCache::new();
+        let empty = cache.state_blob();
+        assert_eq!(*empty, *cache.encode_state());
+        cache.analyze(&detector, &series(6)).unwrap();
+        let first = cache.state_blob();
+        assert!(!Arc::ptr_eq(&empty, &first), "a miss re-encodes");
+        assert_eq!(*first, *cache.encode_state());
+        // A memo hit changes nothing the blob encodes.
+        cache.analyze(&detector, &series(6)).unwrap();
+        assert!(Arc::ptr_eq(&first, &cache.state_blob()));
+        // A miss, and a fingerprint change (a reset), drop it.
+        cache.analyze(&detector, &series(7)).unwrap();
+        let grown = cache.state_blob();
+        assert!(!Arc::ptr_eq(&first, &grown));
+        assert_eq!(*grown, *cache.encode_state());
+        let other = PhaseDetector {
+            features: FeatureSet::SelfTimeAndCalls,
+            ..PhaseDetector::default()
+        };
+        cache.analyze(&other, &series(7)).unwrap();
+        let reset = cache.state_blob();
+        assert!(!Arc::ptr_eq(&grown, &reset));
+        assert_eq!(*reset, *cache.encode_state());
+        // A decoded cache encodes its own.
+        let mut decoded = AnalysisCache::decode_state(&reset).expect("decodes");
+        assert_eq!(*decoded.state_blob(), *reset);
     }
 
     #[test]

@@ -249,6 +249,10 @@ pub const STORE_CHECKPOINTS: &str = "store.checkpoint.writes";
 /// Counter: checkpoint writes that failed (blob over the frame cap, I/O
 /// error); the next attempt waits a full checkpoint cadence.
 pub const STORE_CHECKPOINT_WRITE_ERRORS: &str = "store.checkpoint.write_errors";
+/// Counter: checkpoint writes that rewrote the previous write's frame
+/// because the analysis state had not changed since (each is also one
+/// `store.checkpoint.writes`).
+pub const STORE_CHECKPOINTS_REUSED: &str = "store.checkpoint.reused";
 /// Counter: checkpoints discarded at rehydration (stale coverage or a
 /// memo that failed the byte-identity round-trip); the session replays
 /// from the log instead.
@@ -361,6 +365,7 @@ pub const ALL: &[&str] = &[
     STORE_APPEND_ERRORS,
     STORE_CHECKPOINTS,
     STORE_CHECKPOINT_WRITE_ERRORS,
+    STORE_CHECKPOINTS_REUSED,
     STORE_CHECKPOINTS_REJECTED,
     STORE_REHYDRATIONS,
     STORE_EVICTIONS,

@@ -547,12 +547,14 @@ impl Session {
 
     /// Write an analysis checkpoint now (eviction / graceful shutdown).
     /// Checkpoints are advisory, so a write failure only warns: the
-    /// snapshot log remains the source of truth.
+    /// snapshot log remains the source of truth. An analysis state
+    /// unchanged since the last write is neither encoded nor framed
+    /// again ([`AnalysisCache::state_blob`], `SessionStore::write_checkpoint`).
     pub fn force_checkpoint(&mut self) {
-        let (Some(store), Some(cache)) = (self.persist.as_mut(), self.cache.as_ref()) else {
+        let (Some(store), Some(cache)) = (self.persist.as_mut(), self.cache.as_mut()) else {
             return;
         };
-        if let Err(e) = store.write_checkpoint(cache.encode_state()) {
+        if let Err(e) = store.write_checkpoint(cache.state_blob()) {
             incprof_obs::warn!("session {}: checkpoint write failed: {e}", self.id);
         }
     }

@@ -24,6 +24,7 @@ use incprof_profile::GmonData;
 use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// What [`Store::open_session`] recovers for one session: its durable
 /// handle, the replayed log (torn-tail rule already applied), and the
@@ -130,6 +131,7 @@ impl Store {
             retention: self.retention,
             checkpoint_every: self.checkpoint_every,
             appends_since_checkpoint: 0,
+            written: None,
         }
     }
 }
@@ -154,6 +156,9 @@ pub struct SessionStore {
     retention: RetentionPolicy,
     checkpoint_every: u64,
     appends_since_checkpoint: u64,
+    /// The state blob of the last successful checkpoint write and the
+    /// framed bytes (header, payload, CRC) it wrote, until a write fails.
+    written: Option<(Arc<[u8]>, Vec<u8>)>,
 }
 
 impl SessionStore {
@@ -201,33 +206,61 @@ impl SessionStore {
     /// `incprof_core::AnalysisCache` state blob), wrapped in a single
     /// [`FrameType::Checkpoint`] frame.
     ///
+    /// Handed the very blob of the last successful write (the same
+    /// allocation, `Arc::ptr_eq`; equal bytes elsewhere do not count), it
+    /// rewrites the frame that write encoded instead of framing and
+    /// checksumming the blob again, and counts the write in
+    /// `store.checkpoint.reused` too. The file is rewritten either way,
+    /// so a checkpoint deleted or torn since is back after the next
+    /// write.
+    ///
     /// The cadence restarts whether or not the write succeeds: a blob
     /// that cannot be written (over the frame cap, disk full) is retried
     /// once per `checkpoint_every` appends, not after every append.
-    /// Failures are counted in `store.checkpoint.write_errors`.
-    pub fn write_checkpoint(&mut self, state: Vec<u8>) -> io::Result<()> {
+    /// Failures are counted in `store.checkpoint.write_errors`, and the
+    /// next write frames its blob afresh.
+    pub fn write_checkpoint(&mut self, state: impl Into<Arc<[u8]>>) -> io::Result<()> {
         self.appends_since_checkpoint = 0;
-        let written = self.replace_checkpoint(state);
-        let outcome = match written {
-            Ok(()) => incprof_obs::names::STORE_CHECKPOINTS,
-            Err(_) => incprof_obs::names::STORE_CHECKPOINT_WRITE_ERRORS,
-        };
-        incprof_obs::counter(outcome).inc();
-        written
+        let written = self.replace_checkpoint(state.into());
+        // All three are resolved on every write, so a scrape shows each
+        // from the first write on, at zero until it moves.
+        let [writes, reused, errors] = [
+            incprof_obs::names::STORE_CHECKPOINTS,
+            incprof_obs::names::STORE_CHECKPOINTS_REUSED,
+            incprof_obs::names::STORE_CHECKPOINT_WRITE_ERRORS,
+        ]
+        .map(incprof_obs::counter);
+        match written {
+            Ok(again) => {
+                writes.inc();
+                reused.add(u64::from(again));
+            }
+            Err(_) => errors.inc(),
+        }
+        written.map(drop)
     }
 
-    fn replace_checkpoint(&self, state: Vec<u8>) -> io::Result<()> {
-        let frame = Frame::with_payload(FrameType::Checkpoint, self.id, state);
-        let bytes = frame
-            .try_encode(DEFAULT_MAX_PAYLOAD)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    /// Write the checkpoint file; whether it rewrote the previous frame.
+    fn replace_checkpoint(&mut self, state: Arc<[u8]>) -> io::Result<bool> {
+        let (state, bytes, reused) = match self.written.take() {
+            Some((last, bytes)) if Arc::ptr_eq(&last, &state) => (last, bytes, true),
+            _ => {
+                let frame = Frame::with_payload(FrameType::Checkpoint, self.id, state.to_vec());
+                let bytes = frame
+                    .try_encode(DEFAULT_MAX_PAYLOAD)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+                (state, bytes, false)
+            }
+        };
         let tmp = self.dir.join("checkpoint.tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&bytes)?;
             f.flush()?;
         }
-        std::fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))
+        std::fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
+        self.written = Some((state, bytes));
+        Ok(reused)
     }
 
     /// Total retained log bytes on disk.
@@ -364,6 +397,32 @@ mod tests {
             "a failed write waits a full cadence before the retry"
         );
         assert!(!s.root().join("1").join(CHECKPOINT_FILE).exists());
+    }
+
+    #[test]
+    fn the_same_blob_rewrites_its_frame_until_a_write_fails() {
+        let s = store("reuse", RetentionPolicy::keep_all());
+        let mut sess = s.create_session(3).unwrap();
+        let path = s.root().join("3").join(CHECKPOINT_FILE);
+        let blob: Arc<[u8]> = vec![7u8; 64].into();
+        let framed = Frame::with_payload(FrameType::Checkpoint, 3, blob.to_vec()).encode();
+        assert!(!sess.replace_checkpoint(Arc::clone(&blob)).unwrap());
+        assert!(sess.replace_checkpoint(Arc::clone(&blob)).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        // A deleted checkpoint is back after the next write.
+        std::fs::remove_file(&path).unwrap();
+        assert!(sess.replace_checkpoint(Arc::clone(&blob)).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        // Equal bytes in another allocation are framed afresh.
+        let copy: Arc<[u8]> = blob.to_vec().into();
+        assert!(!sess.replace_checkpoint(Arc::clone(&copy)).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
+        // A failed write forgets the frame: the next one frames again.
+        std::fs::remove_dir_all(s.root().join("3")).unwrap();
+        assert!(sess.replace_checkpoint(Arc::clone(&copy)).is_err());
+        std::fs::create_dir_all(s.root().join("3")).unwrap();
+        assert!(!sess.replace_checkpoint(Arc::clone(&copy)).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), framed);
     }
 
     #[test]

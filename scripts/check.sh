@@ -170,6 +170,16 @@ serve_smoke() {
     awk '!/^# TYPE / && !/^[a-z_][a-z0-9_]*({[^}]*})? -?[0-9.]+(e-?[0-9]+)?$/ { bad=1; print "malformed:", $0 } END { exit bad }' \
         "$SMOKE_DIR/scrape.txt" \
         || { echo "serve smoke: malformed exposition line"; exit 1; }
+    # The demo run's 38 pushes cross two due checkpoints (the default
+    # --checkpoint-every is 16) before the push's one query: the second
+    # rewrites the first's frame, and no write failed.
+    awk '$1 == "incprof_store_checkpoint_write_errors" { errors = $2; seen = 1 }
+         $1 == "incprof_store_checkpoint_reused" { reused = $2 }
+         END { exit !(seen && errors + 0 == 0 && reused + 0 >= 1) }' "$SMOKE_DIR/scrape.txt" || {
+        echo "serve smoke: an unchanged checkpoint was not rewritten from its frame"
+        grep '^incprof_store_' "$SMOKE_DIR/scrape.txt"
+        exit 1
+    }
     timeout 60 "$INCPROF" top "$ADMIN" --iterations 1 --recorder >"$SMOKE_DIR/recorder.json"
     grep -q '"total":' "$SMOKE_DIR/recorder.json" \
         || { echo "serve smoke: recorder dump malformed"; cat "$SMOKE_DIR/recorder.json"; exit 1; }

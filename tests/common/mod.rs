@@ -5,7 +5,9 @@
 
 use incprof_bench::apps::Size;
 use incprof_bench::ALL_APPS;
+use incprof_suite::cluster::{ChainConfig, KMeansConfig};
 use incprof_suite::collect::SampleSeries;
+use incprof_suite::core::PhaseDetector;
 use incprof_suite::hpc_apps::HeartbeatPlan;
 use incprof_suite::profile::FunctionTable;
 use std::sync::OnceLock;
@@ -47,4 +49,19 @@ pub fn apps() -> &'static [App] {
             })
             .collect()
     })
+}
+
+/// The k-means fold configuration of the paper-default detector, with
+/// `pruning` on (the product) or off (the from-scratch oracle).
+pub fn chain_config(pruning: bool) -> ChainConfig {
+    let det = PhaseDetector::default();
+    ChainConfig {
+        base: KMeansConfig {
+            restarts: det.restarts,
+            pruning,
+            ..KMeansConfig::new(1).with_seed(det.seed)
+        },
+        review_every: det.review_every,
+        review_candidates: det.review_candidates,
+    }
 }

@@ -24,27 +24,13 @@
 
 mod common;
 
-use incprof_suite::cluster::{ChainConfig, Dataset, KMeansConfig, KSelectionMethod, SweepChains};
+use common::chain_config;
+use incprof_suite::cluster::{Dataset, KSelectionMethod, SweepChains};
 use incprof_suite::collect::IntervalMatrix;
-use incprof_suite::core::PhaseDetector;
 
 const DIGEST: &str = include_str!("fold_digest.txt");
 const K_MAX: usize = 8;
 const N: usize = 512;
-
-/// The fold configuration of the paper-default detector.
-fn chain_config(pruning: bool) -> ChainConfig {
-    let det = PhaseDetector::default();
-    ChainConfig {
-        base: KMeansConfig {
-            restarts: det.restarts,
-            pruning,
-            ..KMeansConfig::new(1).with_seed(det.seed)
-        },
-        review_every: det.review_every,
-        review_candidates: det.review_candidates,
-    }
-}
 
 /// SplitMix64: a seeded stream of `u64`s for the synthetic series.
 struct Rng(u64);
