@@ -28,7 +28,6 @@ use incprof_bench::apps::Size;
 use incprof_bench::ALL_APPS;
 use incprof_collect::SampleSeries;
 use incprof_obs::TraceIdGen;
-use incprof_profile::FunctionTable;
 use incprof_serve::{Client, ServeConfig, Server};
 
 /// Max tolerated traced-vs-untraced slowdown, percent.
@@ -58,32 +57,28 @@ const GATE_PAIRS: usize = 9;
 /// that scheduler jitter is small relative to its wall time.
 const GATE_CYCLES: usize = 6;
 
-fn app_runs() -> Vec<(SampleSeries, FunctionTable)> {
+fn app_runs() -> Vec<SampleSeries> {
     let plan = HeartbeatPlan::none();
     ALL_APPS
         .iter()
-        .map(|app| {
-            let r = app.run_virtual(Size::Tiny, &plan).rank0;
-            (r.series, r.table)
-        })
+        .map(|app| app.run_virtual(Size::Tiny, &plan).rank0.series)
         .collect()
 }
 
 /// Replay one app's series into its own session. With a generator,
 /// every push carries its own wire trace context.
-fn replay(addr: &str, series: &SampleSeries, table: &FunctionTable, trace: Option<&TraceIdGen>) {
+fn replay(addr: &str, series: &SampleSeries, trace: Option<&TraceIdGen>) {
     let mut client = Client::connect_tcp(addr).expect("connect");
     let session = client.open().expect("open session");
     for snap in series.snapshots() {
-        let gmon = snap.to_gmon(table);
         match trace {
             Some(ids) => {
                 client
-                    .push_traced(session, &gmon, ids.next_id())
+                    .push_traced(session, snap, ids.next_id())
                     .expect("traced push");
             }
             None => {
-                client.push_retry(session, &gmon, 200).expect("push");
+                client.push_retry(session, snap, 200).expect("push");
             }
         }
     }
@@ -136,7 +131,7 @@ fn main() {
     println!("== serve_load: {clients} clients -> {workers} worker daemon ==");
     println!("profiling the 5 paper apps (tiny configs, virtual 1s runs)...");
     let runs = app_runs();
-    let total_snaps: usize = runs.iter().map(|(s, _)| s.snapshots().len()).sum();
+    let total_snaps: usize = runs.iter().map(SampleSeries::len).sum();
     println!(
         "  {} apps, {total_snaps} snapshots per full cycle",
         runs.len()
@@ -186,7 +181,7 @@ fn main() {
     let mut windows: Vec<(f64, f64, f64, bool)> = Vec::new(); // (base, diff, pct, cpu?)
     std::thread::scope(|scope| {
         for i in 0..clients {
-            let (series, table) = &runs[i % runs.len()];
+            let series = &runs[i % runs.len()];
             let (addr, barrier, ids, stop) = (addr.as_str(), &barrier, &ids, &stop);
             scope.spawn(move || {
                 for round in 0..total_rounds {
@@ -194,7 +189,7 @@ fn main() {
                     if !stop.load(Ordering::Relaxed) {
                         let trace = round_is_traced(round).then_some(ids);
                         for _ in 0..GATE_CYCLES {
-                            replay(addr, series, table, trace);
+                            replay(addr, series, trace);
                         }
                     }
                     barrier.wait();

@@ -189,12 +189,12 @@ pub fn usage() -> String {
 /// profiles, one per interval, as the paper's collector leaves them and
 /// `demo` and `collect` write them (`series_io::write_gmon_dir`). An
 /// empty directory is a usage error.
-fn load_run(dir: &Path) -> Result<(SampleSeries, FunctionTable), CliError> {
-    let (series, table) = incprof_collect::series_io::read_gmon_dir(dir).map_err(pipeline)?;
+fn load_run(dir: &Path) -> Result<SampleSeries, CliError> {
+    let series = incprof_collect::series_io::read_gmon_dir(dir).map_err(pipeline)?;
     if series.is_empty() {
         return usage_error(format!("no gmon files in {}", dir.display()));
     }
-    Ok((series, table))
+    Ok(series)
 }
 
 /// CLI errors.
@@ -404,16 +404,21 @@ pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliE
 /// `incprof analyze-gmon`: analyze a collected run, a directory of
 /// binary `gmon.out.N` cumulative profiles.
 pub fn analyze_gmon(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
-    let (series, table) = load_run(dir)?;
+    let series = load_run(dir)?;
+    // Every id of the run resolves in its newest sample's table.
+    let table = series
+        .last()
+        .map(|s| s.functions.clone())
+        .unwrap_or_default();
     analyze_intervals(series.interval_profiles(), &table, opts)
 }
 
 /// `incprof render-reports`: write one gprof flat-profile text report
 /// per sample of a collected run (the paper's per-interval reports).
 pub fn render_reports_cmd(run_dir: &Path, out_dir: &Path) -> Result<String, CliError> {
-    let (series, table) = load_run(run_dir)?;
+    let series = load_run(run_dir)?;
     std::fs::create_dir_all(out_dir)?;
-    let reports = incprof_collect::report_path::render_reports(&series, &table);
+    let reports = incprof_collect::report_path::render_reports(&series);
     let last = reports.len().saturating_sub(1) as u64;
     for (i, report) in reports.iter().enumerate() {
         let name = incprof_collect::series_io::sample_name(i as u64, last);
@@ -461,8 +466,7 @@ pub fn demo(out_dir: &Path) -> Result<String, CliError> {
     }
 
     let series = collector.into_series();
-    let n = incprof_collect::series_io::write_gmon_dir(&series, &rt.function_table(), out_dir)
-        .map_err(pipeline)?;
+    let n = incprof_collect::series_io::write_gmon_dir(&series, out_dir).map_err(pipeline)?;
     Ok(format!(
         "wrote a {n}-sample demo run to {}",
         out_dir.display()

@@ -385,15 +385,14 @@ fn report_and_finish(
 /// `--keep-open` so a later `incprof query` can address the same
 /// session, e.g. across a daemon restart).
 pub(crate) fn push_cmd(p: &Parsed) -> Result<String, CliError> {
-    let (series, table) = load_run(Path::new(p.rest[1]))?;
+    let series = load_run(Path::new(p.rest[1]))?;
     let mut client = Client::connect(p.rest[0])?;
     let session = client.open()?;
     if let Some(path) = p.path("--session-file") {
         std::fs::write(path, session.to_string())?;
     }
     for snap in series.snapshots() {
-        let gmon = snap.to_gmon(&table);
-        client.push_retry(session, &gmon, 50)?;
+        client.push_retry(session, snap, 50)?;
     }
     report_and_finish(p, &mut client, session, !p.has("--keep-open"))
 }
@@ -460,7 +459,7 @@ pub(crate) fn collect_cmd(p: &Parsed) -> Result<String, CliError> {
     }
 
     let series = collector.stop();
-    let n = series_io::write_gmon_dir(&series, &rt.function_table(), out_dir).map_err(pipeline)?;
+    let n = series_io::write_gmon_dir(&series, out_dir).map_err(pipeline)?;
     Ok(format!(
         "collected {n} sample(s) to {} (drained cleanly)",
         out_dir.display()

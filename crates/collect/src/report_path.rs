@@ -13,13 +13,14 @@ use incprof_profile::report::{parse_flat_profile, profile_from_rows, write_flat_
 use incprof_profile::{FlatProfile, FunctionTable, ProfileError};
 
 /// Render every cumulative snapshot in `series` to a gprof flat-profile
-/// text report. One report per sample, in order — the in-memory stand-in
-/// for the paper's per-interval report files.
-pub fn render_reports(series: &SampleSeries, table: &FunctionTable) -> Vec<String> {
+/// text report, naming functions from the snapshot's own table. One
+/// report per sample, in order — the in-memory stand-in for the paper's
+/// per-interval report files.
+pub fn render_reports(series: &SampleSeries) -> Vec<String> {
     series
         .snapshots()
         .iter()
-        .map(|snap| write_flat_profile(&snap.flat, table))
+        .map(|snap| write_flat_profile(&snap.flat, &snap.functions))
         .collect()
 }
 
@@ -47,9 +48,8 @@ pub fn parse_reports(
 /// regressions are clamped to zero rather than treated as corruption.
 pub fn intervals_via_reports(
     series: &SampleSeries,
-    table: &FunctionTable,
 ) -> Result<(Vec<FlatProfile>, FunctionTable), ProfileError> {
-    let reports = render_reports(series, table);
+    let reports = render_reports(series);
     let (mut cumulative, parsed_table) = parse_reports(&reports)?;
     clamp_monotone(&mut cumulative);
     let intervals = SampleSeries::deltas_of(&cumulative)?;
@@ -97,15 +97,16 @@ pub fn clamp_monotone(profiles: &mut [FlatProfile]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::{FunctionId, FunctionStats, ProfileSnapshot};
+    use incprof_profile::{FunctionId, FunctionStats, GmonData};
 
-    fn series_with_two_samples() -> (SampleSeries, FunctionTable) {
+    fn series_with_two_samples() -> SampleSeries {
         let mut table = FunctionTable::new();
         let a = table.register("run_bfs");
         let b = table.register("validate_bfs_result");
-        let mut s0 = ProfileSnapshot {
+        let mut s0 = GmonData {
             sample_index: 0,
             timestamp_ns: 0,
+            functions: table.clone(),
             ..Default::default()
         };
         s0.flat.set(
@@ -116,9 +117,10 @@ mod tests {
                 child_time: 0,
             },
         );
-        let mut s1 = ProfileSnapshot {
+        let mut s1 = GmonData {
             sample_index: 1,
             timestamp_ns: 1,
+            functions: table,
             ..Default::default()
         };
         s1.flat.set(
@@ -137,14 +139,13 @@ mod tests {
                 child_time: 0,
             },
         );
-        let series: SampleSeries = vec![s0, s1].into_iter().collect();
-        (series, table)
+        vec![s0, s1].into_iter().collect()
     }
 
     #[test]
     fn render_produces_one_report_per_sample() {
-        let (series, table) = series_with_two_samples();
-        let reports = render_reports(&series, &table);
+        let series = series_with_two_samples();
+        let reports = render_reports(&series);
         assert_eq!(reports.len(), 2);
         assert!(reports[0].contains("run_bfs"));
         assert!(reports[1].contains("validate_bfs_result"));
@@ -152,8 +153,8 @@ mod tests {
 
     #[test]
     fn full_path_recovers_interval_data_within_rounding() {
-        let (series, table) = series_with_two_samples();
-        let (intervals, parsed) = intervals_via_reports(&series, &table).unwrap();
+        let series = series_with_two_samples();
+        let (intervals, parsed) = intervals_via_reports(&series).unwrap();
         assert_eq!(intervals.len(), 2);
         let a = parsed.id_of("run_bfs").unwrap();
         let b = parsed.id_of("validate_bfs_result").unwrap();
@@ -198,8 +199,8 @@ mod tests {
 
     #[test]
     fn parse_reports_builds_unified_table() {
-        let (series, table) = series_with_two_samples();
-        let reports = render_reports(&series, &table);
+        let series = series_with_two_samples();
+        let reports = render_reports(&series);
         let (profiles, parsed) = parse_reports(&reports).unwrap();
         assert_eq!(profiles.len(), 2);
         assert_eq!(parsed.len(), 2, "both functions registered once");
@@ -208,8 +209,7 @@ mod tests {
     #[test]
     fn empty_series_is_fine() {
         let series = SampleSeries::new();
-        let table = FunctionTable::new();
-        let (intervals, _) = intervals_via_reports(&series, &table).unwrap();
+        let (intervals, _) = intervals_via_reports(&series).unwrap();
         assert!(intervals.is_empty());
     }
 }

@@ -1,12 +1,13 @@
 //! Ordered cumulative snapshot series and the delta step.
 
-use incprof_profile::{FlatProfile, ProfileError, ProfileSnapshot};
+use incprof_profile::{FlatProfile, GmonData, ProfileError};
 
 /// The sequence of cumulative snapshots produced by a collection run —
-/// the in-memory equivalent of the paper's numbered `gmon.out` samples.
+/// the in-memory equivalent of the paper's numbered `gmon.out` samples,
+/// each with its own function table. Equality compares the tables too.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SampleSeries {
-    snapshots: Vec<ProfileSnapshot>,
+    snapshots: Vec<GmonData>,
 }
 
 /// Rejected [`SampleSeries::append_monotonic`]: the snapshot's
@@ -41,7 +42,7 @@ impl SampleSeries {
     ///
     /// # Panics
     /// Panics if `snap.sample_index` is not the next expected index.
-    pub fn push(&mut self, snap: ProfileSnapshot) {
+    pub fn push(&mut self, snap: GmonData) {
         let expected = self.snapshots.len() as u64;
         assert_eq!(
             snap.sample_index, expected,
@@ -58,7 +59,7 @@ impl SampleSeries {
     ///
     /// Returns [`OutOfOrder`] when the index does not advance, leaving
     /// the series unchanged.
-    pub fn append_monotonic(&mut self, snap: ProfileSnapshot) -> Result<(), OutOfOrder> {
+    pub fn append_monotonic(&mut self, snap: GmonData) -> Result<(), OutOfOrder> {
         if let Some(last) = self.snapshots.last() {
             if snap.sample_index <= last.sample_index {
                 return Err(OutOfOrder {
@@ -105,7 +106,7 @@ impl SampleSeries {
         }
         let kept = boundaries.iter().skip(m - 1).step_by(m).chain([last]);
         kept.zip(0..)
-            .map(|(s, sample_index)| ProfileSnapshot {
+            .map(|(s, sample_index)| GmonData {
                 sample_index,
                 ..s.clone()
             })
@@ -123,17 +124,17 @@ impl SampleSeries {
     }
 
     /// Borrow the cumulative snapshots.
-    pub fn snapshots(&self) -> &[ProfileSnapshot] {
+    pub fn snapshots(&self) -> &[GmonData] {
         &self.snapshots
     }
 
     /// Take the cumulative snapshots out of the series.
-    pub fn into_snapshots(self) -> Vec<ProfileSnapshot> {
+    pub fn into_snapshots(self) -> Vec<GmonData> {
         self.snapshots
     }
 
     /// The last cumulative snapshot, if any (the whole-run profile).
-    pub fn last(&self) -> Option<&ProfileSnapshot> {
+    pub fn last(&self) -> Option<&GmonData> {
         self.snapshots.last()
     }
 
@@ -142,32 +143,34 @@ impl SampleSeries {
     /// `snapshot[i] - snapshot[i-1]`, with interval 0 measured from the
     /// empty profile (program start). Returns one profile per snapshot.
     pub fn interval_profiles(&self) -> Result<Vec<FlatProfile>, ProfileError> {
-        let mut out = Vec::with_capacity(self.snapshots.len());
-        let mut prev = FlatProfile::new();
-        for snap in &self.snapshots {
-            out.push(snap.flat.delta(&prev)?);
-            prev = snap.flat.clone();
-        }
-        Ok(out)
+        deltas(self.snapshots.iter().map(|s| &s.flat))
     }
 
     /// Like [`SampleSeries::interval_profiles`] but over externally
     /// supplied cumulative profiles (e.g. ones reconstructed from parsed
     /// gprof reports via [`crate::report_path`]).
     pub fn deltas_of(cumulative: &[FlatProfile]) -> Result<Vec<FlatProfile>, ProfileError> {
-        let empty = FlatProfile::new();
-        let mut out = Vec::with_capacity(cumulative.len());
-        let mut prev = &empty;
-        for cur in cumulative {
-            out.push(cur.delta(prev)?);
-            prev = cur;
-        }
-        Ok(out)
+        deltas(cumulative.iter())
     }
 }
 
-impl FromIterator<ProfileSnapshot> for SampleSeries {
-    fn from_iter<T: IntoIterator<Item = ProfileSnapshot>>(iter: T) -> Self {
+/// Each cumulative profile minus the one before it, the first minus the
+/// empty profile.
+fn deltas<'a>(
+    cumulative: impl ExactSizeIterator<Item = &'a FlatProfile>,
+) -> Result<Vec<FlatProfile>, ProfileError> {
+    let empty = FlatProfile::new();
+    let mut out = Vec::with_capacity(cumulative.len());
+    let mut prev = &empty;
+    for cur in cumulative {
+        out.push(cur.delta(prev)?);
+        prev = cur;
+    }
+    Ok(out)
+}
+
+impl FromIterator<GmonData> for SampleSeries {
+    fn from_iter<T: IntoIterator<Item = GmonData>>(iter: T) -> Self {
         let mut s = SampleSeries::new();
         for snap in iter {
             s.push(snap);
@@ -181,8 +184,8 @@ mod tests {
     use super::*;
     use incprof_profile::{FunctionId, FunctionStats};
 
-    fn snap(idx: u64, entries: &[(u32, u64, u64)]) -> ProfileSnapshot {
-        let mut s = ProfileSnapshot {
+    fn snap(idx: u64, entries: &[(u32, u64, u64)]) -> GmonData {
+        let mut s = GmonData {
             sample_index: idx,
             timestamp_ns: idx * 1000,
             ..Default::default()
@@ -346,7 +349,7 @@ mod tests {
             );
             assert_eq!(
                 coarse.last(),
-                Some(&ProfileSnapshot {
+                Some(&GmonData {
                     sample_index: coarse.len() as u64 - 1,
                     ..series.last().unwrap().clone()
                 })

@@ -7,7 +7,7 @@
 //! `gmon.out.<index>` so lexicographic order is sample order.
 
 use crate::series::SampleSeries;
-use incprof_profile::{FunctionTable, GmonData, ProfileError, ProfileSnapshot};
+use incprof_profile::{GmonData, ProfileError};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -60,69 +60,67 @@ pub fn sample_name(index: u64, last: u64) -> String {
 /// missing), named by [`sample_name`]. Returns the number of files
 /// written. A directory that already holds files is refused by
 /// [`ensure_fresh_run_dir`] before anything is written.
-pub fn write_gmon_dir(
-    series: &SampleSeries,
-    table: &FunctionTable,
-    dir: &Path,
-) -> Result<usize, ProfileError> {
+pub fn write_gmon_dir(series: &SampleSeries, dir: &Path) -> Result<usize, ProfileError> {
     ensure_fresh_run_dir(dir)?;
     std::fs::create_dir_all(dir)?;
     let last = series.last().map_or(0, |s| s.sample_index);
     for snap in series.snapshots() {
-        let gmon = snap.to_gmon(table);
         let path = dir.join(sample_name(snap.sample_index, last));
-        std::fs::write(path, gmon.encode())?;
+        std::fs::write(path, snap.encode())?;
     }
     Ok(series.len())
 }
 
-/// Read a directory of gmon binaries back into a sample series and the
-/// function table of the *last* (most complete) sample. Files are read
-/// in lexicographic name order; sample indices are reassigned densely in
+/// Read a directory of gmon binaries back into a sample series, each
+/// sample with the function table its file holds. Files are read in
+/// lexicographic name order; sample indices are reassigned densely in
 /// that order, so a directory of files renamed by any monotone scheme
-/// loads correctly.
-pub fn read_gmon_dir(dir: &Path) -> Result<(SampleSeries, FunctionTable), ProfileError> {
+/// loads correctly. A file whose table equals the one before it shares
+/// that table's contents, so a long run holds one copy of its names each
+/// time its table grows, not one per file.
+pub fn read_gmon_dir(dir: &Path) -> Result<SampleSeries, ProfileError> {
     let paths = sample_files(dir)?;
     let mut series = SampleSeries::new();
-    let mut table = FunctionTable::new();
     for (i, path) in paths.iter().enumerate() {
         // Each sample file is a self-contained dump, table included.
-        let gmon = GmonData::decode(&std::fs::read(path)?)?;
-        let mut snap = ProfileSnapshot::from_gmon(&gmon);
-        snap.sample_index = i as u64;
-        if gmon.functions.len() >= table.len() {
-            table = gmon.functions;
+        let mut gmon = GmonData::decode(&std::fs::read(path)?)?;
+        gmon.sample_index = i as u64;
+        if let Some(prev) = series.last().filter(|p| p.functions == gmon.functions) {
+            gmon.functions = prev.functions.clone();
         }
-        series.push(snap);
+        series.push(gmon);
     }
-    Ok((series, table))
+    Ok(series)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::FlatProfile;
+    use incprof_profile::{FlatProfile, FunctionTable};
 
-    fn sample_series() -> (SampleSeries, FunctionTable) {
+    /// Five samples; `kernel_b` is registered at sample 2, so the table
+    /// grows once.
+    fn sample_series() -> SampleSeries {
         let mut table = FunctionTable::new();
         let a = table.register("kernel_a");
-        let b = table.register("kernel_b");
         let mut series = SampleSeries::new();
         let mut flat = FlatProfile::new();
         for i in 0..5u64 {
             flat.record_self_time(a, 1_000_000_000);
             flat.record_calls(a, 2);
             if i >= 2 {
+                let b = table.register("kernel_b");
                 flat.record_self_time(b, 500_000_000);
             }
-            series.push(ProfileSnapshot {
+            series.push(GmonData {
                 sample_index: i,
                 timestamp_ns: i * 1_000_000_000,
+                functions: table.clone(),
                 flat: flat.clone(),
                 callgraph: Default::default(),
             });
         }
-        (series, table)
+        series
     }
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
@@ -133,17 +131,13 @@ mod tests {
 
     #[test]
     fn roundtrip_through_directory() {
-        let (series, table) = sample_series();
+        let series = sample_series();
         let dir = tmpdir("roundtrip");
-        let n = write_gmon_dir(&series, &table, &dir).unwrap();
+        let n = write_gmon_dir(&series, &dir).unwrap();
         assert_eq!(n, 5);
-        let (back, back_table) = read_gmon_dir(&dir).unwrap();
-        assert_eq!(back.len(), 5);
-        assert_eq!(back_table.id_of("kernel_a"), table.id_of("kernel_a"));
-        // Cumulative content identical sample-by-sample.
-        for (orig, read) in series.snapshots().iter().zip(back.snapshots()) {
-            assert_eq!(orig.flat, read.flat);
-        }
+        // Every sample reads back whole, its own table included.
+        let back = read_gmon_dir(&dir).unwrap();
+        assert_eq!(back, series);
         // And the interval pipeline runs on the loaded series.
         assert_eq!(back.interval_profiles().unwrap().len(), 5);
         std::fs::remove_dir_all(&dir).ok();
@@ -151,9 +145,9 @@ mod tests {
 
     #[test]
     fn file_names_sort_in_sample_order() {
-        let (series, table) = sample_series();
+        let series = sample_series();
         let dir = tmpdir("names");
-        write_gmon_dir(&series, &table, &dir).unwrap();
+        write_gmon_dir(&series, &dir).unwrap();
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -166,9 +160,9 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_an_error_not_a_panic() {
-        let (series, table) = sample_series();
+        let series = sample_series();
         let dir = tmpdir("corrupt");
-        write_gmon_dir(&series, &table, &dir).unwrap();
+        write_gmon_dir(&series, &dir).unwrap();
         std::fs::write(dir.join("gmon.out.000002"), b"garbage").unwrap();
         assert!(read_gmon_dir(&dir).is_err());
         std::fs::remove_dir_all(&dir).ok();
@@ -178,20 +172,27 @@ mod tests {
     fn empty_directory_loads_empty_series() {
         let dir = tmpdir("empty");
         std::fs::create_dir_all(&dir).unwrap();
-        let (series, table) = read_gmon_dir(&dir).unwrap();
-        assert!(series.is_empty());
-        assert!(table.is_empty());
+        assert!(read_gmon_dir(&dir).unwrap().is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Each file decodes to a table of its own; the read shares one
+    /// between consecutive files whose tables are equal, and gives a
+    /// grown table a handle of its own.
     #[test]
-    fn growing_function_table_keeps_latest() {
-        // Later samples may know more functions than early ones.
-        let (series, table) = sample_series();
+    fn equal_tables_read_back_as_one_shared_table() {
+        let series = sample_series();
         let dir = tmpdir("grow");
-        write_gmon_dir(&series, &table, &dir).unwrap();
-        let (_, back_table) = read_gmon_dir(&dir).unwrap();
-        assert_eq!(back_table.len(), 2);
+        write_gmon_dir(&series, &dir).unwrap();
+        let back = read_gmon_dir(&dir).unwrap();
+        let tables: Vec<&FunctionTable> = back.snapshots().iter().map(|s| &s.functions).collect();
+        let sizes: Vec<usize> = tables.iter().map(|t| t.len()).collect();
+        assert_eq!(sizes, [1, 1, 2, 2, 2]);
+        let shared: Vec<bool> = tables
+            .windows(2)
+            .map(|w| w[0].shares_contents_with(w[1]))
+            .collect();
+        assert_eq!(shared, [true, false, true, true]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -200,9 +201,9 @@ mod tests {
     /// old run's tail spliced on.
     #[test]
     fn a_directory_holding_a_run_is_refused_and_left_as_it_was() {
-        let (series, table) = sample_series();
+        let series = sample_series();
         let dir = tmpdir("refuse");
-        write_gmon_dir(&series, &table, &dir).unwrap();
+        write_gmon_dir(&series, &dir).unwrap();
         let listing = |dir: &Path| -> Vec<(String, Vec<u8>)> {
             let mut files: Vec<_> = std::fs::read_dir(dir)
                 .unwrap()
@@ -218,7 +219,7 @@ mod tests {
         let before = listing(&dir);
         let mut shorter = SampleSeries::new();
         shorter.push(series.snapshots()[0].clone());
-        match write_gmon_dir(&shorter, &table, &dir) {
+        match write_gmon_dir(&shorter, &dir) {
             Err(ProfileError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::AlreadyExists),
             other => panic!("expected AlreadyExists, got {other:?}"),
         }
@@ -227,12 +228,12 @@ mod tests {
         // subdirectory, which the read skips, is not.
         let other = tmpdir("refuse_other");
         std::fs::create_dir_all(other.join("reports")).unwrap();
-        assert_eq!(write_gmon_dir(&shorter, &table, &other).unwrap(), 1);
-        assert_eq!(read_gmon_dir(&other).unwrap().0.len(), 1);
+        assert_eq!(write_gmon_dir(&shorter, &other).unwrap(), 1);
+        assert_eq!(read_gmon_dir(&other).unwrap().len(), 1);
         let notes = tmpdir("refuse_notes");
         std::fs::create_dir_all(&notes).unwrap();
         std::fs::write(notes.join("notes.txt"), b"x").unwrap();
-        assert!(write_gmon_dir(&shorter, &table, &notes).is_err());
+        assert!(write_gmon_dir(&shorter, &notes).is_err());
         assert_eq!(listing(&notes).len(), 1);
         for d in [dir, other, notes] {
             std::fs::remove_dir_all(d).ok();
@@ -243,17 +244,17 @@ mod tests {
     /// so name order stays sample order and the deltas read back in it.
     #[test]
     fn indices_past_six_digits_keep_name_order() {
-        let (five, table) = sample_series();
+        let five = sample_series();
         let mut series = SampleSeries::new();
         for (snap, index) in five.snapshots().iter().zip([999_998, 999_999, 1_000_000]) {
-            let snap = ProfileSnapshot {
+            let snap = GmonData {
                 sample_index: index,
                 ..snap.clone()
             };
             series.append_monotonic(snap).unwrap();
         }
         let dir = tmpdir("wide");
-        write_gmon_dir(&series, &table, &dir).unwrap();
+        write_gmon_dir(&series, &dir).unwrap();
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -263,7 +264,7 @@ mod tests {
             names,
             ["gmon.out.0999998", "gmon.out.0999999", "gmon.out.1000000"]
         );
-        let (back, _) = read_gmon_dir(&dir).unwrap();
+        let back = read_gmon_dir(&dir).unwrap();
         let flats = |s: &SampleSeries| -> Vec<FlatProfile> {
             s.snapshots().iter().map(|x| x.flat.clone()).collect()
         };

@@ -605,7 +605,7 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::{CallGraphProfile, FunctionStats, ProfileSnapshot};
+    use incprof_profile::{FunctionStats, GmonData};
 
     /// A deterministic cumulative series with a couple of alternating
     /// hot functions, enough structure for a non-trivial clustering.
@@ -627,11 +627,11 @@ mod tests {
             let mut flat = FlatProfile::new();
             flat.set(FunctionId(1), f1);
             flat.set(FunctionId(2), f2);
-            s.push(ProfileSnapshot {
+            s.push(GmonData {
                 sample_index: i,
                 timestamp_ns: 1_000 + i * 500,
                 flat,
-                callgraph: CallGraphProfile::default(),
+                ..Default::default()
             });
         }
         s
@@ -727,7 +727,7 @@ mod tests {
     /// every interval.
     fn series_wide(n: usize, extra: u32) -> SampleSeries {
         let mut fs = vec![FunctionStats::default(); extra as usize];
-        let grow = |mut snap: ProfileSnapshot| {
+        let grow = |mut snap: GmonData| {
             for (j, f) in fs.iter_mut().enumerate() {
                 f.self_time += 300 + snap.sample_index * (j as u64 + 3);
                 f.calls += 1;
@@ -816,7 +816,7 @@ mod tests {
     /// at snapshot 6, so its feature column is inserted at index 0.
     fn series_with_newcomer(n: usize) -> SampleSeries {
         let mut f0 = FunctionStats::default();
-        let grow = |mut snap: ProfileSnapshot| {
+        let grow = |mut snap: GmonData| {
             if snap.sample_index >= 6 {
                 f0.self_time += 700 + snap.sample_index * 11;
                 f0.calls += 2;
@@ -991,11 +991,10 @@ mod tests {
         // memoized prefix; the old memo must not answer the new one.
         let detector = PhaseDetector::default();
         let mut bad = series(6);
-        bad.push(ProfileSnapshot {
+        bad.push(GmonData {
             sample_index: 6,
             timestamp_ns: 9_000,
-            flat: FlatProfile::new(),
-            callgraph: CallGraphProfile::default(),
+            ..Default::default()
         });
         assert!(detector.detect_series(&bad).is_err());
         let mut cache = cache_after(&detector, 6);

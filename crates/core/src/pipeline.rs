@@ -393,10 +393,9 @@ impl PhaseDetector {
     pub fn detect_series_via_reports(
         &self,
         series: &SampleSeries,
-        table: &FunctionTable,
     ) -> Result<(PhaseAnalysis, IntervalMatrix, FunctionTable), PipelineError> {
         let (intervals, parsed_table) =
-            incprof_collect::report_path::intervals_via_reports(series, table)?;
+            incprof_collect::report_path::intervals_via_reports(series)?;
         let matrix = IntervalMatrix::from_interval_profiles(&intervals);
         let analysis = self.detect(&matrix)?;
         Ok((analysis, matrix, parsed_table))
@@ -624,7 +623,7 @@ mod tests {
 
     #[test]
     fn detect_series_runs_delta_first() {
-        use incprof_profile::ProfileSnapshot;
+        use incprof_profile::GmonData;
         // Cumulative: function 0 grows for 5 samples, then function 1.
         let mut series = SampleSeries::new();
         let mut f0 = 0u64;
@@ -635,7 +634,7 @@ mod tests {
             } else {
                 f1 += 1_000_000_000;
             }
-            let mut s = ProfileSnapshot {
+            let mut s = GmonData {
                 sample_index: i,
                 timestamp_ns: i,
                 ..Default::default()

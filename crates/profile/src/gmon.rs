@@ -55,8 +55,10 @@ const TAG_ARCS: u8 = 0x04;
 const TAG_DELTA: u8 = 0x05;
 const TAG_END: u8 = 0xFF;
 
-/// One decoded (or to-be-encoded) gmon snapshot: the cumulative profile
-/// state of a process at a single collection instant.
+/// One cumulative profile snapshot: the profile state of a process at a
+/// single collection instant, with the function table its ids refer to —
+/// the in-memory form of each renamed `gmon.out.N` file in the paper's
+/// Fig. 1 collection loop, and what a gmon payload decodes to.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GmonData {
     /// Monotone sample index assigned by the collector (0, 1, 2, ...).
@@ -71,7 +73,20 @@ pub struct GmonData {
     pub callgraph: CallGraphProfile,
 }
 
+/// The former name of [`GmonData`]. It exists only because
+/// `perfbench/benches/perf/gen.rs` imports it, and goes when perfbench
+/// reaches the product through its public seam (ROADMAP item 11).
+pub type ProfileSnapshot = GmonData;
+
 impl GmonData {
+    /// A clone of `gmon`. It exists only because
+    /// `perfbench/benches/perf/gen.rs` calls it as
+    /// `ProfileSnapshot::from_gmon`, and goes with [`ProfileSnapshot`]
+    /// (ROADMAP item 11).
+    pub fn from_gmon(gmon: &GmonData) -> GmonData {
+        gmon.clone()
+    }
+
     /// Serialize to one self-contained payload, function table
     /// included.
     pub fn encode(&self) -> Bytes {
@@ -182,7 +197,7 @@ impl GmonData {
     /// [`Stream`] reads, so a payload without a function section gets an
     /// empty table and a delta record has no base.
     pub fn decode(data: &[u8]) -> Result<GmonData, ProfileError> {
-        read(data, None)
+        decode_after(data, None)
     }
 }
 
@@ -234,7 +249,7 @@ impl Stream {
     /// outright, a delta record sets the counters to its base's plus its
     /// increases, and a later function section adds to the table.
     pub fn decode(&self, payload: &[u8]) -> Result<GmonData, ProfileError> {
-        read(payload, self.tail.as_ref())
+        decode_after(payload, self.tail.as_ref())
     }
 
     /// Make `g` the stream's newest snapshot; returns the one it
@@ -244,8 +259,10 @@ impl Stream {
     }
 }
 
-/// Read one payload against `stream`, the stream's newest snapshot.
-fn read(mut data: &[u8], stream: Option<&GmonData>) -> Result<GmonData, ProfileError> {
+/// Read one payload against `stream`, the newest snapshot of the stream
+/// it belongs to, by the rules of [`Stream::decode`]: what a reader that
+/// keeps its newest snapshot elsewhere than in a [`Stream`] calls.
+pub fn decode_after(mut data: &[u8], stream: Option<&GmonData>) -> Result<GmonData, ProfileError> {
     if data.remaining() < 4 {
         return Err(ProfileError::Truncated { context: "magic" });
     }

@@ -20,15 +20,15 @@
 //!   time, mirroring gprof's call-graph section (used by the paper's
 //!   "future work" call-graph-aware site selection, which we implement in
 //!   `incprof-core`).
-//! * [`GmonData`] — a binary snapshot format in the spirit of `gmon.out`
-//!   (tagged records, little-endian), with a writer and reader. In a
-//!   [`gmon::Stream`] of them the function table goes only when it
-//!   changes, and the counters only as the rows that moved.
+//! * [`GmonData`] — one timestamped cumulative sample as produced by the
+//!   IncProf collector once per interval, carrying the function table its
+//!   ids refer to as each `gmon.out.N` does, and its binary format in the
+//!   spirit of `gmon.out` (tagged records, little-endian), with a writer
+//!   and reader. In a [`gmon::Stream`] of them the function table goes
+//!   only when it changes, and the counters only as the rows that moved.
 //! * [`report`] — a gprof-style **text report** writer and a parser for the
 //!   flat-profile table, so the analysis pipeline can consume exactly the
 //!   kind of artifact the paper's tooling consumed.
-//! * [`ProfileSnapshot`] — one timestamped cumulative sample as produced by
-//!   the IncProf collector once per interval.
 //!
 //! All container iteration orders are deterministic (BTree-based), which the
 //! downstream clustering pipeline relies on for reproducible experiments.
@@ -43,15 +43,13 @@ pub mod flat;
 pub mod function;
 pub mod gmon;
 pub mod report;
-pub mod snapshot;
 
 pub use callgraph::{ArcStats, CallGraphProfile};
 pub use cycles::{cycle_membership, find_cycles, Cycle};
 pub use error::ProfileError;
 pub use flat::{FlatProfile, FlatRow, FunctionStats};
 pub use function::{FunctionId, FunctionInfo, FunctionTable};
-pub use gmon::GmonData;
-pub use snapshot::ProfileSnapshot;
+pub use gmon::{GmonData, ProfileSnapshot};
 
 /// Nanoseconds, the time unit used throughout the profile data model.
 ///

@@ -32,8 +32,7 @@
 
 use crate::clock::Clock;
 use incprof_profile::{
-    ArcStats, CallGraphProfile, FlatProfile, FunctionId, FunctionStats, FunctionTable,
-    ProfileSnapshot,
+    ArcStats, CallGraphProfile, FlatProfile, FunctionId, FunctionStats, FunctionTable, GmonData,
 };
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
@@ -266,8 +265,9 @@ impl ProfilerRuntime {
     /// A function appears iff it was entered (`calls > 0`) and an arc iff
     /// it was traversed (`count > 0`). `sample_index` is stamped into the
     /// snapshot by the caller (the collector assigns 0, 1, 2, ... per
-    /// interval).
-    pub fn snapshot(&self, sample_index: u64) -> ProfileSnapshot {
+    /// interval). The snapshot carries the function table as it stands
+    /// after the counters are summed, so every id it counts resolves.
+    pub fn snapshot(&self, sample_index: u64) -> GmonData {
         let now = self.inner.clock.now_ns();
         let mut stats: Vec<FunctionStats> = Vec::new();
         let mut arcs: Vec<((FunctionId, FunctionId), ArcStats)> = Vec::new();
@@ -307,9 +307,10 @@ impl ProfilerRuntime {
             callgraph.record_arcs(caller, callee, arc.count);
             callgraph.record_arc_time(caller, callee, arc.child_time);
         }
-        ProfileSnapshot {
+        GmonData {
             sample_index,
             timestamp_ns: now,
+            functions: self.function_table(),
             flat,
             callgraph,
         }
@@ -626,6 +627,38 @@ mod tests {
         assert_eq!(snap.callgraph.get(a, c).child_time, 2);
         assert_eq!(snap.callgraph.get(b, c).child_time, 4);
         assert_eq!(snap.callgraph.get(b, c).count, 1);
+    }
+
+    #[test]
+    fn every_snapshot_resolves_its_ids_in_its_own_table() {
+        let rt = vrt();
+        let main = rt.register_function("main");
+        let f = rt.register_function("f");
+        {
+            let _gm = rt.enter(main);
+            let _gf = rt.enter(f);
+            rt.clock().advance(5);
+        }
+        let first = rt.snapshot(0);
+        let late = rt.register_function("late");
+        {
+            let _gm = rt.enter(main);
+            let _gl = rt.enter(late);
+            rt.clock().advance(5);
+        }
+        let second = rt.snapshot(1);
+        assert_eq!([first.functions.len(), second.functions.len()], [2, 3]);
+        assert_eq!(second.callgraph.get(main, late).count, 1);
+        for snap in [&first, &second] {
+            let known = |id: FunctionId| id.index() < snap.functions.len();
+            assert!(snap.flat.iter().all(|(id, _)| known(id)));
+            assert!(snap
+                .callgraph
+                .iter()
+                .all(|((a, b), _)| known(a) && known(b)));
+            // A self-contained payload with an unknown id does not decode.
+            assert_eq!(GmonData::decode(&snap.encode()).ok().as_ref(), Some(snap));
+        }
     }
 
     #[test]

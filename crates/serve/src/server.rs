@@ -332,7 +332,7 @@ fn handle_snapshot(shared: &Arc<Shared>, frame: &Frame) -> Reply {
         )
     });
     // Decode, enqueue and drain under one lock hold: a push is read
-    // against the session's stream, the queue bound gives overflow a
+    // against the session's newest snapshot, the queue bound gives overflow a
     // BUSY answer, and atomicity guarantees this worker drains (and can
     // ack) the frame it just enqueued.
     let handled = with_session(shared, sid, |session| {

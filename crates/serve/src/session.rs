@@ -21,8 +21,8 @@ use incprof_collect::SampleSeries;
 use incprof_core::online::{OnlineConfig, OnlineObservation, OnlinePhaseDetector};
 use incprof_core::{source_context_json, AnalysisCache, PhaseDetector};
 use incprof_obs::{JsonWriter, Raw};
-use incprof_profile::gmon::{self, Stream};
-use incprof_profile::{FlatProfile, FunctionTable, GmonData, ProfileError, ProfileSnapshot};
+use incprof_profile::gmon;
+use incprof_profile::{FlatProfile, GmonData, ProfileError};
 use incprof_store::{LogReplay, SessionStore, Store};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -53,7 +53,7 @@ pub enum Enqueue {
 /// Why [`Session::offer`] refused a pushed payload.
 #[derive(Debug)]
 pub(crate) enum Refused {
-    /// The payload does not decode against the session's stream.
+    /// The payload does not decode against the session's newest snapshot.
     Decode(ProfileError),
     /// The decoded snapshot was refused by [`Session::enqueue`].
     Enqueue(ErrorInfo),
@@ -89,10 +89,6 @@ struct Pending {
 pub struct Session {
     id: u64,
     series: SampleSeries,
-    table: FunctionTable,
-    /// The pushed payloads as one gmon stream: its newest snapshot is
-    /// the newest queued one, else the series tail.
-    stream: Stream,
     online: OnlinePhaseDetector,
     pending: VecDeque<Pending>,
     max_pending: usize,
@@ -152,8 +148,6 @@ impl Session {
         Session {
             id,
             series: SampleSeries::new(),
-            table: FunctionTable::new(),
-            stream: Stream::new(),
             online: OnlinePhaseDetector::new(online),
             pending: VecDeque::new(),
             max_pending,
@@ -166,23 +160,15 @@ impl Session {
         }
     }
 
-    /// Live ingest of one drained snapshot: [`Session::fold`] it, then
-    /// adopt its function table. A delta error leaves the session
-    /// untouched.
-    fn apply(&mut self, gmon: &GmonData, traced: bool) -> Result<IngestAck, ProfileError> {
-        let ack = self.fold(ProfileSnapshot::from_gmon(gmon), traced)?;
-        self.table = gmon.functions.clone();
-        Ok(ack)
-    }
-
     /// Turn one snapshot into session state: its delta against the
     /// series tail (the previous cumulative profile) goes through the
-    /// online detector, then the series and `last_ack` advance. Live
-    /// ingest ([`Session::apply`]) and every replay ([`Session::replay`])
-    /// come through here and nothing else writes those fields, which is
-    /// what makes a replayed session's ack bitwise the one its previous
-    /// owner sent. A delta error leaves the session untouched.
-    fn fold(&mut self, snap: ProfileSnapshot, traced: bool) -> Result<IngestAck, ProfileError> {
+    /// online detector, then the snapshot moves into the series and
+    /// `last_ack` advances. Live ingest ([`Session::drain`]) and every
+    /// replay ([`Session::replay`]) come through here and nothing else
+    /// writes those fields, which is what makes a replayed session's ack
+    /// bitwise the one its previous owner sent. A delta error leaves the
+    /// session untouched.
+    fn fold(&mut self, snap: GmonData, traced: bool) -> Result<IngestAck, ProfileError> {
         let start = FlatProfile::new();
         let interval = snap
             .flat
@@ -211,7 +197,7 @@ impl Session {
     /// and cumulative profiles that grow pairwise grow across gaps, so an
     /// error means on-disk corruption past the frame CRC: keep the good
     /// prefix and fault the tail, as live ingest would.
-    fn replay(&mut self, snapshots: impl IntoIterator<Item = ProfileSnapshot>) {
+    fn replay(&mut self, snapshots: impl IntoIterator<Item = GmonData>) {
         for snap in snapshots {
             if let Err(e) = self.fold(snap, false) {
                 self.fault = Some(format!("log replay: {e}"));
@@ -233,11 +219,7 @@ impl Session {
         replay: LogReplay,
         checkpoint: Option<Vec<u8>>,
     ) -> Session {
-        if let Some(newest) = replay.snapshots.last() {
-            self.table = newest.functions.clone();
-            self.stream.advance(newest.clone());
-        }
-        self.replay(replay.snapshots.iter().map(ProfileSnapshot::from_gmon));
+        self.replay(replay.snapshots);
         if let (Some(blob), Some(slot)) = (checkpoint, self.cache.as_mut()) {
             match AnalysisCache::decode_state(&blob) {
                 Some(cache) if cache.covers(&self.series) => *slot = cache,
@@ -270,11 +252,13 @@ impl Session {
     }
 
     /// Offer one pushed gmon payload: decode it against the session's
-    /// stream, then [`Session::enqueue`] it. Returns the verdict and the
-    /// payload's sample index. A retransmission of the most recently
-    /// acked snapshot is recognized from its header first: once that
-    /// snapshot is the stream's newest, a delta written against the one
-    /// before no longer reads.
+    /// newest snapshot (the newest queued one, else the series tail) by
+    /// the rules of [`gmon::Stream::decode`], then [`Session::enqueue`]
+    /// it. Returns the verdict and the payload's sample index. A
+    /// retransmission of the most recently acked snapshot is recognized
+    /// from its header first: once that snapshot is the newest, a delta
+    /// written against the one before no longer reads. A faulted session
+    /// refuses a payload without reading it.
     pub(crate) fn offer(&mut self, payload: &[u8], at: Instant) -> Result<(Enqueue, u64), Refused> {
         if let Some(index) = gmon::sample_index(payload) {
             if self.fault.is_none() && self.retransmits(index) {
@@ -282,7 +266,10 @@ impl Session {
                 return Ok((Enqueue::Duplicate, index));
             }
         }
-        let snapshot = self.stream.decode(payload).map_err(Refused::Decode)?;
+        self.healthy().map_err(Refused::Enqueue)?;
+        let newest = self.pending.back().map(|p| &p.gmon);
+        let snapshot =
+            gmon::decode_after(payload, newest.or(self.series.last())).map_err(Refused::Decode)?;
         let index = snapshot.sample_index;
         let verdict = self.enqueue(snapshot, at).map_err(Refused::Enqueue)?;
         Ok((verdict, index))
@@ -300,12 +287,7 @@ impl Session {
     /// Offer a decoded snapshot. Enforces sample-index ordering and the
     /// queue bound; never grows memory past `max_pending` frames.
     pub fn enqueue(&mut self, gmon: GmonData, enqueued_at: Instant) -> Result<Enqueue, ErrorInfo> {
-        if let Some(why) = &self.fault {
-            return Err(ErrorInfo::new(
-                ErrorCode::BadPayload,
-                format!("session {} is faulted: {why}", self.id),
-            ));
-        }
+        self.healthy()?;
         let next_index = self.series.last().map_or(0, |tail| tail.sample_index + 1);
         let expected = next_index + self.pending.len() as u64;
         if gmon.sample_index != expected {
@@ -330,9 +312,19 @@ impl Session {
             return Ok(Enqueue::Busy);
         }
         self.last_activity = Some(enqueued_at);
-        self.stream.advance(gmon.clone());
         self.pending.push_back(Pending { gmon, enqueued_at });
         Ok(Enqueue::Accepted)
+    }
+
+    /// A faulted session takes no more snapshots.
+    fn healthy(&self) -> Result<(), ErrorInfo> {
+        match &self.fault {
+            Some(why) => Err(ErrorInfo::new(
+                ErrorCode::BadPayload,
+                format!("session {} is faulted: {why}", self.id),
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The ack produced for the most recently drained snapshot, if any.
@@ -363,7 +355,7 @@ impl Session {
         let mut acks = Vec::with_capacity(self.pending.len());
         while let Some(p) = self.pending.pop_front() {
             let sample_index = p.gmon.sample_index;
-            let ack = match self.apply(&p.gmon, traced) {
+            let ack = match self.fold(p.gmon, traced) {
                 Ok(ack) => ack,
                 Err(e) => {
                     let why = e.to_string();
@@ -382,7 +374,7 @@ impl Session {
                     ));
                 }
             };
-            self.persist_snapshot(&p.gmon);
+            self.persist_newest();
             // A retention drop re-folded the online detector over the
             // retained series; the push is acked with that verdict.
             let ack = self.last_ack.unwrap_or(ack);
@@ -446,7 +438,7 @@ impl Session {
         // measured arcs: the newest snapshot's cumulative call graph.
         let source_context = match (&analysis, self.series.last()) {
             (Some(Ok(a)), Some(last)) => {
-                source_context_json(a, |f| self.table.name(f), &last.callgraph)
+                source_context_json(a, |f| last.functions.name(f), &last.callgraph)
             }
             _ => "[]".to_string(),
         };
@@ -468,11 +460,6 @@ impl Session {
             w.field("source_context", Raw(&source_context))
                 .field("analysis", Raw(&analysis_json))
         })
-    }
-
-    /// The latest function table streamed into the session.
-    pub fn table(&self) -> &FunctionTable {
-        &self.table
     }
 
     /// The accumulated cumulative series (mainly for tests).
@@ -498,9 +485,9 @@ impl Session {
         self.persist.is_some()
     }
 
-    /// Append one drained snapshot to the durable log — in the form the
-    /// log's stream picks, mostly a delta against the last retained
-    /// record — mirroring any retention drops onto the in-memory
+    /// Append the newest drained snapshot to the durable log — in the
+    /// form the log's stream picks, mostly a delta against the last
+    /// retained record — mirroring any retention drops onto the in-memory
     /// series and re-folding the online detector and `last_ack` over
     /// what is left, so a later rehydration (which only sees retained
     /// records) rebuilds exactly this state. The re-fold costs
@@ -508,8 +495,8 @@ impl Session {
     /// a keep-all session never drops. An I/O error drops persistence
     /// for the session — the divergent log must not accept further
     /// records — but ingest continues in memory.
-    fn persist_snapshot(&mut self, gmon: &GmonData) {
-        let Some(store) = self.persist.as_mut() else {
+    fn persist_newest(&mut self) {
+        let (Some(store), Some(gmon)) = (self.persist.as_mut(), self.series.last()) else {
             return;
         };
         match store.append_gmon(gmon) {
@@ -585,6 +572,26 @@ pub struct Registry {
 struct Inner {
     sessions: BTreeMap<u64, Arc<Mutex<Session>>>,
     next_id: u64,
+}
+
+impl Inner {
+    /// Publish `session` as live under `id`.
+    fn insert(&mut self, id: u64, session: &Arc<Mutex<Session>>) {
+        self.sessions.insert(id, Arc::clone(session));
+        self.count_active();
+    }
+
+    /// Take `id` out of the live table.
+    fn remove(&mut self, id: u64) -> Option<Arc<Mutex<Session>>> {
+        let removed = self.sessions.remove(&id);
+        self.count_active();
+        removed
+    }
+
+    fn count_active(&self) {
+        incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
+            .set(self.sessions.len() as u64);
+    }
 }
 
 impl Registry {
@@ -685,10 +692,8 @@ impl Registry {
         let id = inner.next_id;
         inner.next_id += 1;
         let session = self.fresh(id);
-        inner.sessions.insert(id, Arc::clone(&session));
+        inner.insert(id, &session);
         incprof_obs::counter(incprof_obs::names::SERVE_SESSIONS_OPENED).inc();
-        incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
-            .set(inner.sessions.len() as u64);
         Ok((id, session))
     }
 
@@ -733,10 +738,8 @@ impl Registry {
             // Another connection adopted the id first; its instance wins.
             return Ok(Arc::clone(existing));
         }
-        inner.sessions.insert(id, Arc::clone(&session));
+        inner.insert(id, &session);
         incprof_obs::counter(incprof_obs::names::SERVE_SESSIONS_OPENED).inc();
-        incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
-            .set(inner.sessions.len() as u64);
         Ok(session)
     }
 
@@ -772,9 +775,7 @@ impl Registry {
         // Rehydration may transiently exceed `max_sessions`; the cap
         // guards new opens, and eviction (when enabled) restores the
         // live bound on the next sweep.
-        inner.sessions.insert(id, Arc::clone(&session));
-        incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
-            .set(inner.sessions.len() as u64);
+        inner.insert(id, &session);
         Some(session)
     }
 
@@ -783,17 +784,9 @@ impl Registry {
     /// state is deleted too (its persistence handle is dropped first, so
     /// the final drain stays memory-only).
     pub fn close(&self, id: u64) -> Option<Arc<Mutex<Session>>> {
-        let removed = {
-            let mut inner = lock(&self.inner);
-            let removed = inner.sessions.remove(&id);
-            if removed.is_some() {
-                incprof_obs::counter(incprof_obs::names::SERVE_SESSIONS_CLOSED).inc();
-                incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
-                    .set(inner.sessions.len() as u64);
-            }
-            removed
-        };
+        let removed = lock(&self.inner).remove(id);
         if let Some(s) = &removed {
+            incprof_obs::counter(incprof_obs::names::SERVE_SESSIONS_CLOSED).inc();
             lock(s).persist = None;
             if let Some(store) = &self.store {
                 if let Err(e) = store.remove_session(id) {
@@ -874,10 +867,7 @@ impl Registry {
             sess.force_checkpoint();
             sess.evict();
             drop(sess);
-            let mut inner = lock(&self.inner);
-            inner.sessions.remove(&id);
-            incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
-                .set(inner.sessions.len() as u64);
+            lock(&self.inner).remove(id);
             incprof_obs::counter(incprof_obs::names::STORE_EVICTIONS).inc();
             evicted += 1;
         }
@@ -921,7 +911,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use incprof_profile::FunctionStats;
+    use incprof_profile::{FunctionStats, FunctionTable};
 
     fn gmon(idx: u64, self_ns: u64) -> GmonData {
         let mut table = FunctionTable::new();

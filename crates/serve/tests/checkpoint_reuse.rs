@@ -9,7 +9,7 @@ use incprof_collect::SampleSeries;
 use incprof_core::online::OnlineConfig;
 use incprof_core::{AnalysisCache, PhaseDetector};
 use incprof_obs::{counter, names};
-use incprof_profile::{FlatProfile, FunctionStats, FunctionTable, GmonData, ProfileSnapshot};
+use incprof_profile::{FlatProfile, FunctionStats, FunctionTable, GmonData};
 use incprof_serve::session::Session;
 use incprof_serve::{Frame, FrameType, Registry, ReportMode, RetentionPolicy, Store};
 use incprof_store::store::CHECKPOINT_FILE;
@@ -78,9 +78,7 @@ fn moved(before: [u64; 3]) -> [u64; 3] {
 
 /// The first `n` snapshots as a series.
 fn series(n: u64) -> SampleSeries {
-    (0..n)
-        .map(|i| ProfileSnapshot::from_gmon(&gmon(i)))
-        .collect()
+    (0..n).map(gmon).collect()
 }
 
 /// What session `id`'s checkpoint file must hold once its last query

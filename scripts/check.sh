@@ -33,7 +33,8 @@
 #                               # quartile and span arithmetic) and every
 #                               # workload for one second; the numbers
 #                               # mean nothing, a non-zero exit means a
-#                               # rename broke it
+#                               # rename broke it, or that building it
+#                               # rewrote perfbench/Cargo.lock
 #   scripts/check.sh experiments
 #                               # only the experiment goldens: the release
 #                               # ablation_interval's stdout must equal
@@ -353,6 +354,15 @@ perf_smoke() {
         || { echo "perf smoke: perfbench/run.sh test failed"; tail -40 target/perf-smoke.log; exit 1; }
     perfbench/run.sh --quick >>target/perf-smoke.log 2>&1 \
         || { echo "perf smoke: perfbench/run.sh --quick failed"; tail -40 target/perf-smoke.log; exit 1; }
+    # A dependency row of a crate perfbench builds moves its lockfile,
+    # which the benchmark would then rewrite at run time.
+    git diff --quiet -- perfbench/Cargo.lock || {
+        echo "perf smoke: building perfbench changed perfbench/Cargo.lock; a change to a"
+        echo "dependency row of a crate perfbench builds waits for a change allowed to touch"
+        echo "the benchmark (shims/README.md)"
+        git diff --stat -- perfbench/Cargo.lock
+        exit 1
+    }
 }
 
 if [ "${1:-all}" = "perf-smoke" ]; then

@@ -362,7 +362,7 @@ fn a_delta_against_another_base_is_refused_and_leaves_the_session() {
     let info = ErrorInfo::decode(&reply.payload).expect("error payload");
     assert_eq!(info.code, ErrorCode::BadPayload, "{info}");
     assert_eq!(client.query_report(sid).expect("report"), before);
-    // The session's stream still ends at snapshot 1: the client's next
+    // The session's newest snapshot is still snapshot 1: the client's next
     // delta, written against it, is acked.
     assert!(matches!(client.push(sid, &s[2]), Ok(Push::Ack(_))));
     client.close(sid).expect("close");

@@ -9,15 +9,13 @@ use incprof_suite::cluster::{ChainConfig, KMeansConfig};
 use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::PhaseDetector;
 use incprof_suite::hpc_apps::HeartbeatPlan;
-use incprof_suite::profile::FunctionTable;
 use std::sync::OnceLock;
 
-/// One profiled application: rank 0's cumulative series and the
-/// function table its gmon snapshots are encoded against.
+/// One profiled application: rank 0's cumulative series, each snapshot
+/// with the function table it was taken under.
 pub struct App {
     pub name: &'static str,
     pub series: SampleSeries,
-    pub table: FunctionTable,
 }
 
 /// Index of MiniFE in [`apps`].
@@ -40,12 +38,11 @@ pub fn apps() -> &'static [App] {
             .into_iter()
             .zip(ALL_APPS)
             .map(|(name, app)| {
-                let rank0 = app.run_virtual(Size::Tiny, &HeartbeatPlan::none()).rank0;
-                App {
-                    name,
-                    series: rank0.series,
-                    table: rank0.table,
-                }
+                let series = app
+                    .run_virtual(Size::Tiny, &HeartbeatPlan::none())
+                    .rank0
+                    .series;
+                App { name, series }
             })
             .collect()
     })

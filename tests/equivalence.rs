@@ -163,7 +163,7 @@ fn offline_source_context(app: usize) -> String {
     let a = &apps()[app];
     let analysis = ok(detectors()[DEFAULT].detect_series(&a.series), a.name);
     let last = a.series.last().expect("a profiled series is not empty");
-    source_context_json(&analysis, |f| a.table.name(f), &last.callgraph)
+    source_context_json(&analysis, |f| last.functions.name(f), &last.callgraph)
 }
 
 /// What a path answered: (app, detector, prefix, answer).
@@ -221,9 +221,8 @@ fn open(client: &mut Client, app: usize) -> u64 {
 /// Push `app`'s snapshots `range` into `session`.
 fn stream(client: &mut Client, session: u64, app: &App, range: Range<usize>) {
     for snap in &app.series.snapshots()[range] {
-        let gmon = snap.to_gmon(&app.table);
-        let at = format!("{}[..{}] push", app.name, gmon.sample_index + 1);
-        ok(client.push_retry(session, &gmon, 100), at);
+        let at = format!("{}[..{}] push", app.name, snap.sample_index + 1);
+        ok(client.push_retry(session, snap, 100), at);
     }
 }
 
@@ -378,8 +377,7 @@ impl Path {
                         let (_, session) = ok(registry.open(), a.name);
                         let mut session = session.lock().expect("session lock");
                         for (i, snap) in a.series.snapshots().iter().enumerate() {
-                            let gmon = snap.to_gmon(&a.table);
-                            ok(session.enqueue(gmon, Instant::now()), a.name);
+                            ok(session.enqueue(snap.clone(), Instant::now()), a.name);
                             let queries = if i % 3 == 0 { 2 } else { 1 };
                             for _ in 0..queries {
                                 let got = session.report_json(d, ReportMode::AnalysisOnly);
@@ -438,8 +436,7 @@ impl Path {
                         } else {
                             let trace = traces.next_id();
                             for snap in a.series.snapshots() {
-                                let gmon = snap.to_gmon(&a.table);
-                                let push = ok(client.push_traced(session, &gmon, trace), a.name);
+                                let push = ok(client.push_traced(session, snap, trace), a.name);
                                 assert!(matches!(push, Push::Ack(_)), "{}: busy", a.name);
                             }
                             client.query_analysis_traced(session, trace)

@@ -9,9 +9,7 @@ use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::online::OnlineConfig;
 use incprof_suite::core::{source_context_json, PhaseDetector};
 use incprof_suite::obs::{EventKind, Obs, RunReport, SpanStore, TimeSource, VirtualClock};
-use incprof_suite::profile::{
-    FlatProfile, FunctionStats, FunctionTable, GmonData, ProfileSnapshot,
-};
+use incprof_suite::profile::{FlatProfile, FunctionStats, FunctionTable, GmonData};
 use incprof_suite::serve::session::lock;
 use incprof_suite::serve::{Registry, ReportMode};
 use std::time::Instant;
@@ -122,9 +120,7 @@ const FAULTED: &str = r#"{"session_id":1,"snapshots":3,"online":{"phases":2,"ass
 fn source_context_is_pinned() {
     let mut series = SampleSeries::new();
     for idx in 0..10 {
-        series
-            .append_monotonic(ProfileSnapshot::from_gmon(&with_arcs(idx)))
-            .expect("monotonic");
+        series.append_monotonic(with_arcs(idx)).expect("monotonic");
     }
     let analysis = PhaseDetector::default()
         .detect_series(&series)

@@ -128,8 +128,7 @@ fn report_path_reproduces_direct_path_phases() {
     let (series, table) = planted_run();
     let detector = PhaseDetector::new();
     let direct = detector.detect_series(&series).unwrap();
-    let (via_reports, _matrix, parsed_table) =
-        detector.detect_series_via_reports(&series, &table).unwrap();
+    let (via_reports, _matrix, parsed_table) = detector.detect_series_via_reports(&series).unwrap();
 
     assert_eq!(direct.k, via_reports.k);
     // Same partition of intervals (cluster ids may permute; compare as
@@ -202,13 +201,13 @@ fn gmon_binary_path_roundtrips_through_collector() {
     }
     let dir = std::env::temp_dir().join(format!("incprof_e2e_gmon_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    write_gmon_dir(&collector.into_series(), &rt.function_table(), &dir).unwrap();
-    let (series, table) = read_gmon_dir(&dir).unwrap();
+    write_gmon_dir(&collector.into_series(), &dir).unwrap();
+    let series = read_gmon_dir(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(series.len(), 4);
     for (i, snap) in series.snapshots().iter().enumerate() {
         assert_eq!(snap.sample_index as usize, i);
-        let id = table.iter().next().unwrap().0;
+        let id = snap.functions.id_of("kernel").unwrap();
         assert_eq!(snap.flat.get(id).self_time, (i as u64 + 1) * INTERVAL);
     }
 }

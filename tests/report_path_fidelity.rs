@@ -24,7 +24,7 @@ fn graph500_report_path_matches_direct_path() {
 
     let direct = detector.detect_series(&out.rank0.series).unwrap();
     let (via_reports, _matrix, parsed_table) = detector
-        .detect_series_via_reports(&out.rank0.series, &out.rank0.table)
+        .detect_series_via_reports(&out.rank0.series)
         .unwrap();
 
     assert_eq!(

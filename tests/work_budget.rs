@@ -15,7 +15,7 @@
 
 use incprof_suite::collect::SampleSeries;
 use incprof_suite::core::{AnalysisCache, PhaseDetector};
-use incprof_suite::profile::{FunctionId, FunctionStats, ProfileSnapshot};
+use incprof_suite::profile::{FunctionId, FunctionStats, GmonData};
 use incprof_suite::runtime::{Clock, ProfilerRuntime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -131,7 +131,7 @@ fn phased_series(n: usize) -> SampleSeries {
             };
             t.calls += u64::from(f / 3 == phase);
         }
-        let mut snap = ProfileSnapshot {
+        let mut snap = GmonData {
             sample_index: i,
             timestamp_ns: i * 1_000_000,
             ..Default::default()
