@@ -266,7 +266,7 @@ impl Session {
                 return Ok((Enqueue::Duplicate, index));
             }
         }
-        self.healthy().map_err(Refused::Enqueue)?;
+        self.refuse_if_faulted().map_err(Refused::Enqueue)?;
         let newest = self.pending.back().map(|p| &p.gmon);
         let snapshot =
             gmon::decode_after(payload, newest.or(self.series.last())).map_err(Refused::Decode)?;
@@ -287,7 +287,7 @@ impl Session {
     /// Offer a decoded snapshot. Enforces sample-index ordering and the
     /// queue bound; never grows memory past `max_pending` frames.
     pub fn enqueue(&mut self, gmon: GmonData, enqueued_at: Instant) -> Result<Enqueue, ErrorInfo> {
-        self.healthy()?;
+        self.refuse_if_faulted()?;
         let next_index = self.series.last().map_or(0, |tail| tail.sample_index + 1);
         let expected = next_index + self.pending.len() as u64;
         if gmon.sample_index != expected {
@@ -317,7 +317,7 @@ impl Session {
     }
 
     /// A faulted session takes no more snapshots.
-    fn healthy(&self) -> Result<(), ErrorInfo> {
+    fn refuse_if_faulted(&self) -> Result<(), ErrorInfo> {
         match &self.fault {
             Some(why) => Err(ErrorInfo::new(
                 ErrorCode::BadPayload,
@@ -588,6 +588,7 @@ impl Inner {
         removed
     }
 
+    /// Publish the live-session count.
     fn count_active(&self) {
         incprof_obs::gauge(incprof_obs::names::SERVE_SESSIONS_ACTIVE)
             .set(self.sessions.len() as u64);
@@ -971,6 +972,53 @@ mod tests {
             Ok(Enqueue::Accepted)
         );
         assert!(!s.stats(Instant::now()).faulted);
+    }
+
+    /// A push is read against the newest queued snapshot, else the series
+    /// tail; a faulted session refuses a push before reading it.
+    #[test]
+    fn a_push_reads_against_the_newest_queued_snapshot_else_the_tail() {
+        let r = registry();
+        let (_, s) = r.open().unwrap();
+        let mut s = lock(&s);
+        let mut writer = gmon::Stream::new();
+        let mut push = |s: &mut Session, g: GmonData, delta: bool| {
+            let payload = writer.encode(&g);
+            assert_eq!(gmon::carries_table(&payload), !delta);
+            writer.advance(g);
+            s.offer(&payload, Instant::now())
+        };
+        assert!(matches!(
+            push(&mut s, gmon(0, 10), false),
+            Ok((Enqueue::Accepted, 0))
+        ));
+        // Snapshot 0 is still queued: the delta reads against it.
+        assert!(matches!(
+            push(&mut s, gmon(1, 20), true),
+            Ok((Enqueue::Accepted, 1))
+        ));
+        assert_eq!(s.drain().unwrap().len(), 2);
+        // Nothing queued: the delta reads against the series tail.
+        assert!(matches!(
+            push(&mut s, gmon(2, 30), true),
+            Ok((Enqueue::Accepted, 2))
+        ));
+        assert_eq!(s.drain().unwrap().len(), 1);
+        assert_eq!(
+            s.series().snapshots(),
+            [gmon(0, 10), gmon(1, 20), gmon(2, 30)]
+        );
+        // A lowered counter faults the session at its drain; the next
+        // push, a delta against the faulting snapshot, is refused unread.
+        assert!(matches!(
+            push(&mut s, gmon(3, 5), false),
+            Ok((Enqueue::Accepted, 3))
+        ));
+        assert!(s.drain().is_err());
+        match push(&mut s, gmon(4, 50), true) {
+            Err(Refused::Enqueue(e)) => assert!(e.message.contains("is faulted"), "{e}"),
+            other => panic!("expected a faulted refusal, got {other:?}"),
+        }
     }
 
     #[test]
