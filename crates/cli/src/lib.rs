@@ -405,12 +405,13 @@ pub fn analyze_reports(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliE
 /// binary `gmon.out.N` cumulative profiles.
 pub fn analyze_gmon(dir: &Path, opts: &AnalyzeOptions) -> Result<String, CliError> {
     let series = load_run(dir)?;
-    // Every id of the run resolves in its newest sample's table.
-    let table = series
+    // The newest sample's table. It names every id of the run when the
+    // run's table only grew by appending, as it does in a collected run.
+    let table = &series
         .last()
-        .map(|s| s.functions.clone())
-        .unwrap_or_default();
-    analyze_intervals(series.interval_profiles(), &table, opts)
+        .expect("load_run refuses an empty run")
+        .functions;
+    analyze_intervals(series.interval_profiles(), table, opts)
 }
 
 /// `incprof render-reports`: write one gprof flat-profile text report

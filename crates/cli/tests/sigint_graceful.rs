@@ -184,6 +184,7 @@ fn collect_drains_and_exits_zero_on_sigint() {
 
     // The interrupted collection still produced a loadable run...
     let series = incprof_collect::series_io::read_gmon_dir(&run).expect("run directory reads back");
+    assert!(!series.is_empty(), "run must contain samples");
     assert!(
         series
             .snapshots()

@@ -85,8 +85,8 @@ pub fn read_gmon_dir(dir: &Path) -> Result<SampleSeries, ProfileError> {
         // Each sample file is a self-contained dump, table included.
         let mut gmon = GmonData::decode(&std::fs::read(path)?)?;
         gmon.sample_index = i as u64;
-        if let Some(prev) = series.last().filter(|p| p.functions == gmon.functions) {
-            gmon.functions = prev.functions.clone();
+        if let Some(prev) = series.last() {
+            gmon.functions = gmon.functions.shared_with(&prev.functions);
         }
         series.push(gmon);
     }

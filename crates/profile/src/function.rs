@@ -193,6 +193,16 @@ impl FunctionTable {
     pub fn shares_contents_with(&self, other: &FunctionTable) -> bool {
         Arc::ptr_eq(&self.contents, &other.contents)
     }
+
+    /// `other`'s handle when the two tables are equal, else this table:
+    /// equal tables read one after another keep one copy of their names.
+    pub fn shared_with(self, other: &FunctionTable) -> FunctionTable {
+        if self == *other {
+            other.clone()
+        } else {
+            self
+        }
+    }
 }
 
 #[cfg(test)]

@@ -360,7 +360,11 @@ pub fn decode_after(mut data: &[u8], stream: Option<&GmonData>) -> Result<GmonDa
             tag => return Err(ProfileError::UnknownTag { tag }),
         }
     }
-    out.functions = functions.unwrap_or_else(|| table_of(base));
+    // A self-contained payload whose table equals the stream's shares it.
+    out.functions = match (functions, stream) {
+        (Some(read), Some(s)) => read.shared_with(&s.functions),
+        (read, _) => read.unwrap_or_else(|| table_of(base)),
+    };
     Ok(out)
 }
 
@@ -755,9 +759,12 @@ mod tests {
             GmonData::decode(&counters),
             Err(ProfileError::UnknownFunction { id: 0 })
         ));
-        // A payload with its own section ignores the stream's table.
+        // A payload with its own section ignores the stream's table...
         let other = stream_at(&GmonData::default());
         assert_eq!(other.decode(&g.encode()).unwrap(), g);
+        // ...but shares it when the two are equal.
+        let whole = stream_at(&table_only).decode(&g.encode()).unwrap();
+        assert!(whole.functions.shares_contents_with(&g.functions));
     }
 
     #[test]

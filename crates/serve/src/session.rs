@@ -1004,18 +1004,34 @@ mod tests {
             Ok((Enqueue::Accepted, 2))
         ));
         assert_eq!(s.drain().unwrap().len(), 1);
+        // A self-contained push (a client that started a fresh stream
+        // after a reconnect) of an unchanged table shares the tail's.
+        let fresh = gmon::Stream::new().encode(&gmon(3, 40));
+        assert!(gmon::carries_table(&fresh));
+        assert!(matches!(
+            s.offer(&fresh, Instant::now()),
+            Ok((Enqueue::Accepted, 3))
+        ));
+        assert_eq!(s.drain().unwrap().len(), 1);
+        let tables: Vec<_> = s
+            .series()
+            .snapshots()
+            .iter()
+            .map(|g| &g.functions)
+            .collect();
+        assert!(tables.windows(2).all(|w| w[1].shares_contents_with(w[0])));
         assert_eq!(
             s.series().snapshots(),
-            [gmon(0, 10), gmon(1, 20), gmon(2, 30)]
+            [gmon(0, 10), gmon(1, 20), gmon(2, 30), gmon(3, 40)]
         );
         // A lowered counter faults the session at its drain; the next
         // push, a delta against the faulting snapshot, is refused unread.
         assert!(matches!(
-            push(&mut s, gmon(3, 5), false),
-            Ok((Enqueue::Accepted, 3))
+            push(&mut s, gmon(4, 5), false),
+            Ok((Enqueue::Accepted, 4))
         ));
         assert!(s.drain().is_err());
-        match push(&mut s, gmon(4, 50), true) {
+        match push(&mut s, gmon(5, 50), true) {
             Err(Refused::Enqueue(e)) => assert!(e.message.contains("is faulted"), "{e}"),
             other => panic!("expected a faulted refusal, got {other:?}"),
         }
